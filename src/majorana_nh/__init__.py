@@ -27,6 +27,7 @@ from .ep import (
     ArcPolyline,
     DegeneracyReport,
     EPRecord,
+    RefineCounters,
     bond_phase_from_k,
     classify_degeneracy,
     ep_closed_form,

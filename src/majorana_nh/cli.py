@@ -46,7 +46,7 @@ def _load_config(args) -> RunConfig:
             text = open(args.config, encoding="utf-8").read()
         except OSError as exc:
             raise ConfigurationError(f"cannot read config {args.config}: {exc}") from exc
-        cfg = parse_config(text)
+        cfg = parse_config(text, preset=args.preset)
         if cfg.command != args.command:
             raise ConfigurationError(
                 f"config declares command {cfg.command!r} but {args.command!r} was requested"
@@ -63,8 +63,6 @@ def _load_config(args) -> RunConfig:
     else:
         raise ConfigurationError("--config is required (or --preset with 'reproduce')")
 
-    if args.preset is not None:
-        cfg.preset = args.preset
     out_dir = args.out or os.environ.get("MAJORANA_NH_OUT")
     if out_dir:
         cfg.output.directory = out_dir

@@ -292,8 +292,12 @@ def _fill_dataclass(cls, located, context, casts):
     return obj
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a run configuration; raises ConfigurationError."""
+def parse_config(text: str, preset: str | None = None) -> RunConfig:
+    """Parse and validate a run configuration; raises ConfigurationError.
+
+    ``preset``, if given, overrides the ``preset`` key of the text (the CLI's
+    ``--preset``); a ``reproduce`` run needs one from either place.
+    """
     root = _compose(text)
     if not isinstance(root.value, dict):
         _err("top level must be a mapping", root)
@@ -307,9 +311,10 @@ def parse_config(text: str) -> RunConfig:
     if command not in COMMANDS:
         _err(f"unknown command {command!r}; expected one of {COMMANDS}", block["command"])
 
-    preset = None
     if "preset" in block:
-        preset = _as_str(block["preset"], "preset")
+        file_preset = _as_str(block["preset"], "preset")
+        if preset is None:
+            preset = file_preset
 
     model = None
     if "model" in block:
@@ -317,7 +322,7 @@ def parse_config(text: str) -> RunConfig:
     elif command not in ("reproduce",):
         _err(f"command {command!r} needs a model block", root)
     if command == "reproduce" and preset is None:
-        _err("command 'reproduce' needs a preset", root)
+        _err("command 'reproduce' needs a preset (a 'preset' key or --preset)", root)
 
     grid = _fill_dataclass(
         GridConfig,

@@ -214,29 +214,41 @@ def model_closed_form_eps(model: ModelConfig, atol: float = 1e-10) -> list[EPRec
 # scan-based search
 # --------------------------------------------------------------------------
 
-def _pair_metrics(h):
-    """(gap, overlap-among-closest-pairs, eigenvalues) for a single matrix."""
-    w, v = np.linalg.eig(h)
-    v = v / np.linalg.norm(v, axis=0)
-    d = np.abs(w[:, None] - w[None, :])
-    np.fill_diagonal(d, np.inf)
-    gap = float(d.min())
-    gram = np.abs(v.conj().T @ v)
-    np.fill_diagonal(gram, 0.0)
-    close = d <= gap * (1.0 + 1e-6) + 1e-14
-    overlap = float(gram[close].max()) if close.any() else 0.0
-    return gap, overlap, w, gram, d
+def _pair_tables(hs):
+    """Eigenvalues, pair distances and eigenvector overlaps of a matrix stack.
+
+    ``hs`` has shape (..., m, m).  Returns ``(w, d, gram)``: the eigenvalues,
+    ``d[..., i, j] = |w_i - w_j|`` and ``gram[..., i, j]`` the modulus of the
+    inner product of unit right eigenvectors i and j (diagonals as computed).
+    """
+    w, v = np.linalg.eig(hs)
+    v = v / np.linalg.norm(v, axis=-2, keepdims=True)
+    d = np.abs(w[..., :, None] - w[..., None, :])
+    gram = np.abs(np.swapaxes(v.conj(), -1, -2) @ v)
+    return w, d, gram
 
 
-def _defect_score(h, scale):
-    """min over pairs of |dE| + scale * (1 - overlap): small only near an EP."""
-    w, v = np.linalg.eig(h)
-    v = v / np.linalg.norm(v, axis=0)
-    d = np.abs(w[:, None] - w[None, :])
-    gram = np.abs(v.conj().T @ v)
+def _defect_scores(d, gram, scale):
+    """Per-pair |dE| + scale * (1 - overlap), infinite on the diagonal.
+
+    Small only for a pair that nearly coalesces: close eigenvalues with
+    nearly parallel eigenvectors.
+    """
     score = d + scale * (1.0 - gram)
-    np.fill_diagonal(score, np.inf)
-    return float(score.min())
+    idx = np.arange(d.shape[-1])
+    score[..., idx, idx] = np.inf
+    return score
+
+
+def _pair_metrics(h):
+    """(gap, largest eigenvector overlap among the closest pairs) of one matrix."""
+    _, d, gram = _pair_tables(h)
+    idx = np.arange(d.shape[-1])
+    d[idx, idx] = np.inf
+    gram[idx, idx] = 0.0
+    gap = float(d.min())
+    close = d <= gap * (1.0 + 1e-6) + 1e-14
+    return gap, float(gram[close].max()) if close.any() else 0.0
 
 
 def _local_minima_periodic(field2d):
@@ -250,31 +262,152 @@ def _local_minima_periodic(field2d):
     return m
 
 
-def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, max_candidates):
+@dataclass
+class RefineCounters:
+    """Work of the EP candidate refinement, summed over :func:`ep_scan` calls.
+
+    ``candidates`` grid candidates were refined, taking ``newton_iterations``
+    accepted Gauss-Newton steps in all; ``fallbacks`` of them were left
+    uncertified by Newton and refined again by Nelder-Mead; ``rejected``
+    still had a pair gap above ``gap_tol`` and were dropped; ``confirmed``
+    certified exceptional points remained after deduplication.
+    """
+
+    candidates: int = 0
+    newton_iterations: int = 0
+    fallbacks: int = 0
+    rejected: int = 0
+    confirmed: int = 0
+
+
+# central-difference stencil of the Newton refinement, in units of _FD_STEP
+_STENCIL = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+_FD_STEP = 1e-6
+_NEWTON_MAX_ITER = 60
+_NEWTON_MAX_HALVINGS = 6
+_NEWTON_DECREASE = 0.9  # a trial step must cut |D| by this factor
+_NEWTON_XTOL = 1e-14
+# singular values of the 2x2 Jacobian below this fraction of the largest are
+# dropped: at Hermitian band touchings Im D is rounding noise
+_NEWTON_RCOND = 1e-6
+
+
+def _tracked_splitting(w, ref):
+    """Squared splitting of the eigenvalue pair nearest ``ref`` at each point.
+
+    ``w`` has shape (p, m), ``ref`` is the pair ``(lambda_a, lambda_b)`` to
+    follow.  Returns ``D = (lambda_a - lambda_b)^2`` per point and the pair
+    found at point 0.
+    """
+    rows = np.arange(w.shape[0])
+    ia = np.abs(w - ref[0]).argmin(axis=1)
+    dist_b = np.abs(w - ref[1])
+    dist_b[rows, ia] = np.inf
+    ib = dist_b.argmin(axis=1)
+    wa, wb = w[rows, ia], w[rows, ib]
+    return (wa - wb) ** 2, (wa[0], wb[0])
+
+
+def _newton_refine(build_h, theta0, pair0, max_step, d_tol):
+    """Damped Gauss-Newton on ``D(theta) = (lambda_a - lambda_b)^2 = 0``.
+
+    ``pair0`` are the two eigenvalues at ``theta0`` that should coalesce;
+    they are followed by continuity.  Re D and Im D are solved in the least-
+    squares sense (the Jacobian is rank 1 where D is real), each step is
+    capped at ``max_step`` and halved until |D| decreases enough.  The
+    Jacobian is a central difference, evaluated with D at the trial point in
+    one batched eigensolve.  Stops once |D| <= ``d_tol`` or the step falls
+    below rounding level.  Returns ``(theta, accepted steps)``.
+    """
+
+    def evaluate(theta, ref):
+        pts = theta + _FD_STEP * _STENCIL
+        dd, pair = _tracked_splitting(np.linalg.eigvals(build_h(pts)), ref)
+        jac = np.array(
+            [(dd[1] - dd[2]) / (2.0 * _FD_STEP), (dd[3] - dd[4]) / (2.0 * _FD_STEP)]
+        )
+        return dd[0], np.stack([jac.real, jac.imag]), pair
+
+    theta = np.asarray(theta0, dtype=float)
+    dd, jac, pair = evaluate(theta, pair0)
+    n_iter = 0
+    boost = 1.0
+    while n_iter < _NEWTON_MAX_ITER and abs(dd) > d_tol:
+        delta = np.linalg.lstsq(jac, -np.array([dd.real, dd.imag]), rcond=_NEWTON_RCOND)[0]
+        norm = float(np.hypot(*delta))
+        if norm < _NEWTON_XTOL:
+            break
+        delta *= min(boost, max_step / norm)
+        for _ in range(_NEWTON_MAX_HALVINGS):
+            trial = theta + delta
+            dd_t, jac_t, pair_t = evaluate(trial, pair)
+            if abs(dd_t) <= _NEWTON_DECREASE * abs(dd):
+                break
+            delta *= 0.5
+        else:
+            break
+        # at a double zero, D = L(theta)^2 with L linear, a Newton step halves
+        # the distance and |D| falls by 4: the next step is doubled
+        boost = 2.0 if 1e-3 < abs(dd_t) / abs(dd) < 0.35 else 1.0
+        theta, dd, jac, pair = trial, dd_t, jac_t, pair_t
+        n_iter += 1
+    return theta, n_iter
+
+
+def _nelder_mead_refine(build_h, theta0, kind, scale, step):
+    """Derivative-free refinement, the fallback when Newton does not certify.
+
+    Minimizes the defect score (``sigma`` candidates) or the smallest |E|
+    (``tau`` candidates) from a simplex of half a grid step.
+    """
+    if kind == "sigma":
+        def obj(t):
+            _, d, gram = _pair_tables(build_h(np.asarray(t)))
+            return float(_defect_scores(d, gram, scale).min())
+    else:
+        def obj(t):
+            return float(np.abs(np.linalg.eigvals(build_h(np.asarray(t)))).min())
+    res = minimize(
+        obj,
+        theta0,
+        method="Nelder-Mead",
+        options={
+            "xatol": 1e-12,
+            "fatol": 1e-13 * scale,
+            "maxiter": 600,
+            "initial_simplex": np.array(
+                [theta0, theta0 + [0.5 * step, 0.0], theta0 + [0.0, 0.5 * step]]
+            ),
+        },
+    )
+    return res.x
+
+
+def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, max_candidates, counters):
     """Grid scan + refinement for one family of Bloch(-block) matrices.
 
     ``build_h`` maps bond-phase points of shape (..., 2) to matrices of shape
     (..., m, m).  Candidates are local minima of two fields: a defectivity
     score (pair gap plus scaled eigenvector-parallelism defect, small only
     near an EP) and the smallest |E| (catching band touchings of Hermitian
-    parameter sets, where the defect score stays flat).
+    parameter sets, where the defect score stays flat).  Each candidate is
+    refined by Newton on the squared splitting of one eigenvalue pair: the
+    best-scoring pair of a defect-score candidate, or the smallest |E| and
+    the eigenvalue nearest its negative (its chiral partner) for a
+    smallest-|E| candidate.  A candidate Newton leaves with a gap of at
+    least ``gap_tol`` is refined again by Nelder-Mead from its grid point.
     """
     th = np.linspace(-np.pi, np.pi, grid_n, endpoint=False)
     t1g, t2g = np.meshgrid(th, th, indexing="ij")
     thetas = np.stack([t1g, t2g], axis=-1).reshape(-1, 2)
     hs = build_h(thetas)
 
-    w, v = np.linalg.eig(hs)
-    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    w, d, gram = _pair_tables(hs)
     scale = max(float(np.median(np.abs(w).max(axis=1))), 1e-12)
     if gap_tol is None:
         gap_tol = 1e-6 * float(np.median(np.linalg.norm(hs, axis=(1, 2))))
 
-    d = np.abs(w[:, :, None] - w[:, None, :])
-    gram = np.abs(np.einsum("nij,nik->njk", v.conj(), v))
-    score = d + scale * (1.0 - gram)
-    idx = np.arange(w.shape[1])
-    score[:, idx, idx] = np.inf
+    score = _defect_scores(d, gram, scale)
     sigma = score.min(axis=(1, 2)).reshape(grid_n, grid_n)
     tau = np.abs(w).min(axis=1).reshape(grid_n, grid_n)
 
@@ -290,38 +423,39 @@ def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, max_candidates)
 
     step = 2.0 * np.pi / grid_n
 
-    def h_at(theta):
-        return build_h(np.asarray(theta))
-
-    def refine(theta0, kind):
+    def start_pair(flat, kind):
+        wf = w[flat]
         if kind == "sigma":
-            obj = lambda t: _defect_score(h_at(t), scale)
+            ia, ib = np.unravel_index(score[flat].argmin(), score[flat].shape)
         else:
-            obj = lambda t: float(np.abs(np.linalg.eigvals(h_at(t))).min())
-        res = minimize(
-            obj,
-            theta0,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-12,
-                "fatol": 1e-13 * scale,
-                "maxiter": 600,
-                "initial_simplex": np.array(
-                    [theta0, theta0 + [0.5 * step, 0.0], theta0 + [0.0, 0.5 * step]]
-                ),
-            },
-        )
-        return res.x
+            ia = int(np.abs(wf).argmin())
+            dist = np.abs(wf + wf[ia])
+            dist[ia] = np.inf
+            ib = int(dist.argmin())
+        return wf[ia], wf[ib]
+
+    def certify(theta):
+        theta = theta - 2.0 * np.pi * np.floor((theta + np.pi) / (2.0 * np.pi))
+        h = build_h(theta)
+        return theta, h, *_pair_metrics(h)
 
     records = []
     for flat, kind in sorted(cand):
-        theta = refine(thetas[flat], kind)
-        theta = theta - 2.0 * np.pi * np.floor((theta + np.pi) / (2.0 * np.pi))
-        k = k_from_bond_phase(theta)
-        h = h_at(theta)
-        gap, overlap, _, _, _ = _pair_metrics(h)
+        counters.candidates += 1
+        theta, n_iter = _newton_refine(
+            build_h, thetas[flat], start_pair(flat, kind), step, (1e-12 * scale) ** 2
+        )
+        counters.newton_iterations += n_iter
+        theta, h, gap, overlap = certify(theta)
         if gap >= gap_tol:
+            counters.fallbacks += 1
+            theta, h, gap, overlap = certify(
+                _nelder_mead_refine(build_h, thetas[flat], kind, scale, step)
+            )
+        if gap >= gap_tol:
+            counters.rejected += 1
             continue
+        k = k_from_bond_phase(theta)
         records.append(
             EPRecord(
                 k=(float(k[0]), float(k[1])),
@@ -334,7 +468,9 @@ def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, max_candidates)
                 confirmed=bool(overlap > 1.0 - overlap_tol),
             )
         )
-    return _dedupe_records(records, radius=step)
+    kept = _dedupe_records(records, radius=step)
+    counters.confirmed += sum(r.confirmed for r in kept)
+    return kept
 
 
 def _block_builder(j_eff: Coupling3, scale_factor: float):
@@ -360,20 +496,27 @@ def ep_scan(
     overlap_tol: float = 1e-4,
     confirmed_only: bool = True,
     max_candidates: int = 64,
+    counters: RefineCounters | None = None,
 ) -> list[EPRecord]:
     """Locate spectral degeneracies of the Bloch matrix by grid scan + refinement.
 
     Flavour-conserving models are scanned species by species on their 2x2
     blocks (the full matrix is exactly degenerate across species, which makes
     a combined eigenvector-overlap diagnostic meaningless); flavour-mixing
-    models are scanned on the full 6x6 matrix.  Candidates are refined by
-    derivative-free minimization and deduplicated within one grid step.  With
+    models are scanned on the full 6x6 matrix.  Each grid candidate is
+    refined by damped Gauss-Newton on the squared splitting of its
+    coalescing eigenvalue pair, which is smooth at a second-order EP; a
+    candidate Newton does not certify is refined by Nelder-Mead instead.
+    Refined points are deduplicated within one grid step.  With
     ``confirmed_only`` (default) only certified exceptional points (gap and
     overlap within tolerance) are returned; otherwise every refined
     degeneracy is reported, e.g. Dirac points, whose overlap stays near 0.
+    ``counters``, if given, accumulates the refinement work.
     """
     if grid_n < 32:
         raise ValueError("grid_n must be >= 32")
+    if counters is None:
+        counters = RefineCounters()
 
     if model.variant in (Variant.PURE_YL, Variant.K_MODEL):
         if model.variant is Variant.PURE_YL:
@@ -390,13 +533,16 @@ def ep_scan(
                     overlap_tol,
                     fl,
                     max_candidates,
+                    counters,
                 )
             )
     else:
         def build(thetas):
             return bloch_matrix_grid(model, k_from_bond_phase(np.asarray(thetas)))
 
-        records = _scan_family(build, grid_n, gap_tol, overlap_tol, None, max_candidates)
+        records = _scan_family(
+            build, grid_n, gap_tol, overlap_tol, None, max_candidates, counters
+        )
 
     if confirmed_only:
         records = [r for r in records if r.confirmed]
@@ -678,7 +824,7 @@ def _nearest_ep(k_point, eps, radius):
     return best
 
 
-def _arc_trace_coupled(model, grid_n):
+def _arc_trace_coupled(model, grid_n, counters=None):
     """Arcs of a flavour-mixing model: zero-real-part eigenvalue locus.
 
     For bond-only models the six bands come in +-sqrt(z) pairs with z an
@@ -693,7 +839,7 @@ def _arc_trace_coupled(model, grid_n):
     ks = k_from_bond_phase(thetas)
     step = 2.0 * np.pi / grid_n
 
-    eps = ep_scan(model, grid_n=max(64, grid_n // 2), confirmed_only=True)
+    eps = ep_scan(model, grid_n=max(64, grid_n // 2), confirmed_only=True, counters=counters)
 
     hs = bloch_matrix_grid(model, ks)
     has_onsite = bool(np.count_nonzero(flavour_bond_table(model).onsite))
@@ -725,13 +871,17 @@ def _arc_trace_coupled(model, grid_n):
 
 
 def fermi_arc_trace(
-    model: ModelConfig, flavour: int | None = None, grid_n: int = 256
+    model: ModelConfig,
+    flavour: int | None = None,
+    grid_n: int = 256,
+    counters: RefineCounters | None = None,
 ) -> list[ArcPolyline]:
     """Open contours of purely imaginary eigenvalue pairs, ending at EPs.
 
     For flavour-conserving models each species is traced from its scalar bond
     sum; Dirac points of a Hermitian model degenerate to single-point arcs.
-    Flavour-mixing models are traced from the full matrix spectrum.
+    Flavour-mixing models are traced from the full matrix spectrum, between
+    the EPs of :func:`ep_scan`, whose refinement work goes to ``counters``.
     """
     if model.variant in (Variant.PURE_YL, Variant.K_MODEL):
         if model.variant is Variant.PURE_YL:
@@ -755,7 +905,7 @@ def fermi_arc_trace(
 
     if flavour is not None:
         raise ValueError("flavour selection applies to flavour-conserving models only")
-    return _arc_trace_coupled(model, grid_n)
+    return _arc_trace_coupled(model, grid_n, counters)
 
 
 # --------------------------------------------------------------------------

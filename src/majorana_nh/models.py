@@ -19,6 +19,7 @@ Conventions
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -274,8 +275,13 @@ class FlavourBondTable:
         ) and np.count_nonzero(self.onsite) == 0
 
 
+@functools.lru_cache(maxsize=256)
 def flavour_bond_table(model: ModelConfig) -> FlavourBondTable:
-    """Assemble the unified bond/onsite representation of a model variant."""
+    """Assemble the unified bond/onsite representation of a model variant.
+
+    Built once per (hashable, frozen) model and shared by every caller, so
+    the arrays are read-only.
+    """
     eye = np.eye(3, dtype=complex)
     t = [j_alpha * eye for j_alpha in model.j]
     onsite = np.zeros((3, 3), dtype=complex)
@@ -294,6 +300,8 @@ def flavour_bond_table(model: ModelConfig) -> FlavourBondTable:
         bx, by, bz = model.b_field
         onsite = bx * _GEN_X + by * _GEN_Y + bz * _GEN_Z
 
+    for arr in (*t, onsite):
+        arr.flags.writeable = False
     return FlavourBondTable(t[0], t[1], t[2], onsite)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,7 @@ def run_ep_find(cfg: RunConfig) -> list[Path]:
     records = []
     if cfg.model.variant in (Variant.PURE_YL, Variant.K_MODEL):
         records.extend(ep.model_closed_form_eps(cfg.model))
+    counters = ep.RefineCounters()
     records.extend(
         ep.ep_scan(
             cfg.model,
@@ -103,18 +105,23 @@ def run_ep_find(cfg: RunConfig) -> list[Path]:
             gap_tol=cfg.tolerance.gap_tol,
             overlap_tol=cfg.tolerance.overlap_tol,
             confirmed_only=True,
+            counters=counters,
         )
     )
     rows = [_ep_row(r) for r in records]
     rows.sort(key=lambda r: (r["method"], r["flavour"] is not None, r["flavour"] or 0, r["theta1"], r["theta2"]))
-    meta = _metadata(cfg, {"n_confirmed": sum(r["confirmed"] for r in rows)})
+    meta = _metadata(
+        cfg,
+        {"n_confirmed": sum(r["confirmed"] for r in rows), "ep_refinement": asdict(counters)},
+    )
     return export_table(
         cfg.output.directory, cfg.output.prefix + "_eps", EP_COLUMNS, rows, meta, cfg.output.formats
     )
 
 
 def run_arc_trace(cfg: RunConfig) -> list[Path]:
-    arcs = ep.fermi_arc_trace(cfg.model, grid_n=cfg.grid.arc_grid_n)
+    counters = ep.RefineCounters()
+    arcs = ep.fermi_arc_trace(cfg.model, grid_n=cfg.grid.arc_grid_n, counters=counters)
     rows = []
     for ai, arc in enumerate(arcs):
         phases = ep.bond_phase_from_k(arc.points)
@@ -130,7 +137,7 @@ def run_arc_trace(cfg: RunConfig) -> list[Path]:
                     "theta2": float(th[1]),
                 }
             )
-    meta = _metadata(cfg, {"n_arcs": len(arcs)})
+    meta = _metadata(cfg, {"n_arcs": len(arcs), "ep_refinement": asdict(counters)})
     files = export_table(
         cfg.output.directory, cfg.output.prefix + "_arcs", ARC_COLUMNS, rows, meta, cfg.output.formats
     )

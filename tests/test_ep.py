@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from majorana_nh import (
     Coupling3,
     ModelConfig,
+    RefineCounters,
     Variant,
     bond_phase_from_k,
     classify_degeneracy,
@@ -24,6 +27,7 @@ from majorana_nh import (
     structure_factor,
     triangle_test,
 )
+from majorana_nh import ep as ep_module
 from majorana_nh.ep import _torus_dist
 from conftest import random_complex_coupling
 
@@ -188,6 +192,93 @@ class TestEPScan:
             ov = abs(s.right_vectors[:, i].conj() @ s.right_vectors[:, jx])
             assert gap < 1e-6 * np.linalg.norm(h, "fro")
             assert ov > 1 - 1e-4
+
+
+GAMMA_FIG3B = ModelConfig(
+    Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5 * E3), gamma=0.4, energy_scale="half"
+)
+
+
+def assert_same_eps(found, reference, tol=1e-9):
+    """Same count and confirmed flags, bond phases within ``tol``."""
+    assert len(found) == len(reference)
+    for r in reference:
+        dists = [_torus_dist(r.bond_phase, f.bond_phase) for f in found]
+        i = int(np.argmin(dists))
+        assert dists[i] < tol
+        assert found[i].confirmed == r.confirmed
+
+
+class TestEPRefinement:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        moduli=st.tuples(*[st.floats(0.5, 2.2)] * 3),
+        phases=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+    )
+    def test_scan_matches_closed_form_to_rounding(self, moduli, phases):
+        j = Coupling3.from_polar(moduli, phases)
+        # strictly inside the triangle: on its edge the two zeros of the
+        # bond sum merge into one higher-order point
+        mx, my, mz = moduli
+        assume(min(my + mz - mx, mz + mx - my, mx + my - mz) > 0.05)
+        truth = ep_closed_form(j)
+        grid_n = 64
+        step = 2 * np.pi / grid_n
+        # well-separated exceptional points: the bond sum vanishes on one side
+        # only (a common phase makes both sides vanish at Dirac points)
+        assume(
+            all(
+                t.confirmed
+                and max(abs(structure_factor(j, t.k)), abs(structure_factor(j, np.negative(t.k))))
+                > 0.05
+                for t in truth
+            )
+        )
+        assume(
+            all(
+                _torus_dist(a.bond_phase, b.bond_phase) > 4 * step
+                for i, a in enumerate(truth)
+                for b in truth[i + 1 :]
+            )
+        )
+        found = ep_scan(ModelConfig(Variant.PURE_YL, j), grid_n=grid_n)
+        assert len(found) == len(truth)
+        for r in found:
+            assert min(_torus_dist(r.bond_phase, t.bond_phase) for t in truth) < 1e-9
+
+    def test_gamma_eps_independent_of_grid(self):
+        reference = ep_scan(GAMMA_FIG3B, grid_n=48)
+        assert len(reference) == 10
+        for n in (64, 96):
+            assert_same_eps(ep_scan(GAMMA_FIG3B, grid_n=n), reference)
+
+    def test_nelder_mead_fallback_gives_same_records(self, monkeypatch):
+        model = ModelConfig(Variant.PURE_YL, Coupling3(2, 1, 2.5 * E3))
+        newton = ep_scan(model, grid_n=64, confirmed_only=False)
+        monkeypatch.setattr(
+            ep_module, "_newton_refine", lambda build_h, theta0, *args: (theta0, 0)
+        )
+        counters = RefineCounters()
+        fallback = ep_scan(model, grid_n=64, confirmed_only=False, counters=counters)
+        assert counters.fallbacks == counters.candidates > 0
+        assert counters.newton_iterations == 0
+        assert_same_eps(fallback, newton)
+
+    def test_refinement_work_bounded(self, monkeypatch):
+        calls = [0]
+        build = ep_module.bloch_matrix_grid
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(ep_module, "bloch_matrix_grid", counting)
+        counters = RefineCounters()
+        found = ep_scan(GAMMA_FIG3B, grid_n=48, counters=counters)
+        assert calls[0] <= 5000
+        assert counters.confirmed == len(found) == 10
+        assert counters.candidates >= counters.fallbacks >= counters.rejected
+        assert counters.newton_iterations > 0
 
 
 class TestSkinCriterion:

@@ -66,6 +66,19 @@ model:
         with pytest.raises(ConfigurationError, match="threads"):
             parse_config(text)
 
+    def test_preset_flag_completes_a_config_without_preset(self, tmp_path):
+        from majorana_nh.cli import _build_parser, _load_config
+
+        path = tmp_path / "r.yaml"
+        path.write_text("command: reproduce\ngrid:\n  kx_n: 4\n")
+        args = _build_parser().parse_args(["reproduce", "--config", str(path), "--preset", "fig3b"])
+        cfg = _load_config(args)
+        assert cfg.preset == "fig3b"
+        assert cfg.resolved["preset"] == "fig3b"
+        assert cfg.grid.kx_n == 4
+        # the flag overrides a preset named in the file
+        assert parse_config("command: reproduce\npreset: fig6a\n", preset="fig3b").preset == "fig3b"
+
     def test_command_model_requirements(self):
         with pytest.raises(ConfigurationError, match="needs a model"):
             parse_config("command: ribbon-sweep\n")
@@ -171,6 +184,37 @@ output:
             parts = line.split(",")
             keys.append((float(parts[0]), int(parts[1])))
         assert keys == sorted(keys)
+
+
+class TestEPMetadata:
+    CONFIG = """
+command: {command}
+model:
+  variant: gamma_model
+  j: [[2, 0], [1, 0], {{mod: 2.5, phase_over_pi: 0.3333333333333333}}]
+  gamma: 0.4
+  energy_scale: half
+grid:
+  bz_n: 48
+  arc_grid_n: 64
+output:
+  directory: {out}
+  prefix: g
+"""
+
+    @pytest.mark.parametrize("command,table", [("ep-find", "g_eps"), ("arc-trace", "g_arcs")])
+    def test_refinement_counters_in_meta(self, tmp_path, command, table):
+        metas = []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            run_command(parse_config(self.CONFIG.format(command=command, out=out)))
+            metas.append(json.loads((out / f"{table}_meta.json").read_text()))
+        counters = metas[0]["ep_refinement"]
+        assert set(counters) == {"candidates", "newton_iterations", "fallbacks", "rejected", "confirmed"}
+        assert counters["confirmed"] == 10
+        assert counters["candidates"] >= counters["fallbacks"] >= counters["rejected"]
+        assert metas[1]["ep_refinement"] == counters
+        assert (tmp_path / "a" / f"{table}.csv").read_bytes() == (tmp_path / "b" / f"{table}.csv").read_bytes()
 
 
 class TestPresets:

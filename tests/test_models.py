@@ -278,6 +278,15 @@ class TestFlavourBondTable:
         assert t.onsite[2, 0] == pytest.approx(b[1])
         assert t.onsite[0, 1] == pytest.approx(b[2])
 
+    def test_table_built_once_per_model_and_read_only(self):
+        model = ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5), gamma=0.4)
+        t = flavour_bond_table(model)
+        assert flavour_bond_table(ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5), gamma=0.4)) is t
+        for arr in (*t.t, t.onsite):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 7.0
+        np.testing.assert_array_equal(t.t_x[0], [2, 0, 0])
+
     def test_dmi_antisymmetric_flavour_structure(self):
         t = flavour_bond_table(
             ModelConfig(Variant.MAG_MODEL, Coupling3(1, 1, 1), d=0.5)
