@@ -19,6 +19,7 @@ from .models import (
     effective_couplings,
     flavour_bond_table,
     shifted_structure_factors,
+    species,
     structure_factor,
     triangle_test,
 )

@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import COMMANDS, RunConfig, GridConfig, OutputConfig, ToleranceConfig, parse_config, resolved_dict
+from .config import COMMANDS, RunConfig, parse_config, resolved_dict
 from .errors import ConfigurationError, ConvergenceError
 from .pipelines import run_command
 from .presets import PRESET_IDS
@@ -46,22 +46,15 @@ def _load_config(args) -> RunConfig:
             text = open(args.config, encoding="utf-8").read()
         except OSError as exc:
             raise ConfigurationError(f"cannot read config {args.config}: {exc}") from exc
-        cfg = parse_config(text, preset=args.preset)
-        if cfg.command != args.command:
-            raise ConfigurationError(
-                f"config declares command {cfg.command!r} but {args.command!r} was requested"
-            )
     elif args.command == "reproduce" and args.preset:
-        cfg = RunConfig(
-            command="reproduce",
-            model=None,
-            grid=GridConfig(),
-            tolerance=ToleranceConfig(),
-            output=OutputConfig(),
-            preset=args.preset,
-        )
+        text = "command: reproduce"
     else:
         raise ConfigurationError("--config is required (or --preset with 'reproduce')")
+    cfg = parse_config(text, preset=args.preset)
+    if cfg.command != args.command:
+        raise ConfigurationError(
+            f"config declares command {cfg.command!r} but {args.command!r} was requested"
+        )
 
     out_dir = args.out or os.environ.get("MAJORANA_NH_OUT")
     if out_dir:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
 from .errors import ConfigurationError
-from .models import Coupling3, ModelConfig, Variant, default_dmi_vectors
+from .models import VARIANT_FIELDS, Coupling3, ModelConfig, Variant, default_dmi_vectors
 from .ribbon import ClassifierThresholds
 
 _VARIANT_ALIASES = {
@@ -156,7 +156,6 @@ class ToleranceConfig:
     ipr_factor: float = 4.0
     cloud_tol: float = 1e-2
     nhse_fraction: float = 0.05
-    eig_tol: float | None = None
 
     def classifier(self) -> ClassifierThresholds:
         return ClassifierThresholds(
@@ -189,23 +188,15 @@ class RunConfig:
     resolved: dict = field(default_factory=dict)
 
 
+#: config keys that set a differently named model field
+_KEY_FIELD = {"dmi_z_mode": "dmi_vectors"}
+
 _MODEL_KEYS = {
     "variant",
     "j",
-    "k_coupling",
-    "gamma",
-    "d",
-    "b_field",
-    "dmi_vectors",
-    "dmi_z_mode",
     "energy_scale",
-}
-
-_VARIANT_FIELDS = {
-    Variant.PURE_YL: set(),
-    Variant.K_MODEL: {"k_coupling"},
-    Variant.GAMMA_MODEL: {"gamma"},
-    Variant.MAG_MODEL: {"d", "b_field", "dmi_vectors", "dmi_z_mode"},
+    *_KEY_FIELD,
+    *(name for names in VARIANT_FIELDS.values() for name in names),
 }
 
 
@@ -225,7 +216,7 @@ def parse_model_block(located) -> ModelConfig:
     for key in block:
         if key in ("variant", "j", "energy_scale"):
             continue
-        if key not in _VARIANT_FIELDS[variant]:
+        if _KEY_FIELD.get(key, key) not in VARIANT_FIELDS[variant]:
             _err(f"field {key!r} not valid for variant {variant.value!r}", block[key])
 
     if "j" not in block:
@@ -292,6 +283,11 @@ def _fill_dataclass(cls, located, context, casts):
     return obj
 
 
+def _numeric_casts(cls):
+    """Parsers for a block of numbers: integer where the default is an integer."""
+    return {f.name: _as_int if type(f.default) is int else _as_real for f in fields(cls)}
+
+
 def parse_config(text: str, preset: str | None = None) -> RunConfig:
     """Parse and validate a run configuration; raises ConfigurationError.
 
@@ -324,34 +320,9 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
     if command == "reproduce" and preset is None:
         _err("command 'reproduce' needs a preset (a 'preset' key or --preset)", root)
 
-    grid = _fill_dataclass(
-        GridConfig,
-        block.get("grid"),
-        "grid",
-        {
-            "bz_n": _as_int,
-            "w": _as_int,
-            "kx_n": _as_int,
-            "n_transverse": _as_int,
-            "arc_grid_n": _as_int,
-            "kx": _as_real,
-            "n_states": _as_int,
-        },
-    )
+    grid = _fill_dataclass(GridConfig, block.get("grid"), "grid", _numeric_casts(GridConfig))
     tol = _fill_dataclass(
-        ToleranceConfig,
-        block.get("tolerance"),
-        "tolerance",
-        {
-            "gap_tol": _as_real,
-            "overlap_tol": _as_real,
-            "edge_mass": _as_real,
-            "outer_frac": _as_real,
-            "ipr_factor": _as_real,
-            "cloud_tol": _as_real,
-            "nhse_fraction": _as_real,
-            "eig_tol": _as_real,
-        },
+        ToleranceConfig, block.get("tolerance"), "tolerance", _numeric_casts(ToleranceConfig)
     )
     out = _fill_dataclass(
         OutputConfig,
@@ -431,32 +402,9 @@ def resolved_dict(cfg: RunConfig) -> dict:
         "command": cfg.command,
         "preset": cfg.preset,
         "model": model_dict(cfg.model) if cfg.model is not None else None,
-        "grid": {
-            "bz_n": cfg.grid.bz_n,
-            "w": cfg.grid.w,
-            "kx_n": cfg.grid.kx_n,
-            "n_transverse": cfg.grid.n_transverse,
-            "arc_grid_n": cfg.grid.arc_grid_n,
-            "kx": cfg.grid.kx,
-            "n_states": cfg.grid.n_states,
-        },
-        "tolerance": {
-            "gap_tol": cfg.tolerance.gap_tol,
-            "overlap_tol": cfg.tolerance.overlap_tol,
-            "edge_mass": cfg.tolerance.edge_mass,
-            "outer_frac": cfg.tolerance.outer_frac,
-            "ipr_factor": cfg.tolerance.ipr_factor,
-            "cloud_tol": cfg.tolerance.cloud_tol,
-            "nhse_fraction": cfg.tolerance.nhse_fraction,
-            "eig_tol": cfg.tolerance.eig_tol,
-        },
-        "output": {
-            "directory": cfg.output.directory,
-            "formats": list(cfg.output.formats),
-            "svg": cfg.output.svg,
-            "prefix": cfg.output.prefix,
-            "weight_scale": cfg.output.weight_scale,
-        },
+        "grid": asdict(cfg.grid),
+        "tolerance": asdict(cfg.tolerance),
+        "output": asdict(cfg.output),
         "threads": cfg.threads,
         "seed": cfg.seed,
     }

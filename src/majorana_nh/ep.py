@@ -22,11 +22,10 @@ from .models import (
     M1,
     M2,
     ModelConfig,
-    Variant,
     bloch_matrix_grid,
     branch_sqrt,
-    effective_couplings,
     flavour_bond_table,
+    species,
     structure_factor,
     triangle_test,
 )
@@ -113,12 +112,17 @@ def skin_criterion(j_eff: Coupling3, k_x: float, tol: float = 1e-12) -> bool:
     return abs(fwd - bwd) > tol
 
 
-def skin_criterion_any(j_eff: Coupling3, n_grid: int = 1024, tol: float = 1e-12) -> bool:
-    """Skin criterion tested over a uniform k_x grid."""
+def skin_asymmetry(j_eff: Coupling3, n_grid: int = 1024) -> np.ndarray:
+    """The asymmetry ``| |jx e^{i kx} + jy| - |jx e^{-i kx} + jy| |`` on a uniform k_x grid."""
     kx = np.linspace(-np.pi, np.pi, n_grid, endpoint=False)
     fwd = np.abs(j_eff.jx * np.exp(1j * kx) + j_eff.jy)
     bwd = np.abs(j_eff.jx * np.exp(-1j * kx) + j_eff.jy)
-    return bool(np.any(np.abs(fwd - bwd) > tol))
+    return np.abs(fwd - bwd)
+
+
+def skin_criterion_any(j_eff: Coupling3, n_grid: int = 1024, tol: float = 1e-12) -> bool:
+    """Skin criterion tested over a uniform k_x grid."""
+    return bool(np.any(skin_asymmetry(j_eff, n_grid) > tol))
 
 
 # --------------------------------------------------------------------------
@@ -140,7 +144,10 @@ def ep_closed_form(
 
     Returns two pairs of records for a generic non-Hermitian triple (they
     merge into one Dirac pair when all phases agree).  Empty list when the
-    modulus triangle inequality fails (gapped regime).
+    modulus triangle inequality fails (gapped regime).  A record is confirmed
+    only where the bond sum vanishes on one side, at +k or at -k: where both
+    vanish (a Dirac point) the pair stays diagonalizable, and the overlap is
+    a ratio of rounding errors.
     """
     mx, my, mz = j_eff.moduli
     if mx == 0.0 or my == 0.0 or mz == 0.0:
@@ -174,7 +181,7 @@ def ep_closed_form(
         k = k_from_bond_phase(theta)
         a_k = structure_factor(j_eff, k)
         a_mk = structure_factor(j_eff, -k)
-        residual = abs(a_k) if side == "plus" else abs(a_mk)
+        residual, other = (abs(a_k), abs(a_mk)) if side == "plus" else (abs(a_mk), abs(a_k))
         gap = 4.0 * abs(branch_sqrt(a_k * a_mk))
         denom = abs(a_k) ** 2 + abs(a_mk) ** 2
         overlap = abs(abs(a_mk) ** 2 - abs(a_k) ** 2) / denom if denom > 0.0 else 0.0
@@ -187,7 +194,7 @@ def ep_closed_form(
                 gap=float(gap),
                 overlap=float(overlap),
                 residual=float(residual),
-                confirmed=bool(residual < atol and overlap > 1.0 - 1e-4),
+                confirmed=bool(residual < atol <= other and overlap > 1.0 - 1e-4),
             )
         )
     return records
@@ -195,11 +202,8 @@ def ep_closed_form(
 
 def model_closed_form_eps(model: ModelConfig, atol: float = 1e-10) -> list[EPRecord]:
     """Closed-form EP records of a flavour-conserving model, all species."""
-    if model.variant is Variant.PURE_YL:
-        sets = [(None, model.j)]
-    elif model.variant is Variant.K_MODEL:
-        sets = list(zip((1, 2, 3), effective_couplings(model.j, model.k_coupling)))
-    else:
+    sets = species(model)
+    if sets is None:
         raise ValueError("closed-form EPs exist only for flavour-conserving variants")
     records = []
     for flavour, j_eff in sets:
@@ -518,30 +522,18 @@ def ep_scan(
     if counters is None:
         counters = RefineCounters()
 
-    if model.variant in (Variant.PURE_YL, Variant.K_MODEL):
-        if model.variant is Variant.PURE_YL:
-            sets = [(None, model.j)]
-        else:
-            sets = list(zip((1, 2, 3), effective_couplings(model.j, model.k_coupling)))
-        records = []
-        for fl, j_eff in sets:
-            records.extend(
-                _scan_family(
-                    _block_builder(j_eff, model.scale_factor),
-                    grid_n,
-                    gap_tol,
-                    overlap_tol,
-                    fl,
-                    max_candidates,
-                    counters,
-                )
-            )
+    sets = species(model)
+    if sets is not None:
+        families = [(fl, _block_builder(j_eff, model.scale_factor)) for fl, j_eff in sets]
     else:
         def build(thetas):
             return bloch_matrix_grid(model, k_from_bond_phase(np.asarray(thetas)))
 
-        records = _scan_family(
-            build, grid_n, gap_tol, overlap_tol, None, max_candidates, counters
+        families = [(None, build)]
+    records = []
+    for fl, build_h in families:
+        records.extend(
+            _scan_family(build_h, grid_n, gap_tol, overlap_tol, fl, max_candidates, counters)
         )
 
     if confirmed_only:
@@ -883,11 +875,8 @@ def fermi_arc_trace(
     Flavour-mixing models are traced from the full matrix spectrum, between
     the EPs of :func:`ep_scan`, whose refinement work goes to ``counters``.
     """
-    if model.variant in (Variant.PURE_YL, Variant.K_MODEL):
-        if model.variant is Variant.PURE_YL:
-            sets = [(None, model.j)]
-        else:
-            sets = list(zip((1, 2, 3), effective_couplings(model.j, model.k_coupling)))
+    sets = species(model)
+    if sets is not None:
         if flavour is not None:
             sets = [s for s in sets if s[0] == flavour]
             if not sets:
@@ -921,11 +910,12 @@ def classify_degeneracy(model: ModelConfig, k, tol: float = 1e-6) -> DegeneracyR
     bond sum vanishes at +k or -k but not both.  The default tolerance allows
     for the square-root amplification of roundoff near band coalescence.
     """
-    if model.variant not in (Variant.PURE_YL, Variant.K_MODEL):
+    sets = species(model)
+    if sets is None:
         raise ValueError("degeneracy classification needs a flavour-conserving model")
     k = np.asarray(k, dtype=float)
-    kc = model.k_coupling if model.variant is Variant.K_MODEL else 0.0
-    j_sets = effective_couplings(model.j, kc)
+    # the parent model's single species stands for all three flavours
+    j_sets = [j for _, j in sets] * (3 // len(sets))
     s = model.scale_factor
 
     a_k = [structure_factor(j, k) for j in j_sets]

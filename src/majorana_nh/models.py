@@ -50,6 +50,16 @@ class Variant(str, Enum):
     MAG_MODEL = "mag_model"
 
 
+#: optional :class:`ModelConfig` fields each variant may set; the others must
+#: stay at their defaults
+VARIANT_FIELDS = {
+    Variant.PURE_YL: (),
+    Variant.K_MODEL: ("k_coupling",),
+    Variant.GAMMA_MODEL: ("gamma",),
+    Variant.MAG_MODEL: ("d", "b_field", "dmi_vectors"),
+}
+
+
 @dataclass(frozen=True)
 class Coupling3:
     """Complex nearest-neighbour couplings for the three link types."""
@@ -66,9 +76,6 @@ class Coupling3:
     @classmethod
     def from_polar(cls, moduli, phases):
         return cls(*(m * cmath.exp(1j * p) for m, p in zip(moduli, phases)))
-
-    def as_array(self):
-        return np.array([self.jx, self.jy, self.jz], dtype=complex)
 
     @property
     def moduli(self):
@@ -144,12 +151,7 @@ class ModelConfig:
 
     def _validate_variant_fields(self):
         v = self.variant
-        used = {
-            Variant.PURE_YL: (),
-            Variant.K_MODEL: ("k_coupling",),
-            Variant.GAMMA_MODEL: ("gamma",),
-            Variant.MAG_MODEL: ("d", "b_field", "dmi_vectors"),
-        }[v]
+        used = VARIANT_FIELDS[v]
         checks = {
             "k_coupling": self.k_coupling != 0.0,
             "gamma": self.gamma != 0.0,
@@ -196,6 +198,24 @@ def effective_couplings(j: Coupling3, k_coupling: complex):
     """The three link-shifted coupling triples of the flavour-diagonal model."""
     kc = complex(k_coupling)
     return tuple(j.shifted(link, kc) for link in range(3))
+
+
+def species(model: ModelConfig):
+    """The Majorana species of a flavour-conserving model; None if they mix.
+
+    The parent model and its flavour-diagonal (K) extension keep the three
+    flavours apart: the Bloch matrix splits into one 2x2 block per species,
+    each a parent-model block with its own coupling triple.  Returns the
+    distinct ``(flavour label, Coupling3)`` pairs: ``((None, j),)`` for the
+    parent model, whose three species coincide, and flavours 1-3 with the
+    link-shifted couplings of :func:`effective_couplings` for the K model.
+    The flavour-off-diagonal and field+DMI terms mix the species: None.
+    """
+    if model.variant is Variant.PURE_YL:
+        return ((None, model.j),)
+    if model.variant is Variant.K_MODEL:
+        return tuple(zip((1, 2, 3), effective_couplings(model.j, model.k_coupling)))
+    return None
 
 
 def shifted_structure_factors(j: Coupling3, k_coupling: complex, k):
@@ -372,12 +392,6 @@ class ClosedFormSpectrum:
     heuristic: bool = False
 
 
-def _sorted_values(vals):
-    arr = np.asarray(vals, dtype=complex)
-    order = np.lexsort((arr.imag, arr.real))
-    return arr[order]
-
-
 def _branch_sqrt_grid(z):
     w = np.sqrt(np.asarray(z, dtype=complex))
     flip = (w.real < 0.0) | ((w.real == 0.0) & (w.imag < 0.0))
@@ -385,22 +399,23 @@ def _branch_sqrt_grid(z):
 
 
 def closed_form_spectrum_grid(model: ModelConfig, ks) -> np.ndarray | None:
-    """Vectorized analytic spectrum: shape (..., 6), unsorted; None if unavailable.
+    """Analytic spectrum for a batch of k points: shape (..., 6), unsorted.
 
-    Same bands as :func:`closed_form_spectrum`, evaluated for a whole batch of
-    k points at once (used for periodic reference clouds).
+    Available for the flavour-conserving models (per species
+    ``+-2 sqrt(A(k) A(-k))``) and the onsite-field model without DMI; None
+    for the flavour-off-diagonal model and the model with nonzero DMI.
     """
     ks = np.asarray(ks, dtype=float)
     s = model.scale_factor
 
-    if model.variant in (Variant.PURE_YL, Variant.K_MODEL):
-        kc = model.k_coupling if model.variant is Variant.K_MODEL else 0.0
-        roots = []
-        for j_eff in effective_couplings(model.j, kc):
-            a_k = structure_factor(j_eff, ks)
-            a_mk = structure_factor(j_eff, -ks)
-            roots.append(2.0 * _branch_sqrt_grid(a_k * a_mk))
-        r = np.stack(roots, axis=-1)
+    sets = species(model)
+    if sets is not None:
+        roots = [
+            2.0 * _branch_sqrt_grid(structure_factor(j, ks) * structure_factor(j, -ks))
+            for _, j in sets
+        ]
+        # the parent model's single species stands for all three flavours
+        r = np.stack(roots * (3 // len(roots)), axis=-1)
         return np.concatenate([r, -r], axis=-1) * s
 
     if model.variant is Variant.MAG_MODEL and model.d == 0.0:
@@ -414,34 +429,13 @@ def closed_form_spectrum_grid(model: ModelConfig, ks) -> np.ndarray | None:
 
 
 def closed_form_spectrum(model: ModelConfig, k) -> ClosedFormSpectrum | None:
-    """Analytic spectrum where one exists, else None.
+    """Analytic spectrum at one k point, sorted; None where none exists.
 
-    Available for the parent model, the flavour-diagonal extension, and the
-    onsite-field model without DMI.  The flavour-off-diagonal model and the
-    model with nonzero DMI have no closed form.
+    One point of :func:`closed_form_spectrum_grid`.  The field-only bands are
+    ``heuristic`` for complex couplings.
     """
-    k = np.asarray(k, dtype=float)
-    mk = -k
-    s = model.scale_factor
-
-    if model.variant in (Variant.PURE_YL, Variant.K_MODEL):
-        kc = model.k_coupling if model.variant is Variant.K_MODEL else 0.0
-        a_k = shifted_structure_factors(model.j, kc, k)
-        a_mk = shifted_structure_factors(model.j, kc, mk)
-        vals = []
-        for ak, amk in zip(a_k, a_mk):
-            root = 2.0 * branch_sqrt(ak * amk)
-            vals.extend((root, -root))
-        return ClosedFormSpectrum(values=_sorted_values(np.asarray(vals) * s))
-
-    if model.variant is Variant.MAG_MODEL and model.d == 0.0:
-        f_k = structure_factor(model.j, k)
-        f_mk = structure_factor(model.j, mk)
-        g = 2.0 * branch_sqrt(f_k * f_mk)
-        b = 2.0 * math.sqrt(sum(c * c for c in model.b_field))
-        vals = np.asarray([g, -g, b + g, b - g, -(b + g), -(b - g)]) * s
-        return ClosedFormSpectrum(
-            values=_sorted_values(vals), heuristic=not model.j.is_hermitian
-        )
-
-    return None
+    vals = closed_form_spectrum_grid(model, k)
+    if vals is None:
+        return None
+    heuristic = model.variant is Variant.MAG_MODEL and not model.j.is_hermitian
+    return ClosedFormSpectrum(values=np.sort_complex(vals), heuristic=heuristic)

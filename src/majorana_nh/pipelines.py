@@ -14,10 +14,10 @@ from .errors import ConfigurationError
 from .export import SPECTRUM_COLUMNS, export_table, write_svg_scatter
 from .models import (
     ModelConfig,
-    Variant,
     bloch_hamiltonian,
     closed_form_spectrum,
     effective_couplings,
+    species,
 )
 
 EP_COLUMNS = (
@@ -95,7 +95,7 @@ def _ep_row(rec: ep.EPRecord) -> dict:
 def run_ep_find(cfg: RunConfig) -> list[Path]:
     """Exceptional points: closed form where available plus a confirmed scan."""
     records = []
-    if cfg.model.variant in (Variant.PURE_YL, Variant.K_MODEL):
+    if species(cfg.model) is not None:
         records.extend(ep.model_closed_form_eps(cfg.model))
     counters = ep.RefineCounters()
     records.extend(
@@ -153,21 +153,19 @@ def run_arc_trace(cfg: RunConfig) -> list[Path]:
 
 
 def run_skin_check(cfg: RunConfig) -> list[Path]:
-    """Skin-effect criterion for each Majorana species of the model."""
-    if cfg.model.variant is Variant.K_MODEL:
-        sets = list(zip((1, 2, 3), effective_couplings(cfg.model.j, cfg.model.k_coupling)))
-    else:
-        sets = [(eta, cfg.model.j) for eta in (1, 2, 3)]
+    """Skin-effect criterion for each Majorana species of the model.
+
+    Only the flavour-diagonal coupling shifts a species' intra-row couplings
+    (``k_coupling`` is 0 in every other variant), so each flavour is tested
+    with its :func:`effective_couplings` triple.
+    """
     rows = []
-    for eta, j_eff in sets:
-        kx = np.linspace(-math.pi, math.pi, 1024, endpoint=False)
-        fwd = np.abs(j_eff.jx * np.exp(1j * kx) + j_eff.jy)
-        bwd = np.abs(j_eff.jx * np.exp(-1j * kx) + j_eff.jy)
+    for eta, j_eff in zip((1, 2, 3), effective_couplings(cfg.model.j, cfg.model.k_coupling)):
         rows.append(
             {
                 "flavour": eta,
-                "skin_any": bool(ep.skin_criterion_any(j_eff)),
-                "max_asymmetry": float(np.abs(fwd - bwd).max()),
+                "skin_any": ep.skin_criterion_any(j_eff),
+                "max_asymmetry": float(ep.skin_asymmetry(j_eff).max()),
             }
         )
     meta = _metadata(cfg, {"skin_any_model": any(r["skin_any"] for r in rows)})
@@ -208,18 +206,7 @@ def _summary_dict(summary: ribbon.NHSESummary) -> dict:
         "nhse_fraction_threshold": summary.nhse_fraction_threshold,
         "flip_kx": summary.flip_kx,
         "max_edge_count": max((s.n_edge for s in summary.per_kx), default=0),
-        "per_kx": [
-            {
-                "k_x": s.k_x,
-                "n_edge": s.n_edge,
-                "n_bulk": s.n_bulk,
-                "frac_bottom": s.frac_bottom,
-                "frac_top": s.frac_top,
-                "frac_extended": s.frac_extended,
-                "delta_mass": s.delta_mass,
-            }
-            for s in summary.per_kx
-        ],
+        "per_kx": [asdict(s) for s in summary.per_kx],
     }
 
 
@@ -243,31 +230,29 @@ def _sweep_svg(path, result: ribbon.SweepResult):
     write_svg_scatter(path, groups, title="strip spectrum", x_label="k_x", y_label="|E|")
 
 
-def run_ribbon_sweep(cfg: RunConfig, model: ModelConfig | None = None, prefix: str | None = None) -> list[Path]:
-    model = model or cfg.model
-    prefix = prefix or cfg.output.prefix + "_sweep"
-    kxs = np.linspace(-math.pi, math.pi, cfg.grid.kx_n, endpoint=False)
+def _run_sweep(cfg: RunConfig, model: ModelConfig, w: int, kx_n: int, n_transverse: int):
+    """Strip sweep over kx_n momenta in (-pi, pi] and its skin-effect summary."""
+    kxs = np.linspace(-math.pi, math.pi, kx_n, endpoint=False)
     result = ribbon.sweep(
         model,
-        cfg.grid.w,
+        w,
         kxs,
-        n_transverse=cfg.grid.n_transverse,
+        n_transverse=n_transverse,
         thresholds=cfg.tolerance.classifier(),
         threads=cfg.threads,
     )
-    summary = ribbon.nhse_summary(result, nhse_fraction=cfg.tolerance.nhse_fraction)
-    rows = _sweep_rows(result)
-    meta = _metadata(
-        cfg,
-        {
-            "model": model_dict(model),
-            "w": cfg.grid.w,
-            "max_residual": result.max_residual,
-            "nhse_summary": _summary_dict(summary),
-        },
-    )
+    return result, ribbon.nhse_summary(result, nhse_fraction=cfg.tolerance.nhse_fraction)
+
+
+def _export_sweep(cfg: RunConfig, result: ribbon.SweepResult, prefix: str, meta: dict) -> list[Path]:
+    """Sweep table in the configured formats, plus the SVG if enabled."""
     files = export_table(
-        cfg.output.directory, prefix, SPECTRUM_COLUMNS[:1] + SPECTRUM_COLUMNS[2:], rows, meta, cfg.output.formats
+        cfg.output.directory,
+        prefix,
+        SPECTRUM_COLUMNS[:1] + SPECTRUM_COLUMNS[2:],
+        _sweep_rows(result),
+        meta,
+        cfg.output.formats,
     )
     if cfg.output.svg:
         svg = Path(cfg.output.directory) / f"{prefix}.svg"
@@ -276,18 +261,8 @@ def run_ribbon_sweep(cfg: RunConfig, model: ModelConfig | None = None, prefix: s
     return files
 
 
-def run_localization(cfg: RunConfig, model: ModelConfig | None = None, prefix: str | None = None) -> list[Path]:
-    """Per-site weight profiles of selected states at one k_x."""
-    model = model or cfg.model
-    prefix = prefix or cfg.output.prefix + "_profiles"
-    n_states = cfg.grid.n_states if cfg.grid.n_states > 0 else None
-    idx, vals, profiles = ribbon.edge_mode_weights(
-        model,
-        cfg.grid.w,
-        cfg.grid.kx,
-        states=n_states,
-        normalization=cfg.output.weight_scale,
-    )
+def _profile_rows(idx, vals, profiles) -> list[dict]:
+    """One row per (state, site) of the output of ``ribbon.edge_mode_weights``."""
     rows = []
     for m, (i, e) in enumerate(zip(idx, vals)):
         for site in range(profiles.shape[1]):
@@ -301,12 +276,44 @@ def run_localization(cfg: RunConfig, model: ModelConfig | None = None, prefix: s
                     "weight": float(profiles[m, site]),
                 }
             )
+    return rows
+
+
+def run_ribbon_sweep(cfg: RunConfig) -> list[Path]:
+    result, summary = _run_sweep(cfg, cfg.model, cfg.grid.w, cfg.grid.kx_n, cfg.grid.n_transverse)
     meta = _metadata(
         cfg,
-        {"model": model_dict(model), "k_x": cfg.grid.kx, "normalization": cfg.output.weight_scale},
+        {
+            "model": model_dict(cfg.model),
+            "w": cfg.grid.w,
+            "max_residual": result.max_residual,
+            "nhse_summary": _summary_dict(summary),
+        },
+    )
+    return _export_sweep(cfg, result, cfg.output.prefix + "_sweep", meta)
+
+
+def run_localization(cfg: RunConfig) -> list[Path]:
+    """Per-site weight profiles of selected states at one k_x."""
+    n_states = cfg.grid.n_states if cfg.grid.n_states > 0 else None
+    idx, vals, profiles = ribbon.edge_mode_weights(
+        cfg.model,
+        cfg.grid.w,
+        cfg.grid.kx,
+        states=n_states,
+        normalization=cfg.output.weight_scale,
+    )
+    meta = _metadata(
+        cfg,
+        {"model": model_dict(cfg.model), "k_x": cfg.grid.kx, "normalization": cfg.output.weight_scale},
     )
     return export_table(
-        cfg.output.directory, prefix, WEIGHT_COLUMNS, rows, meta, cfg.output.formats
+        cfg.output.directory,
+        cfg.output.prefix + "_profiles",
+        WEIGHT_COLUMNS,
+        _profile_rows(idx, vals, profiles),
+        meta,
+        cfg.output.formats,
     )
 
 

@@ -16,20 +16,18 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import ribbon
 from .config import RunConfig, model_dict
 from .errors import ConfigurationError
 from .export import export_table, write_json
 from .models import Coupling3, ModelConfig, Variant
 from .pipelines import (
-    SPECTRUM_COLUMNS,
     WEIGHT_COLUMNS,
+    _export_sweep,
     _metadata,
+    _profile_rows,
+    _run_sweep,
     _summary_dict,
-    _sweep_rows,
-    _sweep_svg,
 )
 
 _E3 = cmath.exp(1j * math.pi / 3)
@@ -190,17 +188,9 @@ def run_reproduce(cfg: RunConfig) -> list[Path]:
     kx_n = cfg.grid.kx_n if "kx_n" in provided else 402
     n_transverse = cfg.grid.n_transverse if "n_transverse" in provided else 512
 
-    kxs = np.linspace(-math.pi, math.pi, kx_n, endpoint=False)
-    result = ribbon.sweep(
-        preset.model,
-        w,
-        kxs,
-        n_transverse=n_transverse,
-        thresholds=cfg.tolerance.classifier(),
-        threads=cfg.threads,
-    )
-    summary = ribbon.nhse_summary(result, nhse_fraction=cfg.tolerance.nhse_fraction)
-
+    result, summary = _run_sweep(cfg, preset.model, w, kx_n, n_transverse)
+    summary_dict = _summary_dict(summary)
+    checks = ("nhse_present", "bulk_localized_fraction", "flip_kx", "max_edge_count")
     report = {
         "preset": preset.preset_id,
         "description": preset.description,
@@ -208,48 +198,23 @@ def run_reproduce(cfg: RunConfig) -> list[Path]:
         "w": w,
         "kx_n": kx_n,
         "parameter_provenance": preset.provenance,
-        "qualitative_checks": {
-            "nhse_present": summary.nhse_present,
-            "bulk_localized_fraction": summary.bulk_localized_fraction,
-            "flip_kx": summary.flip_kx,
-            "max_edge_count": max((s.n_edge for s in summary.per_kx), default=0),
-        },
+        "qualitative_checks": {key: summary_dict[key] for key in checks},
     }
 
     out_dir = Path(cfg.output.directory)
     prefix = f"{cfg.output.prefix}_{preset.preset_id}"
-    meta = _metadata(cfg, {"preset_report": report, "nhse_summary": _summary_dict(summary)})
+    meta = _metadata(cfg, {"preset_report": report, "nhse_summary": summary_dict})
 
-    files = []
     if preset.kind == "sweep":
-        rows = _sweep_rows(result)
-        files += export_table(
-            out_dir, prefix, SPECTRUM_COLUMNS[:1] + SPECTRUM_COLUMNS[2:], rows, meta, cfg.output.formats
-        )
-        if cfg.output.svg:
-            svg = out_dir / f"{prefix}.svg"
-            _sweep_svg(svg, result)
-            files.append(svg)
+        files = _export_sweep(cfg, result, prefix, meta)
     else:
         rows = []
         for kx in PROFILE_KX:
             idx, vals, profiles = ribbon.edge_mode_weights(
                 preset.model, w, kx, states=None, normalization="linear"
             )
-            for m, (i, e) in enumerate(zip(idx, vals)):
-                for site in range(profiles.shape[1]):
-                    rows.append(
-                        {
-                            "k_x": kx,
-                            "state_index": int(i),
-                            "re_E": e.real,
-                            "im_E": e.imag,
-                            "abs_E": abs(e),
-                            "site": site + 1,
-                            "weight": float(profiles[m, site]),
-                        }
-                    )
-        files += export_table(
+            rows += [{"k_x": kx, **row} for row in _profile_rows(idx, vals, profiles)]
+        files = export_table(
             out_dir, prefix, ("k_x",) + WEIGHT_COLUMNS, rows, meta, cfg.output.formats
         )
 

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from majorana_nh import (
     Coupling3,
@@ -149,6 +150,7 @@ def test_criterion_05_torus_oracle(rng):
     report(5, worst < 1e-8, f"4 variants x 3 k_x at w=24, worst mismatch {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_06_hermitian_obc_within_pbc_cloud():
     t0 = time.perf_counter()
     model = ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5), k_coupling=0.4)
@@ -177,6 +179,7 @@ def test_criterion_06_hermitian_obc_within_pbc_cloud():
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_nhse_matrix():
     t0 = time.perf_counter()
     w = 104  # the localization length of the weakest case needs this depth
@@ -238,6 +241,7 @@ def _species_decay_ratio(j_eff, kxs):
         return float(np.where(lo > 0, hi / lo, np.inf).max())
 
 
+@pytest.mark.slow
 def test_criterion_08_skin_criterion_theorem(rng):
     # A strip of w rows resolves a skin effect only when the localization
     # length 1/log(rho) is a few times smaller than w; categories whose

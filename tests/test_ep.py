@@ -127,6 +127,19 @@ class TestClosedFormEPs:
                 f_mk = abs(structure_factor(j, (-r.k[0], -r.k[1])))
                 assert min(f_k, f_mk) < 1e-10
 
+    def test_shared_phase_dirac_points_not_confirmed(self):
+        # couplings sharing one phase: both bond sums vanish at the Dirac
+        # points, so the pair stays diagonalizable
+        p = 0.5213
+        j = Coupling3.from_polar((1, 0.5213, 1.5), (p, p, p))
+        recs = ep_closed_form(j)
+        assert len(recs) == 2
+        for r in recs:
+            assert r.residual < 1e-10
+            assert abs(structure_factor(j, np.negative(r.k))) < 1e-10
+            assert not r.confirmed
+        assert ep_scan(ModelConfig(Variant.PURE_YL, j), grid_n=32) == []
+
     def test_model_level_records_per_species(self):
         model = ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5 * E3), k_coupling=0.1)
         recs = model_closed_form_eps(model)

@@ -49,6 +49,31 @@ model:
         with pytest.raises(ConfigurationError, match=r"bogus.*line 8"):
             parse_config(text)
 
+    def test_eig_tol_is_an_unknown_key(self):
+        text = MINIMAL + "tolerance:\n  overlap_tol: 1.0e-4\n  eig_tol: 1.0e-8\n"
+        with pytest.raises(ConfigurationError, match=r"unknown key tolerance.'eig_tol'.*line 8"):
+            parse_config(text)
+
+    def test_dmi_z_mode_rejected_outside_mag_model(self):
+        text = """
+command: bloch-spectrum
+model:
+  variant: gamma_model
+  j: [1, 1, 1]
+  dmi_z_mode: none
+"""
+        with pytest.raises(ConfigurationError, match=r"'dmi_z_mode' not valid.*line 6"):
+            parse_config(text)
+
+    def test_preset_flag_alone_parses_like_a_config(self):
+        from majorana_nh.cli import _build_parser, _load_config
+
+        cfg = _load_config(_build_parser().parse_args(["reproduce", "--preset", "fig3b"]))
+        assert cfg.preset == "fig3b"
+        assert cfg.resolved == parse_config("command: reproduce", preset="fig3b").resolved
+        assert cfg.resolved["grid"]["kx_n"] == 402
+        assert "eig_tol" not in cfg.resolved["tolerance"]
+
     def test_polar_complex_form(self):
         text = """
 command: bloch-spectrum

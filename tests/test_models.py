@@ -20,9 +20,11 @@ from majorana_nh import (
     flavour_bond_table,
     match_eigenvalue_sets,
     shifted_structure_factors,
+    species,
     structure_factor,
     triangle_test,
 )
+from majorana_nh.models import closed_form_spectrum_grid
 from conftest import random_complex_coupling
 
 E3 = cmath.exp(1j * math.pi / 3)
@@ -127,6 +129,29 @@ class TestCouplingType:
         rebuilt = Coupling3.from_polar(j.moduli, j.phases)
         for a, b in zip(j, rebuilt):
             assert a == pytest.approx(b, abs=1e-15)
+
+
+class TestSpecies:
+    def test_pure_model_is_one_species(self):
+        j = Coupling3(2, 1, 2.5 * E3)
+        assert species(ModelConfig(Variant.PURE_YL, j)) == ((None, j),)
+
+    def test_k_model_species_are_the_shifted_couplings(self):
+        j = Coupling3(2, 1, 2.5 * E3)
+        sets = species(ModelConfig(Variant.K_MODEL, j, k_coupling=0.4))
+        assert [flavour for flavour, _ in sets] == [1, 2, 3]
+        assert tuple(j_eff for _, j_eff in sets) == effective_couplings(j, 0.4)
+
+    def test_mixing_models_have_no_species(self):
+        j = Coupling3(1, 1, 1)
+        assert species(ModelConfig(Variant.GAMMA_MODEL, j, gamma=0.4)) is None
+        assert species(ModelConfig(Variant.MAG_MODEL, j, d=0.5, b_field=(0, 0, 0.7))) is None
+
+    def test_unshifted_k_model_has_pure_model_couplings(self, rng):
+        j = random_complex_coupling(rng)
+        ((_, j_pure),) = species(ModelConfig(Variant.PURE_YL, j))
+        for _, j_eff in species(ModelConfig(Variant.K_MODEL, j, k_coupling=0.0)):
+            assert j_eff == j_pure
 
 
 class TestModelConfigValidation:
@@ -327,6 +352,16 @@ class TestClosedFormSpectrum:
             cf = closed_form_spectrum(model, k)
             dense = eig(bloch_hamiltonian(model, k).entries).eigenvalues
             assert match_eigenvalue_sets(cf.values, dense) < 1e-10
+
+    def test_one_point_of_the_grid(self, rng):
+        for model in _random_models(rng)[:2] + [
+            ModelConfig(Variant.MAG_MODEL, random_complex_coupling(rng), b_field=(0.1, 0, 0.7))
+        ]:
+            k = rng.uniform(-np.pi, np.pi, 2)
+            grid = closed_form_spectrum_grid(model, np.array([k, -k]))
+            np.testing.assert_allclose(
+                closed_form_spectrum(model, k).values, np.sort_complex(grid[0]), atol=1e-13
+            )
 
     def test_field_only_heuristic_flag(self, rng):
         herm = ModelConfig(Variant.MAG_MODEL, Coupling3(1, 1, 1), b_field=(0, 0, 0.7))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from majorana_nh import (
+    ConvergenceError,
     Coupling3,
     ModelConfig,
     RibbonSpec,
@@ -25,6 +26,7 @@ from majorana_nh import (
     skin_criterion_any,
     sweep,
 )
+from majorana_nh import eigen
 from majorana_nh.eigen import Spectrum
 from majorana_nh.models import effective_couplings
 from conftest import random_complex_coupling
@@ -120,6 +122,57 @@ class TestBuildRibbon:
         full = eig(h)
         assert match_eigenvalue_sets(fast.eigenvalues, full.eigenvalues) < 1e-10
         assert fast.achieved_tol < 1e-10
+
+
+K_FIG2B = ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5 * E3), k_coupling=0.4, energy_scale="half")
+GAMMA_FIG3B = ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5 * E3), gamma=0.4, energy_scale="half")
+
+
+class TestStripSolverContract:
+    """Both paths of ``diagonalize_ribbon`` keep the ``eigen.eig`` contract."""
+
+    def _solve(self, model, monkeypatch, tol=None, w=10, kx=0.7):
+        sizes = []
+        real_eig = eigen.eig
+
+        def recording_eig(matrix, *args, **kwargs):
+            sizes.append(np.shape(matrix)[0])
+            return real_eig(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(eigen, "eig", recording_eig)
+        h = build_ribbon(RibbonSpec(w=w, boundary_y="open", k_x=kx, model=model))
+        return h, sizes, diagonalize_ribbon(h, tol=tol)
+
+    def _check_residual_bound(self, h, s, tol):
+        norm = np.linalg.norm(h, "fro")
+        v = s.right_vectors
+        independent = np.linalg.norm(h @ v - v * s.eigenvalues, axis=0) / max(1.0, norm)
+        assert independent.max() <= tol
+        assert s.achieved_tol == s.residuals.max() <= tol
+        np.testing.assert_allclose(s.residuals, independent, rtol=0.5, atol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-13)
+        assert s.matrix_norm == norm
+        assert not s.defective_flags.any()
+        order = np.lexsort((s.eigenvalues.imag, s.eigenvalues.real))
+        np.testing.assert_array_equal(order, np.arange(s.n))
+
+    def test_block_path_residual_bound(self, monkeypatch):
+        h, sizes, s = self._solve(K_FIG2B, monkeypatch, tol=1e-12)
+        assert sizes == [20, 20, 20]  # one certified solve per species block
+        self._check_residual_bound(h, s, 1e-12)
+        # each eigenvector lives on a single flavour
+        support = np.abs(s.right_vectors).reshape(-1, 3, s.n).sum(axis=0) > 0
+        assert (support.sum(axis=0) == 1).all()
+
+    def test_dense_path_residual_bound(self, monkeypatch):
+        h, sizes, s = self._solve(GAMMA_FIG3B, monkeypatch, tol=1e-12)
+        assert sizes == [60]
+        self._check_residual_bound(h, s, 1e-12)
+
+    def test_block_path_raises_on_unmet_tolerance(self):
+        h = build_ribbon(RibbonSpec(w=10, boundary_y="open", k_x=0.7, model=K_FIG2B))
+        with pytest.raises(ConvergenceError):
+            diagonalize_ribbon(h, tol=1e-30)
 
 
 class TestLocalizationProfile:
