@@ -53,7 +53,6 @@ from .ribbon import (
     localization_profile,
     nhse_summary,
     pbc_cloud_intervals,
-    pbc_reference_cloud,
     sweep,
 )
 from .config import RunConfig, parse_config

@@ -3,7 +3,7 @@
 Usage::
 
     majorana-nh <command> --config <path> [--out <dir>] [--threads N]
-                [--seed S] [--scale raw|half] [--preset <id>]
+                [--scale raw|half] [--preset <id>]
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/convergence error.
 Environment overrides: ``MAJORANA_NH_THREADS`` and ``MAJORANA_NH_OUT``.
@@ -32,7 +32,6 @@ def _build_parser():
     parser.add_argument("--config", help="YAML run configuration")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--threads", type=int, help="worker threads for sweeps")
-    parser.add_argument("--seed", type=int, help="seed recorded in run metadata")
     parser.add_argument("--scale", choices=("raw", "half"), help="energy scale override")
     parser.add_argument(
         "--preset", help=f"figure preset for 'reproduce' ({', '.join(PRESET_IDS)})"
@@ -66,8 +65,6 @@ def _load_config(args) -> RunConfig:
         if threads < 1:
             raise ConfigurationError("--threads must be >= 1")
         cfg.threads = threads
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.scale is not None and cfg.model is not None:
         cfg.model = replace(cfg.model, energy_scale=args.scale)
     cfg.resolved = resolved_dict(cfg)

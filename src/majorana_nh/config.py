@@ -184,7 +184,6 @@ class RunConfig:
     output: OutputConfig
     preset: str | None = None
     threads: int = 1
-    seed: int | None = None
     resolved: dict = field(default_factory=dict)
 
 
@@ -297,7 +296,7 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
     root = _compose(text)
     if not isinstance(root.value, dict):
         _err("top level must be a mapping", root)
-    allowed = {"command", "preset", "model", "grid", "tolerance", "output", "threads", "seed"}
+    allowed = {"command", "preset", "model", "grid", "tolerance", "output", "threads"}
     _check_keys(root, allowed, "")
     block = root.value
 
@@ -340,7 +339,6 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
         _err("output.weight_scale must be 'linear' or 'log01'", block.get("output"))
 
     threads = _as_int(block["threads"], "threads") if "threads" in block else 1
-    seed = _as_int(block["seed"], "seed") if "seed" in block else None
 
     cfg = RunConfig(
         command=command,
@@ -350,7 +348,6 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
         output=out,
         preset=preset,
         threads=threads,
-        seed=seed,
     )
     cfg.resolved = resolved_dict(cfg)
     return cfg
@@ -406,5 +403,4 @@ def resolved_dict(cfg: RunConfig) -> dict:
         "tolerance": asdict(cfg.tolerance),
         "output": asdict(cfg.output),
         "threads": cfg.threads,
-        "seed": cfg.seed,
     }

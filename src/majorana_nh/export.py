@@ -144,12 +144,14 @@ def write_svg_scatter(
 ):
     """Scatter plot of ``groups = [(label, xs, ys), ...]``, first group drawn first.
 
+    A group whose ``ys`` has shape (n, 2) is drawn as n vertical bars from
+    ``ys[i, 0]`` to ``ys[i, 1]`` at ``xs[i]``, all in one ``<path>``.
     Deterministic output: no timestamps, ids, or library version strings.
     """
     width, height = size
     margin = 54.0
     xs_all = np.concatenate([np.asarray(g[1], dtype=float) for g in groups if len(g[1])])
-    ys_all = np.concatenate([np.asarray(g[2], dtype=float) for g in groups if len(g[2])])
+    ys_all = np.concatenate([np.asarray(g[2], dtype=float).ravel() for g in groups if len(g[2])])
     x0, x1 = float(xs_all.min()), float(xs_all.max())
     y0, y1 = float(ys_all.min()), float(ys_all.max())
     if x1 == x0:
@@ -194,10 +196,18 @@ def write_svg_scatter(
     legend_y = margin + 12.0
     for label, xs, ys in groups:
         colour = CLASS_COLOURS.get(label, CLASS_COLOURS[None])
-        pts = []
-        for x, y in zip(np.asarray(xs, float), np.asarray(ys, float)):
-            pts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="{point_radius}"/>')
-        parts.append(f'<g fill="{colour}" fill-opacity="0.8">' + "".join(pts) + "</g>")
+        xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+        if ys.ndim == 2:
+            d = "".join(f"M{sx(x):.2f} {sy(lo):.2f}V{sy(hi):.2f}" for x, (lo, hi) in zip(xs, ys))
+            parts.append(
+                f'<path d="{d}" fill="none" stroke="{colour}" stroke-opacity="0.8" '
+                f'stroke-width="{2 * point_radius}" stroke-linecap="round"/>'
+            )
+        else:
+            pts = []
+            for x, y in zip(xs, ys):
+                pts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="{point_radius}"/>')
+            parts.append(f'<g fill="{colour}" fill-opacity="0.8">' + "".join(pts) + "</g>")
         if label is not None:
             parts.append(
                 f'<circle cx="{margin + 10:.1f}" cy="{legend_y:.1f}" r="3" fill="{colour}"/>'

@@ -288,12 +288,6 @@ class FlavourBondTable:
     def t(self):
         return (self.t_x, self.t_y, self.t_z)
 
-    @property
-    def is_flavour_diagonal(self) -> bool:
-        return all(
-            np.count_nonzero(t - np.diag(np.diag(t))) == 0 for t in self.t
-        ) and np.count_nonzero(self.onsite) == 0
-
 
 @functools.lru_cache(maxsize=256)
 def flavour_bond_table(model: ModelConfig) -> FlavourBondTable:

@@ -213,11 +213,9 @@ def _summary_dict(summary: ribbon.NHSESummary) -> dict:
 def _sweep_svg(path, result: ribbon.SweepResult):
     groups = []
     if result.pbc_reference is not None:
-        xs, ys = [], []
-        for kx, cloud in zip(result.kx_grid, result.pbc_reference):
-            xs.extend([float(kx)] * len(cloud))
-            ys.extend(np.abs(cloud).tolist())
-        groups.append(("pbc", xs, ys))
+        # one |E| bar per interval of the periodic spectrum at each k_x
+        xs = [float(kx) for kx, cloud in zip(result.kx_grid, result.pbc_reference) for _ in cloud.bounds]
+        groups.append(("pbc", xs, np.concatenate([cloud.bounds for cloud in result.pbc_reference])))
     by_class = {}
     for kx, recs in zip(result.kx_grid, result.records):
         for r in recs:

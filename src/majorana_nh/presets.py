@@ -179,16 +179,14 @@ def get_preset(preset_id: str) -> FigurePreset:
 def run_reproduce(cfg: RunConfig) -> list[Path]:
     """Run a figure preset: plot-ready tables plus a qualitative-check report.
 
-    The preset fixes the model and geometry; explicitly provided grid keys
-    (e.g. a coarser ``kx_n``) override the preset's sampling for quick runs.
+    The preset fixes the model and the strip width, unless the config gives
+    ``grid.w``; the sampling (``kx_n``, ``n_transverse``) is the config's, so
+    a coarser ``kx_n`` makes a quick run.
     """
     preset = get_preset(cfg.preset)
-    provided = getattr(cfg.grid, "_provided", set())
-    w = cfg.grid.w if "w" in provided else preset.w
-    kx_n = cfg.grid.kx_n if "kx_n" in provided else 402
-    n_transverse = cfg.grid.n_transverse if "n_transverse" in provided else 512
+    w = cfg.grid.w if "w" in getattr(cfg.grid, "_provided", set()) else preset.w
 
-    result, summary = _run_sweep(cfg, preset.model, w, kx_n, n_transverse)
+    result, summary = _run_sweep(cfg, preset.model, w, cfg.grid.kx_n, cfg.grid.n_transverse)
     summary_dict = _summary_dict(summary)
     checks = ("nhse_present", "bulk_localized_fraction", "flip_kx", "max_edge_count")
     report = {
@@ -196,7 +194,7 @@ def run_reproduce(cfg: RunConfig) -> list[Path]:
         "description": preset.description,
         "model": model_dict(preset.model),
         "w": w,
-        "kx_n": kx_n,
+        "kx_n": cfg.grid.kx_n,
         "parameter_provenance": preset.provenance,
         "qualitative_checks": {key: summary_dict[key] for key in checks},
     }

@@ -206,20 +206,18 @@ def site_weights(spectrum: eigen.Spectrum, w: int) -> np.ndarray:
 def localization_profile(
     spectrum: eigen.Spectrum,
     w: int,
-    pbc_cloud=None,
+    pbc_cloud: CloudIntervals | None = None,
     thresholds: ClassifierThresholds = ClassifierThresholds(),
 ) -> list[LocalizationRecord]:
     """Classify every eigenstate of a strip spectrum.
 
-    ``pbc_cloud`` is the fully periodic reference at the same k_x, either a
-    :class:`CloudIntervals` (preferred: sampling-density independent) or an
-    array of eigenvalue samples; distances are measured between |E| values,
-    matching how the spectra are drawn.  States farther than ``cloud_tol``
-    off the cloud are edge candidates, localized or not, since in a Hermitian
-    strip an off-cloud state is a bound state; see
-    :class:`ClassifierThresholds`.  Without a cloud (``None`` or an empty
-    sample array) only localized states can be edge: the ``edge_cap`` of
-    smallest |E|.
+    ``pbc_cloud`` holds the |E| intervals of the fully periodic spectrum at
+    the same k_x; distances are measured between |E| values, matching how
+    the spectra are drawn.  States farther than ``cloud_tol`` off the cloud
+    are edge candidates, localized or not, since in a Hermitian strip an
+    off-cloud state is a bound state; see :class:`ClassifierThresholds`.
+    Without a cloud (``None``) only localized states can be edge: the
+    ``edge_cap`` of smallest |E|.
     """
     ws = site_weights(spectrum, w)
     n_sites = 2 * w
@@ -230,21 +228,10 @@ def localization_profile(
     mass_bottom = ws[:n_outer].sum(axis=0)
     mass_top = ws[-n_outer:].sum(axis=0)
 
-    has_cloud = True
-    if isinstance(pbc_cloud, CloudIntervals):
-        dist = pbc_cloud.distance(np.abs(spectrum.eigenvalues))
-    elif pbc_cloud is not None and len(pbc_cloud):
-        cloud_abs = np.sort(np.abs(np.asarray(pbc_cloud)).ravel())
-        pos = np.searchsorted(cloud_abs, np.abs(spectrum.eigenvalues))
-        lo = cloud_abs[np.clip(pos - 1, 0, len(cloud_abs) - 1)]
-        hi = cloud_abs[np.clip(pos, 0, len(cloud_abs) - 1)]
-        dist = np.minimum(
-            np.abs(np.abs(spectrum.eigenvalues) - lo),
-            np.abs(np.abs(spectrum.eigenvalues) - hi),
-        )
-    else:
-        has_cloud = False
+    if pbc_cloud is None:
         dist = np.full(spectrum.n, np.inf)
+    else:
+        dist = pbc_cloud.distance(np.abs(spectrum.eigenvalues))
 
     localized = (mass_bottom + mass_top >= thresholds.edge_mass) | (
         ipr * n_sites >= thresholds.ipr_factor
@@ -256,7 +243,7 @@ def localization_profile(
     candidates = [
         i
         for i in range(spectrum.n)
-        if (has_cloud or localized[i]) and dist[i] > thresholds.cloud_tol
+        if (pbc_cloud is not None or localized[i]) and dist[i] > thresholds.cloud_tol
     ]
     candidates.sort(key=lambda i: (-dist[i], abs(spectrum.eigenvalues[i]), i))
     edge_idx.update(candidates[: thresholds.edge_cap])
@@ -288,33 +275,20 @@ def localization_profile(
 # PBC reference cloud
 # --------------------------------------------------------------------------
 
-def _cloud_samples(model: ModelConfig, k_x: float, n_transverse: int, method: str):
+def _cloud_samples(model: ModelConfig, k_x: float, n_transverse: int):
+    """Fully periodic eigenvalues at fixed k_x over a transverse-momentum grid.
+
+    Closed-form bands where the model has them, else a batched ``eigvals``.
+    """
     q = np.linspace(0.0, 2.0 * np.pi, n_transverse, endpoint=False)
     th1 = 0.5 * k_x - q
     th2 = -0.5 * k_x - q
     ks = np.stack([th1 - th2, (th1 + th2) / math.sqrt(3.0)], axis=-1)
 
-    if method in ("auto", "closed_form"):
-        vals = closed_form_spectrum_grid(model, ks)
-        if vals is not None:
-            return vals
-        if method == "closed_form":
-            raise ValueError("model has no closed-form spectrum")
-    if method in ("auto", "eig"):
-        return np.linalg.eigvals(bloch_matrix_grid(model, ks))
-    raise ValueError(f"unknown cloud method {method!r}")
-
-
-def pbc_reference_cloud(
-    model: ModelConfig, k_x: float, n_transverse: int = 512, method: str = "auto"
-) -> np.ndarray:
-    """Fully periodic eigenvalues at fixed k_x over a transverse-momentum grid.
-
-    ``method="closed_form"`` uses the analytic bands where available (exact to
-    solver accuracy and much faster); ``"eig"`` always diagonalizes;
-    ``"auto"`` picks the closed form when the model has one.
-    """
-    return _cloud_samples(model, k_x, n_transverse, method).ravel()
+    vals = closed_form_spectrum_grid(model, ks)
+    if vals is None:
+        vals = np.linalg.eigvals(bloch_matrix_grid(model, ks))
+    return vals
 
 
 @dataclass(frozen=True)
@@ -354,11 +328,9 @@ def cloud_intervals_from_samples(samples: np.ndarray) -> CloudIntervals:
     return CloudIntervals(bounds=np.asarray(merged))
 
 
-def pbc_cloud_intervals(
-    model: ModelConfig, k_x: float, n_transverse: int = 512, method: str = "auto"
-) -> CloudIntervals:
+def pbc_cloud_intervals(model: ModelConfig, k_x: float, n_transverse: int = 512) -> CloudIntervals:
     """|E| intervals of the fully periodic spectrum at fixed k_x."""
-    return cloud_intervals_from_samples(_cloud_samples(model, k_x, n_transverse, method))
+    return cloud_intervals_from_samples(_cloud_samples(model, k_x, n_transverse))
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +344,7 @@ class SweepResult:
     boundary_y: str
     kx_grid: np.ndarray
     records: list  # list (per k_x) of lists of LocalizationRecord
-    pbc_reference: list | None
+    pbc_reference: list | None  # per k_x, the CloudIntervals of the periodic spectrum
     thresholds: ClassifierThresholds
     max_residual: float
 
@@ -384,14 +356,14 @@ def sweep(
     boundary_y: str = "open",
     pbc_reference: bool = True,
     n_transverse: int = 512,
-    cloud_method: str = "auto",
     thresholds: ClassifierThresholds = ClassifierThresholds(),
     threads: int = 1,
 ) -> SweepResult:
     """Diagonalize and classify the strip over a k_x grid.
 
     Data-parallel over k_x when ``threads > 1``; results are collected in grid
-    order either way.
+    order either way.  An error raised at one k_x propagates as the same
+    exception object, its message prefixed with that k_x.
     """
     kx_grid = np.asarray(kx_grid, dtype=float)
     if kx_grid.size == 0:
@@ -401,15 +373,12 @@ def sweep(
         try:
             h = build_ribbon(RibbonSpec(w=w, boundary_y=boundary_y, k_x=float(kx), model=model))
             spectrum = diagonalize_ribbon(h)
-            if pbc_reference:
-                samples = _cloud_samples(model, float(kx), n_transverse, cloud_method)
-                cloud = cloud_intervals_from_samples(samples)
-            else:
-                samples, cloud = None, None
+            cloud = pbc_cloud_intervals(model, float(kx), n_transverse) if pbc_reference else None
             recs = localization_profile(spectrum, w, cloud, thresholds)
-            return recs, samples.ravel() if samples is not None else None, spectrum.achieved_tol
+            return recs, cloud, spectrum.achieved_tol
         except Exception as exc:
-            raise type(exc)(f"k_x = {float(kx):.6g}: {exc}") from exc
+            exc.args = (f"k_x = {float(kx):.6g}: {exc}",)
+            raise
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

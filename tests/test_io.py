@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,10 +317,14 @@ output:
 
 class TestCLI:
     def _run(self, *args):
+        # the child imports the package from this checkout, installed or not
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         return subprocess.run(
             [sys.executable, "-m", "majorana_nh.cli", *args],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
 
     def test_config_error_exit_2(self, tmp_path):
@@ -368,11 +374,21 @@ output:
 """
             % tmp_path
         )
-        res = self._run("skin-check", "--config", str(cfg), "--scale", "half", "--seed", "7")
+        res = self._run("skin-check", "--config", str(cfg), "--scale", "half")
         assert res.returncode == 0, res.stderr
         meta = json.loads((tmp_path / "s_skin_meta.json").read_text())
         assert meta["config"]["model"]["energy_scale"] == "half"
-        assert meta["config"]["seed"] == 7
+        assert "seed" not in meta["config"]
+
+    def test_seed_rejected(self, tmp_path):
+        # nothing is random: neither the config key nor the flag exists
+        with pytest.raises(ConfigurationError, match=r"unknown key 'seed'.*line 6"):
+            parse_config(MINIMAL + "seed: 7\n")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(MINIMAL)
+        res = self._run("bloch-spectrum", "--config", str(cfg), "--seed", "7")
+        assert res.returncode == 2
+        assert "unrecognized arguments: --seed" in res.stderr
 
     def test_localization_command(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

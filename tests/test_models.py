@@ -274,7 +274,6 @@ class TestFlavourBondTable:
         np.testing.assert_array_equal(t.t_y, 1 * np.eye(3))
         np.testing.assert_array_equal(t.t_z, 2.5 * np.eye(3))
         assert np.count_nonzero(t.onsite) == 0
-        assert t.is_flavour_diagonal
 
     def test_k_model_table(self):
         t = flavour_bond_table(ModelConfig(Variant.K_MODEL, Coupling3(1, 1, 1), k_coupling=0.4))
@@ -292,7 +291,6 @@ class TestFlavourBondTable:
             expect[mu, nu] += 0.4
             expect[nu, mu] += 0.4
             np.testing.assert_array_equal(t_a, expect)
-        assert not t.is_flavour_diagonal
 
     def test_mag_model_onsite_antisymmetric(self, rng):
         b = tuple(rng.uniform(-1, 1, 3))

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from majorana_nh import (
+    CloudIntervals,
     ConvergenceError,
     Coupling3,
     ModelConfig,
     RibbonSpec,
     Variant,
     bloch_hamiltonian,
+    bloch_matrix_grid,
     build_ribbon,
     diagonalize_ribbon,
     edge_mode_weights,
@@ -22,11 +24,10 @@ from majorana_nh import (
     match_eigenvalue_sets,
     nhse_summary,
     pbc_cloud_intervals,
-    pbc_reference_cloud,
     skin_criterion_any,
     sweep,
 )
-from majorana_nh import eigen
+from majorana_nh import eigen, ribbon
 from majorana_nh.eigen import Spectrum
 from majorana_nh.models import effective_couplings
 from conftest import random_complex_coupling
@@ -212,13 +213,12 @@ class TestLocalizationProfile:
         assert recs[0].label == "extended"
 
     def test_off_cloud_gate_needs_a_cloud(self):
-        # a uniform state is never localized: without a usable cloud it stays
-        # extended, but a nonempty cloud it sits off makes it a boundary mode
+        # a uniform state is never localized: without a cloud it stays
+        # extended, but a cloud it sits off makes it a boundary mode
         w = 8
         s = self._uniform_spectrum(w)
-        for cloud in (None, np.array([], dtype=complex)):
-            assert {r.label for r in localization_profile(s, w, cloud)} == {"extended"}
-        recs = localization_profile(s, w, np.array([1.0 + 0j]))
+        assert {r.label for r in localization_profile(s, w)} == {"extended"}
+        recs = localization_profile(s, w, CloudIntervals(bounds=np.array([[1.0, 1.0]])))
         assert recs[0].cloud_distance == pytest.approx(1.0)
         assert recs[0].label.startswith("edge")
 
@@ -343,6 +343,21 @@ class TestSweepAndSummary:
         summ = nhse_summary(sweep(model, 12, kxs, n_transverse=1024))
         assert not summ.nhse_present
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_worker_error_keeps_its_object(self, monkeypatch, threads):
+        # a solver failure at one k_x surfaces as the same exception object,
+        # its best-effort result kept and its message naming the k_x
+        model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
+        s = eig(np.eye(2))
+
+        def failing_eig(h, tol=None):
+            raise ConvergenceError("residual target missed", result=s)
+
+        monkeypatch.setattr(eigen, "eig", failing_eig)
+        with pytest.raises(ConvergenceError, match=r"^k_x = 0\.5: residual target missed$") as info:
+            sweep(model, 6, [0.5], threads=threads)
+        assert info.value.result is s
+
     def test_summary_requires_cloud(self):
         model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
         res = sweep(model, 6, [0.5], pbc_reference=False)
@@ -392,8 +407,14 @@ class TestSweepAndSummary:
             assert d <= spacing
 
     def test_cloud_methods_agree(self, rng):
+        # the closed-form reference against a dense eigensolve of the Bloch
+        # matrices at the same momenta: theta1 = k_x/2 - q, theta2 = -k_x/2 - q
         model = ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5 * E3), k_coupling=0.4)
         kx = rng.uniform(-np.pi, np.pi)
-        c1 = pbc_reference_cloud(model, kx, 64, method="closed_form")
-        c2 = pbc_reference_cloud(model, kx, 64, method="eig")
-        assert match_eigenvalue_sets(c1, c2) < 1e-9
+        q = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        ks = k_from_bond_phase(np.stack([0.5 * kx - q, -0.5 * kx - q], axis=-1))
+        c1 = ribbon._cloud_samples(model, kx, 64)
+        c2 = np.linalg.eigvals(bloch_matrix_grid(model, ks))
+        assert c1.shape == c2.shape == (64, 6)
+        for a, b in zip(c1, c2):
+            assert match_eigenvalue_sets(a, b) < 1e-9
