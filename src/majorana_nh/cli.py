@@ -59,8 +59,14 @@ def _load_config(args) -> RunConfig:
     if out_dir:
         cfg.output.directory = out_dir
     threads = args.threads
-    if threads is None and os.environ.get("MAJORANA_NH_THREADS"):
-        threads = int(os.environ["MAJORANA_NH_THREADS"])
+    env_threads = os.environ.get("MAJORANA_NH_THREADS")
+    if threads is None and env_threads:
+        try:
+            threads = int(env_threads)
+        except ValueError:
+            raise ConfigurationError(
+                f"MAJORANA_NH_THREADS must be an integer, got {env_threads!r}"
+            ) from None
     if threads is not None:
         if threads < 1:
             raise ConfigurationError("--threads must be >= 1")

@@ -19,16 +19,8 @@ from .errors import ConfigurationError
 from .models import VARIANT_FIELDS, Coupling3, ModelConfig, Variant, default_dmi_vectors
 from .ribbon import ClassifierThresholds
 
-_VARIANT_ALIASES = {
-    "pure_yl": Variant.PURE_YL,
-    "pureyl": Variant.PURE_YL,
-    "k_model": Variant.K_MODEL,
-    "kmodel": Variant.K_MODEL,
-    "gamma_model": Variant.GAMMA_MODEL,
-    "gammamodel": Variant.GAMMA_MODEL,
-    "mag_model": Variant.MAG_MODEL,
-    "magmodel": Variant.MAG_MODEL,
-}
+#: variant names as written in a config, with or without the underscore
+_VARIANT_ALIASES = {name: v for v in Variant for name in (v.value, v.value.replace("_", ""))}
 
 COMMANDS = (
     "bloch-spectrum",
@@ -74,17 +66,6 @@ def _compose(text: str):
     return build(root)
 
 
-def _plain(located):
-    if isinstance(located, _Located):
-        v = located.value
-        if isinstance(v, dict):
-            return {k: _plain(x) for k, x in v.items()}
-        if isinstance(v, list):
-            return [_plain(x) for x in v]
-        return v
-    return located
-
-
 def _err(msg, located=None):
     where = f" (line {located.line})" if isinstance(located, _Located) else ""
     raise ConfigurationError(msg + where)
@@ -102,6 +83,18 @@ def _as_int(located, name):
     if isinstance(v, bool) or not isinstance(v, int):
         _err(f"{name}: expected an integer, got {v!r}", located)
     return int(v)
+
+
+def _at_least(low):
+    """Integer parser that rejects values below ``low``."""
+
+    def cast(located, name):
+        v = _as_int(located, name)
+        if v < low:
+            _err(f"{name} must be >= {low}, got {v}", located)
+        return v
+
+    return cast
 
 
 def _as_str(located, name):
@@ -145,6 +138,10 @@ class GridConfig:
     arc_grid_n: int = 256
     kx: float = 2.0 * math.pi / 3.0  # snapshot momentum for localization profiles
     n_states: int = 0  # 0 = all states
+
+
+#: smallest valid value of the grid keys that have one
+_GRID_MIN = {"w": 2, "kx_n": 1, "n_transverse": 1, "n_states": 0}
 
 
 @dataclass
@@ -319,7 +316,8 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
     if command == "reproduce" and preset is None:
         _err("command 'reproduce' needs a preset (a 'preset' key or --preset)", root)
 
-    grid = _fill_dataclass(GridConfig, block.get("grid"), "grid", _numeric_casts(GridConfig))
+    grid_casts = _numeric_casts(GridConfig) | {k: _at_least(v) for k, v in _GRID_MIN.items()}
+    grid = _fill_dataclass(GridConfig, block.get("grid"), "grid", grid_casts)
     tol = _fill_dataclass(
         ToleranceConfig, block.get("tolerance"), "tolerance", _numeric_casts(ToleranceConfig)
     )
@@ -338,7 +336,7 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
     if out.weight_scale not in ("linear", "log01"):
         _err("output.weight_scale must be 'linear' or 'log01'", block.get("output"))
 
-    threads = _as_int(block["threads"], "threads") if "threads" in block else 1
+    threads = _at_least(1)(block["threads"], "threads") if "threads" in block else 1
 
     cfg = RunConfig(
         command=command,

@@ -31,8 +31,6 @@ from .errors import ConfigurationError
 M1 = np.array([0.5, math.sqrt(3.0) / 2.0])
 M2 = np.array([0.5, -math.sqrt(3.0) / 2.0])
 
-FLAVOURS = ("x", "y", "z")
-
 #: basis ordering of the 6x6 Bloch matrix
 BLOCH_BASIS = ("a_x", "b_x", "a_y", "b_y", "a_z", "b_z")
 

@@ -23,6 +23,7 @@ from .models import (
     bloch_matrix_grid,
     closed_form_spectrum_grid,
     flavour_bond_table,
+    species,
 )
 
 BOUNDARIES = ("open", "periodic")
@@ -52,94 +53,86 @@ class RibbonSpec:
             raise ValueError(f"boundary_y must be one of {BOUNDARIES}")
 
 
+def _assemble(w, k_x, periodic, t_x, t_y, t_z, onsite, scale):
+    """Strip matrix of ``w`` dimer rows with m x m flavour blocks per bond.
+
+    Fills the 2wm x 2wm matrix through its (row, sublattice, flavour)^2 view,
+    with no loop over rows; for w >= 2 no two bonds share an entry.
+    """
+    m = t_x.shape[0]
+    h = np.zeros((w, 2, m, w, 2, m), dtype=complex)
+    px = np.exp(0.5j * k_x)
+    x_fwd = t_x * px + t_y / px
+    x_bwd = t_x / px + t_y * px  # intra-row bond sum at -k_x
+    r = np.arange(w)
+    h[r, 0, :, r, 1, :] += 2j * x_fwd
+    h[r, 1, :, r, 0, :] += -2j * x_bwd.T
+    h[r, 0, :, r, 0, :] += 2j * onsite
+    h[r, 1, :, r, 1, :] += 2j * onsite
+    # z-links join row r's B site to row r+1's A site; a periodic strip wraps
+    lo = r if periodic else r[:-1]
+    up = (lo + 1) % w
+    h[up, 0, :, lo, 1, :] += 2j * t_z
+    h[lo, 1, :, up, 0, :] += -2j * t_z.T
+    return h.reshape(2 * w * m, 2 * w * m) * scale
+
+
 def build_ribbon(spec: RibbonSpec) -> np.ndarray:
-    """Assemble the 6w x 6w strip matrix at fixed k_x.
+    """The dense 6w x 6w strip matrix at fixed k_x.
 
     Satisfies the Majorana antisymmetry ``H(k_x) = -H(-k_x)^T``; Hermitian
-    whenever every coupling of the model is real.
+    whenever every coupling of the model is real.  Flavour-conserving models
+    leave flavour ``fl`` alone on rows ``fl::3``; :func:`diagonalize_ribbon`
+    assembles those species blocks without building this matrix.
     """
-    model = spec.model
-    table = flavour_bond_table(model)
-    w, kx = spec.w, spec.k_x
-    n = 6 * w
-    h = np.zeros((n, n), dtype=complex)
-
-    px = np.exp(0.5j * kx)
-    x_fwd = table.t_x * px + table.t_y / px
-    x_bwd = table.t_x / px + table.t_y * px  # intra-row bond sum at -k_x
-
-    for r in range(w):
-        a = slice(6 * r, 6 * r + 3)
-        b = slice(6 * r + 3, 6 * r + 6)
-        h[a, b] += 2j * x_fwd
-        h[b, a] += -2j * x_bwd.T
-        h[a, a] += 2j * table.onsite
-        h[b, b] += 2j * table.onsite
-        if r + 1 < w:
-            a_up = slice(6 * (r + 1), 6 * (r + 1) + 3)
-            h[a_up, b] += 2j * table.t_z
-            h[b, a_up] += -2j * table.t_z.T
-
-    if spec.boundary_y == "periodic":
-        a0 = slice(0, 3)
-        b_top = slice(6 * (w - 1) + 3, 6 * (w - 1) + 6)
-        h[a0, b_top] += 2j * table.t_z
-        h[b_top, a0] += -2j * table.t_z.T
-
-    return h * model.scale_factor
+    t = flavour_bond_table(spec.model)
+    periodic = spec.boundary_y == "periodic"
+    return _assemble(spec.w, spec.k_x, periodic, *t.t, t.onsite, spec.model.scale_factor)
 
 
-def _flavour_block_indices(h: np.ndarray):
-    """Index groups per flavour if the matrix is exactly flavour-diagonal, else None."""
-    n = h.shape[0]
-    comp = np.arange(n) % 3
-    groups = [np.flatnonzero(comp == fl) for fl in range(3)]
-    for i in range(3):
-        for j in range(3):
-            if i != j and np.count_nonzero(h[np.ix_(groups[i], groups[j])]):
-                return None
-    return groups
+def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spectrum:
+    """Eigendecomposition of a strip under the :func:`eigen.eig` contract.
 
-
-def diagonalize_ribbon(h: np.ndarray, tol: float | None = None) -> eigen.Spectrum:
-    """Eigendecomposition of a strip matrix under the :func:`eigen.eig` contract.
-
-    Flavour-conserving models leave the strip matrix block-diagonal in the
-    flavour index (one block per Majorana species); the three blocks are then
-    solved independently, about an order of magnitude faster.  Either way
-    every eigenpair meets ``tol`` in the residual normalized by ``h``'s own
-    norm, after a polish where needed, or :class:`ConvergenceError` is raised.
-    Block eigenvectors are unit-normalized per block and zero elsewhere.
+    When :func:`~majorana_nh.models.species` keeps the Majorana species
+    apart, each distinct 2w x 2w species block is assembled and solved once
+    (the parent model's one species stands for all three flavours) and placed
+    on rows ``fl::3``; other strips are solved whole.  Either way every
+    eigenpair meets ``tol`` in the residual normalized by the strip's
+    Frobenius norm (summed from the blocks), after a polish where needed, or
+    :class:`ConvergenceError` is raised.  Block eigenvectors are unit-normalized
+    per block and zero on the other flavours.
     """
-    n = h.shape[0]
-    if tol is None:
-        tol = eigen.default_tol(n)
-    groups = _flavour_block_indices(h) if n >= 18 else None
-    if groups is None:
-        return eigen.eig(h, tol=tol)
+    sets = species(spec.model)
+    if sets is None:
+        return eigen.eig(build_ribbon(spec), tol=tol)
 
-    norm = float(np.linalg.norm(h, "fro"))
-    w_all = np.empty(n, dtype=complex)
+    n = 6 * spec.w
+    tol = eigen.default_tol(n) if tol is None else tol
+    periodic, scale = spec.boundary_y == "periodic", spec.model.scale_factor
+    blocks = [
+        _assemble(spec.w, spec.k_x, periodic, *(np.array([[c]]) for c in (*j, 0)), scale)
+        for _, j in sets
+    ]
+    picks = [fl % len(blocks) for fl in range(3)]  # the block of each flavour
+    block_norms = [float(np.linalg.norm(b, "fro")) for b in blocks]
+    norm = math.sqrt(sum(block_norms[b] ** 2 for b in picks))
+    # a block residual is a residual of the strip: restate tol in the block's norm
+    ratios = [max(1.0, norm) / max(1.0, nb) for nb in block_norms]
+    parts = [eigen.eig(b, tol=tol * ratio) for b, ratio in zip(blocks, ratios)]
+
+    m = 2 * spec.w
     v_all = np.zeros((n, n), dtype=complex)
-    res = np.empty(n)
-    flags = np.empty(n, dtype=bool)
-    for g, idx in enumerate(groups):
-        block = h[np.ix_(idx, idx)]
-        # a block residual is a residual of h: restate tol in the block's norm
-        ratio = max(1.0, norm) / max(1.0, float(np.linalg.norm(block, "fro")))
-        part = eigen.eig(block, tol=tol * ratio)
-        cols = slice(g * len(idx), (g + 1) * len(idx))
-        w_all[cols] = part.eigenvalues
-        v_all[idx, cols] = part.right_vectors
-        res[cols] = part.residuals / ratio
-        flags[cols] = part.defective_flags
+    for fl, b in enumerate(picks):
+        v_all[fl::3, fl * m:(fl + 1) * m] = parts[b].right_vectors
+    w_all = np.concatenate([parts[b].eigenvalues for b in picks])
+    res = np.concatenate([parts[b].residuals / ratios[b] for b in picks])
     order = np.lexsort((w_all.imag, w_all.real))
     return eigen.Spectrum(
         eigenvalues=w_all[order],
         right_vectors=v_all[:, order],
         left_vectors=None,
         residuals=res[order],
-        defective_flags=flags[order],
+        defective_flags=np.concatenate([parts[b].defective_flags for b in picks])[order],
         achieved_tol=float(res.max()),
         matrix_norm=norm,
     )
@@ -371,8 +364,9 @@ def sweep(
 
     def task(kx):
         try:
-            h = build_ribbon(RibbonSpec(w=w, boundary_y=boundary_y, k_x=float(kx), model=model))
-            spectrum = diagonalize_ribbon(h)
+            spectrum = diagonalize_ribbon(
+                RibbonSpec(w=w, boundary_y=boundary_y, k_x=float(kx), model=model)
+            )
             cloud = pbc_cloud_intervals(model, float(kx), n_transverse) if pbc_reference else None
             recs = localization_profile(spectrum, w, cloud, thresholds)
             return recs, cloud, spectrum.achieved_tol
@@ -415,8 +409,7 @@ def edge_mode_weights(
     """
     if normalization not in ("linear", "log01"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    h = build_ribbon(RibbonSpec(w=w, boundary_y=boundary_y, k_x=k_x, model=model))
-    spectrum = diagonalize_ribbon(h)
+    spectrum = diagonalize_ribbon(RibbonSpec(w=w, boundary_y=boundary_y, k_x=k_x, model=model))
     ws = site_weights(spectrum, w)
 
     if states is None:

@@ -319,13 +319,13 @@ def test_criterion_09_eigensolver_contract(rng):
         s = eig(a)
         ok_res = ok_res and s.achieved_tol <= (1e-10 if n <= 16 else 1e-8)
     model = ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5 * E3), gamma=0.4)
-    h = build_ribbon(RibbonSpec(w=52, boundary_y="open", k_x=0.9, model=model))
-    s = diagonalize_ribbon(h)
+    spec = RibbonSpec(w=52, boundary_y="open", k_x=0.9, model=model)
+    s = diagonalize_ribbon(spec)
     ok_res = ok_res and s.achieved_tol <= 1e-8
 
     # byte determinism of repeated single-threaded runs
-    s1 = diagonalize_ribbon(h.copy())
-    s2 = diagonalize_ribbon(h.copy())
+    s1 = diagonalize_ribbon(spec)
+    s2 = diagonalize_ribbon(spec)
     ok_det = (
         s1.eigenvalues.tobytes() == s2.eigenvalues.tobytes()
         and s1.right_vectors.tobytes() == s2.right_vectors.tobytes()

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -316,7 +317,7 @@ output:
 
 
 class TestCLI:
-    def _run(self, *args):
+    def _run(self, *args, env=None):
         # the child imports the package from this checkout, installed or not
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -324,7 +325,7 @@ class TestCLI:
             [sys.executable, "-m", "majorana_nh.cli", *args],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env={**os.environ, "PYTHONPATH": path, **(env or {})},
         )
 
     def test_config_error_exit_2(self, tmp_path):
@@ -333,6 +334,30 @@ class TestCLI:
         res = self._run("ribbon-sweep", "--config", str(bad))
         assert res.returncode == 2
         assert "not valid for variant" in res.stderr
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("grid:\n  w: 1\n", r"grid\.w must be >= 2, got 1 \(line 7\)"),
+            ("grid:\n  kx_n: 0\n", r"grid\.kx_n must be >= 1, got 0 \(line 7\)"),
+            ("grid:\n  n_transverse: 0\n", r"grid\.n_transverse must be >= 1, got 0 \(line 7\)"),
+            ("grid:\n  n_states: -1\n", r"grid\.n_states must be >= 0, got -1 \(line 7\)"),
+            ("threads: 0\n", r"threads must be >= 1, got 0 \(line 6\)"),
+        ],
+    )
+    def test_out_of_range_value_exit_2(self, tmp_path, extra, message):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(MINIMAL.replace("bloch-spectrum", "ribbon-sweep") + extra)
+        res = self._run("ribbon-sweep", "--config", str(cfg))
+        assert res.returncode == 2
+        assert re.search(message, res.stderr), res.stderr
+
+    def test_non_integer_thread_env_exit_2(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(MINIMAL)
+        res = self._run("bloch-spectrum", "--config", str(cfg), env={"MAJORANA_NH_THREADS": "two"})
+        assert res.returncode == 2
+        assert "MAJORANA_NH_THREADS must be an integer" in res.stderr
 
     def test_missing_config_exit_2(self):
         res = self._run("ribbon-sweep", "--config", "/nonexistent/x.yaml")
