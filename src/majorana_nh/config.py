@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
+from .ep import MIN_SCAN_GRID_N
 from .errors import ConfigurationError
 from .models import VARIANT_FIELDS, Coupling3, ModelConfig, Variant, default_dmi_vectors
 from .ribbon import ClassifierThresholds
@@ -141,7 +142,7 @@ class GridConfig:
 
 
 #: smallest valid value of the grid keys that have one
-_GRID_MIN = {"w": 2, "kx_n": 1, "n_transverse": 1, "n_states": 0}
+_GRID_MIN = {"bz_n": 1, "w": 2, "kx_n": 1, "n_transverse": 1, "arc_grid_n": 2, "n_states": 0}
 
 
 @dataclass
@@ -318,6 +319,9 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
 
     grid_casts = _numeric_casts(GridConfig) | {k: _at_least(v) for k, v in _GRID_MIN.items()}
     grid = _fill_dataclass(GridConfig, block.get("grid"), "grid", grid_casts)
+    if command == "ep-find" and grid.bz_n < MIN_SCAN_GRID_N:
+        msg = f"grid.bz_n must be >= {MIN_SCAN_GRID_N} for ep-find, got {grid.bz_n}"
+        _err(msg, block["grid"].value["bz_n"])
     tol = _fill_dataclass(
         ToleranceConfig, block.get("tolerance"), "tolerance", _numeric_casts(ToleranceConfig)
     )

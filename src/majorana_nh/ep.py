@@ -47,6 +47,13 @@ def k_from_bond_phase(theta):
     return theta @ _K_FROM_PHASE.T
 
 
+def phase_grid(n: int):
+    """Zone grid ``(th, thetas)``: n phases in [-pi, pi), ``thetas[i, j] = (th[i], th[j])``."""
+    th = np.linspace(-np.pi, np.pi, n, endpoint=False)
+    t1g, t2g = np.meshgrid(th, th, indexing="ij")
+    return th, np.stack([t1g, t2g], axis=-1)
+
+
 def reduce_to_bz(k):
     """Wrap a Cartesian k into the fundamental cell (bond phases in (-pi, pi])."""
     theta = bond_phase_from_k(k)
@@ -401,9 +408,7 @@ def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, max_candidates,
     smallest-|E| candidate.  A candidate Newton leaves with a gap of at
     least ``gap_tol`` is refined again by Nelder-Mead from its grid point.
     """
-    th = np.linspace(-np.pi, np.pi, grid_n, endpoint=False)
-    t1g, t2g = np.meshgrid(th, th, indexing="ij")
-    thetas = np.stack([t1g, t2g], axis=-1).reshape(-1, 2)
+    thetas = phase_grid(grid_n)[1].reshape(-1, 2)
     hs = build_h(thetas)
 
     w, d, gram = _pair_tables(hs)
@@ -477,6 +482,10 @@ def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, max_candidates,
     return kept
 
 
+#: the coarsest zone grid :func:`ep_scan` accepts
+MIN_SCAN_GRID_N = 32
+
+
 def _block_builder(j_eff: Coupling3, scale_factor: float):
     """2x2 Bloch-block family of one Majorana species."""
 
@@ -517,8 +526,8 @@ def ep_scan(
     degeneracy is reported, e.g. Dirac points, whose overlap stays near 0.
     ``counters``, if given, accumulates the refinement work.
     """
-    if grid_n < 32:
-        raise ValueError("grid_n must be >= 32")
+    if grid_n < MIN_SCAN_GRID_N:
+        raise ValueError(f"grid_n must be >= {MIN_SCAN_GRID_N}")
     if counters is None:
         counters = RefineCounters()
 
@@ -765,9 +774,7 @@ def _cut_at_eps(line, eps, radius):
 
 def _arc_trace_scalar(j_eff, flavour, grid_n, eps):
     """Arcs of one species: locus Im[A(k)A(-k)] = 0 with Re <= 0."""
-    th = np.linspace(-np.pi, np.pi, grid_n, endpoint=False)
-    t1g, t2g = np.meshgrid(th, th, indexing="ij")
-    thetas = np.stack([t1g, t2g], axis=-1)
+    th, thetas = phase_grid(grid_n)
     ks = k_from_bond_phase(thetas)
     prod = structure_factor(j_eff, ks) * structure_factor(j_eff, -ks)
     scale = float(np.abs(prod).max())
@@ -825,9 +832,7 @@ def _arc_trace_coupled(model, grid_n, counters=None):
     of Re(E_i) is contoured instead.  Only segments terminating at confirmed
     scan EPs are kept.
     """
-    th = np.linspace(-np.pi, np.pi, grid_n, endpoint=False)
-    t1g, t2g = np.meshgrid(th, th, indexing="ij")
-    thetas = np.stack([t1g, t2g], axis=-1)
+    th, thetas = phase_grid(grid_n)
     ks = k_from_bond_phase(thetas)
     step = 2.0 * np.pi / grid_n
 

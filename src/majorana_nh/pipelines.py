@@ -14,7 +14,7 @@ from .errors import ConfigurationError
 from .export import SPECTRUM_COLUMNS, export_table, write_svg_scatter
 from .models import (
     ModelConfig,
-    bloch_hamiltonian,
+    bloch_matrix_grid,
     closed_form_spectrum,
     effective_couplings,
     species,
@@ -45,27 +45,21 @@ def _metadata(cfg: RunConfig, extra: dict | None = None) -> dict:
     return meta
 
 
+def _energy(e) -> dict:
+    """The ``re_E``, ``im_E`` and ``abs_E`` columns of one eigenvalue."""
+    return {"re_E": e.real, "im_E": e.imag, "abs_E": abs(e)}
+
+
 def run_bloch_spectrum(cfg: RunConfig) -> list[Path]:
-    """Eigenvalues of the Bloch matrix over an n x n zone grid."""
-    n = cfg.grid.bz_n
-    th = np.linspace(-math.pi, math.pi, n, endpoint=False)
-    rows = []
+    """Eigenvalues over the ``ep-find`` zone grid: one batched build, one stacked solve."""
+    ks = ep.k_from_bond_phase(ep.phase_grid(cfg.grid.bz_n)[1]).reshape(-1, 2)
+    spectra = eigen.eig(bloch_matrix_grid(cfg.model, ks)).eigenvalues
     closed_ok = closed_form_spectrum(cfg.model, (0.0, 0.0)) is not None
-    for t1 in th:
-        for t2 in th:
-            k = ep.k_from_bond_phase([t1, t2])
-            vals = eigen.eig(bloch_hamiltonian(cfg.model, k).entries).eigenvalues
-            for i, e in enumerate(vals):
-                rows.append(
-                    {
-                        "k_x": float(k[0]),
-                        "k_y": float(k[1]),
-                        "state_index": i,
-                        "re_E": e.real,
-                        "im_E": e.imag,
-                        "abs_E": abs(e),
-                    }
-                )
+    rows = [
+        {"k_x": float(k[0]), "k_y": float(k[1]), "state_index": i, **_energy(e)}
+        for k, vals in zip(ks, spectra)
+        for i, e in enumerate(vals)
+    ]
     meta = _metadata(cfg, {"closed_form_available": closed_ok})
     return export_table(
         cfg.output.directory,
@@ -122,21 +116,12 @@ def run_ep_find(cfg: RunConfig) -> list[Path]:
 def run_arc_trace(cfg: RunConfig) -> list[Path]:
     counters = ep.RefineCounters()
     arcs = ep.fermi_arc_trace(cfg.model, grid_n=cfg.grid.arc_grid_n, counters=counters)
-    rows = []
-    for ai, arc in enumerate(arcs):
-        phases = ep.bond_phase_from_k(arc.points)
-        for pi, (k, th) in enumerate(zip(arc.points, phases)):
-            rows.append(
-                {
-                    "arc_index": ai,
-                    "flavour": arc.flavour,
-                    "point_index": pi,
-                    "k_x": float(k[0]),
-                    "k_y": float(k[1]),
-                    "theta1": float(th[0]),
-                    "theta2": float(th[1]),
-                }
-            )
+    rows = [
+        {"arc_index": ai, "flavour": arc.flavour, "point_index": pi, "k_x": float(k[0]),
+         "k_y": float(k[1]), "theta1": float(th[0]), "theta2": float(th[1])}
+        for ai, arc in enumerate(arcs)
+        for pi, (k, th) in enumerate(zip(arc.points, ep.bond_phase_from_k(arc.points)))
+    ]
     meta = _metadata(cfg, {"n_arcs": len(arcs), "ep_refinement": asdict(counters)})
     files = export_table(
         cfg.output.directory, cfg.output.prefix + "_arcs", ARC_COLUMNS, rows, meta, cfg.output.formats
@@ -180,21 +165,12 @@ def run_skin_check(cfg: RunConfig) -> list[Path]:
 
 
 def _sweep_rows(result: ribbon.SweepResult):
-    rows = []
-    for kx, recs in zip(result.kx_grid, result.records):
-        for r in recs:
-            rows.append(
-                {
-                    "k_x": float(kx),
-                    "state_index": r.state_index,
-                    "re_E": r.eigenvalue.real,
-                    "im_E": r.eigenvalue.imag,
-                    "abs_E": abs(r.eigenvalue),
-                    "mean_row": r.mean_row,
-                    "ipr": r.ipr,
-                    "class": r.label,
-                }
-            )
+    rows = [
+        {"k_x": float(kx), "state_index": r.state_index, **_energy(r.eigenvalue),
+         "mean_row": r.mean_row, "ipr": r.ipr, "class": r.label}
+        for kx, recs in zip(result.kx_grid, result.records)
+        for r in recs
+    ]
     rows.sort(key=lambda r: (r["k_x"], r["state_index"]))
     return rows
 
@@ -261,20 +237,11 @@ def _export_sweep(cfg: RunConfig, result: ribbon.SweepResult, prefix: str, meta:
 
 def _profile_rows(idx, vals, profiles) -> list[dict]:
     """One row per (state, site) of the output of ``ribbon.edge_mode_weights``."""
-    rows = []
-    for m, (i, e) in enumerate(zip(idx, vals)):
-        for site in range(profiles.shape[1]):
-            rows.append(
-                {
-                    "state_index": int(i),
-                    "re_E": e.real,
-                    "im_E": e.imag,
-                    "abs_E": abs(e),
-                    "site": site + 1,
-                    "weight": float(profiles[m, site]),
-                }
-            )
-    return rows
+    return [
+        {"state_index": int(i), **_energy(e), "site": site + 1, "weight": float(profiles[m, site])}
+        for m, (i, e) in enumerate(zip(idx, vals))
+        for site in range(profiles.shape[1])
+    ]
 
 
 def run_ribbon_sweep(cfg: RunConfig) -> list[Path]:

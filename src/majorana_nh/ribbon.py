@@ -94,45 +94,45 @@ def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spec
     """Eigendecomposition of a strip under the :func:`eigen.eig` contract.
 
     When :func:`~majorana_nh.models.species` keeps the Majorana species
-    apart, each distinct 2w x 2w species block is assembled and solved once
-    (the parent model's one species stands for all three flavours) and placed
-    on rows ``fl::3``; other strips are solved whole.  Either way every
-    eigenpair meets ``tol`` in the residual normalized by the strip's
-    Frobenius norm (summed from the blocks), after a polish where needed, or
-    :class:`ConvergenceError` is raised.  Block eigenvectors are unit-normalized
-    per block and zero on the other flavours.
+    apart, the distinct 2w x 2w species blocks are assembled as one stack
+    and solved in one :func:`eigen.eig` call (the parent model's one species
+    stands for all three flavours); each block's eigenpairs are placed on
+    rows ``fl::3`` of its flavours.  Other strips are solved whole.  Either
+    way every eigenpair meets ``tol`` in the residual normalized by the
+    strip's Frobenius norm (summed from the blocks), after a polish where
+    needed, or :class:`ConvergenceError` is raised.  Block eigenvectors are
+    unit-normalized per block and zero on the other flavours.
     """
     sets = species(spec.model)
     if sets is None:
         return eigen.eig(build_ribbon(spec), tol=tol)
 
-    n = 6 * spec.w
+    n, m = 6 * spec.w, 2 * spec.w
     tol = eigen.default_tol(n) if tol is None else tol
     periodic, scale = spec.boundary_y == "periodic", spec.model.scale_factor
-    blocks = [
+    blocks = np.stack([
         _assemble(spec.w, spec.k_x, periodic, *(np.array([[c]]) for c in (*j, 0)), scale)
         for _, j in sets
-    ]
-    picks = [fl % len(blocks) for fl in range(3)]  # the block of each flavour
-    block_norms = [float(np.linalg.norm(b, "fro")) for b in blocks]
+    ])
+    picks = np.arange(3) % len(blocks)  # the block of each flavour
+    block_norms = eigen.frobenius_norms(blocks)
     norm = math.sqrt(sum(block_norms[b] ** 2 for b in picks))
-    # a block residual is a residual of the strip: restate tol in the block's norm
-    ratios = [max(1.0, norm) / max(1.0, nb) for nb in block_norms]
-    parts = [eigen.eig(b, tol=tol * ratio) for b, ratio in zip(blocks, ratios)]
+    # a block residual is a residual of the strip: restate tol in each block's norm
+    ratios = max(1.0, norm) / np.maximum(1.0, block_norms)
+    part = eigen.eig(blocks, tol=tol * ratios)
 
-    m = 2 * spec.w
-    v_all = np.zeros((n, n), dtype=complex)
-    for fl, b in enumerate(picks):
-        v_all[fl::3, fl * m:(fl + 1) * m] = parts[b].right_vectors
-    w_all = np.concatenate([parts[b].eigenvalues for b in picks])
-    res = np.concatenate([parts[b].residuals / ratios[b] for b in picks])
+    fl = np.arange(3)
+    v_all = np.zeros((m, 3, 3, m), dtype=complex)  # (site, row flavour, column flavour, state)
+    v_all[:, fl, fl, :] = part.right_vectors[picks].transpose(1, 0, 2)
+    w_all = part.eigenvalues[picks].ravel()
+    res = (part.residuals / ratios[:, None])[picks].ravel()
     order = np.lexsort((w_all.imag, w_all.real))
     return eigen.Spectrum(
         eigenvalues=w_all[order],
-        right_vectors=v_all[:, order],
+        right_vectors=v_all.reshape(n, n)[:, order],
         left_vectors=None,
         residuals=res[order],
-        defective_flags=np.concatenate([parts[b].defective_flags for b in picks])[order],
+        defective_flags=part.defective_flags[picks].ravel()[order],
         achieved_tol=float(res.max()),
         matrix_norm=norm,
     )

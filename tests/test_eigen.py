@@ -5,8 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majorana_nh import (
+    ConvergenceError,
     Coupling3,
     ModelConfig,
     Variant,
@@ -62,6 +65,85 @@ class TestBasics:
             tol = 1e-10 if n <= 16 else 1e-8
             assert s.achieved_tol <= tol
             assert (s.residuals <= s.achieved_tol).all()
+
+
+SPECTRUM_ARRAYS = ("eigenvalues", "right_vectors", "residuals", "defective_flags")
+
+
+def assert_same_spectrum(s, t):
+    for name in SPECTRUM_ARRAYS:
+        assert getattr(s, name).tobytes() == getattr(t, name).tobytes(), name
+    assert np.array_equal(s.achieved_tol, t.achieved_tol)
+    assert np.array_equal(s.matrix_norm, t.matrix_norm)
+
+
+def random_stack(seed, m, n, jordan=None):
+    """m random complex n x n matrices; matrix ``jordan`` (if given) a Jordan block."""
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+    if jordan is not None:
+        stack[jordan] = (0.3 - 0.7j) * np.eye(n) + np.eye(n, k=1)
+    return stack
+
+
+class TestStack:
+    """A stack is certified matrix by matrix: each slice is that matrix's own result."""
+
+    def test_stack_validation(self):
+        with pytest.raises(ValueError):
+            eig(np.zeros((0, 3, 3)))
+        with pytest.raises(ValueError):
+            eig(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError):
+            eig(np.eye(3)[None], want_left=True)
+        with pytest.raises(ValueError):
+            min_singular_value(np.eye(3)[None])
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 5),
+        n=st.integers(1, 24),
+        jordan=st.integers(0, 4),
+    )
+    def test_slices_match_single_solves(self, seed, m, n, jordan):
+        stack = random_stack(seed, m, n, jordan % m)
+        s = eig(stack)
+        assert s.eigenvalues.shape == (m, n) and s.right_vectors.shape == (m, n, n)
+        assert s.achieved_tol.shape == s.matrix_norm.shape == (m,) and s.n == n
+        for i in range(m):
+            one = eig(stack[i])
+            for name in SPECTRUM_ARRAYS:
+                assert getattr(s, name)[i].tobytes() == getattr(one, name).tobytes(), name
+            assert s.achieved_tol[i] == one.achieved_tol and s.matrix_norm[i] == one.matrix_norm
+            assert one.matrix_norm == np.linalg.norm(stack[i], "fro")
+        if n > 1:
+            assert s.defective_flags[jordan % m].all()
+        # a scalar tol and arrays broadcasting to the stack shape agree
+        for tol in (np.full(m, 1e-9), np.array([1e-9])):
+            assert_same_spectrum(eig(stack, tol=tol), eig(stack, tol=1e-9))
+
+    @settings(max_examples=25)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 5),
+        n=st.integers(2, 24),
+        fail=st.integers(0, 4),
+    )
+    def test_unmet_tol_names_the_matrix(self, seed, m, n, fail):
+        stack = random_stack(seed, m, n)
+        fail %= m
+        tol = np.full(m, 1e-8)
+        tol[fail] = 1e-30
+        with pytest.raises(ConvergenceError, match=rf"in matrix \[{fail}\]") as info:
+            eig(stack, tol=tol)
+        got, clean = info.value.result, eig(stack)
+        assert got.eigenvalues.shape == (m, n)
+        assert got.achieved_tol[fail] > 1e-30
+        # only the failing matrix was polished
+        for i in set(range(m)) - {fail}:
+            assert got.right_vectors[i].tobytes() == clean.right_vectors[i].tobytes()
+            assert got.residuals[i].tobytes() == clean.residuals[i].tobytes()
 
 
 class TestAgainstClosedForm:

@@ -214,6 +214,30 @@ output:
         assert keys == sorted(keys)
 
 
+class TestBlochSpectrumPipeline:
+    def test_one_grid_build_and_one_eigensolve(self, tmp_path, monkeypatch):
+        from majorana_nh import eigen, pipelines
+
+        calls = {"grid": [], "eig": []}
+        real_grid, real_eig = pipelines.bloch_matrix_grid, eigen.eig
+
+        def grid(model, ks):
+            calls["grid"].append(np.shape(ks))
+            return real_grid(model, ks)
+
+        def eig(matrix, *args, **kwargs):
+            calls["eig"].append(np.shape(matrix))
+            return real_eig(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(pipelines, "bloch_matrix_grid", grid)
+        monkeypatch.setattr(eigen, "eig", eig)
+        cfg = parse_config(MINIMAL + f"grid:\n  bz_n: 8\noutput:\n  directory: {tmp_path}\n  prefix: b\n")
+        run_command(cfg)
+        assert calls == {"grid": [(64, 2)], "eig": [(64, 6, 6)]}
+        lines = (tmp_path / "b_bloch.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 64 * 6
+
+
 class TestEPMetadata:
     CONFIG = """
 command: {command}
@@ -336,19 +360,29 @@ class TestCLI:
         assert "not valid for variant" in res.stderr
 
     @pytest.mark.parametrize(
-        "extra, message",
+        "command, extra, message",
         [
-            ("grid:\n  w: 1\n", r"grid\.w must be >= 2, got 1 \(line 7\)"),
-            ("grid:\n  kx_n: 0\n", r"grid\.kx_n must be >= 1, got 0 \(line 7\)"),
-            ("grid:\n  n_transverse: 0\n", r"grid\.n_transverse must be >= 1, got 0 \(line 7\)"),
-            ("grid:\n  n_states: -1\n", r"grid\.n_states must be >= 0, got -1 \(line 7\)"),
-            ("threads: 0\n", r"threads must be >= 1, got 0 \(line 6\)"),
+            # the ribbon-sweep cases keep the ids they had before the command column
+            pytest.param("ribbon-sweep", extra, message, id=f"{extra}-{message}")
+            for extra, message in [
+                ("grid:\n  w: 1\n", r"grid\.w must be >= 2, got 1 \(line 7\)"),
+                ("grid:\n  kx_n: 0\n", r"grid\.kx_n must be >= 1, got 0 \(line 7\)"),
+                ("grid:\n  n_transverse: 0\n", r"grid\.n_transverse must be >= 1, got 0 \(line 7\)"),
+                ("grid:\n  n_states: -1\n", r"grid\.n_states must be >= 0, got -1 \(line 7\)"),
+                ("threads: 0\n", r"threads must be >= 1, got 0 \(line 6\)"),
+            ]
+        ]
+        + [
+            ("ep-find", "grid:\n  bz_n: 31\n", r"grid\.bz_n must be >= 32 for ep-find, got 31 \(line 7\)"),
+            ("arc-trace", "grid:\n  arc_grid_n: 0\n", r"grid\.arc_grid_n must be >= 2, got 0 \(line 7\)"),
+            ("arc-trace", "grid:\n  arc_grid_n: 1\n", r"grid\.arc_grid_n must be >= 2, got 1 \(line 7\)"),
+            ("bloch-spectrum", "grid:\n  bz_n: 0\n", r"grid\.bz_n must be >= 1, got 0 \(line 7\)"),
         ],
     )
-    def test_out_of_range_value_exit_2(self, tmp_path, extra, message):
+    def test_out_of_range_value_exit_2(self, tmp_path, command, extra, message):
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(MINIMAL.replace("bloch-spectrum", "ribbon-sweep") + extra)
-        res = self._run("ribbon-sweep", "--config", str(cfg))
+        cfg.write_text(MINIMAL.replace("bloch-spectrum", command) + extra)
+        res = self._run(command, "--config", str(cfg))
         assert res.returncode == 2
         assert re.search(message, res.stderr), res.stderr
 

@@ -127,16 +127,16 @@ class TestStripSolverContract:
     """Both paths of ``diagonalize_ribbon`` keep the ``eigen.eig`` contract."""
 
     def _solve(self, model, monkeypatch, tol=None, w=10, kx=0.7):
-        sizes = []
+        shapes = []
         real_eig = eigen.eig
 
         def recording_eig(matrix, *args, **kwargs):
-            sizes.append(np.shape(matrix)[0])
+            shapes.append(np.shape(matrix))
             return real_eig(matrix, *args, **kwargs)
 
         monkeypatch.setattr(eigen, "eig", recording_eig)
         spec = RibbonSpec(w=w, boundary_y="open", k_x=kx, model=model)
-        return build_ribbon(spec), sizes, diagonalize_ribbon(spec, tol=tol)
+        return build_ribbon(spec), shapes, diagonalize_ribbon(spec, tol=tol)
 
     def _check_residual_bound(self, h, s, tol):
         norm = np.linalg.norm(h, "fro")
@@ -153,16 +153,16 @@ class TestStripSolverContract:
         np.testing.assert_array_equal(order, np.arange(s.n))
 
     def test_block_path_residual_bound(self, monkeypatch):
-        h, sizes, s = self._solve(K_FIG2B, monkeypatch, tol=1e-12)
-        assert sizes == [20, 20, 20]  # one certified solve per species block
+        h, shapes, s = self._solve(K_FIG2B, monkeypatch, tol=1e-12)
+        assert shapes == [(3, 20, 20)]  # one certified solve of the species-block stack
         self._check_residual_bound(h, s, 1e-12)
         # each eigenvector lives on a single flavour
         support = np.abs(s.right_vectors).reshape(-1, 3, s.n).sum(axis=0) > 0
         assert (support.sum(axis=0) == 1).all()
 
     def test_dense_path_residual_bound(self, monkeypatch):
-        h, sizes, s = self._solve(GAMMA_FIG3B, monkeypatch, tol=1e-12)
-        assert sizes == [60]
+        h, shapes, s = self._solve(GAMMA_FIG3B, monkeypatch, tol=1e-12)
+        assert shapes == [(60, 60)]
         self._check_residual_bound(h, s, 1e-12)
 
     def test_block_path_raises_on_unmet_tolerance(self):
@@ -171,13 +171,13 @@ class TestStripSolverContract:
             diagonalize_ribbon(spec, tol=1e-30)
 
     def test_parent_model_solves_one_species(self, monkeypatch):
-        # the three species of the parent model coincide: one 2w x 2w solve
-        # stands for all three, byte-identical to solving each separately
+        # the three species of the parent model coincide: one 2w x 2w block
+        # stands for all three, byte-identical to stacking all three
         j = Coupling3(2 * E3, E6, 2.5)
-        _, sizes, s = self._solve(ModelConfig(Variant.PURE_YL, j), monkeypatch)
-        assert sizes == [20]
-        _, sizes_k, s_k = self._solve(ModelConfig(Variant.K_MODEL, j, k_coupling=0.0), monkeypatch)
-        assert sizes_k == [20, 20, 20]
+        _, shapes, s = self._solve(ModelConfig(Variant.PURE_YL, j), monkeypatch)
+        assert shapes == [(1, 20, 20)]
+        _, shapes_k, s_k = self._solve(ModelConfig(Variant.K_MODEL, j, k_coupling=0.0), monkeypatch)
+        assert shapes_k == [(3, 20, 20)]
         assert s.eigenvalues.tobytes() == s_k.eigenvalues.tobytes()
         assert s.right_vectors.tobytes() == s_k.right_vectors.tobytes()
 
