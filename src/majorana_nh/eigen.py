@@ -5,10 +5,16 @@ ordering, per-pair residuals normalized by ``max(1, ||H||_F)``, near-defective
 flagging, and optional biorthogonalized left eigenvectors.  Takes one matrix or
 a ``(..., n, n)`` stack (a zone grid's ``(bz_n**2, 6, 6)`` Bloch matrices, a
 strip's ``(1 or 3, 2w, 2w)`` species blocks), certified matrix by matrix.
+:func:`one_blas_thread` holds the bundled OpenBLAS at one thread for callers
+that run solves side by side.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +25,74 @@ from .errors import ConvergenceError
 
 #: eigenvector overlap beyond which a pair is flagged as near-defective
 DEFECTIVE_OVERLAP = 1.0 - 1e-6
+
+
+def _blas_thread_controls() -> list:
+    """(get, set) thread-count functions of the OpenBLAS copies numpy and scipy load.
+
+    Only the copies already loaded are opened (``RTLD_NOLOAD``); a BLAS
+    without these symbols (MKL, a system library) yields no pair.
+    """
+    controls = []
+    for module in (np, scipy):
+        root = os.path.dirname(module.__file__)
+        folders = [f for f in (root + ".libs", os.path.join(root, ".dylibs")) if os.path.isdir(f)]
+        for path in sorted(
+            os.path.join(f, name) for f in folders for name in os.listdir(f)
+            if name.startswith("libscipy_openblas")
+        ):
+            try:
+                lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    set_.restype, set_.argtypes = None, [ctypes.c_int]
+                    controls.append((get, set_))
+                    break
+    return controls
+
+
+_BLAS_THREADS = _blas_thread_controls()
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved: list = []
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold every bundled OpenBLAS at one thread inside the block.
+
+    Workers that run solves side by side then each get one CPU instead of
+    each starting BLAS threads of their own, and results stop depending on
+    the BLAS thread setting.  The first entry saves each library's thread
+    count and the last exit restores it, exception or not, so nested and
+    concurrent entries pin once.  Without a setter (see
+    :func:`pinned_blas_threads`) the block runs as it is.
+    """
+    global _pin_depth, _pin_saved
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = [(set_, get()) for get, set_ in _BLAS_THREADS]
+            for _, set_ in _BLAS_THREADS:
+                set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for set_, count in _pin_saved:
+                    set_(count)
+
+
+def pinned_blas_threads() -> int | None:
+    """BLAS threads inside :func:`one_blas_thread`: 1, or None when no setter was found."""
+    return 1 if _BLAS_THREADS else None
 
 
 def default_tol(n: int) -> float:

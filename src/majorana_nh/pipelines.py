@@ -252,6 +252,7 @@ def run_ribbon_sweep(cfg: RunConfig) -> list[Path]:
             "model": model_dict(cfg.model),
             "w": cfg.grid.w,
             "max_residual": result.max_residual,
+            "blas_threads": eigen.pinned_blas_threads(),
             "nhse_summary": _summary_dict(summary),
         },
     )
@@ -270,7 +271,12 @@ def run_localization(cfg: RunConfig) -> list[Path]:
     )
     meta = _metadata(
         cfg,
-        {"model": model_dict(cfg.model), "k_x": cfg.grid.kx, "normalization": cfg.output.weight_scale},
+        {
+            "model": model_dict(cfg.model),
+            "k_x": cfg.grid.kx,
+            "normalization": cfg.output.weight_scale,
+            "blas_threads": eigen.pinned_blas_threads(),
+        },
     )
     return export_table(
         cfg.output.directory,

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import ribbon
+from . import eigen, ribbon
 from .config import RunConfig, model_dict
 from .errors import ConfigurationError
 from .export import export_table, write_json
@@ -201,7 +201,10 @@ def run_reproduce(cfg: RunConfig) -> list[Path]:
 
     out_dir = Path(cfg.output.directory)
     prefix = f"{cfg.output.prefix}_{preset.preset_id}"
-    meta = _metadata(cfg, {"preset_report": report, "nhse_summary": summary_dict})
+    meta = _metadata(
+        cfg,
+        {"preset_report": report, "blas_threads": eigen.pinned_blas_threads(), "nhse_summary": summary_dict},
+    )
 
     if preset.kind == "sweep":
         files = _export_sweep(cfg, result, prefix, meta)

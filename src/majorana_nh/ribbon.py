@@ -354,9 +354,13 @@ def sweep(
 ) -> SweepResult:
     """Diagonalize and classify the strip over a k_x grid.
 
-    Data-parallel over k_x when ``threads > 1``; results are collected in grid
-    order either way.  An error raised at one k_x propagates as the same
-    exception object, its message prefixed with that k_x.
+    Data-parallel over k_x when ``threads > 1``, with at most one worker per
+    k_x; results are collected in grid order either way.  The whole loop runs
+    under :func:`eigen.one_blas_thread`, so each worker's solve is one
+    single-threaded LAPACK call (workers do not oversubscribe the CPUs) and
+    the data do not depend on ``threads`` or the BLAS thread setting.  An
+    error raised at one k_x propagates as the same exception object, its
+    message prefixed with that k_x.
     """
     kx_grid = np.asarray(kx_grid, dtype=float)
     if kx_grid.size == 0:
@@ -374,11 +378,12 @@ def sweep(
             exc.args = (f"k_x = {float(kx):.6g}: {exc}",)
             raise
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(task, kx_grid))
-    else:
-        results = [task(kx) for kx in kx_grid]
+    with eigen.one_blas_thread():
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=min(threads, kx_grid.size)) as pool:
+                results = list(pool.map(task, kx_grid))
+        else:
+            results = [task(kx) for kx in kx_grid]
 
     return SweepResult(
         model=model,
@@ -405,11 +410,14 @@ def edge_mode_weights(
     ``states`` is either a list of state indices (in eigenvalue-sorted order),
     an integer n meaning the n states of smallest |E|, or None for all states.
     ``normalization="log01"`` returns log weights affinely rescaled to [0, 1]
-    per state, as used for edge-mode snapshots.
+    per state, as used for edge-mode snapshots.  The strip is solved under
+    :func:`eigen.one_blas_thread`, as in :func:`sweep`, so the weights do not
+    depend on the BLAS thread setting.
     """
     if normalization not in ("linear", "log01"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    spectrum = diagonalize_ribbon(RibbonSpec(w=w, boundary_y=boundary_y, k_x=k_x, model=model))
+    with eigen.one_blas_thread():
+        spectrum = diagonalize_ribbon(RibbonSpec(w=w, boundary_y=boundary_y, k_x=k_x, model=model))
     ws = site_weights(spectrum, w)
 
     if states is None:

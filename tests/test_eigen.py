@@ -1,6 +1,8 @@
 """Eigensolver contract: residuals, ordering, defective flags, left vectors."""
 
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from majorana_nh import eigen
 from majorana_nh import (
     ConvergenceError,
     Coupling3,
@@ -218,6 +221,65 @@ class TestDeterminism:
         assert s1.eigenvalues.tobytes() == s2.eigenvalues.tobytes()
         assert s1.right_vectors.tobytes() == s2.right_vectors.tobytes()
         assert s1.residuals.tobytes() == s2.residuals.tobytes()
+
+
+class FakeBlas:
+    """A library's thread-count getter and setter, recording each set."""
+
+    def __init__(self, count, calls):
+        self.count, self.calls = count, calls
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.calls.append((self, n))
+        self.count = n
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def libs(self, monkeypatch):
+        calls = []
+        libs = [FakeBlas(2, calls), FakeBlas(3, calls)]
+        monkeypatch.setattr(eigen, "_BLAS_THREADS", [(b.get, b.set) for b in libs])
+        return libs, calls
+
+    def test_nested_entries_pin_and_restore_once(self, libs):
+        (a, b), calls = libs
+        with pytest.raises(RuntimeError):
+            with eigen.one_blas_thread():
+                assert (a.count, b.count) == (1, 1)
+                with eigen.one_blas_thread():
+                    raise RuntimeError("inside")
+        assert (a.count, b.count) == (2, 3)
+        assert calls == [(a, 1), (b, 1), (a, 2), (b, 3)]
+        assert eigen.pinned_blas_threads() == 1
+
+    def test_concurrent_entries_pin_and_restore_once(self, libs):
+        # two threads entering and leaving over and over: the libraries read 1
+        # whenever a thread is inside, and pins and restores alternate
+        (a, b), calls = libs
+        seen = []
+
+        def enter():
+            for _ in range(300):
+                with eigen.one_blas_thread():
+                    seen.append((a.count, b.count))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=enter)
+            worker.start()
+            enter()
+            worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not worker.is_alive()
+        assert set(seen) == {(1, 1)} and len(seen) == 600
+        assert (a.count, b.count) == (2, 3)
+        assert calls == [(a, 1), (b, 1), (a, 2), (b, 3)] * (len(calls) // 4)
 
 
 class TestLeftVectors:

@@ -214,6 +214,42 @@ output:
         assert keys == sorted(keys)
 
 
+class TestBlasThreadsMeta:
+    MODEL = """
+model:
+  variant: gamma_model
+  j: [[2, 0], [1, 0], {mod: 2.5, phase_over_pi: 0.3333333333333333}]
+  gamma: 0.4
+"""
+    GRID = """
+grid:
+  w: 4
+  kx_n: 2
+  n_transverse: 32
+output:
+  directory: {out}
+  prefix: b
+  svg: false
+"""
+
+    @pytest.mark.parametrize("setters", ["found", "missing"])
+    @pytest.mark.parametrize(
+        "command, meta",
+        [("ribbon-sweep", "b_sweep_meta.json"), ("localization", "b_profiles_meta.json"), ("reproduce", "b_fig4_meta.json")],
+    )
+    def test_meta_says_whether_blas_was_pinned(self, tmp_path, monkeypatch, command, meta, setters):
+        from majorana_nh import eigen
+
+        if setters == "missing":
+            monkeypatch.setattr(eigen, "_BLAS_THREADS", [])
+        elif not eigen._BLAS_THREADS:
+            pytest.skip("this numpy/scipy bundles no OpenBLAS thread setter")
+        setting = "preset: fig4" if command == "reproduce" else self.MODEL
+        run_command(parse_config(f"command: {command}\n{setting}" + self.GRID.format(out=tmp_path)))
+        blas = json.loads((tmp_path / meta).read_text())["blas_threads"]
+        assert blas == (1 if setters == "found" else None)
+
+
 class TestBlochSpectrumPipeline:
     def test_one_grid_build_and_one_eigensolve(self, tmp_path, monkeypatch):
         from majorana_nh import eigen, pipelines
@@ -342,15 +378,49 @@ output:
 
 class TestCLI:
     def _run(self, *args, env=None):
-        # the child imports the package from this checkout, installed or not
+        # the child imports the package from this checkout, installed or not;
+        # an env value of None removes that variable
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path, **(env or {})}
         return subprocess.run(
             [sys.executable, "-m", "majorana_nh.cli", *args],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path, **(env or {})},
+            env={k: v for k, v in env.items() if v is not None},
         )
+
+    GAMMA_W52 = """
+command: {command}
+model:
+  variant: gamma_model
+  j: [[2, 0], [1, 0], {{mod: 2.5, phase_over_pi: 0.3333333333333333}}]
+  gamma: 0.4
+  energy_scale: half
+grid:
+  w: 52
+  kx_n: 2
+output:
+  directory: {out}
+  prefix: g
+  svg: false
+"""
+
+    @pytest.mark.parametrize("command, table", [("ribbon-sweep", "g_sweep"), ("localization", "g_profiles")])
+    def test_strip_bytes_independent_of_blas_threads(self, tmp_path, command, table):
+        # BLAS pinned at one thread by its env var and one sweep worker, against
+        # BLAS at its library default and two workers: the same bytes
+        runs = {
+            "pinned": ({"OMP_NUM_THREADS": "1"}, "1"),
+            "default": (dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")), "2"),
+        }
+        for name, (env, threads) in runs.items():
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text(self.GAMMA_W52.format(command=command, out=tmp_path / name))
+            res = self._run(command, "--config", str(cfg), "--threads", threads, env=env)
+            assert res.returncode == 0, res.stderr
+        pinned, default = ((tmp_path / name / f"{table}.csv").read_bytes() for name in runs)
+        assert pinned == default
 
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.yaml"

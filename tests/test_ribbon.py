@@ -380,20 +380,55 @@ class TestSweepAndSummary:
         summ = nhse_summary(sweep(model, 12, kxs, n_transverse=1024))
         assert not summ.nhse_present
 
+    @pytest.fixture
+    def blas_at_two(self):
+        """The bundled OpenBLAS copies at two threads, restored afterwards."""
+        saved = [(set_, get()) for get, set_ in eigen._BLAS_THREADS]
+        for set_, _ in saved:
+            set_(2)
+        yield
+        for set_, count in saved:
+            set_(count)
+
+    @staticmethod
+    def blas_counts():
+        return [get() for get, _ in eigen._BLAS_THREADS]
+
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_worker_error_keeps_its_object(self, monkeypatch, threads):
+    def test_worker_error_keeps_its_object(self, monkeypatch, blas_at_two, threads):
         # a solver failure at one k_x surfaces as the same exception object,
-        # its best-effort result kept and its message naming the k_x
+        # its best-effort result kept and its message naming the k_x; BLAS
+        # ran at one thread in the solve and is back at its count afterwards
         model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
         s = eig(np.eye(2))
+        in_solve = []
 
         def failing_eig(h, tol=None):
+            in_solve.append(self.blas_counts())
             raise ConvergenceError("residual target missed", result=s)
 
+        before = self.blas_counts()
         monkeypatch.setattr(eigen, "eig", failing_eig)
         with pytest.raises(ConvergenceError, match=r"^k_x = 0\.5: residual target missed$") as info:
             sweep(model, 6, [0.5], threads=threads)
         assert info.value.result is s
+        assert in_solve == [[1] * len(before)]
+        assert self.blas_counts() == before
+
+    def test_blas_pinned_in_solves_and_restored(self, monkeypatch, blas_at_two):
+        model = ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5 * E3), gamma=0.4)
+        real_eig, in_solve = eigen.eig, []
+
+        def counting_eig(h, tol=None):
+            in_solve.append(self.blas_counts())
+            return real_eig(h, tol=tol)
+
+        before = self.blas_counts()
+        monkeypatch.setattr(eigen, "eig", counting_eig)
+        sweep(model, 4, [-0.5, 0.5], n_transverse=32, threads=2)
+        edge_mode_weights(model, 4, 0.5)
+        assert in_solve == [[1] * len(before)] * 3
+        assert self.blas_counts() == before
 
     def test_summary_requires_cloud(self):
         model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
