@@ -2,7 +2,9 @@
 
 The config surface is YAML with four blocks (``model``, ``grid``,
 ``tolerance``, ``output``) plus a ``command``/``preset`` selector.  Unknown
-keys are rejected with the offending line number.  Complex numbers are
+keys are rejected with the offending line number, as are the keys a command
+would ignore: a ``model`` block for ``reproduce``, whose preset fixes the
+model, and a ``preset`` for any other command.  Complex numbers are
 written either as ``[re, im]`` pairs or as ``{mod: m, phase_over_pi: p}``;
 bare reals are accepted too.
 """
@@ -303,6 +305,14 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
     command = _as_str(block["command"], "command")
     if command not in COMMANDS:
         _err(f"unknown command {command!r}; expected one of {COMMANDS}", block["command"])
+
+    # a key the command would ignore is an error, not an echo in the metadata
+    if command == "reproduce" and "model" in block:
+        _err("command 'reproduce' takes its model from the preset, not a model block", block["model"])
+    if command != "reproduce" and "preset" in block:
+        _err(f"command {command!r} takes no preset (only 'reproduce' does)", block["preset"])
+    if command != "reproduce" and preset is not None:
+        raise ConfigurationError(f"--preset applies to 'reproduce' only, not {command!r}")
 
     if "preset" in block:
         file_preset = _as_str(block["preset"], "preset")

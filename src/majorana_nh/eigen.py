@@ -3,10 +3,11 @@
 Thin contract layer over LAPACK (via numpy/scipy): deterministic eigenvalue
 ordering, per-pair residuals normalized by ``max(1, ||H||_F)``, near-defective
 flagging, and optional biorthogonalized left eigenvectors.  Takes one matrix or
-a ``(..., n, n)`` stack (a zone grid's ``(bz_n**2, 6, 6)`` Bloch matrices, a
-strip's ``(1 or 3, 2w, 2w)`` species blocks), certified matrix by matrix.
-:func:`one_blas_thread` holds the bundled OpenBLAS at one thread for callers
-that run solves side by side.
+a ``(..., n, n)`` stack (a zone grid's ``(bz_n**2, 6, 6)`` Bloch matrices),
+certified matrix by matrix.  :func:`eig_chiral` keeps the same contract for
+chiral matrices [[0, B], [C, 0]] (bond-only strips), solved from ``eig(B C)``
+at half the dimension.  :func:`one_blas_thread` holds the bundled OpenBLAS at
+one thread for callers that run solves side by side.
 """
 
 from __future__ import annotations
@@ -25,6 +26,18 @@ from .errors import ConvergenceError
 
 #: eigenvector overlap beyond which a pair is flagged as near-defective
 DEFECTIVE_OVERLAP = 1.0 - 1e-6
+
+#: |E| at most this fraction of a matrix's largest |E| is the near-zero
+#: cluster of :func:`eig_chiral`, solved by a Rayleigh-Ritz step
+CHIRAL_CLUSTER = 1e-2
+
+#: least |R_ii| in the QR of a cluster's unit eigenvectors for them to count
+#: as independent (a Jordan block yields parallel ones)
+_CLUSTER_RANK = 1e-8
+
+#: largest |sum E**2 - tr H**2| / max(1, ||H||_F)**2 of an :func:`eig_chiral`
+#: set; a backward-stable solve keeps it near 1e-15
+_TRACE_GAP = 1e-12
 
 
 def _blas_thread_controls() -> list:
@@ -111,7 +124,9 @@ class Spectrum:
 
     For a ``(..., n, n)`` stack every field gains the leading axes: arrays
     of shape ``(..., n)`` and ``(..., n, n)``, and ``achieved_tol`` and
-    ``matrix_norm`` of shape ``(...)``, one entry per matrix.
+    ``matrix_norm`` of shape ``(...)``, one entry per matrix.  ``path``
+    names the route: "dense" (:func:`eig`), "chiral" or "dense_fallback"
+    (:func:`eig_chiral`).
 
     The residuals certify a backward error (pair i is exact for a matrix
     within ``residuals[i] * max(1, ||H||_F)`` of ``H`` in 2-norm), not the
@@ -128,6 +143,7 @@ class Spectrum:
     defective_flags: np.ndarray
     achieved_tol: float | np.ndarray
     matrix_norm: float | np.ndarray
+    path: str = "dense"
 
     @property
     def n(self) -> int:
@@ -138,7 +154,7 @@ def _validate(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise ValueError(f"expected a nonempty square matrix or stack of them, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -226,24 +242,8 @@ def _polish(a, w, v, bad, norm):
     return w, v
 
 
-def eig(matrix, want_left: bool = False, tol: float | np.ndarray | None = None) -> Spectrum:
-    """Full eigendecomposition meeting the residual contract, matrix by matrix.
-
-    ``matrix`` is one ``(n, n)`` matrix or a ``(..., n, n)`` stack, each of
-    whose matrices gets the result it would get alone.  ``tol`` (default
-    :func:`default_tol` of n) is a scalar or broadcasts to the stack shape;
-    ``want_left`` takes one matrix only.  Raises ValueError on non-square,
-    empty or non-finite input and :class:`ConvergenceError` (naming the first
-    failing matrix, whole result attached) if the residual target is missed.
-    """
-    a = _validate(matrix)
-    stack, n = a.shape[:-2], a.shape[-1]
-    if want_left and stack:
-        raise ValueError("want_left=True takes a single matrix, not a stack")
-    a = a.reshape(-1, n, n)
-    tol = np.broadcast_to(default_tol(n) if tol is None else tol, stack).reshape(-1)
-    norm = frobenius_norms(a)
-
+def _solve(a, tol, norm, want_left=False):
+    """Sorted, unit, polished eigenpairs of a flat ``(k, n, n)`` stack and their residuals."""
     try:
         if want_left:
             w, vl, vr = (x[None] for x in scipy.linalg.eig(a[0], left=True, right=True))
@@ -266,11 +266,12 @@ def eig(matrix, want_left: bool = False, tol: float | np.ndarray | None = None) 
         # left vectors come with a lone matrix only, the one hit here
         w[hit], vr[hit], vl = _sort_pairs(wp, _unit_columns(vp), vl)
         res[hit] = _residuals(a[hit], w[hit], vr[hit], norm[hit])
+    return w, vr, vl, res
 
-    flags = _defective_flags(vr)
-    if vl is not None:
-        vl, flags[0] = _biorthogonalize(w[0], vl[0], vr[0], flags[0], norm[0])
 
+def _certified(stack, tol, w, vr, vl, res, flags, norm, path) -> Spectrum:
+    """The :class:`Spectrum` of a flat stack, or ConvergenceError naming its first failing matrix."""
+    n = w.shape[-1]
     achieved = res.max(axis=-1)
     spectrum = Spectrum(
         eigenvalues=w.reshape(*stack, n),
@@ -280,6 +281,7 @@ def eig(matrix, want_left: bool = False, tol: float | np.ndarray | None = None) 
         defective_flags=flags.reshape(*stack, n),
         achieved_tol=achieved.reshape(stack) if stack else float(achieved[0]),
         matrix_norm=norm.reshape(stack) if stack else float(norm[0]),
+        path=path,
     )
     failed = np.flatnonzero(achieved > tol)
     if failed.size:
@@ -290,6 +292,142 @@ def eig(matrix, want_left: bool = False, tol: float | np.ndarray | None = None) 
             result=spectrum,
         )
     return spectrum
+
+
+def eig(matrix, want_left: bool = False, tol: float | np.ndarray | None = None) -> Spectrum:
+    """Full eigendecomposition meeting the residual contract, matrix by matrix.
+
+    ``matrix`` is one ``(n, n)`` matrix or a ``(..., n, n)`` stack, each of
+    whose matrices gets the result it would get alone.  ``tol`` (default
+    :func:`default_tol` of n) is a scalar or broadcasts to the stack shape;
+    ``want_left`` takes one matrix only.  Raises ValueError on non-square,
+    empty or non-finite input and :class:`ConvergenceError` (naming the first
+    failing matrix, whole result attached) if the residual target is missed.
+    """
+    a = _validate(matrix)
+    stack, n = a.shape[:-2], a.shape[-1]
+    if want_left and stack:
+        raise ValueError("want_left=True takes a single matrix, not a stack")
+    a = a.reshape(-1, n, n)
+    tol = np.broadcast_to(default_tol(n) if tol is None else tol, stack).reshape(-1)
+    norm = frobenius_norms(a)
+    w, vr, vl, res = _solve(a, tol, norm, want_left)
+    flags = _defective_flags(vr)
+    if vl is not None:
+        vl, flags[0] = _biorthogonalize(w[0], vl[0], vr[0], flags[0], norm[0])
+    return _certified(stack, tol, w, vr, vl, res, flags, norm, "dense")
+
+
+def _chiral_residuals(b, c, w, v, norm):
+    """``||H v - E v|| / max(1, ||H||_F)`` for H = [[0, B], [C, 0]], through the blocks."""
+    m = b.shape[-1]
+    x, y = v[:, :m], v[:, m:]
+    top = np.linalg.norm(b @ y - x * w[:, None, :], axis=-2)
+    bottom = np.linalg.norm(c @ x - y * w[:, None, :], axis=-2)
+    return np.hypot(top, bottom) / np.maximum(1.0, norm)[:, None]
+
+
+def _near_zero(mu):
+    """The cluster of a product's eigenvalues mu = E**2: |E| <= CHIRAL_CLUSTER * max |E|."""
+    abs_e = np.sqrt(np.abs(mu))
+    return abs_e <= CHIRAL_CLUSTER * abs_e.max(axis=-1, keepdims=True)
+
+
+def _chiral_pairs(b, c):
+    """Eigenpairs of H = [[0, B], [C, 0]] from eig(B C), the near-zero cluster by Rayleigh-Ritz.
+
+    Returns unsorted eigenvalues ``(k, 2m)``, vectors ``(k, 2m, 2m)`` and a
+    ``(k,)`` mask of the matrices whose cluster could be resolved.
+    """
+    k, m = b.shape[0], b.shape[-1]
+    try:
+        mu, x = np.linalg.eig(b @ c)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    e = np.sqrt(mu)
+    near = _near_zero(mu)
+    # H [x; y] = E [x; y] with y = C x / E; B C x = E**2 x
+    y = (c @ x) / np.where(near, 1.0, e)[:, None, :]
+    w = np.concatenate([e, -e], axis=-1)
+    v = np.concatenate([np.concatenate([x, x], axis=-1), np.concatenate([y, -y], axis=-1)], axis=-2)
+    resolved = np.ones(k, dtype=bool)
+
+    has = np.flatnonzero(near.any(axis=-1))
+    if not has.size:
+        return w, v, resolved
+    try:
+        mu_cb, x_cb = np.linalg.eig(c[has] @ b[has])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    for i, near_cb, y_all in zip(has, _near_zero(mu_cb), x_cb):
+        cols = np.flatnonzero(near[i])
+        if cols.size != near_cb.sum():
+            resolved[i] = False
+            continue
+        # orthonormal bases of the cluster's invariant subspaces of B C and C B;
+        # without independent eigenvectors (a Jordan block) they are not spanned
+        qx, rx = np.linalg.qr(x[i][:, cols])
+        qy, ry = np.linalg.qr(y_all[:, near_cb])
+        if min(np.abs(np.diagonal(rx)).min(), np.abs(np.diagonal(ry)).min()) < _CLUSTER_RANK:
+            resolved[i] = False
+            continue
+        # span{[Qx; 0], [0; Qy]} is H-invariant: solve H restricted to it
+        zero = np.zeros((cols.size, cols.size), dtype=complex)
+        ritz = np.block([[zero, qx.conj().T @ b[i] @ qy], [qy.conj().T @ c[i] @ qx, zero]])
+        try:
+            ws, zs = np.linalg.eig(ritz)
+        except np.linalg.LinAlgError:
+            resolved[i] = False
+            continue
+        slots = np.concatenate([cols, m + cols])
+        w[i, slots] = ws
+        v[i][:, slots] = np.concatenate([qx @ zs[: cols.size], qy @ zs[cols.size :]])
+    return w, v, resolved
+
+
+def eig_chiral(b, c, tol: float | np.ndarray | None = None) -> Spectrum:
+    """:func:`eig` of the chiral matrix H = [[0, B], [C, 0]], solved at half the dimension.
+
+    ``b`` and ``c`` are ``(m, m)`` matrices or ``(..., m, m)`` stacks; the
+    result is that of :func:`eig` on the ``2m x 2m`` matrices H (basis: the
+    m rows of B, then the m rows of C), with ``tol`` defaulting to
+    :func:`default_tol` of 2m.  Since H**2 = diag(B C, C B), pairs with
+    |E| above ``CHIRAL_CLUSTER`` times the matrix's largest |E| are
+    E = +-sqrt(eig(B C)) with vectors [x; C x / E].  The near-zero cluster,
+    where C x / E is ill defined, comes from a Rayleigh-Ritz step on the
+    cluster eigenvectors of B C and C B (``eig(C B)`` runs only for matrices
+    with a cluster).  Every pair is certified by its residual on H, taken
+    through the blocks, and the set by the trace identity
+    sum E**2 = tr H**2, to ``_TRACE_GAP * max(1, ||H||_F)**2``.  A matrix
+    whose cluster counts differ, whose cluster eigenvectors are dependent,
+    whose pairs miss ``tol`` or whose set misses the identity is solved
+    again by the dense :func:`eig` route of that H (polish included).
+    ``path`` is "chiral", or "dense_fallback" when some matrix took that
+    route.
+    """
+    b, c = _validate(b), _validate(c)
+    if b.shape != c.shape:
+        raise ValueError(f"B and C must have equal shapes, got {b.shape} and {c.shape}")
+    stack, m = b.shape[:-2], b.shape[-1]
+    b, c = b.reshape(-1, m, m), c.reshape(-1, m, m)
+    tol = np.broadcast_to(default_tol(2 * m) if tol is None else tol, stack).reshape(-1)
+    norm = np.hypot(frobenius_norms(b), frobenius_norms(c))
+
+    w, v, resolved = _chiral_pairs(b, c)
+    w, v, _ = _sort_pairs(w, v)
+    v = _unit_columns(v)
+    res = _chiral_residuals(b, c, w, v, norm)
+    # the pairs must also form one spectrum: sum E**2 = tr H**2 = 2 tr(B C),
+    # which Ritz values of an ill-conditioned cluster can break
+    trace_gap = np.abs((w * w).sum(axis=-1) - 2.0 * np.einsum("kij,kji->k", b, c))
+    inconsistent = trace_gap > _TRACE_GAP * np.maximum(1.0, norm) ** 2
+    redo = np.flatnonzero(~resolved | inconsistent | (res > tol[:, None]).any(axis=-1))
+    if redo.size:
+        h = np.zeros((redo.size, 2 * m, 2 * m), dtype=complex)
+        h[:, :m, m:], h[:, m:, :m] = b[redo], c[redo]
+        w[redo], v[redo], _, res[redo] = _solve(h, tol[redo], norm[redo])
+    path = "dense_fallback" if redo.size else "chiral"
+    return _certified(stack, tol, w, v, None, res, _defective_flags(v), norm, path)
 
 
 def min_singular_value(matrix) -> float:

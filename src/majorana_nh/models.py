@@ -167,6 +167,15 @@ class ModelConfig:
     def scale_factor(self) -> float:
         return 0.5 if self.energy_scale == "half" else 1.0
 
+    @property
+    def bond_only(self) -> bool:
+        """True when every term is a bond between the A and B sublattices.
+
+        Only the field of the field+DMI variant acts on site; a bond-only
+        strip or Bloch matrix is chiral, [[0, B], [C, 0]] in sublattice space.
+        """
+        return not any(self.b_field)
+
     def resolved_dmi_vectors(self):
         if self.variant is not Variant.MAG_MODEL:
             return None

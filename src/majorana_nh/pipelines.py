@@ -253,6 +253,7 @@ def run_ribbon_sweep(cfg: RunConfig) -> list[Path]:
             "w": cfg.grid.w,
             "max_residual": result.max_residual,
             "blas_threads": eigen.pinned_blas_threads(),
+            "strip_solves": result.strip_solves,
             "nhse_summary": _summary_dict(summary),
         },
     )
@@ -262,12 +263,14 @@ def run_ribbon_sweep(cfg: RunConfig) -> list[Path]:
 def run_localization(cfg: RunConfig) -> list[Path]:
     """Per-site weight profiles of selected states at one k_x."""
     n_states = cfg.grid.n_states if cfg.grid.n_states > 0 else None
+    solves = dict.fromkeys(ribbon.SOLVER_PATHS, 0)
     idx, vals, profiles = ribbon.edge_mode_weights(
         cfg.model,
         cfg.grid.w,
         cfg.grid.kx,
         states=n_states,
         normalization=cfg.output.weight_scale,
+        solves=solves,
     )
     meta = _metadata(
         cfg,
@@ -276,6 +279,7 @@ def run_localization(cfg: RunConfig) -> list[Path]:
             "k_x": cfg.grid.kx,
             "normalization": cfg.output.weight_scale,
             "blas_threads": eigen.pinned_blas_threads(),
+            "strip_solves": solves,
         },
     )
     return export_table(

@@ -201,20 +201,27 @@ def run_reproduce(cfg: RunConfig) -> list[Path]:
 
     out_dir = Path(cfg.output.directory)
     prefix = f"{cfg.output.prefix}_{preset.preset_id}"
+    solves = dict(result.strip_solves)
+    rows = []
+    if preset.kind == "profiles":
+        for kx in PROFILE_KX:
+            idx, vals, profiles = ribbon.edge_mode_weights(
+                preset.model, w, kx, states=None, normalization="linear", solves=solves
+            )
+            rows += [{"k_x": kx, **row} for row in _profile_rows(idx, vals, profiles)]
     meta = _metadata(
         cfg,
-        {"preset_report": report, "blas_threads": eigen.pinned_blas_threads(), "nhse_summary": summary_dict},
+        {
+            "preset_report": report,
+            "blas_threads": eigen.pinned_blas_threads(),
+            "strip_solves": solves,
+            "nhse_summary": summary_dict,
+        },
     )
 
     if preset.kind == "sweep":
         files = _export_sweep(cfg, result, prefix, meta)
     else:
-        rows = []
-        for kx in PROFILE_KX:
-            idx, vals, profiles = ribbon.edge_mode_weights(
-                preset.model, w, kx, states=None, normalization="linear"
-            )
-            rows += [{"k_x": kx, **row} for row in _profile_rows(idx, vals, profiles)]
         files = export_table(
             out_dir, prefix, ("k_x",) + WEIGHT_COLUMNS, rows, meta, cfg.output.formats
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,77 +53,101 @@ class RibbonSpec:
             raise ValueError(f"boundary_y must be one of {BOUNDARIES}")
 
 
-def _assemble(w, k_x, periodic, t_x, t_y, t_z, onsite, scale):
-    """Strip matrix of ``w`` dimer rows with m x m flavour blocks per bond.
+def _bond_blocks(w, k_x, periodic, t_x, t_y, t_z, scale):
+    """The sublattice-offdiagonal blocks B (A <- B) and C (B <- A) of a strip.
 
-    Fills the 2wm x 2wm matrix through its (row, sublattice, flavour)^2 view,
-    with no loop over rows; for w >= 2 no two bonds share an entry.
+    Each is a ``(w, m, w, m)`` (row, flavour)^2 array for m x m flavour
+    blocks per bond, filled with no loop over rows; for w >= 2 no two bonds
+    share an entry.
     """
     m = t_x.shape[0]
-    h = np.zeros((w, 2, m, w, 2, m), dtype=complex)
+    b = np.zeros((w, m, w, m), dtype=complex)
+    c = np.zeros((w, m, w, m), dtype=complex)
     px = np.exp(0.5j * k_x)
     x_fwd = t_x * px + t_y / px
     x_bwd = t_x / px + t_y * px  # intra-row bond sum at -k_x
     r = np.arange(w)
-    h[r, 0, :, r, 1, :] += 2j * x_fwd
-    h[r, 1, :, r, 0, :] += -2j * x_bwd.T
-    h[r, 0, :, r, 0, :] += 2j * onsite
-    h[r, 1, :, r, 1, :] += 2j * onsite
+    b[r, :, r, :] = 2j * x_fwd
+    c[r, :, r, :] = -2j * x_bwd.T
     # z-links join row r's B site to row r+1's A site; a periodic strip wraps
     lo = r if periodic else r[:-1]
     up = (lo + 1) % w
-    h[up, 0, :, lo, 1, :] += 2j * t_z
-    h[lo, 1, :, up, 0, :] += -2j * t_z.T
-    return h.reshape(2 * w * m, 2 * w * m) * scale
+    b[up, :, lo, :] = 2j * t_z
+    c[lo, :, up, :] = -2j * t_z.T
+    return b * scale, c * scale
 
 
 def build_ribbon(spec: RibbonSpec) -> np.ndarray:
     """The dense 6w x 6w strip matrix at fixed k_x.
 
     Satisfies the Majorana antisymmetry ``H(k_x) = -H(-k_x)^T``; Hermitian
-    whenever every coupling of the model is real.  Flavour-conserving models
-    leave flavour ``fl`` alone on rows ``fl::3``; :func:`diagonalize_ribbon`
-    assembles those species blocks without building this matrix.
+    whenever every coupling of the model is real.  Basis: (row, sublattice,
+    flavour), so the A <- B and B <- A blocks of :func:`_bond_blocks` fill
+    the sublattice-offdiagonal entries and the onsite term the diagonal ones.
     """
     t = flavour_bond_table(spec.model)
-    periodic = spec.boundary_y == "periodic"
-    return _assemble(spec.w, spec.k_x, periodic, *t.t, t.onsite, spec.model.scale_factor)
+    w, m, scale = spec.w, t.onsite.shape[0], spec.model.scale_factor
+    b, c = _bond_blocks(w, spec.k_x, spec.boundary_y == "periodic", *t.t, scale)
+    h = np.zeros((w, 2, m, w, 2, m), dtype=complex)
+    h[:, 0, :, :, 1, :] = b
+    h[:, 1, :, :, 0, :] = c
+    r = np.arange(w)
+    h[r, 0, :, r, 0, :] = 2j * t.onsite * scale
+    h[r, 1, :, r, 1, :] = 2j * t.onsite * scale
+    return h.reshape(2 * w * m, 2 * w * m)
+
+
+def _strip_order(v, w):
+    """Vector rows from the chiral basis (sublattice, row, flavour) to (row, sublattice, flavour)."""
+    return np.swapaxes(v.reshape(*v.shape[:-2], 2, w, -1, v.shape[-1]), -4, -3).reshape(v.shape)
 
 
 def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spectrum:
     """Eigendecomposition of a strip under the :func:`eigen.eig` contract.
 
-    When :func:`~majorana_nh.models.species` keeps the Majorana species
-    apart, the distinct 2w x 2w species blocks are assembled as one stack
-    and solved in one :func:`eigen.eig` call (the parent model's one species
-    stands for all three flavours); each block's eigenpairs are placed on
-    rows ``fl::3`` of its flavours.  Other strips are solved whole.  Either
-    way every eigenpair meets ``tol`` in the residual normalized by the
-    strip's Frobenius norm (summed from the blocks), after a polish where
-    needed, or :class:`ConvergenceError` is raised.  Block eigenvectors are
-    unit-normalized per block and zero on the other flavours.
+    A strip with an onsite field is solved whole by :func:`eigen.eig`.
+    Every other strip is bond-only (:attr:`ModelConfig.bond_only`), so its
+    matrix is chiral, [[0, B], [C, 0]] between the A and B sublattices, and
+    :func:`eigen.eig_chiral` solves it from its blocks, never building the
+    dense matrix.  When :func:`~majorana_nh.models.species` keeps the
+    Majorana species apart, the distinct w x w species blocks go in one
+    stacked call (the parent model's one species stands for all three
+    flavours) and each block's eigenpairs are placed on rows ``fl::3`` of
+    its flavours.  Either way every eigenpair meets ``tol`` in the residual
+    normalized by the strip's Frobenius norm (summed from the blocks), after
+    a dense re-solve and a polish where needed, or :class:`ConvergenceError`
+    is raised.  Block eigenvectors are unit-normalized per block and zero on
+    the other flavours.
     """
-    sets = species(spec.model)
-    if sets is None:
+    if not spec.model.bond_only:
         return eigen.eig(build_ribbon(spec), tol=tol)
 
-    n, m = 6 * spec.w, 2 * spec.w
+    w, n = spec.w, 6 * spec.w
     tol = eigen.default_tol(n) if tol is None else tol
     periodic, scale = spec.boundary_y == "periodic", spec.model.scale_factor
-    blocks = np.stack([
-        _assemble(spec.w, spec.k_x, periodic, *(np.array([[c]]) for c in (*j, 0)), scale)
-        for _, j in sets
-    ])
-    picks = np.arange(3) % len(blocks)  # the block of each flavour
-    block_norms = eigen.frobenius_norms(blocks)
-    norm = math.sqrt(sum(block_norms[b] ** 2 for b in picks))
+    sets = species(spec.model)
+    if sets is None:
+        t = flavour_bond_table(spec.model).t
+        b, c = (x.reshape(3 * w, 3 * w) for x in _bond_blocks(w, spec.k_x, periodic, *t, scale))
+        s = eigen.eig_chiral(b, c, tol=tol)
+        return replace(s, right_vectors=_strip_order(s.right_vectors, w))
+
+    blocks = [
+        _bond_blocks(w, spec.k_x, periodic, *(np.array([[j_a]]) for j_a in j), scale) for _, j in sets
+    ]
+    b = np.stack([bc[0] for bc in blocks]).reshape(-1, w, w)
+    c = np.stack([bc[1] for bc in blocks]).reshape(-1, w, w)
+    picks = np.arange(3) % len(sets)  # the block of each flavour
+    block_norms = np.hypot(eigen.frobenius_norms(b), eigen.frobenius_norms(c))
+    norm = math.sqrt(sum(block_norms[p] ** 2 for p in picks))
     # a block residual is a residual of the strip: restate tol in each block's norm
     ratios = max(1.0, norm) / np.maximum(1.0, block_norms)
-    part = eigen.eig(blocks, tol=tol * ratios)
+    part = eigen.eig_chiral(b, c, tol=tol * ratios)
 
+    m = 2 * w
     fl = np.arange(3)
     v_all = np.zeros((m, 3, 3, m), dtype=complex)  # (site, row flavour, column flavour, state)
-    v_all[:, fl, fl, :] = part.right_vectors[picks].transpose(1, 0, 2)
+    v_all[:, fl, fl, :] = _strip_order(part.right_vectors, w)[picks].transpose(1, 0, 2)
     w_all = part.eigenvalues[picks].ravel()
     res = (part.residuals / ratios[:, None])[picks].ravel()
     order = np.lexsort((w_all.imag, w_all.real))
@@ -135,6 +159,7 @@ def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spec
         defective_flags=part.defective_flags[picks].ravel()[order],
         achieved_tol=float(res.max()),
         matrix_norm=norm,
+        path=part.path,
     )
 
 
@@ -330,6 +355,11 @@ def pbc_cloud_intervals(model: ModelConfig, k_x: float, n_transverse: int = 512)
 # sweeps
 # --------------------------------------------------------------------------
 
+#: routes of a strip solve: eigen.eig_chiral certified, eigen.eig of a strip
+#: with an onsite field, eigen.eig after a failed chiral certificate
+SOLVER_PATHS = ("chiral", "dense", "dense_fallback")
+
+
 @dataclass
 class SweepResult:
     model: ModelConfig
@@ -340,6 +370,7 @@ class SweepResult:
     pbc_reference: list | None  # per k_x, the CloudIntervals of the periodic spectrum
     thresholds: ClassifierThresholds
     max_residual: float
+    strip_solves: dict  # strip solves per solver path, see :data:`SOLVER_PATHS`
 
 
 def sweep(
@@ -373,7 +404,7 @@ def sweep(
             )
             cloud = pbc_cloud_intervals(model, float(kx), n_transverse) if pbc_reference else None
             recs = localization_profile(spectrum, w, cloud, thresholds)
-            return recs, cloud, spectrum.achieved_tol
+            return recs, cloud, spectrum.achieved_tol, spectrum.path
         except Exception as exc:
             exc.args = (f"k_x = {float(kx):.6g}: {exc}",)
             raise
@@ -394,6 +425,7 @@ def sweep(
         pbc_reference=[r[1] for r in results] if pbc_reference else None,
         thresholds=thresholds,
         max_residual=max(r[2] for r in results),
+        strip_solves={p: [r[3] for r in results].count(p) for p in SOLVER_PATHS},
     )
 
 
@@ -404,6 +436,7 @@ def edge_mode_weights(
     states=None,
     normalization: str = "linear",
     boundary_y: str = "open",
+    solves: dict | None = None,
 ):
     """Per-site weight profiles for selected strip eigenstates at one k_x.
 
@@ -412,12 +445,15 @@ def edge_mode_weights(
     ``normalization="log01"`` returns log weights affinely rescaled to [0, 1]
     per state, as used for edge-mode snapshots.  The strip is solved under
     :func:`eigen.one_blas_thread`, as in :func:`sweep`, so the weights do not
-    depend on the BLAS thread setting.
+    depend on the BLAS thread setting.  ``solves``, a dict like
+    :attr:`SweepResult.strip_solves`, gets this solve added to its path.
     """
     if normalization not in ("linear", "log01"):
         raise ValueError(f"unknown normalization {normalization!r}")
     with eigen.one_blas_thread():
         spectrum = diagonalize_ribbon(RibbonSpec(w=w, boundary_y=boundary_y, k_x=k_x, model=model))
+    if solves is not None:
+        solves[spectrum.path] += 1
     ws = site_weights(spectrum, w)
 
     if states is None:

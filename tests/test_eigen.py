@@ -15,8 +15,10 @@ from majorana_nh import (
     ConvergenceError,
     Coupling3,
     ModelConfig,
+    RibbonSpec,
     Variant,
     bloch_hamiltonian,
+    build_ribbon,
     closed_form_spectrum,
     eig,
     match_eigenvalue_sets,
@@ -147,6 +149,109 @@ class TestStack:
         for i in set(range(m)) - {fail}:
             assert got.right_vectors[i].tobytes() == clean.right_vectors[i].tobytes()
             assert got.residuals[i].tobytes() == clean.residuals[i].tobytes()
+
+
+def chiral(b, c):
+    """The dense matrix [[0, B], [C, 0]]."""
+    m = b.shape[-1]
+    h = np.zeros((2 * m, 2 * m), dtype=complex)
+    h[:m, m:], h[m:, :m] = b, c
+    return h
+
+
+def assert_certified_on(h, s, tol):
+    """Every pair meets tol in a residual on the full matrix; unit vectors, (Re, Im) order."""
+    v = s.right_vectors
+    res = np.linalg.norm(h @ v - v * s.eigenvalues, axis=0) / max(1.0, np.linalg.norm(h, "fro"))
+    assert res.max() <= tol
+    np.testing.assert_allclose(s.residuals, res, rtol=0.5, atol=1e-15)
+    np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-13)
+    order = np.lexsort((s.eigenvalues.imag, s.eigenvalues.real))
+    np.testing.assert_array_equal(order, np.arange(s.n))
+
+
+class TestChiral:
+    """``eig_chiral`` keeps the contract of ``eig`` on [[0, B], [C, 0]]."""
+
+    def test_random_blocks_match_dense(self, rng):
+        for m in (1, 3, 8, 20):
+            b, c = random_matrix(rng, m), random_matrix(rng, m)
+            h = chiral(b, c)
+            s = eigen.eig_chiral(b, c)
+            assert s.path == "chiral"
+            assert match_eigenvalue_sets(s.eigenvalues, eig(h).eigenvalues) <= 1e-12 * np.linalg.norm(h)
+            assert_certified_on(h, s, eigen.default_tol(2 * m))
+            assert s.matrix_norm == pytest.approx(np.linalg.norm(h, "fro"), rel=1e-14)
+            assert not s.defective_flags.any()
+
+    def test_zero_mode_strip_takes_the_ritz_step(self):
+        # pure YL, open, k_x = 0.9 pi: the intra-row bond sum 2 cos(0.45 pi) = 0.31
+        # is below jz = 1, so each edge holds a flat zigzag band with |E| ~ 0.31**w,
+        # far below rounding at w = 40
+        w = 40
+        model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
+        strip = build_ribbon(RibbonSpec(w=w, boundary_y="open", k_x=0.9 * np.pi, model=model))
+        a, b_sites = 6 * np.arange(w), 6 * np.arange(w) + 3  # flavour 1 on sublattices A and B
+        b, c = strip[np.ix_(a, b_sites)], strip[np.ix_(b_sites, a)]
+        h = chiral(b, c)
+        s = eigen.eig_chiral(b, c)
+        abs_e = np.abs(s.eigenvalues)
+        near = abs_e <= eigen.CHIRAL_CLUSTER * abs_e.max()
+        assert near.sum() == 2 and abs_e[near].max() < 1e-13
+        # the cluster was resolved by the Ritz step and certified: no dense re-solve
+        assert s.path == "chiral"
+        assert_certified_on(h, s, eigen.default_tol(2 * w))
+        assert match_eigenvalue_sets(s.eigenvalues, eig(h).eigenvalues) <= 1e-12 * np.linalg.norm(h)
+
+    def test_spectrum_keeps_the_trace_identity(self):
+        # a skin-effect species block (K model, w=20, k_x = pi/2) whose BC
+        # eigenvectors have condition 2e18: the Ritz values of its near-zero
+        # cluster pass the residual test but disagree with eig(BC), so the set
+        # would break sum E**2 = tr H**2; the set certificate catches it
+        j = Coupling3(-0.98024 - 1.36195j, -1.55861 + 0.99186j, -0.14166 - 0.77508j)
+        model = ModelConfig(Variant.K_MODEL, j, k_coupling=0.21436)
+        strip = build_ribbon(RibbonSpec(w=20, boundary_y="open", k_x=np.pi / 2, model=model))
+        a, b_sites = 6 * np.arange(20) + 1, 6 * np.arange(20) + 4  # flavour 2
+        b, c = strip[np.ix_(a, b_sites)], strip[np.ix_(b_sites, a)]
+        h = chiral(b, c)
+        s = eigen.eig_chiral(b, c)
+        norm = np.linalg.norm(h, "fro")
+        assert abs((s.eigenvalues**2).sum() - np.trace(h @ h)) <= 1e-12 * norm**2
+        assert_certified_on(h, s, eigen.default_tol(40))
+
+    def test_nilpotent_product_falls_back(self):
+        # B C = B is a Jordan block: its eigenvectors span no invariant subspace
+        b, c = np.array([[0, 1], [0, 0]], dtype=complex), np.eye(2, dtype=complex)
+        h = chiral(b, c)
+        s = eigen.eig_chiral(b, c)
+        assert s.path == "dense_fallback"
+        assert_certified_on(h, s, eigen.default_tol(4))
+        dense = eig(h)
+        np.testing.assert_array_equal(s.eigenvalues, dense.eigenvalues)
+        np.testing.assert_array_equal(s.defective_flags, dense.defective_flags)
+
+    def test_stack_slices_and_unmet_tol(self, rng):
+        b = np.stack([random_matrix(rng, 6) for _ in range(3)])
+        c = np.stack([random_matrix(rng, 6) for _ in range(3)])
+        b[1], c[1] = np.eye(6, k=1), np.eye(6)  # falls back
+        s = eigen.eig_chiral(b, c)
+        assert s.path == "dense_fallback"
+        assert s.eigenvalues.shape == (3, 12) and s.right_vectors.shape == (3, 12, 12)
+        for i in range(3):
+            one = eigen.eig_chiral(b[i], c[i])
+            assert one.path == ("dense_fallback" if i == 1 else "chiral")
+            for name in SPECTRUM_ARRAYS:
+                assert getattr(s, name)[i].tobytes() == getattr(one, name).tobytes(), name
+            assert_certified_on(chiral(b[i], c[i]), one, eigen.default_tol(12))
+        with pytest.raises(ConvergenceError, match=r"in matrix \[2\]") as info:
+            eigen.eig_chiral(b, c, tol=[1e-8, 1e-8, 1e-30])
+        assert info.value.result.eigenvalues.shape == (3, 12)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            eigen.eig_chiral(np.eye(3), np.eye(4))
+        with pytest.raises(ValueError):
+            eigen.eig_chiral(np.zeros((0, 3, 3)), np.zeros((0, 3, 3)))
 
 
 class TestAgainstClosedForm:

@@ -250,6 +250,34 @@ output:
         assert blas == (1 if setters == "found" else None)
 
 
+class TestStripSolvesMeta:
+    FIELD_MODEL = """
+model:
+  variant: mag_model
+  j: [1, 1, 1]
+  d: 0.5
+  b_field: [0, 0, 0.7]
+"""
+
+    @pytest.mark.parametrize(
+        "command, meta, setting, path, count",
+        [
+            ("ribbon-sweep", "b_sweep_meta.json", TestBlasThreadsMeta.MODEL, "chiral", 2),
+            ("ribbon-sweep", "b_sweep_meta.json", FIELD_MODEL, "dense", 2),
+            ("localization", "b_profiles_meta.json", TestBlasThreadsMeta.MODEL, "chiral", 1),
+            ("localization", "b_profiles_meta.json", FIELD_MODEL, "dense", 1),
+            # the preset's sweep (kx_n=2) and its four profile momenta
+            ("reproduce", "b_fig4_meta.json", "preset: fig4", "chiral", 6),
+            ("reproduce", "b_fig7_meta.json", "preset: fig7", "dense", 6),
+        ],
+    )
+    def test_meta_counts_strip_solves_by_path(self, tmp_path, command, meta, setting, path, count):
+        grid = TestBlasThreadsMeta.GRID.format(out=tmp_path)
+        run_command(parse_config(f"command: {command}\n{setting}" + grid))
+        solves = json.loads((tmp_path / meta).read_text())["strip_solves"]
+        assert solves == {"chiral": 0, "dense": 0, "dense_fallback": 0, path: count}
+
+
 class TestBlochSpectrumPipeline:
     def test_one_grid_build_and_one_eigensolve(self, tmp_path, monkeypatch):
         from majorana_nh import eigen, pipelines
@@ -455,6 +483,31 @@ output:
         res = self._run(command, "--config", str(cfg))
         assert res.returncode == 2
         assert re.search(message, res.stderr), res.stderr
+
+    @pytest.mark.parametrize(
+        "command, text, flags, message",
+        [
+            (
+                "reproduce",
+                "command: reproduce\npreset: fig4\nmodel:\n  variant: pure_yl\n  j: [1, 1, 1]\n",
+                (),
+                r"'reproduce' takes its model from the preset, not a model block \(line 4\)",
+            ),
+            ("skin-check", MINIMAL.replace("bloch-spectrum", "skin-check") + "preset: fig4\n", (),
+             r"'skin-check' takes no preset \(only 'reproduce' does\) \(line 6\)"),
+            ("ribbon-sweep", MINIMAL.replace("bloch-spectrum", "ribbon-sweep") + "preset: fig3b\n", (),
+             r"'ribbon-sweep' takes no preset .*\(line 6\)"),
+            ("bloch-spectrum", MINIMAL, ("--preset", "fig4"), r"--preset applies to 'reproduce' only"),
+        ],
+    )
+    def test_ignored_key_exit_2(self, tmp_path, command, text, flags, message):
+        # a key the command would ignore is rejected before anything runs
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text + f"output:\n  directory: {tmp_path / 'out'}\n")
+        res = self._run(command, "--config", str(cfg), *flags)
+        assert res.returncode == 2
+        assert re.search(message, res.stderr), res.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_non_integer_thread_env_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

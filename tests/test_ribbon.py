@@ -121,22 +121,29 @@ class TestBuildRibbon:
 
 K_FIG2B = ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5 * E3), k_coupling=0.4, energy_scale="half")
 GAMMA_FIG3B = ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5 * E3), gamma=0.4, energy_scale="half")
+MAG_FIELD = ModelConfig(Variant.MAG_MODEL, Coupling3(1, 1, E3), d=0.5, b_field=(0.0, 0.0, 0.7), energy_scale="half")
 
 
 class TestStripSolverContract:
     """Both paths of ``diagonalize_ribbon`` keep the ``eigen.eig`` contract."""
 
     def _solve(self, model, monkeypatch, tol=None, w=10, kx=0.7):
-        shapes = []
-        real_eig = eigen.eig
+        # (solver, shapes of its matrix arguments) of every strip solve
+        calls = []
 
-        def recording_eig(matrix, *args, **kwargs):
-            shapes.append(np.shape(matrix))
-            return real_eig(matrix, *args, **kwargs)
+        def recording(name):
+            real = getattr(eigen, name)
 
-        monkeypatch.setattr(eigen, "eig", recording_eig)
+            def solver(*matrices, **kwargs):
+                calls.append((name, *(np.shape(a) for a in matrices)))
+                return real(*matrices, **kwargs)
+
+            monkeypatch.setattr(eigen, name, solver)
+
+        recording("eig")
+        recording("eig_chiral")
         spec = RibbonSpec(w=w, boundary_y="open", k_x=kx, model=model)
-        return build_ribbon(spec), shapes, diagonalize_ribbon(spec, tol=tol)
+        return build_ribbon(spec), calls, diagonalize_ribbon(spec, tol=tol)
 
     def _check_residual_bound(self, h, s, tol):
         norm = np.linalg.norm(h, "fro")
@@ -153,16 +160,25 @@ class TestStripSolverContract:
         np.testing.assert_array_equal(order, np.arange(s.n))
 
     def test_block_path_residual_bound(self, monkeypatch):
-        h, shapes, s = self._solve(K_FIG2B, monkeypatch, tol=1e-12)
-        assert shapes == [(3, 20, 20)]  # one certified solve of the species-block stack
+        h, calls, s = self._solve(K_FIG2B, monkeypatch, tol=1e-12)
+        # one certified solve of the species stack's B and C blocks
+        assert calls == [("eig_chiral", (3, 10, 10), (3, 10, 10))]
+        assert s.path == "chiral"
         self._check_residual_bound(h, s, 1e-12)
         # each eigenvector lives on a single flavour
         support = np.abs(s.right_vectors).reshape(-1, 3, s.n).sum(axis=0) > 0
         assert (support.sum(axis=0) == 1).all()
 
     def test_dense_path_residual_bound(self, monkeypatch):
-        h, shapes, s = self._solve(GAMMA_FIG3B, monkeypatch, tol=1e-12)
-        assert shapes == [(60, 60)]
+        # a bond-only strip that mixes the flavours: one chiral solve of its
+        # 3w x 3w blocks; an onsite field takes the dense solve of the strip
+        h, calls, s = self._solve(GAMMA_FIG3B, monkeypatch, tol=1e-12)
+        assert calls == [("eig_chiral", (30, 30), (30, 30))]
+        assert s.path == "chiral"
+        self._check_residual_bound(h, s, 1e-12)
+        h, calls, s = self._solve(MAG_FIELD, monkeypatch, tol=1e-12)
+        assert calls == [("eig", (60, 60))]
+        assert s.path == "dense"
         self._check_residual_bound(h, s, 1e-12)
 
     def test_block_path_raises_on_unmet_tolerance(self):
@@ -174,10 +190,10 @@ class TestStripSolverContract:
         # the three species of the parent model coincide: one 2w x 2w block
         # stands for all three, byte-identical to stacking all three
         j = Coupling3(2 * E3, E6, 2.5)
-        _, shapes, s = self._solve(ModelConfig(Variant.PURE_YL, j), monkeypatch)
-        assert shapes == [(1, 20, 20)]
-        _, shapes_k, s_k = self._solve(ModelConfig(Variant.K_MODEL, j, k_coupling=0.0), monkeypatch)
-        assert shapes_k == [(3, 20, 20)]
+        _, calls, s = self._solve(ModelConfig(Variant.PURE_YL, j), monkeypatch)
+        assert calls == [("eig_chiral", (1, 10, 10), (1, 10, 10))]
+        _, calls_k, s_k = self._solve(ModelConfig(Variant.K_MODEL, j, k_coupling=0.0), monkeypatch)
+        assert calls_k == [("eig_chiral", (3, 10, 10), (3, 10, 10))]
         assert s.eigenvalues.tobytes() == s_k.eigenvalues.tobytes()
         assert s.right_vectors.tobytes() == s_k.right_vectors.tobytes()
 
@@ -214,6 +230,49 @@ class TestStripSolverContract:
         # each eigenvector lives on a single flavour
         support = np.abs(v).reshape(-1, 3, s.n).sum(axis=0) > 0
         assert (support.sum(axis=0) == 1).all()
+
+    @settings(max_examples=60)
+    @given(
+        variant=st.sampled_from(list(Variant)),
+        moduli=st.tuples(*[st.floats(0.5, 2.2)] * 3),
+        phases=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+        second=st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
+        real=st.booleans(),
+        scale=st.sampled_from(["raw", "half"]),
+        w=st.integers(2, 12),
+        boundary=st.sampled_from(ribbon.BOUNDARIES),
+        kx=st.floats(-np.pi, np.pi),
+    )
+    def test_chiral_path_matches_dense(
+        self, variant, moduli, phases, second, real, scale, w, boundary, kx
+    ):
+        # every bond-only strip (field+DMI without a field) is solved from its
+        # B and C blocks, species by species where the flavours stay apart; it
+        # reproduces the dense strip matrix's eigenpairs, certified on H
+        if real:
+            j, coupling = Coupling3(*moduli), complex(second[0])
+        else:
+            j, coupling = Coupling3.from_polar(moduli, phases), complex(*second)
+        extra = {
+            Variant.PURE_YL: {},
+            Variant.K_MODEL: {"k_coupling": coupling},
+            Variant.GAMMA_MODEL: {"gamma": coupling},
+            Variant.MAG_MODEL: {"d": second[0]},
+        }[variant]
+        model = ModelConfig(variant, j, energy_scale=scale, **extra)
+        spec = RibbonSpec(w=w, boundary_y=boundary, k_x=kx, model=model)
+        h = build_ribbon(spec)
+        s = diagonalize_ribbon(spec)
+        assert s.path in ("chiral", "dense_fallback")
+        norm = max(1.0, np.linalg.norm(h, "fro"))
+        dense = eig(h).eigenvalues
+        assert match_eigenvalue_sets(s.eigenvalues, dense) <= 1e-9 * norm
+        v = s.right_vectors
+        assert (np.linalg.norm(h @ v - v * s.eigenvalues, axis=0) / norm).max() <= eigen.default_tol(6 * w)
+        if ribbon.species(model) is not None:
+            # each eigenvector lives on a single flavour
+            support = np.abs(v).reshape(-1, 3, s.n).sum(axis=0) > 0
+            assert (support.sum(axis=0) == 1).all()
 
 
 class TestLocalizationProfile:
@@ -403,12 +462,12 @@ class TestSweepAndSummary:
         s = eig(np.eye(2))
         in_solve = []
 
-        def failing_eig(h, tol=None):
+        def failing_eig(b, c, tol=None):
             in_solve.append(self.blas_counts())
             raise ConvergenceError("residual target missed", result=s)
 
         before = self.blas_counts()
-        monkeypatch.setattr(eigen, "eig", failing_eig)
+        monkeypatch.setattr(eigen, "eig_chiral", failing_eig)
         with pytest.raises(ConvergenceError, match=r"^k_x = 0\.5: residual target missed$") as info:
             sweep(model, 6, [0.5], threads=threads)
         assert info.value.result is s
@@ -417,14 +476,14 @@ class TestSweepAndSummary:
 
     def test_blas_pinned_in_solves_and_restored(self, monkeypatch, blas_at_two):
         model = ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5 * E3), gamma=0.4)
-        real_eig, in_solve = eigen.eig, []
+        real_eig, in_solve = eigen.eig_chiral, []
 
-        def counting_eig(h, tol=None):
+        def counting_eig(b, c, tol=None):
             in_solve.append(self.blas_counts())
-            return real_eig(h, tol=tol)
+            return real_eig(b, c, tol=tol)
 
         before = self.blas_counts()
-        monkeypatch.setattr(eigen, "eig", counting_eig)
+        monkeypatch.setattr(eigen, "eig_chiral", counting_eig)
         sweep(model, 4, [-0.5, 0.5], n_transverse=32, threads=2)
         edge_mode_weights(model, 4, 0.5)
         assert in_solve == [[1] * len(before)] * 3
