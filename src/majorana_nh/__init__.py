@@ -23,7 +23,7 @@ from .models import (
     structure_factor,
     triangle_test,
 )
-from .eigen import Spectrum, eig, eig_chiral, match_eigenvalue_sets, min_singular_value
+from .eigen import Spectrum, eig, eig_chiral, eigh, match_eigenvalue_sets, min_singular_value
 from .ep import (
     ArcPolyline,
     DegeneracyReport,

@@ -4,9 +4,10 @@ Thin contract layer over LAPACK (via numpy/scipy): deterministic eigenvalue
 ordering, per-pair residuals normalized by ``max(1, ||H||_F)``, near-defective
 flagging, and optional biorthogonalized left eigenvectors.  Takes one matrix or
 a ``(..., n, n)`` stack (a zone grid's ``(bz_n**2, 6, 6)`` Bloch matrices),
-certified matrix by matrix.  :func:`eig_chiral` keeps the same contract for
-chiral matrices [[0, B], [C, 0]] (bond-only strips), solved from ``eig(B C)``
-at half the dimension.  :func:`one_blas_thread` holds the bundled OpenBLAS at
+certified matrix by matrix.  :func:`eigh` keeps the same contract for
+Hermitian matrices (real couplings) and :func:`eig_chiral` for chiral
+matrices [[0, B], [C, 0]] (bond-only strips), solved from ``eig(B C)`` at half
+the dimension.  :func:`one_blas_thread` holds the bundled OpenBLAS at
 one thread for callers that run solves side by side.
 """
 
@@ -125,8 +126,9 @@ class Spectrum:
     For a ``(..., n, n)`` stack every field gains the leading axes: arrays
     of shape ``(..., n)`` and ``(..., n, n)``, and ``achieved_tol`` and
     ``matrix_norm`` of shape ``(...)``, one entry per matrix.  ``path``
-    names the route: "dense" (:func:`eig`), "chiral" or "dense_fallback"
-    (:func:`eig_chiral`).
+    names the route: "dense" (:func:`eig`), "hermitian" (:func:`eigh`),
+    "chiral" (:func:`eig_chiral`), or "dense_fallback" when a matrix of either
+    fast route missed its certificate and was solved again by :func:`eig`.
 
     The residuals certify a backward error (pair i is exact for a matrix
     within ``residuals[i] * max(1, ||H||_F)`` of ``H`` in 2-norm), not the
@@ -316,6 +318,42 @@ def eig(matrix, want_left: bool = False, tol: float | np.ndarray | None = None) 
     if vl is not None:
         vl, flags[0] = _biorthogonalize(w[0], vl[0], vr[0], flags[0], norm[0])
     return _certified(stack, tol, w, vr, vl, res, flags, norm, "dense")
+
+
+def eigh(matrix, tol: float | np.ndarray | None = None) -> Spectrum:
+    """:func:`eig` of a Hermitian matrix or ``(..., n, n)`` stack, solved by LAPACK's ``zheevd``.
+
+    The caller declares the matrices Hermitian; ``zheevd`` reads only their
+    lower triangles, so the residual of every pair is taken on the full
+    matrix as given, over ``max(1, ||H||_F)``, and certifies the declaration.
+    Eigenvalues come out real (stored as complex with imaginary part 0) in
+    ascending order, vectors orthonormal, and no pair is flagged defective.
+    A matrix whose pairs miss ``tol`` (default :func:`default_tol` of n) is
+    solved again by the dense :func:`eig` route (polish included), and
+    ``path`` reads "dense_fallback" instead of "hermitian".  Each matrix of a
+    stack gets the result it would get alone; :class:`ConvergenceError`
+    names the first failing matrix, with the whole result attached.
+    """
+    a = _validate(matrix)
+    stack, n = a.shape[:-2], a.shape[-1]
+    a = a.reshape(-1, n, n)
+    tol = np.broadcast_to(default_tol(n) if tol is None else tol, stack).reshape(-1)
+    norm = frobenius_norms(a)
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    # zheevd returns the eigenvalues ascending, hence in (Re, Im) order, and
+    # orthonormal vectors
+    w = w.astype(complex)
+    res = _residuals(a, w, v, norm)
+    flags = np.zeros(w.shape, dtype=bool)
+    redo = np.flatnonzero((res > tol[:, None]).any(axis=-1))
+    if redo.size:
+        w[redo], v[redo], _, res[redo] = _solve(a[redo], tol[redo], norm[redo])
+        flags[redo] = _defective_flags(v[redo])
+    path = "dense_fallback" if redo.size else "hermitian"
+    return _certified(stack, tol, w, v, None, res, flags, norm, path)
 
 
 def _chiral_residuals(b, c, w, v, norm):

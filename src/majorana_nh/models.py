@@ -176,6 +176,15 @@ class ModelConfig:
         """
         return not any(self.b_field)
 
+    @property
+    def hermitian(self) -> bool:
+        """True when every coupling is real, so strip and Bloch matrices are Hermitian.
+
+        ``j``, ``k_coupling`` and ``gamma`` may be complex; the DMI strength,
+        the field and the DMI vectors are real by type.
+        """
+        return self.j.is_hermitian and self.k_coupling.imag == 0.0 and self.gamma.imag == 0.0
+
     def resolved_dmi_vectors(self):
         if self.variant is not Variant.MAG_MODEL:
             return None

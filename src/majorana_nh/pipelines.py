@@ -51,9 +51,13 @@ def _energy(e) -> dict:
 
 
 def run_bloch_spectrum(cfg: RunConfig) -> list[Path]:
-    """Eigenvalues over the ``ep-find`` zone grid: one batched build, one stacked solve."""
+    """Eigenvalues over the ``ep-find`` zone grid: one batched build, one stacked solve.
+
+    A Hermitian model is solved by :func:`eigen.eigh`, so its ``im_E`` is 0.
+    """
     ks = ep.k_from_bond_phase(ep.phase_grid(cfg.grid.bz_n)[1]).reshape(-1, 2)
-    spectra = eigen.eig(bloch_matrix_grid(cfg.model, ks)).eigenvalues
+    solve = eigen.eigh if cfg.model.hermitian else eigen.eig
+    spectra = solve(bloch_matrix_grid(cfg.model, ks)).eigenvalues
     closed_ok = closed_form_spectrum(cfg.model, (0.0, 0.0)) is not None
     rows = [
         {"k_x": float(k[0]), "k_y": float(k[1]), "state_index": i, **_energy(e)}

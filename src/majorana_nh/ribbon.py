@@ -102,25 +102,44 @@ def _strip_order(v, w):
     return np.swapaxes(v.reshape(*v.shape[:-2], 2, w, -1, v.shape[-1]), -4, -3).reshape(v.shape)
 
 
+def _solve_chiral(b, c, tol, hermitian):
+    """The chiral matrices [[0, B], [C, 0]] of B and C stacks, solved under the eig contract.
+
+    A Hermitian model's matrices are assembled and solved by :func:`eigen.eigh`
+    (dense ``zheevd`` at the full size beats the half-size product route);
+    every other's by :func:`eigen.eig_chiral` from the blocks.
+    """
+    if not hermitian:
+        return eigen.eig_chiral(b, c, tol=tol)
+    m = b.shape[-1]
+    h = np.zeros((*b.shape[:-2], 2 * m, 2 * m), dtype=complex)
+    h[..., :m, m:], h[..., m:, :m] = b, c
+    return eigen.eigh(h, tol=tol)
+
+
 def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spectrum:
     """Eigendecomposition of a strip under the :func:`eigen.eig` contract.
 
-    A strip with an onsite field is solved whole by :func:`eigen.eig`.
-    Every other strip is bond-only (:attr:`ModelConfig.bond_only`), so its
-    matrix is chiral, [[0, B], [C, 0]] between the A and B sublattices, and
-    :func:`eigen.eig_chiral` solves it from its blocks, never building the
-    dense matrix.  When :func:`~majorana_nh.models.species` keeps the
-    Majorana species apart, the distinct w x w species blocks go in one
-    stacked call (the parent model's one species stands for all three
-    flavours) and each block's eigenpairs are placed on rows ``fl::3`` of
-    its flavours.  Either way every eigenpair meets ``tol`` in the residual
-    normalized by the strip's Frobenius norm (summed from the blocks), after
-    a dense re-solve and a polish where needed, or :class:`ConvergenceError`
-    is raised.  Block eigenvectors are unit-normalized per block and zero on
-    the other flavours.
+    The model's declarations pick the solver, Hermiticity first: a Hermitian
+    model (:attr:`ModelConfig.hermitian`, real couplings) is solved by
+    :func:`eigen.eigh`, any other bond-only model by
+    :func:`eigen.eig_chiral`, and any other strip by :func:`eigen.eig`.  A
+    strip with an onsite field is built whole by :func:`build_ribbon`.  A
+    bond-only strip (:attr:`ModelConfig.bond_only`) is chiral, [[0, B],
+    [C, 0]] between the A and B sublattices, and is solved from those
+    blocks.  When :func:`~majorana_nh.models.species` keeps the Majorana
+    species apart, the distinct w x w species blocks go in one stacked call
+    (the parent model's one species stands for all three flavours) and each
+    block's eigenpairs are placed on rows ``fl::3`` of its flavours.  Every
+    eigenpair meets ``tol`` in the residual normalized by the strip's
+    Frobenius norm (summed from the blocks), after a dense re-solve and a
+    polish where needed, or :class:`ConvergenceError` is raised.  Block
+    eigenvectors are unit-normalized per block and zero on the other
+    flavours.
     """
+    hermitian = spec.model.hermitian
     if not spec.model.bond_only:
-        return eigen.eig(build_ribbon(spec), tol=tol)
+        return (eigen.eigh if hermitian else eigen.eig)(build_ribbon(spec), tol=tol)
 
     w, n = spec.w, 6 * spec.w
     tol = eigen.default_tol(n) if tol is None else tol
@@ -129,7 +148,7 @@ def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spec
     if sets is None:
         t = flavour_bond_table(spec.model).t
         b, c = (x.reshape(3 * w, 3 * w) for x in _bond_blocks(w, spec.k_x, periodic, *t, scale))
-        s = eigen.eig_chiral(b, c, tol=tol)
+        s = _solve_chiral(b, c, tol, hermitian)
         return replace(s, right_vectors=_strip_order(s.right_vectors, w))
 
     blocks = [
@@ -142,7 +161,7 @@ def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spec
     norm = math.sqrt(sum(block_norms[p] ** 2 for p in picks))
     # a block residual is a residual of the strip: restate tol in each block's norm
     ratios = max(1.0, norm) / np.maximum(1.0, block_norms)
-    part = eigen.eig_chiral(b, c, tol=tol * ratios)
+    part = _solve_chiral(b, c, tol * ratios, hermitian)
 
     m = 2 * w
     fl = np.arange(3)
@@ -296,7 +315,8 @@ def localization_profile(
 def _cloud_samples(model: ModelConfig, k_x: float, n_transverse: int):
     """Fully periodic eigenvalues at fixed k_x over a transverse-momentum grid.
 
-    Closed-form bands where the model has them, else a batched ``eigvals``.
+    Closed-form bands where the model has them, else a batched ``eigvalsh``
+    for a Hermitian model and ``eigvals`` for any other.
     """
     q = np.linspace(0.0, 2.0 * np.pi, n_transverse, endpoint=False)
     th1 = 0.5 * k_x - q
@@ -305,7 +325,8 @@ def _cloud_samples(model: ModelConfig, k_x: float, n_transverse: int):
 
     vals = closed_form_spectrum_grid(model, ks)
     if vals is None:
-        vals = np.linalg.eigvals(bloch_matrix_grid(model, ks))
+        h = bloch_matrix_grid(model, ks)
+        vals = np.linalg.eigvalsh(h) if model.hermitian else np.linalg.eigvals(h)
     return vals
 
 
@@ -355,9 +376,10 @@ def pbc_cloud_intervals(model: ModelConfig, k_x: float, n_transverse: int = 512)
 # sweeps
 # --------------------------------------------------------------------------
 
-#: routes of a strip solve: eigen.eig_chiral certified, eigen.eig of a strip
-#: with an onsite field, eigen.eig after a failed chiral certificate
-SOLVER_PATHS = ("chiral", "dense", "dense_fallback")
+#: routes of a strip solve, in dispatch order: eigen.eigh of a Hermitian
+#: strip, eigen.eig_chiral of a bond-only one, eigen.eig of one with an onsite
+#: field, and eigen.eig after a Hermitian or chiral certificate failed
+SOLVER_PATHS = ("hermitian", "chiral", "dense", "dense_fallback")
 
 
 @dataclass

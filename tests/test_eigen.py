@@ -254,6 +254,84 @@ class TestChiral:
             eigen.eig_chiral(np.zeros((0, 3, 3)), np.zeros((0, 3, 3)))
 
 
+def random_hermitian(rng, *shape):
+    a = rng.normal(size=(*shape, shape[-1])) + 1j * rng.normal(size=(*shape, shape[-1]))
+    return a + np.swapaxes(a.conj(), -1, -2)
+
+
+class TestHermitian:
+    """``eigh`` keeps the contract of ``eig`` on matrices declared Hermitian."""
+
+    def test_random_hermitian_matches_dense(self, rng):
+        for n in (1, 6, 40, 312):
+            h = random_hermitian(rng, n)
+            s = eigen.eigh(h)
+            assert s.path == "hermitian"
+            assert s.eigenvalues.dtype == complex and (s.eigenvalues.imag == 0.0).all()
+            assert match_eigenvalue_sets(s.eigenvalues, eig(h).eigenvalues) <= 1e-12 * np.linalg.norm(h)
+            assert_certified_on(h, s, eigen.default_tol(n))
+            v = s.right_vectors
+            np.testing.assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-13)
+            assert s.matrix_norm == np.linalg.norm(h, "fro")
+            assert not s.defective_flags.any()
+
+    def test_residual_is_taken_on_the_full_matrix(self, rng):
+        # zheevd reads the lower triangle only; a stack slice that is not
+        # Hermitian misses its residual and alone is solved again by eig
+        h = random_hermitian(rng, 3, 8)
+        h[1] = random_matrix(rng, 8)
+        s = eigen.eigh(h)
+        assert s.path == "dense_fallback"
+        for i in range(3):
+            one = eigen.eigh(h[i])
+            assert one.path == ("dense_fallback" if i == 1 else "hermitian")
+            for name in SPECTRUM_ARRAYS:
+                assert getattr(s, name)[i].tobytes() == getattr(one, name).tobytes(), name
+            assert_certified_on(h[i], one, eigen.default_tol(8))
+        dense = eig(h[1])
+        for name in SPECTRUM_ARRAYS:
+            assert getattr(s, name)[1].tobytes() == getattr(dense, name).tobytes(), name
+        assert (s.eigenvalues[[0, 2]].imag == 0.0).all()
+
+    @pytest.mark.parametrize("fail", [0, 2])
+    def test_unmet_tol_names_the_matrix(self, rng, fail):
+        h = random_hermitian(rng, 3, 6)
+        tol = np.full(3, 1e-10)
+        tol[fail] = 1e-30
+        with pytest.raises(ConvergenceError, match=rf"in matrix \[{fail}\]") as info:
+            eigen.eigh(h, tol=tol)
+        got = info.value.result
+        assert got.path == "dense_fallback" and got.eigenvalues.shape == (3, 6)
+        assert got.achieved_tol[fail] > 1e-30
+        clean = eigen.eigh(h)
+        for i in set(range(3)) - {fail}:
+            assert got.right_vectors[i].tobytes() == clean.right_vectors[i].tobytes()
+        with pytest.raises(ConvergenceError, match=r"unmet \(achieved") as info:
+            eigen.eigh(h[0], tol=1e-30)
+        assert info.value.result.eigenvalues.shape == (6,)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), n=st.integers(1, 24))
+    def test_slices_match_single_solves(self, seed, m, n):
+        stack = random_hermitian(np.random.default_rng(seed), m, n)
+        s = eigen.eigh(stack)
+        assert s.eigenvalues.shape == (m, n) and s.right_vectors.shape == (m, n, n)
+        assert s.achieved_tol.shape == s.matrix_norm.shape == (m,)
+        for i in range(m):
+            one = eigen.eigh(stack[i])
+            for name in SPECTRUM_ARRAYS:
+                assert getattr(s, name)[i].tobytes() == getattr(one, name).tobytes(), name
+            assert s.achieved_tol[i] == one.achieved_tol and s.matrix_norm[i] == one.matrix_norm
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            eigen.eigh(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            eigen.eigh(np.array([[np.nan, 0], [0, 1]]))
+        with pytest.raises(ValueError):
+            eigen.eigh(np.zeros((0, 3, 3)))
+
+
 class TestAgainstClosedForm:
     def test_k_model_bloch_50_random_samples(self, rng):
         for _ in range(50):

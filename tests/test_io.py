@@ -251,10 +251,18 @@ output:
 
 
 class TestStripSolvesMeta:
+    # real couplings: Hermitian, with an onsite field
     FIELD_MODEL = """
 model:
   variant: mag_model
   j: [1, 1, 1]
+  d: 0.5
+  b_field: [0, 0, 0.7]
+"""
+    COMPLEX_FIELD_MODEL = """
+model:
+  variant: mag_model
+  j: [1, 1, {mod: 1, phase_over_pi: 0.3333333333333333}]
   d: 0.5
   b_field: [0, 0, 0.7]
 """
@@ -263,43 +271,62 @@ model:
         "command, meta, setting, path, count",
         [
             ("ribbon-sweep", "b_sweep_meta.json", TestBlasThreadsMeta.MODEL, "chiral", 2),
-            ("ribbon-sweep", "b_sweep_meta.json", FIELD_MODEL, "dense", 2),
+            ("ribbon-sweep", "b_sweep_meta.json", COMPLEX_FIELD_MODEL, "dense", 2),
+            ("ribbon-sweep", "b_sweep_meta.json", FIELD_MODEL, "hermitian", 2),
             ("localization", "b_profiles_meta.json", TestBlasThreadsMeta.MODEL, "chiral", 1),
-            ("localization", "b_profiles_meta.json", FIELD_MODEL, "dense", 1),
+            ("localization", "b_profiles_meta.json", COMPLEX_FIELD_MODEL, "dense", 1),
+            ("localization", "b_profiles_meta.json", FIELD_MODEL, "hermitian", 1),
             # the preset's sweep (kx_n=2) and its four profile momenta
             ("reproduce", "b_fig4_meta.json", "preset: fig4", "chiral", 6),
             ("reproduce", "b_fig7_meta.json", "preset: fig7", "dense", 6),
+            ("reproduce", "b_fig6a_meta.json", "preset: fig6a", "hermitian", 2),
         ],
     )
     def test_meta_counts_strip_solves_by_path(self, tmp_path, command, meta, setting, path, count):
         grid = TestBlasThreadsMeta.GRID.format(out=tmp_path)
         run_command(parse_config(f"command: {command}\n{setting}" + grid))
         solves = json.loads((tmp_path / meta).read_text())["strip_solves"]
-        assert solves == {"chiral": 0, "dense": 0, "dense_fallback": 0, path: count}
+        assert solves == {"hermitian": 0, "chiral": 0, "dense": 0, "dense_fallback": 0, path: count}
 
 
 class TestBlochSpectrumPipeline:
     def test_one_grid_build_and_one_eigensolve(self, tmp_path, monkeypatch):
+        # MINIMAL has real couplings: a Hermitian model, solved by eigh
+        self._check_one_solve(tmp_path, monkeypatch, MINIMAL, "eigh")
+
+    def test_complex_model_solved_by_eig(self, tmp_path, monkeypatch):
+        config = MINIMAL.replace("[1, 0]]", "{mod: 1, phase_over_pi: 0.25}]")
+        self._check_one_solve(tmp_path, monkeypatch, config, "eig")
+
+    def _check_one_solve(self, tmp_path, monkeypatch, config, solver):
         from majorana_nh import eigen, pipelines
 
-        calls = {"grid": [], "eig": []}
-        real_grid, real_eig = pipelines.bloch_matrix_grid, eigen.eig
+        calls = {"grid": [], "eig": [], "eigh": []}
+        real_grid = pipelines.bloch_matrix_grid
 
         def grid(model, ks):
             calls["grid"].append(np.shape(ks))
             return real_grid(model, ks)
 
-        def eig(matrix, *args, **kwargs):
-            calls["eig"].append(np.shape(matrix))
-            return real_eig(matrix, *args, **kwargs)
+        def recording(name):
+            real = getattr(eigen, name)
+
+            def solve(matrix, *args, **kwargs):
+                calls[name].append(np.shape(matrix))
+                return real(matrix, *args, **kwargs)
+
+            monkeypatch.setattr(eigen, name, solve)
 
         monkeypatch.setattr(pipelines, "bloch_matrix_grid", grid)
-        monkeypatch.setattr(eigen, "eig", eig)
-        cfg = parse_config(MINIMAL + f"grid:\n  bz_n: 8\noutput:\n  directory: {tmp_path}\n  prefix: b\n")
+        recording("eig")
+        recording("eigh")
+        cfg = parse_config(config + f"grid:\n  bz_n: 8\noutput:\n  directory: {tmp_path}\n  prefix: b\n")
         run_command(cfg)
-        assert calls == {"grid": [(64, 2)], "eig": [(64, 6, 6)]}
+        assert calls == {"grid": [(64, 2)], "eig": [], "eigh": [], solver: [(64, 6, 6)]}
         lines = (tmp_path / "b_bloch.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 64 * 6
+        im_e = [float(line.split(",")[4]) for line in lines[1:]]
+        assert (max(map(abs, im_e)) == 0.0) == (solver == "eigh")
 
 
 class TestEPMetadata:

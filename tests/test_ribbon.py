@@ -263,7 +263,7 @@ class TestStripSolverContract:
         spec = RibbonSpec(w=w, boundary_y=boundary, k_x=kx, model=model)
         h = build_ribbon(spec)
         s = diagonalize_ribbon(spec)
-        assert s.path in ("chiral", "dense_fallback")
+        assert s.path in (("hermitian",) if model.hermitian else ("chiral", "dense_fallback"))
         norm = max(1.0, np.linalg.norm(h, "fro"))
         dense = eig(h).eigenvalues
         assert match_eigenvalue_sets(s.eigenvalues, dense) <= 1e-9 * norm
@@ -273,6 +273,83 @@ class TestStripSolverContract:
             # each eigenvector lives on a single flavour
             support = np.abs(v).reshape(-1, 3, s.n).sum(axis=0) > 0
             assert (support.sum(axis=0) == 1).all()
+
+    @settings(max_examples=60)
+    @given(
+        variant=st.sampled_from(list(Variant)),
+        j=st.tuples(*[st.floats(-2.2, 2.2)] * 3),
+        second=st.floats(-0.6, 0.6),
+        field=st.tuples(*[st.floats(-0.8, 0.8)] * 3),
+        with_field=st.booleans(),
+        scale=st.sampled_from(["raw", "half"]),
+        w=st.integers(2, 12),
+        boundary=st.sampled_from(ribbon.BOUNDARIES),
+        kx=st.floats(-np.pi, np.pi),
+    )
+    def test_hermitian_path_matches_dense(
+        self, variant, j, second, field, with_field, scale, w, boundary, kx
+    ):
+        # real couplings declare a Hermitian strip, solved by eigh: real
+        # eigenvalues, orthonormal vectors, the dense strip matrix's spectrum
+        extra = {
+            Variant.PURE_YL: {},
+            Variant.K_MODEL: {"k_coupling": second},
+            Variant.GAMMA_MODEL: {"gamma": second},
+            Variant.MAG_MODEL: {"d": second, "b_field": field if with_field else (0, 0, 0)},
+        }[variant]
+        model = ModelConfig(variant, Coupling3(*j), energy_scale=scale, **extra)
+        assert model.hermitian
+        spec = RibbonSpec(w=w, boundary_y=boundary, k_x=kx, model=model)
+        h = build_ribbon(spec)
+        s = diagonalize_ribbon(spec)
+        assert s.path == "hermitian"
+        assert (s.eigenvalues.imag == 0.0).all()
+        assert not s.defective_flags.any()
+        norm = max(1.0, np.linalg.norm(h, "fro"))
+        assert match_eigenvalue_sets(s.eigenvalues, eig(h).eigenvalues) <= 1e-9 * norm
+        v = s.right_vectors
+        assert (np.linalg.norm(h @ v - v * s.eigenvalues, axis=0) / norm).max() <= eigen.default_tol(6 * w)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(s.n), atol=1e-12)
+        if ribbon.species(model) is not None:
+            # each eigenvector lives on a single flavour
+            support = np.abs(v).reshape(-1, 3, s.n).sum(axis=0) > 0
+            assert (support.sum(axis=0) == 1).all()
+
+    @settings(max_examples=60)
+    @given(
+        variant=st.sampled_from(list(Variant)),
+        j=st.tuples(*[st.floats(-2.2, 2.2)] * 3),
+        second=st.floats(-0.6, 0.6),
+        field=st.tuples(*[st.floats(-0.8, 0.8)] * 3),
+        w=st.integers(2, 8),
+        kx=st.floats(-np.pi, np.pi),
+        k=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+        pick=st.integers(0, 3),
+        imag=st.floats(0.1, 1.0),
+    )
+    def test_hermitian_declaration_matches_matrices(self, variant, j, second, field, w, kx, k, pick, imag):
+        # the declaration holds exactly when the strip and Bloch matrices are
+        # Hermitian; an imaginary part on any one coupling breaks both
+        def model(couplings):
+            extra = {
+                Variant.PURE_YL: {},
+                Variant.K_MODEL: {"k_coupling": couplings[3]},
+                Variant.GAMMA_MODEL: {"gamma": couplings[3]},
+                Variant.MAG_MODEL: {"d": second, "b_field": field},
+            }[variant]
+            return ModelConfig(variant, Coupling3(*couplings[:3]), **extra)
+
+        def hermiticity_gap(m):
+            h = build_ribbon(RibbonSpec(w=w, boundary_y="open", k_x=kx, model=m))
+            g = bloch_matrix_grid(m, np.array([k, (0.3, -1.1)]))
+            return max(np.abs(h - h.conj().T).max(), np.abs(g - g.conj().swapaxes(-1, -2)).max())
+
+        real = [*j, second]
+        assert model(real).hermitian and hermiticity_gap(model(real)) <= 1e-13
+        # pure YL and field+DMI carry only the three j couplings
+        pick %= 4 if variant in (Variant.K_MODEL, Variant.GAMMA_MODEL) else 3
+        real[pick] += 1j * imag
+        assert not model(real).hermitian and hermiticity_gap(model(real)) > 1e-13
 
 
 class TestLocalizationProfile:
@@ -455,19 +532,27 @@ class TestSweepAndSummary:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_worker_error_keeps_its_object(self, monkeypatch, blas_at_two, threads):
+        model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, E3))
+        self._check_worker_error(monkeypatch, threads, "eig_chiral", model)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_hermitian_worker_error_keeps_its_object(self, monkeypatch, blas_at_two, threads):
+        model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
+        self._check_worker_error(monkeypatch, threads, "eigh", model)
+
+    def _check_worker_error(self, monkeypatch, threads, solver, model):
         # a solver failure at one k_x surfaces as the same exception object,
         # its best-effort result kept and its message naming the k_x; BLAS
         # ran at one thread in the solve and is back at its count afterwards
-        model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
         s = eig(np.eye(2))
         in_solve = []
 
-        def failing_eig(b, c, tol=None):
+        def failing_eig(*matrices, tol=None):
             in_solve.append(self.blas_counts())
             raise ConvergenceError("residual target missed", result=s)
 
         before = self.blas_counts()
-        monkeypatch.setattr(eigen, "eig_chiral", failing_eig)
+        monkeypatch.setattr(eigen, solver, failing_eig)
         with pytest.raises(ConvergenceError, match=r"^k_x = 0\.5: residual target missed$") as info:
             sweep(model, 6, [0.5], threads=threads)
         assert info.value.result is s
