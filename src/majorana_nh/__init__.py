@@ -43,9 +43,9 @@ from .ep import (
 from .ribbon import (
     ClassifierThresholds,
     CloudIntervals,
-    LocalizationRecord,
     NHSESummary,
     RibbonSpec,
+    STATE_DTYPE,
     SweepResult,
     build_ribbon,
     diagonalize_ribbon,

@@ -24,7 +24,6 @@ from .models import (
     ModelConfig,
     bloch_matrix_grid,
     branch_sqrt,
-    flavour_bond_table,
     species,
     structure_factor,
     triangle_test,
@@ -839,8 +838,7 @@ def _arc_trace_coupled(model, grid_n, counters=None):
     eps = ep_scan(model, grid_n=max(64, grid_n // 2), confirmed_only=True, counters=counters)
 
     hs = bloch_matrix_grid(model, ks)
-    has_onsite = bool(np.count_nonzero(flavour_bond_table(model).onsite))
-    if not has_onsite:
+    if model.bond_only:
         # bond-only: bands come in +-sqrt(z) pairs, z from the 3x3 block product
         a_idx, b_idx = np.array([0, 2, 4]), np.array([1, 3, 5])
         bb = hs[..., a_idx[:, None], b_idx[None, :]]

@@ -144,8 +144,10 @@ def write_svg_scatter(
 ):
     """Scatter plot of ``groups = [(label, xs, ys), ...]``, first group drawn first.
 
-    A group whose ``ys`` has shape (n, 2) is drawn as n vertical bars from
-    ``ys[i, 0]`` to ``ys[i, 1]`` at ``xs[i]``, all in one ``<path>``.
+    Each group is one ``<path>`` of round-capped vertical strokes, of width
+    ``2 * point_radius``: a group whose ``ys`` has shape (n, 2) is drawn as n
+    bars from ``ys[i, 0]`` to ``ys[i, 1]`` at ``xs[i]``, one with 1-D ``ys``
+    as n zero-length bars, i.e. dots of radius ``point_radius``.
     Deterministic output: no timestamps, ids, or library version strings.
     """
     width, height = size
@@ -197,17 +199,13 @@ def write_svg_scatter(
     for label, xs, ys in groups:
         colour = CLASS_COLOURS.get(label, CLASS_COLOURS[None])
         xs, ys = np.asarray(xs, float), np.asarray(ys, float)
-        if ys.ndim == 2:
-            d = "".join(f"M{sx(x):.2f} {sy(lo):.2f}V{sy(hi):.2f}" for x, (lo, hi) in zip(xs, ys))
-            parts.append(
-                f'<path d="{d}" fill="none" stroke="{colour}" stroke-opacity="0.8" '
-                f'stroke-width="{2 * point_radius}" stroke-linecap="round"/>'
-            )
-        else:
-            pts = []
-            for x, y in zip(xs, ys):
-                pts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="{point_radius}"/>')
-            parts.append(f'<g fill="{colour}" fill-opacity="0.8">' + "".join(pts) + "</g>")
+        if ys.ndim == 1:  # a point is a zero-length bar, drawn as a round dot
+            ys = np.stack([ys, ys], axis=-1)
+        d = "".join(f"M{sx(x):.2f} {sy(lo):.2f}V{sy(hi):.2f}" for x, (lo, hi) in zip(xs, ys))
+        parts.append(
+            f'<path d="{d}" fill="none" stroke="{colour}" stroke-opacity="0.8" '
+            f'stroke-width="{2 * point_radius}" stroke-linecap="round"/>'
+        )
         if label is not None:
             parts.append(
                 f'<circle cx="{margin + 10:.1f}" cy="{legend_y:.1f}" r="3" fill="{colour}"/>'

@@ -46,8 +46,17 @@ def _metadata(cfg: RunConfig, extra: dict | None = None) -> dict:
 
 
 def _energy(e) -> dict:
-    """The ``re_E``, ``im_E`` and ``abs_E`` columns of one eigenvalue."""
-    return {"re_E": e.real, "im_E": e.imag, "abs_E": abs(e)}
+    """The ``re_E``, ``im_E`` and ``abs_E`` columns of an eigenvalue array.
+
+    |E| is ``hypot(Re E, Im E)``, which is Python's ``abs`` of a complex
+    number; ``np.abs`` of complex128 can differ from it in the last bit.
+    """
+    return {"re_E": e.real, "im_E": e.imag, "abs_E": np.hypot(e.real, e.imag)}
+
+
+def _rows(columns: dict) -> list[dict]:
+    """Table rows from equal-length column arrays, values as Python scalars."""
+    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
 
 def run_bloch_spectrum(cfg: RunConfig) -> list[Path]:
@@ -59,11 +68,11 @@ def run_bloch_spectrum(cfg: RunConfig) -> list[Path]:
     solve = eigen.eigh if cfg.model.hermitian else eigen.eig
     spectra = solve(bloch_matrix_grid(cfg.model, ks)).eigenvalues
     closed_ok = closed_form_spectrum(cfg.model, (0.0, 0.0)) is not None
-    rows = [
-        {"k_x": float(k[0]), "k_y": float(k[1]), "state_index": i, **_energy(e)}
-        for k, vals in zip(ks, spectra)
-        for i, e in enumerate(vals)
-    ]
+    n = spectra.shape[-1]
+    rows = _rows(
+        {"k_x": np.repeat(ks[:, 0], n), "k_y": np.repeat(ks[:, 1], n),
+         "state_index": np.tile(np.arange(n), len(ks)), **_energy(spectra.ravel())}
+    )
     meta = _metadata(cfg, {"closed_form_available": closed_ok})
     return export_table(
         cfg.output.directory,
@@ -132,10 +141,7 @@ def run_arc_trace(cfg: RunConfig) -> list[Path]:
     )
     if cfg.output.svg and rows:
         svg = Path(cfg.output.directory) / f"{cfg.output.prefix}_arcs.svg"
-        groups = [
-            (None, [r["k_x"] for r in rows if r["arc_index"] == ai], [r["k_y"] for r in rows if r["arc_index"] == ai])
-            for ai in range(len(arcs))
-        ]
+        groups = [(None, arc.points[:, 0], arc.points[:, 1]) for arc in arcs]
         write_svg_scatter(svg, groups, title="spectral arcs", x_label="k_x", y_label="k_y")
         files.append(svg)
     return files
@@ -169,14 +175,15 @@ def run_skin_check(cfg: RunConfig) -> list[Path]:
 
 
 def _sweep_rows(result: ribbon.SweepResult):
-    rows = [
-        {"k_x": float(kx), "state_index": r.state_index, **_energy(r.eigenvalue),
-         "mean_row": r.mean_row, "ipr": r.ipr, "class": r.label}
-        for kx, recs in zip(result.kx_grid, result.records)
-        for r in recs
-    ]
-    rows.sort(key=lambda r: (r["k_x"], r["state_index"]))
-    return rows
+    """One row per (k_x, state) of the sweep's records, sorted by (k_x, state_index)."""
+    rec = result.records.ravel()
+    kx = np.repeat(result.kx_grid, result.records.shape[1])
+    order = np.lexsort((rec.state_index, kx))
+    rec, kx = rec[order], kx[order]
+    return _rows(
+        {"k_x": kx, "state_index": rec.state_index, **_energy(rec.eigenvalue),
+         "mean_row": rec.mean_row, "ipr": rec.ipr, "class": rec.label}
+    )
 
 
 def _summary_dict(summary: ribbon.NHSESummary) -> dict:
@@ -194,17 +201,14 @@ def _sweep_svg(path, result: ribbon.SweepResult):
     groups = []
     if result.pbc_reference is not None:
         # one |E| bar per interval of the periodic spectrum at each k_x
-        xs = [float(kx) for kx, cloud in zip(result.kx_grid, result.pbc_reference) for _ in cloud.bounds]
-        groups.append(("pbc", xs, np.concatenate([cloud.bounds for cloud in result.pbc_reference])))
-    by_class = {}
-    for kx, recs in zip(result.kx_grid, result.records):
-        for r in recs:
-            by_class.setdefault(r.label, ([], []))
-            by_class[r.label][0].append(float(kx))
-            by_class[r.label][1].append(abs(r.eigenvalue))
-    for label in sorted(by_class):
-        xs, ys = by_class[label]
-        groups.append((label, xs, ys))
+        bounds = [cloud.bounds for cloud in result.pbc_reference]
+        groups.append(("pbc", np.repeat(result.kx_grid, [len(b) for b in bounds]), np.concatenate(bounds)))
+    rec = result.records
+    kx = np.broadcast_to(result.kx_grid[:, None], rec.shape)
+    abs_e = np.abs(rec.eigenvalue)
+    for label in np.unique(rec.label):
+        mask = rec.label == label
+        groups.append((label, kx[mask], abs_e[mask]))
     write_svg_scatter(path, groups, title="strip spectrum", x_label="k_x", y_label="|E|")
 
 
@@ -241,11 +245,11 @@ def _export_sweep(cfg: RunConfig, result: ribbon.SweepResult, prefix: str, meta:
 
 def _profile_rows(idx, vals, profiles) -> list[dict]:
     """One row per (state, site) of the output of ``ribbon.edge_mode_weights``."""
-    return [
-        {"state_index": int(i), **_energy(e), "site": site + 1, "weight": float(profiles[m, site])}
-        for m, (i, e) in enumerate(zip(idx, vals))
-        for site in range(profiles.shape[1])
-    ]
+    n_states, n_sites = profiles.shape
+    return _rows(
+        {"state_index": np.repeat(idx, n_sites), **_energy(np.repeat(vals, n_sites)),
+         "site": np.tile(np.arange(1, n_sites + 1), n_states), "weight": profiles.ravel()}
+    )
 
 
 def run_ribbon_sweep(cfg: RunConfig) -> list[Path]:

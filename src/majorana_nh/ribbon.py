@@ -36,6 +36,20 @@ LOCALIZATION_CLASSES = (
     "extended",
 )
 
+#: one strip eigenstate at one k_x, as classified by :func:`localization_profile`
+STATE_DTYPE = np.dtype(
+    [
+        ("state_index", np.int64),
+        ("eigenvalue", np.complex128),
+        ("mean_row", np.float64),
+        ("ipr", np.float64),
+        ("mass_bottom", np.float64),
+        ("mass_top", np.float64),
+        ("cloud_distance", np.float64),
+        ("label", f"U{max(map(len, LOCALIZATION_CLASSES))}"),
+    ]
+)
+
 
 @dataclass(frozen=True)
 class RibbonSpec:
@@ -219,18 +233,6 @@ class ClassifierThresholds:
     edge_cap: int = 6
 
 
-@dataclass(frozen=True)
-class LocalizationRecord:
-    state_index: int
-    eigenvalue: complex
-    mean_row: float
-    ipr: float
-    mass_bottom: float
-    mass_top: float
-    cloud_distance: float
-    label: str
-
-
 def site_weights(spectrum: eigen.Spectrum, w: int) -> np.ndarray:
     """Per-site probability weights, flavours summed: shape (2w, n_states)."""
     n = spectrum.n
@@ -245,8 +247,8 @@ def localization_profile(
     w: int,
     pbc_cloud: CloudIntervals | None = None,
     thresholds: ClassifierThresholds = ClassifierThresholds(),
-) -> list[LocalizationRecord]:
-    """Classify every eigenstate of a strip spectrum.
+) -> np.recarray:
+    """Classify every eigenstate of a strip spectrum: one :data:`STATE_DTYPE` record each.
 
     ``pbc_cloud`` holds the |E| intervals of the fully periodic spectrum at
     the same k_x; distances are measured between |E| values, matching how
@@ -265,47 +267,34 @@ def localization_profile(
     mass_bottom = ws[:n_outer].sum(axis=0)
     mass_top = ws[-n_outer:].sum(axis=0)
 
+    e = spectrum.eigenvalues
     if pbc_cloud is None:
         dist = np.full(spectrum.n, np.inf)
     else:
-        dist = pbc_cloud.distance(np.abs(spectrum.eigenvalues))
+        dist = pbc_cloud.distance(np.abs(e))
 
     localized = (mass_bottom + mass_top >= thresholds.edge_mass) | (
         ipr * n_sites >= thresholds.ipr_factor
     )
     # boundary modes: the states farthest off the reference cloud, at most one
     # band per species per edge; off a real cloud a state needs no localization
-    # to qualify, without one it does
-    edge_idx = set()
-    candidates = [
-        i
-        for i in range(spectrum.n)
-        if (pbc_cloud is not None or localized[i]) and dist[i] > thresholds.cloud_tol
-    ]
-    candidates.sort(key=lambda i: (-dist[i], abs(spectrum.eigenvalues[i]), i))
-    edge_idx.update(candidates[: thresholds.edge_cap])
+    # to qualify, without one it does.  Ties in distance go to the smaller |E|,
+    # then the lower index.
+    candidates = np.flatnonzero(
+        ((pbc_cloud is not None) | localized) & (dist > thresholds.cloud_tol)
+    )
+    order = np.lexsort((candidates, np.hypot(e.real, e.imag)[candidates], -dist[candidates]))
+    edge = np.zeros(spectrum.n, dtype=bool)
+    edge[candidates[order[: thresholds.edge_cap]]] = True
 
-    records = []
-    for i in range(spectrum.n):
-        if localized[i] or i in edge_idx:
-            side = "bottom" if mass_bottom[i] >= mass_top[i] else "top"
-            kind = "edge" if i in edge_idx else "bulk_localized"
-            label = f"{kind}_{side}"
-        else:
-            label = "extended"
-        records.append(
-            LocalizationRecord(
-                state_index=i,
-                eigenvalue=complex(spectrum.eigenvalues[i]),
-                mean_row=float(mean_row[i]),
-                ipr=float(ipr[i]),
-                mass_bottom=float(mass_bottom[i]),
-                mass_top=float(mass_top[i]),
-                cloud_distance=float(dist[i]),
-                label=label,
-            )
-        )
-    return records
+    # index into LOCALIZATION_CLASSES: edge before bulk-localized, bottom
+    # (ties included) before top, extended last
+    code = np.where(localized | edge, 2 * ~edge + (mass_bottom < mass_top), 4)
+    return np.rec.fromarrays(
+        [np.arange(spectrum.n), e, mean_row, ipr, mass_bottom, mass_top, dist,
+         np.asarray(LOCALIZATION_CLASSES)[code]],
+        dtype=STATE_DTYPE,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -388,7 +377,7 @@ class SweepResult:
     w: int
     boundary_y: str
     kx_grid: np.ndarray
-    records: list  # list (per k_x) of lists of LocalizationRecord
+    records: np.recarray  # (n_kx, n) of STATE_DTYPE, one row per k_x of the grid
     pbc_reference: list | None  # per k_x, the CloudIntervals of the periodic spectrum
     thresholds: ClassifierThresholds
     max_residual: float
@@ -443,7 +432,7 @@ def sweep(
         w=w,
         boundary_y=boundary_y,
         kx_grid=kx_grid,
-        records=[r[0] for r in results],
+        records=np.stack([r[0] for r in results]).view(np.recarray),
         pbc_reference=[r[1] for r in results] if pbc_reference else None,
         thresholds=thresholds,
         max_residual=max(r[2] for r in results),
@@ -537,52 +526,31 @@ def nhse_summary(result: SweepResult, nhse_fraction: float = 0.05, delta_floor: 
     if result.pbc_reference is None:
         raise ValueError("NHSE summary needs a sweep with a PBC reference cloud")
 
-    per_kx = []
-    total_bulk = total_bulk_localized = 0
-    for kx, recs in zip(result.kx_grid, result.records):
-        bulk = [r for r in recs if not r.label.startswith("edge")]
-        n_bulk = len(bulk)
-        n_bot = sum(r.label == "bulk_localized_bottom" for r in bulk)
-        n_top = sum(r.label == "bulk_localized_top" for r in bulk)
-        n_ext = sum(r.label == "extended" for r in bulk)
-        delta = (
-            float(np.mean([r.mass_bottom - r.mass_top for r in bulk])) if bulk else 0.0
-        )
-        per_kx.append(
-            KxSummary(
-                k_x=float(kx),
-                n_edge=len(recs) - n_bulk,
-                n_bulk=n_bulk,
-                frac_bottom=n_bot / n_bulk if n_bulk else 0.0,
-                frac_top=n_top / n_bulk if n_bulk else 0.0,
-                frac_extended=n_ext / n_bulk if n_bulk else 0.0,
-                delta_mass=delta,
-            )
-        )
-        total_bulk += n_bulk
-        total_bulk_localized += n_bot + n_top
+    rec = result.records
+    bulk = ~np.char.startswith(rec.label, "edge")
+    n_bulk = bulk.sum(axis=1)
+    counts = np.stack([(rec.label == c).sum(axis=1) for c in LOCALIZATION_CLASSES[2:]], axis=-1)
+    fracs = counts / np.maximum(n_bulk, 1)[:, None]  # all counts are 0 where n_bulk is
+    # a 1-D mean per k_x: the bulk states' (bottom - top) mass summed in state order
+    mass_diff = rec.mass_bottom - rec.mass_top
+    deltas = np.array([d[b].mean() if b.any() else 0.0 for d, b in zip(mass_diff, bulk)])
+    columns = (result.kx_grid.tolist(), n_bulk.tolist(), fracs.tolist(), deltas.tolist())
+    per_kx = [KxSummary(kx, rec.shape[1] - nb, nb, *fr, delta) for kx, nb, fr, delta in zip(*columns)]
+    total_bulk = int(n_bulk.sum())
+    frac = int(counts[:, :2].sum()) / total_bulk if total_bulk else 0.0
 
-    frac = total_bulk_localized / total_bulk if total_bulk else 0.0
-
-    # boundary flips: sign changes of delta_mass along the periodic k_x grid
-    order = np.argsort([s.k_x for s in per_kx])
-    kxs = np.asarray([per_kx[i].k_x for i in order])
-    deltas = np.asarray([per_kx[i].delta_mass for i in order])
-    keep = np.abs(deltas) > delta_floor
-    flips = []
-    if keep.sum() >= 2:
-        idx = np.flatnonzero(keep)
-        pairs = list(zip(idx[:-1], idx[1:])) + [(idx[-1], idx[0])]
-        for i, j in pairs:
-            di, dj = deltas[i], deltas[j]
-            if di * dj < 0.0:
-                ki, kj = kxs[i], kxs[j]
-                if j <= i:  # wrap pair
-                    kj = kj + 2.0 * np.pi
-                k_cross = ki + (kj - ki) * di / (di - dj)
-                k_cross = math.remainder(k_cross, 2.0 * math.pi)
-                flips.append(float(k_cross))
-    flips.sort()
+    # boundary flips: sign changes of delta_mass between neighbours above the
+    # noise floor, along the k_x grid taken as periodic
+    order = np.argsort(result.kx_grid)
+    kxs, deltas = result.kx_grid[order], deltas[order]
+    keep = np.flatnonzero(np.abs(deltas) > delta_floor)
+    nxt = np.roll(keep, -1)
+    cross = deltas[keep] * deltas[nxt] < 0.0
+    i, j = keep[cross], nxt[cross]
+    di, dj = deltas[i], deltas[j]
+    ki, kj = kxs[i], np.where(j <= i, kxs[j] + 2.0 * np.pi, kxs[j])  # j <= i: the wrap pair
+    k_cross = ki + (kj - ki) * di / (di - dj)
+    flips = sorted(math.remainder(k, 2.0 * math.pi) for k in k_cross.tolist())
 
     return NHSESummary(
         per_kx=per_kx,

@@ -167,7 +167,9 @@ class TestExport:
         write_svg_scatter(path, [("extended", [0, 1, 2], [0.5, 0.7, 0.2])], title="t")
         text = path.read_text()
         assert text.startswith("<svg") and text.endswith("</svg>")
-        assert text.count("<circle") >= 3
+        # the group is one path of three zero-length round-capped strokes
+        (d,) = re.findall(r'<path d="([^"]*)"', text)
+        assert d.count("M") == 3 and d.count("V") == 3
 
 
 class TestPipelineDeterminism:

@@ -446,6 +446,19 @@ class TestLocalizationProfile:
         with pytest.raises(ValueError):
             localization_profile(self._delta_spectrum(w, 0), w + 1)
 
+    def test_edge_cap_order(self):
+        # nine extended states off the cloud [2, 3] compete for six edge
+        # slots: farthest first, then the smaller |E|, then the lower index
+        w = 2
+        e = np.array([0.5, 4.0, 1.0, -4.0, 2.5, 5.0, 4j, 2.995, 1j, 3.5, -0.5, 2.0])
+        s = self._uniform_spectrum(w)
+        s = Spectrum(e, s.right_vectors, None, np.zeros(12), np.zeros(12, bool), 0.0, 1.0)
+        recs = localization_profile(s, w, CloudIntervals(bounds=np.array([[2.0, 3.0]])))
+        # distances: 5 -> 2; 0, 10 -> 1.5; 2, 8 (|E| 1) and 1, 3, 6 (|E| 4) -> 1; 9 -> 0.5
+        edge = {int(r.state_index) for r in recs if r.label.startswith("edge")}
+        assert edge == {5, 0, 10, 2, 8, 1}
+        assert set(recs.label[[3, 4, 6, 7, 9, 11]]) == {"extended"}
+
 
 class TestEdgeModeWeights:
     def test_hermitian_zero_modes_decay_from_edges(self):
@@ -579,6 +592,42 @@ class TestSweepAndSummary:
         res = sweep(model, 6, [0.5], pbc_reference=False)
         with pytest.raises(ValueError):
             nhse_summary(res)
+
+    def test_summary_of_hand_built_records(self):
+        # four k_x of four states; edge states carry large (bottom - top)
+        # masses that must stay out of delta_mass
+        kxs = np.array([-np.pi, -np.pi / 2, 0.0, np.pi / 2])
+        rec = np.zeros((4, 4), dtype=ribbon.STATE_DTYPE).view(np.recarray)
+        rec.state_index = np.arange(4)
+        rec.label = [
+            ["edge_bottom", "bulk_localized_bottom", "bulk_localized_bottom", "extended"],
+            ["extended"] * 4,
+            ["edge_top", "bulk_localized_top", "bulk_localized_top", "extended"],
+            ["edge_top", "edge_bottom", "bulk_localized_top", "extended"],
+        ]
+        rec.mass_bottom = [[0.9, 0.4, 0.4, 0.1], [0.1] * 4, [0.0, 0.1, 0.1, 0.1], [0.0, 0.9, 0.1, 0.1]]
+        rec.mass_top = [[0.0, 0.1, 0.1, 0.1], [0.1] * 4, [0.9, 0.4, 0.4, 0.1], [0.9, 0.0, 0.5, 0.1]]
+        res = ribbon.SweepResult(
+            model=ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1)),
+            w=2,
+            boundary_y="open",
+            kx_grid=kxs,
+            records=rec,
+            pbc_reference=[CloudIntervals(bounds=np.array([[0.0, 1.0]]))] * 4,
+            thresholds=ribbon.ClassifierThresholds(),
+            max_residual=0.0,
+            strip_solves={},
+        )
+        summ = nhse_summary(res)
+        assert [(s.n_edge, s.n_bulk) for s in summ.per_kx] == [(1, 3), (0, 4), (1, 3), (2, 2)]
+        assert [(s.frac_bottom, s.frac_top, s.frac_extended) for s in summ.per_kx] == pytest.approx(
+            [(2 / 3, 0, 1 / 3), (0, 0, 1), (0, 2 / 3, 1 / 3), (0, 0.5, 0.5)]
+        )
+        assert [s.delta_mass for s in summ.per_kx] == pytest.approx([0.2, 0.0, -0.2, -0.2])
+        assert summ.bulk_localized_fraction == pytest.approx(5 / 12)
+        assert summ.nhse_present
+        # one sign change inside the grid, one across the wrap from pi/2 to -pi + 2 pi
+        assert summ.flip_kx == pytest.approx([-np.pi / 2, 3 * np.pi / 4])
 
     def test_k_model_skin_consistency_small(self, rng):
         # summary verdict against the phase-asymmetry criterion on clearly
