@@ -377,9 +377,11 @@ def _parse_formats(located, name):
     if not isinstance(v, list):
         _err(f"{name}: expected a list of formats", located)
     formats = tuple(_as_str(x, name) for x in v)
-    for fmt in formats:
+    for i, fmt in enumerate(formats):
         if fmt not in ("csv", "json", "ndjson"):
             _err(f"{name}: unknown format {fmt!r}", located)
+        if fmt in formats[:i]:
+            _err(f"{name}: format {fmt!r} listed twice", located)
     return formats
 
 

@@ -2,9 +2,13 @@
 
 Every export writes the data files plus one ``<prefix>_meta.json`` carrying
 the fully resolved run configuration, so a run can be reproduced from its own
-output.  Floats are written with 17 significant digits (lossless for binary64)
-and row order is deterministic, which makes repeated single-threaded runs
-byte-identical.
+output.  A table is held as columns: the CSV is written through one
+``%``-format string per table, the table JSON is one columnar document
+(``{"columns", "data", "metadata"}``) encoded by the C ``json`` encoder, and
+the NDJSON rows are built from the same columns.  CSV floats carry 17
+significant digits; JSON and NDJSON floats use Python's shortest round-trip
+repr.  Both are lossless for binary64, and row order is deterministic, which
+makes repeated single-threaded runs byte-identical.
 """
 
 from __future__ import annotations
@@ -50,10 +54,39 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_cell(row.get(c)) for c in columns))
+#: ``%`` conversion per column kind; other columns are written as ``_cell`` strings
+_CSV_SPECS = {"f": "%.17g", "i": "%d", "s": "%s"}
+
+#: column kind of a numpy dtype kind, for arrays whose kind fixes their cells' type
+_DTYPE_KINDS = {"f": "f", "i": "i", "u": "i", "b": "i", "U": "s"}
+
+
+def _column(values) -> tuple[list, str]:
+    """One table column as Python scalars, plus its kind: ``f``, ``i``, ``s`` or ``O``.
+
+    ``f`` (float), ``i`` (int or bool) and ``s`` (str) columns have one type
+    throughout; ``O`` (object) is any other mix, such as ``None`` beside ints.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in _DTYPE_KINDS:
+        return values.tolist(), _DTYPE_KINDS[values.dtype.kind]
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    for kind, types in (("f", float), ("i", (int, np.integer)), ("s", str)):
+        if all(isinstance(v, types) for v in values):
+            return values, kind
+    return values, "O"
+
+
+def write_csv(path: Path, table: dict):
+    """CSV of ``table = {name: (values, kind)}`` through one ``%``-format string.
+
+    ``"%.17g" % x`` and ``"%d" % n`` give the bytes of :func:`_cell`
+    (nan, inf and -0 included; bools print 1 and 0), so only object columns
+    are converted cell by cell.
+    """
+    fmt = ",".join(_CSV_SPECS.get(kind, "%s") for _, kind in table.values())
+    cells = [vals if kind in _CSV_SPECS else [_cell(v) for v in vals] for vals, kind in table.values()]
+    lines = [",".join(table)]
+    lines += [fmt % row for row in zip(*cells)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -71,14 +104,26 @@ class _FloatEncoder(json.JSONEncoder):
 
 
 def write_json(path: Path, payload):
+    """Indented JSON, for the small ``_meta.json`` and ``_report.json`` documents."""
     path.write_text(
         json.dumps(payload, cls=_FloatEncoder, indent=1, sort_keys=True) + "\n",
         encoding="utf-8",
     )
 
 
-def write_ndjson(path: Path, rows):
-    lines = [json.dumps(row, cls=_FloatEncoder, sort_keys=True) for row in rows]
+def write_table_json(path: Path, table: dict, metadata: dict):
+    """Columnar table JSON in one compact ``json.dumps``, so the C encoder runs."""
+    doc = {"columns": list(table), "data": {c: vals for c, (vals, _) in table.items()}, "metadata": metadata}
+    path.write_text(
+        json.dumps(doc, cls=_FloatEncoder, sort_keys=True, separators=(",", ":")) + "\n",
+        encoding="utf-8",
+    )
+
+
+def write_ndjson(path: Path, table: dict):
+    encode = _FloatEncoder(sort_keys=True).encode
+    names = list(table)
+    lines = [encode(dict(zip(names, row))) for row in zip(*(vals for vals, _ in table.values()))]
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -90,24 +135,33 @@ def export_table(
     metadata: dict,
     formats=("csv", "json"),
 ) -> list[Path]:
-    """Write one tabular result in the selected formats plus metadata."""
+    """Write one table in the selected formats plus metadata.
+
+    ``rows`` is either a dict of column name to 1-D array or sequence, or a
+    list of row dicts (a missing cell is ``None``); only the names in
+    ``columns`` are written, in that order.
+    """
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory {out_dir}: {exc}") from exc
 
+    if isinstance(rows, dict):
+        table = {c: _column(rows[c]) for c in columns}
+    else:
+        table = {c: _column([row.get(c) for row in rows]) for c in columns}
     written = []
     for fmt in formats:
         if fmt == "csv":
             p = out_dir / f"{prefix}.csv"
-            write_csv(p, columns, rows)
+            write_csv(p, table)
         elif fmt == "json":
             p = out_dir / f"{prefix}.json"
-            write_json(p, {"metadata": metadata, "columns": list(columns), "rows": rows})
+            write_table_json(p, table, metadata)
         elif fmt == "ndjson":
             p = out_dir / f"{prefix}.ndjson"
-            write_ndjson(p, rows)
+            write_ndjson(p, table)
         else:
             raise ConfigurationError(f"unknown export format {fmt!r}")
         written.append(p)

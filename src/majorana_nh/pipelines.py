@@ -54,11 +54,6 @@ def _energy(e) -> dict:
     return {"re_E": e.real, "im_E": e.imag, "abs_E": np.hypot(e.real, e.imag)}
 
 
-def _rows(columns: dict) -> list[dict]:
-    """Table rows from equal-length column arrays, values as Python scalars."""
-    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
-
-
 def run_bloch_spectrum(cfg: RunConfig) -> list[Path]:
     """Eigenvalues over the ``ep-find`` zone grid: one batched build, one stacked solve.
 
@@ -69,16 +64,14 @@ def run_bloch_spectrum(cfg: RunConfig) -> list[Path]:
     spectra = solve(bloch_matrix_grid(cfg.model, ks)).eigenvalues
     closed_ok = closed_form_spectrum(cfg.model, (0.0, 0.0)) is not None
     n = spectra.shape[-1]
-    rows = _rows(
-        {"k_x": np.repeat(ks[:, 0], n), "k_y": np.repeat(ks[:, 1], n),
-         "state_index": np.tile(np.arange(n), len(ks)), **_energy(spectra.ravel())}
-    )
+    table = {"k_x": np.repeat(ks[:, 0], n), "k_y": np.repeat(ks[:, 1], n),
+             "state_index": np.tile(np.arange(n), len(ks)), **_energy(spectra.ravel())}
     meta = _metadata(cfg, {"closed_form_available": closed_ok})
     return export_table(
         cfg.output.directory,
         cfg.output.prefix + "_bloch",
         SPECTRUM_COLUMNS[:6],
-        rows,
+        table,
         meta,
         cfg.output.formats,
     )
@@ -174,16 +167,14 @@ def run_skin_check(cfg: RunConfig) -> list[Path]:
     )
 
 
-def _sweep_rows(result: ribbon.SweepResult):
-    """One row per (k_x, state) of the sweep's records, sorted by (k_x, state_index)."""
+def _sweep_rows(result: ribbon.SweepResult) -> dict:
+    """Sweep table columns, one entry per (k_x, state), sorted by (k_x, state_index)."""
     rec = result.records.ravel()
     kx = np.repeat(result.kx_grid, result.records.shape[1])
     order = np.lexsort((rec.state_index, kx))
     rec, kx = rec[order], kx[order]
-    return _rows(
-        {"k_x": kx, "state_index": rec.state_index, **_energy(rec.eigenvalue),
-         "mean_row": rec.mean_row, "ipr": rec.ipr, "class": rec.label}
-    )
+    return {"k_x": kx, "state_index": rec.state_index, **_energy(rec.eigenvalue),
+            "mean_row": rec.mean_row, "ipr": rec.ipr, "class": rec.label}
 
 
 def _summary_dict(summary: ribbon.NHSESummary) -> dict:
@@ -243,13 +234,11 @@ def _export_sweep(cfg: RunConfig, result: ribbon.SweepResult, prefix: str, meta:
     return files
 
 
-def _profile_rows(idx, vals, profiles) -> list[dict]:
-    """One row per (state, site) of the output of ``ribbon.edge_mode_weights``."""
+def _profile_rows(idx, vals, profiles) -> dict:
+    """Weight table columns, one entry per (state, site) of ``ribbon.edge_mode_weights``."""
     n_states, n_sites = profiles.shape
-    return _rows(
-        {"state_index": np.repeat(idx, n_sites), **_energy(np.repeat(vals, n_sites)),
-         "site": np.tile(np.arange(1, n_sites + 1), n_states), "weight": profiles.ravel()}
-    )
+    return {"state_index": np.repeat(idx, n_sites), **_energy(np.repeat(vals, n_sites)),
+            "site": np.tile(np.arange(1, n_sites + 1), n_states), "weight": profiles.ravel()}
 
 
 def run_ribbon_sweep(cfg: RunConfig) -> list[Path]:

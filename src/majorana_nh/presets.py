@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import eigen, ribbon
 from .config import RunConfig, model_dict
 from .errors import ConfigurationError
@@ -202,13 +204,13 @@ def run_reproduce(cfg: RunConfig) -> list[Path]:
     out_dir = Path(cfg.output.directory)
     prefix = f"{cfg.output.prefix}_{preset.preset_id}"
     solves = dict(result.strip_solves)
-    rows = []
+    tables = []
     if preset.kind == "profiles":
         for kx in PROFILE_KX:
             idx, vals, profiles = ribbon.edge_mode_weights(
                 preset.model, w, kx, states=None, normalization="linear", solves=solves
             )
-            rows += [{"k_x": kx, **row} for row in _profile_rows(idx, vals, profiles)]
+            tables.append({"k_x": np.full(profiles.size, kx), **_profile_rows(idx, vals, profiles)})
     meta = _metadata(
         cfg,
         {
@@ -222,9 +224,9 @@ def run_reproduce(cfg: RunConfig) -> list[Path]:
     if preset.kind == "sweep":
         files = _export_sweep(cfg, result, prefix, meta)
     else:
-        files = export_table(
-            out_dir, prefix, ("k_x",) + WEIGHT_COLUMNS, rows, meta, cfg.output.formats
-        )
+        columns = ("k_x",) + WEIGHT_COLUMNS
+        table = {c: np.concatenate([t[c] for t in tables]) for c in columns}
+        files = export_table(out_dir, prefix, columns, table, meta, cfg.output.formats)
 
     report_path = out_dir / f"{prefix}_report.json"
     write_json(report_path, report)

@@ -4,15 +4,19 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majorana_nh import ConfigurationError, Variant, parse_config
-from majorana_nh.export import export_table, fmt_float, write_svg_scatter
+from majorana_nh.export import _cell, export_table, fmt_float, write_svg_scatter
 from majorana_nh.pipelines import run_command
 from majorana_nh.presets import PRESET_IDS, get_preset
 
@@ -113,6 +117,10 @@ model:
         with pytest.raises(ConfigurationError, match="needs a preset"):
             parse_config("command: reproduce\n")
 
+    def test_duplicate_format_rejected_with_line(self):
+        with pytest.raises(ConfigurationError, match=r"format 'csv' listed twice \(line 7\)"):
+            parse_config(MINIMAL + "output:\n  formats: [csv, json, csv]\n")
+
     def test_dmi_z_mode(self):
         base = """
 command: bloch-spectrum
@@ -128,7 +136,62 @@ model:
         assert cfg.model.resolved_dmi_vectors()[2] == (-0.5, -math.sqrt(3) / 2)
 
 
+_EDGE_FLOATS = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.225073858507201e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+)
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+# cell strategy and array dtype per column kind; object columns stay lists
+_CELLS = {
+    "float": (_FLOATS, float),
+    "int": (_INT64, np.int64),
+    "bool": (st.booleans(), bool),
+    # numpy's str dtype drops trailing NULs, so none are drawn
+    "str": (st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")), str),
+    "object": (st.one_of(st.none(), _INT64, _FLOATS), None),
+}
+
+
+@st.composite
+def _tables(draw, n_rows):
+    """(columns as lists of Python scalars, the same table as export_table is given it)."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=6))
+    columns, given_columns = {}, {}
+    for i, kind in enumerate(kinds):
+        cells, dtype = _CELLS[kind]
+        values = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+        columns[f"{kind}{i}"] = values
+        as_array = dtype is not None and draw(st.booleans())
+        given_columns[f"{kind}{i}"] = np.array(values, dtype=dtype) if as_array else values
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return columns, rows if draw(st.booleans()) else given_columns
+
+
+def _bits(values):
+    """Values with each float replaced by its binary64 bytes, so -0.0 != 0.0."""
+    return [(float, struct.pack("<d", v)) if isinstance(v, float) else (type(v), v) for v in values]
+
+
 class TestExport:
+    @pytest.mark.parametrize("n_rows", [0, 1, 7])
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_formats_pin_cell_bytes(self, n_rows, data):
+        columns, table = data.draw(_tables(n_rows))
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        reference = [",".join(columns)] + [",".join(_cell(row.get(c)) for c in columns) for row in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            export_table(out, "t", tuple(columns), table, {"n": n_rows}, formats=("csv", "json", "ndjson"))
+            assert (out / "t.csv").read_bytes() == ("\n".join(reference) + "\n").encode("utf-8")
+            doc = json.loads((out / "t.json").read_bytes())
+            nd = [json.loads(line) for line in (out / "t.ndjson").read_bytes().splitlines()]
+        assert doc["columns"] == list(columns) and doc["metadata"] == {"n": n_rows}
+        assert len(nd) == n_rows
+        for c in columns:
+            assert _bits(doc["data"][c]) == _bits([row[c] for row in nd])
+
     def test_float_formatting_roundtrip(self, rng):
         for x in rng.uniform(-10, 10, 100):
             assert float(fmt_float(float(x))) == float(x)
@@ -150,15 +213,15 @@ class TestExport:
         rows = [{"x": float(v)} for v in rng.standard_normal(50)]
         export_table(tmp_path, "rt", ("x",), rows, {}, formats=("json",))
         loaded = json.loads((tmp_path / "rt.json").read_text())
-        for orig, back in zip(rows, loaded["rows"]):
-            assert back["x"] == orig["x"]
-            assert np.float64(back["x"]).tobytes() == np.float64(orig["x"]).tobytes()
+        for orig, back in zip(rows, loaded["data"]["x"]):
+            assert back == orig["x"]
+            assert np.float64(back).tobytes() == np.float64(orig["x"]).tobytes()
 
     def test_csv_json_numeric_agreement(self, tmp_path, rng):
         rows = [{"x": float(v)} for v in rng.standard_normal(20)]
         export_table(tmp_path, "agree", ("x",), rows, {}, formats=("csv", "json", "ndjson"))
         csv_vals = [float(line) for line in (tmp_path / "agree.csv").read_text().splitlines()[1:]]
-        json_vals = [r["x"] for r in json.loads((tmp_path / "agree.json").read_text())["rows"]]
+        json_vals = json.loads((tmp_path / "agree.json").read_text())["data"]["x"]
         nd_vals = [json.loads(line)["x"] for line in (tmp_path / "agree.ndjson").read_text().splitlines()]
         assert csv_vals == json_vals == nd_vals
 
@@ -202,7 +265,7 @@ output:
         # metadata differs only in the echoed output directory
         j1 = json.loads((d1 / "det_sweep.json").read_text())
         j2 = json.loads((d2 / "det_sweep.json").read_text())
-        assert j1["rows"] == j2["rows"]
+        assert j1["data"] == j2["data"]
 
     def test_sweep_rows_sorted_and_counted(self, tmp_path):
         cfg = self._cfg(tmp_path)
@@ -360,6 +423,46 @@ output:
         assert counters["candidates"] >= counters["fallbacks"] >= counters["rejected"]
         assert metas[1]["ep_refinement"] == counters
         assert (tmp_path / "a" / f"{table}.csv").read_bytes() == (tmp_path / "b" / f"{table}.csv").read_bytes()
+
+
+class TestFormatAgreement:
+    # the parent model's EP table: one species, so every flavour cell is None
+    CONFIG = """
+command: ep-find
+model:
+  variant: pure_yl
+  j: [[1, 0], [0.5213, 0], {{mod: 1.5, phase_over_pi: 0.3}}]
+grid:
+  bz_n: 32
+output:
+  directory: {out}
+  prefix: p
+  formats: [csv, json, ndjson]
+"""
+
+    @staticmethod
+    def _parse(cell, like):
+        """A CSV cell read back as the type of the JSON value ``like``."""
+        if like is None:
+            return None if cell == "" else cell
+        if isinstance(like, bool):
+            return bool(int(cell))
+        return type(like)(cell)
+
+    def test_ep_table_agrees_across_formats(self, tmp_path):
+        run_command(parse_config(self.CONFIG.format(out=tmp_path)))
+        header, *lines = (tmp_path / "p_eps.csv").read_text().splitlines()
+        doc = json.loads((tmp_path / "p_eps.json").read_text())
+        nd = [json.loads(line) for line in (tmp_path / "p_eps.ndjson").read_text().splitlines()]
+        assert lines and len(nd) == len(lines)
+        assert None in doc["data"]["flavour"]
+        assert all(isinstance(v, bool) for v in doc["data"]["confirmed"])
+        assert doc["columns"] == header.split(",")
+        for name, cells in zip(doc["columns"], zip(*(line.split(",") for line in lines))):
+            data = doc["data"][name]
+            assert data == [self._parse(cell, v) for cell, v in zip(cells, data)]
+            assert data == [row[name] for row in nd]
+        assert doc["metadata"] == json.loads((tmp_path / "p_eps_meta.json").read_text())
 
 
 class TestPresets:
@@ -568,7 +671,7 @@ output:
         assert res.returncode == 0, res.stderr
         data = json.loads((tmp_path / "skin_skin.json").read_text())
         # complex jz alone produces no intra-row asymmetry for any species
-        assert all(not row["skin_any"] for row in data["rows"])
+        assert all(not skin_any for skin_any in data["data"]["skin_any"])
         assert not data["metadata"]["skin_any_model"]
 
     def test_scale_override_recorded(self, tmp_path):
