@@ -2,7 +2,7 @@
 
 Momentum bookkeeping: besides Cartesian k this module works in bond-phase
 coordinates ``theta1 = k.M1`` and ``theta2 = -k.M2`` (the phases attached to
-the x- and y-link bond sums).  The square ``(-pi, pi]^2`` in bond-phase space
+the x- and y-link bond sums).  The square ``[-pi, pi)^2`` in bond-phase space
 is a fundamental Brillouin-zone cell, and closed-form exceptional points are
 solved there, where the arccos formulas are exact.
 """
@@ -18,6 +18,8 @@ from scipy.optimize import minimize
 
 from . import eigen
 from .models import (
+    A_IDX,
+    B_IDX,
     Coupling3,
     M1,
     M2,
@@ -53,11 +55,14 @@ def phase_grid(n: int):
     return th, np.stack([t1g, t2g], axis=-1)
 
 
+def _wrap_phase(theta):
+    """Phases wrapped into [-pi, pi)."""
+    return theta - 2.0 * np.pi * np.floor((theta + np.pi) / (2.0 * np.pi))
+
+
 def reduce_to_bz(k):
-    """Wrap a Cartesian k into the fundamental cell (bond phases in (-pi, pi])."""
-    theta = bond_phase_from_k(k)
-    theta = theta - 2.0 * np.pi * np.floor((theta + np.pi) / (2.0 * np.pi))
-    return k_from_bond_phase(theta)
+    """Wrap a Cartesian k into the fundamental cell (bond phases in [-pi, pi))."""
+    return k_from_bond_phase(_wrap_phase(bond_phase_from_k(k)))
 
 
 @dataclass(frozen=True)
@@ -179,8 +184,7 @@ def ep_closed_form(
     records = []
     seen = []
     for th1, th2, side in thetas:
-        theta = np.array([th1, th2])
-        theta = theta - 2.0 * np.pi * np.floor((theta + np.pi) / (2.0 * np.pi))
+        theta = _wrap_phase(np.array([th1, th2]))
         if any(np.allclose(theta, s, atol=1e-9) for s in seen):
             continue
         seen.append(theta.copy())
@@ -393,7 +397,7 @@ def _nelder_mead_refine(build_h, theta0, kind, scale, step):
     return res.x
 
 
-def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, max_candidates, counters):
+def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, counters):
     """Grid scan + refinement for one family of Bloch(-block) matrices.
 
     ``build_h`` maps bond-phase points of shape (..., 2) to matrices of shape
@@ -426,7 +430,7 @@ def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, max_candidates,
         flat = np.flatnonzero(mask.ravel())
         flat = flat[np.argsort(field.ravel()[flat])]
         kind = "sigma" if field is sigma else "tau"
-        for f in flat[:max_candidates]:
+        for f in flat[:MAX_SCAN_CANDIDATES]:
             cand.add((int(f), kind))
 
     step = 2.0 * np.pi / grid_n
@@ -443,7 +447,7 @@ def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, max_candidates,
         return wf[ia], wf[ib]
 
     def certify(theta):
-        theta = theta - 2.0 * np.pi * np.floor((theta + np.pi) / (2.0 * np.pi))
+        theta = _wrap_phase(theta)
         h = build_h(theta)
         return theta, h, *_pair_metrics(h)
 
@@ -483,6 +487,8 @@ def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, max_candidates,
 
 #: the coarsest zone grid :func:`ep_scan` accepts
 MIN_SCAN_GRID_N = 32
+#: the most grid candidates :func:`ep_scan` refines per field and family
+MAX_SCAN_CANDIDATES = 64
 
 
 def _block_builder(j_eff: Coupling3, scale_factor: float):
@@ -507,7 +513,6 @@ def ep_scan(
     gap_tol: float | None = None,
     overlap_tol: float = 1e-4,
     confirmed_only: bool = True,
-    max_candidates: int = 64,
     counters: RefineCounters | None = None,
 ) -> list[EPRecord]:
     """Locate spectral degeneracies of the Bloch matrix by grid scan + refinement.
@@ -541,7 +546,7 @@ def ep_scan(
     records = []
     for fl, build_h in families:
         records.extend(
-            _scan_family(build_h, grid_n, gap_tol, overlap_tol, fl, max_candidates, counters)
+            _scan_family(build_h, grid_n, gap_tol, overlap_tol, fl, counters)
         )
 
     if confirmed_only:
@@ -550,9 +555,10 @@ def ep_scan(
 
 
 def _torus_dist(p, q):
+    """Distance on the bond-phase torus between points of shape (..., 2) (broadcast)."""
     d = np.abs(np.asarray(p) - np.asarray(q))
     d = np.minimum(d, 2.0 * np.pi - d)
-    return float(np.hypot(*d))
+    return np.hypot(d[..., 0], d[..., 1])
 
 
 def _dedupe_records(records, radius):
@@ -571,51 +577,45 @@ def _dedupe_records(records, radius):
 def _marching_squares_periodic(field, axis_vals):
     """Zero contours of a scalar field sampled on a periodic square grid.
 
-    Marches every torus cell exactly once; the chained polylines are unwrapped
-    so consecutive points are continuous in the plane (coordinates may leave
-    the base window when a contour crosses the zone boundary).
+    Marches all torus cells at once, in cell order (i major); the chained
+    polylines are unwrapped so consecutive points are continuous in the plane
+    (coordinates may leave the base window when a contour crosses the zone
+    boundary).  Corner m of cell (i, j) is (i, j), (i+1, j), (i+1, j+1),
+    (i, j+1); edge m joins corners m and m+1.
     """
     n = field.shape[0]
     base = float(axis_vals[0])
     step = float(axis_vals[1] - axis_vals[0])
-    period = n * step
+    rolls = ((0, 0), (-1, 0), (-1, -1), (0, -1))
+    v = np.stack([np.roll(field, r, (0, 1)) for r in rolls], axis=-1).reshape(n * n, 4)
+    x = base + np.arange(n) * step
+    cx = np.repeat(np.stack([x, x + step, x + step, x], axis=1), n, axis=0)
+    cy = np.tile(np.stack([x, x, x + step, x + step], axis=1), (n, 1))
+    pos = v > 0.0
+    crossed = pos != np.roll(pos, -1, axis=1)
 
-    def interp(p0, p1, v0, v1):
-        t = v0 / (v0 - v1)
-        return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+    # a cell crossed twice gives the segment (first, last crossed edge); a
+    # saddle (four crossed edges) gives (0, 3), (1, 2) if its centre has
+    # corner 0's sign, else (0, 1), (2, 3)
+    saddle = crossed.all(axis=1)
+    same = (0.25 * (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3]) > 0.0) == pos[:, 0]
+    second = np.where(same, 1, 2)
+    last = np.where(saddle & ~same, 1, 3 - crossed[:, ::-1].argmax(axis=1))
+    used = np.stack([crossed.any(axis=1), saddle], axis=1)
+    cell = np.nonzero(used)[0]
 
-    segments = []
-    for i in range(n):
-        for j in range(n):
-            v = (
-                field[i, j],
-                field[(i + 1) % n, j],
-                field[(i + 1) % n, (j + 1) % n],
-                field[i, (j + 1) % n],
-            )
-            code = sum(1 << m for m in range(4) if v[m] > 0.0)
-            if code in (0, 15):
-                continue
-            x0 = base + i * step
-            y0 = base + j * step
-            corners = ((x0, y0), (x0 + step, y0), (x0 + step, y0 + step), (x0, y0 + step))
-            edges = {
-                m: interp(corners[m], corners[(m + 1) % 4], v[m], v[(m + 1) % 4])
-                for m in range(4)
-                if (v[m] > 0.0) != (v[(m + 1) % 4] > 0.0)
-            }
-            keys = sorted(edges)
-            if len(keys) == 2:
-                segments.append((edges[keys[0]], edges[keys[1]]))
-            elif len(keys) == 4:
-                center = 0.25 * sum(v)
-                if (center > 0.0) == (v[0] > 0.0):
-                    segments.append((edges[0], edges[3]))
-                    segments.append((edges[1], edges[2]))
-                else:
-                    segments.append((edges[0], edges[1]))
-                    segments.append((edges[2], edges[3]))
-    return _join_segments_torus(segments, base, period, quantum=1e-7 * step)
+    def crossing(e):
+        """(x, y) of the zero on edge e[s] of cell[s], for every segment s."""
+        f = (e + 1) % 4
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = v[cell, e] / (v[cell, e] - v[cell, f])
+            px = cx[cell, e] + t * (cx[cell, f] - cx[cell, e])
+            py = cy[cell, e] + t * (cy[cell, f] - cy[cell, e])
+        return zip(px.tolist(), py.tolist())
+
+    starts = crossing(np.stack([crossed.argmax(axis=1), second], axis=1)[used])
+    segments = list(zip(starts, crossing(np.stack([last, second + 1], axis=1)[used])))
+    return _join_segments_torus(segments, base, n * step, quantum=1e-7 * step)
 
 
 def _join_segments_torus(segments, base, period, quantum):
@@ -707,8 +707,8 @@ def _cut_at_eps(line, eps, radius):
     closed = m > 3 and bool(np.hypot(*(seam - loop_shift)) < 1e-9)
 
     cuts = {}  # vertex index -> (distance, ep bond phase)
-    for rec in eps:
-        d = np.array([_torus_dist(p, rec.bond_phase) for p in line])
+    phases = np.array([rec.bond_phase for rec in eps], dtype=float).reshape(-1, 1, 2)
+    for rec, d in zip(eps, _torus_dist(line, phases)):
         if closed:
             d = d[:-1]
         i = int(d.argmin())
@@ -771,55 +771,58 @@ def _cut_at_eps(line, eps, radius):
     return [p for p in pieces if len(p) >= 2], closed
 
 
+def _point_arcs(values, eps, flavour):
+    """Single-point arcs at the EPs if ``values`` are real up to rounding, else None.
+
+    The locus Im(values) = 0 is then rounding noise; it degenerates to the EPs.
+    """
+    scale = float(np.abs(values).max())
+    if scale == 0.0 or np.abs(values.imag).max() < 1e-12 * scale:
+        return [ArcPolyline(np.asarray([rec.k]), flavour, (rec, rec)) for rec in eps]
+    return None
+
+
+def _arc_pieces(field, eps, grid_n):
+    """Zero contour of ``field`` on the zone grid, cut at the EPs.
+
+    Yields ``(piece, points, end_eps, uncut_loop)`` per piece: its bond
+    phases, its Cartesian points resampled below one grid step, the EPs
+    within four grid steps of its two ends (None where there is none), and
+    whether it is a closed loop that no EP cuts.
+    """
+    step = 2.0 * np.pi / grid_n
+    phases = np.array([rec.bond_phase for rec in eps], dtype=float).reshape(-1, 2)
+
+    def end_ep(k_point):
+        if not eps:
+            return None
+        d = _torus_dist(bond_phase_from_k(k_point), phases)
+        return eps[int(d.argmin())] if d.min() < 4.0 * step else None
+
+    for line in _marching_squares_periodic(field, phase_grid(grid_n)[0]):
+        pieces, closed = _cut_at_eps(line, eps, radius=3.0 * step)
+        for piece in pieces:
+            pts = _resample(k_from_bond_phase(piece), max_step=step)
+            yield piece, pts, (end_ep(pts[0]), end_ep(pts[-1])), closed and len(pieces) == 1
+
+
 def _arc_trace_scalar(j_eff, flavour, grid_n, eps):
     """Arcs of one species: locus Im[A(k)A(-k)] = 0 with Re <= 0."""
-    th, thetas = phase_grid(grid_n)
-    ks = k_from_bond_phase(thetas)
-    prod = structure_factor(j_eff, ks) * structure_factor(j_eff, -ks)
-    scale = float(np.abs(prod).max())
-    step = 2.0 * np.pi / grid_n
 
-    if scale == 0.0 or np.abs(prod.imag).max() < 1e-12 * scale:
-        # Hermitian-like: the locus degenerates to the band-touching points
-        return [
-            ArcPolyline(
-                points=np.asarray([rec.k]), flavour=flavour, endpoint_eps=(rec, rec)
-            )
-            for rec in eps
-        ]
+    def pair_product(thetas):
+        ks = k_from_bond_phase(thetas)
+        return structure_factor(j_eff, ks) * structure_factor(j_eff, -ks)
 
-    def re_prod(theta_pts):
-        kk = k_from_bond_phase(theta_pts)
-        return (structure_factor(j_eff, kk) * structure_factor(j_eff, -kk)).real
-
+    prod = pair_product(phase_grid(grid_n)[1])
+    points = _point_arcs(prod, eps, flavour)
+    if points is not None:
+        return points
     arcs = []
-    for line in _marching_squares_periodic(prod.imag, th):
-        pieces, _ = _cut_at_eps(line, eps, radius=3.0 * step)
-        for seg in pieces:
-            interior = seg[1:-1] if len(seg) > 3 else seg
-            if np.median(re_prod(interior)) > 0.0:
-                continue
-            pts = _resample(k_from_bond_phase(seg), max_step=step)
-            arcs.append(
-                ArcPolyline(
-                    points=pts,
-                    flavour=flavour,
-                    endpoint_eps=(
-                        _nearest_ep(pts[0], eps, 4.0 * step),
-                        _nearest_ep(pts[-1], eps, 4.0 * step),
-                    ),
-                )
-            )
+    for piece, pts, ends, _ in _arc_pieces(prod.imag, eps, grid_n):
+        interior = piece[1:-1] if len(piece) > 3 else piece
+        if not np.median(pair_product(interior).real) > 0.0:
+            arcs.append(ArcPolyline(points=pts, flavour=flavour, endpoint_eps=ends))
     return arcs
-
-
-def _nearest_ep(k_point, eps, radius):
-    best, best_d = None, radius
-    for rec in eps:
-        dd = _torus_dist(bond_phase_from_k(k_point), rec.bond_phase)
-        if dd < best_d:
-            best, best_d = rec, dd
-    return best
 
 
 def _arc_trace_coupled(model, grid_n, counters=None):
@@ -828,40 +831,29 @@ def _arc_trace_coupled(model, grid_n, counters=None):
     For bond-only models the six bands come in +-sqrt(z) pairs with z an
     eigenvalue of the 3x3 product of bond-sum matrices, so the locus is
     Im z = 0, Re z <= 0 per branch; with onsite terms the six-band product
-    of Re(E_i) is contoured instead.  Only segments terminating at confirmed
-    scan EPs are kept.
+    of Re(E_i) is contoured instead.  Closed loops no EP cuts are kept;
+    other pieces only when both ends terminate at confirmed scan EPs.
     """
-    th, thetas = phase_grid(grid_n)
-    ks = k_from_bond_phase(thetas)
-    step = 2.0 * np.pi / grid_n
-
     eps = ep_scan(model, grid_n=max(64, grid_n // 2), confirmed_only=True, counters=counters)
 
-    hs = bloch_matrix_grid(model, ks)
+    hs = bloch_matrix_grid(model, k_from_bond_phase(phase_grid(grid_n)[1]))
     if model.bond_only:
-        # bond-only: bands come in +-sqrt(z) pairs, z from the 3x3 block product
-        a_idx, b_idx = np.array([0, 2, 4]), np.array([1, 3, 5])
-        bb = hs[..., a_idx[:, None], b_idx[None, :]]
-        cc = hs[..., b_idx[:, None], a_idx[None, :]]
-        z = np.linalg.eigvals(bb @ cc)
+        z = np.linalg.eigvals(
+            hs[..., A_IDX[:, None], B_IDX[None, :]] @ hs[..., B_IDX[:, None], A_IDX[None, :]]
+        )
+        points = _point_arcs(z, eps, None)
+        if points is not None:
+            return points
         field = np.prod(z.imag, axis=-1)
     else:
-        e = np.linalg.eigvals(hs)
-        field = np.prod(e.real, axis=-1)
+        field = np.prod(np.linalg.eigvals(hs).real, axis=-1)
 
     arcs = []
-    for line in _marching_squares_periodic(field.reshape(grid_n, grid_n), th):
-        pieces, was_closed = _cut_at_eps(line, eps, radius=3.0 * step)
-        if was_closed and len(pieces) == 1:
-            pts = _resample(k_from_bond_phase(pieces[0]), max_step=step)
+    for _, pts, ends, uncut_loop in _arc_pieces(field, eps, grid_n):
+        if uncut_loop:
             arcs.append(ArcPolyline(points=pts, flavour=None, endpoint_eps=(None, None)))
-            continue
-        for seg in pieces:
-            pts = _resample(k_from_bond_phase(seg), max_step=step)
-            first = _nearest_ep(pts[0], eps, 4.0 * step)
-            last = _nearest_ep(pts[-1], eps, 4.0 * step)
-            if first is not None and last is not None:
-                arcs.append(ArcPolyline(points=pts, flavour=None, endpoint_eps=(first, last)))
+        elif ends[0] is not None and ends[1] is not None:
+            arcs.append(ArcPolyline(points=pts, flavour=None, endpoint_eps=ends))
     return arcs
 
 

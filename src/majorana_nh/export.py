@@ -255,7 +255,7 @@ def write_svg_scatter(
         xs, ys = np.asarray(xs, float), np.asarray(ys, float)
         if ys.ndim == 1:  # a point is a zero-length bar, drawn as a round dot
             ys = np.stack([ys, ys], axis=-1)
-        d = "".join(f"M{sx(x):.2f} {sy(lo):.2f}V{sy(hi):.2f}" for x, (lo, hi) in zip(xs, ys))
+        d = ("M%.2f %.2fV%.2f" * len(xs)) % tuple(np.column_stack([sx(xs), sy(ys)]).ravel().tolist())
         parts.append(
             f'<path d="{d}" fill="none" stroke="{colour}" stroke-opacity="0.8" '
             f'stroke-width="{2 * point_radius}" stroke-linecap="round"/>'

@@ -339,8 +339,8 @@ def flavour_bond_table(model: ModelConfig) -> FlavourBondTable:
 # Bloch matrix
 # --------------------------------------------------------------------------
 
-_A_IDX = np.array([0, 2, 4])
-_B_IDX = np.array([1, 3, 5])
+A_IDX = np.array([0, 2, 4])
+B_IDX = np.array([1, 3, 5])
 
 
 @dataclass(frozen=True)
@@ -370,10 +370,10 @@ def bloch_matrix_grid(model: ModelConfig, ks) -> np.ndarray:
 
     shape = ks.shape[:-1] + (6, 6)
     h = np.zeros(shape, dtype=complex)
-    h[..., _A_IDX[:, None], _B_IDX[None, :]] = 2j * f_k
-    h[..., _B_IDX[:, None], _A_IDX[None, :]] = -2j * np.swapaxes(f_mk, -1, -2)
-    h[..., _A_IDX[:, None], _A_IDX[None, :]] = 2j * table.onsite
-    h[..., _B_IDX[:, None], _B_IDX[None, :]] = 2j * table.onsite
+    h[..., A_IDX[:, None], B_IDX[None, :]] = 2j * f_k
+    h[..., B_IDX[:, None], A_IDX[None, :]] = -2j * np.swapaxes(f_mk, -1, -2)
+    h[..., A_IDX[:, None], A_IDX[None, :]] = 2j * table.onsite
+    h[..., B_IDX[:, None], B_IDX[None, :]] = 2j * table.onsite
     return h * model.scale_factor
 
 

@@ -204,7 +204,7 @@ def _sweep_svg(path, result: ribbon.SweepResult):
 
 
 def _run_sweep(cfg: RunConfig, model: ModelConfig, w: int, kx_n: int, n_transverse: int):
-    """Strip sweep over kx_n momenta in (-pi, pi] and its skin-effect summary."""
+    """Strip sweep over kx_n momenta in [-pi, pi) and its skin-effect summary."""
     kxs = np.linspace(-math.pi, math.pi, kx_n, endpoint=False)
     result = ribbon.sweep(
         model,

@@ -28,7 +28,7 @@ from majorana_nh import (
     triangle_test,
 )
 from majorana_nh import ep as ep_module
-from majorana_nh.ep import _torus_dist
+from majorana_nh.ep import _join_segments_torus, _marching_squares_periodic, _torus_dist
 from conftest import random_complex_coupling
 
 E3 = cmath.exp(1j * math.pi / 3)
@@ -373,6 +373,75 @@ class TestClassifyDegeneracy:
             classify_degeneracy(model, (0.0, 0.0))
 
 
+def marching_squares_oracle(field, axis_vals):
+    """Reference per-cell marching squares: the segments, cell by cell, i major."""
+    n = field.shape[0]
+    base = float(axis_vals[0])
+    step = float(axis_vals[1] - axis_vals[0])
+
+    def interp(p0, p1, v0, v1):
+        t = v0 / (v0 - v1)
+        return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+
+    segments = []
+    for i in range(n):
+        for j in range(n):
+            v = (
+                field[i, j],
+                field[(i + 1) % n, j],
+                field[(i + 1) % n, (j + 1) % n],
+                field[i, (j + 1) % n],
+            )
+            if all(x > 0.0 for x in v) or not any(x > 0.0 for x in v):
+                continue
+            x0 = base + i * step
+            y0 = base + j * step
+            corners = ((x0, y0), (x0 + step, y0), (x0 + step, y0 + step), (x0, y0 + step))
+            edges = {
+                m: interp(corners[m], corners[(m + 1) % 4], v[m], v[(m + 1) % 4])
+                for m in range(4)
+                if (v[m] > 0.0) != (v[(m + 1) % 4] > 0.0)
+            }
+            keys = sorted(edges)
+            if len(keys) == 2:
+                segments.append((edges[keys[0]], edges[keys[1]]))
+            elif (0.25 * sum(v) > 0.0) == (v[0] > 0.0):
+                segments += [(edges[0], edges[3]), (edges[1], edges[2])]
+            else:
+                segments += [(edges[0], edges[1]), (edges[2], edges[3])]
+    return _join_segments_torus(segments, base, n * step, quantum=1e-7 * step)
+
+
+class TestMarchingSquares:
+    @settings(max_examples=400)
+    @given(
+        n=st.integers(2, 24),
+        kind=st.sampled_from(["normal", "zeros", "integers", "checkerboard"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_cell_oracle(self, n, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            field = rng.standard_normal((n, n))
+        elif kind == "zeros":
+            field = rng.standard_normal((n, n))
+            field[rng.random((n, n)) < 0.2] = 0.0
+        elif kind == "integers":
+            field = rng.integers(-2, 3, (n, n)).astype(float)
+        else:
+            # every cell a saddle (even n), centres of both signs and exact zeros
+            sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+            field = sign * rng.choice([0.5, 1.0, 1.5, rng.uniform(0.5, 1.5)], (n, n))
+        th = np.linspace(-np.pi, np.pi, n, endpoint=False)
+        with np.errstate(all="raise"):
+            lines = _marching_squares_periodic(field, th)
+        expected = marching_squares_oracle(field, th)
+        assert len(lines) == len(expected)
+        for line, ref in zip(lines, expected):
+            assert line.shape == ref.shape
+            assert line.tobytes() == ref.tobytes()
+
+
 class TestFermiArcs:
     def test_k_model_species3_endpoints(self):
         j = Coupling3(2, 1, 2.5 * E3)
@@ -386,10 +455,18 @@ class TestFermiArcs:
             for p in (a.points[0], a.points[-1]):
                 assert min(torus_dist_k(p, t) for t in truth) < step
 
-    def test_hermitian_arcs_degenerate_to_points(self):
-        model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
+    @pytest.mark.parametrize(
+        "model, n_arcs",
+        [
+            (ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1)), 2),
+            # flavour-mixing: no confirmed EP, so no arcs
+            (ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5), gamma=0.4), 0),
+            (ModelConfig(Variant.MAG_MODEL, Coupling3(1, 1, 1), d=0.5), 0),
+        ],
+    )
+    def test_hermitian_arcs_degenerate_to_points(self, model, n_arcs):
         arcs = fermi_arc_trace(model, grid_n=128)
-        assert len(arcs) == 2
+        assert len(arcs) == n_arcs
         for a in arcs:
             assert len(a.points) == 1
             assert abs(abs(a.points[0][0]) - 4 * np.pi / 3) < 1e-9
