@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import COMMANDS, RunConfig, parse_config, resolved_dict
+from .config import COMMANDS, RunConfig, parse_config
 from .errors import ConfigurationError, ConvergenceError
 from .pipelines import run_command
 from .presets import PRESET_IDS
@@ -32,7 +32,7 @@ def _build_parser():
     parser.add_argument("--config", help="YAML run configuration")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--threads", type=int, help="worker threads for sweeps")
-    parser.add_argument("--scale", choices=("raw", "half"), help="energy scale override")
+    parser.add_argument("--scale", choices=("raw", "half"), help="energy scale override, not for reproduce")
     parser.add_argument(
         "--preset", help=f"figure preset for 'reproduce' ({', '.join(PRESET_IDS)})"
     )
@@ -71,9 +71,10 @@ def _load_config(args) -> RunConfig:
         if threads < 1:
             raise ConfigurationError("--threads must be >= 1")
         cfg.threads = threads
-    if args.scale is not None and cfg.model is not None:
+    if args.scale is not None:
+        if cfg.model is None:
+            raise ConfigurationError("--scale does not apply to 'reproduce': the preset fixes the model")
         cfg.model = replace(cfg.model, energy_scale=args.scale)
-    cfg.resolved = resolved_dict(cfg)
     return cfg
 
 

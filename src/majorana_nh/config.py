@@ -4,16 +4,17 @@ The config surface is YAML with four blocks (``model``, ``grid``,
 ``tolerance``, ``output``) plus a ``command``/``preset`` selector.  Unknown
 keys are rejected with the offending line number, as are the keys a command
 would ignore: a ``model`` block for ``reproduce``, whose preset fixes the
-model, and a ``preset`` for any other command.  Complex numbers are
-written either as ``[re, im]`` pairs or as ``{mod: m, phase_over_pi: p}``;
-bare reals are accepted too.
+model, and a ``preset`` for any other command.  A key whose value is
+``null`` counts as not given.  Complex numbers are written either as
+``[re, im]`` pairs or as ``{mod: m, phase_over_pi: p}``; bare reals are
+accepted too.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import yaml
 
@@ -48,25 +49,26 @@ class _Located:
 
 def _compose(text: str):
     """YAML -> plain values wrapped in _Located, preserving line numbers."""
+    scalar = yaml.constructor.SafeConstructor().construct_object  # a quoted "1" stays a string
 
     def build(node):
         line = node.start_mark.line + 1
         if isinstance(node, yaml.MappingNode):
             out = {}
             for key_node, value_node in node.value:
-                out[str(key_node.value)] = build(value_node)
+                value = build(value_node)
+                if value.value is not None:  # a null entry means "not given"
+                    out[str(key_node.value)] = value
             return _Located(out, line)
         if isinstance(node, yaml.SequenceNode):
             return _Located([build(child) for child in node.value], line)
-        return _Located(yaml.safe_load(node.value or "null"), line)
+        return _Located(scalar(node), line)
 
     try:
         root = yaml.compose(text)
+        return _Located({}, 1) if root is None else build(root)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config is not valid YAML: {exc}") from exc
-    if root is None:
-        return _Located({}, 1)
-    return build(root)
 
 
 def _err(msg, located=None):
@@ -184,18 +186,69 @@ class RunConfig:
     output: OutputConfig
     preset: str | None = None
     threads: int = 1
-    resolved: dict = field(default_factory=dict)
+
+    @property
+    def resolved(self) -> dict:
+        """Echo of the full configuration with every default filled in.
+
+        Written as YAML, it parses back into this configuration.
+        """
+        return {
+            "command": self.command,
+            "preset": self.preset,
+            "model": model_dict(self.model) if self.model is not None else None,
+            "grid": asdict(self.grid),
+            "tolerance": asdict(self.tolerance),
+            "output": asdict(self.output),
+            "threads": self.threads,
+        }
 
 
-#: config keys that set a differently named model field
-_KEY_FIELD = {"dmi_z_mode": "dmi_vectors"}
+def _vector(n, item, what):
+    """Parser of a list of ``n`` entries, each read by ``item``; ``what`` ends the error."""
 
+    def cast(located, name):
+        if not isinstance(located.value, list) or len(located.value) != n:
+            _err(f"{name} {what}", located)
+        return tuple(item(c, f"{name}[{i}]") for i, c in enumerate(located.value))
+
+    return cast
+
+
+def _choice(*options):
+    """String parser that accepts only ``options``."""
+
+    def cast(located, name):
+        v = _as_str(located, name)
+        if v not in options:
+            _err(f"{name} must be " + " or ".join(map(repr, options)), located)
+        return v
+
+    return cast
+
+
+def _coupling3(located, name):
+    return Coupling3(*_vector(3, _as_complex, "must be a list of three complex numbers")(located, name))
+
+
+def _dmi_z_mode(located, name):
+    return default_dmi_vectors(include_z=_choice("c3", "none")(located, name) == "c3")
+
+
+#: model key -> (the ModelConfig field it sets, its parser); in this order,
+#: so ``dmi_vectors`` wins over ``dmi_z_mode``
 _MODEL_KEYS = {
-    "variant",
-    "j",
-    "energy_scale",
-    *_KEY_FIELD,
-    *(name for names in VARIANT_FIELDS.values() for name in names),
+    "j": ("j", _coupling3),
+    "k_coupling": ("k_coupling", _as_complex),
+    "gamma": ("gamma", _as_complex),
+    "d": ("d", _as_real),
+    "b_field": ("b_field", _vector(3, _as_real, "must be a real 3-vector")),
+    "dmi_z_mode": ("dmi_vectors", _dmi_z_mode),
+    "dmi_vectors": (
+        "dmi_vectors",
+        _vector(3, _vector(2, _as_real, "must be a 2-vector"), "must hold three 2-vectors"),
+    ),
+    "energy_scale": ("energy_scale", _choice("raw", "half")),
 }
 
 
@@ -203,7 +256,7 @@ def parse_model_block(located) -> ModelConfig:
     if not isinstance(located.value, dict):
         _err("model block must be a mapping", located)
     block = located.value
-    _check_keys(located, _MODEL_KEYS, "model.")
+    _check_keys(located, {"variant", *_MODEL_KEYS}, "model.")
 
     if "variant" not in block:
         _err("model.variant is required", located)
@@ -212,65 +265,22 @@ def parse_model_block(located) -> ModelConfig:
         _err(f"model.variant: unknown variant {vname!r}", block["variant"])
     variant = _VARIANT_ALIASES[vname]
 
+    valid = ("j", "energy_scale", *VARIANT_FIELDS[variant])
     for key in block:
-        if key in ("variant", "j", "energy_scale"):
-            continue
-        if _KEY_FIELD.get(key, key) not in VARIANT_FIELDS[variant]:
+        if key != "variant" and _MODEL_KEYS[key][0] not in valid:
             _err(f"field {key!r} not valid for variant {variant.value!r}", block[key])
-
     if "j" not in block:
         _err("model.j is required", located)
-    jloc = block["j"]
-    if not isinstance(jloc.value, list) or len(jloc.value) != 3:
-        _err("model.j must be a list of three complex numbers", jloc)
-    j = Coupling3(*(_as_complex(c, f"model.j[{i}]") for i, c in enumerate(jloc.value)))
 
-    kwargs = {}
-    if "k_coupling" in block:
-        kwargs["k_coupling"] = _as_complex(block["k_coupling"], "model.k_coupling")
-    if "gamma" in block:
-        kwargs["gamma"] = _as_complex(block["gamma"], "model.gamma")
-    if "d" in block:
-        kwargs["d"] = _as_real(block["d"], "model.d")
-    if "b_field" in block:
-        bloc = block["b_field"]
-        if not isinstance(bloc.value, list) or len(bloc.value) != 3:
-            _err("model.b_field must be a real 3-vector", bloc)
-        kwargs["b_field"] = tuple(
-            _as_real(c, f"model.b_field[{i}]") for i, c in enumerate(bloc.value)
-        )
-    if "dmi_vectors" in block:
-        dloc = block["dmi_vectors"]
-        if not isinstance(dloc.value, list) or len(dloc.value) != 3:
-            _err("model.dmi_vectors must hold three 2-vectors", dloc)
-        vecs = []
-        for i, vloc in enumerate(dloc.value):
-            if not isinstance(vloc.value, list) or len(vloc.value) != 2:
-                _err(f"model.dmi_vectors[{i}] must be a 2-vector", vloc)
-            vecs.append(
-                tuple(_as_real(c, f"model.dmi_vectors[{i}][{m}]") for m, c in enumerate(vloc.value))
-            )
-        kwargs["dmi_vectors"] = tuple(vecs)
-    elif "dmi_z_mode" in block:
-        mode = _as_str(block["dmi_z_mode"], "model.dmi_z_mode")
-        if mode not in ("c3", "none"):
-            _err("model.dmi_z_mode must be 'c3' or 'none'", block["dmi_z_mode"])
-        kwargs["dmi_vectors"] = default_dmi_vectors(include_z=(mode == "c3"))
-    if "energy_scale" in block:
-        scale = _as_str(block["energy_scale"], "model.energy_scale")
-        if scale not in ("raw", "half"):
-            _err("model.energy_scale must be 'raw' or 'half'", block["energy_scale"])
-        kwargs["energy_scale"] = scale
-
+    kwargs = {f: cast(block[key], f"model.{key}") for key, (f, cast) in _MODEL_KEYS.items() if key in block}
     try:
-        return ModelConfig(variant=variant, j=j, **kwargs)
+        return ModelConfig(variant=variant, **kwargs)
     except ConfigurationError as exc:
         _err(f"invalid model block: {exc}", located)
 
 
-def _fill_dataclass(cls, located, context, casts):
-    obj = cls()
-    obj._provided = set()
+def _fill_dataclass(obj, located, context, casts):
+    """``obj`` with the keys of the block ``located`` set on it."""
     if located is None:
         return obj
     if not isinstance(located.value, dict):
@@ -278,7 +288,6 @@ def _fill_dataclass(cls, located, context, casts):
     _check_keys(located, set(casts), f"{context}.")
     for key, loc in located.value.items():
         setattr(obj, key, casts[key](loc, f"{context}.{key}"))
-        obj._provided.add(key)
     return obj
 
 
@@ -291,7 +300,8 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
     """Parse and validate a run configuration; raises ConfigurationError.
 
     ``preset``, if given, overrides the ``preset`` key of the text (the CLI's
-    ``--preset``); a ``reproduce`` run needs one from either place.
+    ``--preset``); a ``reproduce`` run needs one from either place, and its
+    preset's strip width fills ``grid.w`` unless the config gives one.
     """
     root = _compose(text)
     if not isinstance(root.value, dict):
@@ -320,23 +330,28 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
             preset = file_preset
 
     model = None
+    grid = GridConfig()
     if "model" in block:
         model = parse_model_block(block["model"])
-    elif command not in ("reproduce",):
+    elif command != "reproduce":
         _err(f"command {command!r} needs a model block", root)
-    if command == "reproduce" and preset is None:
+    elif preset is None:
         _err("command 'reproduce' needs a preset (a 'preset' key or --preset)", root)
+    else:
+        from .presets import get_preset  # presets imports this module
+
+        grid.w = get_preset(preset).w
 
     grid_casts = _numeric_casts(GridConfig) | {k: _at_least(v) for k, v in _GRID_MIN.items()}
-    grid = _fill_dataclass(GridConfig, block.get("grid"), "grid", grid_casts)
+    grid = _fill_dataclass(grid, block.get("grid"), "grid", grid_casts)
     if command == "ep-find" and grid.bz_n < MIN_SCAN_GRID_N:
         msg = f"grid.bz_n must be >= {MIN_SCAN_GRID_N} for ep-find, got {grid.bz_n}"
         _err(msg, block["grid"].value["bz_n"])
     tol = _fill_dataclass(
-        ToleranceConfig, block.get("tolerance"), "tolerance", _numeric_casts(ToleranceConfig)
+        ToleranceConfig(), block.get("tolerance"), "tolerance", _numeric_casts(ToleranceConfig)
     )
     out = _fill_dataclass(
-        OutputConfig,
+        OutputConfig(),
         block.get("output"),
         "output",
         {
@@ -344,15 +359,13 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
             "formats": lambda loc, name: _parse_formats(loc, name),
             "svg": lambda loc, name: _as_bool(loc, name),
             "prefix": _as_str,
-            "weight_scale": _as_str,
+            "weight_scale": _choice("linear", "log01"),
         },
     )
-    if out.weight_scale not in ("linear", "log01"):
-        _err("output.weight_scale must be 'linear' or 'log01'", block.get("output"))
 
     threads = _at_least(1)(block["threads"], "threads") if "threads" in block else 1
 
-    cfg = RunConfig(
+    return RunConfig(
         command=command,
         model=model,
         grid=grid,
@@ -361,8 +374,6 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
         preset=preset,
         threads=threads,
     )
-    cfg.resolved = resolved_dict(cfg)
-    return cfg
 
 
 def _as_bool(located, name):
@@ -405,16 +416,3 @@ def model_dict(model: ModelConfig) -> dict:
         out["b_field"] = list(model.b_field)
         out["dmi_vectors"] = [list(v) for v in model.resolved_dmi_vectors()]
     return out
-
-
-def resolved_dict(cfg: RunConfig) -> dict:
-    """Echo of the full configuration with every default filled in."""
-    return {
-        "command": cfg.command,
-        "preset": cfg.preset,
-        "model": model_dict(cfg.model) if cfg.model is not None else None,
-        "grid": asdict(cfg.grid),
-        "tolerance": asdict(cfg.tolerance),
-        "output": asdict(cfg.output),
-        "threads": cfg.threads,
-    }

@@ -782,13 +782,14 @@ def _point_arcs(values, eps, flavour):
     return None
 
 
-def _arc_pieces(field, eps, grid_n):
+def _arc_pieces(field, eps, grid_n, keep):
     """Zero contour of ``field`` on the zone grid, cut at the EPs.
 
-    Yields ``(piece, points, end_eps, uncut_loop)`` per piece: its bond
-    phases, its Cartesian points resampled below one grid step, the EPs
-    within four grid steps of its two ends (None where there is none), and
-    whether it is a closed loop that no EP cuts.
+    Yields ``(points, end_eps, uncut_loop)`` per piece that
+    ``keep(piece, end_eps, uncut_loop)`` accepts: ``piece`` is its bond
+    phases, ``end_eps`` the EPs within four grid steps of its two ends (None
+    where there is none), ``uncut_loop`` whether no EP cuts its closed loop,
+    and ``points`` its Cartesian points, resampled below one grid step.
     """
     step = 2.0 * np.pi / grid_n
     phases = np.array([rec.bond_phase for rec in eps], dtype=float).reshape(-1, 2)
@@ -802,8 +803,10 @@ def _arc_pieces(field, eps, grid_n):
     for line in _marching_squares_periodic(field, phase_grid(grid_n)[0]):
         pieces, closed = _cut_at_eps(line, eps, radius=3.0 * step)
         for piece in pieces:
-            pts = _resample(k_from_bond_phase(piece), max_step=step)
-            yield piece, pts, (end_ep(pts[0]), end_ep(pts[-1])), closed and len(pieces) == 1
+            ks = k_from_bond_phase(piece)
+            ends, uncut_loop = (end_ep(ks[0]), end_ep(ks[-1])), closed and len(pieces) == 1
+            if keep(piece, ends, uncut_loop):
+                yield _resample(ks, max_step=step), ends, uncut_loop
 
 
 def _arc_trace_scalar(j_eff, flavour, grid_n, eps):
@@ -817,12 +820,13 @@ def _arc_trace_scalar(j_eff, flavour, grid_n, eps):
     points = _point_arcs(prod, eps, flavour)
     if points is not None:
         return points
-    arcs = []
-    for piece, pts, ends, _ in _arc_pieces(prod.imag, eps, grid_n):
+
+    def keep(piece, ends, uncut_loop):
         interior = piece[1:-1] if len(piece) > 3 else piece
-        if not np.median(pair_product(interior).real) > 0.0:
-            arcs.append(ArcPolyline(points=pts, flavour=flavour, endpoint_eps=ends))
-    return arcs
+        return not np.median(pair_product(interior).real) > 0.0
+
+    return [ArcPolyline(points=pts, flavour=flavour, endpoint_eps=ends)
+            for pts, ends, _ in _arc_pieces(prod.imag, eps, grid_n, keep)]
 
 
 def _arc_trace_coupled(model, grid_n, counters=None):
@@ -848,13 +852,11 @@ def _arc_trace_coupled(model, grid_n, counters=None):
     else:
         field = np.prod(np.linalg.eigvals(hs).real, axis=-1)
 
-    arcs = []
-    for _, pts, ends, uncut_loop in _arc_pieces(field, eps, grid_n):
-        if uncut_loop:
-            arcs.append(ArcPolyline(points=pts, flavour=None, endpoint_eps=(None, None)))
-        elif ends[0] is not None and ends[1] is not None:
-            arcs.append(ArcPolyline(points=pts, flavour=None, endpoint_eps=ends))
-    return arcs
+    def keep(piece, ends, uncut_loop):
+        return uncut_loop or (ends[0] is not None and ends[1] is not None)
+
+    return [ArcPolyline(points=pts, flavour=None, endpoint_eps=(None, None) if uncut_loop else ends)
+            for pts, ends, uncut_loop in _arc_pieces(field, eps, grid_n, keep)]
 
 
 def fermi_arc_trace(

@@ -38,11 +38,10 @@ ARC_COLUMNS = ("arc_index", "flavour", "point_index", "k_x", "k_y", "theta1", "t
 WEIGHT_COLUMNS = ("state_index", "re_E", "im_E", "abs_E", "site", "weight")
 
 
-def _metadata(cfg: RunConfig, extra: dict | None = None) -> dict:
-    meta = {"config": cfg.resolved, "package": "majorana-nh", "version": "0.1.0"}
-    if extra:
-        meta.update(extra)
-    return meta
+def _export(cfg: RunConfig, prefix: str, columns, table, extra: dict) -> list[Path]:
+    """Write ``table`` in the configured formats; its meta is the config echo plus ``extra``."""
+    meta = {"config": cfg.resolved, "package": "majorana-nh", "version": "0.1.0", **extra}
+    return export_table(cfg.output.directory, prefix, columns, table, meta, cfg.output.formats)
 
 
 def _energy(e) -> dict:
@@ -66,15 +65,8 @@ def run_bloch_spectrum(cfg: RunConfig) -> list[Path]:
     n = spectra.shape[-1]
     table = {"k_x": np.repeat(ks[:, 0], n), "k_y": np.repeat(ks[:, 1], n),
              "state_index": np.tile(np.arange(n), len(ks)), **_energy(spectra.ravel())}
-    meta = _metadata(cfg, {"closed_form_available": closed_ok})
-    return export_table(
-        cfg.output.directory,
-        cfg.output.prefix + "_bloch",
-        SPECTRUM_COLUMNS[:6],
-        table,
-        meta,
-        cfg.output.formats,
-    )
+    return _export(cfg, cfg.output.prefix + "_bloch", SPECTRUM_COLUMNS[:6], table,
+                   {"closed_form_available": closed_ok})
 
 
 def _ep_row(rec: ep.EPRecord) -> dict:
@@ -110,13 +102,8 @@ def run_ep_find(cfg: RunConfig) -> list[Path]:
     )
     rows = [_ep_row(r) for r in records]
     rows.sort(key=lambda r: (r["method"], r["flavour"] is not None, r["flavour"] or 0, r["theta1"], r["theta2"]))
-    meta = _metadata(
-        cfg,
-        {"n_confirmed": sum(r["confirmed"] for r in rows), "ep_refinement": asdict(counters)},
-    )
-    return export_table(
-        cfg.output.directory, cfg.output.prefix + "_eps", EP_COLUMNS, rows, meta, cfg.output.formats
-    )
+    return _export(cfg, cfg.output.prefix + "_eps", EP_COLUMNS, rows,
+                   {"n_confirmed": sum(r["confirmed"] for r in rows), "ep_refinement": asdict(counters)})
 
 
 def run_arc_trace(cfg: RunConfig) -> list[Path]:
@@ -128,10 +115,8 @@ def run_arc_trace(cfg: RunConfig) -> list[Path]:
         for ai, arc in enumerate(arcs)
         for pi, (k, th) in enumerate(zip(arc.points, ep.bond_phase_from_k(arc.points)))
     ]
-    meta = _metadata(cfg, {"n_arcs": len(arcs), "ep_refinement": asdict(counters)})
-    files = export_table(
-        cfg.output.directory, cfg.output.prefix + "_arcs", ARC_COLUMNS, rows, meta, cfg.output.formats
-    )
+    files = _export(cfg, cfg.output.prefix + "_arcs", ARC_COLUMNS, rows,
+                    {"n_arcs": len(arcs), "ep_refinement": asdict(counters)})
     if cfg.output.svg and rows:
         svg = Path(cfg.output.directory) / f"{cfg.output.prefix}_arcs.svg"
         groups = [(None, arc.points[:, 0], arc.points[:, 1]) for arc in arcs]
@@ -156,15 +141,8 @@ def run_skin_check(cfg: RunConfig) -> list[Path]:
                 "max_asymmetry": float(ep.skin_asymmetry(j_eff).max()),
             }
         )
-    meta = _metadata(cfg, {"skin_any_model": any(r["skin_any"] for r in rows)})
-    return export_table(
-        cfg.output.directory,
-        cfg.output.prefix + "_skin",
-        ("flavour", "skin_any", "max_asymmetry"),
-        rows,
-        meta,
-        cfg.output.formats,
-    )
+    return _export(cfg, cfg.output.prefix + "_skin", ("flavour", "skin_any", "max_asymmetry"), rows,
+                   {"skin_any_model": any(r["skin_any"] for r in rows)})
 
 
 def _sweep_rows(result: ribbon.SweepResult) -> dict:
@@ -203,30 +181,33 @@ def _sweep_svg(path, result: ribbon.SweepResult):
     write_svg_scatter(path, groups, title="strip spectrum", x_label="k_x", y_label="|E|")
 
 
-def _run_sweep(cfg: RunConfig, model: ModelConfig, w: int, kx_n: int, n_transverse: int):
-    """Strip sweep over kx_n momenta in [-pi, pi) and its skin-effect summary."""
-    kxs = np.linspace(-math.pi, math.pi, kx_n, endpoint=False)
+def _run_sweep(cfg: RunConfig, model: ModelConfig):
+    """Strip sweep of ``model`` at ``grid.w`` over ``grid.kx_n`` momenta in [-pi, pi), and its summary dict."""
+    kxs = np.linspace(-math.pi, math.pi, cfg.grid.kx_n, endpoint=False)
     result = ribbon.sweep(
         model,
-        w,
+        cfg.grid.w,
         kxs,
-        n_transverse=n_transverse,
+        n_transverse=cfg.grid.n_transverse,
         thresholds=cfg.tolerance.classifier(),
         threads=cfg.threads,
     )
-    return result, ribbon.nhse_summary(result, nhse_fraction=cfg.tolerance.nhse_fraction)
+    return result, _summary_dict(ribbon.nhse_summary(result, nhse_fraction=cfg.tolerance.nhse_fraction))
 
 
-def _export_sweep(cfg: RunConfig, result: ribbon.SweepResult, prefix: str, meta: dict) -> list[Path]:
-    """Sweep table in the configured formats, plus the SVG if enabled."""
-    files = export_table(
-        cfg.output.directory,
-        prefix,
-        SPECTRUM_COLUMNS[:1] + SPECTRUM_COLUMNS[2:],
-        _sweep_rows(result),
-        meta,
-        cfg.output.formats,
-    )
+def _export_sweep(cfg: RunConfig, model: ModelConfig, result: ribbon.SweepResult, summary: dict,
+                  prefix: str, extra: dict) -> list[Path]:
+    """Sweep table and meta in the configured formats, plus the SVG if enabled."""
+    meta = {
+        "model": model_dict(model),
+        "w": cfg.grid.w,
+        "max_residual": result.max_residual,
+        "blas_threads": eigen.pinned_blas_threads(),
+        "strip_solves": result.strip_solves,
+        "nhse_summary": summary,
+        **extra,
+    }
+    files = _export(cfg, prefix, SPECTRUM_COLUMNS[:1] + SPECTRUM_COLUMNS[2:], _sweep_rows(result), meta)
     if cfg.output.svg:
         svg = Path(cfg.output.directory) / f"{prefix}.svg"
         _sweep_svg(svg, result)
@@ -234,59 +215,38 @@ def _export_sweep(cfg: RunConfig, result: ribbon.SweepResult, prefix: str, meta:
     return files
 
 
-def _profile_rows(idx, vals, profiles) -> dict:
-    """Weight table columns, one entry per (state, site) of ``ribbon.edge_mode_weights``."""
-    n_states, n_sites = profiles.shape
-    return {"state_index": np.repeat(idx, n_sites), **_energy(np.repeat(vals, n_sites)),
-            "site": np.tile(np.arange(1, n_sites + 1), n_states), "weight": profiles.ravel()}
+def _profile_table(cfg: RunConfig, model: ModelConfig, kxs, states, normalization, solves) -> dict:
+    """Weight table columns, one entry per (k_x, state, site) of ``ribbon.edge_mode_weights``."""
+    parts = []
+    for kx in kxs:
+        idx, vals, profiles = ribbon.edge_mode_weights(
+            model, cfg.grid.w, kx, states=states, normalization=normalization, solves=solves
+        )
+        n_states, n_sites = profiles.shape
+        parts.append({"k_x": np.full(profiles.size, kx), "state_index": np.repeat(idx, n_sites),
+                      **_energy(np.repeat(vals, n_sites)), "site": np.tile(np.arange(1, n_sites + 1), n_states),
+                      "weight": profiles.ravel()})
+    return {c: np.concatenate([part[c] for part in parts]) for c in parts[0]}
 
 
 def run_ribbon_sweep(cfg: RunConfig) -> list[Path]:
-    result, summary = _run_sweep(cfg, cfg.model, cfg.grid.w, cfg.grid.kx_n, cfg.grid.n_transverse)
-    meta = _metadata(
-        cfg,
-        {
-            "model": model_dict(cfg.model),
-            "w": cfg.grid.w,
-            "max_residual": result.max_residual,
-            "blas_threads": eigen.pinned_blas_threads(),
-            "strip_solves": result.strip_solves,
-            "nhse_summary": _summary_dict(summary),
-        },
-    )
-    return _export_sweep(cfg, result, cfg.output.prefix + "_sweep", meta)
+    result, summary = _run_sweep(cfg, cfg.model)
+    return _export_sweep(cfg, cfg.model, result, summary, cfg.output.prefix + "_sweep", {})
 
 
 def run_localization(cfg: RunConfig) -> list[Path]:
     """Per-site weight profiles of selected states at one k_x."""
-    n_states = cfg.grid.n_states if cfg.grid.n_states > 0 else None
     solves = dict.fromkeys(ribbon.SOLVER_PATHS, 0)
-    idx, vals, profiles = ribbon.edge_mode_weights(
-        cfg.model,
-        cfg.grid.w,
-        cfg.grid.kx,
-        states=n_states,
-        normalization=cfg.output.weight_scale,
-        solves=solves,
-    )
-    meta = _metadata(
-        cfg,
-        {
-            "model": model_dict(cfg.model),
-            "k_x": cfg.grid.kx,
-            "normalization": cfg.output.weight_scale,
-            "blas_threads": eigen.pinned_blas_threads(),
-            "strip_solves": solves,
-        },
-    )
-    return export_table(
-        cfg.output.directory,
-        cfg.output.prefix + "_profiles",
-        WEIGHT_COLUMNS,
-        _profile_rows(idx, vals, profiles),
-        meta,
-        cfg.output.formats,
-    )
+    n_states = cfg.grid.n_states if cfg.grid.n_states > 0 else None
+    table = _profile_table(cfg, cfg.model, [cfg.grid.kx], n_states, cfg.output.weight_scale, solves)
+    meta = {
+        "model": model_dict(cfg.model),
+        "k_x": cfg.grid.kx,
+        "normalization": cfg.output.weight_scale,
+        "blas_threads": eigen.pinned_blas_threads(),
+        "strip_solves": solves,
+    }
+    return _export(cfg, cfg.output.prefix + "_profiles", WEIGHT_COLUMNS, table, meta)
 
 
 def run_command(cfg: RunConfig) -> list[Path]:

@@ -16,21 +16,12 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import eigen, ribbon
+from . import eigen
 from .config import RunConfig, model_dict
 from .errors import ConfigurationError
-from .export import export_table, write_json
+from .export import write_json
 from .models import Coupling3, ModelConfig, Variant
-from .pipelines import (
-    WEIGHT_COLUMNS,
-    _export_sweep,
-    _metadata,
-    _profile_rows,
-    _run_sweep,
-    _summary_dict,
-)
+from .pipelines import WEIGHT_COLUMNS, _export, _export_sweep, _profile_table, _run_sweep
 
 _E3 = cmath.exp(1j * math.pi / 3)
 _E6 = cmath.exp(1j * math.pi / 6)
@@ -181,54 +172,35 @@ def get_preset(preset_id: str) -> FigurePreset:
 def run_reproduce(cfg: RunConfig) -> list[Path]:
     """Run a figure preset: plot-ready tables plus a qualitative-check report.
 
-    The preset fixes the model and the strip width, unless the config gives
-    ``grid.w``; the sampling (``kx_n``, ``n_transverse``) is the config's, so
-    a coarser ``kx_n`` makes a quick run.
+    The preset fixes the model; :func:`config.parse_config` has put its strip
+    width in ``grid.w`` unless the config gives one.  The sampling
+    (``kx_n``, ``n_transverse``) is the config's, so a coarser ``kx_n``
+    makes a quick run.
     """
     preset = get_preset(cfg.preset)
-    w = cfg.grid.w if "w" in getattr(cfg.grid, "_provided", set()) else preset.w
-
-    result, summary = _run_sweep(cfg, preset.model, w, cfg.grid.kx_n, cfg.grid.n_transverse)
-    summary_dict = _summary_dict(summary)
+    result, summary = _run_sweep(cfg, preset.model)
     checks = ("nhse_present", "bulk_localized_fraction", "flip_kx", "max_edge_count")
     report = {
         "preset": preset.preset_id,
         "description": preset.description,
         "model": model_dict(preset.model),
-        "w": w,
+        "w": cfg.grid.w,
         "kx_n": cfg.grid.kx_n,
         "parameter_provenance": preset.provenance,
-        "qualitative_checks": {key: summary_dict[key] for key in checks},
+        "qualitative_checks": {key: summary[key] for key in checks},
     }
 
-    out_dir = Path(cfg.output.directory)
     prefix = f"{cfg.output.prefix}_{preset.preset_id}"
-    solves = dict(result.strip_solves)
-    tables = []
-    if preset.kind == "profiles":
-        for kx in PROFILE_KX:
-            idx, vals, profiles = ribbon.edge_mode_weights(
-                preset.model, w, kx, states=None, normalization="linear", solves=solves
-            )
-            tables.append({"k_x": np.full(profiles.size, kx), **_profile_rows(idx, vals, profiles)})
-    meta = _metadata(
-        cfg,
-        {
-            "preset_report": report,
-            "blas_threads": eigen.pinned_blas_threads(),
-            "strip_solves": solves,
-            "nhse_summary": summary_dict,
-        },
-    )
-
     if preset.kind == "sweep":
-        files = _export_sweep(cfg, result, prefix, meta)
+        files = _export_sweep(cfg, preset.model, result, summary, prefix, {"preset_report": report})
     else:
-        columns = ("k_x",) + WEIGHT_COLUMNS
-        table = {c: np.concatenate([t[c] for t in tables]) for c in columns}
-        files = export_table(out_dir, prefix, columns, table, meta, cfg.output.formats)
+        solves = dict(result.strip_solves)
+        table = _profile_table(cfg, preset.model, PROFILE_KX, None, "linear", solves)
+        meta = {"preset_report": report, "blas_threads": eigen.pinned_blas_threads(),
+                "strip_solves": solves, "nhse_summary": summary}
+        files = _export(cfg, prefix, ("k_x",) + WEIGHT_COLUMNS, table, meta)
 
-    report_path = out_dir / f"{prefix}_report.json"
+    report_path = Path(cfg.output.directory) / f"{prefix}_report.json"
     write_json(report_path, report)
     files.append(report_path)
     return files

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +121,26 @@ model:
     def test_duplicate_format_rejected_with_line(self):
         with pytest.raises(ConfigurationError, match=r"format 'csv' listed twice \(line 7\)"):
             parse_config(MINIMAL + "output:\n  formats: [csv, json, csv]\n")
+
+    def test_readme_config_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("### Config format", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(example)
+        assert cfg.command == "ribbon-sweep"
+        assert cfg.tolerance.gap_tol is None  # `gap_tol: null` is the default, not an error
+
+    def test_quoted_scalars_stay_strings(self):
+        # as yaml.safe_dump writes a string that would read as a number or null
+        for quoted in ("'2024'", '"1e-05"', "'null'"):
+            cfg = parse_config(MINIMAL + f"output:\n  prefix: {quoted}\n")
+            assert cfg.output.prefix == quoted[1:-1]
+
+    def test_reproduce_preset_resolved_at_parse_time(self):
+        # an unknown preset fails before anything runs, and the preset's width is echoed
+        with pytest.raises(ConfigurationError, match="unknown preset 'fig99'"):
+            parse_config("command: reproduce\npreset: fig99\n")
+        assert parse_config("command: reproduce\npreset: fig8\n").resolved["grid"]["w"] == 12
+        assert parse_config("command: reproduce\npreset: fig8\ngrid:\n  w: 6\n").grid.w == 6
 
     def test_dmi_z_mode(self):
         base = """
@@ -465,6 +486,60 @@ output:
         assert doc["metadata"] == json.loads((tmp_path / "p_eps_meta.json").read_text())
 
 
+class TestEchoRoundTrip:
+    """The config echo of ``_meta.json``, dumped as YAML, parses back into the run that wrote it."""
+
+    K = """model:
+  variant: k_model
+  j: [[2, 0], [1, 0], {mod: 2.5, phase_over_pi: 0.3333333333333333}]
+  k_coupling: 0.4
+"""
+    GAMMA = TestBlasThreadsMeta.MODEL.lstrip()
+    MAG = """model:
+  variant: mag_model
+  j: [1, 1, {mod: 1, phase_over_pi: 0.3333333333333333}]
+  d: 0.5
+  b_field: [0, 0, 0.7]
+  dmi_z_mode: none
+  energy_scale: half
+"""
+
+    @pytest.mark.parametrize(
+        "command, setting, grid, table",
+        [
+            pytest.param(command, setting, grid, table, id=table[2:])
+            for command, setting, grid, table in [
+                ("bloch-spectrum", MAG, "bz_n: 6", "e_bloch"),
+                ("ep-find", GAMMA, "bz_n: 32", "e_eps"),
+                ("arc-trace", K, "arc_grid_n: 48", "e_arcs"),
+                ("skin-check", K, "bz_n: 4", "e_skin"),
+                ("ribbon-sweep", GAMMA, "w: 4\n  kx_n: 3\n  n_transverse: 32", "e_sweep"),
+                ("localization", MAG, "w: 4\n  n_states: 3", "e_profiles"),
+                ("reproduce", "preset: fig6a\n", "w: 6\n  kx_n: 2\n  n_transverse: 32", "e_fig6a"),
+                ("reproduce", "preset: fig4\n", "kx_n: 2\n  n_transverse: 32", "e_fig4"),
+            ]
+        ],
+    )
+    def test_echo_parses_back_and_reruns(self, tmp_path, command, setting, grid, table):
+        text = f"command: {command}\n{setting}grid:\n  {grid}\n"
+        text += f"output:\n  directory: {tmp_path}\n  prefix: e\n  formats: [csv, ndjson]\n"
+        run_command(parse_config(text))
+        meta, csv = tmp_path / f"{table}_meta.json", tmp_path / f"{table}.csv"
+        echo = json.loads(meta.read_text())["config"]
+        first = csv.read_bytes()
+        csv.unlink()
+        # safe_dump: PyYAML reads a JSON float such as 1e-05 as a string
+        run_command(parse_config(yaml.safe_dump(echo)))
+        assert json.loads(meta.read_text())["config"] == echo
+        assert csv.read_bytes() == first
+
+    def test_profile_preset_echoes_the_width_it_ran(self, tmp_path):
+        grid = "grid:\n  kx_n: 2\n  n_transverse: 32\n"
+        run_command(parse_config(f"command: reproduce\npreset: fig4\n{grid}output:\n  directory: {tmp_path}\n"))
+        meta = json.loads((tmp_path / "run_fig4_meta.json").read_text())
+        assert meta["config"]["grid"]["w"] == meta["preset_report"]["w"] == 12
+
+
 class TestPresets:
     def test_all_presets_resolve(self):
         assert len(PRESET_IDS) == 13
@@ -630,6 +705,8 @@ output:
             ("ribbon-sweep", MINIMAL.replace("bloch-spectrum", "ribbon-sweep") + "preset: fig3b\n", (),
              r"'ribbon-sweep' takes no preset .*\(line 6\)"),
             ("bloch-spectrum", MINIMAL, ("--preset", "fig4"), r"--preset applies to 'reproduce' only"),
+            ("reproduce", "command: reproduce\npreset: fig8\n", ("--scale", "raw"),
+             r"--scale does not apply to 'reproduce'"),
         ],
     )
     def test_ignored_key_exit_2(self, tmp_path, command, text, flags, message):
