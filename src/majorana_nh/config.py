@@ -4,10 +4,11 @@ The config surface is YAML with four blocks (``model``, ``grid``,
 ``tolerance``, ``output``) plus a ``command``/``preset`` selector.  Unknown
 keys are rejected with the offending line number, as are the keys a command
 would ignore: a ``model`` block for ``reproduce``, whose preset fixes the
-model, and a ``preset`` for any other command.  A key whose value is
-``null`` counts as not given.  Complex numbers are written either as
-``[re, im]`` pairs or as ``{mod: m, phase_over_pi: p}``; bare reals are
-accepted too.
+model, and a ``preset`` for any other command.  ``skin-check`` takes only a
+flavour-conserving model: it tests each Majorana species alone.  A key
+whose value is ``null`` counts as not given.  Complex numbers are written
+either as ``[re, im]`` pairs or as ``{mod: m, phase_over_pi: p}``; bare
+reals are accepted too.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import yaml
 
 from .ep import MIN_SCAN_GRID_N
 from .errors import ConfigurationError
-from .models import VARIANT_FIELDS, Coupling3, ModelConfig, Variant, default_dmi_vectors
+from .models import VARIANT_FIELDS, Coupling3, ModelConfig, Variant, default_dmi_vectors, species
 from .ribbon import ClassifierThresholds
 
 #: variant names as written in a config, with or without the underscore
@@ -153,10 +154,10 @@ _GRID_MIN = {"bz_n": 1, "w": 2, "kx_n": 1, "n_transverse": 1, "arc_grid_n": 2, "
 class ToleranceConfig:
     gap_tol: float | None = None
     overlap_tol: float = 1e-4
-    edge_mass: float = 0.6
-    outer_frac: float = 0.1
-    ipr_factor: float = 4.0
-    cloud_tol: float = 1e-2
+    edge_mass: float = ClassifierThresholds.edge_mass
+    outer_frac: float = ClassifierThresholds.outer_frac
+    ipr_factor: float = ClassifierThresholds.ipr_factor
+    cloud_tol: float = ClassifierThresholds.cloud_tol
     nhse_fraction: float = 0.05
 
     def classifier(self) -> ClassifierThresholds:
@@ -333,6 +334,9 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
     grid = GridConfig()
     if "model" in block:
         model = parse_model_block(block["model"])
+        if command == "skin-check" and species(model) is None:
+            _err(f"command 'skin-check' tests each Majorana species alone; {model.variant.value!r} mixes them",
+                 block["model"].value["variant"])
     elif command != "reproduce":
         _err(f"command {command!r} needs a model block", root)
     elif preset is None:
@@ -396,23 +400,17 @@ def _parse_formats(located, name):
     return formats
 
 
-def _complex_out(z: complex):
-    return [z.real, z.imag]
+def _plain(value):
+    """A field value as YAML/JSON data: a complex as [re, im], a tuple as a list."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 def model_dict(model: ModelConfig) -> dict:
     """Fully resolved model block (defaults included) for run metadata."""
-    out = {
-        "variant": model.variant.value,
-        "j": [_complex_out(c) for c in model.j],
-        "energy_scale": model.energy_scale,
-    }
-    if model.variant is Variant.K_MODEL:
-        out["k_coupling"] = _complex_out(model.k_coupling)
-    if model.variant is Variant.GAMMA_MODEL:
-        out["gamma"] = _complex_out(model.gamma)
-    if model.variant is Variant.MAG_MODEL:
-        out["d"] = model.d
-        out["b_field"] = list(model.b_field)
-        out["dmi_vectors"] = [list(v) for v in model.resolved_dmi_vectors()]
+    out = {"variant": model.variant.value, "j": _plain(tuple(model.j)), "energy_scale": model.energy_scale}
+    for name in VARIANT_FIELDS[model.variant]:
+        value = model.resolved_dmi_vectors() if name == "dmi_vectors" else getattr(model, name)
+        out[name] = _plain(value)
     return out

@@ -161,6 +161,20 @@ def _validate(matrix) -> np.ndarray:
     return a
 
 
+def _stack(matrix, tol, size_factor=1):
+    """Flat ``(k, n, n)`` stack, leading shape and per-matrix tol (default: of size ``size_factor * n``)."""
+    a = _validate(matrix)
+    stack, n = a.shape[:-2], a.shape[-1]
+    tol = np.broadcast_to(default_tol(size_factor * n) if tol is None else tol, stack).reshape(-1)
+    return a.reshape(-1, n, n), stack, tol
+
+
+def chiral_matrix(b, c) -> np.ndarray:
+    """The chiral matrices [[0, B], [C, 0]] of ``(..., m, m)`` blocks B and C."""
+    zero = np.zeros_like(b, dtype=complex)
+    return np.block([[zero, b], [c, zero]])
+
+
 def frobenius_norms(a) -> np.ndarray:
     """``||H||_F`` per matrix of a stack, each rounded as ``np.linalg.norm(h, "fro")``."""
     x = np.asarray(a).reshape(*np.shape(a)[:-2], 1, -1)
@@ -296,6 +310,19 @@ def _certified(stack, tol, w, vr, vl, res, flags, norm, path) -> Spectrum:
     return spectrum
 
 
+def _certified_or_redone(stack, tol, w, v, res, flags, norm, path, failed, dense) -> Spectrum:
+    """:func:`_certified` for a fast route, after the dense :func:`eig` route redid what it left uncertified.
+
+    Redone: the matrices ``failed`` marks or whose pairs miss ``tol``, built by ``dense(indices)``.
+    """
+    redo = np.flatnonzero(failed | (res > tol[:, None]).any(axis=-1))
+    if redo.size:
+        w[redo], v[redo], _, res[redo] = _solve(dense(redo), tol[redo], norm[redo])
+        flags[redo] = _defective_flags(v[redo])
+        path = "dense_fallback"
+    return _certified(stack, tol, w, v, None, res, flags, norm, path)
+
+
 def eig(matrix, want_left: bool = False, tol: float | np.ndarray | None = None) -> Spectrum:
     """Full eigendecomposition meeting the residual contract, matrix by matrix.
 
@@ -306,12 +333,9 @@ def eig(matrix, want_left: bool = False, tol: float | np.ndarray | None = None) 
     empty or non-finite input and :class:`ConvergenceError` (naming the first
     failing matrix, whole result attached) if the residual target is missed.
     """
-    a = _validate(matrix)
-    stack, n = a.shape[:-2], a.shape[-1]
+    a, stack, tol = _stack(matrix, tol)
     if want_left and stack:
         raise ValueError("want_left=True takes a single matrix, not a stack")
-    a = a.reshape(-1, n, n)
-    tol = np.broadcast_to(default_tol(n) if tol is None else tol, stack).reshape(-1)
     norm = frobenius_norms(a)
     w, vr, vl, res = _solve(a, tol, norm, want_left)
     flags = _defective_flags(vr)
@@ -334,10 +358,7 @@ def eigh(matrix, tol: float | np.ndarray | None = None) -> Spectrum:
     stack gets the result it would get alone; :class:`ConvergenceError`
     names the first failing matrix, with the whole result attached.
     """
-    a = _validate(matrix)
-    stack, n = a.shape[:-2], a.shape[-1]
-    a = a.reshape(-1, n, n)
-    tol = np.broadcast_to(default_tol(n) if tol is None else tol, stack).reshape(-1)
+    a, stack, tol = _stack(matrix, tol)
     norm = frobenius_norms(a)
     try:
         w, v = np.linalg.eigh(a)
@@ -348,12 +369,7 @@ def eigh(matrix, tol: float | np.ndarray | None = None) -> Spectrum:
     w = w.astype(complex)
     res = _residuals(a, w, v, norm)
     flags = np.zeros(w.shape, dtype=bool)
-    redo = np.flatnonzero((res > tol[:, None]).any(axis=-1))
-    if redo.size:
-        w[redo], v[redo], _, res[redo] = _solve(a[redo], tol[redo], norm[redo])
-        flags[redo] = _defective_flags(v[redo])
-    path = "dense_fallback" if redo.size else "hermitian"
-    return _certified(stack, tol, w, v, None, res, flags, norm, path)
+    return _certified_or_redone(stack, tol, w, v, res, flags, norm, "hermitian", False, lambda redo: a[redo])
 
 
 def _chiral_residuals(b, c, w, v, norm):
@@ -443,12 +459,10 @@ def eig_chiral(b, c, tol: float | np.ndarray | None = None) -> Spectrum:
     ``path`` is "chiral", or "dense_fallback" when some matrix took that
     route.
     """
-    b, c = _validate(b), _validate(c)
-    if b.shape != c.shape:
-        raise ValueError(f"B and C must have equal shapes, got {b.shape} and {c.shape}")
-    stack, m = b.shape[:-2], b.shape[-1]
-    b, c = b.reshape(-1, m, m), c.reshape(-1, m, m)
-    tol = np.broadcast_to(default_tol(2 * m) if tol is None else tol, stack).reshape(-1)
+    if np.shape(b) != np.shape(c):
+        raise ValueError(f"B and C must have equal shapes, got {np.shape(b)} and {np.shape(c)}")
+    b, stack, tol = _stack(b, tol, size_factor=2)
+    c = _stack(c, None)[0]
     norm = np.hypot(frobenius_norms(b), frobenius_norms(c))
 
     w, v, resolved = _chiral_pairs(b, c)
@@ -458,14 +472,9 @@ def eig_chiral(b, c, tol: float | np.ndarray | None = None) -> Spectrum:
     # the pairs must also form one spectrum: sum E**2 = tr H**2 = 2 tr(B C),
     # which Ritz values of an ill-conditioned cluster can break
     trace_gap = np.abs((w * w).sum(axis=-1) - 2.0 * np.einsum("kij,kji->k", b, c))
-    inconsistent = trace_gap > _TRACE_GAP * np.maximum(1.0, norm) ** 2
-    redo = np.flatnonzero(~resolved | inconsistent | (res > tol[:, None]).any(axis=-1))
-    if redo.size:
-        h = np.zeros((redo.size, 2 * m, 2 * m), dtype=complex)
-        h[:, :m, m:], h[:, m:, :m] = b[redo], c[redo]
-        w[redo], v[redo], _, res[redo] = _solve(h, tol[redo], norm[redo])
-    path = "dense_fallback" if redo.size else "chiral"
-    return _certified(stack, tol, w, v, None, res, _defective_flags(v), norm, path)
+    failed = ~resolved | (trace_gap > _TRACE_GAP * np.maximum(1.0, norm) ** 2)
+    return _certified_or_redone(stack, tol, w, v, res, _defective_flags(v), norm, "chiral", failed,
+                                lambda redo: chiral_matrix(b[redo], c[redo]))
 
 
 def min_singular_value(matrix) -> float:

@@ -112,23 +112,24 @@ class DegeneracyReport:
 # skin criterion
 # --------------------------------------------------------------------------
 
+def _asymmetry(j_eff: Coupling3, kx):
+    """``| |jx e^{i kx} + jy| - |jx e^{-i kx} + jy| |``, the gap between the intra-row bond sums."""
+    fwd = np.abs(j_eff.jx * np.exp(1j * kx) + j_eff.jy)
+    return np.abs(fwd - np.abs(j_eff.jx * np.exp(-1j * kx) + j_eff.jy))
+
+
 def skin_criterion(j_eff: Coupling3, k_x: float, tol: float = 1e-12) -> bool:
     """Whether open zigzag boundaries localize this species at momentum k_x.
 
-    True iff ``| |jx e^{i kx} + jy| - |jx e^{-i kx} + jy| |`` exceeds ``tol``,
-    i.e. iff the two intra-row bond sums differ in magnitude.
+    True iff the asymmetry ``| |jx e^{i kx} + jy| - |jx e^{-i kx} + jy| |``
+    exceeds ``tol``, i.e. iff the two intra-row bond sums differ in magnitude.
     """
-    fwd = abs(j_eff.jx * cmath.exp(1j * k_x) + j_eff.jy)
-    bwd = abs(j_eff.jx * cmath.exp(-1j * k_x) + j_eff.jy)
-    return abs(fwd - bwd) > tol
+    return bool(_asymmetry(j_eff, k_x) > tol)
 
 
 def skin_asymmetry(j_eff: Coupling3, n_grid: int = 1024) -> np.ndarray:
-    """The asymmetry ``| |jx e^{i kx} + jy| - |jx e^{-i kx} + jy| |`` on a uniform k_x grid."""
-    kx = np.linspace(-np.pi, np.pi, n_grid, endpoint=False)
-    fwd = np.abs(j_eff.jx * np.exp(1j * kx) + j_eff.jy)
-    bwd = np.abs(j_eff.jx * np.exp(-1j * kx) + j_eff.jy)
-    return np.abs(fwd - bwd)
+    """The asymmetry of :func:`skin_criterion` on a uniform k_x grid."""
+    return _asymmetry(j_eff, np.linspace(-np.pi, np.pi, n_grid, endpoint=False))
 
 
 def skin_criterion_any(j_eff: Coupling3, n_grid: int = 1024, tol: float = 1e-12) -> bool:
@@ -146,11 +147,11 @@ def _phase_split(j: Coupling3):
     return phi_z, cmath.phase(j.jx) - phi_z, cmath.phase(j.jy) - phi_z
 
 
-def ep_closed_form(
-    j_eff: Coupling3,
-    flavour: int | None = None,
-    atol: float = 1e-10,
-) -> list[EPRecord]:
+#: largest |A| at a closed-form EP, and least |A| on its other side, for it to count as confirmed
+CLOSED_FORM_ATOL = 1e-10
+
+
+def ep_closed_form(j_eff: Coupling3, flavour: int | None = None) -> list[EPRecord]:
     """Zeros of the bond sum at +k and at -k, solved analytically.
 
     Returns two pairs of records for a generic non-Hermitian triple (they
@@ -204,24 +205,18 @@ def ep_closed_form(
                 gap=float(gap),
                 overlap=float(overlap),
                 residual=float(residual),
-                confirmed=bool(residual < atol <= other and overlap > 1.0 - 1e-4),
+                confirmed=bool(residual < CLOSED_FORM_ATOL <= other and overlap > 1.0 - 1e-4),
             )
         )
     return records
 
 
-def model_closed_form_eps(model: ModelConfig, atol: float = 1e-10) -> list[EPRecord]:
-    """Closed-form EP records of a flavour-conserving model, all species."""
+def model_closed_form_eps(model: ModelConfig) -> list[EPRecord]:
+    """Closed-form EP records of a flavour-conserving model, all species but those with a zero modulus."""
     sets = species(model)
     if sets is None:
         raise ValueError("closed-form EPs exist only for flavour-conserving variants")
-    records = []
-    for flavour, j_eff in sets:
-        try:
-            records.extend(ep_closed_form(j_eff, flavour=flavour, atol=atol))
-        except ValueError:
-            continue
-    return records
+    return [r for fl, j_eff in sets if 0.0 not in j_eff.moduli for r in ep_closed_form(j_eff, flavour=fl)]
 
 
 # --------------------------------------------------------------------------
@@ -874,19 +869,14 @@ def fermi_arc_trace(
     """
     sets = species(model)
     if sets is not None:
-        if flavour is not None:
-            sets = [s for s in sets if s[0] == flavour]
-            if not sets:
-                raise ValueError(f"unknown flavour {flavour!r}")
+        if flavour is not None and flavour not in [fl for fl, _ in sets]:
+            raise ValueError(f"unknown flavour {flavour!r}")
+        eps = model_closed_form_eps(model)
         arcs = []
         for fl, j_eff in sets:
-            try:
-                eps = ep_closed_form(j_eff, flavour=fl)
-            except ValueError:
-                continue
-            if not eps:
-                continue
-            arcs.extend(_arc_trace_scalar(j_eff, fl, grid_n, eps))
+            own = [r for r in eps if r.flavour == fl]
+            if own and flavour in (None, fl):
+                arcs.extend(_arc_trace_scalar(j_eff, fl, grid_n, own))
         return arcs
 
     if flavour is not None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -148,20 +148,11 @@ class ModelConfig:
         self._validate_variant_fields()
 
     def _validate_variant_fields(self):
-        v = self.variant
-        used = VARIANT_FIELDS[v]
-        checks = {
-            "k_coupling": self.k_coupling != 0.0,
-            "gamma": self.gamma != 0.0,
-            "d": self.d != 0.0,
-            "b_field": any(c != 0.0 for c in self.b_field),
-            "dmi_vectors": self.dmi_vectors is not None,
-        }
-        for name, is_set in checks.items():
-            if is_set and name not in used:
-                raise ConfigurationError(
-                    f"field {name!r} is not valid for variant {v.value!r}"
-                )
+        optional = set().union(*VARIANT_FIELDS.values())
+        for f in fields(self):
+            is_set = getattr(self, f.name) != f.default
+            if is_set and f.name in optional and f.name not in VARIANT_FIELDS[self.variant]:
+                raise ConfigurationError(f"field {f.name!r} is not valid for variant {self.variant.value!r}")
 
     @property
     def scale_factor(self) -> float:
@@ -255,12 +246,15 @@ def triangle_test(moduli) -> bool:
     return a <= b + c and b <= c + a and c <= a + b
 
 
-def branch_sqrt(z: complex) -> complex:
-    """Square root with Re >= 0, ties broken towards Im >= 0."""
-    w = cmath.sqrt(z)
-    if w.real < 0.0 or (w.real == 0.0 and w.imag < 0.0):
-        w = -w
-    return w
+def branch_sqrt(z):
+    """Square root with Re >= 0, ties broken towards Im >= 0.
+
+    ``z`` is a complex scalar (the root is a Python complex) or an array (the
+    root is an array of its shape, each entry the root of the entry alone).
+    """
+    w = np.sqrt(np.asarray(z, dtype=complex))
+    w = np.where((w.real < 0.0) | ((w.real == 0.0) & (w.imag < 0.0)), -w, w)
+    return complex(w) if w.ndim == 0 else w
 
 
 # --------------------------------------------------------------------------
@@ -402,12 +396,6 @@ class ClosedFormSpectrum:
     heuristic: bool = False
 
 
-def _branch_sqrt_grid(z):
-    w = np.sqrt(np.asarray(z, dtype=complex))
-    flip = (w.real < 0.0) | ((w.real == 0.0) & (w.imag < 0.0))
-    return np.where(flip, -w, w)
-
-
 def closed_form_spectrum_grid(model: ModelConfig, ks) -> np.ndarray | None:
     """Analytic spectrum for a batch of k points: shape (..., 6), unsorted.
 
@@ -421,7 +409,7 @@ def closed_form_spectrum_grid(model: ModelConfig, ks) -> np.ndarray | None:
     sets = species(model)
     if sets is not None:
         roots = [
-            2.0 * _branch_sqrt_grid(structure_factor(j, ks) * structure_factor(j, -ks))
+            2.0 * branch_sqrt(structure_factor(j, ks) * structure_factor(j, -ks))
             for _, j in sets
         ]
         # the parent model's single species stands for all three flavours
@@ -431,7 +419,7 @@ def closed_form_spectrum_grid(model: ModelConfig, ks) -> np.ndarray | None:
     if model.variant is Variant.MAG_MODEL and model.d == 0.0:
         f_k = structure_factor(model.j, ks)
         f_mk = structure_factor(model.j, -ks)
-        g = 2.0 * _branch_sqrt_grid(f_k * f_mk)
+        g = 2.0 * branch_sqrt(f_k * f_mk)
         b = 2.0 * math.sqrt(sum(c * c for c in model.b_field))
         return np.stack([g, -g, b + g, b - g, -(b + g), -(b - g)], axis=-1) * s
 

@@ -126,11 +126,11 @@ def run_arc_trace(cfg: RunConfig) -> list[Path]:
 
 
 def run_skin_check(cfg: RunConfig) -> list[Path]:
-    """Skin-effect criterion for each Majorana species of the model.
+    """Skin-effect criterion for each Majorana species of a flavour-conserving model.
 
-    Only the flavour-diagonal coupling shifts a species' intra-row couplings
-    (``k_coupling`` is 0 in every other variant), so each flavour is tested
-    with its :func:`effective_couplings` triple.
+    :func:`config.parse_config` refuses models whose species mix.  Each
+    flavour is tested with its :func:`effective_couplings` triple (the parent
+    model's ``k_coupling`` is 0, so its three flavours share ``j``).
     """
     rows = []
     for eta, j_eff in zip((1, 2, 3), effective_couplings(cfg.model.j, cfg.model.k_coupling)):

@@ -37,126 +37,57 @@ class FigurePreset:
     description: str
     model: ModelConfig
     kind: str  # "sweep" | "profiles"
-    w: int
     provenance: dict
+
+    @property
+    def w(self) -> int:
+        """Strip width in dimer rows: 52 for a sweep, 12 for weight profiles."""
+        return 52 if self.kind == "sweep" else 12
 
 
 _PRESETS: dict[str, FigurePreset] = {}
 
 
-def _add(preset_id, description, model, kind, w, provenance):
-    _PRESETS[preset_id] = FigurePreset(preset_id, description, model, kind, w, provenance)
+def _add(preset_id, description, kind, model, provenance):
+    """Register a preset; every width is stated, every profile's k_x values assumed."""
+    provenance = provenance | {"w": "stated"} | ({"kx_values": "assumed"} if kind == "profiles" else {})
+    what = "strip sweep" if kind == "sweep" else "weight profiles"
+    _PRESETS[preset_id] = FigurePreset(preset_id, f"{description}, {what}", model, kind, provenance)
 
 
 # flavour-diagonal figures: couplings are not printed in their captions, so the
 # magnitudes of the off-diagonal figure set are reused with K = 0.4
-_add(
-    "fig2a-like",
-    "flavour-diagonal model, Hermitian couplings, strip sweep",
-    ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5), k_coupling=0.4, energy_scale="half"),
-    "sweep",
-    52,
-    {"j": "assumed", "k_coupling": "assumed", "w": "stated"},
-)
-_add(
-    "fig2b-like",
-    "flavour-diagonal model, complex jz only, strip sweep",
-    ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5 * _E3), k_coupling=0.4, energy_scale="half"),
-    "sweep",
-    52,
-    {"j": "assumed", "k_coupling": "assumed", "w": "stated"},
-)
-_add(
-    "fig2c-like",
-    "flavour-diagonal model, complex jx and jy, strip sweep",
-    ModelConfig(Variant.K_MODEL, Coupling3(2 * _E3, _E6, 2.5), k_coupling=0.4, energy_scale="half"),
-    "sweep",
-    52,
-    {"j": "assumed", "k_coupling": "assumed", "w": "stated"},
-)
+_K = {"j": "assumed", "k_coupling": "assumed"}
+_add("fig2a-like", "flavour-diagonal model, Hermitian couplings", "sweep",
+     ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5), k_coupling=0.4, energy_scale="half"), _K)
+_add("fig2b-like", "flavour-diagonal model, complex jz only", "sweep",
+     ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5 * _E3), k_coupling=0.4, energy_scale="half"), _K)
+_add("fig2c-like", "flavour-diagonal model, complex jx and jy", "sweep",
+     ModelConfig(Variant.K_MODEL, Coupling3(2 * _E3, _E6, 2.5), k_coupling=0.4, energy_scale="half"), _K)
 
-_add(
-    "fig3a",
-    "flavour-off-diagonal model, Hermitian couplings, strip sweep",
-    ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5), gamma=0.4, energy_scale="half"),
-    "sweep",
-    52,
-    {"j": "assumed", "gamma": "stated", "w": "stated"},
-)
-_add(
-    "fig3b",
-    "flavour-off-diagonal model, complex jz only, strip sweep",
-    ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5 * _E3), gamma=0.4, energy_scale="half"),
-    "sweep",
-    52,
-    {"j": "stated", "gamma": "stated", "w": "stated"},
-)
-_add(
-    "fig3c",
-    "flavour-off-diagonal model, complex jx and jy, strip sweep",
-    ModelConfig(Variant.GAMMA_MODEL, Coupling3(2 * _E3, _E6, 2.5), gamma=0.4, energy_scale="half"),
-    "sweep",
-    52,
-    {"j": "stated", "gamma": "stated", "w": "stated"},
-)
-_add(
-    "fig4",
-    "flavour-off-diagonal model, complex jz only, weight profiles",
-    ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5 * _E3), gamma=0.4, energy_scale="half"),
-    "profiles",
-    12,
-    {"j": "stated", "gamma": "stated", "w": "stated", "kx_values": "assumed"},
-)
-_add(
-    "fig5",
-    "flavour-off-diagonal model, complex jx and jy, weight profiles",
-    ModelConfig(Variant.GAMMA_MODEL, Coupling3(2 * _E3, _E6, 2.5), gamma=0.4, energy_scale="half"),
-    "profiles",
-    12,
-    {"j": "stated", "gamma": "stated", "w": "stated", "kx_values": "assumed"},
-)
+# each complex-coupling sweep of figures 3 and 6 has a weight-profile twin (figures 4, 5, 7, 8)
+_G = {"j": "stated", "gamma": "stated"}
+_GAMMA_JZ = ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5 * _E3), gamma=0.4, energy_scale="half")
+_GAMMA_JXY = ModelConfig(Variant.GAMMA_MODEL, Coupling3(2 * _E3, _E6, 2.5), gamma=0.4, energy_scale="half")
+_add("fig3a", "flavour-off-diagonal model, Hermitian couplings", "sweep",
+     ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5), gamma=0.4, energy_scale="half"),
+     _G | {"j": "assumed"})
+_add("fig3b", "flavour-off-diagonal model, complex jz only", "sweep", _GAMMA_JZ, _G)
+_add("fig3c", "flavour-off-diagonal model, complex jx and jy", "sweep", _GAMMA_JXY, _G)
+_add("fig4", "flavour-off-diagonal model, complex jz only", "profiles", _GAMMA_JZ, _G)
+_add("fig5", "flavour-off-diagonal model, complex jx and jy", "profiles", _GAMMA_JXY, _G)
 
 _B = (0.0, 0.0, 0.7)
-_add(
-    "fig6a",
-    "field+DMI model, Hermitian couplings, strip sweep",
-    ModelConfig(Variant.MAG_MODEL, Coupling3(1, 1, 1), d=0.5, b_field=_B, energy_scale="half"),
-    "sweep",
-    52,
-    {"j": "assumed", "d": "stated", "b_field": "stated", "w": "stated"},
-)
-_add(
-    "fig6b",
-    "field+DMI model, complex jz only, strip sweep",
-    ModelConfig(Variant.MAG_MODEL, Coupling3(1, 1, _E3), d=0.5, b_field=_B, energy_scale="half"),
-    "sweep",
-    52,
-    {"j": "stated", "d": "stated", "b_field": "stated", "w": "stated"},
-)
-_add(
-    "fig6c",
-    "field+DMI model, complex jx and jy, strip sweep",
-    ModelConfig(Variant.MAG_MODEL, Coupling3(_E3, _E6, 1), d=0.5, b_field=_B, energy_scale="half"),
-    "sweep",
-    52,
-    {"j": "stated", "d": "stated", "b_field": "stated", "w": "stated"},
-)
-_add(
-    "fig7",
-    "field+DMI model, complex jz only, weight profiles",
-    ModelConfig(Variant.MAG_MODEL, Coupling3(1, 1, _E3), d=0.5, b_field=_B, energy_scale="half"),
-    "profiles",
-    12,
-    {"j": "stated", "d": "stated", "b_field": "stated", "w": "stated", "kx_values": "assumed"},
-)
-_add(
-    "fig8",
-    "field+DMI model, complex jx and jy, weight profiles",
-    ModelConfig(Variant.MAG_MODEL, Coupling3(_E3, _E6, 1), d=0.5, b_field=_B, energy_scale="half"),
-    "profiles",
-    12,
-    {"j": "stated", "d": "stated", "b_field": "stated", "w": "stated", "kx_values": "assumed"},
-)
+_M = {"j": "stated", "d": "stated", "b_field": "stated"}
+_MAG_JZ = ModelConfig(Variant.MAG_MODEL, Coupling3(1, 1, _E3), d=0.5, b_field=_B, energy_scale="half")
+_MAG_JXY = ModelConfig(Variant.MAG_MODEL, Coupling3(_E3, _E6, 1), d=0.5, b_field=_B, energy_scale="half")
+_add("fig6a", "field+DMI model, Hermitian couplings", "sweep",
+     ModelConfig(Variant.MAG_MODEL, Coupling3(1, 1, 1), d=0.5, b_field=_B, energy_scale="half"),
+     _M | {"j": "assumed"})
+_add("fig6b", "field+DMI model, complex jz only", "sweep", _MAG_JZ, _M)
+_add("fig6c", "field+DMI model, complex jx and jy", "sweep", _MAG_JXY, _M)
+_add("fig7", "field+DMI model, complex jz only", "profiles", _MAG_JZ, _M)
+_add("fig8", "field+DMI model, complex jx and jy", "profiles", _MAG_JXY, _M)
 
 PRESET_IDS = tuple(sorted(_PRESETS))
 

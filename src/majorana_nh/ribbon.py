@@ -123,12 +123,7 @@ def _solve_chiral(b, c, tol, hermitian):
     (dense ``zheevd`` at the full size beats the half-size product route);
     every other's by :func:`eigen.eig_chiral` from the blocks.
     """
-    if not hermitian:
-        return eigen.eig_chiral(b, c, tol=tol)
-    m = b.shape[-1]
-    h = np.zeros((*b.shape[:-2], 2 * m, 2 * m), dtype=complex)
-    h[..., :m, m:], h[..., m:, :m] = b, c
-    return eigen.eigh(h, tol=tol)
+    return eigen.eigh(eigen.chiral_matrix(b, c), tol=tol) if hermitian else eigen.eig_chiral(b, c, tol=tol)
 
 
 def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spectrum:
@@ -446,10 +441,9 @@ def edge_mode_weights(
     k_x: float,
     states=None,
     normalization: str = "linear",
-    boundary_y: str = "open",
     solves: dict | None = None,
 ):
-    """Per-site weight profiles for selected strip eigenstates at one k_x.
+    """Per-site weight profiles for selected open-strip eigenstates at one k_x.
 
     ``states`` is either a list of state indices (in eigenvalue-sorted order),
     an integer n meaning the n states of smallest |E|, or None for all states.
@@ -462,7 +456,7 @@ def edge_mode_weights(
     if normalization not in ("linear", "log01"):
         raise ValueError(f"unknown normalization {normalization!r}")
     with eigen.one_blas_thread():
-        spectrum = diagonalize_ribbon(RibbonSpec(w=w, boundary_y=boundary_y, k_x=k_x, model=model))
+        spectrum = diagonalize_ribbon(RibbonSpec(w=w, boundary_y="open", k_x=k_x, model=model))
     if solves is not None:
         solves[spectrum.path] += 1
     ws = site_weights(spectrum, w)
@@ -514,13 +508,17 @@ class NHSESummary:
     nhse_fraction_threshold: float
 
 
-def nhse_summary(result: SweepResult, nhse_fraction: float = 0.05, delta_floor: float = 0.05) -> NHSESummary:
+#: least |bulk-averaged (bottom - top) outer mass| of a k_x that can take part in a boundary flip
+DELTA_FLOOR = 0.05
+
+
+def nhse_summary(result: SweepResult, nhse_fraction: float = 0.05) -> NHSESummary:
     """Aggregate skin-effect diagnostics over a sweep.
 
     The overall verdict is based on the fraction of bulk (non-edge) states
     classed bulk-localized, aggregated over the whole grid.  Boundary flips
     are zero crossings of the bulk-averaged (bottom - top) outer mass between
-    grid points where that signal is above the noise floor; the grid is
+    grid points where that signal is above :data:`DELTA_FLOOR`; the grid is
     treated as periodic over 2 pi.
     """
     if result.pbc_reference is None:
@@ -543,7 +541,7 @@ def nhse_summary(result: SweepResult, nhse_fraction: float = 0.05, delta_floor: 
     # noise floor, along the k_x grid taken as periodic
     order = np.argsort(result.kx_grid)
     kxs, deltas = result.kx_grid[order], deltas[order]
-    keep = np.flatnonzero(np.abs(deltas) > delta_floor)
+    keep = np.flatnonzero(np.abs(deltas) > DELTA_FLOOR)
     nxt = np.roll(keep, -1)
     cross = deltas[keep] * deltas[nxt] < 0.0
     i, j = keep[cross], nxt[cross]

@@ -707,6 +707,10 @@ output:
             ("bloch-spectrum", MINIMAL, ("--preset", "fig4"), r"--preset applies to 'reproduce' only"),
             ("reproduce", "command: reproduce\npreset: fig8\n", ("--scale", "raw"),
              r"--scale does not apply to 'reproduce'"),
+            ("skin-check",
+             "command: skin-check\nmodel:\n  variant: gamma_model\n"
+             "  j: [2, 1, {mod: 2.5, phase_over_pi: 0.3333333333333333}]\n  gamma: 0.4\n", (),
+             r"'skin-check' tests each Majorana species alone; 'gamma_model' mixes them \(line 3\)"),
         ],
     )
     def test_ignored_key_exit_2(self, tmp_path, command, text, flags, message):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from majorana_nh import (
     ConfigurationError,
@@ -24,7 +26,7 @@ from majorana_nh import (
     structure_factor,
     triangle_test,
 )
-from majorana_nh.models import closed_form_spectrum_grid
+from majorana_nh.models import VARIANT_FIELDS, closed_form_spectrum_grid
 from conftest import random_complex_coupling
 
 E3 = cmath.exp(1j * math.pi / 3)
@@ -382,3 +384,44 @@ class TestBranchSqrt:
             w = branch_sqrt(z)
             assert w * w == pytest.approx(z)
             assert w.real > 0.0
+
+
+#: a value other than the default for each optional ModelConfig field
+_SET_VALUES = {
+    "k_coupling": 0.4,
+    "gamma": 0.3j,
+    "d": 0.5,
+    "b_field": (0.0, 0.0, 0.7),
+    "dmi_vectors": default_dmi_vectors(),
+}
+
+
+def test_set_values_cover_every_optional_field():
+    assert set(_SET_VALUES) == set().union(*VARIANT_FIELDS.values())
+
+
+@pytest.mark.parametrize(
+    "variant, field",
+    [(v, f) for v in Variant for f in _SET_VALUES if f not in VARIANT_FIELDS[v]],
+)
+def test_field_of_another_variant_rejected(variant, field):
+    with pytest.raises(ConfigurationError, match=f"field '{field}' is not valid for variant '{variant.value}'"):
+        ModelConfig(variant, Coupling3(1, 1, 1), **{field: _SET_VALUES[field]})
+
+
+@pytest.mark.parametrize("variant, field", [(v, f) for v in Variant for f in VARIANT_FIELDS[v]])
+def test_field_of_its_own_variant_accepted(variant, field):
+    model = ModelConfig(variant, Coupling3(1, 1, 1), **{field: _SET_VALUES[field]})
+    assert getattr(model, field) == _SET_VALUES[field]
+
+
+@given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), min_size=1, max_size=16))
+def test_branch_sqrt_of_array_is_elementwise(zs):
+    roots = branch_sqrt(np.array(zs, dtype=complex))
+    singles = [branch_sqrt(z) for z in zs]
+    assert all(isinstance(w, complex) for w in singles)
+    # bit for bit, signed zeros included
+    assert roots.view(np.uint64).tolist() == np.array(singles, dtype=complex).view(np.uint64).tolist()
+    for w in singles:
+        assert w.real >= 0.0
+        assert w.real > 0.0 or w.imag >= 0.0
