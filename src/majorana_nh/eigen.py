@@ -25,6 +25,10 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ConvergenceError
 
+#: the routes :attr:`Spectrum.path` names: :func:`eigh`, :func:`eig_chiral`,
+#: :func:`eig`, and :func:`eig` after a Hermitian or chiral certificate failed
+SOLVER_PATHS = ("hermitian", "chiral", "dense", "dense_fallback")
+
 #: eigenvector overlap beyond which a pair is flagged as near-defective
 DEFECTIVE_OVERLAP = 1.0 - 1e-6
 
@@ -119,8 +123,9 @@ class Spectrum:
 
     ``eigenvalues`` are sorted by (Re, Im); ``right_vectors[:, i]`` is the
     unit-norm right eigenvector of ``eigenvalues[i]``.  ``residuals[i]`` is
-    ``||H v_i - lambda_i v_i||_2 / max(1, ||H||_F)`` and ``achieved_tol`` is
-    their maximum.  ``left_vectors``, when present, are rescaled so that
+    ``||H v_i - lambda_i v_i||_2 / max(1, matrix_norm)``, ``||H||_F`` unless
+    given as ``norm=``, and ``achieved_tol`` is their maximum.
+    ``left_vectors``, when present, are rescaled so that
     ``l_i^dag r_j ~ delta_ij`` away from flagged near-defective clusters.
 
     For a ``(..., n, n)`` stack every field gains the leading axes: arrays
@@ -131,7 +136,7 @@ class Spectrum:
     fast route missed its certificate and was solved again by :func:`eig`.
 
     The residuals certify a backward error (pair i is exact for a matrix
-    within ``residuals[i] * max(1, ||H||_F)`` of ``H`` in 2-norm), not the
+    within ``residuals[i] * max(1, matrix_norm)`` of ``H`` in 2-norm), not the
     eigenvalue error, which to first order is that times the eigenvalue's
     condition number.  Non-normal strips reach that limit: on the fig6c
     strip (w=52) at k_x = +-3pi/4 every residual is at most 1.1e-15, yet
@@ -161,12 +166,13 @@ def _validate(matrix) -> np.ndarray:
     return a
 
 
-def _stack(matrix, tol, size_factor=1):
-    """Flat ``(k, n, n)`` stack, leading shape and per-matrix tol (default: of size ``size_factor * n``)."""
+def _stack(matrix, tol, norm=None, size_factor=1):
+    """Flat ``(k, n, n)`` stack, leading shape, per-matrix tol (default: of size ``size_factor * n``) and norm or None."""
     a = _validate(matrix)
     stack, n = a.shape[:-2], a.shape[-1]
     tol = np.broadcast_to(default_tol(size_factor * n) if tol is None else tol, stack).reshape(-1)
-    return a.reshape(-1, n, n), stack, tol
+    norm = None if norm is None else np.broadcast_to(norm, stack).reshape(-1)
+    return a.reshape(-1, n, n), stack, tol, norm
 
 
 def chiral_matrix(b, c) -> np.ndarray:
@@ -333,7 +339,7 @@ def eig(matrix, want_left: bool = False, tol: float | np.ndarray | None = None) 
     empty or non-finite input and :class:`ConvergenceError` (naming the first
     failing matrix, whole result attached) if the residual target is missed.
     """
-    a, stack, tol = _stack(matrix, tol)
+    a, stack, tol, _ = _stack(matrix, tol)
     if want_left and stack:
         raise ValueError("want_left=True takes a single matrix, not a stack")
     norm = frobenius_norms(a)
@@ -344,22 +350,26 @@ def eig(matrix, want_left: bool = False, tol: float | np.ndarray | None = None) 
     return _certified(stack, tol, w, vr, vl, res, flags, norm, "dense")
 
 
-def eigh(matrix, tol: float | np.ndarray | None = None) -> Spectrum:
+def eigh(matrix, tol: float | np.ndarray | None = None, *, norm: float | np.ndarray | None = None) -> Spectrum:
     """:func:`eig` of a Hermitian matrix or ``(..., n, n)`` stack, solved by LAPACK's ``zheevd``.
 
     The caller declares the matrices Hermitian; ``zheevd`` reads only their
     lower triangles, so the residual of every pair is taken on the full
-    matrix as given, over ``max(1, ||H||_F)``, and certifies the declaration.
-    Eigenvalues come out real (stored as complex with imaginary part 0) in
-    ascending order, vectors orthonormal, and no pair is flagged defective.
-    A matrix whose pairs miss ``tol`` (default :func:`default_tol` of n) is
-    solved again by the dense :func:`eig` route (polish included), and
-    ``path`` reads "dense_fallback" instead of "hermitian".  Each matrix of a
-    stack gets the result it would get alone; :class:`ConvergenceError`
-    names the first failing matrix, with the whole result attached.
+    matrix as given, over ``max(1, norm)``, and certifies the declaration.
+    ``norm`` (default: each matrix's ``||H||_F``; a scalar or broadcasting to
+    the stack shape) is what the residuals, the polish and the fallback are
+    certified against, e.g. the norm of the strip a species block is cut
+    from.  Eigenvalues come out real (stored as complex with imaginary part
+    0) in ascending order, vectors orthonormal, and no pair is flagged
+    defective.  A matrix whose pairs miss ``tol`` (default
+    :func:`default_tol` of n) is solved again by the dense :func:`eig` route
+    (polish included), and ``path`` reads "dense_fallback" instead of
+    "hermitian".  Each matrix of a stack gets the result it would get alone;
+    :class:`ConvergenceError` names the first failing matrix, with the whole
+    result attached.
     """
-    a, stack, tol = _stack(matrix, tol)
-    norm = frobenius_norms(a)
+    a, stack, tol, norm = _stack(matrix, tol, norm)
+    norm = frobenius_norms(a) if norm is None else norm
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -373,7 +383,7 @@ def eigh(matrix, tol: float | np.ndarray | None = None) -> Spectrum:
 
 
 def _chiral_residuals(b, c, w, v, norm):
-    """``||H v - E v|| / max(1, ||H||_F)`` for H = [[0, B], [C, 0]], through the blocks."""
+    """``||H v - E v|| / max(1, norm)`` for H = [[0, B], [C, 0]], through the blocks."""
     m = b.shape[-1]
     x, y = v[:, :m], v[:, m:]
     top = np.linalg.norm(b @ y - x * w[:, None, :], axis=-2)
@@ -439,7 +449,7 @@ def _chiral_pairs(b, c):
     return w, v, resolved
 
 
-def eig_chiral(b, c, tol: float | np.ndarray | None = None) -> Spectrum:
+def eig_chiral(b, c, tol: float | np.ndarray | None = None, *, norm: float | np.ndarray | None = None) -> Spectrum:
     """:func:`eig` of the chiral matrix H = [[0, B], [C, 0]], solved at half the dimension.
 
     ``b`` and ``c`` are ``(m, m)`` matrices or ``(..., m, m)`` stacks; the
@@ -451,28 +461,30 @@ def eig_chiral(b, c, tol: float | np.ndarray | None = None) -> Spectrum:
     where C x / E is ill defined, comes from a Rayleigh-Ritz step on the
     cluster eigenvectors of B C and C B (``eig(C B)`` runs only for matrices
     with a cluster).  Every pair is certified by its residual on H, taken
-    through the blocks, and the set by the trace identity
-    sum E**2 = tr H**2, to ``_TRACE_GAP * max(1, ||H||_F)**2``.  A matrix
-    whose cluster counts differ, whose cluster eigenvectors are dependent,
-    whose pairs miss ``tol`` or whose set misses the identity is solved
-    again by the dense :func:`eig` route of that H (polish included).
-    ``path`` is "chiral", or "dense_fallback" when some matrix took that
-    route.
+    through the blocks over ``max(1, norm)`` (``norm`` as in :func:`eigh`),
+    and the set by the trace identity sum E**2 = tr H**2, to
+    ``_TRACE_GAP * max(1, ||H||_F)**2`` on H's own norm.  A matrix whose
+    cluster counts differ, whose cluster eigenvectors are dependent, whose
+    pairs miss ``tol`` or whose set misses the identity is solved again by
+    the dense :func:`eig` route of that H (polish included).  ``path`` is
+    "chiral", or "dense_fallback" when some matrix took that route.
     """
     if np.shape(b) != np.shape(c):
         raise ValueError(f"B and C must have equal shapes, got {np.shape(b)} and {np.shape(c)}")
-    b, stack, tol = _stack(b, tol, size_factor=2)
+    b, stack, tol, norm = _stack(b, tol, norm, size_factor=2)
     c = _stack(c, None)[0]
-    norm = np.hypot(frobenius_norms(b), frobenius_norms(c))
+    own = np.hypot(frobenius_norms(b), frobenius_norms(c))
+    norm = own if norm is None else norm
 
     w, v, resolved = _chiral_pairs(b, c)
     w, v, _ = _sort_pairs(w, v)
     v = _unit_columns(v)
     res = _chiral_residuals(b, c, w, v, norm)
     # the pairs must also form one spectrum: sum E**2 = tr H**2 = 2 tr(B C),
-    # which Ritz values of an ill-conditioned cluster can break
+    # which Ritz values of an ill-conditioned cluster can break; taken over a
+    # larger given norm, it let two K strips (w=20) keep eigenvalues 2e-4 off
     trace_gap = np.abs((w * w).sum(axis=-1) - 2.0 * np.einsum("kij,kji->k", b, c))
-    failed = ~resolved | (trace_gap > _TRACE_GAP * np.maximum(1.0, norm) ** 2)
+    failed = ~resolved | (trace_gap > _TRACE_GAP * np.maximum(1.0, own) ** 2)
     return _certified_or_redone(stack, tol, w, v, res, _defective_flags(v), norm, "chiral", failed,
                                 lambda redo: chiral_matrix(b[redo], c[redo]))
 

@@ -236,7 +236,7 @@ def run_ribbon_sweep(cfg: RunConfig) -> list[Path]:
 
 def run_localization(cfg: RunConfig) -> list[Path]:
     """Per-site weight profiles of selected states at one k_x."""
-    solves = dict.fromkeys(ribbon.SOLVER_PATHS, 0)
+    solves = dict.fromkeys(eigen.SOLVER_PATHS, 0)
     n_states = cfg.grid.n_states if cfg.grid.n_states > 0 else None
     table = _profile_table(cfg, cfg.model, [cfg.grid.kx], n_states, cfg.output.weight_scale, solves)
     meta = {

@@ -116,16 +116,6 @@ def _strip_order(v, w):
     return np.swapaxes(v.reshape(*v.shape[:-2], 2, w, -1, v.shape[-1]), -4, -3).reshape(v.shape)
 
 
-def _solve_chiral(b, c, tol, hermitian):
-    """The chiral matrices [[0, B], [C, 0]] of B and C stacks, solved under the eig contract.
-
-    A Hermitian model's matrices are assembled and solved by :func:`eigen.eigh`
-    (dense ``zheevd`` at the full size beats the half-size product route);
-    every other's by :func:`eigen.eig_chiral` from the blocks.
-    """
-    return eigen.eigh(eigen.chiral_matrix(b, c), tol=tol) if hermitian else eigen.eig_chiral(b, c, tol=tol)
-
-
 def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spectrum:
     """Eigendecomposition of a strip under the :func:`eigen.eig` contract.
 
@@ -135,16 +125,16 @@ def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spec
     :func:`eigen.eig_chiral`, and any other strip by :func:`eigen.eig`.  A
     strip with an onsite field is built whole by :func:`build_ribbon`.  A
     bond-only strip (:attr:`ModelConfig.bond_only`) is chiral, [[0, B],
-    [C, 0]] between the A and B sublattices, and is solved from those
-    blocks.  When :func:`~majorana_nh.models.species` keeps the Majorana
-    species apart, the distinct w x w species blocks go in one stacked call
-    (the parent model's one species stands for all three flavours) and each
-    block's eigenpairs are placed on rows ``fl::3`` of its flavours.  Every
-    eigenpair meets ``tol`` in the residual normalized by the strip's
-    Frobenius norm (summed from the blocks), after a dense re-solve and a
-    polish where needed, or :class:`ConvergenceError` is raised.  Block
-    eigenvectors are unit-normalized per block and zero on the other
-    flavours.
+    [C, 0]] between the A and B sublattices, and is solved from the blocks
+    of one :func:`_bond_blocks` call.  When
+    :func:`~majorana_nh.models.species` keeps the Majorana species apart,
+    the distinct w x w species blocks are cut out of those blocks and go in
+    one stacked call, certified against the strip's norm (``norm=``); the
+    parent model's one species stands for all three flavours, and each
+    block's eigenpairs are placed on rows ``fl::3`` of its flavours, zero on
+    the others.  Every eigenpair meets ``tol`` (default of size 6w) in the
+    residual over the strip's Frobenius norm, after a dense re-solve and a
+    polish where needed, or :class:`ConvergenceError` is raised.
     """
     hermitian = spec.model.hermitian
     if not spec.model.bond_only:
@@ -152,42 +142,35 @@ def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spec
 
     w, n = spec.w, 6 * spec.w
     tol = eigen.default_tol(n) if tol is None else tol
-    periodic, scale = spec.boundary_y == "periodic", spec.model.scale_factor
+    t = flavour_bond_table(spec.model).t
+    b, c = _bond_blocks(w, spec.k_x, spec.boundary_y == "periodic", *t, spec.model.scale_factor)
     sets = species(spec.model)
     if sets is None:
-        t = flavour_bond_table(spec.model).t
-        b, c = (x.reshape(3 * w, 3 * w) for x in _bond_blocks(w, spec.k_x, periodic, *t, scale))
-        s = _solve_chiral(b, c, tol, hermitian)
+        b, c, norm = b.reshape(3 * w, 3 * w), c.reshape(3 * w, 3 * w), None
+    else:
+        fl = np.arange(len(sets))
+        b, c, norm = b[:, fl, :, fl], c[:, fl, :, fl], math.hypot(np.linalg.norm(b), np.linalg.norm(c))
+    # a Hermitian strip by dense zheevd at the full size, which beats the half-size product route
+    s = (eigen.eigh(eigen.chiral_matrix(b, c), tol=tol, norm=norm) if hermitian
+         else eigen.eig_chiral(b, c, tol=tol, norm=norm))
+    if sets is None:
         return replace(s, right_vectors=_strip_order(s.right_vectors, w))
 
-    blocks = [
-        _bond_blocks(w, spec.k_x, periodic, *(np.array([[j_a]]) for j_a in j), scale) for _, j in sets
-    ]
-    b = np.stack([bc[0] for bc in blocks]).reshape(-1, w, w)
-    c = np.stack([bc[1] for bc in blocks]).reshape(-1, w, w)
     picks = np.arange(3) % len(sets)  # the block of each flavour
-    block_norms = np.hypot(eigen.frobenius_norms(b), eigen.frobenius_norms(c))
-    norm = math.sqrt(sum(block_norms[p] ** 2 for p in picks))
-    # a block residual is a residual of the strip: restate tol in each block's norm
-    ratios = max(1.0, norm) / np.maximum(1.0, block_norms)
-    part = _solve_chiral(b, c, tol * ratios, hermitian)
-
-    m = 2 * w
-    fl = np.arange(3)
+    m, f3 = 2 * w, np.arange(3)
     v_all = np.zeros((m, 3, 3, m), dtype=complex)  # (site, row flavour, column flavour, state)
-    v_all[:, fl, fl, :] = _strip_order(part.right_vectors, w)[picks].transpose(1, 0, 2)
-    w_all = part.eigenvalues[picks].ravel()
-    res = (part.residuals / ratios[:, None])[picks].ravel()
+    v_all[:, f3, f3, :] = _strip_order(s.right_vectors, w)[picks].transpose(1, 0, 2)
+    w_all = s.eigenvalues[picks].ravel()
     order = np.lexsort((w_all.imag, w_all.real))
     return eigen.Spectrum(
         eigenvalues=w_all[order],
         right_vectors=v_all.reshape(n, n)[:, order],
         left_vectors=None,
-        residuals=res[order],
-        defective_flags=part.defective_flags[picks].ravel()[order],
-        achieved_tol=float(res.max()),
+        residuals=s.residuals[picks].ravel()[order],
+        defective_flags=s.defective_flags[picks].ravel()[order],
+        achieved_tol=float(s.achieved_tol.max()),
         matrix_norm=norm,
-        path=part.path,
+        path=s.path,
     )
 
 
@@ -360,12 +343,6 @@ def pbc_cloud_intervals(model: ModelConfig, k_x: float, n_transverse: int = 512)
 # sweeps
 # --------------------------------------------------------------------------
 
-#: routes of a strip solve, in dispatch order: eigen.eigh of a Hermitian
-#: strip, eigen.eig_chiral of a bond-only one, eigen.eig of one with an onsite
-#: field, and eigen.eig after a Hermitian or chiral certificate failed
-SOLVER_PATHS = ("hermitian", "chiral", "dense", "dense_fallback")
-
-
 @dataclass
 class SweepResult:
     model: ModelConfig
@@ -376,7 +353,7 @@ class SweepResult:
     pbc_reference: list | None  # per k_x, the CloudIntervals of the periodic spectrum
     thresholds: ClassifierThresholds
     max_residual: float
-    strip_solves: dict  # strip solves per solver path, see :data:`SOLVER_PATHS`
+    strip_solves: dict  # strip solves per solver path, see :data:`eigen.SOLVER_PATHS`
 
 
 def sweep(
@@ -431,7 +408,7 @@ def sweep(
         pbc_reference=[r[1] for r in results] if pbc_reference else None,
         thresholds=thresholds,
         max_residual=max(r[2] for r in results),
-        strip_solves={p: [r[3] for r in results].count(p) for p in SOLVER_PATHS},
+        strip_solves={p: [r[3] for r in results].count(p) for p in eigen.SOLVER_PATHS},
     )
 
 
@@ -445,7 +422,7 @@ def edge_mode_weights(
 ):
     """Per-site weight profiles for selected open-strip eigenstates at one k_x.
 
-    ``states`` is either a list of state indices (in eigenvalue-sorted order),
+    ``states`` is either a list of state indices in [0, 6w) (in eigenvalue-sorted order),
     an integer n meaning the n states of smallest |E|, or None for all states.
     ``normalization="log01"`` returns log weights affinely rescaled to [0, 1]
     per state, as used for edge-mode snapshots.  The strip is solved under
@@ -464,14 +441,14 @@ def edge_mode_weights(
     if states is None:
         idx = np.arange(spectrum.n)
     elif isinstance(states, int):
-        if states <= 0:
-            raise ValueError("state selection is empty")
-        idx = np.argsort(np.abs(spectrum.eigenvalues), kind="stable")[:states]
-        idx = np.sort(idx)
+        idx = np.sort(np.argsort(np.abs(spectrum.eigenvalues), kind="stable")[: max(states, 0)])
     else:
         idx = np.asarray(list(states), dtype=int)
-        if idx.size == 0:
-            raise ValueError("state selection is empty")
+    if idx.size == 0:
+        raise ValueError("state selection is empty")
+    outside = idx[(idx < 0) | (idx >= spectrum.n)]
+    if outside.size:
+        raise ValueError(f"state indices must lie in [0, {spectrum.n}), got {outside.tolist()}")
 
     profiles = ws[:, idx].T.copy()  # (n_selected, 2w), columns sum to 1
     if normalization == "log01":

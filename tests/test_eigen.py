@@ -170,8 +170,54 @@ def assert_certified_on(h, s, tol):
     np.testing.assert_array_equal(order, np.arange(s.n))
 
 
+def species_blocks(model, w, k_x):
+    """B and C of the three species of an open strip, cut from the dense strip, and its ||H||_F."""
+    strip = build_ribbon(RibbonSpec(w=w, boundary_y="open", k_x=k_x, model=model))
+    a, b_sites = 6 * np.arange(w), 6 * np.arange(w) + 3
+    b = np.stack([strip[np.ix_(a + fl, b_sites + fl)] for fl in range(3)])
+    c = np.stack([strip[np.ix_(b_sites + fl, a + fl)] for fl in range(3)])
+    return b, c, np.linalg.norm(strip, "fro")
+
+
+def assert_strip_norm_certificate(solve, b, c, norm):
+    """Blocks certified against the strip's ``norm`` match those with tol restated in each block's norm.
+
+    Same route, the same eigenvalue and vector bytes, and residuals equal
+    once the restated ones are rescaled to the strip's norm.
+    """
+    tol = eigen.default_tol(6 * b.shape[-1])
+    ratios = max(1.0, norm) / np.maximum(1.0, np.hypot(eigen.frobenius_norms(b), eigen.frobenius_norms(c)))
+    s = solve(b, c, tol=tol, norm=norm)
+    restated = solve(b, c, tol=tol * ratios)
+    assert s.path == restated.path
+    assert s.eigenvalues.tobytes() == restated.eigenvalues.tobytes()
+    assert s.right_vectors.tobytes() == restated.right_vectors.tobytes()
+    np.testing.assert_allclose(s.residuals, restated.residuals / ratios[:, None], rtol=2e-15, atol=0.0)
+    assert (s.matrix_norm == norm).all()
+    return s
+
+
+#: (j, k_coupling, k_x) of skin-effect K strips (w=20, open) whose species
+#: blocks fail the trace identity on their own norm, though not on the strip's
+TRACE_STRIPS = [
+    ((0.33959800117393896 - 1.3276390959618392j, -1.5304532059033462 - 0.9327967178408236j,
+      1.5685582617686709 - 0.37859241037677255j), 0.7041331180209431, np.pi / 2),
+    ((-1.818357610300824 - 0.20063763762394304j, -0.2290279712088055 - 1.7767865751295544j,
+      1.640998272348857 + 0.1509716330979037j), 0.5622724758338847, -np.pi / 2),
+]
+
+
 class TestChiral:
     """``eig_chiral`` keeps the contract of ``eig`` on [[0, B], [C, 0]]."""
+
+    @pytest.mark.parametrize("j, k_coupling, k_x", TRACE_STRIPS)
+    def test_strip_norm_keeps_the_block_trace_identity(self, j, k_coupling, k_x):
+        # the residuals move to the strip's norm, the trace identity stays on
+        # each block's own: these blocks still fall back to the dense route
+        model = ModelConfig(Variant.K_MODEL, Coupling3(*j), k_coupling=k_coupling)
+        b, c, norm = species_blocks(model, 20, k_x)
+        s = assert_strip_norm_certificate(eigen.eig_chiral, b, c, norm)
+        assert s.path == "dense_fallback"
 
     def test_random_blocks_match_dense(self, rng):
         for m in (1, 3, 8, 20):
@@ -261,6 +307,14 @@ def random_hermitian(rng, *shape):
 
 class TestHermitian:
     """``eigh`` keeps the contract of ``eig`` on matrices declared Hermitian."""
+
+    def test_strip_norm_certificate(self):
+        model = ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5), k_coupling=0.4)
+        b, c, norm = species_blocks(model, 20, 0.7)
+        s = assert_strip_norm_certificate(
+            lambda b, c, **kwargs: eigen.eigh(eigen.chiral_matrix(b, c), **kwargs), b, c, norm
+        )
+        assert s.path == "hermitian"
 
     def test_random_hermitian_matches_dense(self, rng):
         for n in (1, 6, 40, 312):

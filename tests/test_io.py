@@ -682,14 +682,21 @@ output:
             ("arc-trace", "grid:\n  arc_grid_n: 0\n", r"grid\.arc_grid_n must be >= 2, got 0 \(line 7\)"),
             ("arc-trace", "grid:\n  arc_grid_n: 1\n", r"grid\.arc_grid_n must be >= 2, got 1 \(line 7\)"),
             ("bloch-spectrum", "grid:\n  bz_n: 0\n", r"grid\.bz_n must be >= 1, got 0 \(line 7\)"),
+            # no edge band, or two that overlap
+            ("ribbon-sweep", "tolerance:\n  outer_frac: 0\n",
+             r"tolerance\.outer_frac must be in \(0, 0\.5\], got 0\.0 \(line 7\)"),
+            ("localization", "tolerance:\n  outer_frac: 0.6\n",
+             r"tolerance\.outer_frac must be in \(0, 0\.5\], got 0\.6 \(line 7\)"),
         ],
     )
     def test_out_of_range_value_exit_2(self, tmp_path, command, extra, message):
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(MINIMAL.replace("bloch-spectrum", command) + extra)
+        out = f"output:\n  directory: {tmp_path / 'out'}\n"
+        cfg.write_text(MINIMAL.replace("bloch-spectrum", command) + extra + out)
         res = self._run(command, "--config", str(cfg))
         assert res.returncode == 2
         assert re.search(message, res.stderr), res.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, text, flags, message",

@@ -153,7 +153,7 @@ class TestStripSolverContract:
         assert s.achieved_tol == s.residuals.max() <= tol
         np.testing.assert_allclose(s.residuals, independent, rtol=0.5, atol=1e-15)
         np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-13)
-        # summed from the species blocks, the norm may differ in the last bit
+        # summed in another order, the norm may differ in the last bit
         assert s.matrix_norm == pytest.approx(norm, rel=1e-14)
         assert not s.defective_flags.any()
         order = np.lexsort((s.eigenvalues.imag, s.eigenvalues.real))
@@ -498,6 +498,10 @@ class TestEdgeModeWeights:
             edge_mode_weights(model, 8, 0.5, states=[])
         with pytest.raises(ValueError):
             edge_mode_weights(model, 8, 0.5, states=0)
+        # indices outside [0, 6w): no wrap-around from the end, no bare IndexError
+        for states in ([-1, 0], [48]):
+            with pytest.raises(ValueError, match=r"state indices must lie in \[0, 48\)"):
+                edge_mode_weights(model, 8, 0.5, states=states)
 
 
 class TestSweepAndSummary:
@@ -560,7 +564,7 @@ class TestSweepAndSummary:
         s = eig(np.eye(2))
         in_solve = []
 
-        def failing_eig(*matrices, tol=None):
+        def failing_eig(*matrices, tol=None, norm=None):
             in_solve.append(self.blas_counts())
             raise ConvergenceError("residual target missed", result=s)
 
@@ -576,9 +580,9 @@ class TestSweepAndSummary:
         model = ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5 * E3), gamma=0.4)
         real_eig, in_solve = eigen.eig_chiral, []
 
-        def counting_eig(b, c, tol=None):
+        def counting_eig(b, c, tol=None, norm=None):
             in_solve.append(self.blas_counts())
-            return real_eig(b, c, tol=tol)
+            return real_eig(b, c, tol=tol, norm=norm)
 
         before = self.blas_counts()
         monkeypatch.setattr(eigen, "eig_chiral", counting_eig)
