@@ -103,11 +103,14 @@ def _at_least(low):
     return cast
 
 
-def _edge_band(located, name):
-    """Real parser of ``outer_frac``: each edge's band in (0, 0.5], so the two bands are nonempty and apart."""
+def _threshold(located, name):
+    """Real parser of a classifier threshold, held to the range :class:`ClassifierThresholds` checks."""
     v = _as_real(located, name)
-    if not 0.0 < v <= 0.5:
-        _err(f"{name} must be in (0, 0.5], got {v}", located)
+    block, _, field = name.rpartition(".")
+    try:
+        ClassifierThresholds(**{field: v})
+    except ValueError as exc:
+        _err(f"{block}.{exc}", located)
     return v
 
 
@@ -359,7 +362,9 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
     if command == "ep-find" and grid.bz_n < MIN_SCAN_GRID_N:
         msg = f"grid.bz_n must be >= {MIN_SCAN_GRID_N} for ep-find, got {grid.bz_n}"
         _err(msg, block["grid"].value["bz_n"])
-    tol_casts = _numeric_casts(ToleranceConfig) | {"outer_frac": _edge_band}
+    tol_casts = _numeric_casts(ToleranceConfig) | dict.fromkeys(
+        ("edge_mass", "outer_frac", "ipr_factor", "cloud_tol"), _threshold
+    )
     tol = _fill_dataclass(ToleranceConfig(), block.get("tolerance"), "tolerance", tol_casts)
     out = _fill_dataclass(
         OutputConfig(),

@@ -134,6 +134,9 @@ class Spectrum:
     names the route: "dense" (:func:`eig`), "hermitian" (:func:`eigh`),
     "chiral" (:func:`eig_chiral`), or "dense_fallback" when a matrix of either
     fast route missed its certificate and was solved again by :func:`eig`.
+    ``routes`` names it per matrix: ``path`` for a lone matrix, an array of
+    the stack shape for a stack, "dense_fallback" only where that matrix was
+    solved again.
 
     The residuals certify a backward error (pair i is exact for a matrix
     within ``residuals[i] * max(1, matrix_norm)`` of ``H`` in 2-norm), not the
@@ -151,6 +154,7 @@ class Spectrum:
     achieved_tol: float | np.ndarray
     matrix_norm: float | np.ndarray
     path: str = "dense"
+    routes: str | np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -195,9 +199,10 @@ def _sort_pairs(w, vr, vl=None):
     one, so column norms sum in the same order for a stack as for one matrix.
     """
     order = np.lexsort((w.imag, w.real), axis=-1)
+    stack = np.indices(order.shape, sparse=True)[:-1]
 
     def gather(v):
-        return np.take_along_axis(np.swapaxes(v, -1, -2), order[..., :, None], -2).swapaxes(-1, -2)
+        return np.swapaxes(v, -1, -2)[(*stack, order)].swapaxes(-1, -2)
 
     return np.take_along_axis(w, order, -1), gather(vr), None if vl is None else gather(vl)
 
@@ -291,8 +296,16 @@ def _solve(a, tol, norm, want_left=False):
     return w, vr, vl, res
 
 
-def _certified(stack, tol, w, vr, vl, res, flags, norm, path) -> Spectrum:
-    """The :class:`Spectrum` of a flat stack, or ConvergenceError naming its first failing matrix."""
+def _routes(k, path):
+    """Each of ``k`` matrices' route, all ``path`` to begin with."""
+    return np.full(k, path, dtype=f"U{max(map(len, SOLVER_PATHS))}")
+
+
+def _certified(stack, tol, w, vr, vl, res, flags, norm, routes) -> Spectrum:
+    """The :class:`Spectrum` of a flat stack, or ConvergenceError naming its first failing matrix.
+
+    ``routes`` is the flat array of each matrix's route.
+    """
     n = w.shape[-1]
     achieved = res.max(axis=-1)
     spectrum = Spectrum(
@@ -303,7 +316,8 @@ def _certified(stack, tol, w, vr, vl, res, flags, norm, path) -> Spectrum:
         defective_flags=flags.reshape(*stack, n),
         achieved_tol=achieved.reshape(stack) if stack else float(achieved[0]),
         matrix_norm=norm.reshape(stack) if stack else float(norm[0]),
-        path=path,
+        path="dense_fallback" if (routes == "dense_fallback").any() else str(routes[0]),
+        routes=routes.reshape(stack) if stack else str(routes[0]),
     )
     failed = np.flatnonzero(achieved > tol)
     if failed.size:
@@ -322,11 +336,12 @@ def _certified_or_redone(stack, tol, w, v, res, flags, norm, path, failed, dense
     Redone: the matrices ``failed`` marks or whose pairs miss ``tol``, built by ``dense(indices)``.
     """
     redo = np.flatnonzero(failed | (res > tol[:, None]).any(axis=-1))
+    routes = _routes(len(w), path)
     if redo.size:
         w[redo], v[redo], _, res[redo] = _solve(dense(redo), tol[redo], norm[redo])
         flags[redo] = _defective_flags(v[redo])
-        path = "dense_fallback"
-    return _certified(stack, tol, w, v, None, res, flags, norm, path)
+        routes[redo] = "dense_fallback"
+    return _certified(stack, tol, w, v, None, res, flags, norm, routes)
 
 
 def eig(matrix, want_left: bool = False, tol: float | np.ndarray | None = None) -> Spectrum:
@@ -347,7 +362,7 @@ def eig(matrix, want_left: bool = False, tol: float | np.ndarray | None = None) 
     flags = _defective_flags(vr)
     if vl is not None:
         vl, flags[0] = _biorthogonalize(w[0], vl[0], vr[0], flags[0], norm[0])
-    return _certified(stack, tol, w, vr, vl, res, flags, norm, "dense")
+    return _certified(stack, tol, w, vr, vl, res, flags, norm, _routes(len(w), "dense"))
 
 
 def eigh(matrix, tol: float | np.ndarray | None = None, *, norm: float | np.ndarray | None = None) -> Spectrum:
@@ -401,7 +416,8 @@ def _chiral_pairs(b, c):
     """Eigenpairs of H = [[0, B], [C, 0]] from eig(B C), the near-zero cluster by Rayleigh-Ritz.
 
     Returns unsorted eigenvalues ``(k, 2m)``, vectors ``(k, 2m, 2m)`` and a
-    ``(k,)`` mask of the matrices whose cluster could be resolved.
+    ``(k,)`` mask of the matrices whose cluster could be resolved.  The
+    Rayleigh-Ritz step runs stacked over the matrices of one cluster size.
     """
     k, m = b.shape[0], b.shape[-1]
     try:
@@ -423,30 +439,58 @@ def _chiral_pairs(b, c):
         mu_cb, x_cb = np.linalg.eig(c[has] @ b[has])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    for i, near_cb, y_all in zip(has, _near_zero(mu_cb), x_cb):
-        cols = np.flatnonzero(near[i])
-        if cols.size != near_cb.sum():
-            resolved[i] = False
-            continue
+    near_cb = _near_zero(mu_cb)
+    size, size_cb = near[has].sum(axis=-1), near_cb.sum(axis=-1)
+    resolved[has[size != size_cb]] = False
+    for s in np.unique(size[size == size_cb]):
+        g = np.flatnonzero((size == s) & (size_cb == s))
+        i = has[g]
+        cols = np.nonzero(near[i])[1].reshape(-1, s)
         # orthonormal bases of the cluster's invariant subspaces of B C and C B;
         # without independent eigenvectors (a Jordan block) they are not spanned
-        qx, rx = np.linalg.qr(x[i][:, cols])
-        qy, ry = np.linalg.qr(y_all[:, near_cb])
-        if min(np.abs(np.diagonal(rx)).min(), np.abs(np.diagonal(ry)).min()) < _CLUSTER_RANK:
-            resolved[i] = False
+        qx, rx = np.linalg.qr(np.take_along_axis(x[i], cols[:, None, :], -1))
+        qy, ry = np.linalg.qr(np.take_along_axis(x_cb[g], np.nonzero(near_cb[g])[1].reshape(-1, 1, s), -1))
+        spanned = np.minimum(np.abs(np.diagonal(rx, axis1=-2, axis2=-1)).min(axis=-1),
+                             np.abs(np.diagonal(ry, axis1=-2, axis2=-1)).min(axis=-1)) >= _CLUSTER_RANK
+        resolved[i[~spanned]] = False
+        i, cols, qx, qy = i[spanned], cols[spanned], qx[spanned], qy[spanned]
+        if not i.size:
             continue
         # span{[Qx; 0], [0; Qy]} is H-invariant: solve H restricted to it
-        zero = np.zeros((cols.size, cols.size), dtype=complex)
-        ritz = np.block([[zero, qx.conj().T @ b[i] @ qy], [qy.conj().T @ c[i] @ qx, zero]])
-        try:
-            ws, zs = np.linalg.eig(ritz)
-        except np.linalg.LinAlgError:
-            resolved[i] = False
-            continue
-        slots = np.concatenate([cols, m + cols])
-        w[i, slots] = ws
-        v[i][:, slots] = np.concatenate([qx @ zs[: cols.size], qy @ zs[cols.size :]])
+        zero = np.zeros((len(i), s, s), dtype=complex)
+        ritz = np.block([[zero, _adjoint(qx) @ b[i] @ qy], [_adjoint(qy) @ c[i] @ qx, zero]])
+        ws, zs, ok = _eig_each(ritz)
+        resolved[i[~ok]] = False
+        i, cols, qx, qy, ws, zs = i[ok], cols[ok], qx[ok], qy[ok], ws[ok], zs[ok]
+        slots = np.concatenate([cols, m + cols], axis=-1)
+        w[i[:, None], slots] = ws
+        v[i[:, None, None], np.arange(2 * m)[:, None], slots[:, None, :]] = np.concatenate(
+            [qx @ zs[:, :s], qy @ zs[:, s:]], axis=-2
+        )
     return w, v, resolved
+
+
+def _adjoint(a):
+    return np.swapaxes(a.conj(), -1, -2)
+
+
+def _eig_each(a):
+    """``np.linalg.eig`` of a stack, and a mask of the matrices it solved.
+
+    A stack LAPACK fails on is solved matrix by matrix, so one failure
+    leaves the others their own result.
+    """
+    try:
+        return (*np.linalg.eig(a), np.ones(len(a), dtype=bool))
+    except np.linalg.LinAlgError:
+        pass
+    w, v, ok = np.zeros(a.shape[:-1], dtype=complex), np.zeros_like(a), np.ones(len(a), dtype=bool)
+    for j, one in enumerate(a):
+        try:
+            w[j], v[j] = np.linalg.eig(one)
+        except np.linalg.LinAlgError:
+            ok[j] = False
+    return w, v, ok
 
 
 def eig_chiral(b, c, tol: float | np.ndarray | None = None, *, norm: float | np.ndarray | None = None) -> Spectrum:

@@ -120,10 +120,34 @@ def write_table_json(path: Path, table: dict, metadata: dict):
     )
 
 
+def _json_cells(values, kind, encode) -> list[str]:
+    """The JSON text of each cell of one column, as ``encode`` writes the cell.
+
+    A column of finite floats or of plain ints goes straight to ``repr``, one
+    of strings to the C string escaper; any other column (nan, inf, bools,
+    numpy scalars, None, mixed objects) goes through ``encode`` cell by cell.
+    """
+    if kind == "f" and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if kind == "i" and set(map(type, values)) <= {int}:
+        return list(map(int.__repr__, values))
+    if kind == "s":
+        return list(map(json.encoder.encode_basestring_ascii, values))
+    return list(map(encode, values))
+
+
 def write_ndjson(path: Path, table: dict):
+    """One JSON object per row, keys sorted, written from the columns.
+
+    The bytes of ``_FloatEncoder(sort_keys=True).encode`` of each row dict:
+    every cell is encoded once per column and the rows are filled into one
+    ``%`` template of the sorted keys.
+    """
     encode = _FloatEncoder(sort_keys=True).encode
-    names = list(table)
-    lines = [encode(dict(zip(names, row))) for row in zip(*(vals for vals, _ in table.values()))]
+    names = sorted(table)
+    template = "{" + ", ".join(encode(n).replace("%", "%%") + ": %s" for n in names) + "}"
+    cells = [_json_cells(*table[n], encode) for n in names]
+    lines = [template % row for row in zip(*cells)]
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 

@@ -186,16 +186,24 @@ class ModelConfig:
 # scalar building blocks
 # --------------------------------------------------------------------------
 
+def _bond_phases(k):
+    """The x- and y-link phases ``(e^{i k.M1}, e^{-i k.M2})`` at ``k``, a 2-vector or an array (..., 2)."""
+    k = np.asarray(k, dtype=float)
+    return np.exp(1j * (k @ M1)), np.exp(1j * -(k @ M2))
+
+
+def _phase_sum(j: Coupling3, phases):
+    """``jx p1 + jy p2 + jz`` of the :func:`_bond_phases` ``(p1, p2)``."""
+    return j.jx * phases[0] + j.jy * phases[1] + j.jz
+
+
 def structure_factor(j: Coupling3, k):
     """Bond-phase sum ``jx e^{i k.M1} + jy e^{-i k.M2} + jz``.
 
     ``k`` may be a single 2-vector or an array of shape (..., 2); the return
     value is a complex scalar or an array of the leading shape.
     """
-    k = np.asarray(k, dtype=float)
-    th1 = k @ M1
-    th2 = -(k @ M2)
-    out = j.jx * np.exp(1j * th1) + j.jy * np.exp(1j * th2) + j.jz
+    out = _phase_sum(j, _bond_phases(k))
     if out.ndim == 0:
         return complex(out)
     return out
@@ -408,10 +416,8 @@ def closed_form_spectrum_grid(model: ModelConfig, ks) -> np.ndarray | None:
 
     sets = species(model)
     if sets is not None:
-        roots = [
-            2.0 * branch_sqrt(structure_factor(j, ks) * structure_factor(j, -ks))
-            for _, j in sets
-        ]
+        at_k, at_mk = _bond_phases(ks), _bond_phases(-ks)  # shared by the species
+        roots = [2.0 * branch_sqrt(_phase_sum(j, at_k) * _phase_sum(j, at_mk)) for _, j in sets]
         # the parent model's single species stands for all three flavours
         r = np.stack(roots * (3 // len(roots)), axis=-1)
         return np.concatenate([r, -r], axis=-1) * s

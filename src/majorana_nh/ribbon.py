@@ -51,6 +51,19 @@ STATE_DTYPE = np.dtype(
 )
 
 
+#: most eigenvector entries (k_x x matrices per k_x x matrix size**2) that
+#: one stacked strip solve of :func:`sweep` takes, so memory per call stays
+#: flat: one k_x of a w=52 dense or Gamma strip, four of its species strips
+CHUNK_ENTRIES = 2**17
+
+
+def _check_strip(w, boundary_y):
+    if w < 2:
+        raise ValueError("ribbon needs at least 2 dimer rows")
+    if boundary_y not in BOUNDARIES:
+        raise ValueError(f"boundary_y must be one of {BOUNDARIES}")
+
+
 @dataclass(frozen=True)
 class RibbonSpec:
     """A strip geometry at one transverse momentum."""
@@ -61,34 +74,61 @@ class RibbonSpec:
     model: ModelConfig
 
     def __post_init__(self):
-        if self.w < 2:
-            raise ValueError("ribbon needs at least 2 dimer rows")
-        if self.boundary_y not in BOUNDARIES:
-            raise ValueError(f"boundary_y must be one of {BOUNDARIES}")
+        _check_strip(self.w, self.boundary_y)
 
 
-def _bond_blocks(w, k_x, periodic, t_x, t_y, t_z, scale):
-    """The sublattice-offdiagonal blocks B (A <- B) and C (B <- A) of a strip.
+def _bond_blocks(w, k_x, periodic, t_x, t_y, t_z, scale, n_species=None):
+    """The sublattice-offdiagonal blocks B (A <- B) and C (B <- A) of strips at the momenta ``k_x``.
 
-    Each is a ``(w, m, w, m)`` (row, flavour)^2 array for m x m flavour
-    blocks per bond, filled with no loop over rows; for w >= 2 no two bonds
-    share an entry.
+    ``t_*`` are the m x m flavour blocks per bond, and B and C one
+    ``(w, m, w, m)`` (row, flavour)^2 array per k_x: shape ``(k, w, m, w,
+    m)``.  For flavour-diagonal tables, ``n_species`` asks for the w x w
+    blocks of the first ``n_species`` flavours alone: shape ``(k, n_species,
+    w, w)``.  The bond sums are formed on the whole tables either way, so
+    each entry rounds alike.  Filled with no loop over rows or k_x; for
+    w >= 2 no two bonds share an entry.
     """
-    m = t_x.shape[0]
-    b = np.zeros((w, m, w, m), dtype=complex)
-    c = np.zeros((w, m, w, m), dtype=complex)
-    px = np.exp(0.5j * k_x)
-    x_fwd = t_x * px + t_y / px
-    x_bwd = t_x / px + t_y * px  # intra-row bond sum at -k_x
+    px = np.exp(0.5j * np.asarray(k_x, dtype=float)).reshape(-1, 1, 1)
+    x_fwd = 2j * (t_x * px + t_y / px)
+    x_bwd = -2j * (t_x / px + t_y * px)  # intra-row bond sum at -k_x
+    z_fwd, z_bwd = 2j * t_z, -2j * t_z
     r = np.arange(w)
-    b[r, :, r, :] = 2j * x_fwd
-    c[r, :, r, :] = -2j * x_bwd.T
     # z-links join row r's B site to row r+1's A site; a periodic strip wraps
     lo = r if periodic else r[:-1]
     up = (lo + 1) % w
-    b[up, :, lo, :] = 2j * t_z
-    c[lo, :, up, :] = -2j * t_z.T
+    k, m = px.shape[0], t_x.shape[0]
+    if n_species is None:
+        b = np.zeros((k, w, m, w, m), dtype=complex)
+        c = np.zeros((k, w, m, w, m), dtype=complex)
+        b[:, r, :, r, :] = x_fwd
+        c[:, r, :, r, :] = np.swapaxes(x_bwd, -1, -2)
+        b[:, up, :, lo, :] = z_fwd
+        c[:, lo, :, up, :] = z_bwd.T
+    else:
+        x_fwd, x_bwd, z_fwd, z_bwd = (np.diagonal(x, axis1=-2, axis2=-1)[..., :n_species, None]
+                                      for x in (x_fwd, x_bwd, z_fwd, z_bwd))
+        b = np.zeros((k, n_species, w, w), dtype=complex)
+        c = np.zeros((k, n_species, w, w), dtype=complex)
+        b[:, :, r, r] = x_fwd
+        c[:, :, r, r] = x_bwd
+        b[:, :, up, lo] = z_fwd
+        c[:, :, lo, up] = z_bwd
     return b * scale, c * scale
+
+
+def _strip_matrices(model: ModelConfig, w, k_x, periodic) -> np.ndarray:
+    """The dense ``(k, 6w, 6w)`` strip matrices at the momenta ``k_x``."""
+    t = flavour_bond_table(model)
+    m, scale = t.onsite.shape[0], model.scale_factor
+    b, c = _bond_blocks(w, k_x, periodic, *t.t, scale)
+    k = b.shape[0]
+    h = np.zeros((k, w, 2, m, w, 2, m), dtype=complex)
+    h[:, :, 0, :, :, 1, :] = b
+    h[:, :, 1, :, :, 0, :] = c
+    r = np.arange(w)
+    h[:, r, 0, :, r, 0, :] = 2j * t.onsite * scale
+    h[:, r, 1, :, r, 1, :] = 2j * t.onsite * scale
+    return h.reshape(k, 2 * w * m, 2 * w * m)
 
 
 def build_ribbon(spec: RibbonSpec) -> np.ndarray:
@@ -99,21 +139,137 @@ def build_ribbon(spec: RibbonSpec) -> np.ndarray:
     flavour), so the A <- B and B <- A blocks of :func:`_bond_blocks` fill
     the sublattice-offdiagonal entries and the onsite term the diagonal ones.
     """
-    t = flavour_bond_table(spec.model)
-    w, m, scale = spec.w, t.onsite.shape[0], spec.model.scale_factor
-    b, c = _bond_blocks(w, spec.k_x, spec.boundary_y == "periodic", *t.t, scale)
-    h = np.zeros((w, 2, m, w, 2, m), dtype=complex)
-    h[:, 0, :, :, 1, :] = b
-    h[:, 1, :, :, 0, :] = c
-    r = np.arange(w)
-    h[r, 0, :, r, 0, :] = 2j * t.onsite * scale
-    h[r, 1, :, r, 1, :] = 2j * t.onsite * scale
-    return h.reshape(2 * w * m, 2 * w * m)
+    return _strip_matrices(spec.model, spec.w, [spec.k_x], spec.boundary_y == "periodic")[0]
 
 
 def _strip_order(v, w):
     """Vector rows from the chiral basis (sublattice, row, flavour) to (row, sublattice, flavour)."""
     return np.swapaxes(v.reshape(*v.shape[:-2], 2, w, -1, v.shape[-1]), -4, -3).reshape(v.shape)
+
+
+def _site_weights(v, w):
+    """Per-site probability weights of ``(..., 6w, n)`` strip vectors, flavours summed: ``(..., 2w, n)``."""
+    weights = (np.abs(v) ** 2).reshape(*v.shape[:-2], 2 * w, 3, v.shape[-1]).sum(axis=-2)
+    return weights / weights.sum(axis=-2, keepdims=True)
+
+
+def _strip_norms(b, c):
+    """``||H||_F`` of each strip whose distinct species blocks are ``(k, s, w, w)`` B and C.
+
+    Summed over the strip's full ``(w, 3, w, 3)`` layout, zeros included, to
+    the bits of ``np.linalg.norm`` of the whole blocks: the BLAS dot product
+    groups its terms by position.
+    """
+    k, s, w = b.shape[:3]
+
+    def full(x):
+        f = np.zeros((k, w, 3, w, 3), dtype=complex)
+        for fl in range(3):
+            f[:, :, fl, :, fl] = x[:, fl % s]
+        return f.reshape(k, 3 * w, 3 * w)
+
+    nb, nc = eigen.frobenius_norms(full(b)).tolist(), eigen.frobenius_norms(full(c)).tolist()
+    return np.array([math.hypot(x, y) for x, y in zip(nb, nc)])
+
+
+class _Strips:
+    """The certified eigenpairs of the strips at ``k`` momenta, from one stacked :mod:`eigen` call.
+
+    ``spectrum`` holds the solver's matrices k_x by k_x: the species blocks of
+    a flavour-conserving strip (``sets``), else each whole strip (a lone
+    matrix when k = 1).  Per k_x: ``eigenvalues`` ``(k, 6w)`` in (Re, Im)
+    order, the worst residual ``achieved`` and the solver route ``routes``.
+    """
+
+    def __init__(self, spectrum: eigen.Spectrum, k, w, sets, chiral, norm=None):
+        self.spectrum, self.k, self.w, self.sets, self.chiral, self.norm = spectrum, k, w, sets, chiral, norm
+        blocks = 1 if sets is None else len(sets)
+        routes = np.reshape(spectrum.routes, (k, blocks))
+        self.routes = np.where((routes == "dense_fallback").any(axis=-1), "dense_fallback", routes[:, 0])
+        self.achieved = np.reshape(spectrum.achieved_tol, (k, blocks)).max(axis=-1)
+        e = spectrum.eigenvalues.reshape(k, -1)
+        if sets is not None:
+            self.picks = np.arange(3) % blocks  # the block of each flavour
+            e = e.reshape(k, blocks, -1)[:, self.picks].reshape(k, -1)
+            self.order = np.lexsort((e.imag, e.real), axis=-1)
+            e = np.take_along_axis(e, self.order, -1)
+        self.eigenvalues = e
+
+    def vectors(self):
+        """The solver's vectors in strip row order (row, sublattice, flavour)."""
+        v = self.spectrum.right_vectors
+        return _strip_order(v, self.w) if self.chiral else v
+
+    def weights(self):
+        """Per-site weights ``(k, 2w, 6w)``, as :func:`site_weights` gives them from the dense vectors.
+
+        A species state's weights are its block vector's |entries|**2, the
+        other flavours' zeros adding nothing; no dense vector is formed.
+        Each k_x's weights are laid out as the dense ones, sites innermost,
+        so that sums over sites round alike.
+        """
+        if self.sets is None:
+            v = self.vectors()
+            return _site_weights(v.reshape(self.k, *v.shape[-2:]), self.w)
+        w, m = self.w, 2 * self.w
+        # (k_x, block, row, sublattice, state) from the chiral basis; each
+        # sorted state picks its block and column: (k_x, state, site)
+        p = np.swapaxes((np.abs(self.spectrum.right_vectors) ** 2).reshape(self.k, -1, 2, w, m), 2, 3)
+        p = p[np.arange(self.k)[:, None], self.picks[self.order // m], :, :, self.order % m]
+        p = np.swapaxes(p.reshape(self.k, 3 * m, m), -1, -2)
+        return p / p.sum(axis=-2, keepdims=True)
+
+    def dense(self) -> eigen.Spectrum:
+        """The :class:`eigen.Spectrum` of the one strip (k = 1) in the 6w x 6w strip basis."""
+        s, v = self.spectrum, self.vectors()
+        if self.sets is None:
+            return replace(s, right_vectors=v)
+        m, f3, order = 2 * self.w, np.arange(3), self.order[0]
+        v_all = np.zeros((m, 3, 3, m), dtype=complex)  # (site, row flavour, column flavour, state)
+        v_all[:, f3, f3, :] = v[self.picks].transpose(1, 0, 2)
+        return eigen.Spectrum(
+            eigenvalues=self.eigenvalues[0],
+            right_vectors=v_all.reshape(3 * m, 3 * m)[:, order],
+            left_vectors=None,
+            residuals=s.residuals[self.picks].ravel()[order],
+            defective_flags=s.defective_flags[self.picks].ravel()[order],
+            achieved_tol=float(self.achieved[0]),
+            matrix_norm=float(self.norm[0]),
+            path=s.path,
+            routes=s.path,
+        )
+
+
+def _solve_strips(model: ModelConfig, w, k_x, periodic, tol=None) -> _Strips:
+    """The solve of :func:`diagonalize_ribbon` at the momenta ``k_x``, in one stacked :mod:`eigen` call.
+
+    Each matrix of the stack gets the result it would get alone.
+    """
+    k_x = np.atleast_1d(np.asarray(k_x, dtype=float))
+    k, hermitian = k_x.size, model.hermitian
+    tol = eigen.default_tol(6 * w) if tol is None else tol
+
+    def lone(a):  # a lone k_x is solved as a lone matrix
+        return a[0] if k == 1 else a
+
+    if not model.bond_only:
+        h = lone(_strip_matrices(model, w, k_x, periodic))
+        return _Strips((eigen.eigh if hermitian else eigen.eig)(h, tol=tol), k, w, None, False)
+
+    t = flavour_bond_table(model).t
+    sets = species(model)
+    if sets is None:
+        b, c = _bond_blocks(w, k_x, periodic, *t, model.scale_factor)
+        b, c, norm = lone(b.reshape(k, 3 * w, 3 * w)), lone(c.reshape(k, 3 * w, 3 * w)), None
+    else:
+        b, c = _bond_blocks(w, k_x, periodic, *t, model.scale_factor, n_species=len(sets))
+        norm = _strip_norms(b, c)
+        b, c = b.reshape(-1, w, w), c.reshape(-1, w, w)
+    # a Hermitian strip by dense zheevd at the full size, which beats the half-size product route
+    block_norm = None if norm is None else np.repeat(norm, len(sets))
+    s = (eigen.eigh(eigen.chiral_matrix(b, c), tol=tol, norm=block_norm) if hermitian
+         else eigen.eig_chiral(b, c, tol=tol, norm=block_norm))
+    return _Strips(s, k, w, sets, True, norm)
 
 
 def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spectrum:
@@ -123,55 +279,20 @@ def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spec
     model (:attr:`ModelConfig.hermitian`, real couplings) is solved by
     :func:`eigen.eigh`, any other bond-only model by
     :func:`eigen.eig_chiral`, and any other strip by :func:`eigen.eig`.  A
-    strip with an onsite field is built whole by :func:`build_ribbon`.  A
-    bond-only strip (:attr:`ModelConfig.bond_only`) is chiral, [[0, B],
-    [C, 0]] between the A and B sublattices, and is solved from the blocks
-    of one :func:`_bond_blocks` call.  When
+    strip with an onsite field is built whole.  A bond-only strip
+    (:attr:`ModelConfig.bond_only`) is chiral, [[0, B], [C, 0]] between the
+    A and B sublattices, and is solved from its :func:`_bond_blocks`.  When
     :func:`~majorana_nh.models.species` keeps the Majorana species apart,
-    the distinct w x w species blocks are cut out of those blocks and go in
-    one stacked call, certified against the strip's norm (``norm=``); the
-    parent model's one species stands for all three flavours, and each
-    block's eigenpairs are placed on rows ``fl::3`` of its flavours, zero on
-    the others.  Every eigenpair meets ``tol`` (default of size 6w) in the
-    residual over the strip's Frobenius norm, after a dense re-solve and a
-    polish where needed, or :class:`ConvergenceError` is raised.
+    the w x w blocks of the distinct species alone go in one stacked call,
+    certified against the strip's norm (``norm=``); the parent model's one
+    species stands for all three flavours, and each block's eigenpairs are
+    placed on rows ``fl::3`` of its flavours, zero on the others.  Every
+    eigenpair meets ``tol`` (default of size 6w) in the residual over the
+    strip's Frobenius norm, after a dense re-solve and a polish where
+    needed, or :class:`ConvergenceError` is raised.  The one-k_x view of the
+    solve :func:`sweep` makes chunk by chunk.
     """
-    hermitian = spec.model.hermitian
-    if not spec.model.bond_only:
-        return (eigen.eigh if hermitian else eigen.eig)(build_ribbon(spec), tol=tol)
-
-    w, n = spec.w, 6 * spec.w
-    tol = eigen.default_tol(n) if tol is None else tol
-    t = flavour_bond_table(spec.model).t
-    b, c = _bond_blocks(w, spec.k_x, spec.boundary_y == "periodic", *t, spec.model.scale_factor)
-    sets = species(spec.model)
-    if sets is None:
-        b, c, norm = b.reshape(3 * w, 3 * w), c.reshape(3 * w, 3 * w), None
-    else:
-        fl = np.arange(len(sets))
-        b, c, norm = b[:, fl, :, fl], c[:, fl, :, fl], math.hypot(np.linalg.norm(b), np.linalg.norm(c))
-    # a Hermitian strip by dense zheevd at the full size, which beats the half-size product route
-    s = (eigen.eigh(eigen.chiral_matrix(b, c), tol=tol, norm=norm) if hermitian
-         else eigen.eig_chiral(b, c, tol=tol, norm=norm))
-    if sets is None:
-        return replace(s, right_vectors=_strip_order(s.right_vectors, w))
-
-    picks = np.arange(3) % len(sets)  # the block of each flavour
-    m, f3 = 2 * w, np.arange(3)
-    v_all = np.zeros((m, 3, 3, m), dtype=complex)  # (site, row flavour, column flavour, state)
-    v_all[:, f3, f3, :] = _strip_order(s.right_vectors, w)[picks].transpose(1, 0, 2)
-    w_all = s.eigenvalues[picks].ravel()
-    order = np.lexsort((w_all.imag, w_all.real))
-    return eigen.Spectrum(
-        eigenvalues=w_all[order],
-        right_vectors=v_all.reshape(n, n)[:, order],
-        left_vectors=None,
-        residuals=s.residuals[picks].ravel()[order],
-        defective_flags=s.defective_flags[picks].ravel()[order],
-        achieved_tol=float(s.achieved_tol.max()),
-        matrix_norm=norm,
-        path=s.path,
-    )
+    return _solve_strips(spec.model, spec.w, spec.k_x, spec.boundary_y == "periodic", tol).dense()
 
 
 # --------------------------------------------------------------------------
@@ -210,14 +331,60 @@ class ClassifierThresholds:
     cloud_tol: float = 1e-2
     edge_cap: int = 6
 
+    def __post_init__(self):
+        # each edge's band nonempty and the two apart
+        if not 0.0 < self.outer_frac <= 0.5:
+            raise ValueError(f"outer_frac must be in (0, 0.5], got {self.outer_frac}")
+        for name in ("edge_mass", "ipr_factor", "cloud_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.edge_cap < 0:
+            raise ValueError(f"edge_cap must be >= 0, got {self.edge_cap}")
+
 
 def site_weights(spectrum: eigen.Spectrum, w: int) -> np.ndarray:
     """Per-site probability weights, flavours summed: shape (2w, n_states)."""
     n = spectrum.n
     if n != 6 * w:
         raise ValueError(f"spectrum dimension {n} does not match 6*w = {6 * w}")
-    weights = (np.abs(spectrum.right_vectors) ** 2).reshape(2 * w, 3, n).sum(axis=1)
-    return weights / weights.sum(axis=0, keepdims=True)
+    return _site_weights(spectrum.right_vectors, w)
+
+
+def _classify(e, ws, dist, has_cloud, thresholds):
+    """:data:`STATE_DTYPE` records ``(k, n)`` of the states of k strips.
+
+    ``e`` ``(k, n)`` eigenvalues, ``ws`` ``(k, 2w, n)`` site weights and
+    ``dist`` ``(k, n)`` |E| distances from the periodic cloud (inf without
+    one, ``has_cloud`` False); see :func:`localization_profile`.
+    """
+    n_sites = ws.shape[-2]
+    sites = np.arange(1, n_sites + 1, dtype=float)
+    mean_row = sites @ ws
+    ipr = (ws ** 2).sum(axis=-2)
+    n_outer = math.ceil(thresholds.outer_frac * n_sites)
+    mass_bottom = ws[..., :n_outer, :].sum(axis=-2)
+    mass_top = ws[..., -n_outer:, :].sum(axis=-2)
+
+    localized = (mass_bottom + mass_top >= thresholds.edge_mass) | (
+        ipr * n_sites >= thresholds.ipr_factor
+    )
+    # boundary modes: the states farthest off the reference cloud, at most one
+    # band per species per edge; off a real cloud a state needs no localization
+    # to qualify, without one it does.  Candidates sort first, then by
+    # distance; ties go to the smaller |E|, then (a stable sort) the lower index.
+    candidate = (has_cloud | localized) & (dist > thresholds.cloud_tol)
+    top = np.lexsort((np.hypot(e.real, e.imag), -dist, ~candidate), axis=-1)[..., : thresholds.edge_cap]
+    edge = np.zeros(e.shape, dtype=bool)
+    np.put_along_axis(edge, top, np.take_along_axis(candidate, top, -1), -1)
+
+    # index into LOCALIZATION_CLASSES: edge before bulk-localized, bottom
+    # (ties included) before top, extended last
+    code = np.where(localized | edge, 2 * ~edge + (mass_bottom < mass_top), 4)
+    return np.rec.fromarrays(
+        [np.broadcast_to(np.arange(e.shape[-1]), e.shape), e, mean_row, ipr, mass_bottom, mass_top, dist,
+         np.asarray(LOCALIZATION_CLASSES)[code]],
+        dtype=STATE_DTYPE,
+    )
 
 
 def localization_profile(
@@ -234,60 +401,31 @@ def localization_profile(
     are edge candidates, localized or not, since in a Hermitian strip an
     off-cloud state is a bound state; see :class:`ClassifierThresholds`.
     Without a cloud (``None``) only localized states can be edge: the
-    ``edge_cap`` of smallest |E|.
+    ``edge_cap`` of smallest |E|.  The one-k_x view of the classifier of
+    :func:`sweep`.
     """
     ws = site_weights(spectrum, w)
-    n_sites = 2 * w
-    sites = np.arange(1, n_sites + 1, dtype=float)
-    mean_row = sites @ ws
-    ipr = (ws ** 2).sum(axis=0)
-    n_outer = math.ceil(thresholds.outer_frac * n_sites)
-    mass_bottom = ws[:n_outer].sum(axis=0)
-    mass_top = ws[-n_outer:].sum(axis=0)
-
     e = spectrum.eigenvalues
-    if pbc_cloud is None:
-        dist = np.full(spectrum.n, np.inf)
-    else:
-        dist = pbc_cloud.distance(np.abs(e))
-
-    localized = (mass_bottom + mass_top >= thresholds.edge_mass) | (
-        ipr * n_sites >= thresholds.ipr_factor
-    )
-    # boundary modes: the states farthest off the reference cloud, at most one
-    # band per species per edge; off a real cloud a state needs no localization
-    # to qualify, without one it does.  Ties in distance go to the smaller |E|,
-    # then the lower index.
-    candidates = np.flatnonzero(
-        ((pbc_cloud is not None) | localized) & (dist > thresholds.cloud_tol)
-    )
-    order = np.lexsort((candidates, np.hypot(e.real, e.imag)[candidates], -dist[candidates]))
-    edge = np.zeros(spectrum.n, dtype=bool)
-    edge[candidates[order[: thresholds.edge_cap]]] = True
-
-    # index into LOCALIZATION_CLASSES: edge before bulk-localized, bottom
-    # (ties included) before top, extended last
-    code = np.where(localized | edge, 2 * ~edge + (mass_bottom < mass_top), 4)
-    return np.rec.fromarrays(
-        [np.arange(spectrum.n), e, mean_row, ipr, mass_bottom, mass_top, dist,
-         np.asarray(LOCALIZATION_CLASSES)[code]],
-        dtype=STATE_DTYPE,
-    )
+    dist = np.full(spectrum.n, np.inf) if pbc_cloud is None else pbc_cloud.distance(np.abs(e))
+    return _classify(e[None], ws[None], dist[None], pbc_cloud is not None, thresholds)[0]
 
 
 # --------------------------------------------------------------------------
 # PBC reference cloud
 # --------------------------------------------------------------------------
 
-def _cloud_samples(model: ModelConfig, k_x: float, n_transverse: int):
+def _cloud_samples(model: ModelConfig, k_x, n_transverse: int):
     """Fully periodic eigenvalues at fixed k_x over a transverse-momentum grid.
 
-    Closed-form bands where the model has them, else a batched ``eigvalsh``
-    for a Hermitian model and ``eigvals`` for any other.
+    ``k_x`` is one momentum, samples ``(n_transverse, 6)``, or an array of
+    them, samples ``(*k_x.shape, n_transverse, 6)``.  Closed-form bands where
+    the model has them, else a batched ``eigvalsh`` for a Hermitian model and
+    ``eigvals`` for any other.
     """
     q = np.linspace(0.0, 2.0 * np.pi, n_transverse, endpoint=False)
-    th1 = 0.5 * k_x - q
-    th2 = -0.5 * k_x - q
+    half = 0.5 * np.asarray(k_x, dtype=float)[..., None]
+    th1 = half - q
+    th2 = -half - q
     ks = np.stack([th1 - th2, (th1 + th2) / math.sqrt(3.0)], axis=-1)
 
     vals = closed_form_spectrum_grid(model, ks)
@@ -295,6 +433,15 @@ def _cloud_samples(model: ModelConfig, k_x: float, n_transverse: int):
         h = bloch_matrix_grid(model, ks)
         vals = np.linalg.eigvalsh(h) if model.hermitian else np.linalg.eigvals(h)
     return vals
+
+
+def _cloud_distance(bounds, abs_e):
+    """|E| distance ``(k, n)`` of ``abs_e`` ``(k, n)`` from each k_x's ``(m, 2)`` intervals in ``bounds``."""
+    padded = np.full((len(bounds), max(map(len, bounds)), 2), np.inf)  # an inf interval is never nearest
+    for row, b in zip(padded, bounds):
+        row[: len(b)] = b
+    lo, hi, x = padded[:, None, :, 0], padded[:, None, :, 1], abs_e[..., None]
+    return np.maximum(np.maximum(lo - x, x - hi), 0.0).min(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -312,26 +459,26 @@ class CloudIntervals:
 
     def distance(self, abs_e):
         abs_e = np.asarray(abs_e, dtype=float)
-        lo = self.bounds[:, 0][None, :]
-        hi = self.bounds[:, 1][None, :]
-        x = abs_e.reshape(-1, 1)
-        gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-        return gap.min(axis=1).reshape(abs_e.shape)
+        return _cloud_distance([self.bounds], abs_e.reshape(1, -1)).reshape(abs_e.shape)
+
+
+def _cloud_bounds(samples):
+    """Per-momentum sorted |E| tracks ``(k, q, t)`` merged into each k_x's ``(m, 2)`` |E| intervals."""
+    tracks = np.sort(np.abs(np.asarray(samples)), axis=-1)
+    lo, hi = tracks.min(axis=-2), tracks.max(axis=-2)
+    order = np.argsort(lo, axis=-1)
+    lo, hi = np.take_along_axis(lo, order, -1), np.take_along_axis(hi, order, -1)
+    reach = np.maximum.accumulate(hi, axis=-1)
+    # a track opens an interval when it starts above every earlier track's end
+    opens = np.ones(lo.shape, dtype=bool)
+    opens[:, 1:] = lo[:, 1:] > reach[:, :-1]
+    closes = np.roll(opens, -1, axis=-1)
+    return [np.stack([a[o], b[c]], axis=-1) for a, b, o, c in zip(lo, reach, opens, closes)]
 
 
 def cloud_intervals_from_samples(samples: np.ndarray) -> CloudIntervals:
     """Merge per-momentum sorted |E| tracks into |E| intervals."""
-    tracks = np.sort(np.abs(np.asarray(samples)), axis=-1)
-    lo = tracks.min(axis=0)
-    hi = tracks.max(axis=0)
-    order = np.argsort(lo)
-    merged = []
-    for a, b in zip(lo[order], hi[order]):
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return CloudIntervals(bounds=np.asarray(merged))
+    return CloudIntervals(bounds=_cloud_bounds(np.asarray(samples)[None])[0])
 
 
 def pbc_cloud_intervals(model: ModelConfig, k_x: float, n_transverse: int = 512) -> CloudIntervals:
@@ -356,6 +503,13 @@ class SweepResult:
     strip_solves: dict  # strip solves per solver path, see :data:`eigen.SOLVER_PATHS`
 
 
+def _kx_per_chunk(model: ModelConfig, w: int) -> int:
+    """k_x per stacked solve: :data:`CHUNK_ENTRIES` over the eigenvector entries of one k_x."""
+    sets = species(model) if model.bond_only else None
+    entries = (6 * w) ** 2 if sets is None else len(sets) * (2 * w) ** 2
+    return max(1, CHUNK_ENTRIES // entries)
+
+
 def sweep(
     model: ModelConfig,
     w: int,
@@ -368,47 +522,67 @@ def sweep(
 ) -> SweepResult:
     """Diagonalize and classify the strip over a k_x grid.
 
-    Data-parallel over k_x when ``threads > 1``, with at most one worker per
-    k_x; results are collected in grid order either way.  The whole loop runs
-    under :func:`eigen.one_blas_thread`, so each worker's solve is one
-    single-threaded LAPACK call (workers do not oversubscribe the CPUs) and
-    the data do not depend on ``threads`` or the BLAS thread setting.  An
-    error raised at one k_x propagates as the same exception object, its
-    message prefixed with that k_x.
+    The grid is cut into contiguous chunks, each one array program: one
+    stacked strip solve (:func:`_solve_strips`, at most
+    :data:`CHUNK_ENTRIES` eigenvector entries), one periodic cloud over
+    (k_x, q) and one classifier call.  ``threads > 1`` maps at least that
+    many chunks (at most one per k_x) on a thread pool; results are
+    collected in grid order either way.  The whole loop runs under
+    :func:`eigen.one_blas_thread`, so each worker's LAPACK calls are
+    single-threaded (workers do not oversubscribe the CPUs), and since each
+    matrix of a stack gets the result it would get alone, the data depend on
+    neither ``threads``, the chunking nor the BLAS thread setting.  An error
+    raised at one k_x propagates as the exception object that k_x's solve
+    raises alone, its message prefixed with that k_x.
     """
+    _check_strip(w, boundary_y)
     kx_grid = np.asarray(kx_grid, dtype=float)
     if kx_grid.size == 0:
         raise ValueError("kx_grid must be nonempty")
+    periodic = boundary_y == "periodic"
 
-    def task(kx):
+    def chunk(kxs):
+        strips = _solve_strips(model, w, kxs, periodic)
+        e = strips.eigenvalues
+        if pbc_reference:
+            bounds = _cloud_bounds(_cloud_samples(model, kxs, n_transverse))
+            dist = _cloud_distance(bounds, np.abs(e))
+        else:
+            bounds, dist = None, np.full(e.shape, np.inf)
+        records = _classify(e, strips.weights(), dist, pbc_reference, thresholds)
+        return records, bounds, strips.achieved, strips.routes  # the vectors are not kept
+
+    def task(kxs):
         try:
-            spectrum = diagonalize_ribbon(
-                RibbonSpec(w=w, boundary_y=boundary_y, k_x=float(kx), model=model)
-            )
-            cloud = pbc_cloud_intervals(model, float(kx), n_transverse) if pbc_reference else None
-            recs = localization_profile(spectrum, w, cloud, thresholds)
-            return recs, cloud, spectrum.achieved_tol, spectrum.path
+            return chunk(kxs)
         except Exception as exc:
-            exc.args = (f"k_x = {float(kx):.6g}: {exc}",)
+            if kxs.size > 1:
+                for i in range(kxs.size):  # the first k_x that fails alone raises, named
+                    task(kxs[i : i + 1])
+            where = f"{kxs[0]:.6g}" if kxs.size == 1 else f"{kxs[0]:.6g} ... {kxs[-1]:.6g}"
+            exc.args = (f"k_x = {where}: {exc}",)
             raise
 
+    n_chunks = min(kx_grid.size, max(threads, -(-kx_grid.size // _kx_per_chunk(model, w))))
+    chunks = np.array_split(kx_grid, n_chunks)
     with eigen.one_blas_thread():
         if threads > 1:
-            with ThreadPoolExecutor(max_workers=min(threads, kx_grid.size)) as pool:
-                results = list(pool.map(task, kx_grid))
+            with ThreadPoolExecutor(max_workers=min(threads, n_chunks)) as pool:
+                results = list(pool.map(task, chunks))
         else:
-            results = [task(kx) for kx in kx_grid]
+            results = [task(kxs) for kxs in chunks]
 
+    routes = np.concatenate([r[3] for r in results])
     return SweepResult(
         model=model,
         w=w,
         boundary_y=boundary_y,
         kx_grid=kx_grid,
-        records=np.stack([r[0] for r in results]).view(np.recarray),
-        pbc_reference=[r[1] for r in results] if pbc_reference else None,
+        records=np.concatenate([r[0] for r in results]).view(np.recarray),
+        pbc_reference=[CloudIntervals(b) for r in results for b in r[1]] if pbc_reference else None,
         thresholds=thresholds,
-        max_residual=max(r[2] for r in results),
-        strip_solves={p: [r[3] for r in results].count(p) for p in eigen.SOLVER_PATHS},
+        max_residual=float(max(r[2].max() for r in results)),
+        strip_solves={p: int((routes == p).sum()) for p in eigen.SOLVER_PATHS},
     )
 
 
@@ -432,23 +606,24 @@ def edge_mode_weights(
     """
     if normalization not in ("linear", "log01"):
         raise ValueError(f"unknown normalization {normalization!r}")
+    _check_strip(w, "open")
     with eigen.one_blas_thread():
-        spectrum = diagonalize_ribbon(RibbonSpec(w=w, boundary_y="open", k_x=k_x, model=model))
+        strips = _solve_strips(model, w, k_x, False)
     if solves is not None:
-        solves[spectrum.path] += 1
-    ws = site_weights(spectrum, w)
+        solves[strips.routes[0]] += 1
+    e, ws, n = strips.eigenvalues[0], strips.weights()[0], 6 * w
 
     if states is None:
-        idx = np.arange(spectrum.n)
+        idx = np.arange(n)
     elif isinstance(states, int):
-        idx = np.sort(np.argsort(np.abs(spectrum.eigenvalues), kind="stable")[: max(states, 0)])
+        idx = np.sort(np.argsort(np.abs(e), kind="stable")[: max(states, 0)])
     else:
         idx = np.asarray(list(states), dtype=int)
     if idx.size == 0:
         raise ValueError("state selection is empty")
-    outside = idx[(idx < 0) | (idx >= spectrum.n)]
+    outside = idx[(idx < 0) | (idx >= n)]
     if outside.size:
-        raise ValueError(f"state indices must lie in [0, {spectrum.n}), got {outside.tolist()}")
+        raise ValueError(f"state indices must lie in [0, {n}), got {outside.tolist()}")
 
     profiles = ws[:, idx].T.copy()  # (n_selected, 2w), columns sum to 1
     if normalization == "log01":
@@ -458,7 +633,7 @@ def edge_mode_weights(
         span = hi - lo
         span[span == 0.0] = 1.0
         profiles = (logs - lo) / span
-    return idx, spectrum.eigenvalues[idx], profiles
+    return idx, e[idx], profiles
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from majorana_nh import ConfigurationError, Variant, parse_config
-from majorana_nh.export import _cell, export_table, fmt_float, write_svg_scatter
+from majorana_nh.export import _FloatEncoder, _cell, export_table, fmt_float, write_svg_scatter
 from majorana_nh.pipelines import run_command
 from majorana_nh.presets import PRESET_IDS, get_preset
 
@@ -212,6 +212,40 @@ class TestExport:
         assert len(nd) == n_rows
         for c in columns:
             assert _bits(doc["data"][c]) == _bits([row[c] for row in nd])
+
+    @staticmethod
+    def _ndjson_by_rows(rows):
+        """The NDJSON of a per-row encoder: one sorted-key row dict per line."""
+        encode = _FloatEncoder(sort_keys=True).encode
+        return "".join(encode(row) + "\n" for row in rows).encode("utf-8")
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 7])
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_ndjson_matches_the_row_encoder(self, n_rows, data):
+        columns, table = data.draw(_tables(n_rows))
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        with tempfile.TemporaryDirectory() as tmp:
+            export_table(Path(tmp), "t", tuple(columns), table, {}, formats=("ndjson",))
+            assert (Path(tmp) / "t.ndjson").read_bytes() == self._ndjson_by_rows(rows)
+
+    def test_ndjson_of_a_spectrum_table(self, tmp_path):
+        # ints, floats (signed zeros, nan, inf), split complex columns, strings
+        # and a column of None beside ints, against the per-row encoder
+        e = np.array([1.5 - 2j, -0.0 + 0j, complex(np.nan, np.inf), 1e-300 - 1e300j])
+        table = {
+            "state_index": np.arange(4),
+            "re_E": e.real,
+            "im_E": e.imag,
+            "abs_E": np.abs(e),
+            "class": np.array(["edge_top", "extended", 'quo"te\\', "caf\u00e9"]),
+            "flip": [None, 3, None, -1],
+            "ok": np.array([True, False, True, True]),
+        }
+        export_table(tmp_path, "s", tuple(table), table, {}, formats=("ndjson",))
+        cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in table.values())
+        rows = [dict(zip(table, row)) for row in zip(*cells)]
+        assert (tmp_path / "s.ndjson").read_bytes() == self._ndjson_by_rows(rows)
 
     def test_float_formatting_roundtrip(self, rng):
         for x in rng.uniform(-10, 10, 100):

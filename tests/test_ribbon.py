@@ -460,6 +460,28 @@ class TestLocalizationProfile:
         assert set(recs.label[[3, 4, 6, 7, 9, 11]]) == {"extended"}
 
 
+class TestClassifierThresholds:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("outer_frac", 0.0, r"outer_frac must be in \(0, 0\.5\], got 0\.0"),
+            ("outer_frac", 0.6, r"outer_frac must be in \(0, 0\.5\], got 0\.6"),
+            ("edge_mass", 0.0, r"edge_mass must be > 0, got 0\.0"),
+            ("ipr_factor", -1.0, r"ipr_factor must be > 0, got -1\.0"),
+            ("cloud_tol", float("nan"), r"cloud_tol must be > 0, got nan"),
+            ("edge_cap", -1, r"edge_cap must be >= 0, got -1"),
+        ],
+    )
+    def test_out_of_range_field_raises(self, field, value, message):
+        # a zero outer band used to give every state mass_top = 1 (42 of the
+        # 48 states of a w=8 K strip labelled bulk_localized_top)
+        with pytest.raises(ValueError, match=message):
+            ribbon.ClassifierThresholds(**{field: value})
+
+    def test_edges_of_the_ranges_are_accepted(self):
+        ribbon.ClassifierThresholds(outer_frac=0.5, edge_cap=0, edge_mass=1e-9, ipr_factor=1e-9, cloud_tol=1e-9)
+
+
 class TestEdgeModeWeights:
     def test_hermitian_zero_modes_decay_from_edges(self):
         # snapshot momentum 2*pi/3 lies inside the flat-band window of this
@@ -687,3 +709,98 @@ class TestSweepAndSummary:
         assert c1.shape == c2.shape == (64, 6)
         for a, b in zip(c1, c2):
             assert match_eigenvalue_sets(a, b) < 1e-9
+
+
+#: one strip model of each solver route: species blocks (non-Hermitian,
+#: Hermitian, the parent model), the flavour-mixing chiral strip, and whole
+#: strips with an onsite field (Hermitian, and field+DMI with complex couplings)
+CHUNK_MODELS = {
+    "k_nonherm": K_FIG2B,
+    "k_herm": ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5), k_coupling=0.4),
+    "pure_yl": ModelConfig(Variant.PURE_YL, Coupling3(1, 1, E3)),
+    "gamma": GAMMA_FIG3B,
+    "field_herm": ModelConfig(Variant.MAG_MODEL, Coupling3(1, 1, 1), d=0.5, b_field=(0.0, 0.0, 0.7)),
+    "field_dmi": MAG_FIELD,
+}
+
+
+class TestChunkedSweep:
+    """A sweep is one stacked program per k_x chunk, with the bytes of k_x-by-k_x solves."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(CHUNK_MODELS)),
+        boundary=st.sampled_from(ribbon.BOUNDARIES),
+        w=st.integers(2, 5),
+        kxs=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=5),
+    )
+    def test_records_do_not_depend_on_chunks_or_threads(self, name, boundary, w, kxs):
+        model = CHUNK_MODELS[name]
+
+        def run(threads=1):
+            return sweep(model, w, kxs, boundary_y=boundary, n_transverse=32, threads=threads)
+
+        ref = run()
+        for threads in (2, 3):
+            assert run(threads).records.tobytes() == ref.records.tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ribbon, "CHUNK_ENTRIES", 1)  # one k_x per chunk
+            one = run()
+        assert one.records.tobytes() == ref.records.tobytes()
+
+        # the per-k_x oracle: diagonalize_ribbon and localization_profile
+        solves = dict.fromkeys(eigen.SOLVER_PATHS, 0)
+        residuals = []
+        for kx, row, cloud in zip(kxs, ref.records, ref.pbc_reference):
+            s = diagonalize_ribbon(RibbonSpec(w=w, boundary_y=boundary, k_x=kx, model=model))
+            solves[s.path] += 1
+            residuals.append(s.achieved_tol)
+            alone = pbc_cloud_intervals(model, kx, 32)
+            assert cloud.bounds.tobytes() == alone.bounds.tobytes()
+            assert localization_profile(s, w, alone).tobytes() == row.tobytes()
+        assert ref.strip_solves == one.strip_solves == solves
+        assert ref.max_residual == max(residuals)
+
+    def test_kx_per_chunk_follows_the_entry_cap(self, monkeypatch):
+        # w=52: one k_x of a dense strip per call, four of a species strip
+        assert ribbon._kx_per_chunk(MAG_FIELD, 52) == ribbon._kx_per_chunk(GAMMA_FIG3B, 52) == 1
+        assert ribbon._kx_per_chunk(K_FIG2B, 52) == 4
+        # threads ask for at least as many chunks, at most one per k_x
+        calls = []
+        real = ribbon._solve_strips
+
+        def recording(model, w, k_x, periodic, tol=None):
+            calls.append(len(k_x))
+            return real(model, w, k_x, periodic, tol)
+
+        monkeypatch.setattr(ribbon, "_solve_strips", recording)
+        sweep(K_FIG2B, 4, np.linspace(-np.pi, np.pi, 5, endpoint=False), n_transverse=16)
+        assert calls == [5]
+        calls.clear()
+        sweep(K_FIG2B, 4, np.linspace(-np.pi, np.pi, 5, endpoint=False), n_transverse=16, threads=2)
+        assert sorted(calls) == [2, 3]
+        calls.clear()
+        sweep(K_FIG2B, 4, [0.1, 0.2], n_transverse=16, threads=4)
+        assert calls == [1, 1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_error_in_a_chunk_names_its_own_kx(self, monkeypatch, threads):
+        # a solve that fails at k_x = 0.5 only: the chunk's error is traced to
+        # that k_x, whose own solve raises the exception that propagates
+        model, w = GAMMA_FIG3B, 4
+        t = ribbon.flavour_bond_table(model).t
+        target = ribbon._bond_blocks(w, [0.5], False, *t, model.scale_factor)[0].reshape(3 * w, 3 * w)
+        real, sentinel, seen = eigen.eig_chiral, eig(np.eye(2)), []
+
+        def failing(b, c, tol=None, norm=None):
+            seen.append(np.shape(b))
+            if any(np.array_equal(x, target) for x in np.reshape(b, (-1, 3 * w, 3 * w))):
+                raise ConvergenceError("residual target missed", result=sentinel)
+            return real(b, c, tol=tol, norm=norm)
+
+        monkeypatch.setattr(eigen, "eig_chiral", failing)
+        with pytest.raises(ConvergenceError, match=r"^k_x = 0\.5: residual target missed$") as info:
+            sweep(model, w, [-0.5, 0.5, 1.0], n_transverse=16, threads=threads)
+        assert info.value.result is sentinel
+        if threads == 1:  # the stacked solve, then the k_x alone up to the failing one
+            assert seen == [(3, 3 * w, 3 * w), (3 * w, 3 * w), (3 * w, 3 * w)]

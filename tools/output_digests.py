@@ -6,8 +6,10 @@ Usage::
 
 Runs every command on small grids in process, with BLAS at one thread, for
 the pure Yao-Lee model, the K model (Hermitian and not), the Gamma model
-and the field+DMI model, plus ``reproduce`` of fig2a-like, fig2b-like, fig3b
-and fig6a at a few k_x; tables in csv, json and ndjson.  ``--src`` (default:
+and the field+DMI model, plus ``ribbon-sweep`` of the non-Hermitian K and
+the Gamma model at ``threads: 2`` (chunked, threaded sweeps) and
+``reproduce`` of fig2a-like, fig2b-like, fig3b and fig6a at a few k_x;
+tables in csv, json and ndjson.  ``--src`` (default:
 this checkout's ``src``) is the source tree whose package is run, so one copy
 of this script digests two checkouts and "bytes unchanged" is one ``diff``.
 
@@ -55,6 +57,10 @@ def corpus():
             if command == "skin-check" and model in ("gamma", "mag"):
                 continue  # skin-check refuses the models that mix the species
             yield f"{command}_{model}", command, f"command: {command}\nmodel:\n  {block}\n{GRID}", ""
+    for model in ("k_nonherm", "gamma"):
+        yield f"ribbon-sweep_{model}_threads2", "ribbon-sweep", (
+            f"command: ribbon-sweep\nthreads: 2\nmodel:\n  {MODELS[model]}\n{GRID}"
+        ), ""
     yield "localization_log01", "localization", (
         f"command: localization\nmodel:\n  {MODELS['k_nonherm']}\n{GRID}"
     ), "  weight_scale: log01\n"
