@@ -25,7 +25,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ConvergenceError
 
-#: the routes :attr:`Spectrum.path` names: :func:`eigh`, :func:`eig_chiral`,
+#: the routes :attr:`Spectrum.routes` names: :func:`eigh`, :func:`eig_chiral`,
 #: :func:`eig`, and :func:`eig` after a Hermitian or chiral certificate failed
 SOLVER_PATHS = ("hermitian", "chiral", "dense", "dense_fallback")
 
@@ -130,13 +130,13 @@ class Spectrum:
 
     For a ``(..., n, n)`` stack every field gains the leading axes: arrays
     of shape ``(..., n)`` and ``(..., n, n)``, and ``achieved_tol`` and
-    ``matrix_norm`` of shape ``(...)``, one entry per matrix.  ``path``
-    names the route: "dense" (:func:`eig`), "hermitian" (:func:`eigh`),
-    "chiral" (:func:`eig_chiral`), or "dense_fallback" when a matrix of either
-    fast route missed its certificate and was solved again by :func:`eig`.
-    ``routes`` names it per matrix: ``path`` for a lone matrix, an array of
-    the stack shape for a stack, "dense_fallback" only where that matrix was
-    solved again.
+    ``matrix_norm`` of shape ``(...)``, one entry per matrix.  ``routes``
+    names each matrix's route (a string for a lone matrix, an array of the
+    stack shape for a stack): "dense" (:func:`eig`), "hermitian"
+    (:func:`eigh`), "chiral" (:func:`eig_chiral`), or "dense_fallback" where
+    a matrix of either fast route missed its certificate and was solved
+    again by :func:`eig`.  ``path`` is the route of the whole call:
+    "dense_fallback" if any matrix took it, else the one route.
 
     The residuals certify a backward error (pair i is exact for a matrix
     within ``residuals[i] * max(1, matrix_norm)`` of ``H`` in 2-norm), not the
@@ -153,8 +153,12 @@ class Spectrum:
     defective_flags: np.ndarray
     achieved_tol: float | np.ndarray
     matrix_norm: float | np.ndarray
-    path: str = "dense"
-    routes: str | np.ndarray | None = None
+    routes: str | np.ndarray = "dense"
+
+    @property
+    def path(self) -> str:
+        routes = np.asarray(self.routes)
+        return "dense_fallback" if (routes == "dense_fallback").any() else str(routes.flat[0])
 
     @property
     def n(self) -> int:
@@ -316,7 +320,6 @@ def _certified(stack, tol, w, vr, vl, res, flags, norm, routes) -> Spectrum:
         defective_flags=flags.reshape(*stack, n),
         achieved_tol=achieved.reshape(stack) if stack else float(achieved[0]),
         matrix_norm=norm.reshape(stack) if stack else float(norm[0]),
-        path="dense_fallback" if (routes == "dense_fallback").any() else str(routes[0]),
         routes=routes.reshape(stack) if stack else str(routes[0]),
     )
     failed = np.flatnonzero(achieved > tol)

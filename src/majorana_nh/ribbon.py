@@ -77,42 +77,26 @@ class RibbonSpec:
         _check_strip(self.w, self.boundary_y)
 
 
-def _bond_blocks(w, k_x, periodic, t_x, t_y, t_z, scale, n_species=None):
+def _bond_blocks(w, k_x, periodic, t_x, t_y, t_z, scale):
     """The sublattice-offdiagonal blocks B (A <- B) and C (B <- A) of strips at the momenta ``k_x``.
 
     ``t_*`` are the m x m flavour blocks per bond, and B and C one
     ``(w, m, w, m)`` (row, flavour)^2 array per k_x: shape ``(k, w, m, w,
-    m)``.  For flavour-diagonal tables, ``n_species`` asks for the w x w
-    blocks of the first ``n_species`` flavours alone: shape ``(k, n_species,
-    w, w)``.  The bond sums are formed on the whole tables either way, so
-    each entry rounds alike.  Filled with no loop over rows or k_x; for
-    w >= 2 no two bonds share an entry.
+    m)``.  Filled with no loop over rows or k_x; for w >= 2 no two bonds
+    share an entry.
     """
     px = np.exp(0.5j * np.asarray(k_x, dtype=float)).reshape(-1, 1, 1)
-    x_fwd = 2j * (t_x * px + t_y / px)
-    x_bwd = -2j * (t_x / px + t_y * px)  # intra-row bond sum at -k_x
-    z_fwd, z_bwd = 2j * t_z, -2j * t_z
+    k, m = px.shape[0], t_x.shape[0]
+    b = np.zeros((k, w, m, w, m), dtype=complex)
+    c = np.zeros((k, w, m, w, m), dtype=complex)
     r = np.arange(w)
+    b[:, r, :, r, :] = 2j * (t_x * px + t_y / px)
+    c[:, r, :, r, :] = np.swapaxes(-2j * (t_x / px + t_y * px), -1, -2)  # intra-row bond sum at -k_x
     # z-links join row r's B site to row r+1's A site; a periodic strip wraps
     lo = r if periodic else r[:-1]
     up = (lo + 1) % w
-    k, m = px.shape[0], t_x.shape[0]
-    if n_species is None:
-        b = np.zeros((k, w, m, w, m), dtype=complex)
-        c = np.zeros((k, w, m, w, m), dtype=complex)
-        b[:, r, :, r, :] = x_fwd
-        c[:, r, :, r, :] = np.swapaxes(x_bwd, -1, -2)
-        b[:, up, :, lo, :] = z_fwd
-        c[:, lo, :, up, :] = z_bwd.T
-    else:
-        x_fwd, x_bwd, z_fwd, z_bwd = (np.diagonal(x, axis1=-2, axis2=-1)[..., :n_species, None]
-                                      for x in (x_fwd, x_bwd, z_fwd, z_bwd))
-        b = np.zeros((k, n_species, w, w), dtype=complex)
-        c = np.zeros((k, n_species, w, w), dtype=complex)
-        b[:, :, r, r] = x_fwd
-        c[:, :, r, r] = x_bwd
-        b[:, :, up, lo] = z_fwd
-        c[:, :, lo, up] = z_bwd
+    b[:, up, :, lo, :] = 2j * t_z
+    c[:, lo, :, up, :] = -2j * t_z.T
     return b * scale, c * scale
 
 
@@ -151,25 +135,6 @@ def _site_weights(v, w):
     """Per-site probability weights of ``(..., 6w, n)`` strip vectors, flavours summed: ``(..., 2w, n)``."""
     weights = (np.abs(v) ** 2).reshape(*v.shape[:-2], 2 * w, 3, v.shape[-1]).sum(axis=-2)
     return weights / weights.sum(axis=-2, keepdims=True)
-
-
-def _strip_norms(b, c):
-    """``||H||_F`` of each strip whose distinct species blocks are ``(k, s, w, w)`` B and C.
-
-    Summed over the strip's full ``(w, 3, w, 3)`` layout, zeros included, to
-    the bits of ``np.linalg.norm`` of the whole blocks: the BLAS dot product
-    groups its terms by position.
-    """
-    k, s, w = b.shape[:3]
-
-    def full(x):
-        f = np.zeros((k, w, 3, w, 3), dtype=complex)
-        for fl in range(3):
-            f[:, :, fl, :, fl] = x[:, fl % s]
-        return f.reshape(k, 3 * w, 3 * w)
-
-    nb, nc = eigen.frobenius_norms(full(b)).tolist(), eigen.frobenius_norms(full(c)).tolist()
-    return np.array([math.hypot(x, y) for x, y in zip(nb, nc)])
 
 
 class _Strips:
@@ -235,7 +200,6 @@ class _Strips:
             defective_flags=s.defective_flags[self.picks].ravel()[order],
             achieved_tol=float(self.achieved[0]),
             matrix_norm=float(self.norm[0]),
-            path=s.path,
             routes=s.path,
         )
 
@@ -258,13 +222,14 @@ def _solve_strips(model: ModelConfig, w, k_x, periodic, tol=None) -> _Strips:
 
     t = flavour_bond_table(model).t
     sets = species(model)
+    b, c = _bond_blocks(w, k_x, periodic, *t, model.scale_factor)
     if sets is None:
-        b, c = _bond_blocks(w, k_x, periodic, *t, model.scale_factor)
         b, c, norm = lone(b.reshape(k, 3 * w, 3 * w)), lone(c.reshape(k, 3 * w, 3 * w)), None
     else:
-        b, c = _bond_blocks(w, k_x, periodic, *t, model.scale_factor, n_species=len(sets))
-        norm = _strip_norms(b, c)
-        b, c = b.reshape(-1, w, w), c.reshape(-1, w, w)
+        nb, nc = (eigen.frobenius_norms(x.reshape(k, 3 * w, 3 * w)).tolist() for x in (b, c))
+        norm = np.array([math.hypot(x, y) for x, y in zip(nb, nc)])
+        fl = np.arange(len(sets))  # (k_x, species) blocks, cut out of the strip's
+        b, c = (np.swapaxes(x[:, :, fl, :, fl], 0, 1).reshape(-1, w, w) for x in (b, c))
     # a Hermitian strip by dense zheevd at the full size, which beats the half-size product route
     block_norm = None if norm is None else np.repeat(norm, len(sets))
     s = (eigen.eigh(eigen.chiral_matrix(b, c), tol=tol, norm=block_norm) if hermitian

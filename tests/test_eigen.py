@@ -24,7 +24,7 @@ from majorana_nh import (
     match_eigenvalue_sets,
     min_singular_value,
 )
-from conftest import random_complex_coupling
+from conftest import TRACE_STRIPS, random_complex_coupling
 
 
 def random_matrix(rng, n):
@@ -197,16 +197,6 @@ def assert_strip_norm_certificate(solve, b, c, norm):
     return s
 
 
-#: (j, k_coupling, k_x) of skin-effect K strips (w=20, open) whose species
-#: blocks fail the trace identity on their own norm, though not on the strip's
-TRACE_STRIPS = [
-    ((0.33959800117393896 - 1.3276390959618392j, -1.5304532059033462 - 0.9327967178408236j,
-      1.5685582617686709 - 0.37859241037677255j), 0.7041331180209431, np.pi / 2),
-    ((-1.818357610300824 - 0.20063763762394304j, -0.2290279712088055 - 1.7767865751295544j,
-      1.640998272348857 + 0.1509716330979037j), 0.5622724758338847, -np.pi / 2),
-]
-
-
 class TestChiral:
     """``eig_chiral`` keeps the contract of ``eig`` on [[0, B], [C, 0]]."""
 
@@ -286,6 +276,7 @@ class TestChiral:
         for i in range(3):
             one = eigen.eig_chiral(b[i], c[i])
             assert one.path == ("dense_fallback" if i == 1 else "chiral")
+            assert s.routes[i] == one.path
             for name in SPECTRUM_ARRAYS:
                 assert getattr(s, name)[i].tobytes() == getattr(one, name).tobytes(), name
             assert_certified_on(chiral(b[i], c[i]), one, eigen.default_tol(12))
@@ -339,6 +330,7 @@ class TestHermitian:
         for i in range(3):
             one = eigen.eigh(h[i])
             assert one.path == ("dense_fallback" if i == 1 else "hermitian")
+            assert s.routes[i] == one.path
             for name in SPECTRUM_ARRAYS:
                 assert getattr(s, name)[i].tobytes() == getattr(one, name).tobytes(), name
             assert_certified_on(h[i], one, eigen.default_tol(8))

@@ -32,7 +32,7 @@ from majorana_nh import (
 from majorana_nh import eigen, ribbon
 from majorana_nh.eigen import Spectrum
 from majorana_nh.models import effective_couplings
-from conftest import random_complex_coupling
+from conftest import TRACE_STRIPS, random_complex_coupling
 
 E3 = cmath.exp(1j * math.pi / 3)
 E6 = cmath.exp(1j * math.pi / 6)
@@ -760,6 +760,19 @@ class TestChunkedSweep:
             assert localization_profile(s, w, alone).tobytes() == row.tobytes()
         assert ref.strip_solves == one.strip_solves == solves
         assert ref.max_residual == max(residuals)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_strip_solves_count_a_fallback_inside_a_chunk(self, threads):
+        # a K strip whose species blocks fall back to the dense route at
+        # k_x = pi/2 only: the stacked solve of the chunk counts it k_x by k_x
+        j, k_coupling, _ = TRACE_STRIPS[0]
+        model, w, kxs = ModelConfig(Variant.K_MODEL, Coupling3(*j), k_coupling=k_coupling), 20, [0.3, np.pi / 2, -np.pi / 2]
+        solves = dict.fromkeys(eigen.SOLVER_PATHS, 0)
+        for kx in kxs:
+            solves[diagonalize_ribbon(RibbonSpec(w=w, boundary_y="open", k_x=kx, model=model)).path] += 1
+        assert solves["dense_fallback"] > 0
+        assert ribbon._kx_per_chunk(model, w) >= len(kxs)  # one chunk at threads=1
+        assert sweep(model, w, kxs, n_transverse=32, threads=threads).strip_solves == solves
 
     def test_kx_per_chunk_follows_the_entry_cap(self, monkeypatch):
         # w=52: one k_x of a dense strip per call, four of a species strip

@@ -2,16 +2,17 @@
 
 Usage::
 
-    python tools/bench_record.py --out BENCH_2.json [--repo DIR] [--runs 3] [--criterion8]
+    python tools/bench_record.py --out BENCH_2.json [--repo DIR]
 
 Runs ``perfbench/run.py --trace 0`` of the checkout ``--repo`` (default:
-this one) ``--runs`` times per workload, one run at a time, and writes the
-median of each end-to-end metric, with the spread of the runs, the failed
-operation counts, and the run environment the benchmark reports: the git
-SHA of the checkout, ``nproc``, the BLAS library and the BLAS thread
-setting of each workload.  ``--criterion8`` also times the criterion-8
-acceptance test of that checkout (one ``pytest`` run, BLAS at one thread).
-Run it on an otherwise idle machine: the numbers are wall times.
+this one) three times per workload at seed 5, one run at a time, each for
+the ``run_seconds`` of its ``BENCHMARK.json``, and writes the median of each
+end-to-end metric, with the spread of the runs, the failed operation
+counts, and the run environment the benchmark reports: the git SHA of the
+checkout, ``nproc``, the BLAS library and the BLAS thread setting of each
+workload.  It also times the criterion-8 acceptance test of that checkout
+(one ``pytest`` run, BLAS at one thread).  Run it on an otherwise idle
+machine: the numbers are wall times.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("preset_sweeps", "skin_scan", "bloch_ep", "sweep_threads")
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 CRITERION8 = "tests/test_acceptance.py::test_criterion_08_skin_criterion_theorem"
+RUNS, SEED = 3, 5
 
 
 def bench_run(repo: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -52,13 +54,14 @@ def criterion8_seconds(repo: Path) -> dict:
     return {"wall_s": round(time.perf_counter() - t0, 2), "passed": proc.returncode == 0}
 
 
-def record(repo: Path, runs: int, seed: int, seconds: float, workloads, criterion8: bool) -> dict:
-    doc = {"repo_sha": None, "nproc": os.cpu_count(), "runs_per_workload": runs, "seed": seed,
+def record(repo: Path) -> dict:
+    seconds = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+    doc = {"repo_sha": None, "nproc": os.cpu_count(), "runs_per_workload": RUNS, "seed": SEED,
            "seconds_per_run": seconds, "workloads": {}}
-    for workload in workloads:
+    for workload in WORKLOADS:
         results, env = [], None
-        for _ in range(runs):
-            result, env = bench_run(repo, workload, seed, seconds)
+        for _ in range(RUNS):
+            result, env = bench_run(repo, workload, SEED, seconds)
             results.append(result)
         names = results[0]["metrics"]
         doc["workloads"][workload] = {
@@ -72,8 +75,7 @@ def record(repo: Path, runs: int, seed: int, seconds: float, workloads, criterio
             "units": {n: results[0]["metrics"][n]["unit"] for n in names},
         }
         doc["repo_sha"], doc["nproc"] = env["git_sha"], env["nproc"]
-    if criterion8:
-        doc["criterion8"] = criterion8_seconds(repo)
+    doc["criterion8"] = criterion8_seconds(repo)
     return doc
 
 
@@ -81,13 +83,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="file to write, e.g. BENCH_2.json")
     parser.add_argument("--repo", default=str(ROOT), help="checkout whose benchmark and source are run")
-    parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--criterion8", action="store_true", help="also time the criterion-8 test")
     args = parser.parse_args(argv)
-    doc = record(Path(args.repo).resolve(), args.runs, args.seed, args.seconds, args.workloads, args.criterion8)
+    doc = record(Path(args.repo).resolve())
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
