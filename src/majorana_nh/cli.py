@@ -2,19 +2,15 @@
 
 Usage::
 
-    majorana-nh <command> --config <path> [--out <dir>] [--threads N]
-                [--scale raw|half] [--preset <id>]
+    majorana-nh <command> --config <path> [--out <dir>] [--threads N] [--preset <id>]
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/convergence error.
-Environment overrides: ``MAJORANA_NH_THREADS`` and ``MAJORANA_NH_OUT``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import replace
 
 from .config import COMMANDS, RunConfig, parse_config
 from .errors import ConfigurationError, ConvergenceError
@@ -32,7 +28,6 @@ def _build_parser():
     parser.add_argument("--config", help="YAML run configuration")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--threads", type=int, help="worker threads for sweeps")
-    parser.add_argument("--scale", choices=("raw", "half"), help="energy scale override, not for reproduce")
     parser.add_argument(
         "--preset", help=f"figure preset for 'reproduce' ({', '.join(PRESET_IDS)})"
     )
@@ -55,26 +50,12 @@ def _load_config(args) -> RunConfig:
             f"config declares command {cfg.command!r} but {args.command!r} was requested"
         )
 
-    out_dir = args.out or os.environ.get("MAJORANA_NH_OUT")
-    if out_dir:
-        cfg.output.directory = out_dir
-    threads = args.threads
-    env_threads = os.environ.get("MAJORANA_NH_THREADS")
-    if threads is None and env_threads:
-        try:
-            threads = int(env_threads)
-        except ValueError:
-            raise ConfigurationError(
-                f"MAJORANA_NH_THREADS must be an integer, got {env_threads!r}"
-            ) from None
-    if threads is not None:
-        if threads < 1:
+    if args.out:
+        cfg.output.directory = args.out
+    if args.threads is not None:
+        if args.threads < 1:
             raise ConfigurationError("--threads must be >= 1")
-        cfg.threads = threads
-    if args.scale is not None:
-        if cfg.model is None:
-            raise ConfigurationError("--scale does not apply to 'reproduce': the preset fixes the model")
-        cfg.model = replace(cfg.model, energy_scale=args.scale)
+        cfg.threads = args.threads
     return cfg
 
 

@@ -21,11 +21,8 @@ import yaml
 
 from .ep import MIN_SCAN_GRID_N
 from .errors import ConfigurationError
-from .models import VARIANT_FIELDS, Coupling3, ModelConfig, Variant, default_dmi_vectors, species
+from .models import VARIANT_FIELDS, Coupling3, ModelConfig, Variant, species
 from .ribbon import ClassifierThresholds
-
-#: variant names as written in a config, with or without the underscore
-_VARIANT_ALIASES = {name: v for v in Variant for name in (v.value, v.value.replace("_", ""))}
 
 COMMANDS = (
     "bloch-spectrum",
@@ -243,24 +240,15 @@ def _coupling3(located, name):
     return Coupling3(*_vector(3, _as_complex, "must be a list of three complex numbers")(located, name))
 
 
-def _dmi_z_mode(located, name):
-    return default_dmi_vectors(include_z=_choice("c3", "none")(located, name) == "c3")
-
-
-#: model key -> (the ModelConfig field it sets, its parser); in this order,
-#: so ``dmi_vectors`` wins over ``dmi_z_mode``
+#: model key (the ModelConfig field it sets) -> its parser
 _MODEL_KEYS = {
-    "j": ("j", _coupling3),
-    "k_coupling": ("k_coupling", _as_complex),
-    "gamma": ("gamma", _as_complex),
-    "d": ("d", _as_real),
-    "b_field": ("b_field", _vector(3, _as_real, "must be a real 3-vector")),
-    "dmi_z_mode": ("dmi_vectors", _dmi_z_mode),
-    "dmi_vectors": (
-        "dmi_vectors",
-        _vector(3, _vector(2, _as_real, "must be a 2-vector"), "must hold three 2-vectors"),
-    ),
-    "energy_scale": ("energy_scale", _choice("raw", "half")),
+    "j": _coupling3,
+    "k_coupling": _as_complex,
+    "gamma": _as_complex,
+    "d": _as_real,
+    "b_field": _vector(3, _as_real, "must be a real 3-vector"),
+    "dmi_vectors": _vector(3, _vector(2, _as_real, "must be a 2-vector"), "must hold three 2-vectors"),
+    "energy_scale": _choice("raw", "half"),
 }
 
 
@@ -272,19 +260,19 @@ def parse_model_block(located) -> ModelConfig:
 
     if "variant" not in block:
         _err("model.variant is required", located)
-    vname = _as_str(block["variant"], "model.variant").lower()
-    if vname not in _VARIANT_ALIASES:
+    vname = _as_str(block["variant"], "model.variant")
+    if vname not in {v.value for v in Variant}:
         _err(f"model.variant: unknown variant {vname!r}", block["variant"])
-    variant = _VARIANT_ALIASES[vname]
+    variant = Variant(vname)
 
     valid = ("j", "energy_scale", *VARIANT_FIELDS[variant])
     for key in block:
-        if key != "variant" and _MODEL_KEYS[key][0] not in valid:
+        if key != "variant" and key not in valid:
             _err(f"field {key!r} not valid for variant {variant.value!r}", block[key])
     if "j" not in block:
         _err("model.j is required", located)
 
-    kwargs = {f: cast(block[key], f"model.{key}") for key, (f, cast) in _MODEL_KEYS.items() if key in block}
+    kwargs = {key: cast(block[key], f"model.{key}") for key, cast in _MODEL_KEYS.items() if key in block}
     try:
         return ModelConfig(variant=variant, **kwargs)
     except ConfigurationError as exc:

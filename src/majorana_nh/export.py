@@ -280,6 +280,9 @@ def write_svg_scatter(
         if ys.ndim == 1:  # a point is a zero-length bar, drawn as a round dot
             ys = np.stack([ys, ys], axis=-1)
         d = ("M%.2f %.2fV%.2f" * len(xs)) % tuple(np.column_stack([sx(xs), sy(ys)]).ravel().tolist())
+        # one path's stroke is painted once, so a repeated mark adds bytes but no
+        # pixels: each is kept once, in first-seen order
+        d = "M".join(dict.fromkeys(d.split("M")))
         parts.append(
             f'<path d="{d}" fill="none" stroke="{colour}" stroke-opacity="0.8" '
             f'stroke-width="{2 * point_radius}" stroke-linecap="round"/>'

@@ -97,10 +97,9 @@ class Coupling3:
         return Coupling3(*vals)
 
 
-def default_dmi_vectors(include_z: bool = True):
+def default_dmi_vectors():
     """Default in-plane DMI vectors per link type (C3-completed z-link)."""
-    dz = DMI_Z if include_z else (0.0, 0.0)
-    return (DMI_X, DMI_Y, dz)
+    return (DMI_X, DMI_Y, DMI_Z)
 
 
 def _as_pair(v):

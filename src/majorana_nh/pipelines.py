@@ -16,7 +16,6 @@ from .models import (
     ModelConfig,
     bloch_matrix_grid,
     closed_form_spectrum,
-    effective_couplings,
     species,
 )
 
@@ -128,29 +127,20 @@ def run_arc_trace(cfg: RunConfig) -> list[Path]:
 def run_skin_check(cfg: RunConfig) -> list[Path]:
     """Skin-effect criterion for each Majorana species of a flavour-conserving model.
 
-    :func:`config.parse_config` refuses models whose species mix.  Each
-    flavour is tested with its :func:`effective_couplings` triple (the parent
-    model's ``k_coupling`` is 0, so its three flavours share ``j``).
+    :func:`config.parse_config` refuses models whose species mix.  One row per
+    distinct species of :func:`species`: flavours 1-3 of the K model, and one
+    row with no flavour for the parent model, whose three species coincide.
     """
-    rows = []
-    for eta, j_eff in zip((1, 2, 3), effective_couplings(cfg.model.j, cfg.model.k_coupling)):
-        rows.append(
-            {
-                "flavour": eta,
-                "skin_any": ep.skin_criterion_any(j_eff),
-                "max_asymmetry": float(ep.skin_asymmetry(j_eff).max()),
-            }
-        )
+    rows = [{"flavour": fl, "skin_any": ep.skin_criterion_any(j_eff),
+             "max_asymmetry": float(ep.skin_asymmetry(j_eff).max())} for fl, j_eff in species(cfg.model)]
     return _export(cfg, cfg.output.prefix + "_skin", ("flavour", "skin_any", "max_asymmetry"), rows,
                    {"skin_any_model": any(r["skin_any"] for r in rows)})
 
 
 def _sweep_rows(result: ribbon.SweepResult) -> dict:
-    """Sweep table columns, one entry per (k_x, state), sorted by (k_x, state_index)."""
+    """Sweep table columns, one entry per (k_x, state), in the order of the records."""
     rec = result.records.ravel()
     kx = np.repeat(result.kx_grid, result.records.shape[1])
-    order = np.lexsort((rec.state_index, kx))
-    rec, kx = rec[order], kx[order]
     return {"k_x": kx, "state_index": rec.state_index, **_energy(rec.eigenvalue),
             "mean_row": rec.mean_row, "ipr": rec.ipr, "class": rec.label}
 

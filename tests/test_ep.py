@@ -495,6 +495,16 @@ class TestFermiArcs:
             assert np.abs(prod.imag).max() < bound
             assert prod.real.max() <= 1e-9
 
+    def test_short_arc_between_close_eps_kept(self):
+        # flavour 2 has two EPs 0.13 apart in bond phase, under three steps of
+        # the 128 grid, and Re A(k)A(-k) changes sign on the piece between
+        # them; its median sign keeps the arc the finer grid finds, where the
+        # sign at the middle vertex alone would drop it
+        j = Coupling3(1.663065827166046 + 1.2078841532213471j, -0.520104705564175 - 0.23051515739958056j,
+                      -0.08745138322742135 - 1.0323991348433292j)
+        model = ModelConfig(Variant.K_MODEL, j, k_coupling=-0.46822061212128807 - 0.022437712307309052j)
+        assert [len(fermi_arc_trace(model, flavour=2, grid_n=n)) for n in (128, 256)] == [2, 2]
+
     def test_endpoint_first_order_convergence(self):
         sets = [
             Coupling3(2, 1, 2.5 * E3),

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from majorana_nh import ConfigurationError, Variant, parse_config
 from majorana_nh.export import _FloatEncoder, _cell, export_table, fmt_float, write_svg_scatter
+from majorana_nh.models import species
 from majorana_nh.pipelines import run_command
 from majorana_nh.presets import PRESET_IDS, get_preset
 
@@ -60,17 +61,6 @@ model:
     def test_eig_tol_is_an_unknown_key(self):
         text = MINIMAL + "tolerance:\n  overlap_tol: 1.0e-4\n  eig_tol: 1.0e-8\n"
         with pytest.raises(ConfigurationError, match=r"unknown key tolerance.'eig_tol'.*line 8"):
-            parse_config(text)
-
-    def test_dmi_z_mode_rejected_outside_mag_model(self):
-        text = """
-command: bloch-spectrum
-model:
-  variant: gamma_model
-  j: [1, 1, 1]
-  dmi_z_mode: none
-"""
-        with pytest.raises(ConfigurationError, match=r"'dmi_z_mode' not valid.*line 6"):
             parse_config(text)
 
     def test_preset_flag_alone_parses_like_a_config(self):
@@ -141,20 +131,6 @@ model:
             parse_config("command: reproduce\npreset: fig99\n")
         assert parse_config("command: reproduce\npreset: fig8\n").resolved["grid"]["w"] == 12
         assert parse_config("command: reproduce\npreset: fig8\ngrid:\n  w: 6\n").grid.w == 6
-
-    def test_dmi_z_mode(self):
-        base = """
-command: bloch-spectrum
-model:
-  variant: mag_model
-  j: [[1,0],[1,0],[1,0]]
-  d: 0.5
-  dmi_z_mode: {mode}
-"""
-        cfg = parse_config(base.format(mode="none"))
-        assert cfg.model.resolved_dmi_vectors()[2] == (0.0, 0.0)
-        cfg = parse_config(base.format(mode="c3"))
-        assert cfg.model.resolved_dmi_vectors()[2] == (-0.5, -math.sqrt(3) / 2)
 
 
 _EDGE_FLOATS = (
@@ -288,6 +264,16 @@ class TestExport:
         # the group is one path of three zero-length round-capped strokes
         (d,) = re.findall(r'<path d="([^"]*)"', text)
         assert d.count("M") == 3 and d.count("V") == 3
+
+    def test_svg_scatter_draws_a_repeated_dot_once(self, tmp_path):
+        # the +-E pairs of a chiral strip draw the same |E| dot twice
+        xs, ys = [0, 1, 0, 2, 1, 0], [0.5, 0.7, 0.5, 0.2, 0.7, 0.9]
+        write_svg_scatter(tmp_path / "twice.svg", [("edge", xs, ys)])
+        write_svg_scatter(tmp_path / "once.svg", [("edge", [0, 1, 2, 0], [0.5, 0.7, 0.2, 0.9])])
+        (d,) = re.findall(r'<path d="([^"]*)"', (tmp_path / "twice.svg").read_text())
+        dots = re.findall(r"M[^M]*", d)
+        assert len(dots) == len(set(dots)) == 4
+        assert (tmp_path / "twice.svg").read_bytes() == (tmp_path / "once.svg").read_bytes()
 
 
 class TestPipelineDeterminism:
@@ -534,7 +520,7 @@ class TestEchoRoundTrip:
   j: [1, 1, {mod: 1, phase_over_pi: 0.3333333333333333}]
   d: 0.5
   b_field: [0, 0, 0.7]
-  dmi_z_mode: none
+  dmi_vectors: [[1, 0], [-0.5, 0.8660254037844386], [0, 0]]
   energy_scale: half
 """
 
@@ -746,29 +732,27 @@ output:
             ("ribbon-sweep", MINIMAL.replace("bloch-spectrum", "ribbon-sweep") + "preset: fig3b\n", (),
              r"'ribbon-sweep' takes no preset .*\(line 6\)"),
             ("bloch-spectrum", MINIMAL, ("--preset", "fig4"), r"--preset applies to 'reproduce' only"),
-            ("reproduce", "command: reproduce\npreset: fig8\n", ("--scale", "raw"),
-             r"--scale does not apply to 'reproduce'"),
             ("skin-check",
              "command: skin-check\nmodel:\n  variant: gamma_model\n"
              "  j: [2, 1, {mod: 2.5, phase_over_pi: 0.3333333333333333}]\n  gamma: 0.4\n", (),
              r"'skin-check' tests each Majorana species alone; 'gamma_model' mixes them \(line 3\)"),
+            # each setting has one route, the config key or flag its runs use;
+            # a second route is an unknown flag, key or variant name
+            ("bloch-spectrum", MINIMAL, ("--scale", "half"), r"unrecognized arguments: --scale half"),
+            ("bloch-spectrum", MINIMAL.replace("pure_yl", "mag_model") + "  d: 0.5\n  dmi_z_mode: none\n", (),
+             r"unknown key model\.'dmi_z_mode' \(line 7\)"),
+            ("bloch-spectrum", MINIMAL.replace("pure_yl", "kmodel"), (), r"unknown variant 'kmodel' \(line 4\)"),
+            ("bloch-spectrum", MINIMAL.replace("pure_yl", "K_MODEL"), (), r"unknown variant 'K_MODEL' \(line 4\)"),
         ],
     )
     def test_ignored_key_exit_2(self, tmp_path, command, text, flags, message):
-        # a key the command would ignore is rejected before anything runs
+        # a key or flag the run would ignore, or one no run uses, is rejected before anything runs
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(text + f"output:\n  directory: {tmp_path / 'out'}\n")
         res = self._run(command, "--config", str(cfg), *flags)
         assert res.returncode == 2
         assert re.search(message, res.stderr), res.stderr
         assert not (tmp_path / "out").exists()
-
-    def test_non_integer_thread_env_exit_2(self, tmp_path):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(MINIMAL)
-        res = self._run("bloch-spectrum", "--config", str(cfg), env={"MAJORANA_NH_THREADS": "two"})
-        assert res.returncode == 2
-        assert "MAJORANA_NH_THREADS must be an integer" in res.stderr
 
     def test_missing_config_exit_2(self):
         res = self._run("ribbon-sweep", "--config", "/nonexistent/x.yaml")
@@ -795,26 +779,19 @@ output:
         # complex jz alone produces no intra-row asymmetry for any species
         assert all(not skin_any for skin_any in data["data"]["skin_any"])
         assert not data["metadata"]["skin_any_model"]
+        assert "seed" not in data["metadata"]["config"]
 
-    def test_scale_override_recorded(self, tmp_path):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
-            """
-command: skin-check
-model:
-  variant: pure_yl
-  j: [[1, 0], [1, 0], [1, 0]]
-output:
-  directory: %s
-  prefix: s
-"""
-            % tmp_path
-        )
-        res = self._run("skin-check", "--config", str(cfg), "--scale", "half")
-        assert res.returncode == 0, res.stderr
-        meta = json.loads((tmp_path / "s_skin_meta.json").read_text())
-        assert meta["config"]["model"]["energy_scale"] == "half"
-        assert "seed" not in meta["config"]
+    @pytest.mark.parametrize(
+        "model",
+        ["variant: pure_yl\n  j: [1, 1, 1]", "variant: k_model\n  j: [2, 1, 2.5]\n  k_coupling: 0.4"],
+        ids=["pure_yl", "k_model"],
+    )
+    def test_skin_check_one_row_per_species(self, tmp_path, model):
+        # the parent model's three species coincide: one row, with no flavour
+        cfg = parse_config(f"command: skin-check\nmodel:\n  {model}\noutput:\n  directory: {tmp_path}\n  prefix: s\n")
+        run_command(cfg)
+        data = json.loads((tmp_path / "s_skin.json").read_text())["data"]
+        assert data["flavour"] == [fl for fl, _ in species(cfg.model)]
 
     def test_seed_rejected(self, tmp_path):
         # nothing is random: neither the config key nor the flag exists

@@ -175,7 +175,6 @@ class TestModelConfigValidation:
         np.testing.assert_allclose(vecs[1], [-0.5, np.sqrt(3) / 2], atol=1e-15)
         np.testing.assert_allclose(vecs[2], [-0.5, -np.sqrt(3) / 2], atol=1e-15)
         np.testing.assert_allclose(vecs.sum(axis=0), [0, 0], atol=1e-15)
-        assert default_dmi_vectors(include_z=False)[2] == (0.0, 0.0)
 
 
 def _random_models(rng):

@@ -8,8 +8,8 @@ Runs every command on small grids in process, with BLAS at one thread, for
 the pure Yao-Lee model, the K model (Hermitian and not), the Gamma model
 and the field+DMI model, plus ``ribbon-sweep`` of the non-Hermitian K and
 the Gamma model at ``threads: 2`` (chunked, threaded sweeps) and
-``reproduce`` of fig2a-like, fig2b-like, fig3b and fig6a at a few k_x;
-tables in csv, json and ndjson.  ``--src`` (default:
+``reproduce`` of fig2a-like, fig2b-like, fig3b, fig6a and the profile preset
+fig8 at a few k_x; tables in csv, json and ndjson.  ``--src`` (default:
 this checkout's ``src``) is the source tree whose package is run, so one copy
 of this script digests two checkouts and "bytes unchanged" is one ``diff``.
 
@@ -47,7 +47,7 @@ GRID = "grid:\n  w: 8\n  kx_n: 8\n  n_transverse: 64\n  bz_n: 32\n  arc_grid_n: 
 
 COMMANDS = ("bloch-spectrum", "ep-find", "arc-trace", "skin-check", "ribbon-sweep", "localization")
 
-PRESETS = ("fig2a-like", "fig2b-like", "fig3b", "fig6a")
+PRESETS = ("fig2a-like", "fig2b-like", "fig3b", "fig6a", "fig8")
 
 
 def corpus():
