@@ -27,7 +27,7 @@ from .models import (
     bloch_matrix_grid,
     branch_sqrt,
     species,
-    structure_factor,
+    structure_factor_pair,
     triangle_test,
 )
 
@@ -190,8 +190,7 @@ def ep_closed_form(j_eff: Coupling3, flavour: int | None = None) -> list[EPRecor
             continue
         seen.append(theta.copy())
         k = k_from_bond_phase(theta)
-        a_k = structure_factor(j_eff, k)
-        a_mk = structure_factor(j_eff, -k)
+        a_k, a_mk = structure_factor_pair(j_eff, k)
         residual, other = (abs(a_k), abs(a_mk)) if side == "plus" else (abs(a_mk), abs(a_k))
         gap = 4.0 * abs(branch_sqrt(a_k * a_mk))
         denom = abs(a_k) ** 2 + abs(a_mk) ** 2
@@ -492,8 +491,7 @@ def _block_builder(j_eff: Coupling3, scale_factor: float):
     def build(thetas):
         thetas = np.asarray(thetas, dtype=float)
         ks = k_from_bond_phase(thetas)
-        a_k = structure_factor(j_eff, ks)
-        a_mk = structure_factor(j_eff, -ks)
+        a_k, a_mk = structure_factor_pair(j_eff, ks)
         h = np.zeros(np.shape(a_k) + (2, 2), dtype=complex)
         h[..., 0, 1] = 2j * a_k
         h[..., 1, 0] = -2j * a_mk
@@ -724,10 +722,8 @@ def _cut_at_eps(line, eps, radius):
             neighbours.append(line[idx - 1])
         elif closed:
             neighbours.append(line[m - 2] - loop_shift)
-        if idx + 1 < m:
+        if idx + 1 < m:  # a closed line is never cut at its last vertex
             neighbours.append(line[idx + 1])
-        elif closed:
-            neighbours.append(line[1] + loop_shift)
         best, best_d = ref, float(np.hypot(*(ref - target)))
         for nb in neighbours:
             ab = nb - ref
@@ -809,7 +805,8 @@ def _arc_trace_scalar(j_eff, flavour, grid_n, eps):
 
     def pair_product(thetas):
         ks = k_from_bond_phase(thetas)
-        return structure_factor(j_eff, ks) * structure_factor(j_eff, -ks)
+        a_k, a_mk = structure_factor_pair(j_eff, ks)
+        return a_k * a_mk
 
     prod = pair_product(phase_grid(grid_n)[1])
     points = _point_arcs(prod, eps, flavour)
@@ -905,8 +902,7 @@ def classify_degeneracy(model: ModelConfig, k, tol: float = 1e-6) -> DegeneracyR
     j_sets = [j for _, j in sets] * (3 // len(sets))
     s = model.scale_factor
 
-    a_k = [structure_factor(j, k) for j in j_sets]
-    a_mk = [structure_factor(j, -k) for j in j_sets]
+    a_k, a_mk = zip(*(structure_factor_pair(j, k) for j in j_sets))
     eps_val = [2.0 * s * branch_sqrt(ak * amk) for ak, amk in zip(a_k, a_mk)]
     scale = max(1.0, max(abs(e) for e in eps_val))
 

@@ -5,16 +5,16 @@ the fully resolved run configuration, so a run can be reproduced from its own
 output.  A table is held as columns: the CSV is written through one
 ``%``-format string per table, the table JSON is one columnar document
 (``{"columns", "data", "metadata"}``) encoded by the C ``json`` encoder, and
-the NDJSON rows are built from the same columns.  CSV floats carry 17
-significant digits; JSON and NDJSON floats use Python's shortest round-trip
-repr.  Both are lossless for binary64, and row order is deterministic, which
-makes repeated single-threaded runs byte-identical.
+each NDJSON row is one ``json.dumps`` of its row dict.  Cells are Python
+values before any writer sees them.  CSV floats carry 17 significant digits;
+JSON and NDJSON floats use Python's shortest round-trip repr.  Both are
+lossless for binary64, and row order is deterministic, which makes repeated
+single-threaded runs byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +36,7 @@ SPECTRUM_COLUMNS = (
 
 
 def fmt_float(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".17g")
+    return format(float(x), ".17g")
 
 
 def _cell(value) -> str:
@@ -49,7 +44,7 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, float):
         return fmt_float(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
     return str(value)
 
@@ -69,8 +64,8 @@ def _column(values) -> tuple[list, str]:
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in _DTYPE_KINDS:
         return values.tolist(), _DTYPE_KINDS[values.dtype.kind]
-    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
-    for kind, types in (("f", float), ("i", (int, np.integer)), ("s", str)):
+    values = [v.item() if isinstance(v, np.generic) else v for v in values]
+    for kind, types in (("f", float), ("i", int), ("s", str)):
         if all(isinstance(v, types) for v in values):
             return values, kind
     return values, "O"
@@ -90,23 +85,10 @@ def write_csv(path: Path, table: dict):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-class _FloatEncoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, complex):
-            return [o.real, o.imag]
-        return super().default(o)
-
-
 def write_json(path: Path, payload):
     """Indented JSON, for the small ``_meta.json`` and ``_report.json`` documents."""
     path.write_text(
-        json.dumps(payload, cls=_FloatEncoder, indent=1, sort_keys=True) + "\n",
+        json.dumps(payload, indent=1, sort_keys=True) + "\n",
         encoding="utf-8",
     )
 
@@ -115,39 +97,15 @@ def write_table_json(path: Path, table: dict, metadata: dict):
     """Columnar table JSON in one compact ``json.dumps``, so the C encoder runs."""
     doc = {"columns": list(table), "data": {c: vals for c, (vals, _) in table.items()}, "metadata": metadata}
     path.write_text(
-        json.dumps(doc, cls=_FloatEncoder, sort_keys=True, separators=(",", ":")) + "\n",
+        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
         encoding="utf-8",
     )
 
 
-def _json_cells(values, kind, encode) -> list[str]:
-    """The JSON text of each cell of one column, as ``encode`` writes the cell.
-
-    A column of finite floats or of plain ints goes straight to ``repr``, one
-    of strings to the C string escaper; any other column (nan, inf, bools,
-    numpy scalars, None, mixed objects) goes through ``encode`` cell by cell.
-    """
-    if kind == "f" and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    if kind == "i" and set(map(type, values)) <= {int}:
-        return list(map(int.__repr__, values))
-    if kind == "s":
-        return list(map(json.encoder.encode_basestring_ascii, values))
-    return list(map(encode, values))
-
-
 def write_ndjson(path: Path, table: dict):
-    """One JSON object per row, keys sorted, written from the columns.
-
-    The bytes of ``_FloatEncoder(sort_keys=True).encode`` of each row dict:
-    every cell is encoded once per column and the rows are filled into one
-    ``%`` template of the sorted keys.
-    """
-    encode = _FloatEncoder(sort_keys=True).encode
-    names = sorted(table)
-    template = "{" + ", ".join(encode(n).replace("%", "%%") + ": %s" for n in names) + "}"
-    cells = [_json_cells(*table[n], encode) for n in names]
-    lines = [template % row for row in zip(*cells)]
+    """One JSON object per row, keys sorted: ``json.dumps(row, sort_keys=True)`` of each row dict."""
+    rows = zip(*(vals for vals, _ in table.values()))
+    lines = [json.dumps(dict(zip(table, row)), sort_keys=True) for row in rows]
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 

@@ -208,6 +208,11 @@ def structure_factor(j: Coupling3, k):
     return out
 
 
+def structure_factor_pair(j: Coupling3, k):
+    """``(A(k), A(-k))``: the :func:`structure_factor` at ``k`` and at ``-k``."""
+    return structure_factor(j, k), structure_factor(j, np.negative(k))
+
+
 def effective_couplings(j: Coupling3, k_coupling: complex):
     """The three link-shifted coupling triples of the flavour-diagonal model."""
     kc = complex(k_coupling)
@@ -362,10 +367,7 @@ def bloch_matrix_grid(model: ModelConfig, ks) -> np.ndarray:
     """
     table = flavour_bond_table(model)
     ks = np.asarray(ks, dtype=float)
-    th1 = ks @ M1
-    th2 = -(ks @ M2)
-    p1 = np.exp(1j * th1)[..., None, None]
-    p2 = np.exp(1j * th2)[..., None, None]
+    p1, p2 = (p[..., None, None] for p in _bond_phases(ks))
     f_k = table.t_x * p1 + table.t_y * p2 + table.t_z
     f_mk = table.t_x / p1 + table.t_y / p2 + table.t_z
 
@@ -422,8 +424,7 @@ def closed_form_spectrum_grid(model: ModelConfig, ks) -> np.ndarray | None:
         return np.concatenate([r, -r], axis=-1) * s
 
     if model.variant is Variant.MAG_MODEL and model.d == 0.0:
-        f_k = structure_factor(model.j, ks)
-        f_mk = structure_factor(model.j, -ks)
+        f_k, f_mk = structure_factor_pair(model.j, ks)
         g = 2.0 * branch_sqrt(f_k * f_mk)
         b = 2.0 * math.sqrt(sum(c * c for c in model.b_field))
         return np.stack([g, -g, b + g, b - g, -(b + g), -(b - g)], axis=-1) * s

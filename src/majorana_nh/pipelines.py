@@ -185,6 +185,11 @@ def _run_sweep(cfg: RunConfig, model: ModelConfig):
     return result, _summary_dict(ribbon.nhse_summary(result, nhse_fraction=cfg.tolerance.nhse_fraction))
 
 
+def _strip_meta(solves: dict) -> dict:
+    """The strip-solve provenance of a meta: the pinned BLAS threads and ``solves`` per solver path."""
+    return {"blas_threads": eigen.pinned_blas_threads(), "strip_solves": solves}
+
+
 def _export_sweep(cfg: RunConfig, model: ModelConfig, result: ribbon.SweepResult, summary: dict,
                   prefix: str, extra: dict) -> list[Path]:
     """Sweep table and meta in the configured formats, plus the SVG if enabled."""
@@ -192,8 +197,7 @@ def _export_sweep(cfg: RunConfig, model: ModelConfig, result: ribbon.SweepResult
         "model": model_dict(model),
         "w": cfg.grid.w,
         "max_residual": result.max_residual,
-        "blas_threads": eigen.pinned_blas_threads(),
-        "strip_solves": result.strip_solves,
+        **_strip_meta(result.strip_solves),
         "nhse_summary": summary,
         **extra,
     }
@@ -233,8 +237,7 @@ def run_localization(cfg: RunConfig) -> list[Path]:
         "model": model_dict(cfg.model),
         "k_x": cfg.grid.kx,
         "normalization": cfg.output.weight_scale,
-        "blas_threads": eigen.pinned_blas_threads(),
-        "strip_solves": solves,
+        **_strip_meta(solves),
     }
     return _export(cfg, cfg.output.prefix + "_profiles", WEIGHT_COLUMNS, table, meta)
 

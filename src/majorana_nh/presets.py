@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import eigen
 from .config import RunConfig, model_dict
 from .errors import ConfigurationError
 from .export import write_json
 from .models import Coupling3, ModelConfig, Variant
-from .pipelines import WEIGHT_COLUMNS, _export, _export_sweep, _profile_table, _run_sweep
+from .pipelines import WEIGHT_COLUMNS, _export, _export_sweep, _profile_table, _run_sweep, _strip_meta
 
 _E3 = cmath.exp(1j * math.pi / 3)
 _E6 = cmath.exp(1j * math.pi / 6)
@@ -127,8 +126,7 @@ def run_reproduce(cfg: RunConfig) -> list[Path]:
     else:
         solves = dict(result.strip_solves)
         table = _profile_table(cfg, preset.model, PROFILE_KX, None, "linear", solves)
-        meta = {"preset_report": report, "blas_threads": eigen.pinned_blas_threads(),
-                "strip_solves": solves, "nhse_summary": summary}
+        meta = {"preset_report": report, **_strip_meta(solves), "nhse_summary": summary}
         files = _export(cfg, prefix, ("k_x",) + WEIGHT_COLUMNS, table, meta)
 
     report_path = Path(cfg.output.directory) / f"{prefix}_report.json"

@@ -58,6 +58,8 @@ CHUNK_ENTRIES = 2**17
 
 
 def _check_strip(w, boundary_y):
+    if not isinstance(w, (int, np.integer)):
+        raise ValueError(f"w must be an integer number of dimer rows, got {w!r}")
     if w < 2:
         raise ValueError("ribbon needs at least 2 dimer rows")
     if boundary_y not in BOUNDARIES:
@@ -502,8 +504,8 @@ def sweep(
     """
     _check_strip(w, boundary_y)
     kx_grid = np.asarray(kx_grid, dtype=float)
-    if kx_grid.size == 0:
-        raise ValueError("kx_grid must be nonempty")
+    if kx_grid.ndim != 1 or kx_grid.size == 0:
+        raise ValueError(f"kx_grid must be a nonempty 1-D array, got shape {kx_grid.shape}")
     periodic = boundary_y == "periodic"
 
     def chunk(kxs):

@@ -266,6 +266,40 @@ class TestChiral:
         np.testing.assert_array_equal(s.eigenvalues, dense.eigenvalues)
         np.testing.assert_array_equal(s.defective_flags, dense.defective_flags)
 
+    @pytest.mark.parametrize("fail", [(), (1,)])
+    def test_ritz_stack_failure_solves_each_matrix(self, monkeypatch, fail):
+        # the stacked Rayleigh-Ritz eig fails: each matrix is solved alone and
+        # keeps its own result, and one whose own solve fails too is redone dense
+        model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
+        blocks = [species_blocks(model, 40, k_x) for k_x in (0.9 * np.pi, 0.85 * np.pi, -0.9 * np.pi)]
+        b, c = (np.stack([blk[i][0] for blk in blocks]) for i in (0, 1))
+        alone = [eigen.eig_chiral(b[i], c[i]) for i in range(3)]
+        assert [s.path for s in alone] == ["chiral"] * 3
+        real_eig, singles = np.linalg.eig, []
+
+        def eig_failing(a):
+            if sys._getframe(1).f_code is eigen._eig_each.__code__:
+                if a.ndim == 3:
+                    raise np.linalg.LinAlgError("forced failure of the stack")
+                singles.append(a)
+                if len(singles) - 1 in fail:
+                    raise np.linalg.LinAlgError("forced failure of one matrix")
+            return real_eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", eig_failing)
+        s = eigen.eig_chiral(b, c)
+        monkeypatch.undo()
+        assert len(singles) == 3
+        for i in range(3):
+            if i in fail:
+                assert s.routes[i] == "dense_fallback"
+                h = chiral(b[i], c[i])
+                assert match_eigenvalue_sets(s.eigenvalues[i], eig(h).eigenvalues) <= 1e-12 * np.linalg.norm(h)
+            else:
+                assert s.routes[i] == "chiral"
+                for name in SPECTRUM_ARRAYS:
+                    assert getattr(s, name)[i].tobytes() == getattr(alone[i], name).tobytes(), name
+
     def test_stack_slices_and_unmet_tol(self, rng):
         b = np.stack([random_matrix(rng, 6) for _ in range(3)])
         c = np.stack([random_matrix(rng, 6) for _ in range(3)])
@@ -531,6 +565,18 @@ class TestLeftVectors:
         off = g - np.diag(np.diag(g))
         ok = ~s.defective_flags
         assert off[np.ix_(ok, ok)].max() < 1e-8
+
+
+    def test_ill_conditioned_cluster_is_flagged_unscaled(self):
+        # a Jordan block beside a semisimple eigenvalue, all three at 0: the
+        # cluster's left-right overlap matrix is singular, so its left vectors
+        # are not rescaled and every pair of it is flagged, the semisimple one
+        # (orthogonal to the others) included
+        a = np.zeros((3, 3), dtype=complex)
+        a[0, 1] = 1.0
+        s = eig(a, want_left=True)
+        assert s.defective_flags.all()
+        np.testing.assert_allclose(np.linalg.norm(s.left_vectors, axis=0), 1.0, atol=1e-13)
 
 
 class TestMinSingularValue:

@@ -442,6 +442,20 @@ class TestMarchingSquares:
             assert line.tobytes() == ref.tobytes()
 
 
+class TestCutAtEps:
+    def test_open_line_splits_at_the_closest_point(self):
+        # an open polyline along theta2 = 0 and an EP off it: two pieces, both
+        # ending at the point of the line closest to the EP, not at a vertex
+        line = np.column_stack([np.linspace(-1.0, 1.0, 5), np.zeros(5)])
+        rec = ep_module.EPRecord(k=(0.0, 0.0), bond_phase=(0.2, 0.1), method="closed_form", flavour=None,
+                                 gap=0.0, overlap=1.0, residual=0.0, confirmed=True)
+        pieces, closed = ep_module._cut_at_eps(line, [rec], radius=0.5)
+        assert not closed
+        np.testing.assert_allclose(pieces[0], [[-1.0, 0.0], [-0.5, 0.0], [0.2, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(pieces[1], [[0.2, 0.0], [0.5, 0.0], [1.0, 0.0]], atol=1e-15)
+        assert len(pieces) == 2
+
+
 class TestFermiArcs:
     def test_k_model_species3_endpoints(self):
         j = Coupling3(2, 1, 2.5 * E3)

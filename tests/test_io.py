@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from majorana_nh import ConfigurationError, Variant, parse_config
-from majorana_nh.export import _FloatEncoder, _cell, export_table, fmt_float, write_svg_scatter
+from majorana_nh.export import _cell, export_table, fmt_float, write_svg_scatter
 from majorana_nh.models import species
 from majorana_nh.pipelines import run_command
 from majorana_nh.presets import PRESET_IDS, get_preset
@@ -192,7 +192,7 @@ class TestExport:
     @staticmethod
     def _ndjson_by_rows(rows):
         """The NDJSON of a per-row encoder: one sorted-key row dict per line."""
-        encode = _FloatEncoder(sort_keys=True).encode
+        encode = json.JSONEncoder(sort_keys=True).encode
         return "".join(encode(row) + "\n" for row in rows).encode("utf-8")
 
     @pytest.mark.parametrize("n_rows", [0, 1, 7])
@@ -222,6 +222,25 @@ class TestExport:
         cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in table.values())
         rows = [dict(zip(table, row)) for row in zip(*cells)]
         assert (tmp_path / "s.ndjson").read_bytes() == self._ndjson_by_rows(rows)
+
+    def test_numpy_scalar_cells_write_python_bytes(self, tmp_path):
+        # row dicts holding numpy scalars, some beside None, are written as the
+        # same rows holding Python values
+        rows = [
+            {"n": 3, "x": 0.1, "ok": True, "m": None, "b": False},
+            {"n": -(2**63), "x": -0.0, "ok": False, "m": 7, "b": None},
+            {"n": 0, "x": math.nan, "ok": True, "m": 2.5, "b": True},
+        ]
+        as_numpy = {bool: np.bool_, int: np.int64, float: np.float64}
+        np_rows = [{c: v if v is None else as_numpy[type(v)](v) for c, v in row.items()} for row in rows]
+        names = ("t.csv", "t.json", "t.ndjson", "t_meta.json")
+        for sub, given in (("py", rows), ("np", np_rows)):
+            export_table(tmp_path / sub, "t", tuple(rows[0]), given, {"n": 3}, formats=("csv", "json", "ndjson"))
+        for name in names:
+            assert (tmp_path / "np" / name).read_bytes() == (tmp_path / "py" / name).read_bytes(), name
+        assert (tmp_path / "py" / "t.csv").read_text().splitlines()[1:] == [
+            "3,0.10000000000000001,1,,0", "-9223372036854775808,-0,0,7,", "0,nan,1,2.5,1"
+        ]
 
     def test_float_formatting_roundtrip(self, rng):
         for x in rng.uniform(-10, 10, 100):

@@ -549,6 +549,26 @@ class TestSweepAndSummary:
         with pytest.raises(ValueError):
             sweep(model, 6, [])
 
+    @pytest.mark.parametrize("grid, shape", [(0.5, r"\(\)"), ([[0.1, 0.2], [0.3, 0.4]], r"\(2, 2\)")])
+    def test_grid_that_is_not_1d_rejected(self, grid, shape):
+        # both used to fail as an IndexError from inside the chunking
+        model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
+        with pytest.raises(ValueError, match=rf"^kx_grid must be a nonempty 1-D array, got shape {shape}$"):
+            sweep(model, 6, grid)
+
+    def test_non_integer_w_rejected(self):
+        # a float w used to fail in the strip solve, blamed on the first k_x
+        model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
+        calls = (
+            lambda: sweep(model, 4.0, [0.1]),
+            lambda: RibbonSpec(w=4.0, boundary_y="open", k_x=0.1, model=model),
+            lambda: edge_mode_weights(model, 4.0, 0.1),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^w must be an integer number of dimer rows, got 4\.0$"):
+                call()
+        assert sweep(model, np.int64(4), [0.1]).w == 4
+
     def test_hermitian_no_skin(self):
         model = ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5), k_coupling=0.4)
         kxs = np.linspace(-np.pi, np.pi, 8, endpoint=False)
