@@ -8,13 +8,14 @@ model, and a ``preset`` for any other command.  ``skin-check`` takes only a
 flavour-conserving model: it tests each Majorana species alone.  A key
 whose value is ``null`` counts as not given.  Complex numbers are written
 either as ``[re, im]`` pairs or as ``{mod: m, phase_over_pi: p}``; bare
-reals are accepted too.
+reals are accepted too.  Every number must be finite.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import yaml
@@ -76,8 +77,9 @@ def _err(msg, located=None):
 
 def _as_real(located, name):
     v = located.value
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _err(f"{name}: expected a real number, got {v!r}", located)
+    # NaN, +-inf and integers beyond the float range fail the bound
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        _err(f"{name}: expected a finite real number, got {v!r}", located)
     return float(v)
 
 
@@ -88,16 +90,21 @@ def _as_int(located, name):
     return int(v)
 
 
-def _at_least(low):
-    """Integer parser that rejects values below ``low``."""
+def _bounded(ok, bounds, parse=_as_real):
+    """``parse`` (a real by default), rejecting values that fail ``ok``; ``bounds`` states the range."""
 
     def cast(located, name):
-        v = _as_int(located, name)
-        if v < low:
-            _err(f"{name} must be >= {low}, got {v}", located)
+        v = parse(located, name)
+        if not ok(v):
+            _err(f"{name} must be {bounds}, got {v}", located)
         return v
 
     return cast
+
+
+def _at_least(low):
+    """Integer parser that rejects values below ``low``."""
+    return _bounded(lambda v: v >= low, f">= {low}", _as_int)
 
 
 def _threshold(located, name):
@@ -122,7 +129,7 @@ def _as_complex(located, name):
     """Accept bare real, [re, im], or {mod: m, phase_over_pi: p}."""
     v = located.value
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
+        return complex(_as_real(located, name))
     if isinstance(v, list):
         if len(v) != 2:
             _err(f"{name}: complex as [re, im] needs exactly two entries", located)
@@ -175,6 +182,14 @@ class ToleranceConfig:
             ipr_factor=self.ipr_factor,
             cloud_tol=self.cloud_tol,
         )
+
+
+#: range of the tolerance keys that are not classifier thresholds
+_TOLERANCE_RANGES = {
+    "gap_tol": _bounded(lambda v: v > 0.0, "> 0"),
+    "overlap_tol": _bounded(lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "nhse_fraction": _bounded(lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+}
 
 
 @dataclass
@@ -352,7 +367,7 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
         _err(msg, block["grid"].value["bz_n"])
     tol_casts = _numeric_casts(ToleranceConfig) | dict.fromkeys(
         ("edge_mass", "outer_frac", "ipr_factor", "cloud_tol"), _threshold
-    )
+    ) | _TOLERANCE_RANGES
     tol = _fill_dataclass(ToleranceConfig(), block.get("tolerance"), "tolerance", tol_casts)
     out = _fill_dataclass(
         OutputConfig(),

@@ -1,14 +1,14 @@
 """Dense complex non-symmetric eigendecomposition with certified residuals.
 
-Thin contract layer over LAPACK (via numpy/scipy): deterministic eigenvalue
-ordering, per-pair residuals normalized by ``max(1, ||H||_F)``, near-defective
-flagging, and optional biorthogonalized left eigenvectors.  Takes one matrix or
-a ``(..., n, n)`` stack (a zone grid's ``(bz_n**2, 6, 6)`` Bloch matrices),
-certified matrix by matrix.  :func:`eigh` keeps the same contract for
-Hermitian matrices (real couplings) and :func:`eig_chiral` for chiral
-matrices [[0, B], [C, 0]] (bond-only strips), solved from ``eig(B C)`` at half
-the dimension.  :func:`one_blas_thread` holds the bundled OpenBLAS at
-one thread for callers that run solves side by side.
+Thin contract layer over LAPACK (via numpy): deterministic eigenvalue
+ordering, per-pair residuals normalized by ``max(1, ||H||_F)`` and
+near-defective flagging.  Takes one matrix or a ``(..., n, n)`` stack (a
+zone grid's ``(bz_n**2, 6, 6)`` Bloch matrices), certified matrix by
+matrix.  :func:`eigh` keeps the same contract for Hermitian matrices (real
+couplings) and :func:`eig_chiral` for chiral matrices [[0, B], [C, 0]]
+(bond-only strips), solved from ``eig(B C)`` at half the dimension.
+:func:`one_blas_thread` holds the bundled OpenBLAS at one thread for
+callers that run solves side by side.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConvergenceError
@@ -117,7 +117,7 @@ def default_tol(n: int) -> float:
     return 1e-10 if n <= 16 else 1e-8
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Spectrum:
     """Eigendecomposition result.
 
@@ -125,8 +125,6 @@ class Spectrum:
     unit-norm right eigenvector of ``eigenvalues[i]``.  ``residuals[i]`` is
     ``||H v_i - lambda_i v_i||_2 / max(1, matrix_norm)``, ``||H||_F`` unless
     given as ``norm=``, and ``achieved_tol`` is their maximum.
-    ``left_vectors``, when present, are rescaled so that
-    ``l_i^dag r_j ~ delta_ij`` away from flagged near-defective clusters.
 
     For a ``(..., n, n)`` stack every field gains the leading axes: arrays
     of shape ``(..., n)`` and ``(..., n, n)``, and ``achieved_tol`` and
@@ -148,7 +146,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray | None
     residuals: np.ndarray
     defective_flags: np.ndarray
     achieved_tol: float | np.ndarray
@@ -196,7 +193,7 @@ def frobenius_norms(a) -> np.ndarray:
     return np.sqrt(sq[..., 0, 0])
 
 
-def _sort_pairs(w, vr, vl=None):
+def _sort_pairs(w, v):
     """Order each matrix's pairs by (Re, Im).
 
     Vector matrices come out column-major, as ``v[:, order]`` leaves a 2-D
@@ -204,11 +201,7 @@ def _sort_pairs(w, vr, vl=None):
     """
     order = np.lexsort((w.imag, w.real), axis=-1)
     stack = np.indices(order.shape, sparse=True)[:-1]
-
-    def gather(v):
-        return np.swapaxes(v, -1, -2)[(*stack, order)].swapaxes(-1, -2)
-
-    return np.take_along_axis(w, order, -1), gather(vr), None if vl is None else gather(vl)
+    return np.take_along_axis(w, order, -1), np.swapaxes(v, -1, -2)[(*stack, order)].swapaxes(-1, -2)
 
 
 def _unit_columns(v):
@@ -225,35 +218,6 @@ def _defective_flags(v):
     diag = np.arange(v.shape[-1])
     gram[..., diag, diag] = 0.0
     return (gram > DEFECTIVE_OVERLAP).any(axis=-2)
-
-
-def _clusters(w, tol):
-    """Indices of eigenvalues grouped by chained proximity (input sorted)."""
-    groups = [[0]]
-    for i in range(1, len(w)):
-        if abs(w[i] - w[i - 1]) <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
-def _biorthogonalize(w, vl, vr, flags, norm):
-    """Rescale left vectors towards l_i^dag r_j = delta_ij, cluster by cluster."""
-    vl = vl.copy()
-    tol = max(1e-8 * max(1.0, norm), 1e-12)
-    for group in _clusters(w, tol):
-        idx = np.asarray(group)
-        g = vl[:, idx].conj().T @ vr[:, idx]
-        try:
-            cond = np.linalg.cond(g)
-        except np.linalg.LinAlgError:
-            cond = np.inf
-        if not np.isfinite(cond) or cond > 1e12:
-            flags[idx] = True
-            continue
-        vl[:, idx] = vl[:, idx] @ np.linalg.inv(g).conj().T
-    return vl, flags
 
 
 def _polish(a, w, v, bad, norm):
@@ -273,31 +237,23 @@ def _polish(a, w, v, bad, norm):
     return w, v
 
 
-def _solve(a, tol, norm, want_left=False):
+def _solve(a, tol, norm):
     """Sorted, unit, polished eigenpairs of a flat ``(k, n, n)`` stack and their residuals."""
     try:
-        if want_left:
-            w, vl, vr = (x[None] for x in scipy.linalg.eig(a[0], left=True, right=True))
-        else:
-            w, vr = np.linalg.eig(a)
-            vl = None
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        w, v = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
 
-    w, vr, vl = _sort_pairs(w, vr, vl)
-    vr = _unit_columns(vr)
-    if vl is not None:
-        vl = _unit_columns(vl)
-
-    res = _residuals(a, w, vr, norm)
+    w, v = _sort_pairs(w, v)
+    v = _unit_columns(v)
+    res = _residuals(a, w, v, norm)
     bad = res > tol[:, None]
     hit = np.flatnonzero(bad.any(axis=-1))
     if hit.size:
-        wp, vp = _polish(a[hit], w[hit], vr[hit], bad[hit], norm[hit])
-        # left vectors come with a lone matrix only, the one hit here
-        w[hit], vr[hit], vl = _sort_pairs(wp, _unit_columns(vp), vl)
-        res[hit] = _residuals(a[hit], w[hit], vr[hit], norm[hit])
-    return w, vr, vl, res
+        wp, vp = _polish(a[hit], w[hit], v[hit], bad[hit], norm[hit])
+        w[hit], v[hit] = _sort_pairs(wp, _unit_columns(vp))
+        res[hit] = _residuals(a[hit], w[hit], v[hit], norm[hit])
+    return w, v, res
 
 
 def _routes(k, path):
@@ -305,7 +261,7 @@ def _routes(k, path):
     return np.full(k, path, dtype=f"U{max(map(len, SOLVER_PATHS))}")
 
 
-def _certified(stack, tol, w, vr, vl, res, flags, norm, routes) -> Spectrum:
+def _certified(stack, tol, w, v, res, flags, norm, routes) -> Spectrum:
     """The :class:`Spectrum` of a flat stack, or ConvergenceError naming its first failing matrix.
 
     ``routes`` is the flat array of each matrix's route.
@@ -314,8 +270,7 @@ def _certified(stack, tol, w, vr, vl, res, flags, norm, routes) -> Spectrum:
     achieved = res.max(axis=-1)
     spectrum = Spectrum(
         eigenvalues=w.reshape(*stack, n),
-        right_vectors=vr.reshape(*stack, n, n),
-        left_vectors=vl,
+        right_vectors=v.reshape(*stack, n, n),
         residuals=res.reshape(*stack, n),
         defective_flags=flags.reshape(*stack, n),
         achieved_tol=achieved.reshape(stack) if stack else float(achieved[0]),
@@ -341,31 +296,26 @@ def _certified_or_redone(stack, tol, w, v, res, flags, norm, path, failed, dense
     redo = np.flatnonzero(failed | (res > tol[:, None]).any(axis=-1))
     routes = _routes(len(w), path)
     if redo.size:
-        w[redo], v[redo], _, res[redo] = _solve(dense(redo), tol[redo], norm[redo])
+        w[redo], v[redo], res[redo] = _solve(dense(redo), tol[redo], norm[redo])
         flags[redo] = _defective_flags(v[redo])
         routes[redo] = "dense_fallback"
-    return _certified(stack, tol, w, v, None, res, flags, norm, routes)
+    return _certified(stack, tol, w, v, res, flags, norm, routes)
 
 
-def eig(matrix, want_left: bool = False, tol: float | np.ndarray | None = None) -> Spectrum:
+def eig(matrix, tol: float | np.ndarray | None = None) -> Spectrum:
     """Full eigendecomposition meeting the residual contract, matrix by matrix.
 
     ``matrix`` is one ``(n, n)`` matrix or a ``(..., n, n)`` stack, each of
     whose matrices gets the result it would get alone.  ``tol`` (default
-    :func:`default_tol` of n) is a scalar or broadcasts to the stack shape;
-    ``want_left`` takes one matrix only.  Raises ValueError on non-square,
-    empty or non-finite input and :class:`ConvergenceError` (naming the first
-    failing matrix, whole result attached) if the residual target is missed.
+    :func:`default_tol` of n) is a scalar or broadcasts to the stack shape.
+    Raises ValueError on non-square, empty or non-finite input and
+    :class:`ConvergenceError` (naming the first failing matrix, whole result
+    attached) if the residual target is missed.
     """
     a, stack, tol, _ = _stack(matrix, tol)
-    if want_left and stack:
-        raise ValueError("want_left=True takes a single matrix, not a stack")
     norm = frobenius_norms(a)
-    w, vr, vl, res = _solve(a, tol, norm, want_left)
-    flags = _defective_flags(vr)
-    if vl is not None:
-        vl, flags[0] = _biorthogonalize(w[0], vl[0], vr[0], flags[0], norm[0])
-    return _certified(stack, tol, w, vr, vl, res, flags, norm, _routes(len(w), "dense"))
+    w, v, res = _solve(a, tol, norm)
+    return _certified(stack, tol, w, v, res, _defective_flags(v), norm, _routes(len(w), "dense"))
 
 
 def eigh(matrix, tol: float | np.ndarray | None = None, *, norm: float | np.ndarray | None = None) -> Spectrum:
@@ -524,7 +474,7 @@ def eig_chiral(b, c, tol: float | np.ndarray | None = None, *, norm: float | np.
     norm = own if norm is None else norm
 
     w, v, resolved = _chiral_pairs(b, c)
-    w, v, _ = _sort_pairs(w, v)
+    w, v = _sort_pairs(w, v)
     v = _unit_columns(v)
     res = _chiral_residuals(b, c, w, v, norm)
     # the pairs must also form one spectrum: sum E**2 = tr H**2 = 2 tr(B C),

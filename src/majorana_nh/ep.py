@@ -853,32 +853,27 @@ def _arc_trace_coupled(model, grid_n, counters=None):
 
 def fermi_arc_trace(
     model: ModelConfig,
-    flavour: int | None = None,
     grid_n: int = 256,
     counters: RefineCounters | None = None,
 ) -> list[ArcPolyline]:
     """Open contours of purely imaginary eigenvalue pairs, ending at EPs.
 
-    For flavour-conserving models each species is traced from its scalar bond
-    sum; Dirac points of a Hermitian model degenerate to single-point arcs.
+    For flavour-conserving models every species is traced from its scalar
+    bond sum, and each arc's ``flavour`` names its species; Dirac points of a
+    Hermitian model degenerate to single-point arcs.
     Flavour-mixing models are traced from the full matrix spectrum, between
     the EPs of :func:`ep_scan`, whose refinement work goes to ``counters``.
     """
     sets = species(model)
-    if sets is not None:
-        if flavour is not None and flavour not in [fl for fl, _ in sets]:
-            raise ValueError(f"unknown flavour {flavour!r}")
-        eps = model_closed_form_eps(model)
-        arcs = []
-        for fl, j_eff in sets:
-            own = [r for r in eps if r.flavour == fl]
-            if own and flavour in (None, fl):
-                arcs.extend(_arc_trace_scalar(j_eff, fl, grid_n, own))
-        return arcs
-
-    if flavour is not None:
-        raise ValueError("flavour selection applies to flavour-conserving models only")
-    return _arc_trace_coupled(model, grid_n, counters)
+    if sets is None:
+        return _arc_trace_coupled(model, grid_n, counters)
+    eps = model_closed_form_eps(model)
+    arcs = []
+    for fl, j_eff in sets:
+        own = [r for r in eps if r.flavour == fl]
+        if own:
+            arcs.extend(_arc_trace_scalar(j_eff, fl, grid_n, own))
+    return arcs
 
 
 # --------------------------------------------------------------------------

@@ -157,11 +157,9 @@ def _summary_dict(summary: ribbon.NHSESummary) -> dict:
 
 
 def _sweep_svg(path, result: ribbon.SweepResult):
-    groups = []
-    if result.pbc_reference is not None:
-        # one |E| bar per interval of the periodic spectrum at each k_x
-        bounds = [cloud.bounds for cloud in result.pbc_reference]
-        groups.append(("pbc", np.repeat(result.kx_grid, [len(b) for b in bounds]), np.concatenate(bounds)))
+    # one |E| bar per interval of the periodic spectrum at each k_x
+    bounds = [cloud.bounds for cloud in result.pbc_reference]
+    groups = [("pbc", np.repeat(result.kx_grid, [len(b) for b in bounds]), np.concatenate(bounds))]
     rec = result.records
     kx = np.broadcast_to(result.kx_grid[:, None], rec.shape)
     abs_e = np.abs(rec.eigenvalue)

@@ -197,7 +197,6 @@ class _Strips:
         return eigen.Spectrum(
             eigenvalues=self.eigenvalues[0],
             right_vectors=v_all.reshape(3 * m, 3 * m)[:, order],
-            left_vectors=None,
             residuals=s.residuals[self.picks].ravel()[order],
             defective_flags=s.defective_flags[self.picks].ravel()[order],
             achieved_tol=float(self.achieved[0]),
@@ -464,7 +463,7 @@ class SweepResult:
     boundary_y: str
     kx_grid: np.ndarray
     records: np.recarray  # (n_kx, n) of STATE_DTYPE, one row per k_x of the grid
-    pbc_reference: list | None  # per k_x, the CloudIntervals of the periodic spectrum
+    pbc_reference: list  # per k_x, the CloudIntervals of the periodic spectrum
     thresholds: ClassifierThresholds
     max_residual: float
     strip_solves: dict  # strip solves per solver path, see :data:`eigen.SOLVER_PATHS`
@@ -482,7 +481,6 @@ def sweep(
     w: int,
     kx_grid,
     boundary_y: str = "open",
-    pbc_reference: bool = True,
     n_transverse: int = 512,
     thresholds: ClassifierThresholds = ClassifierThresholds(),
     threads: int = 1,
@@ -492,15 +490,16 @@ def sweep(
     The grid is cut into contiguous chunks, each one array program: one
     stacked strip solve (:func:`_solve_strips`, at most
     :data:`CHUNK_ENTRIES` eigenvector entries), one periodic cloud over
-    (k_x, q) and one classifier call.  ``threads > 1`` maps at least that
-    many chunks (at most one per k_x) on a thread pool; results are
-    collected in grid order either way.  The whole loop runs under
-    :func:`eigen.one_blas_thread`, so each worker's LAPACK calls are
-    single-threaded (workers do not oversubscribe the CPUs), and since each
-    matrix of a stack gets the result it would get alone, the data depend on
-    neither ``threads``, the chunking nor the BLAS thread setting.  An error
-    raised at one k_x propagates as the exception object that k_x's solve
-    raises alone, its message prefixed with that k_x.
+    (k_x, q) with ``n_transverse`` momenta q and one classifier call; every
+    k_x is classified against its cloud, kept in ``pbc_reference``.
+    ``threads > 1`` maps at least that many chunks (at most one per k_x) on
+    a thread pool; results are collected in grid order either way.  The
+    whole loop runs under :func:`eigen.one_blas_thread`, so each worker's
+    LAPACK calls are single-threaded (workers do not oversubscribe the
+    CPUs), and since each matrix of a stack gets the result it would get
+    alone, the data depend on neither ``threads``, the chunking nor the BLAS
+    thread setting.  An error raised at one k_x propagates as the exception
+    object that k_x's solve raises alone, its message prefixed with that k_x.
     """
     _check_strip(w, boundary_y)
     kx_grid = np.asarray(kx_grid, dtype=float)
@@ -511,12 +510,8 @@ def sweep(
     def chunk(kxs):
         strips = _solve_strips(model, w, kxs, periodic)
         e = strips.eigenvalues
-        if pbc_reference:
-            bounds = _cloud_bounds(_cloud_samples(model, kxs, n_transverse))
-            dist = _cloud_distance(bounds, np.abs(e))
-        else:
-            bounds, dist = None, np.full(e.shape, np.inf)
-        records = _classify(e, strips.weights(), dist, pbc_reference, thresholds)
+        bounds = _cloud_bounds(_cloud_samples(model, kxs, n_transverse))
+        records = _classify(e, strips.weights(), _cloud_distance(bounds, np.abs(e)), True, thresholds)
         return records, bounds, strips.achieved, strips.routes  # the vectors are not kept
 
     def task(kxs):
@@ -546,7 +541,7 @@ def sweep(
         boundary_y=boundary_y,
         kx_grid=kx_grid,
         records=np.concatenate([r[0] for r in results]).view(np.recarray),
-        pbc_reference=[CloudIntervals(b) for r in results for b in r[1]] if pbc_reference else None,
+        pbc_reference=[CloudIntervals(b) for r in results for b in r[1]],
         thresholds=thresholds,
         max_residual=float(max(r[2].max() for r in results)),
         strip_solves={p: int((routes == p).sum()) for p in eigen.SOLVER_PATHS},
@@ -640,9 +635,6 @@ def nhse_summary(result: SweepResult, nhse_fraction: float = 0.05) -> NHSESummar
     grid points where that signal is above :data:`DELTA_FLOOR`; the grid is
     treated as periodic over 2 pi.
     """
-    if result.pbc_reference is None:
-        raise ValueError("NHSE summary needs a sweep with a PBC reference cloud")
-
     rec = result.records
     bulk = ~np.char.startswith(rec.label, "edge")
     n_bulk = bulk.sum(axis=1)

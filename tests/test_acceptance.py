@@ -343,7 +343,7 @@ def test_criterion_10_hermitian_limit_reality(rng):
     ]
     kxs = np.linspace(-np.pi, np.pi, 100, endpoint=False)
     for model in models:
-        result = sweep(model, 16, kxs, pbc_reference=False)
+        result = sweep(model, 16, kxs)
         for recs in result.records:
             worst = max(worst, max(abs(r.eigenvalue.imag) for r in recs))
     report(10, worst < 1e-9, f"4 variants x 100 k_x sweeps at w=16, max |Im E| = {worst:.2e}")

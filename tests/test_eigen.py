@@ -100,8 +100,6 @@ class TestStack:
         with pytest.raises(ValueError):
             eig(np.zeros((2, 3, 4)))
         with pytest.raises(ValueError):
-            eig(np.eye(3)[None], want_left=True)
-        with pytest.raises(ValueError):
             min_singular_value(np.eye(3)[None])
 
     @settings(max_examples=40)
@@ -543,40 +541,6 @@ class TestOneBlasThread:
         assert set(seen) == {(1, 1)} and len(seen) == 600
         assert (a.count, b.count) == (2, 3)
         assert calls == [(a, 1), (b, 1), (a, 2), (b, 3)] * (len(calls) // 4)
-
-
-class TestLeftVectors:
-    def test_biorthogonality_after_rescaling(self, rng):
-        for _ in range(10):
-            a = random_matrix(rng, 12)
-            s = eig(a, want_left=True)
-            if s.defective_flags.any():
-                continue
-            g = np.abs(s.left_vectors.conj().T @ s.right_vectors)
-            off = g - np.diag(np.diag(g))
-            assert off.max() < 1e-8
-
-    def test_biorthogonality_with_degenerate_cluster(self, rng):
-        # threefold-degenerate Hermitian model: clusters must be rescaled or flagged
-        model = ModelConfig(Variant.PURE_YL, Coupling3(2, 1, 2.5))
-        k = rng.uniform(-np.pi, np.pi, 2)
-        s = eig(bloch_hamiltonian(model, k).entries, want_left=True)
-        g = np.abs(s.left_vectors.conj().T @ s.right_vectors)
-        off = g - np.diag(np.diag(g))
-        ok = ~s.defective_flags
-        assert off[np.ix_(ok, ok)].max() < 1e-8
-
-
-    def test_ill_conditioned_cluster_is_flagged_unscaled(self):
-        # a Jordan block beside a semisimple eigenvalue, all three at 0: the
-        # cluster's left-right overlap matrix is singular, so its left vectors
-        # are not rescaled and every pair of it is flagged, the semisimple one
-        # (orthogonal to the others) included
-        a = np.zeros((3, 3), dtype=complex)
-        a[0, 1] = 1.0
-        s = eig(a, want_left=True)
-        assert s.defective_flags.all()
-        np.testing.assert_allclose(np.linalg.norm(s.left_vectors, axis=0), 1.0, atol=1e-13)
 
 
 class TestMinSingularValue:

@@ -460,7 +460,7 @@ class TestFermiArcs:
     def test_k_model_species3_endpoints(self):
         j = Coupling3(2, 1, 2.5 * E3)
         model = ModelConfig(Variant.K_MODEL, j, k_coupling=0.0)
-        arcs = fermi_arc_trace(model, flavour=3, grid_n=256)
+        arcs = [a for a in fermi_arc_trace(model, grid_n=256) if a.flavour == 3]
         truth = ep_closed_form(j)
         assert len(arcs) == 2
         step = 2 * np.pi / 256
@@ -517,7 +517,7 @@ class TestFermiArcs:
         j = Coupling3(1.663065827166046 + 1.2078841532213471j, -0.520104705564175 - 0.23051515739958056j,
                       -0.08745138322742135 - 1.0323991348433292j)
         model = ModelConfig(Variant.K_MODEL, j, k_coupling=-0.46822061212128807 - 0.022437712307309052j)
-        assert [len(fermi_arc_trace(model, flavour=2, grid_n=n)) for n in (128, 256)] == [2, 2]
+        assert [sum(a.flavour == 2 for a in fermi_arc_trace(model, grid_n=n)) for n in (128, 256)] == [2, 2]
 
     def test_endpoint_first_order_convergence(self):
         sets = [
@@ -547,8 +547,3 @@ class TestFermiArcs:
             closed = a.endpoint_eps == (None, None)
             if not closed:
                 assert a.endpoint_eps[0] is not None and a.endpoint_eps[1] is not None
-
-    def test_flavour_selection_validation(self):
-        model = ModelConfig(Variant.GAMMA_MODEL, Coupling3(1, 1, 1), gamma=0.4)
-        with pytest.raises(ValueError):
-            fermi_arc_trace(model, flavour=2)

@@ -119,6 +119,11 @@ model:
         assert cfg.command == "ribbon-sweep"
         assert cfg.tolerance.gap_tol is None  # `gap_tol: null` is the default, not an error
 
+    def test_tolerance_values_inside_their_ranges_parse(self):
+        text = MINIMAL + "tolerance:\n  gap_tol: 1.0e-300\n  overlap_tol: 0.999\n  nhse_fraction: 0\n"
+        tol = parse_config(text).tolerance
+        assert (tol.gap_tol, tol.overlap_tol, tol.nhse_fraction) == (1e-300, 0.999, 0.0)
+
     def test_quoted_scalars_stay_strings(self):
         # as yaml.safe_dump writes a string that would read as a number or null
         for quoted in ("'2024'", '"1e-05"', "'null'"):
@@ -726,12 +731,44 @@ output:
              r"tolerance\.outer_frac must be in \(0, 0\.5\], got 0\.0 \(line 7\)"),
             ("localization", "tolerance:\n  outer_frac: 0.6\n",
              r"tolerance\.outer_frac must be in \(0, 0\.5\], got 0\.6 \(line 7\)"),
+            # a tolerance no candidate, pair or verdict can meet, or that every one meets
+            ("ep-find", "tolerance:\n  gap_tol: 0\n", r"tolerance\.gap_tol must be > 0, got 0\.0 \(line 7\)"),
+            ("ep-find", "tolerance:\n  gap_tol: -1.0\n", r"tolerance\.gap_tol must be > 0, got -1\.0 \(line 7\)"),
+            ("ep-find", "tolerance:\n  overlap_tol: 0\n",
+             r"tolerance\.overlap_tol must be in \(0, 1\), got 0\.0 \(line 7\)"),
+            ("ep-find", "tolerance:\n  overlap_tol: 1\n",
+             r"tolerance\.overlap_tol must be in \(0, 1\), got 1\.0 \(line 7\)"),
+            ("ribbon-sweep", "tolerance:\n  nhse_fraction: -0.01\n",
+             r"tolerance\.nhse_fraction must be in \[0, 1\), got -0\.01 \(line 7\)"),
+            ("skin-check", "tolerance:\n  nhse_fraction: 1\n",
+             r"tolerance\.nhse_fraction must be in \[0, 1\), got 1\.0 \(line 7\)"),
         ],
     )
     def test_out_of_range_value_exit_2(self, tmp_path, command, extra, message):
         cfg = tmp_path / "cfg.yaml"
         out = f"output:\n  directory: {tmp_path / 'out'}\n"
         cfg.write_text(MINIMAL.replace("bloch-spectrum", command) + extra + out)
+        res = self._run(command, "--config", str(cfg))
+        assert res.returncode == 2
+        assert re.search(message, res.stderr), res.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("localization", MINIMAL.replace("[[1, 0], [1, 0], [1, 0]]", "[1, 1, .nan]"),
+             r"model\.j\[2\]: expected a finite real number, got nan \(line 5\)"),
+            ("bloch-spectrum", MINIMAL.replace("[1, 0]]", "[-.inf, 0]]"),
+             r"model\.j\[2\]\[0\]: expected a finite real number, got -inf \(line 5\)"),
+            ("localization", MINIMAL + "grid:\n  kx: .inf\n",
+             r"grid\.kx: expected a finite real number, got inf \(line 7\)"),
+            ("ep-find", MINIMAL + "tolerance:\n  gap_tol: .nan\n",
+             r"tolerance\.gap_tol: expected a finite real number, got nan \(line 7\)"),
+        ],
+    )
+    def test_non_finite_number_exit_2(self, tmp_path, command, text, message):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text.replace("bloch-spectrum", command) + f"output:\n  directory: {tmp_path / 'out'}\n")
         res = self._run(command, "--config", str(cfg))
         assert res.returncode == 2
         assert re.search(message, res.stderr), res.stderr

@@ -362,7 +362,6 @@ class TestLocalizationProfile:
         return Spectrum(
             eigenvalues=np.zeros(n, dtype=complex),
             right_vectors=v,
-            left_vectors=None,
             residuals=np.zeros(n),
             defective_flags=np.zeros(n, dtype=bool),
             achieved_tol=0.0,
@@ -372,7 +371,8 @@ class TestLocalizationProfile:
     def _uniform_spectrum(self, w):
         n = 6 * w
         v = np.full((n, n), 1 / math.sqrt(n), dtype=complex)
-        return Spectrum(np.zeros(n, complex), v, None, np.zeros(n), np.zeros(n, bool), 0.0, 1.0)
+        return Spectrum(eigenvalues=np.zeros(n, complex), right_vectors=v, residuals=np.zeros(n),
+                        defective_flags=np.zeros(n, bool), achieved_tol=0.0, matrix_norm=1.0)
 
     def test_delta_state_bottom_edge(self):
         w = 8
@@ -422,7 +422,8 @@ class TestLocalizationProfile:
         v = np.zeros((n, n), dtype=complex)
         v[0, :] = 1 / math.sqrt(2)        # bottom site, flavour x
         v[n - 3, :] = 1 / math.sqrt(2)    # top site, flavour x
-        s = Spectrum(np.zeros(n, complex), v, None, np.zeros(n), np.zeros(n, bool), 0.0, 1.0)
+        s = Spectrum(eigenvalues=np.zeros(n, complex), right_vectors=v, residuals=np.zeros(n),
+                     defective_flags=np.zeros(n, bool), achieved_tol=0.0, matrix_norm=1.0)
         recs = localization_profile(s, w)
         assert recs[0].mean_row == pytest.approx((2 * w + 1) / 2)
         assert recs[0].label != "extended"
@@ -452,7 +453,8 @@ class TestLocalizationProfile:
         w = 2
         e = np.array([0.5, 4.0, 1.0, -4.0, 2.5, 5.0, 4j, 2.995, 1j, 3.5, -0.5, 2.0])
         s = self._uniform_spectrum(w)
-        s = Spectrum(e, s.right_vectors, None, np.zeros(12), np.zeros(12, bool), 0.0, 1.0)
+        s = Spectrum(eigenvalues=e, right_vectors=s.right_vectors, residuals=np.zeros(12),
+                     defective_flags=np.zeros(12, bool), achieved_tol=0.0, matrix_norm=1.0)
         recs = localization_profile(s, w, CloudIntervals(bounds=np.array([[2.0, 3.0]])))
         # distances: 5 -> 2; 0, 10 -> 1.5; 2, 8 (|E| 1) and 1, 3, 6 (|E| 4) -> 1; 9 -> 0.5
         edge = {int(r.state_index) for r in recs if r.label.startswith("edge")}
@@ -632,12 +634,6 @@ class TestSweepAndSummary:
         edge_mode_weights(model, 4, 0.5)
         assert in_solve == [[1] * len(before)] * 3
         assert self.blas_counts() == before
-
-    def test_summary_requires_cloud(self):
-        model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
-        res = sweep(model, 6, [0.5], pbc_reference=False)
-        with pytest.raises(ValueError):
-            nhse_summary(res)
 
     def test_summary_of_hand_built_records(self):
         # four k_x of four states; edge states carry large (bottom - top)
