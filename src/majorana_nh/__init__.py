@@ -23,7 +23,7 @@ from .models import (
     structure_factor,
     triangle_test,
 )
-from .eigen import Spectrum, eig, eig_chiral, eigh, match_eigenvalue_sets, min_singular_value
+from .eigen import Spectrum, eig, eig_chiral, eig_species, eigh, match_eigenvalue_sets, min_singular_value
 from .ep import (
     ArcPolyline,
     DegeneracyReport,
@@ -46,6 +46,7 @@ from .ribbon import (
     NHSESummary,
     RibbonSpec,
     STATE_DTYPE,
+    SolveLog,
     SweepResult,
     build_ribbon,
     diagonalize_ribbon,

@@ -5,10 +5,15 @@ ordering, per-pair residuals normalized by ``max(1, ||H||_F)`` and
 near-defective flagging.  Takes one matrix or a ``(..., n, n)`` stack (a
 zone grid's ``(bz_n**2, 6, 6)`` Bloch matrices), certified matrix by
 matrix.  :func:`eigh` keeps the same contract for Hermitian matrices (real
-couplings) and :func:`eig_chiral` for chiral matrices [[0, B], [C, 0]]
-(bond-only strips), solved from ``eig(B C)`` at half the dimension.
-:func:`one_blas_thread` holds the bundled OpenBLAS at one thread for
-callers that run solves side by side.
+couplings), :func:`eig_chiral` for chiral matrices [[0, B], [C, 0]]
+(flavour-mixing bond-only strips), solved from ``eig(B C)`` at half the
+dimension, and :func:`eig_species` for the species strips of
+flavour-conserving models, solved in closed form from four bond scalars:
+an open strip's B C is tridiagonal Toeplitz with one defect (its roots
+found by Newton's method), a periodic strip's blocks are circulant.  Every
+fast route certifies its pairs by their residuals and falls back to
+:func:`eig` where they miss.  :func:`one_blas_thread` holds the bundled
+OpenBLAS at one thread for callers that run solves side by side.
 """
 
 from __future__ import annotations
@@ -26,14 +31,16 @@ from scipy.optimize import linear_sum_assignment
 from .errors import ConvergenceError
 
 #: the routes :attr:`Spectrum.routes` names: :func:`eigh`, :func:`eig_chiral`,
-#: :func:`eig`, and :func:`eig` after a Hermitian or chiral certificate failed
-SOLVER_PATHS = ("hermitian", "chiral", "dense", "dense_fallback")
+#: :func:`eig_species`, :func:`eig`, and :func:`eig` after a certificate of
+#: one of the first three failed
+SOLVER_PATHS = ("hermitian", "chiral", "species", "dense", "dense_fallback")
 
 #: eigenvector overlap beyond which a pair is flagged as near-defective
 DEFECTIVE_OVERLAP = 1.0 - 1e-6
 
 #: |E| at most this fraction of a matrix's largest |E| is the near-zero
-#: cluster of :func:`eig_chiral`, solved by a Rayleigh-Ritz step
+#: cluster of :func:`eig_chiral` (solved by a Rayleigh-Ritz step) and of
+#: :func:`eig_species` (paired with the C B vectors)
 CHIRAL_CLUSTER = 1e-2
 
 #: least |R_ii| in the QR of a cluster's unit eigenvectors for them to count
@@ -41,7 +48,7 @@ CHIRAL_CLUSTER = 1e-2
 _CLUSTER_RANK = 1e-8
 
 #: largest |sum E**2 - tr H**2| / max(1, ||H||_F)**2 of an :func:`eig_chiral`
-#: set; a backward-stable solve keeps it near 1e-15
+#: or :func:`eig_species` set; a backward-stable solve keeps it near 1e-15
 _TRACE_GAP = 1e-12
 
 
@@ -131,9 +138,9 @@ class Spectrum:
     ``matrix_norm`` of shape ``(...)``, one entry per matrix.  ``routes``
     names each matrix's route (a string for a lone matrix, an array of the
     stack shape for a stack): "dense" (:func:`eig`), "hermitian"
-    (:func:`eigh`), "chiral" (:func:`eig_chiral`), or "dense_fallback" where
-    a matrix of either fast route missed its certificate and was solved
-    again by :func:`eig`.  ``path`` is the route of the whole call:
+    (:func:`eigh`), "chiral" (:func:`eig_chiral`), "species"
+    (:func:`eig_species`), or "dense_fallback" where a matrix of a fast
+    route missed its certificate and was solved again by :func:`eig`.  ``path`` is the route of the whole call:
     "dense_fallback" if any matrix took it, else the one route.
 
     The residuals certify a backward error (pair i is exact for a matrix
@@ -446,7 +453,7 @@ def _eig_each(a):
     return w, v, ok
 
 
-def eig_chiral(b, c, tol: float | np.ndarray | None = None, *, norm: float | np.ndarray | None = None) -> Spectrum:
+def eig_chiral(b, c, tol: float | np.ndarray | None = None) -> Spectrum:
     """:func:`eig` of the chiral matrix H = [[0, B], [C, 0]], solved at half the dimension.
 
     ``b`` and ``c`` are ``(m, m)`` matrices or ``(..., m, m)`` stacks; the
@@ -458,9 +465,9 @@ def eig_chiral(b, c, tol: float | np.ndarray | None = None, *, norm: float | np.
     where C x / E is ill defined, comes from a Rayleigh-Ritz step on the
     cluster eigenvectors of B C and C B (``eig(C B)`` runs only for matrices
     with a cluster).  Every pair is certified by its residual on H, taken
-    through the blocks over ``max(1, norm)`` (``norm`` as in :func:`eigh`),
-    and the set by the trace identity sum E**2 = tr H**2, to
-    ``_TRACE_GAP * max(1, ||H||_F)**2`` on H's own norm.  A matrix whose
+    through the blocks over ``max(1, ||H||_F)``, and the set by the trace
+    identity sum E**2 = tr H**2, to ``_TRACE_GAP * max(1, ||H||_F)**2``.
+    Species strips take :func:`eig_species` instead.  A matrix whose
     cluster counts differ, whose cluster eigenvectors are dependent, whose
     pairs miss ``tol`` or whose set misses the identity is solved again by
     the dense :func:`eig` route of that H (polish included).  ``path`` is
@@ -468,22 +475,244 @@ def eig_chiral(b, c, tol: float | np.ndarray | None = None, *, norm: float | np.
     """
     if np.shape(b) != np.shape(c):
         raise ValueError(f"B and C must have equal shapes, got {np.shape(b)} and {np.shape(c)}")
-    b, stack, tol, norm = _stack(b, tol, norm, size_factor=2)
+    b, stack, tol, _ = _stack(b, tol, size_factor=2)
     c = _stack(c, None)[0]
-    own = np.hypot(frobenius_norms(b), frobenius_norms(c))
-    norm = own if norm is None else norm
+    norm = np.hypot(frobenius_norms(b), frobenius_norms(c))
 
     w, v, resolved = _chiral_pairs(b, c)
     w, v = _sort_pairs(w, v)
     v = _unit_columns(v)
     res = _chiral_residuals(b, c, w, v, norm)
     # the pairs must also form one spectrum: sum E**2 = tr H**2 = 2 tr(B C),
-    # which Ritz values of an ill-conditioned cluster can break; taken over a
-    # larger given norm, it let two K strips (w=20) keep eigenvalues 2e-4 off
+    # which Ritz values of an ill-conditioned cluster can break
     trace_gap = np.abs((w * w).sum(axis=-1) - 2.0 * np.einsum("kij,kji->k", b, c))
-    failed = ~resolved | (trace_gap > _TRACE_GAP * np.maximum(1.0, own) ** 2)
+    failed = ~resolved | (trace_gap > _TRACE_GAP * np.maximum(1.0, norm) ** 2)
     return _certified_or_redone(stack, tol, w, v, res, _defective_flags(v), norm, "chiral", failed,
                                 lambda redo: chiral_matrix(b[redo], c[redo]))
+
+
+def species_blocks(bonds, w: int, periodic: bool = False):
+    """The w x w blocks B and C of the bond scalars ``(..., 4)`` (bd, bs, cd, cs) of :func:`eig_species`."""
+    bonds = np.asarray(bonds, dtype=complex)
+    b = np.zeros((*bonds.shape[:-1], w, w), dtype=complex)
+    c = np.zeros_like(b)
+    r = np.arange(w)
+    lo = r if periodic else r[:-1]
+    up = (lo + 1) % w
+    b[..., r, r] = bonds[..., 0, None]
+    b[..., up, lo] = bonds[..., 1, None]
+    c[..., r, r] = bonds[..., 2, None]
+    c[..., lo, up] = bonds[..., 3, None]
+    return b, c
+
+
+def species_norms(bonds, w: int, periodic: bool = False) -> np.ndarray:
+    """``||B||_F**2 + ||C||_F**2`` of the blocks of :func:`species_blocks`, in closed form: ``(...)``."""
+    sq = np.abs(np.asarray(bonds, dtype=complex)) ** 2
+    links = w if periodic else w - 1
+    return w * (sq[..., 0] + sq[..., 2]) + links * (sq[..., 1] + sq[..., 3])
+
+
+def _bidiagonal(d, s, x, shift, periodic):
+    """``(d I + s S) x`` for the row shift S that moves row n to row n + ``shift``, per matrix."""
+    moved = np.roll(x, shift, axis=-2)
+    if not periodic:
+        moved[:, 0 if shift > 0 else -1] = 0.0
+    return d[:, None, None] * x + s[:, None, None] * moved
+
+
+def _sine_columns(n, m, log_r, theta):
+    """Unit columns r^n sin(m theta) ``(k, w, c)``: rows n and multipliers m ``(w, 1)``, log r ``(k, 1, 1)``, theta ``(k, 1, c)``.
+
+    Formed as r^n (e^{i m theta} - e^{-i m theta}), both terms scaled in log
+    space by the largest of them, so no entry overflows however large
+    |r|^w or |Im theta|.
+    """
+    up, down = n * log_r + 1j * m * theta, n * log_r - 1j * m * theta
+    shift = np.maximum(up.real, down.real).max(axis=-2, keepdims=True)
+    x = np.exp(up - shift) - np.exp(down - shift)
+    return x / np.linalg.norm(x, axis=-2, keepdims=True)
+
+
+#: Newton steps of :func:`_toeplitz_roots`; a root stops once a step is below
+#: ``_ROOT_STEP`` times max(1, |root|)
+_ROOT_ITERATIONS = 40
+_ROOT_STEP = 4e-16
+
+
+def _newton(value, start, active):
+    """Newton's method in place from ``start`` on the entries ``active``: ``value(x) -> (f, f')``.
+
+    A converged entry stops moving, so each one's iterates depend on it
+    alone, however many others share the array.
+    """
+    x = start.copy()
+    active = active.copy()
+    for _ in range(_ROOT_ITERATIONS):
+        if not active.any():
+            break
+        f, df = value(x)
+        step = np.where(active, f / df, 0.0)
+        x = x - step
+        active &= np.abs(step) > _ROOT_STEP * np.maximum(1.0, np.abs(x))
+    return x
+
+
+def _toeplitz_roots(rho, w):
+    """The w roots theta ``(k, w)`` of sin((w + 1) theta) = rho sin(w theta), rho ``(k,)``.
+
+    For |rho| < 1 root j (1..w) solves (2w + 2) theta = 2 pi j -
+    i [log(1 - rho z) - log(1 - rho / z)] with z = e^{i theta}; for
+    |rho| > 1 roots 1..w-1 solve 2w theta = 2 pi j - i [log(1 - 1 / (rho z))
+    - log(1 - z / rho)].  Newton's method runs on each phase equation, so
+    every root keeps its own j.  The last root of |rho| > 1, the bound one
+    (|z| < 1, near 1 / rho) once |rho| clears about (w + 1) / w, starts from
+    the sum rule sum cos(theta) = rho / 2 and is polished by Newton's method
+    on (1 - rho z - z^(2w+2) + rho z^(2w+1)) / (1 - z^2), whose other roots
+    are the z and 1 / z of the rest.
+    """
+    inner = np.abs(rho) < 1.0
+    sigma = np.where(inner, rho, 1.0 / rho)[:, None]
+    sign = np.where(inner, 1.0, -1.0)[:, None]
+    n = np.where(inner, 2 * w + 2, 2 * w)[:, None]
+    j = np.arange(1, w + 1)
+    active = inner[:, None] | (j < w)
+
+    def phase(theta):
+        z = np.exp(1j * theta)
+        a, b = sigma * z, sigma / z
+        f = n * theta - 2.0 * np.pi * j + 1j * sign * (np.log(1.0 - a) - np.log(1.0 - b))
+        return f, n + sign * (a / (1.0 - a) + b / (1.0 - b))
+
+    theta = _newton(phase, np.pi * j / n, active)
+    bound = np.flatnonzero(~inner)
+    if bound.size:
+        r = rho[bound]
+        c = 0.5 * r - np.cos(theta[bound, :-1]).sum(axis=-1)
+        root = np.sqrt(c * c - 1.0)
+        start = np.where(np.abs(c - root) <= 1.0, c - root, c + root)
+
+        def deflated(z):
+            zp = z ** (2 * w)
+            h = 1.0 - r * z - zp * z * (z - r)
+            return h, -r - (2 * w + 2) * zp * z + (2 * w + 1) * r * zp + 2.0 * z * h / (1.0 - z * z)
+
+        theta[bound, -1] = -1j * np.log(_newton(deflated, start, np.ones(bound.size, dtype=bool)))
+    return theta
+
+
+def _species_open(bd, bs, cd, cs, w):
+    """Unsorted pairs of open species strips: B C is tridiagonal Toeplitz with one defect at (1, 1).
+
+    With a = bd cd + bs cs, u = bd cs, l = bs cd, r = sqrt(l / u), s = u r
+    and rho = -bs cs / s, the eigenvalues of B C are a + 2 s cos(theta) over
+    the roots of :func:`_toeplitz_roots`, its vectors r^n sin((w + 1 - n)
+    theta) and those of C B r^n sin(n theta).
+    """
+    a, u = bd * cd + bs * cs, bd * cs
+    r = np.sqrt(bs * cd / u)
+    s = u * r
+    theta = _toeplitz_roots(-bs * cs / s, w)
+    mu = a[:, None] + 2.0 * s[:, None] * np.cos(theta)
+    n = np.arange(1, w + 1)[:, None]
+    log_r = np.log(r)[:, None, None]
+    x = _sine_columns(n, w + 1 - n, log_r, theta[:, None, :])
+    e = np.sqrt(mu)
+    near = _near_zero(mu)
+    cx = _bidiagonal(cd, cs, x, -1, False)
+    y = cx / np.where(near, 1.0, e)[:, None, :]
+    i, col = np.nonzero(near)
+    if i.size:
+        # the near-zero cluster: C x = gamma y and B y = beta x for the C B vector y of the
+        # same root, so [sqrt(beta) x; +-sqrt(gamma) y] solves H with E = +-sqrt(beta gamma)
+        yc = _sine_columns(n, n, log_r[i], theta[i, col][:, None, None])[..., 0]
+        xc = x[i, :, col]
+        gamma = (yc.conj() * cx[i, :, col]).sum(axis=-1)
+        beta = (xc.conj() * _bidiagonal(bd[i], bs[i], yc[..., None], 1, False)[..., 0]).sum(axis=-1)
+        # the smaller of beta and gamma has lost its relative accuracy; a lone near-zero root
+        # takes its mu from det(B C) = (bd cd)^w over the other roots, which keeps it
+        log_mu = w * np.log(bd * cd) - np.where(near, 0.0, np.log(mu)).sum(axis=-1)
+        lone = near.sum(axis=-1)[i] == 1
+        small_beta = lone & (np.abs(beta) < np.abs(gamma))
+        beta = np.where(small_beta, np.exp(log_mu[i]) / gamma, beta)
+        gamma = np.where(lone & ~small_beta, np.exp(log_mu[i]) / beta, gamma)
+        sb, sg = np.sqrt(beta), np.sqrt(gamma)
+        e[i, col] = sb * sg
+        x[i, :, col] = sb[:, None] * xc
+        y[i, :, col] = sg[:, None] * yc
+    return e, x, y
+
+
+def _species_periodic(bd, bs, cd, cs, w):
+    """Unsorted pairs of periodic species strips: B and C are circulant, with plane-wave vectors.
+
+    On e^{i q n}, q = 2 pi j / w, B acts as beta = bd + bs e^{-iq} and C as
+    gamma = cd + cs e^{iq}; [sqrt(beta) v; +-sqrt(gamma) v] solves H with
+    E = +-sqrt(beta) sqrt(gamma).
+    """
+    j = np.arange(w)
+    phase = np.exp(2j * np.pi * j / w)
+    sb = np.sqrt(bd[:, None] + bs[:, None] / phase)
+    sg = np.sqrt(cd[:, None] + cs[:, None] * phase)
+    plane = np.exp(2j * np.pi * (np.outer(j, j) % w) / w) / np.sqrt(w)  # (row, q)
+    x, y = sb[:, None, :] * plane, sg[:, None, :] * plane
+    # where H vanishes on a plane wave, [v; v] and [v; -v] are its pairs
+    both = ((sb == 0.0) & (sg == 0.0))[:, None, :]
+    return sb * sg, np.where(both, plane, x), np.where(both, plane, y)
+
+
+def eig_species(bonds, w: int, *, periodic: bool = False, tol: float | np.ndarray | None = None,
+                norm: float | np.ndarray | None = None) -> Spectrum:
+    """:func:`eig` of a species strip [[0, B], [C, 0]] from its four bond scalars, in closed form.
+
+    ``bonds`` is ``(..., 4)``: bd and bs of B = bd I + bs L, cd and cs of
+    C = cd I + cs L^T, with L the lower shift (wrapped around when
+    ``periodic``), so the blocks are those of :func:`species_blocks`.  The
+    result is that of :func:`eig` on the 2w x 2w matrices H (basis: the w
+    rows of B, then the w rows of C), with ``tol`` defaulting to
+    :func:`default_tol` of 2w and ``norm`` as in :func:`eigh`.  No LAPACK
+    call: an open strip's B C is tridiagonal Toeplitz with one defect and
+    is solved by its roots (:func:`_species_open`), a periodic strip's
+    blocks are circulant (:func:`_species_periodic`).  The pairs are
+    certified as by :func:`eig_chiral`, by their residuals on H (B and C
+    applied as bidiagonal products) and by the trace identity on the
+    block's own norm; a block with a non-finite root or vector, a pair
+    that misses ``tol`` or a set that misses the identity is solved again
+    by the dense :func:`eig` route of its H, built for it alone.  ``path``
+    is "species", or "dense_fallback" when some block took that route.
+    """
+    bonds = np.asarray(bonds, dtype=complex)
+    if bonds.ndim < 1 or bonds.shape[-1] != 4 or bonds.size == 0:
+        raise ValueError(f"expected a nonempty (..., 4) stack of bond scalars, got shape {bonds.shape}")
+    if not np.isfinite(bonds).all():
+        raise ValueError("bond scalars must be finite")
+    stack = bonds.shape[:-1]
+    flat = bonds.reshape(-1, 4)
+    tol = np.broadcast_to(default_tol(2 * w) if tol is None else tol, stack).reshape(-1)
+    own = np.sqrt(species_norms(flat, w, periodic))
+    norm = own if norm is None else np.broadcast_to(norm, stack).reshape(-1)
+    bd, bs, cd, cs = flat.T
+
+    with np.errstate(all="ignore"):  # a degenerate block (u = 0, say) fails below, as non-finite
+        e, x, y = (_species_periodic if periodic else _species_open)(bd, bs, cd, cs, w)
+        # [x; y] of E = e and [x; -y] of E = -e: one unit norm, one residual
+        scale = np.sqrt((np.abs(x) ** 2).sum(axis=-2) + (np.abs(y) ** 2).sum(axis=-2))[:, None, :]
+        x, y = x / scale, y / scale
+        top = np.linalg.norm(_bidiagonal(bd, bs, y, 1, periodic) - x * e[:, None, :], axis=-2)
+        bottom = np.linalg.norm(_bidiagonal(cd, cs, x, -1, periodic) - y * e[:, None, :], axis=-2)
+        res = np.tile(np.hypot(top, bottom) / np.maximum(1.0, norm)[:, None], 2)
+        trace = w * bd * cd + (w if periodic else w - 1) * bs * cs  # tr H**2 = 2 tr(B C)
+        trace_gap = 2.0 * np.abs((e * e).sum(axis=-1) - trace)
+        finite = np.isfinite(res).all(axis=-1) & np.isfinite(trace_gap)
+        w_all = np.concatenate([e, -e], axis=-1)
+        v = np.concatenate([np.concatenate([x, x], axis=-1), np.concatenate([y, -y], axis=-1)], axis=-2)
+        w_all[~finite], v[~finite] = 0.0, 1.0
+    order = np.lexsort((w_all.imag, w_all.real), axis=-1)
+    w_all, res = np.take_along_axis(w_all, order, -1), np.take_along_axis(res, order, -1)
+    v = np.take_along_axis(v, order[:, None, :], -1)
+    failed = ~finite | (trace_gap > _TRACE_GAP * np.maximum(1.0, own) ** 2)
+    return _certified_or_redone(stack, tol, w_all, v, res, _defective_flags(v), norm, "species", failed,
+                                lambda redo: chiral_matrix(*species_blocks(flat[redo], w, periodic)))
 
 
 def min_singular_value(matrix) -> float:

@@ -183,9 +183,13 @@ def _run_sweep(cfg: RunConfig, model: ModelConfig):
     return result, _summary_dict(ribbon.nhse_summary(result, nhse_fraction=cfg.tolerance.nhse_fraction))
 
 
-def _strip_meta(solves: dict) -> dict:
-    """The strip-solve provenance of a meta: the pinned BLAS threads and ``solves`` per solver path."""
-    return {"blas_threads": eigen.pinned_blas_threads(), "strip_solves": solves}
+def _strip_meta(log) -> dict:
+    """The strip-solve provenance of a meta from a :class:`ribbon.SolveLog` or :class:`ribbon.SweepResult`.
+
+    The worst residual and its k_x, the pinned BLAS threads and the solves per solver path.
+    """
+    return {"max_residual": log.max_residual, "max_residual_kx": log.max_residual_kx,
+            "blas_threads": eigen.pinned_blas_threads(), "strip_solves": log.strip_solves}
 
 
 def _export_sweep(cfg: RunConfig, model: ModelConfig, result: ribbon.SweepResult, summary: dict,
@@ -194,8 +198,7 @@ def _export_sweep(cfg: RunConfig, model: ModelConfig, result: ribbon.SweepResult
     meta = {
         "model": model_dict(model),
         "w": cfg.grid.w,
-        "max_residual": result.max_residual,
-        **_strip_meta(result.strip_solves),
+        **_strip_meta(result),
         "nhse_summary": summary,
         **extra,
     }
@@ -228,7 +231,7 @@ def run_ribbon_sweep(cfg: RunConfig) -> list[Path]:
 
 def run_localization(cfg: RunConfig) -> list[Path]:
     """Per-site weight profiles of selected states at one k_x."""
-    solves = dict.fromkeys(eigen.SOLVER_PATHS, 0)
+    solves = ribbon.SolveLog()
     n_states = cfg.grid.n_states if cfg.grid.n_states > 0 else None
     table = _profile_table(cfg, cfg.model, [cfg.grid.kx], n_states, cfg.output.weight_scale, solves)
     meta = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,6 +100,22 @@ def _bond_blocks(w, k_x, periodic, t_x, t_y, t_z, scale):
     b[:, up, :, lo, :] = 2j * t_z
     c[:, lo, :, up, :] = -2j * t_z.T
     return b * scale, c * scale
+
+
+def _species_bonds(t, k_x, n, scale):
+    """Bond scalars ``(k, n, 4)`` (bd, bs, cd, cs) of the first ``n`` flavours' blocks of :func:`_bond_blocks`.
+
+    Flavour fl's B block is bd on the diagonal and bs below it, its C block
+    cd on the diagonal and cs above it (each wrapped round on a periodic
+    strip).  All three flavours are computed, as in :func:`_bond_blocks`,
+    so that the scalars round as its entries do whatever ``n`` is.
+    """
+    t_x, t_y, t_z = (np.diagonal(x) for x in t)
+    px = np.exp(0.5j * np.asarray(k_x, dtype=float))[:, None]
+    bd = 2j * (t_x * px + t_y / px) * scale
+    cd = -2j * (t_x / px + t_y * px) * scale
+    bs, cs = np.broadcast_to(2j * t_z * scale, bd.shape), np.broadcast_to(-2j * t_z * scale, bd.shape)
+    return np.stack([bd, bs, cd, cs], axis=-1)[:, :n]
 
 
 def _strip_matrices(model: ModelConfig, w, k_x, periodic) -> np.ndarray:
@@ -208,7 +224,15 @@ class _Strips:
 def _solve_strips(model: ModelConfig, w, k_x, periodic, tol=None) -> _Strips:
     """The solve of :func:`diagonalize_ribbon` at the momenta ``k_x``, in one stacked :mod:`eigen` call.
 
-    Each matrix of the stack gets the result it would get alone.
+    A flavour-conserving strip passes the bond scalars of its (k_x, species)
+    blocks (:func:`_species_bonds`) and the strip's Frobenius norm, taken
+    in closed form from them, to :func:`eigen.eig_species`, or, when
+    Hermitian, its blocks built from them to :func:`eigen.eigh`; no
+    ``(w, 3, w, 3)`` bond block is built.  Other bond-only strips pass
+    their :func:`_bond_blocks` to :func:`eigen.eig_chiral` or
+    :func:`eigen.eigh`, and strips with a field their dense matrices to
+    :func:`eigen.eig` or :func:`eigen.eigh`.  Each matrix of the stack gets
+    the result it would get alone.
     """
     k_x = np.atleast_1d(np.asarray(k_x, dtype=float))
     k, hermitian = k_x.size, model.hermitian
@@ -223,18 +247,20 @@ def _solve_strips(model: ModelConfig, w, k_x, periodic, tol=None) -> _Strips:
 
     t = flavour_bond_table(model).t
     sets = species(model)
-    b, c = _bond_blocks(w, k_x, periodic, *t, model.scale_factor)
     if sets is None:
-        b, c, norm = lone(b.reshape(k, 3 * w, 3 * w)), lone(c.reshape(k, 3 * w, 3 * w)), None
+        b, c = (lone(x.reshape(k, 3 * w, 3 * w)) for x in _bond_blocks(w, k_x, periodic, *t, model.scale_factor))
+        # a Hermitian strip by dense zheevd at the full size, which beats the half-size product route
+        s = eigen.eigh(eigen.chiral_matrix(b, c), tol=tol) if hermitian else eigen.eig_chiral(b, c, tol=tol)
+        return _Strips(s, k, w, None, True)
+    bonds = _species_bonds(t, k_x, len(sets), model.scale_factor)
+    # the strip's norm: each species block stands for 3 / len(sets) flavours
+    norm = np.sqrt(eigen.species_norms(bonds, w, periodic).sum(axis=-1) * (3 // len(sets)))
+    block_norm = np.repeat(norm, len(sets))
+    bonds = bonds.reshape(-1, 4)
+    if hermitian:
+        s = eigen.eigh(eigen.chiral_matrix(*eigen.species_blocks(bonds, w, periodic)), tol=tol, norm=block_norm)
     else:
-        nb, nc = (eigen.frobenius_norms(x.reshape(k, 3 * w, 3 * w)).tolist() for x in (b, c))
-        norm = np.array([math.hypot(x, y) for x, y in zip(nb, nc)])
-        fl = np.arange(len(sets))  # (k_x, species) blocks, cut out of the strip's
-        b, c = (np.swapaxes(x[:, :, fl, :, fl], 0, 1).reshape(-1, w, w) for x in (b, c))
-    # a Hermitian strip by dense zheevd at the full size, which beats the half-size product route
-    block_norm = None if norm is None else np.repeat(norm, len(sets))
-    s = (eigen.eigh(eigen.chiral_matrix(b, c), tol=tol, norm=block_norm) if hermitian
-         else eigen.eig_chiral(b, c, tol=tol, norm=block_norm))
+        s = eigen.eig_species(bonds, w, periodic=periodic, tol=tol, norm=block_norm)
     return _Strips(s, k, w, sets, True, norm)
 
 
@@ -243,20 +269,23 @@ def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spec
 
     The model's declarations pick the solver, Hermiticity first: a Hermitian
     model (:attr:`ModelConfig.hermitian`, real couplings) is solved by
-    :func:`eigen.eigh`, any other bond-only model by
+    :func:`eigen.eigh`, any other flavour-conserving model by
+    :func:`eigen.eig_species`, any other bond-only model by
     :func:`eigen.eig_chiral`, and any other strip by :func:`eigen.eig`.  A
     strip with an onsite field is built whole.  A bond-only strip
     (:attr:`ModelConfig.bond_only`) is chiral, [[0, B], [C, 0]] between the
-    A and B sublattices, and is solved from its :func:`_bond_blocks`.  When
-    :func:`~majorana_nh.models.species` keeps the Majorana species apart,
-    the w x w blocks of the distinct species alone go in one stacked call,
-    certified against the strip's norm (``norm=``); the parent model's one
-    species stands for all three flavours, and each block's eigenpairs are
-    placed on rows ``fl::3`` of its flavours, zero on the others.  Every
-    eigenpair meets ``tol`` (default of size 6w) in the residual over the
-    strip's Frobenius norm, after a dense re-solve and a polish where
-    needed, or :class:`ConvergenceError` is raised.  The one-k_x view of the
-    solve :func:`sweep` makes chunk by chunk.
+    A and B sublattices.  When :func:`~majorana_nh.models.species` keeps
+    the Majorana species apart, each species block is bidiagonal, given by
+    four bond scalars, and the distinct species alone go in one stacked
+    call, certified against the strip's norm (``norm=``); the parent
+    model's one species stands for all three flavours, and each block's
+    eigenpairs are placed on rows ``fl::3`` of its flavours, zero on the
+    others.  Other bond-only strips are solved from their
+    :func:`_bond_blocks`.  Every eigenpair meets ``tol`` (default of size
+    6w) in the residual over the strip's Frobenius norm, after a dense
+    re-solve and a polish where needed, or :class:`ConvergenceError` is
+    raised.  The one-k_x view of the solve :func:`sweep` makes chunk by
+    chunk.
     """
     return _solve_strips(spec.model, spec.w, spec.k_x, spec.boundary_y == "periodic", tol).dense()
 
@@ -457,6 +486,27 @@ def pbc_cloud_intervals(model: ModelConfig, k_x: float, n_transverse: int = 512)
 # --------------------------------------------------------------------------
 
 @dataclass
+class SolveLog:
+    """Strip solves per solver path (:data:`eigen.SOLVER_PATHS`) and the worst residual, with its k_x.
+
+    ``max_residual_kx`` is the first k_x, in solve order, that reached
+    ``max_residual``; None before any solve.
+    """
+
+    strip_solves: dict = field(default_factory=lambda: dict.fromkeys(eigen.SOLVER_PATHS, 0))
+    max_residual: float = 0.0
+    max_residual_kx: float | None = None
+
+    def add(self, kxs, routes, achieved):
+        """Count the solves at the momenta ``kxs``, their routes and worst residuals."""
+        for route in routes:
+            self.strip_solves[route] += 1
+        i = int(np.argmax(achieved))
+        if self.max_residual_kx is None or achieved[i] > self.max_residual:
+            self.max_residual, self.max_residual_kx = float(achieved[i]), float(kxs[i])
+
+
+@dataclass
 class SweepResult:
     model: ModelConfig
     w: int
@@ -466,6 +516,7 @@ class SweepResult:
     pbc_reference: list  # per k_x, the CloudIntervals of the periodic spectrum
     thresholds: ClassifierThresholds
     max_residual: float
+    max_residual_kx: float  # the first grid k_x whose strip solve reached max_residual
     strip_solves: dict  # strip solves per solver path, see :data:`eigen.SOLVER_PATHS`
 
 
@@ -534,7 +585,8 @@ def sweep(
         else:
             results = [task(kxs) for kxs in chunks]
 
-    routes = np.concatenate([r[3] for r in results])
+    log = SolveLog()
+    log.add(kx_grid, np.concatenate([r[3] for r in results]), np.concatenate([r[2] for r in results]))
     return SweepResult(
         model=model,
         w=w,
@@ -543,8 +595,9 @@ def sweep(
         records=np.concatenate([r[0] for r in results]).view(np.recarray),
         pbc_reference=[CloudIntervals(b) for r in results for b in r[1]],
         thresholds=thresholds,
-        max_residual=float(max(r[2].max() for r in results)),
-        strip_solves={p: int((routes == p).sum()) for p in eigen.SOLVER_PATHS},
+        max_residual=log.max_residual,
+        max_residual_kx=log.max_residual_kx,
+        strip_solves=log.strip_solves,
     )
 
 
@@ -554,7 +607,7 @@ def edge_mode_weights(
     k_x: float,
     states=None,
     normalization: str = "linear",
-    solves: dict | None = None,
+    solves: SolveLog | None = None,
 ):
     """Per-site weight profiles for selected open-strip eigenstates at one k_x.
 
@@ -563,8 +616,8 @@ def edge_mode_weights(
     ``normalization="log01"`` returns log weights affinely rescaled to [0, 1]
     per state, as used for edge-mode snapshots.  The strip is solved under
     :func:`eigen.one_blas_thread`, as in :func:`sweep`, so the weights do not
-    depend on the BLAS thread setting.  ``solves``, a dict like
-    :attr:`SweepResult.strip_solves`, gets this solve added to its path.
+    depend on the BLAS thread setting.  ``solves``, a :class:`SolveLog`,
+    gets this solve added.
     """
     if normalization not in ("linear", "log01"):
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -572,7 +625,7 @@ def edge_mode_weights(
     with eigen.one_blas_thread():
         strips = _solve_strips(model, w, k_x, False)
     if solves is not None:
-        solves[strips.routes[0]] += 1
+        solves.add([k_x], strips.routes, strips.achieved)
     e, ws, n = strips.eigenvalues[0], strips.weights()[0], 6 * w
 
     if states is None:

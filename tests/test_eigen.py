@@ -1,5 +1,6 @@
 """Eigensolver contract: residuals, ordering, defective flags, left vectors."""
 
+import cmath
 import math
 import sys
 import threading
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from majorana_nh import eigen
+from majorana_nh import eigen, ribbon
 from majorana_nh import (
     ConvergenceError,
     Coupling3,
@@ -20,11 +21,16 @@ from majorana_nh import (
     bloch_hamiltonian,
     build_ribbon,
     closed_form_spectrum,
+    diagonalize_ribbon,
     eig,
+    flavour_bond_table,
     match_eigenvalue_sets,
     min_singular_value,
 )
+from majorana_nh.presets import get_preset
 from conftest import TRACE_STRIPS, random_complex_coupling
+
+E3 = cmath.exp(1j * math.pi / 3)
 
 
 def random_matrix(rng, n):
@@ -195,17 +201,29 @@ def assert_strip_norm_certificate(solve, b, c, norm):
     return s
 
 
+def bond_scalars(b, c):
+    """The (bd, bs, cd, cs) of bidiagonal species blocks B and C ``(..., w, w)``."""
+    return np.stack([b[..., 0, 0], b[..., 1, 0], c[..., 0, 0], c[..., 0, 1]], axis=-1)
+
+
+def species_solve(b, c, **kwargs):
+    """``eig_species`` of species blocks given as B and C."""
+    return eigen.eig_species(bond_scalars(b, c), b.shape[-1], **kwargs)
+
+
 class TestChiral:
     """``eig_chiral`` keeps the contract of ``eig`` on [[0, B], [C, 0]]."""
 
     @pytest.mark.parametrize("j, k_coupling, k_x", TRACE_STRIPS)
     def test_strip_norm_keeps_the_block_trace_identity(self, j, k_coupling, k_x):
         # the residuals move to the strip's norm, the trace identity stays on
-        # each block's own: these blocks still fall back to the dense route
+        # each block's own; eig_chiral's Ritz values fail it on these blocks,
+        # which the species route now certifies in closed form
         model = ModelConfig(Variant.K_MODEL, Coupling3(*j), k_coupling=k_coupling)
         b, c, norm = species_blocks(model, 20, k_x)
-        s = assert_strip_norm_certificate(eigen.eig_chiral, b, c, norm)
-        assert s.path == "dense_fallback"
+        assert eigen.eig_chiral(b, c).path == "dense_fallback"
+        s = assert_strip_norm_certificate(species_solve, b, c, norm)
+        assert s.path == "species"
 
     def test_random_blocks_match_dense(self, rng):
         for m in (1, 3, 8, 20):
@@ -321,6 +339,121 @@ class TestChiral:
             eigen.eig_chiral(np.eye(3), np.eye(4))
         with pytest.raises(ValueError):
             eigen.eig_chiral(np.zeros((0, 3, 3)), np.zeros((0, 3, 3)))
+
+
+def bonds_from(bs, cs, rho, r):
+    """Bond scalars (bd, bs, cd, cs) with given bs, cs, rho and gauge ratio r.
+
+    From s = -bs cs / rho, u = bd cs = s / r and l = bs cd = r s.
+    """
+    s = -bs * cs / rho
+    return np.array([s / (r * cs), bs, r * s / bs, cs])
+
+
+def polar(modulus, phase):
+    return modulus * np.exp(1j * phase)
+
+
+def mp_species_energies(bonds, w):
+    """+-sqrt of the eigenvalues of the open species block B C, by ``mpmath.eig`` at 50 digits."""
+    bd, bs, cd, cs = (mpmath.mpc(x) for x in bonds)
+    with mpmath.workdps(50):
+        bc = mpmath.zeros(w)
+        for i in range(w):
+            bc[i, i] = bd * cd + (bs * cs if i else 0)
+            if i:
+                bc[i - 1, i], bc[i, i - 1] = bd * cs, bs * cd
+        mu = mpmath.eig(bc, left=False, right=False)
+        e = np.array([complex(mpmath.sqrt(x)) for x in mu])
+    return np.concatenate([e, -e])
+
+
+class TestSpecies:
+    """``eig_species`` keeps the contract of ``eig`` on species strips, with no LAPACK call."""
+
+    @pytest.mark.parametrize("flavour", [1, 2])
+    def test_skin_block_matches_mpmath(self, flavour):
+        # fig2c-like at w=40, k_x=0.7: flavour 2 has |r|^w = 132, flavour 3
+        # |rho| = 1.06 (the bound-root branch); the closed form lands within
+        # 1e-12 of 50-digit arithmetic, and eig(B C) lands farther off
+        model = get_preset("fig2c-like").model
+        w = 40
+        bonds = ribbon._species_bonds(flavour_bond_table(model).t, [0.7], 3, model.scale_factor)[0, flavour]
+        exact = mp_species_energies(bonds, w)
+        scale = np.abs(exact).max()
+        s = eigen.eig_species(bonds, w)
+        assert s.path == "species"
+        species_error = match_eigenvalue_sets(s.eigenvalues, exact) / scale
+        assert species_error <= 1e-12
+        b, c = eigen.species_blocks(bonds, w)
+        mu = np.linalg.eigvals(b @ c)
+        dense_error = match_eigenvalue_sets(np.concatenate([np.sqrt(mu), -np.sqrt(mu)]), exact) / scale
+        assert dense_error > species_error
+        assert_certified_on(chiral(b, c), s, eigen.default_tol(2 * w))
+
+    @settings(max_examples=80)
+    @given(
+        w=st.integers(2, 12),
+        periodic=st.booleans(),
+        bs=st.tuples(st.floats(0.3, 2.0), st.floats(-np.pi, np.pi)),
+        cs=st.tuples(st.floats(0.3, 2.0), st.floats(-np.pi, np.pi)),
+        rho=st.tuples(st.one_of(st.floats(0.05, 0.9), st.floats(0.9, 1.1), st.floats(1.1, 4.0)),
+                      st.floats(-np.pi, np.pi)),
+        log_r=st.tuples(st.floats(-1.0, 1.0), st.floats(-np.pi, np.pi)),
+    )
+    def test_matches_dense(self, w, periodic, bs, cs, rho, log_r):
+        # |rho| below, near and above 1, and a gauge ratio with |r|^w within
+        # 1e3 either way, so that dense eig stays accurate enough to compare
+        r = polar(np.exp(log_r[0] * np.log(1e3) / w), log_r[1])
+        bonds = bonds_from(polar(*bs), polar(*cs), polar(*rho), r)
+        b, c = eigen.species_blocks(bonds, w, periodic)
+        h = chiral(b, c)
+        s = eigen.eig_species(bonds, w, periodic=periodic)
+        assert s.path in ("species", "dense_fallback")
+        assert match_eigenvalue_sets(s.eigenvalues, eig(h).eigenvalues) <= 1e-12 * max(1.0, np.linalg.norm(h))
+        assert_certified_on(h, s, eigen.default_tol(2 * w))
+        assert s.matrix_norm == pytest.approx(np.linalg.norm(h, "fro"), rel=1e-14)
+
+    @pytest.mark.parametrize("k_x", [np.pi, -np.pi])
+    def test_pure_yl_with_equal_jx_jy_at_the_zone_edge(self, k_x):
+        # jx e^{ik_x/2} + jy e^{-ik_x/2} vanishes at k_x = pi: bd = 0 up to
+        # rounding, so u = bd cs is all but 0; the strip ends certified
+        model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, E3))
+        spec = RibbonSpec(w=12, boundary_y="open", k_x=k_x, model=model)
+        s = diagonalize_ribbon(spec)
+        assert s.path in ("species", "dense_fallback")
+        assert np.isfinite(s.eigenvalues).all() and np.isfinite(s.right_vectors).all()
+        assert_certified_on(build_ribbon(spec), s, eigen.default_tol(72))
+        # with bd exactly 0, B is nilpotent: the dense route takes the block
+        bonds = ribbon._species_bonds(flavour_bond_table(model).t, [k_x], 1, 1.0)[0, 0]
+        bonds[0] = 0.0
+        s = eigen.eig_species(bonds, 12)
+        assert s.path == "dense_fallback"
+        assert np.isfinite(s.eigenvalues).all()
+        assert_certified_on(chiral(*eigen.species_blocks(bonds, 12)), s, eigen.default_tol(24))
+
+    def test_stack_slices(self, rng):
+        # each block of a stack gets the bytes it gets alone, the fallback included
+        bonds = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        bonds[2, 0] = 0.0
+        for periodic in (False, True):
+            s = eigen.eig_species(bonds, 7, periodic=periodic)
+            for i in range(4):
+                one = eigen.eig_species(bonds[i], 7, periodic=periodic)
+                assert s.routes[i] == one.path
+                for name in SPECTRUM_ARRAYS:
+                    assert getattr(s, name)[i].tobytes() == getattr(one, name).tobytes(), name
+        assert eigen.eig_species(bonds, 7).routes.tolist() == ["species", "species", "dense_fallback", "species"]
+        with pytest.raises(ConvergenceError, match=r"in matrix \[3\]"):
+            eigen.eig_species(bonds, 7, tol=[1e-8, 1e-8, 1e-8, 1e-30])
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            eigen.eig_species(np.ones(3), 4)
+        with pytest.raises(ValueError):
+            eigen.eig_species(np.zeros((0, 4)), 4)
+        with pytest.raises(ValueError):
+            eigen.eig_species([np.nan, 1, 1, 1], 4)
 
 
 def random_hermitian(rng, *shape):

@@ -20,7 +20,7 @@ from majorana_nh import ConfigurationError, Variant, parse_config
 from majorana_nh.export import _cell, export_table, fmt_float, write_svg_scatter
 from majorana_nh.models import species
 from majorana_nh.pipelines import run_command
-from majorana_nh.presets import PRESET_IDS, get_preset
+from majorana_nh.presets import PRESET_IDS, PROFILE_KX, get_preset
 
 
 MINIMAL = """
@@ -389,6 +389,12 @@ model:
   d: 0.5
   b_field: [0, 0, 0.7]
 """
+    SPECIES_MODEL = """
+model:
+  variant: k_model
+  j: [2, 1, {mod: 2.5, phase_over_pi: 0.3333333333333333}]
+  k_coupling: 0.4
+"""
     COMPLEX_FIELD_MODEL = """
 model:
   variant: mag_model
@@ -401,13 +407,16 @@ model:
         "command, meta, setting, path, count",
         [
             ("ribbon-sweep", "b_sweep_meta.json", TestBlasThreadsMeta.MODEL, "chiral", 2),
+            ("ribbon-sweep", "b_sweep_meta.json", SPECIES_MODEL, "species", 2),
             ("ribbon-sweep", "b_sweep_meta.json", COMPLEX_FIELD_MODEL, "dense", 2),
             ("ribbon-sweep", "b_sweep_meta.json", FIELD_MODEL, "hermitian", 2),
             ("localization", "b_profiles_meta.json", TestBlasThreadsMeta.MODEL, "chiral", 1),
+            ("localization", "b_profiles_meta.json", SPECIES_MODEL, "species", 1),
             ("localization", "b_profiles_meta.json", COMPLEX_FIELD_MODEL, "dense", 1),
             ("localization", "b_profiles_meta.json", FIELD_MODEL, "hermitian", 1),
             # the preset's sweep (kx_n=2) and its four profile momenta
             ("reproduce", "b_fig4_meta.json", "preset: fig4", "chiral", 6),
+            ("reproduce", "b_fig2c-like_meta.json", "preset: fig2c-like", "species", 2),
             ("reproduce", "b_fig7_meta.json", "preset: fig7", "dense", 6),
             ("reproduce", "b_fig6a_meta.json", "preset: fig6a", "hermitian", 2),
         ],
@@ -416,7 +425,31 @@ model:
         grid = TestBlasThreadsMeta.GRID.format(out=tmp_path)
         run_command(parse_config(f"command: {command}\n{setting}" + grid))
         solves = json.loads((tmp_path / meta).read_text())["strip_solves"]
-        assert solves == {"hermitian": 0, "chiral": 0, "dense": 0, "dense_fallback": 0, path: count}
+        assert solves == {"hermitian": 0, "chiral": 0, "species": 0, "dense": 0, "dense_fallback": 0, path: count}
+
+
+    @pytest.mark.parametrize(
+        "command, table, setting",
+        [
+            ("ribbon-sweep", "b_sweep", SPECIES_MODEL),
+            ("ribbon-sweep", "b_sweep", TestBlasThreadsMeta.MODEL),
+            ("localization", "b_profiles", SPECIES_MODEL),
+            ("reproduce", "b_fig2c-like", "preset: fig2c-like"),
+            ("reproduce", "b_fig4", "preset: fig4"),
+        ],
+    )
+    def test_meta_names_the_kx_of_the_worst_residual(self, tmp_path, command, table, setting):
+        grid = TestBlasThreadsMeta.GRID.format(out=tmp_path)
+        run_command(parse_config(f"command: {command}\n{setting}" + grid))
+        meta = json.loads((tmp_path / f"{table}_meta.json").read_text())
+        keys = list(meta)
+        assert keys.index("max_residual_kx") == keys.index("max_residual") + 1
+        assert 0.0 < meta["max_residual"] <= 1e-8
+        if command == "localization":
+            assert meta["max_residual_kx"] == meta["k_x"]
+        else:  # a k_x of the sweep (kx_n = 2), or one of a profile preset's profile momenta
+            solved = {-math.pi, 0.0} | (set(PROFILE_KX) if "fig4" in setting else set())
+            assert meta["max_residual_kx"] in solved
 
 
 class TestBlochSpectrumPipeline:

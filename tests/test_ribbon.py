@@ -32,7 +32,7 @@ from majorana_nh import (
 from majorana_nh import eigen, ribbon
 from majorana_nh.eigen import Spectrum
 from majorana_nh.models import effective_couplings
-from conftest import TRACE_STRIPS, random_complex_coupling
+from conftest import random_complex_coupling
 
 E3 = cmath.exp(1j * math.pi / 3)
 E6 = cmath.exp(1j * math.pi / 6)
@@ -134,14 +134,16 @@ class TestStripSolverContract:
         def recording(name):
             real = getattr(eigen, name)
 
-            def solver(*matrices, **kwargs):
-                calls.append((name, *(np.shape(a) for a in matrices)))
-                return real(*matrices, **kwargs)
+            def solver(*args, **kwargs):
+                # matrix and bond-scalar arguments by shape, the strip width by value
+                calls.append((name, *(np.shape(a) if np.ndim(a) else a for a in args)))
+                return real(*args, **kwargs)
 
             monkeypatch.setattr(eigen, name, solver)
 
         recording("eig")
         recording("eig_chiral")
+        recording("eig_species")
         spec = RibbonSpec(w=w, boundary_y="open", k_x=kx, model=model)
         return build_ribbon(spec), calls, diagonalize_ribbon(spec, tol=tol)
 
@@ -161,9 +163,9 @@ class TestStripSolverContract:
 
     def test_block_path_residual_bound(self, monkeypatch):
         h, calls, s = self._solve(K_FIG2B, monkeypatch, tol=1e-12)
-        # one certified solve of the species stack's B and C blocks
-        assert calls == [("eig_chiral", (3, 10, 10), (3, 10, 10))]
-        assert s.path == "chiral"
+        # one certified solve of the species stack's bond scalars
+        assert calls == [("eig_species", (3, 4), 10)]
+        assert s.path == "species"
         self._check_residual_bound(h, s, 1e-12)
         # each eigenvector lives on a single flavour
         support = np.abs(s.right_vectors).reshape(-1, 3, s.n).sum(axis=0) > 0
@@ -191,9 +193,9 @@ class TestStripSolverContract:
         # stands for all three, byte-identical to stacking all three
         j = Coupling3(2 * E3, E6, 2.5)
         _, calls, s = self._solve(ModelConfig(Variant.PURE_YL, j), monkeypatch)
-        assert calls == [("eig_chiral", (1, 10, 10), (1, 10, 10))]
+        assert calls == [("eig_species", (1, 4), 10)]
         _, calls_k, s_k = self._solve(ModelConfig(Variant.K_MODEL, j, k_coupling=0.0), monkeypatch)
-        assert calls_k == [("eig_chiral", (3, 10, 10), (3, 10, 10))]
+        assert calls_k == [("eig_species", (3, 4), 10)]
         assert s.eigenvalues.tobytes() == s_k.eigenvalues.tobytes()
         assert s.right_vectors.tobytes() == s_k.right_vectors.tobytes()
 
@@ -263,7 +265,8 @@ class TestStripSolverContract:
         spec = RibbonSpec(w=w, boundary_y=boundary, k_x=kx, model=model)
         h = build_ribbon(spec)
         s = diagonalize_ribbon(spec)
-        assert s.path in (("hermitian",) if model.hermitian else ("chiral", "dense_fallback"))
+        fast = "hermitian" if model.hermitian else "species" if ribbon.species(model) else "chiral"
+        assert s.path in ((fast,) if model.hermitian else (fast, "dense_fallback"))
         norm = max(1.0, np.linalg.norm(h, "fro"))
         dense = eig(h).eigenvalues
         assert match_eigenvalue_sets(s.eigenvalues, dense) <= 1e-9 * norm
@@ -594,7 +597,7 @@ class TestSweepAndSummary:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_worker_error_keeps_its_object(self, monkeypatch, blas_at_two, threads):
         model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, E3))
-        self._check_worker_error(monkeypatch, threads, "eig_chiral", model)
+        self._check_worker_error(monkeypatch, threads, "eig_species", model)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_hermitian_worker_error_keeps_its_object(self, monkeypatch, blas_at_two, threads):
@@ -608,7 +611,7 @@ class TestSweepAndSummary:
         s = eig(np.eye(2))
         in_solve = []
 
-        def failing_eig(*matrices, tol=None, norm=None):
+        def failing_eig(*args, **kwargs):
             in_solve.append(self.blas_counts())
             raise ConvergenceError("residual target missed", result=s)
 
@@ -624,9 +627,9 @@ class TestSweepAndSummary:
         model = ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5 * E3), gamma=0.4)
         real_eig, in_solve = eigen.eig_chiral, []
 
-        def counting_eig(b, c, tol=None, norm=None):
+        def counting_eig(b, c, tol=None):
             in_solve.append(self.blas_counts())
-            return real_eig(b, c, tol=tol, norm=norm)
+            return real_eig(b, c, tol=tol)
 
         before = self.blas_counts()
         monkeypatch.setattr(eigen, "eig_chiral", counting_eig)
@@ -658,6 +661,7 @@ class TestSweepAndSummary:
             pbc_reference=[CloudIntervals(bounds=np.array([[0.0, 1.0]]))] * 4,
             thresholds=ribbon.ClassifierThresholds(),
             max_residual=0.0,
+            max_residual_kx=kxs[0],
             strip_solves={},
         )
         summ = nhse_summary(res)
@@ -776,13 +780,14 @@ class TestChunkedSweep:
             assert localization_profile(s, w, alone).tobytes() == row.tobytes()
         assert ref.strip_solves == one.strip_solves == solves
         assert ref.max_residual == max(residuals)
+        assert ref.max_residual_kx == one.max_residual_kx == kxs[int(np.argmax(residuals))]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_strip_solves_count_a_fallback_inside_a_chunk(self, threads):
-        # a K strip whose species blocks fall back to the dense route at
-        # k_x = pi/2 only: the stacked solve of the chunk counts it k_x by k_x
-        j, k_coupling, _ = TRACE_STRIPS[0]
-        model, w, kxs = ModelConfig(Variant.K_MODEL, Coupling3(*j), k_coupling=k_coupling), 20, [0.3, np.pi / 2, -np.pi / 2]
+        # a strip whose species block falls back to the dense route at k_x = 0
+        # only, where jy = -jx makes bd = cd = 0 and B, C nilpotent: the
+        # stacked solve of the chunk counts it k_x by k_x
+        model, w, kxs = ModelConfig(Variant.PURE_YL, Coupling3(1, -1, E3)), 20, [0.3, 0.0, -0.3]
         solves = dict.fromkeys(eigen.SOLVER_PATHS, 0)
         for kx in kxs:
             solves[diagonalize_ribbon(RibbonSpec(w=w, boundary_y="open", k_x=kx, model=model)).path] += 1
@@ -821,11 +826,11 @@ class TestChunkedSweep:
         target = ribbon._bond_blocks(w, [0.5], False, *t, model.scale_factor)[0].reshape(3 * w, 3 * w)
         real, sentinel, seen = eigen.eig_chiral, eig(np.eye(2)), []
 
-        def failing(b, c, tol=None, norm=None):
+        def failing(b, c, tol=None):
             seen.append(np.shape(b))
             if any(np.array_equal(x, target) for x in np.reshape(b, (-1, 3 * w, 3 * w))):
                 raise ConvergenceError("residual target missed", result=sentinel)
-            return real(b, c, tol=tol, norm=norm)
+            return real(b, c, tol=tol)
 
         monkeypatch.setattr(eigen, "eig_chiral", failing)
         with pytest.raises(ConvergenceError, match=r"^k_x = 0\.5: residual target missed$") as info:

@@ -8,16 +8,18 @@ Runs every command on small grids in process, with BLAS at one thread, for
 the pure Yao-Lee model, the K model (Hermitian and not), the Gamma model
 and the field+DMI model, plus ``ribbon-sweep`` of the non-Hermitian K and
 the Gamma model at ``threads: 2`` (chunked, threaded sweeps) and
-``reproduce`` of fig2a-like, fig2b-like, fig3b, fig6a and the profile preset
-fig8 at a few k_x; tables in csv, json and ndjson.  ``--src`` (default:
+``reproduce`` of fig2a-like, fig2b-like, fig2c-like (a species strip whose
+gauge ratio |r| is not 1), fig3b, fig6a and the profile preset fig8 at a
+few k_x; tables in csv, json and ndjson.  ``--src`` (default:
 this checkout's ``src``) is the source tree whose package is run, so one copy
 of this script digests two checkouts and "bytes unchanged" is one ``diff``.
 
 Data files are listed first: the sha256 of each CSV, NDJSON, SVG and
 ``_report.json``, and of the ``data`` of each table JSON.  The metas follow
 on their own: the sha256 of each ``_meta.json`` with its ``max_residual``
-entries taken out, and those entries' values, so a meta that differs only
-in the last bits of a residual shows as such.
+and ``max_residual_kx`` entries taken out, and those entries' values, so a
+meta that differs only in the last bits of a residual (and so perhaps in
+the k_x that reached it) shows as such.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ GRID = "grid:\n  w: 8\n  kx_n: 8\n  n_transverse: 64\n  bz_n: 32\n  arc_grid_n: 
 
 COMMANDS = ("bloch-spectrum", "ep-find", "arc-trace", "skin-check", "ribbon-sweep", "localization")
 
-PRESETS = ("fig2a-like", "fig2b-like", "fig3b", "fig6a", "fig8")
+PRESETS = ("fig2a-like", "fig2b-like", "fig2c-like", "fig3b", "fig6a", "fig8")
 
 
 def corpus():
@@ -73,11 +75,11 @@ def _sha(data: bytes) -> str:
 
 
 def _pop_residuals(doc, path=""):
-    """Remove every ``max_residual`` entry of a JSON document; return ``{key path: value}``."""
+    """Remove every ``max_residual`` and ``max_residual_kx`` entry of a JSON document; return ``{key path: value}``."""
     found = {}
     if isinstance(doc, dict):
         for key in list(doc):
-            if key == "max_residual":
+            if key in ("max_residual", "max_residual_kx"):
                 found[path + key] = doc.pop(key)
             else:
                 found |= _pop_residuals(doc[key], f"{path}{key}.")
