@@ -18,7 +18,6 @@ from .models import (
     default_dmi_vectors,
     effective_couplings,
     flavour_bond_table,
-    shifted_structure_factors,
     species,
     structure_factor,
     triangle_test,

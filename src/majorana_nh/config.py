@@ -176,12 +176,7 @@ class ToleranceConfig:
     nhse_fraction: float = 0.05
 
     def classifier(self) -> ClassifierThresholds:
-        return ClassifierThresholds(
-            edge_mass=self.edge_mass,
-            outer_frac=self.outer_frac,
-            ipr_factor=self.ipr_factor,
-            cloud_tol=self.cloud_tol,
-        )
+        return ClassifierThresholds(**{f.name: getattr(self, f.name) for f in fields(ClassifierThresholds)})
 
 
 #: range of the tolerance keys that are not classifier thresholds
@@ -365,9 +360,8 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
     if command == "ep-find" and grid.bz_n < MIN_SCAN_GRID_N:
         msg = f"grid.bz_n must be >= {MIN_SCAN_GRID_N} for ep-find, got {grid.bz_n}"
         _err(msg, block["grid"].value["bz_n"])
-    tol_casts = _numeric_casts(ToleranceConfig) | dict.fromkeys(
-        ("edge_mass", "outer_frac", "ipr_factor", "cloud_tol"), _threshold
-    ) | _TOLERANCE_RANGES
+    thresholds = dict.fromkeys((f.name for f in fields(ClassifierThresholds)), _threshold)
+    tol_casts = _numeric_casts(ToleranceConfig) | thresholds | _TOLERANCE_RANGES
     tol = _fill_dataclass(ToleranceConfig(), block.get("tolerance"), "tolerance", tol_casts)
     out = _fill_dataclass(
         OutputConfig(),

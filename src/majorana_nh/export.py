@@ -169,24 +169,21 @@ CLASS_COLOURS = {
 }
 
 
-def write_svg_scatter(
-    path,
-    groups,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    size=(720, 540),
-    point_radius=1.4,
-):
+#: width and height of a scatter plot, and the radius of its dots
+SVG_SIZE = (720, 540)
+POINT_RADIUS = 1.4
+
+
+def write_svg_scatter(path, groups, title: str = "", x_label: str = "", y_label: str = ""):
     """Scatter plot of ``groups = [(label, xs, ys), ...]``, first group drawn first.
 
     Each group is one ``<path>`` of round-capped vertical strokes, of width
-    ``2 * point_radius``: a group whose ``ys`` has shape (n, 2) is drawn as n
+    ``2 * POINT_RADIUS``: a group whose ``ys`` has shape (n, 2) is drawn as n
     bars from ``ys[i, 0]`` to ``ys[i, 1]`` at ``xs[i]``, one with 1-D ``ys``
-    as n zero-length bars, i.e. dots of radius ``point_radius``.
+    as n zero-length bars, i.e. dots of radius :data:`POINT_RADIUS`.
     Deterministic output: no timestamps, ids, or library version strings.
     """
-    width, height = size
+    width, height = SVG_SIZE
     margin = 54.0
     xs_all = np.concatenate([np.asarray(g[1], dtype=float) for g in groups if len(g[1])])
     ys_all = np.concatenate([np.asarray(g[2], dtype=float).ravel() for g in groups if len(g[2])])
@@ -243,7 +240,7 @@ def write_svg_scatter(
         d = "M".join(dict.fromkeys(d.split("M")))
         parts.append(
             f'<path d="{d}" fill="none" stroke="{colour}" stroke-opacity="0.8" '
-            f'stroke-width="{2 * point_radius}" stroke-linecap="round"/>'
+            f'stroke-width="{2 * POINT_RADIUS}" stroke-linecap="round"/>'
         )
         if label is not None:
             parts.append(

@@ -237,16 +237,6 @@ def species(model: ModelConfig):
     return None
 
 
-def shifted_structure_factors(j: Coupling3, k_coupling: complex, k):
-    """Per-flavour bond sums of the flavour-diagonal model.
-
-    Equal to ``structure_factor`` evaluated with the couplings of
-    :func:`effective_couplings`, i.e. ``(f + K e^{i k.M1}, f + K e^{-i k.M2},
-    f + K)``.
-    """
-    return tuple(structure_factor(jeff, k) for jeff in effective_couplings(j, k_coupling))
-
-
 def triangle_test(moduli) -> bool:
     """True iff each modulus is bounded by the sum of the other two."""
     m = [float(x) for x in moduli]
@@ -394,23 +384,20 @@ def bloch_hamiltonian(model: ModelConfig, k) -> BlochMatrix:
 
 @dataclass(frozen=True)
 class ClosedFormSpectrum:
-    """Analytic eigenvalues at one k, sorted by (Re, Im).
-
-    ``heuristic`` marks the field-only bands evaluated with complex couplings,
-    where ``|f|`` is generalized to the principal branch of
-    ``sqrt(f(k) f(-k))``.
-    """
+    """Analytic eigenvalues at one k, sorted by (Re, Im)."""
 
     values: np.ndarray
-    heuristic: bool = False
 
 
 def closed_form_spectrum_grid(model: ModelConfig, ks) -> np.ndarray | None:
     """Analytic spectrum for a batch of k points: shape (..., 6), unsorted.
 
     Available for the flavour-conserving models (per species
-    ``+-2 sqrt(A(k) A(-k))``) and the onsite-field model without DMI; None
-    for the flavour-off-diagonal model and the model with nonzero DMI.
+    ``+-2 sqrt(A(k) A(-k))``) and the onsite-field model without DMI
+    (``+-g`` and ``+-g +- 2|b|`` with ``g = 2 sqrt(f(k) f(-k))``, exact for
+    complex couplings too: each bond is ``j_alpha`` times the flavour
+    identity, which commutes with the field); None for the
+    flavour-off-diagonal model and the model with nonzero DMI.
     """
     ks = np.asarray(ks, dtype=float)
     s = model.scale_factor
@@ -435,11 +422,7 @@ def closed_form_spectrum_grid(model: ModelConfig, ks) -> np.ndarray | None:
 def closed_form_spectrum(model: ModelConfig, k) -> ClosedFormSpectrum | None:
     """Analytic spectrum at one k point, sorted; None where none exists.
 
-    One point of :func:`closed_form_spectrum_grid`.  The field-only bands are
-    ``heuristic`` for complex couplings.
+    One point of :func:`closed_form_spectrum_grid`.
     """
     vals = closed_form_spectrum_grid(model, k)
-    if vals is None:
-        return None
-    heuristic = model.variant is Variant.MAG_MODEL and not model.j.is_hermitian
-    return ClosedFormSpectrum(values=np.sort_complex(vals), heuristic=heuristic)
+    return None if vals is None else ClosedFormSpectrum(values=np.sort_complex(vals))

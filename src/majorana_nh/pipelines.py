@@ -183,8 +183,8 @@ def _run_sweep(cfg: RunConfig, model: ModelConfig):
     return result, _summary_dict(ribbon.nhse_summary(result, nhse_fraction=cfg.tolerance.nhse_fraction))
 
 
-def _strip_meta(log) -> dict:
-    """The strip-solve provenance of a meta from a :class:`ribbon.SolveLog` or :class:`ribbon.SweepResult`.
+def _strip_meta(log: ribbon.SolveLog) -> dict:
+    """The strip-solve provenance of a meta from a :class:`ribbon.SolveLog`.
 
     The worst residual and its k_x, the pinned BLAS threads and the solves per solver path.
     """
@@ -198,7 +198,7 @@ def _export_sweep(cfg: RunConfig, model: ModelConfig, result: ribbon.SweepResult
     meta = {
         "model": model_dict(model),
         "w": cfg.grid.w,
-        **_strip_meta(result),
+        **_strip_meta(result.solves),
         "nhse_summary": summary,
         **extra,
     }

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import ribbon
 from .config import RunConfig, model_dict
 from .errors import ConfigurationError
 from .export import write_json
@@ -125,9 +124,8 @@ def run_reproduce(cfg: RunConfig) -> list[Path]:
     if preset.kind == "sweep":
         files = _export_sweep(cfg, preset.model, result, summary, prefix, {"preset_report": report})
     else:
-        solves = ribbon.SolveLog(dict(result.strip_solves), result.max_residual, result.max_residual_kx)
-        table = _profile_table(cfg, preset.model, PROFILE_KX, None, "linear", solves)
-        meta = {"preset_report": report, **_strip_meta(solves), "nhse_summary": summary}
+        table = _profile_table(cfg, preset.model, PROFILE_KX, None, "linear", result.solves)
+        meta = {"preset_report": report, **_strip_meta(result.solves), "nhse_summary": summary}
         files = _export(cfg, prefix, ("k_x",) + WEIGHT_COLUMNS, table, meta)
 
     report_path = Path(cfg.output.directory) / f"{prefix}_report.json"

@@ -56,6 +56,10 @@ STATE_DTYPE = np.dtype(
 #: flat: one k_x of a w=52 dense or Gamma strip, four of its species strips
 CHUNK_ENTRIES = 2**17
 
+#: most states per k_x the classifier labels edge: a zigzag termination
+#: supports at most one boundary band per species per edge (3 species x 2 edges)
+EDGE_CAP = 6
+
 
 def _check_strip(w, boundary_y):
     if not isinstance(w, (int, np.integer)):
@@ -305,12 +309,11 @@ class ClassifierThresholds:
     edges, whose mean position is deceptive.
 
     Edge candidates are the states farther than ``cloud_tol`` outside the
-    periodic |E| reference cloud.  A zigzag termination supports at most one
-    boundary band per species per edge, so at most ``edge_cap`` (= 3 species x
-    2 edges) candidates per k_x -- those farthest off the cloud -- are classed
-    "edge"; every other localized state counts as skin-localized bulk.  (The
-    cloud test alone cannot separate them: skin states also leave the
-    periodic spectrum, which is the very fingerprint of the effect.)
+    periodic |E| reference cloud.  At most :data:`EDGE_CAP` candidates per
+    k_x -- those farthest off the cloud -- are classed "edge"; every other
+    localized state counts as skin-localized bulk.  (The cloud test alone
+    cannot separate them: skin states also leave the periodic spectrum,
+    which is the very fingerprint of the effect.)
 
     With a reference cloud, an off-cloud state is a candidate whether or not
     it passes the localized test: in a Hermitian strip nothing but a bound
@@ -318,13 +321,15 @@ class ClassifierThresholds:
     its decay length (near where the edge band merges into the bulk it can
     spread over most of the strip).  Without a cloud only localized states
     can be edge.
+
+    ``outer_frac`` lies in (0, 0.5] and the other three are > 0; the
+    fields are the classifier keys of the config's ``tolerance`` block.
     """
 
     edge_mass: float = 0.6
     outer_frac: float = 0.1
     ipr_factor: float = 4.0
     cloud_tol: float = 1e-2
-    edge_cap: int = 6
 
     def __post_init__(self):
         # each edge's band nonempty and the two apart
@@ -333,8 +338,6 @@ class ClassifierThresholds:
         for name in ("edge_mass", "ipr_factor", "cloud_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.edge_cap < 0:
-            raise ValueError(f"edge_cap must be >= 0, got {self.edge_cap}")
 
 
 def site_weights(spectrum: eigen.Spectrum, w: int) -> np.ndarray:
@@ -368,7 +371,7 @@ def _classify(e, ws, dist, has_cloud, thresholds):
     # to qualify, without one it does.  Candidates sort first, then by
     # distance; ties go to the smaller |E|, then (a stable sort) the lower index.
     candidate = (has_cloud | localized) & (dist > thresholds.cloud_tol)
-    top = np.lexsort((np.hypot(e.real, e.imag), -dist, ~candidate), axis=-1)[..., : thresholds.edge_cap]
+    top = np.lexsort((np.hypot(e.real, e.imag), -dist, ~candidate), axis=-1)[..., :EDGE_CAP]
     edge = np.zeros(e.shape, dtype=bool)
     np.put_along_axis(edge, top, np.take_along_axis(candidate, top, -1), -1)
 
@@ -396,7 +399,7 @@ def localization_profile(
     are edge candidates, localized or not, since in a Hermitian strip an
     off-cloud state is a bound state; see :class:`ClassifierThresholds`.
     Without a cloud (``None``) only localized states can be edge: the
-    ``edge_cap`` of smallest |E|.  The one-k_x view of the classifier of
+    :data:`EDGE_CAP` of smallest |E|.  The one-k_x view of the classifier of
     :func:`sweep`.
     """
     ws = site_weights(spectrum, w)
@@ -515,9 +518,7 @@ class SweepResult:
     records: np.recarray  # (n_kx, n) of STATE_DTYPE, one row per k_x of the grid
     pbc_reference: list  # per k_x, the CloudIntervals of the periodic spectrum
     thresholds: ClassifierThresholds
-    max_residual: float
-    max_residual_kx: float  # the first grid k_x whose strip solve reached max_residual
-    strip_solves: dict  # strip solves per solver path, see :data:`eigen.SOLVER_PATHS`
+    solves: SolveLog  # the strip solves of the grid
 
 
 def _kx_per_chunk(model: ModelConfig, w: int) -> int:
@@ -595,9 +596,7 @@ def sweep(
         records=np.concatenate([r[0] for r in results]).view(np.recarray),
         pbc_reference=[CloudIntervals(b) for r in results for b in r[1]],
         thresholds=thresholds,
-        max_residual=log.max_residual,
-        max_residual_kx=log.max_residual_kx,
-        strip_solves=log.strip_solves,
+        solves=log,
     )
 
 
@@ -611,8 +610,8 @@ def edge_mode_weights(
 ):
     """Per-site weight profiles for selected open-strip eigenstates at one k_x.
 
-    ``states`` is either a list of state indices in [0, 6w) (in eigenvalue-sorted order),
-    an integer n meaning the n states of smallest |E|, or None for all states.
+    ``states`` is an integer n >= 1, the n states of smallest |E| (in
+    eigenvalue-sorted order), or None for all states.
     ``normalization="log01"`` returns log weights affinely rescaled to [0, 1]
     per state, as used for edge-mode snapshots.  The strip is solved under
     :func:`eigen.one_blas_thread`, as in :func:`sweep`, so the weights do not
@@ -621,25 +620,17 @@ def edge_mode_weights(
     """
     if normalization not in ("linear", "log01"):
         raise ValueError(f"unknown normalization {normalization!r}")
+    if states is not None and (isinstance(states, bool) or not isinstance(states, (int, np.integer))):
+        raise ValueError(f"states must be an integer number of states or None, got {states!r}")
+    if states is not None and states < 1:
+        raise ValueError("state selection is empty")
     _check_strip(w, "open")
     with eigen.one_blas_thread():
         strips = _solve_strips(model, w, k_x, False)
     if solves is not None:
         solves.add([k_x], strips.routes, strips.achieved)
-    e, ws, n = strips.eigenvalues[0], strips.weights()[0], 6 * w
-
-    if states is None:
-        idx = np.arange(n)
-    elif isinstance(states, int):
-        idx = np.sort(np.argsort(np.abs(e), kind="stable")[: max(states, 0)])
-    else:
-        idx = np.asarray(list(states), dtype=int)
-    if idx.size == 0:
-        raise ValueError("state selection is empty")
-    outside = idx[(idx < 0) | (idx >= n)]
-    if outside.size:
-        raise ValueError(f"state indices must lie in [0, {n}), got {outside.tolist()}")
-
+    e, ws = strips.eigenvalues[0], strips.weights()[0]
+    idx = np.arange(e.size) if states is None else np.sort(np.argsort(np.abs(e), kind="stable")[:states])
     profiles = ws[:, idx].T.copy()  # (n_selected, 2w), columns sum to 1
     if normalization == "log01":
         logs = np.log(np.maximum(profiles, 1e-300))

@@ -347,13 +347,13 @@ class TestClassifyDegeneracy:
     def test_nonsingular_crossing_nonzero(self):
         # Hermitian anisotropic: cross-species |A| crossing away from zero
         from scipy.optimize import brentq
-        from majorana_nh import shifted_structure_factors
+        from majorana_nh import effective_couplings, structure_factor
 
         model = ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 1.5), k_coupling=0.4)
 
         def gap12(t1):
             k = k_from_bond_phase([t1, 0.7])
-            a = shifted_structure_factors(model.j, model.k_coupling, k)
+            a = [structure_factor(j_eta, k) for j_eta in effective_couplings(model.j, model.k_coupling)]
             return abs(a[0]) - abs(a[1])
 
         t1_star = brentq(gap12, 0.1, 3.0, xtol=1e-14)

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from majorana_nh import (
+    M1,
+    M2,
     ConfigurationError,
     Coupling3,
     ModelConfig,
@@ -21,7 +23,6 @@ from majorana_nh import (
     eig,
     flavour_bond_table,
     match_eigenvalue_sets,
-    shifted_structure_factors,
     species,
     structure_factor,
     triangle_test,
@@ -67,9 +68,14 @@ class TestStructureFactor:
         np.testing.assert_allclose(batch, singles, atol=1e-15)
 
 
+def shifted_sums(j, k_coupling, k):
+    """The per-flavour bond sums of the K model: ``structure_factor`` over ``effective_couplings``."""
+    return tuple(structure_factor(j_eta, k) for j_eta in effective_couplings(j, k_coupling))
+
+
 class TestShiftedFactors:
     def test_zone_center_shift(self):
-        a = shifted_structure_factors(Coupling3(1, 1, 1), 0.4, (0.0, 0.0))
+        a = shifted_sums(Coupling3(1, 1, 1), 0.4, (0.0, 0.0))
         assert a == pytest.approx((3.4, 3.4, 3.4))
 
     def test_zero_shift_reduces_to_f(self, rng):
@@ -77,14 +83,16 @@ class TestShiftedFactors:
         for _ in range(10):
             k = rng.uniform(-np.pi, np.pi, 2)
             f = structure_factor(j, k)
-            assert shifted_structure_factors(j, 0.0, k) == pytest.approx((f, f, f))
+            assert shifted_sums(j, 0.0, k) == pytest.approx((f, f, f))
 
     def test_matches_shifted_couplings(self):
+        # each link's shift adds K times that link's bond phase to f
         j = Coupling3(2, 1, 2.5 * E3)
         k = np.array([np.pi / 2, 0.0])
-        a = shifted_structure_factors(j, 0.4, k)
-        for a_eta, j_eta in zip(a, effective_couplings(j, 0.4)):
-            assert a_eta == pytest.approx(structure_factor(j_eta, k), abs=1e-14)
+        f = structure_factor(j, k)
+        phases = (np.exp(1j * k @ M1), np.exp(-1j * k @ M2), 1.0)
+        for a_eta, phase in zip(shifted_sums(j, 0.4, k), phases):
+            assert a_eta == pytest.approx(f + 0.4 * phase, abs=1e-14)
 
 
 class TestEffectiveCouplings:
@@ -262,8 +270,8 @@ class TestBlochMatrix:
         for _ in range(20):
             k = rng.uniform(-np.pi, np.pi, 2)
             det = np.linalg.det(bloch_hamiltonian(model, k).entries)
-            a_k = shifted_structure_factors(model.j, model.k_coupling, k)
-            a_mk = shifted_structure_factors(model.j, model.k_coupling, -k)
+            a_k = shifted_sums(model.j, model.k_coupling, k)
+            a_mk = shifted_sums(model.j, model.k_coupling, -k)
             expect = 2**6 * np.prod([abs(p) * abs(m) for p, m in zip(a_k, a_mk)])
             assert abs(det) == pytest.approx(expect, rel=1e-10)
 
@@ -325,7 +333,6 @@ class TestClosedFormSpectrum:
         model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
         cf = closed_form_spectrum(model, (4 * np.pi / 3, 0.0))
         np.testing.assert_allclose(np.abs(cf.values), 0, atol=1e-12)
-        assert not cf.heuristic
 
     def test_field_only_bands(self):
         # oracle: dense eigensolver on the assembled matrix
@@ -362,15 +369,30 @@ class TestClosedFormSpectrum:
                 closed_form_spectrum(model, k).values, np.sort_complex(grid[0]), atol=1e-13
             )
 
-    def test_field_only_heuristic_flag(self, rng):
-        herm = ModelConfig(Variant.MAG_MODEL, Coupling3(1, 1, 1), b_field=(0, 0, 0.7))
-        assert not closed_form_spectrum(herm, (0.1, 0.7)).heuristic
+    def test_field_only_complex_couplings_exact(self):
         nh = ModelConfig(Variant.MAG_MODEL, Coupling3(1, 1, E3), b_field=(0, 0, 0.7))
         cf = closed_form_spectrum(nh, (0.1, 0.7))
-        assert cf.heuristic
-        # heuristic or not, it must agree with the dense solver
         dense = eig(bloch_hamiltonian(nh, (0.1, 0.7)).entries).eigenvalues
         assert match_eigenvalue_sets(cf.values, dense) < 1e-10
+
+    @settings(max_examples=200)
+    @given(
+        j=st.tuples(*[st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)] * 3),
+        b=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+        energy_scale=st.sampled_from(("raw", "half")),
+        k=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+    )
+    def test_field_only_bands_match_eig(self, j, b, energy_scale, k):
+        # without DMI every bond is j_alpha times the flavour identity, which
+        # commutes with the onsite field: the bands are exact for any complex j
+        model = ModelConfig(Variant.MAG_MODEL, Coupling3(*j), b_field=b, energy_scale=energy_scale)
+        cf = closed_form_spectrum(model, k).values
+        scale = max(1.0, np.abs(cf).max())
+        f_k, f_mk = structure_factor(model.j, k), structure_factor(model.j, np.negative(k))
+        # the pair gap |g| closes at an EP, where the dense solver loses about sqrt(eps)
+        assume(2.0 * model.scale_factor * abs(f_k * f_mk) ** 0.5 >= 1e-3 * scale)
+        dense = eig(bloch_hamiltonian(model, k).entries).eigenvalues
+        assert match_eigenvalue_sets(cf, dense) <= 1e-10 * scale
 
 
 class TestBranchSqrt:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -474,7 +475,6 @@ class TestClassifierThresholds:
             ("edge_mass", 0.0, r"edge_mass must be > 0, got 0\.0"),
             ("ipr_factor", -1.0, r"ipr_factor must be > 0, got -1\.0"),
             ("cloud_tol", float("nan"), r"cloud_tol must be > 0, got nan"),
-            ("edge_cap", -1, r"edge_cap must be >= 0, got -1"),
         ],
     )
     def test_out_of_range_field_raises(self, field, value, message):
@@ -484,7 +484,7 @@ class TestClassifierThresholds:
             ribbon.ClassifierThresholds(**{field: value})
 
     def test_edges_of_the_ranges_are_accepted(self):
-        ribbon.ClassifierThresholds(outer_frac=0.5, edge_cap=0, edge_mass=1e-9, ipr_factor=1e-9, cloud_tol=1e-9)
+        ribbon.ClassifierThresholds(outer_frac=0.5, edge_mass=1e-9, ipr_factor=1e-9, cloud_tol=1e-9)
 
 
 class TestEdgeModeWeights:
@@ -522,13 +522,22 @@ class TestEdgeModeWeights:
     def test_empty_selection_rejected(self):
         model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
         with pytest.raises(ValueError):
-            edge_mode_weights(model, 8, 0.5, states=[])
-        with pytest.raises(ValueError):
             edge_mode_weights(model, 8, 0.5, states=0)
-        # indices outside [0, 6w): no wrap-around from the end, no bare IndexError
-        for states in ([-1, 0], [48]):
-            with pytest.raises(ValueError, match=r"state indices must lie in \[0, 48\)"):
-                edge_mode_weights(model, 8, 0.5, states=states)
+
+    def test_numpy_integer_selects_as_int(self):
+        model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, E3))
+        idx, vals, profiles = edge_mode_weights(model, 8, 0.5, states=3)
+        for states in (np.int64(3), np.int32(3)):
+            got = edge_mode_weights(model, 8, 0.5, states=states)
+            np.testing.assert_array_equal(got[0], idx)
+            assert got[1].tobytes() == vals.tobytes() and got[2].tobytes() == profiles.tobytes()
+
+    @pytest.mark.parametrize("states", [True, False, np.bool_(True), 2.0, [0, 1], "3"])
+    def test_non_integer_selection_rejected(self, states):
+        model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
+        # the error names the value; a bool is no count of states
+        with pytest.raises(ValueError, match=r"states must be an integer .* got " + re.escape(repr(states))):
+            edge_mode_weights(model, 8, 0.5, states=states)
 
 
 class TestSweepAndSummary:
@@ -660,9 +669,7 @@ class TestSweepAndSummary:
             records=rec,
             pbc_reference=[CloudIntervals(bounds=np.array([[0.0, 1.0]]))] * 4,
             thresholds=ribbon.ClassifierThresholds(),
-            max_residual=0.0,
-            max_residual_kx=kxs[0],
-            strip_solves={},
+            solves=ribbon.SolveLog(),
         )
         summ = nhse_summary(res)
         assert [(s.n_edge, s.n_bulk) for s in summ.per_kx] == [(1, 3), (0, 4), (1, 3), (2, 2)]
@@ -778,9 +785,9 @@ class TestChunkedSweep:
             alone = pbc_cloud_intervals(model, kx, 32)
             assert cloud.bounds.tobytes() == alone.bounds.tobytes()
             assert localization_profile(s, w, alone).tobytes() == row.tobytes()
-        assert ref.strip_solves == one.strip_solves == solves
-        assert ref.max_residual == max(residuals)
-        assert ref.max_residual_kx == one.max_residual_kx == kxs[int(np.argmax(residuals))]
+        assert ref.solves.strip_solves == one.solves.strip_solves == solves
+        assert ref.solves.max_residual == max(residuals)
+        assert ref.solves.max_residual_kx == one.solves.max_residual_kx == kxs[int(np.argmax(residuals))]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_strip_solves_count_a_fallback_inside_a_chunk(self, threads):
@@ -793,7 +800,7 @@ class TestChunkedSweep:
             solves[diagonalize_ribbon(RibbonSpec(w=w, boundary_y="open", k_x=kx, model=model)).path] += 1
         assert solves["dense_fallback"] > 0
         assert ribbon._kx_per_chunk(model, w) >= len(kxs)  # one chunk at threads=1
-        assert sweep(model, w, kxs, n_transverse=32, threads=threads).strip_solves == solves
+        assert sweep(model, w, kxs, n_transverse=32, threads=threads).solves.strip_solves == solves
 
     def test_kx_per_chunk_follows_the_entry_cap(self, monkeypatch):
         # w=52: one k_x of a dense strip per call, four of a species strip

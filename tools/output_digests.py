@@ -5,8 +5,9 @@ Usage::
     python tools/output_digests.py [--src DIR] > digests.txt
 
 Runs every command on small grids in process, with BLAS at one thread, for
-the pure Yao-Lee model, the K model (Hermitian and not), the Gamma model
-and the field+DMI model, plus ``ribbon-sweep`` of the non-Hermitian K and
+the pure Yao-Lee model, the K model (Hermitian and not), the Gamma model,
+the field+DMI model and the field-only model (no DMI, whose bands have a
+closed form), plus ``ribbon-sweep`` of the non-Hermitian K and
 the Gamma model at ``threads: 2`` (chunked, threaded sweeps) and
 ``reproduce`` of fig2a-like, fig2b-like, fig2c-like (a species strip whose
 gauge ratio |r| is not 1), fig3b, fig6a and the profile preset fig8 at a
@@ -43,6 +44,8 @@ MODELS = {
     "gamma": f"variant: gamma_model\n  j: [2, 1, {E3}]\n  gamma: 0.4\n  energy_scale: half",
     "mag": "variant: mag_model\n  j: [1, 1, {mod: 1, phase_over_pi: 0.3333333333333333}]\n"
            "  d: 0.5\n  b_field: [0.0, 0.0, 0.7]\n  energy_scale: half",
+    "mag_field": "variant: mag_model\n  j: [1, 1, {mod: 1, phase_over_pi: 0.3333333333333333}]\n"
+                 "  d: 0\n  b_field: [0.0, 0.0, 0.7]\n  energy_scale: half",
 }
 
 GRID = "grid:\n  w: 8\n  kx_n: 8\n  n_transverse: 64\n  bz_n: 32\n  arc_grid_n: 64\n  kx: 0.7\n  n_states: 6\n"
@@ -56,7 +59,7 @@ def corpus():
     """(run name, command, config text without its output block, extra output keys)."""
     for model, block in MODELS.items():
         for command in COMMANDS:
-            if command == "skin-check" and model in ("gamma", "mag"):
+            if command == "skin-check" and model in ("gamma", "mag", "mag_field"):
                 continue  # skin-check refuses the models that mix the species
             yield f"{command}_{model}", command, f"command: {command}\nmodel:\n  {block}\n{GRID}", ""
     for model in ("k_nonherm", "gamma"):
