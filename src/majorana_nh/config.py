@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
@@ -110,9 +110,9 @@ def _at_least(low):
 def _threshold(located, name):
     """Real parser of a classifier threshold, held to the range :class:`ClassifierThresholds` checks."""
     v = _as_real(located, name)
-    block, _, field = name.rpartition(".")
+    block, _, key = name.rpartition(".")
     try:
-        ClassifierThresholds(**{field: v})
+        ClassifierThresholds(**{key: v})
     except ValueError as exc:
         _err(f"{block}.{exc}", located)
     return v
@@ -150,50 +150,75 @@ def _check_keys(located, allowed, context):
             _err(f"unknown key {context}{key!r}", located.value[key])
 
 
+def _choice(*options):
+    """String parser that accepts only ``options``."""
+
+    def cast(located, name):
+        v = _as_str(located, name)
+        if v not in options:
+            _err(f"{name} must be " + " or ".join(map(repr, options)), located)
+        return v
+
+    return cast
+
+
+def _as_bool(located, name):
+    v = located.value
+    if not isinstance(v, bool):
+        _err(f"{name}: expected true/false", located)
+    return v
+
+
+def _parse_formats(located, name):
+    v = located.value
+    if not isinstance(v, list):
+        _err(f"{name}: expected a list of formats", located)
+    formats = tuple(_as_str(x, name) for x in v)
+    for i, fmt in enumerate(formats):
+        if fmt not in ("csv", "json", "ndjson"):
+            _err(f"{name}: unknown format {fmt!r}", located)
+        if fmt in formats[:i]:
+            _err(f"{name}: format {fmt!r} listed twice", located)
+    return formats
+
+
+def _key(default, cast):
+    """A config key's field: its default and its parser ``cast(located, name)``."""
+    return field(default=default, metadata={"cast": cast})
+
+
 @dataclass
 class GridConfig:
-    bz_n: int = 128
-    w: int = 52
-    kx_n: int = 402
-    n_transverse: int = 512
-    arc_grid_n: int = 256
-    kx: float = 2.0 * math.pi / 3.0  # snapshot momentum for localization profiles
-    n_states: int = 0  # 0 = all states
-
-
-#: smallest valid value of the grid keys that have one
-_GRID_MIN = {"bz_n": 1, "w": 2, "kx_n": 1, "n_transverse": 1, "arc_grid_n": 2, "n_states": 0}
+    bz_n: int = _key(128, _at_least(1))
+    w: int = _key(52, _at_least(2))
+    kx_n: int = _key(402, _at_least(1))
+    n_transverse: int = _key(512, _at_least(1))
+    arc_grid_n: int = _key(256, _at_least(2))
+    kx: float = _key(2.0 * math.pi / 3.0, _as_real)  # snapshot momentum for localization profiles
+    n_states: int = _key(0, _at_least(0))  # 0 = all states
 
 
 @dataclass
 class ToleranceConfig:
-    gap_tol: float | None = None
-    overlap_tol: float = 1e-4
-    edge_mass: float = ClassifierThresholds.edge_mass
-    outer_frac: float = ClassifierThresholds.outer_frac
-    ipr_factor: float = ClassifierThresholds.ipr_factor
-    cloud_tol: float = ClassifierThresholds.cloud_tol
-    nhse_fraction: float = 0.05
+    gap_tol: float | None = _key(None, _bounded(lambda v: v > 0.0, "> 0"))
+    overlap_tol: float = _key(1e-4, _bounded(lambda v: 0.0 < v < 1.0, "in (0, 1)"))
+    edge_mass: float = _key(ClassifierThresholds.edge_mass, _threshold)
+    outer_frac: float = _key(ClassifierThresholds.outer_frac, _threshold)
+    ipr_factor: float = _key(ClassifierThresholds.ipr_factor, _threshold)
+    cloud_tol: float = _key(ClassifierThresholds.cloud_tol, _threshold)
+    nhse_fraction: float = _key(0.05, _bounded(lambda v: 0.0 <= v < 1.0, "in [0, 1)"))
 
     def classifier(self) -> ClassifierThresholds:
         return ClassifierThresholds(**{f.name: getattr(self, f.name) for f in fields(ClassifierThresholds)})
 
 
-#: range of the tolerance keys that are not classifier thresholds
-_TOLERANCE_RANGES = {
-    "gap_tol": _bounded(lambda v: v > 0.0, "> 0"),
-    "overlap_tol": _bounded(lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "nhse_fraction": _bounded(lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-}
-
-
 @dataclass
 class OutputConfig:
-    directory: str = "out"
-    formats: tuple = ("csv", "json")
-    svg: bool = True
-    prefix: str = "run"
-    weight_scale: str = "linear"  # or "log01" for profile exports
+    directory: str = _key("out", _as_str)
+    formats: tuple = _key(("csv", "json"), _parse_formats)
+    svg: bool = _key(True, _as_bool)
+    prefix: str = _key("run", _as_str)
+    weight_scale: str = _key("linear", _choice("linear", "log01"))
 
 
 @dataclass
@@ -230,18 +255,6 @@ def _vector(n, item, what):
         if not isinstance(located.value, list) or len(located.value) != n:
             _err(f"{name} {what}", located)
         return tuple(item(c, f"{name}[{i}]") for i, c in enumerate(located.value))
-
-    return cast
-
-
-def _choice(*options):
-    """String parser that accepts only ``options``."""
-
-    def cast(located, name):
-        v = _as_str(located, name)
-        if v not in options:
-            _err(f"{name} must be " + " or ".join(map(repr, options)), located)
-        return v
 
     return cast
 
@@ -289,21 +302,17 @@ def parse_model_block(located) -> ModelConfig:
         _err(f"invalid model block: {exc}", located)
 
 
-def _fill_dataclass(obj, located, context, casts):
-    """``obj`` with the keys of the block ``located`` set on it."""
+def _fill_dataclass(obj, located, context):
+    """``obj`` with the keys of the block ``located`` set on it, each read by its field's parser."""
     if located is None:
         return obj
     if not isinstance(located.value, dict):
         _err(f"{context} block must be a mapping", located)
+    casts = {f.name: f.metadata["cast"] for f in fields(obj)}
     _check_keys(located, set(casts), f"{context}.")
     for key, loc in located.value.items():
         setattr(obj, key, casts[key](loc, f"{context}.{key}"))
     return obj
-
-
-def _numeric_casts(cls):
-    """Parsers for a block of numbers: integer where the default is an integer."""
-    return {f.name: _as_int if type(f.default) is int else _as_real for f in fields(cls)}
 
 
 def parse_config(text: str, preset: str | None = None) -> RunConfig:
@@ -355,26 +364,12 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
 
         grid.w = get_preset(preset).w
 
-    grid_casts = _numeric_casts(GridConfig) | {k: _at_least(v) for k, v in _GRID_MIN.items()}
-    grid = _fill_dataclass(grid, block.get("grid"), "grid", grid_casts)
+    grid = _fill_dataclass(grid, block.get("grid"), "grid")
     if command == "ep-find" and grid.bz_n < MIN_SCAN_GRID_N:
         msg = f"grid.bz_n must be >= {MIN_SCAN_GRID_N} for ep-find, got {grid.bz_n}"
         _err(msg, block["grid"].value["bz_n"])
-    thresholds = dict.fromkeys((f.name for f in fields(ClassifierThresholds)), _threshold)
-    tol_casts = _numeric_casts(ToleranceConfig) | thresholds | _TOLERANCE_RANGES
-    tol = _fill_dataclass(ToleranceConfig(), block.get("tolerance"), "tolerance", tol_casts)
-    out = _fill_dataclass(
-        OutputConfig(),
-        block.get("output"),
-        "output",
-        {
-            "directory": _as_str,
-            "formats": lambda loc, name: _parse_formats(loc, name),
-            "svg": lambda loc, name: _as_bool(loc, name),
-            "prefix": _as_str,
-            "weight_scale": _choice("linear", "log01"),
-        },
-    )
+    tol = _fill_dataclass(ToleranceConfig(), block.get("tolerance"), "tolerance")
+    out = _fill_dataclass(OutputConfig(), block.get("output"), "output")
 
     threads = _at_least(1)(block["threads"], "threads") if "threads" in block else 1
 
@@ -387,26 +382,6 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
         preset=preset,
         threads=threads,
     )
-
-
-def _as_bool(located, name):
-    v = located.value
-    if not isinstance(v, bool):
-        _err(f"{name}: expected true/false", located)
-    return v
-
-
-def _parse_formats(located, name):
-    v = located.value
-    if not isinstance(v, list):
-        _err(f"{name}: expected a list of formats", located)
-    formats = tuple(_as_str(x, name) for x in v)
-    for i, fmt in enumerate(formats):
-        if fmt not in ("csv", "json", "ndjson"):
-            _err(f"{name}: unknown format {fmt!r}", located)
-        if fmt in formats[:i]:
-            _err(f"{name}: format {fmt!r} listed twice", located)
-    return formats
 
 
 def _plain(value):

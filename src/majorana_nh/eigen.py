@@ -10,10 +10,13 @@ couplings), :func:`eig_chiral` for chiral matrices [[0, B], [C, 0]]
 dimension, and :func:`eig_species` for the species strips of
 flavour-conserving models, solved in closed form from four bond scalars:
 an open strip's B C is tridiagonal Toeplitz with one defect (its roots
-found by Newton's method), a periodic strip's blocks are circulant.  Every
-fast route certifies its pairs by their residuals and falls back to
-:func:`eig` where they miss.  :func:`one_blas_thread` holds the bundled
-OpenBLAS at one thread for callers that run solves side by side.
+found by Newton's method), a periodic strip's blocks are circulant.
+:func:`chiral_blocks` lays out B and C of every strip from its bond terms,
+the species blocks included.  Every fast route certifies its pairs by their
+residuals and falls back to :func:`eig` where they miss; a matrix whose
+norm overflows is certified by nothing and raises.  :func:`one_blas_thread`
+holds the bundled OpenBLAS at one thread for callers that run solves side
+by side.
 """
 
 from __future__ import annotations
@@ -254,7 +257,8 @@ def _solve(a, tol, norm):
     w, v = _sort_pairs(w, v)
     v = _unit_columns(v)
     res = _residuals(a, w, v, norm)
-    bad = res > tol[:, None]
+    # a nan residual misses tol; a matrix whose norm overflowed cannot be polished
+    bad = ~(res <= tol[:, None]) & np.isfinite(norm)[:, None]
     hit = np.flatnonzero(bad.any(axis=-1))
     if hit.size:
         wp, vp = _polish(a[hit], w[hit], v[hit], bad[hit], norm[hit])
@@ -284,23 +288,24 @@ def _certified(stack, tol, w, v, res, flags, norm, routes) -> Spectrum:
         matrix_norm=norm.reshape(stack) if stack else float(norm[0]),
         routes=routes.reshape(stack) if stack else str(routes[0]),
     )
-    failed = np.flatnonzero(achieved > tol)
+    # residuals over an overflowed norm read 0 or nan and certify nothing
+    failed = np.flatnonzero(~(achieved <= tol) | ~np.isfinite(norm))
     if failed.size:
         f = failed[0]
         where = f" in matrix {list(map(int, np.unravel_index(f, stack)))}" if stack else ""
-        raise ConvergenceError(
-            f"residual target {tol[f]:g} unmet{where} (achieved {achieved[f]:g})",
-            result=spectrum,
-        )
+        unmet = (f"residual target {tol[f]:g} unmet{where} (achieved {achieved[f]:g})" if np.isfinite(norm[f])
+                 else f"matrix norm overflowed{where}: its residuals certify nothing")
+        raise ConvergenceError(unmet, result=spectrum)
     return spectrum
 
 
 def _certified_or_redone(stack, tol, w, v, res, flags, norm, path, failed, dense) -> Spectrum:
     """:func:`_certified` for a fast route, after the dense :func:`eig` route redid what it left uncertified.
 
-    Redone: the matrices ``failed`` marks or whose pairs miss ``tol``, built by ``dense(indices)``.
+    Redone: the matrices ``failed`` marks, whose pairs miss ``tol`` or whose
+    norm overflowed, built by ``dense(indices)``.
     """
-    redo = np.flatnonzero(failed | (res > tol[:, None]).any(axis=-1))
+    redo = np.flatnonzero(failed | ~(res <= tol[:, None]).all(axis=-1) | ~np.isfinite(norm))
     routes = _routes(len(w), path)
     if redo.size:
         w[redo], v[redo], res[redo] = _solve(dense(redo), tol[redo], norm[redo])
@@ -317,7 +322,7 @@ def eig(matrix, tol: float | np.ndarray | None = None) -> Spectrum:
     :func:`default_tol` of n) is a scalar or broadcasts to the stack shape.
     Raises ValueError on non-square, empty or non-finite input and
     :class:`ConvergenceError` (naming the first failing matrix, whole result
-    attached) if the residual target is missed.
+    attached) if the residual target is missed or the norm overflows.
     """
     a, stack, tol, _ = _stack(matrix, tol)
     norm = frobenius_norms(a)
@@ -486,28 +491,33 @@ def eig_chiral(b, c, tol: float | np.ndarray | None = None) -> Spectrum:
     # the pairs must also form one spectrum: sum E**2 = tr H**2 = 2 tr(B C),
     # which Ritz values of an ill-conditioned cluster can break
     trace_gap = np.abs((w * w).sum(axis=-1) - 2.0 * np.einsum("kij,kji->k", b, c))
-    failed = ~resolved | (trace_gap > _TRACE_GAP * np.maximum(1.0, norm) ** 2)
+    failed = ~resolved | ~(trace_gap <= _TRACE_GAP * np.maximum(1.0, norm) ** 2)
     return _certified_or_redone(stack, tol, w, v, res, _defective_flags(v), norm, "chiral", failed,
                                 lambda redo: chiral_matrix(b[redo], c[redo]))
 
 
-def species_blocks(bonds, w: int, periodic: bool = False):
-    """The w x w blocks B and C of the bond scalars ``(..., 4)`` (bd, bs, cd, cs) of :func:`eig_species`."""
-    bonds = np.asarray(bonds, dtype=complex)
-    b = np.zeros((*bonds.shape[:-1], w, w), dtype=complex)
+def chiral_blocks(terms, w: int, periodic: bool = False):
+    """The blocks B = I (x) Bd + L (x) Bs and C = I (x) Cd + L^T (x) Cs ``(..., w m, w m)`` of chiral strips of ``w`` rows.
+
+    ``terms`` ``(..., 4, m, m)`` holds Bd, Bs, Cd and Cs; L is the lower row
+    shift, wrapped around when ``periodic``.  A species block is the m = 1
+    case, its bond scalars ``bonds[..., None, None]``.
+    """
+    *stack, _, m, _ = terms.shape
+    b = np.zeros((*stack, w, m, w, m), dtype=complex)
     c = np.zeros_like(b)
     r = np.arange(w)
     lo = r if periodic else r[:-1]
     up = (lo + 1) % w
-    b[..., r, r] = bonds[..., 0, None]
-    b[..., up, lo] = bonds[..., 1, None]
-    c[..., r, r] = bonds[..., 2, None]
-    c[..., lo, up] = bonds[..., 3, None]
-    return b, c
+    b[..., r, :, r, :] = terms[..., 0, :, :]
+    b[..., up, :, lo, :] = terms[..., 1, :, :]
+    c[..., r, :, r, :] = terms[..., 2, :, :]
+    c[..., lo, :, up, :] = terms[..., 3, :, :]
+    return b.reshape(*stack, w * m, w * m), c.reshape(*stack, w * m, w * m)
 
 
 def species_norms(bonds, w: int, periodic: bool = False) -> np.ndarray:
-    """``||B||_F**2 + ||C||_F**2`` of the blocks of :func:`species_blocks`, in closed form: ``(...)``."""
+    """``||B||_F**2 + ||C||_F**2`` of the species blocks of bond scalars ``(..., 4)``, in closed form: ``(...)``."""
     sq = np.abs(np.asarray(bonds, dtype=complex)) ** 2
     links = w if periodic else w - 1
     return w * (sq[..., 0] + sq[..., 2]) + links * (sq[..., 1] + sq[..., 3])
@@ -667,19 +677,20 @@ def eig_species(bonds, w: int, *, periodic: bool = False, tol: float | np.ndarra
 
     ``bonds`` is ``(..., 4)``: bd and bs of B = bd I + bs L, cd and cs of
     C = cd I + cs L^T, with L the lower shift (wrapped around when
-    ``periodic``), so the blocks are those of :func:`species_blocks`.  The
-    result is that of :func:`eig` on the 2w x 2w matrices H (basis: the w
-    rows of B, then the w rows of C), with ``tol`` defaulting to
-    :func:`default_tol` of 2w and ``norm`` as in :func:`eigh`.  No LAPACK
-    call: an open strip's B C is tridiagonal Toeplitz with one defect and
-    is solved by its roots (:func:`_species_open`), a periodic strip's
-    blocks are circulant (:func:`_species_periodic`).  The pairs are
-    certified as by :func:`eig_chiral`, by their residuals on H (B and C
-    applied as bidiagonal products) and by the trace identity on the
-    block's own norm; a block with a non-finite root or vector, a pair
-    that misses ``tol`` or a set that misses the identity is solved again
-    by the dense :func:`eig` route of its H, built for it alone.  ``path``
-    is "species", or "dense_fallback" when some block took that route.
+    ``periodic``): the m = 1 case of :func:`chiral_blocks`.  The result is
+    that of :func:`eig` on the 2w x 2w matrices H (basis: the w rows of B,
+    then the w rows of C), with ``tol`` defaulting to :func:`default_tol`
+    of 2w and ``norm`` as in :func:`eigh`.  No LAPACK call: an open strip's
+    B C is tridiagonal Toeplitz with one defect and is solved by its roots
+    (:func:`_species_open`), a periodic strip's blocks are circulant
+    (:func:`_species_periodic`).  The pairs are certified as by
+    :func:`eig_chiral`, by their residuals on H (B and C applied as
+    bidiagonal products) and by the trace identity on the block's own norm;
+    a block with a non-finite root, vector or norm, a pair that misses
+    ``tol`` or a set that misses the identity is solved again by the dense
+    :func:`eig` route of its H, laid out for it alone by
+    :func:`chiral_blocks`.  ``path`` is "species", or "dense_fallback" when
+    some block took that route.
     """
     bonds = np.asarray(bonds, dtype=complex)
     if bonds.ndim < 1 or bonds.shape[-1] != 4 or bonds.size == 0:
@@ -710,9 +721,9 @@ def eig_species(bonds, w: int, *, periodic: bool = False, tol: float | np.ndarra
     order = np.lexsort((w_all.imag, w_all.real), axis=-1)
     w_all, res = np.take_along_axis(w_all, order, -1), np.take_along_axis(res, order, -1)
     v = np.take_along_axis(v, order[:, None, :], -1)
-    failed = ~finite | (trace_gap > _TRACE_GAP * np.maximum(1.0, own) ** 2)
+    failed = ~finite | ~(trace_gap <= _TRACE_GAP * np.maximum(1.0, own) ** 2)
     return _certified_or_redone(stack, tol, w_all, v, res, _defective_flags(v), norm, "species", failed,
-                                lambda redo: chiral_matrix(*species_blocks(flat[redo], w, periodic)))
+                                lambda redo: chiral_matrix(*chiral_blocks(flat[redo, :, None, None], w, periodic)))
 
 
 def min_singular_value(matrix) -> float:

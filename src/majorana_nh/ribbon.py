@@ -83,57 +83,34 @@ class RibbonSpec:
         _check_strip(self.w, self.boundary_y)
 
 
-def _bond_blocks(w, k_x, periodic, t_x, t_y, t_z, scale):
-    """The sublattice-offdiagonal blocks B (A <- B) and C (B <- A) of strips at the momenta ``k_x``.
+def _bond_terms(model: ModelConfig, k_x) -> np.ndarray:
+    """The bond terms ``(k, 4, m, m)`` of :func:`eigen.chiral_blocks` for the strips at the momenta ``k_x``.
 
-    ``t_*`` are the m x m flavour blocks per bond, and B and C one
-    ``(w, m, w, m)`` (row, flavour)^2 array per k_x: shape ``(k, w, m, w,
-    m)``.  Filled with no loop over rows or k_x; for w >= 2 no two bonds
-    share an entry.
+    Bd, the intra-row bond sum, and Bs, the z-link from row r's B site to
+    row r+1's A site, fill B (A <- B); Cd and Cs, the same bonds at -k_x and
+    transposed, fill C (B <- A).
     """
+    t_x, t_y, t_z = flavour_bond_table(model).t
     px = np.exp(0.5j * np.asarray(k_x, dtype=float)).reshape(-1, 1, 1)
-    k, m = px.shape[0], t_x.shape[0]
-    b = np.zeros((k, w, m, w, m), dtype=complex)
-    c = np.zeros((k, w, m, w, m), dtype=complex)
-    r = np.arange(w)
-    b[:, r, :, r, :] = 2j * (t_x * px + t_y / px)
-    c[:, r, :, r, :] = np.swapaxes(-2j * (t_x / px + t_y * px), -1, -2)  # intra-row bond sum at -k_x
-    # z-links join row r's B site to row r+1's A site; a periodic strip wraps
-    lo = r if periodic else r[:-1]
-    up = (lo + 1) % w
-    b[:, up, :, lo, :] = 2j * t_z
-    c[:, lo, :, up, :] = -2j * t_z.T
-    return b * scale, c * scale
-
-
-def _species_bonds(t, k_x, n, scale):
-    """Bond scalars ``(k, n, 4)`` (bd, bs, cd, cs) of the first ``n`` flavours' blocks of :func:`_bond_blocks`.
-
-    Flavour fl's B block is bd on the diagonal and bs below it, its C block
-    cd on the diagonal and cs above it (each wrapped round on a periodic
-    strip).  All three flavours are computed, as in :func:`_bond_blocks`,
-    so that the scalars round as its entries do whatever ``n`` is.
-    """
-    t_x, t_y, t_z = (np.diagonal(x) for x in t)
-    px = np.exp(0.5j * np.asarray(k_x, dtype=float))[:, None]
-    bd = 2j * (t_x * px + t_y / px) * scale
-    cd = -2j * (t_x / px + t_y * px) * scale
-    bs, cs = np.broadcast_to(2j * t_z * scale, bd.shape), np.broadcast_to(-2j * t_z * scale, bd.shape)
-    return np.stack([bd, bs, cd, cs], axis=-1)[:, :n]
+    scale = model.scale_factor
+    bd = (2j * (t_x * px + t_y / px)) * scale
+    cd = np.swapaxes((-2j * (t_x / px + t_y * px)) * scale, -1, -2)
+    bs, cs = (2j * t_z) * scale, (-2j * t_z.T) * scale
+    return np.stack(np.broadcast_arrays(bd, bs, cd, cs), axis=1)
 
 
 def _strip_matrices(model: ModelConfig, w, k_x, periodic) -> np.ndarray:
-    """The dense ``(k, 6w, 6w)`` strip matrices at the momenta ``k_x``."""
-    t = flavour_bond_table(model)
-    m, scale = t.onsite.shape[0], model.scale_factor
-    b, c = _bond_blocks(w, k_x, periodic, *t.t, scale)
-    k = b.shape[0]
+    """The dense ``(k, 6w, 6w)`` strip matrices at the momenta ``k_x``: :func:`eigen.chiral_blocks` plus the onsite term."""
+    terms = _bond_terms(model, k_x)
+    k, m = terms.shape[0], terms.shape[-1]
+    b, c = eigen.chiral_blocks(terms, w, periodic)
     h = np.zeros((k, w, 2, m, w, 2, m), dtype=complex)
-    h[:, :, 0, :, :, 1, :] = b
-    h[:, :, 1, :, :, 0, :] = c
+    h[:, :, 0, :, :, 1, :] = b.reshape(k, w, m, w, m)
+    h[:, :, 1, :, :, 0, :] = c.reshape(k, w, m, w, m)
     r = np.arange(w)
-    h[:, r, 0, :, r, 0, :] = 2j * t.onsite * scale
-    h[:, r, 1, :, r, 1, :] = 2j * t.onsite * scale
+    onsite = 2j * flavour_bond_table(model).onsite * model.scale_factor
+    h[:, r, 0, :, r, 0, :] = onsite
+    h[:, r, 1, :, r, 1, :] = onsite
     return h.reshape(k, 2 * w * m, 2 * w * m)
 
 
@@ -142,8 +119,9 @@ def build_ribbon(spec: RibbonSpec) -> np.ndarray:
 
     Satisfies the Majorana antisymmetry ``H(k_x) = -H(-k_x)^T``; Hermitian
     whenever every coupling of the model is real.  Basis: (row, sublattice,
-    flavour), so the A <- B and B <- A blocks of :func:`_bond_blocks` fill
-    the sublattice-offdiagonal entries and the onsite term the diagonal ones.
+    flavour), so the A <- B and B <- A blocks of :func:`eigen.chiral_blocks`,
+    laid out from :func:`_bond_terms`, fill the sublattice-offdiagonal
+    entries and the onsite term the diagonal ones.
     """
     return _strip_matrices(spec.model, spec.w, [spec.k_x], spec.boundary_y == "periodic")[0]
 
@@ -228,15 +206,15 @@ class _Strips:
 def _solve_strips(model: ModelConfig, w, k_x, periodic, tol=None) -> _Strips:
     """The solve of :func:`diagonalize_ribbon` at the momenta ``k_x``, in one stacked :mod:`eigen` call.
 
-    A flavour-conserving strip passes the bond scalars of its (k_x, species)
-    blocks (:func:`_species_bonds`) and the strip's Frobenius norm, taken
-    in closed form from them, to :func:`eigen.eig_species`, or, when
-    Hermitian, its blocks built from them to :func:`eigen.eigh`; no
-    ``(w, 3, w, 3)`` bond block is built.  Other bond-only strips pass
-    their :func:`_bond_blocks` to :func:`eigen.eig_chiral` or
-    :func:`eigen.eigh`, and strips with a field their dense matrices to
-    :func:`eigen.eig` or :func:`eigen.eigh`.  Each matrix of the stack gets
-    the result it would get alone.
+    Bond-only strips start from their :func:`_bond_terms`.  A
+    flavour-conserving strip passes the bond scalars of its (k_x, species)
+    blocks (the terms' flavour diagonals) and the strip's Frobenius norm,
+    taken in closed form from them, to :func:`eigen.eig_species`, or, when
+    Hermitian, their :func:`eigen.chiral_blocks` to :func:`eigen.eigh`.
+    Other bond-only strips pass their :func:`eigen.chiral_blocks` to
+    :func:`eigen.eig_chiral` or :func:`eigen.eigh`, and strips with a field
+    their dense matrices to :func:`eigen.eig` or :func:`eigen.eigh`.  Each
+    matrix of the stack gets the result it would get alone.
     """
     k_x = np.atleast_1d(np.asarray(k_x, dtype=float))
     k, hermitian = k_x.size, model.hermitian
@@ -249,20 +227,22 @@ def _solve_strips(model: ModelConfig, w, k_x, periodic, tol=None) -> _Strips:
         h = lone(_strip_matrices(model, w, k_x, periodic))
         return _Strips((eigen.eigh if hermitian else eigen.eig)(h, tol=tol), k, w, None, False)
 
-    t = flavour_bond_table(model).t
+    terms = _bond_terms(model, k_x)
     sets = species(model)
     if sets is None:
-        b, c = (lone(x.reshape(k, 3 * w, 3 * w)) for x in _bond_blocks(w, k_x, periodic, *t, model.scale_factor))
+        b, c = (lone(x) for x in eigen.chiral_blocks(terms, w, periodic))
         # a Hermitian strip by dense zheevd at the full size, which beats the half-size product route
         s = eigen.eigh(eigen.chiral_matrix(b, c), tol=tol) if hermitian else eigen.eig_chiral(b, c, tol=tol)
         return _Strips(s, k, w, None, True)
-    bonds = _species_bonds(t, k_x, len(sets), model.scale_factor)
+    # (k, species, 4): a species' bd, bs, cd and cs are its flavour's diagonal entries of the terms
+    bonds = np.diagonal(terms, axis1=-2, axis2=-1)[..., : len(sets)].swapaxes(-1, -2)
     # the strip's norm: each species block stands for 3 / len(sets) flavours
     norm = np.sqrt(eigen.species_norms(bonds, w, periodic).sum(axis=-1) * (3 // len(sets)))
     block_norm = np.repeat(norm, len(sets))
     bonds = bonds.reshape(-1, 4)
     if hermitian:
-        s = eigen.eigh(eigen.chiral_matrix(*eigen.species_blocks(bonds, w, periodic)), tol=tol, norm=block_norm)
+        blocks = eigen.chiral_blocks(bonds[..., None, None], w, periodic)
+        s = eigen.eigh(eigen.chiral_matrix(*blocks), tol=tol, norm=block_norm)
     else:
         s = eigen.eig_species(bonds, w, periodic=periodic, tol=tol, norm=block_norm)
     return _Strips(s, k, w, sets, True, norm)
@@ -278,18 +258,17 @@ def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spec
     :func:`eigen.eig_chiral`, and any other strip by :func:`eigen.eig`.  A
     strip with an onsite field is built whole.  A bond-only strip
     (:attr:`ModelConfig.bond_only`) is chiral, [[0, B], [C, 0]] between the
-    A and B sublattices.  When :func:`~majorana_nh.models.species` keeps
-    the Majorana species apart, each species block is bidiagonal, given by
-    four bond scalars, and the distinct species alone go in one stacked
-    call, certified against the strip's norm (``norm=``); the parent
-    model's one species stands for all three flavours, and each block's
-    eigenpairs are placed on rows ``fl::3`` of its flavours, zero on the
-    others.  Other bond-only strips are solved from their
-    :func:`_bond_blocks`.  Every eigenpair meets ``tol`` (default of size
-    6w) in the residual over the strip's Frobenius norm, after a dense
-    re-solve and a polish where needed, or :class:`ConvergenceError` is
-    raised.  The one-k_x view of the solve :func:`sweep` makes chunk by
-    chunk.
+    A and B sublattices, its blocks laid out by :func:`eigen.chiral_blocks`.
+    When :func:`~majorana_nh.models.species` keeps the Majorana species
+    apart, each species block is bidiagonal, given by four bond scalars,
+    and the distinct species alone go in one stacked call, certified
+    against the strip's norm (``norm=``); the parent model's one species
+    stands for all three flavours, and each block's eigenpairs are placed
+    on rows ``fl::3`` of its flavours, zero on the others.  Every eigenpair
+    meets ``tol`` (default of size 6w) in the residual over the strip's
+    Frobenius norm, after a dense re-solve and a polish where needed, or
+    :class:`ConvergenceError` is raised, as when that norm overflows.  The
+    one-k_x view of the solve :func:`sweep` makes chunk by chunk.
     """
     return _solve_strips(spec.model, spec.w, spec.k_x, spec.boundary_y == "periodic", tol).dense()
 

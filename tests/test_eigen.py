@@ -23,7 +23,6 @@ from majorana_nh import (
     closed_form_spectrum,
     diagonalize_ribbon,
     eig,
-    flavour_bond_table,
     match_eigenvalue_sets,
     min_singular_value,
 )
@@ -211,6 +210,16 @@ def species_solve(b, c, **kwargs):
     return eigen.eig_species(bond_scalars(b, c), b.shape[-1], **kwargs)
 
 
+def strip_bonds(model, k_x, flavour):
+    """The (bd, bs, cd, cs) of one flavour's species block of a strip: its diagonal entries of the bond terms."""
+    return np.diagonal(ribbon._bond_terms(model, [k_x])[0], axis1=-2, axis2=-1)[:, flavour].copy()
+
+
+def scalar_blocks(bonds, w, periodic=False):
+    """The species blocks B and C of bond scalars ``(..., 4)``: the m = 1 case of ``chiral_blocks``."""
+    return eigen.chiral_blocks(np.asarray(bonds)[..., None, None], w, periodic)
+
+
 class TestChiral:
     """``eig_chiral`` keeps the contract of ``eig`` on [[0, B], [C, 0]]."""
 
@@ -378,14 +387,14 @@ class TestSpecies:
         # 1e-12 of 50-digit arithmetic, and eig(B C) lands farther off
         model = get_preset("fig2c-like").model
         w = 40
-        bonds = ribbon._species_bonds(flavour_bond_table(model).t, [0.7], 3, model.scale_factor)[0, flavour]
+        bonds = strip_bonds(model, 0.7, flavour)
         exact = mp_species_energies(bonds, w)
         scale = np.abs(exact).max()
         s = eigen.eig_species(bonds, w)
         assert s.path == "species"
         species_error = match_eigenvalue_sets(s.eigenvalues, exact) / scale
         assert species_error <= 1e-12
-        b, c = eigen.species_blocks(bonds, w)
+        b, c = scalar_blocks(bonds, w)
         mu = np.linalg.eigvals(b @ c)
         dense_error = match_eigenvalue_sets(np.concatenate([np.sqrt(mu), -np.sqrt(mu)]), exact) / scale
         assert dense_error > species_error
@@ -406,7 +415,7 @@ class TestSpecies:
         # 1e3 either way, so that dense eig stays accurate enough to compare
         r = polar(np.exp(log_r[0] * np.log(1e3) / w), log_r[1])
         bonds = bonds_from(polar(*bs), polar(*cs), polar(*rho), r)
-        b, c = eigen.species_blocks(bonds, w, periodic)
+        b, c = scalar_blocks(bonds, w, periodic)
         h = chiral(b, c)
         s = eigen.eig_species(bonds, w, periodic=periodic)
         assert s.path in ("species", "dense_fallback")
@@ -425,12 +434,12 @@ class TestSpecies:
         assert np.isfinite(s.eigenvalues).all() and np.isfinite(s.right_vectors).all()
         assert_certified_on(build_ribbon(spec), s, eigen.default_tol(72))
         # with bd exactly 0, B is nilpotent: the dense route takes the block
-        bonds = ribbon._species_bonds(flavour_bond_table(model).t, [k_x], 1, 1.0)[0, 0]
+        bonds = strip_bonds(model, k_x, 0)
         bonds[0] = 0.0
         s = eigen.eig_species(bonds, 12)
         assert s.path == "dense_fallback"
         assert np.isfinite(s.eigenvalues).all()
-        assert_certified_on(chiral(*eigen.species_blocks(bonds, 12)), s, eigen.default_tol(24))
+        assert_certified_on(chiral(*scalar_blocks(bonds, 12)), s, eigen.default_tol(24))
 
     def test_stack_slices(self, rng):
         # each block of a stack gets the bytes it gets alone, the fallback included
@@ -541,6 +550,26 @@ class TestHermitian:
             eigen.eigh(np.array([[np.nan, 0], [0, 1]]))
         with pytest.raises(ValueError):
             eigen.eigh(np.zeros((0, 3, 3)))
+
+
+class TestOverflowedNorm:
+    """A Frobenius norm that overflows certifies nothing: residuals over it read 0 or nan, and every route raises."""
+
+    @pytest.mark.parametrize("route", ["eig", "eigh", "eig_species"])
+    def test_raises(self, rng, route):
+        h = 1e200 * random_hermitian(rng, 6)
+        solve = {
+            "eig": lambda: eig(h),
+            "eigh": lambda: eigen.eigh(h),
+            "eig_species": lambda: eigen.eig_species(h[0, :4], 5),
+        }[route]
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="^matrix norm overflowed: ") as info:
+            solve()
+        assert info.value.result.matrix_norm == np.inf
+
+    def test_large_finite_norm_is_certified(self, rng):
+        s = eig(1e150 * random_matrix(rng, 6))
+        assert np.isfinite(s.matrix_norm) and s.achieved_tol <= eigen.default_tol(6)
 
 
 class TestAgainstClosedForm:

@@ -764,6 +764,10 @@ output:
              r"tolerance\.outer_frac must be in \(0, 0\.5\], got 0\.0 \(line 7\)"),
             ("localization", "tolerance:\n  outer_frac: 0.6\n",
              r"tolerance\.outer_frac must be in \(0, 0\.5\], got 0\.6 \(line 7\)"),
+            ("ribbon-sweep", "tolerance:\n  edge_mass: 0\n", r"tolerance\.edge_mass must be > 0, got 0\.0 \(line 7\)"),
+            ("localization", "tolerance:\n  ipr_factor: -1\n",
+             r"tolerance\.ipr_factor must be > 0, got -1\.0 \(line 7\)"),
+            ("ribbon-sweep", "tolerance:\n  cloud_tol: 0\n", r"tolerance\.cloud_tol must be > 0, got 0\.0 \(line 7\)"),
             # a tolerance no candidate, pair or verdict can meet, or that every one meets
             ("ep-find", "tolerance:\n  gap_tol: 0\n", r"tolerance\.gap_tol must be > 0, got 0\.0 \(line 7\)"),
             ("ep-find", "tolerance:\n  gap_tol: -1.0\n", r"tolerance\.gap_tol must be > 0, got -1\.0 \(line 7\)"),
@@ -842,6 +846,23 @@ output:
         assert res.returncode == 2
         assert re.search(message, res.stderr), res.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "model",
+        ["variant: pure_yl\n  j: [1.0e+160, 1, [0.5, 0.8]]",
+         "variant: mag_model\n  j: [1.0e+160, 1, [0.5, 0.8]]\n  d: 0.5\n  b_field: [0, 0, 0.7]"],
+        ids=["pure_yl", "mag_model"],
+    )
+    def test_overflowed_norm_exit_3(self, tmp_path, model):
+        # the strip's Frobenius norm overflows, so no residual over it certifies
+        # anything: the run fails as numeric and writes no meta
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"command: ribbon-sweep\nmodel:\n  {model}\ngrid:\n  w: 4\n  kx_n: 2\n  n_transverse: 16\n"
+                       f"output:\n  directory: {tmp_path / 'out'}\n")
+        res = self._run("ribbon-sweep", "--config", str(cfg))
+        assert res.returncode == 3, res.stderr
+        assert "matrix norm overflowed" in res.stderr
+        assert not list(tmp_path.rglob("*_meta.json"))
 
     def test_missing_config_exit_2(self):
         res = self._run("ribbon-sweep", "--config", "/nonexistent/x.yaml")

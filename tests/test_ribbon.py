@@ -829,8 +829,7 @@ class TestChunkedSweep:
         # a solve that fails at k_x = 0.5 only: the chunk's error is traced to
         # that k_x, whose own solve raises the exception that propagates
         model, w = GAMMA_FIG3B, 4
-        t = ribbon.flavour_bond_table(model).t
-        target = ribbon._bond_blocks(w, [0.5], False, *t, model.scale_factor)[0].reshape(3 * w, 3 * w)
+        target = eigen.chiral_blocks(ribbon._bond_terms(model, [0.5]), w)[0][0]
         real, sentinel, seen = eigen.eig_chiral, eig(np.eye(2)), []
 
         def failing(b, c, tol=None):

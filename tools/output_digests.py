@@ -6,14 +6,16 @@ Usage::
 
 Runs every command on small grids in process, with BLAS at one thread, for
 the pure Yao-Lee model, the K model (Hermitian and not), the Gamma model,
-the field+DMI model and the field-only model (no DMI, whose bands have a
-closed form), plus ``ribbon-sweep`` of the non-Hermitian K and
+the field+DMI model, the field-only model (no DMI, whose bands have a
+closed form) and the DMI-only model (no field, whose strips are chiral and
+mix the species), plus ``ribbon-sweep`` of the non-Hermitian K and
 the Gamma model at ``threads: 2`` (chunked, threaded sweeps) and
 ``reproduce`` of fig2a-like, fig2b-like, fig2c-like (a species strip whose
-gauge ratio |r| is not 1), fig3b, fig6a and the profile preset fig8 at a
-few k_x; tables in csv, json and ndjson.  ``--src`` (default:
-this checkout's ``src``) is the source tree whose package is run, so one copy
-of this script digests two checkouts and "bytes unchanged" is one ``diff``.
+gauge ratio |r| is not 1), fig3a (a Hermitian Gamma strip), fig3b, fig6a
+and the profile preset fig8 at a few k_x; tables in csv, json and ndjson.
+``--src`` (default: this checkout's ``src``) is the source tree whose
+package is run, so one copy of this script digests two checkouts and "bytes
+unchanged" is one ``diff``.
 
 Data files are listed first: the sha256 of each CSV, NDJSON, SVG and
 ``_report.json``, and of the ``data`` of each table JSON.  The metas follow
@@ -46,20 +48,22 @@ MODELS = {
            "  d: 0.5\n  b_field: [0.0, 0.0, 0.7]\n  energy_scale: half",
     "mag_field": "variant: mag_model\n  j: [1, 1, {mod: 1, phase_over_pi: 0.3333333333333333}]\n"
                  "  d: 0\n  b_field: [0.0, 0.0, 0.7]\n  energy_scale: half",
+    "mag_dmi": "variant: mag_model\n  j: [1, 1, {mod: 1, phase_over_pi: 0.3333333333333333}]\n"
+               "  d: 0.5\n  energy_scale: half",
 }
 
 GRID = "grid:\n  w: 8\n  kx_n: 8\n  n_transverse: 64\n  bz_n: 32\n  arc_grid_n: 64\n  kx: 0.7\n  n_states: 6\n"
 
 COMMANDS = ("bloch-spectrum", "ep-find", "arc-trace", "skin-check", "ribbon-sweep", "localization")
 
-PRESETS = ("fig2a-like", "fig2b-like", "fig2c-like", "fig3b", "fig6a", "fig8")
+PRESETS = ("fig2a-like", "fig2b-like", "fig2c-like", "fig3a", "fig3b", "fig6a", "fig8")
 
 
 def corpus():
     """(run name, command, config text without its output block, extra output keys)."""
     for model, block in MODELS.items():
         for command in COMMANDS:
-            if command == "skin-check" and model in ("gamma", "mag", "mag_field"):
+            if command == "skin-check" and model in ("gamma", "mag", "mag_field", "mag_dmi"):
                 continue  # skin-check refuses the models that mix the species
             yield f"{command}_{model}", command, f"command: {command}\nmodel:\n  {block}\n{GRID}", ""
     for model in ("k_nonherm", "gamma"):
