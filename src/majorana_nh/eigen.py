@@ -14,9 +14,12 @@ found by Newton's method), a periodic strip's blocks are circulant.
 :func:`chiral_blocks` lays out B and C of every strip from its bond terms,
 the species blocks included.  Every fast route certifies its pairs by their
 residuals and falls back to :func:`eig` where they miss; a matrix whose
-norm overflows is certified by nothing and raises.  :func:`one_blas_thread`
-holds the bundled OpenBLAS at one thread for callers that run solves side
-by side.
+norm overflows is certified by nothing and raises.  :func:`eig`,
+:func:`eigh` and :func:`eig_chiral` take ``pairs=`` of +-k matrices,
+H(-k) = -H(k)^T, and solve each pair once: the partner's eigenpairs come
+from its representative's left vectors and are certified on its own
+matrix.  :func:`one_blas_thread` holds the bundled OpenBLAS at one thread
+for callers that run solves side by side.
 """
 
 from __future__ import annotations
@@ -28,15 +31,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConvergenceError
 
 #: the routes :attr:`Spectrum.routes` names: :func:`eigh`, :func:`eig_chiral`,
-#: :func:`eig_species`, :func:`eig`, and :func:`eig` after a certificate of
-#: one of the first three failed
-SOLVER_PATHS = ("hermitian", "chiral", "species", "dense", "dense_fallback")
+#: :func:`eig_species`, :func:`eig`, the partner of a +-k pair certified with
+#: its representative's solve, and :func:`eig` after a certificate of one of
+#: the others failed
+SOLVER_PATHS = ("hermitian", "chiral", "species", "dense", "mirrored", "dense_fallback")
 
 #: eigenvector overlap beyond which a pair is flagged as near-defective
 DEFECTIVE_OVERLAP = 1.0 - 1e-6
@@ -55,44 +57,90 @@ _CLUSTER_RANK = 1e-8
 _TRACE_GAP = 1e-12
 
 
-def _blas_thread_controls() -> list:
-    """(get, set) thread-count functions of the OpenBLAS copies numpy and scipy load.
+def _bundled_openblas(module):
+    """The OpenBLAS copies bundled with ``module`` (numpy or scipy) that are loaded, opened by ctypes.
 
-    Only the copies already loaded are opened (``RTLD_NOLOAD``); a BLAS
-    without these symbols (MKL, a system library) yields no pair.
+    Only the copies already loaded are opened (``RTLD_NOLOAD``); a numpy or
+    scipy built on another BLAS (MKL, a system library) yields none.
     """
+    root = os.path.dirname(module.__file__)
+    folders = [f for f in (root + ".libs", os.path.join(root, ".dylibs")) if os.path.isdir(f)]
+    for path in sorted(
+        os.path.join(f, name) for f in folders for name in os.listdir(f)
+        if name.startswith("libscipy_openblas")
+    ):
+        try:
+            yield ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+
+
+def _blas_thread_controls(module) -> list:
+    """(get, set) thread-count functions of the OpenBLAS copies bundled with ``module`` (numpy or scipy)."""
     controls = []
-    for module in (np, scipy):
-        root = os.path.dirname(module.__file__)
-        folders = [f for f in (root + ".libs", os.path.join(root, ".dylibs")) if os.path.isdir(f)]
-        for path in sorted(
-            os.path.join(f, name) for f in folders for name in os.listdir(f)
-            if name.startswith("libscipy_openblas")
-        ):
-            try:
-                lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-            except OSError:
-                continue
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.restype, get.argtypes = ctypes.c_int, []
-                    set_.restype, set_.argtypes = None, [ctypes.c_int]
-                    controls.append((get, set_))
-                    break
+    for lib in _bundled_openblas(module):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                controls.append((get, set_))
+                break
     return controls
 
 
-_BLAS_THREADS = _blas_thread_controls()
+def _lapacke_zgeev():
+    """LAPACKE ``zgeev`` of numpy's bundled OpenBLAS, or None.
+
+    It is the LAPACK that ``np.linalg.eig`` calls, so a matrix gets the
+    same eigenvalues and right vectors from both, and a ctypes call
+    releases the GIL, so workers solve side by side.
+    """
+    for lib in _bundled_openblas(np):
+        for suffix, integer in (("64_", ctypes.c_int64), ("", ctypes.c_int32)):
+            zgeev = getattr(lib, f"scipy_LAPACKE_zgeev{suffix}", None)
+            if zgeev is not None:
+                zgeev.restype = integer
+                zgeev.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, integer, ctypes.c_void_p, integer,
+                                  ctypes.c_void_p, ctypes.c_void_p, integer, ctypes.c_void_p, integer]
+                return zgeev
+    return None
+
+
+_BLAS_THREADS = _blas_thread_controls(np)
+_ZGEEV = _lapacke_zgeev()
 _pin_lock = threading.Lock()
 _pin_depth = 0
 _pin_saved: list = []
+_linalg = None  # scipy.linalg, once _scipy_linalg has imported it
+
+
+def _scipy_linalg():
+    """``scipy.linalg``, imported on its first use (left vectors where numpy bundles no LAPACKE ``zgeev``).
+
+    That copy's thread controls then join :func:`one_blas_thread`, pinned at
+    once when a pin is held, so the block it loads in runs on one thread too.
+    """
+    global _linalg, _BLAS_THREADS
+    if _linalg is None:
+        import scipy
+        import scipy.linalg
+
+        with _pin_lock:
+            found = _blas_thread_controls(scipy)
+            if _pin_depth:
+                _pin_saved.extend((set_, get()) for get, set_ in found)
+                for _, set_ in found:
+                    set_(1)
+            _BLAS_THREADS = _BLAS_THREADS + found
+            _linalg = scipy.linalg
+    return _linalg
 
 
 @contextmanager
 def one_blas_thread():
-    """Hold every bundled OpenBLAS at one thread inside the block.
+    """Hold every bundled OpenBLAS the package has loaded at one thread inside the block.
 
     Workers that run solves side by side then each get one CPU instead of
     each starting BLAS threads of their own, and results stop depending on
@@ -142,16 +190,20 @@ class Spectrum:
     names each matrix's route (a string for a lone matrix, an array of the
     stack shape for a stack): "dense" (:func:`eig`), "hermitian"
     (:func:`eigh`), "chiral" (:func:`eig_chiral`), "species"
-    (:func:`eig_species`), or "dense_fallback" where a matrix of a fast
-    route missed its certificate and was solved again by :func:`eig`.  ``path`` is the route of the whole call:
-    "dense_fallback" if any matrix took it, else the one route.
+    (:func:`eig_species`), "mirrored" for the partner of a +-k pair
+    (``pairs=``) certified with the eigenpairs of its representative's
+    solve, or "dense_fallback" where a matrix of a fast route missed its
+    certificate and was solved again by :func:`eig`.  ``path`` is
+    "dense_fallback" if any matrix took it, else the first matrix's route.
 
     The residuals certify a backward error (pair i is exact for a matrix
     within ``residuals[i] * max(1, matrix_norm)`` of ``H`` in 2-norm), not the
     eigenvalue error, which to first order is that times the eigenvalue's
     condition number.  Non-normal strips reach that limit: on the fig6c
-    strip (w=52) at k_x = +-3pi/4 every residual is at most 1.1e-15, yet
-    E(k_x) and -E(-k_x) differ by 4.2e-2, with condition numbers of 1.5e15.
+    strip (w=52) at k_x = +-3pi/4, solved separately, every residual is at
+    most 1.1e-15, yet E(k_x) and -E(-k_x) differ by 4.2e-2, with condition
+    numbers of 1.5e15.  Solved as a pair (``pairs=``), the partner takes
+    -E(k_x) exactly, certified on its own matrix.
     """
 
     eigenvalues: np.ndarray
@@ -223,11 +275,23 @@ def _residuals(a, w, v, norm):
     return np.linalg.norm(r, axis=-2) / np.maximum(1.0, norm)[..., None]
 
 
+#: most Gram-matrix entries :func:`_defective_flags` forms at once: about one
+#: w=52 strip's, however many strips (a +-k_x pair, say) a stack holds
+_GRAM_ENTRIES = 2**17
+
+
 def _defective_flags(v):
-    gram = np.abs(np.swapaxes(v.conj(), -1, -2) @ v)
-    diag = np.arange(v.shape[-1])
-    gram[..., diag, diag] = 0.0
-    return (gram > DEFECTIVE_OVERLAP).any(axis=-2)
+    """The pairs of a flat stack's unit vectors ``(k, n, n)`` that overlap another beyond :data:`DEFECTIVE_OVERLAP`."""
+    k, n = v.shape[0], v.shape[-1]
+    step = max(1, _GRAM_ENTRIES // (n * n))
+    flags = np.empty((k, n), dtype=bool)
+    diag = np.arange(n)
+    for start in range(0, k, step):
+        part = v[start : start + step]
+        gram = np.abs(_adjoint(part) @ part)
+        gram[:, diag, diag] = 0.0
+        flags[start : start + step] = (gram > DEFECTIVE_OVERLAP).any(axis=-2)
+    return flags
 
 
 def _polish(a, w, v, bad, norm):
@@ -247,14 +311,68 @@ def _polish(a, w, v, bad, norm):
     return w, v
 
 
-def _solve(a, tol, norm):
-    """Sorted, unit, polished eigenpairs of a flat ``(k, n, n)`` stack and their residuals."""
+_NO_PAIRS = np.zeros((0, 2), dtype=np.intp)
+
+
+def _pairs(pairs, k) -> np.ndarray:
+    """``pairs`` as a ``(p, 2)`` array of (representative, partner) indices into a flat stack of ``k``."""
+    if pairs is None:
+        return _NO_PAIRS
+    p = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    if p.size and (p.min() < 0 or p.max() >= k or np.unique(p).size != p.size):
+        raise ValueError(f"pairs must be distinct indices of the {k} matrices, got {p.tolist()}")
+    return p
+
+
+def _eig_left_right(a):
+    """Eigenvalues, left and right vectors of one matrix by LAPACK ``zgeev``.
+
+    Numpy's bundled LAPACKE, given the column-major copy ``np.linalg.eig``
+    gives LAPACK, so the eigenvalues and right vectors are that call's; else
+    ``scipy.linalg.eig``.  Left vectors u are unit, with u^H a = w u^H.
+    """
+    if _ZGEEV is None:
+        return _scipy_linalg().eig(a, left=True, right=True, check_finite=False)
+    n = a.shape[-1]
+    f = np.array(a, dtype=complex, order="F")
+    w, vl, vr = np.empty(n, dtype=complex), np.empty_like(f), np.empty_like(f)
+    info = _ZGEEV(102, b"V", b"V", n, f.ctypes.data, n, w.ctypes.data, vl.ctypes.data, n, vr.ctypes.data, n)
+    if info:  # > 0: the QR algorithm failed; < 0: an argument or workspace error
+        raise np.linalg.LinAlgError(f"LAPACKE zgeev returned info = {info}")
+    return w, vl, vr
+
+
+def _lapack_eig(a, pairs, sign):
+    """Unsorted eigenpairs ``(w, v)`` of a flat stack, one LAPACK ``zgeev`` per matrix or pair.
+
+    A matrix in no pair takes ``np.linalg.eig``.  A pair (r, p) declares
+    ``a[p] = sign * a[r]^T``: ``a[r]`` takes :func:`_eig_left_right`, and
+    since its left vectors u satisfy u^H a[r] = w u^H, ``a[p]`` conj(u) =
+    sign w conj(u) gives ``a[p]`` its pairs with no solve of its own.
+    """
+    alone = np.setdiff1d(np.arange(len(a)), pairs)
     try:
-        w, v = np.linalg.eig(a)
+        if alone.size == len(a):
+            return np.linalg.eig(a)
+        w, v = np.empty(a.shape[:-1], dtype=complex), np.empty_like(a, dtype=complex)
+        if alone.size:
+            w[alone], v[alone] = np.linalg.eig(a[alone])
+        for r, p in pairs:
+            w[r], left, v[r] = _eig_left_right(a[r])
+            w[p] = sign * w[r]
+            np.conjugate(left, out=v[p])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    return w, v
 
-    w, v = _sort_pairs(w, v)
+
+def _solve(a, tol, norm, pairs=_NO_PAIRS):
+    """Sorted, unit, polished eigenpairs of a flat ``(k, n, n)`` stack and their residuals.
+
+    ``pairs`` as in :func:`eig`: each partner's pairs come from its
+    representative's solve, then run the same tail on its own matrix.
+    """
+    w, v = _sort_pairs(*_lapack_eig(a, pairs, -1.0))
     v = _unit_columns(v)
     res = _residuals(a, w, v, norm)
     # a nan residual misses tol; a matrix whose norm overflowed cannot be polished
@@ -267,9 +385,11 @@ def _solve(a, tol, norm):
     return w, v, res
 
 
-def _routes(k, path):
-    """Each of ``k`` matrices' route, all ``path`` to begin with."""
-    return np.full(k, path, dtype=f"U{max(map(len, SOLVER_PATHS))}")
+def _routes(k, path, pairs):
+    """Each of ``k`` matrices' route: "mirrored" for the partners of ``pairs``, ``path`` for the rest."""
+    routes = np.full(k, path, dtype=f"U{max(map(len, SOLVER_PATHS))}")
+    routes[pairs[:, 1]] = "mirrored"
+    return routes
 
 
 def _certified(stack, tol, w, v, res, flags, norm, routes) -> Spectrum:
@@ -299,14 +419,16 @@ def _certified(stack, tol, w, v, res, flags, norm, routes) -> Spectrum:
     return spectrum
 
 
-def _certified_or_redone(stack, tol, w, v, res, flags, norm, path, failed, dense) -> Spectrum:
-    """:func:`_certified` for a fast route, after the dense :func:`eig` route redid what it left uncertified.
+def _certified_or_redone(stack, tol, w, v, res, flags, norm, routes, failed, dense) -> Spectrum:
+    """:func:`_certified`, after the dense :func:`eig` route redid what a faster route left uncertified.
 
-    Redone: the matrices ``failed`` marks, whose pairs miss ``tol`` or whose
-    norm overflowed, built by ``dense(indices)``.
+    Redone, unless the dense route already solved them (route "dense"): the
+    matrices ``failed`` marks, whose pairs miss ``tol`` or whose norm
+    overflowed, built by ``dense(indices)``.  ``routes`` is the flat array
+    of each matrix's route, updated in place.
     """
-    redo = np.flatnonzero(failed | ~(res <= tol[:, None]).all(axis=-1) | ~np.isfinite(norm))
-    routes = _routes(len(w), path)
+    uncertified = failed | ~(res <= tol[:, None]).all(axis=-1) | ~np.isfinite(norm)
+    redo = np.flatnonzero(uncertified & (routes != "dense"))
     if redo.size:
         w[redo], v[redo], res[redo] = _solve(dense(redo), tol[redo], norm[redo])
         flags[redo] = _defective_flags(v[redo])
@@ -314,23 +436,41 @@ def _certified_or_redone(stack, tol, w, v, res, flags, norm, path, failed, dense
     return _certified(stack, tol, w, v, res, flags, norm, routes)
 
 
-def eig(matrix, tol: float | np.ndarray | None = None) -> Spectrum:
+def eig(matrix, tol: float | np.ndarray | None = None, *, pairs=None) -> Spectrum:
     """Full eigendecomposition meeting the residual contract, matrix by matrix.
 
     ``matrix`` is one ``(n, n)`` matrix or a ``(..., n, n)`` stack, each of
     whose matrices gets the result it would get alone.  ``tol`` (default
     :func:`default_tol` of n) is a scalar or broadcasts to the stack shape.
+
+    ``pairs``, ``(p, 2)`` indices into the flattened stack, declares each
+    (representative, partner) a +-k pair of a Majorana Hamiltonian,
+    H(-k) = -H(k)^T: one LAPACK call gives the representative its right and
+    left vectors, and the partner takes (-E, conj(left vector)).  The
+    partner then runs the tail of every matrix on its own H(-k) (sort, unit
+    columns, residuals, polish, defective flags), with route "mirrored",
+    and its set must keep the trace identity sum E**2 = tr H**2 of
+    :func:`eig_chiral`; a partner that misses either is solved again alone,
+    route "dense_fallback".
+
     Raises ValueError on non-square, empty or non-finite input and
     :class:`ConvergenceError` (naming the first failing matrix, whole result
     attached) if the residual target is missed or the norm overflows.
     """
     a, stack, tol, _ = _stack(matrix, tol)
+    pairs = _pairs(pairs, len(a))
     norm = frobenius_norms(a)
-    w, v, res = _solve(a, tol, norm)
-    return _certified(stack, tol, w, v, res, _defective_flags(v), norm, _routes(len(w), "dense"))
+    w, v, res = _solve(a, tol, norm, pairs)
+    p = pairs[:, 1]
+    failed = np.zeros(len(a), dtype=bool)
+    trace_gap = np.abs((w[p] * w[p]).sum(axis=-1) - np.einsum("kij,kji->k", a[p], a[p]))
+    failed[p] = ~(trace_gap <= _TRACE_GAP * np.maximum(1.0, norm[p]) ** 2)
+    return _certified_or_redone(stack, tol, w, v, res, _defective_flags(v), norm, _routes(len(w), "dense", pairs),
+                                failed, lambda redo: a[redo])
 
 
-def eigh(matrix, tol: float | np.ndarray | None = None, *, norm: float | np.ndarray | None = None) -> Spectrum:
+def eigh(matrix, tol: float | np.ndarray | None = None, *, norm: float | np.ndarray | None = None,
+         pairs=None) -> Spectrum:
     """:func:`eig` of a Hermitian matrix or ``(..., n, n)`` stack, solved by LAPACK's ``zheevd``.
 
     The caller declares the matrices Hermitian; ``zheevd`` reads only their
@@ -344,14 +484,25 @@ def eigh(matrix, tol: float | np.ndarray | None = None, *, norm: float | np.ndar
     defective.  A matrix whose pairs miss ``tol`` (default
     :func:`default_tol` of n) is solved again by the dense :func:`eig` route
     (polish included), and ``path`` reads "dense_fallback" instead of
-    "hermitian".  Each matrix of a stack gets the result it would get alone;
-    :class:`ConvergenceError` names the first failing matrix, with the whole
-    result attached.
+    "hermitian".  ``pairs`` declares +-k pairs as in :func:`eig`; a
+    Hermitian H(-k) = -H(k)^T is -conj H(k), so the partner takes (-E,
+    conj v) of its representative in reversed order, with no LAPACK call,
+    and is certified on its own matrix.  Each matrix of a stack gets the
+    result it would get alone; :class:`ConvergenceError` names the first
+    failing matrix, with the whole result attached.
     """
     a, stack, tol, norm = _stack(matrix, tol, norm)
+    pairs = _pairs(pairs, len(a))
     norm = frobenius_norms(a) if norm is None else norm
     try:
-        w, v = np.linalg.eigh(a)
+        if pairs.size:
+            w, v = np.empty(a.shape[:-1]), np.empty_like(a)
+            solved = np.setdiff1d(np.arange(len(a)), pairs[:, 1])
+            w[solved], v[solved] = np.linalg.eigh(a[solved])
+            r, p = pairs.T
+            w[p], v[p] = -w[r, ::-1], v[r, :, ::-1].conj()
+        else:
+            w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
     # zheevd returns the eigenvalues ascending, hence in (Re, Im) order, and
@@ -359,7 +510,8 @@ def eigh(matrix, tol: float | np.ndarray | None = None, *, norm: float | np.ndar
     w = w.astype(complex)
     res = _residuals(a, w, v, norm)
     flags = np.zeros(w.shape, dtype=bool)
-    return _certified_or_redone(stack, tol, w, v, res, flags, norm, "hermitian", False, lambda redo: a[redo])
+    return _certified_or_redone(stack, tol, w, v, res, flags, norm, _routes(len(w), "hermitian", pairs), False,
+                                lambda redo: a[redo])
 
 
 def _chiral_residuals(b, c, w, v, norm):
@@ -377,18 +529,18 @@ def _near_zero(mu):
     return abs_e <= CHIRAL_CLUSTER * abs_e.max(axis=-1, keepdims=True)
 
 
-def _chiral_pairs(b, c):
+def _chiral_pairs(b, c, pairs):
     """Eigenpairs of H = [[0, B], [C, 0]] from eig(B C), the near-zero cluster by Rayleigh-Ritz.
 
     Returns unsorted eigenvalues ``(k, 2m)``, vectors ``(k, 2m, 2m)`` and a
     ``(k,)`` mask of the matrices whose cluster could be resolved.  The
     Rayleigh-Ritz step runs stacked over the matrices of one cluster size.
+    A partner of ``pairs`` has B C and C B the transposes of its
+    representative's, so takes their eigenpairs from its representative's
+    left vectors (:func:`_lapack_eig`); the rest runs on its own B and C.
     """
     k, m = b.shape[0], b.shape[-1]
-    try:
-        mu, x = np.linalg.eig(b @ c)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    mu, x = _lapack_eig(b @ c, pairs, 1.0)
     e = np.sqrt(mu)
     near = _near_zero(mu)
     # H [x; y] = E [x; y] with y = C x / E; B C x = E**2 x
@@ -400,10 +552,10 @@ def _chiral_pairs(b, c):
     has = np.flatnonzero(near.any(axis=-1))
     if not has.size:
         return w, v, resolved
-    try:
-        mu_cb, x_cb = np.linalg.eig(c[has] @ b[has])
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    # the pairs of matrices with a cluster (a partner's mu is its representative's), by position in has
+    where = np.full(k, -1)
+    where[has] = np.arange(has.size)
+    mu_cb, x_cb = _lapack_eig(c[has] @ b[has], where[pairs[(where[pairs] >= 0).all(axis=-1)]], 1.0)
     near_cb = _near_zero(mu_cb)
     size, size_cb = near[has].sum(axis=-1), near_cb.sum(axis=-1)
     resolved[has[size != size_cb]] = False
@@ -458,7 +610,7 @@ def _eig_each(a):
     return w, v, ok
 
 
-def eig_chiral(b, c, tol: float | np.ndarray | None = None) -> Spectrum:
+def eig_chiral(b, c, tol: float | np.ndarray | None = None, *, pairs=None) -> Spectrum:
     """:func:`eig` of the chiral matrix H = [[0, B], [C, 0]], solved at half the dimension.
 
     ``b`` and ``c`` are ``(m, m)`` matrices or ``(..., m, m)`` stacks; the
@@ -477,14 +629,20 @@ def eig_chiral(b, c, tol: float | np.ndarray | None = None) -> Spectrum:
     pairs miss ``tol`` or whose set misses the identity is solved again by
     the dense :func:`eig` route of that H (polish included).  ``path`` is
     "chiral", or "dense_fallback" when some matrix took that route.
+    ``pairs`` declares +-k pairs as in :func:`eig`, so B(-k) = -C(k)^T and
+    C(-k) = -B(k)^T: the partner's B C and C B are the transposes of its
+    representative's, whose solves return left vectors for it, and every
+    step after those solves, certificate included, runs on its own blocks
+    (route "mirrored").
     """
     if np.shape(b) != np.shape(c):
         raise ValueError(f"B and C must have equal shapes, got {np.shape(b)} and {np.shape(c)}")
     b, stack, tol, _ = _stack(b, tol, size_factor=2)
     c = _stack(c, None)[0]
+    pairs = _pairs(pairs, len(b))
     norm = np.hypot(frobenius_norms(b), frobenius_norms(c))
 
-    w, v, resolved = _chiral_pairs(b, c)
+    w, v, resolved = _chiral_pairs(b, c, pairs)
     w, v = _sort_pairs(w, v)
     v = _unit_columns(v)
     res = _chiral_residuals(b, c, w, v, norm)
@@ -492,8 +650,8 @@ def eig_chiral(b, c, tol: float | np.ndarray | None = None) -> Spectrum:
     # which Ritz values of an ill-conditioned cluster can break
     trace_gap = np.abs((w * w).sum(axis=-1) - 2.0 * np.einsum("kij,kji->k", b, c))
     failed = ~resolved | ~(trace_gap <= _TRACE_GAP * np.maximum(1.0, norm) ** 2)
-    return _certified_or_redone(stack, tol, w, v, res, _defective_flags(v), norm, "chiral", failed,
-                                lambda redo: chiral_matrix(b[redo], c[redo]))
+    return _certified_or_redone(stack, tol, w, v, res, _defective_flags(v), norm, _routes(len(w), "chiral", pairs),
+                                failed, lambda redo: chiral_matrix(b[redo], c[redo]))
 
 
 def chiral_blocks(terms, w: int, periodic: bool = False):
@@ -722,7 +880,8 @@ def eig_species(bonds, w: int, *, periodic: bool = False, tol: float | np.ndarra
     w_all, res = np.take_along_axis(w_all, order, -1), np.take_along_axis(res, order, -1)
     v = np.take_along_axis(v, order[:, None, :], -1)
     failed = ~finite | ~(trace_gap <= _TRACE_GAP * np.maximum(1.0, own) ** 2)
-    return _certified_or_redone(stack, tol, w_all, v, res, _defective_flags(v), norm, "species", failed,
+    return _certified_or_redone(stack, tol, w_all, v, res, _defective_flags(v), norm,
+                                _routes(len(w_all), "species", _NO_PAIRS), failed,
                                 lambda redo: chiral_matrix(*chiral_blocks(flat[redo, :, None, None], w, periodic)))
 
 
@@ -736,6 +895,8 @@ def min_singular_value(matrix) -> float:
 
 def match_eigenvalue_sets(a, b) -> float:
     """Max pairwise distance between two eigenvalue multisets under optimal pairing."""
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
     if a.shape != b.shape:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import eigen
 from .models import (
@@ -360,6 +359,13 @@ def _newton_refine(build_h, theta0, pair0, max_step, d_tol):
         theta, dd, jac, pair = trial, dd_t, jac_t, pair_t
         n_iter += 1
     return theta, n_iter
+
+
+def minimize(fun, x0, **options):
+    """``scipy.optimize.minimize``, imported on the first call: the import costs more than the rest of start-up."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **options)
 
 
 def _nelder_mead_refine(build_h, theta0, kind, scale, step):

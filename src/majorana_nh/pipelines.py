@@ -169,13 +169,25 @@ def _sweep_svg(path, result: ribbon.SweepResult):
     write_svg_scatter(path, groups, title="strip spectrum", x_label="k_x", y_label="|E|")
 
 
+def _kx_grid(n: int) -> np.ndarray:
+    """``n`` momenta in [-pi, pi): ``linspace(-pi, pi, n, endpoint=False)`` with its upper half mirrored.
+
+    Its upper half is set to the exact negation of its lower half.  That
+    moves values by at most an ulp and gives every k_x but -pi and 0 its
+    exact partner -k_x, so :func:`ribbon.sweep` solves each pair once.
+    """
+    kxs = np.linspace(-math.pi, math.pi, n, endpoint=False)
+    j = np.arange(1, (n + 1) // 2)  # 0 < j < n / 2
+    kxs[n - j] = -kxs[j]
+    return kxs
+
+
 def _run_sweep(cfg: RunConfig, model: ModelConfig):
-    """Strip sweep of ``model`` at ``grid.w`` over ``grid.kx_n`` momenta in [-pi, pi), and its summary dict."""
-    kxs = np.linspace(-math.pi, math.pi, cfg.grid.kx_n, endpoint=False)
+    """Strip sweep of ``model`` at ``grid.w`` over the ``grid.kx_n`` momenta of :func:`_kx_grid`, and its summary."""
     result = ribbon.sweep(
         model,
         cfg.grid.w,
-        kxs,
+        _kx_grid(cfg.grid.kx_n),
         n_transverse=cfg.grid.n_transverse,
         thresholds=cfg.tolerance.classifier(),
         threads=cfg.threads,

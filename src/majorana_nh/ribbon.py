@@ -131,9 +131,9 @@ def _strip_order(v, w):
     return np.swapaxes(v.reshape(*v.shape[:-2], 2, w, -1, v.shape[-1]), -4, -3).reshape(v.shape)
 
 
-def _site_weights(v, w):
-    """Per-site probability weights of ``(..., 6w, n)`` strip vectors, flavours summed: ``(..., 2w, n)``."""
-    weights = (np.abs(v) ** 2).reshape(*v.shape[:-2], 2 * w, 3, v.shape[-1]).sum(axis=-2)
+def _site_weights(p, w):
+    """Per-site probability weights ``(..., 2w, n)`` from the |entries|**2 ``(..., 6w, n)`` of strip vectors."""
+    weights = p.reshape(*p.shape[:-2], 2 * w, 3, p.shape[-1]).sum(axis=-2)
     return weights / weights.sum(axis=-2, keepdims=True)
 
 
@@ -174,8 +174,10 @@ class _Strips:
         so that sums over sites round alike.
         """
         if self.sets is None:
-            v = self.vectors()
-            return _site_weights(v.reshape(self.k, *v.shape[-2:]), self.w)
+            # squared in place before the rows are reordered, as real numbers: half the memory
+            p = np.abs(self.spectrum.right_vectors)
+            p = np.square(p, out=p).reshape(self.k, *p.shape[-2:])
+            return _site_weights(_strip_order(p, self.w) if self.chiral else p, self.w)
         w, m = self.w, 2 * self.w
         # (k_x, block, row, sublattice, state) from the chiral basis; each
         # sorted state picks its block and column: (k_x, state, site)
@@ -203,6 +205,26 @@ class _Strips:
         )
 
 
+def _mirror_pairs(k_x) -> np.ndarray:
+    """The +-k_x pairs of a momentum vector: ``(p, 2)`` indices (representative k > 0, partner -k).
+
+    The n-th occurrence of each k > 0 pairs with the n-th occurrence of its
+    exact negation; 0, and k_x whose negation is missing, stay unpaired.
+    """
+    k_x = np.asarray(k_x)
+    pairs = []
+    for k in np.unique(k_x[k_x > 0]):
+        reps, partners = np.flatnonzero(k_x == k), np.flatnonzero(k_x == -k)
+        n = min(reps.size, partners.size)
+        pairs.append(np.stack([reps[:n], partners[:n]], axis=-1))
+    return np.concatenate(pairs) if pairs else eigen._NO_PAIRS
+
+
+def _mirrored(model: ModelConfig) -> bool:
+    """Whether the strips' +-k_x pairs share one solve: every route but :func:`eigen.eig_species`."""
+    return model.hermitian or not model.bond_only or species(model) is None
+
+
 def _solve_strips(model: ModelConfig, w, k_x, periodic, tol=None) -> _Strips:
     """The solve of :func:`diagonalize_ribbon` at the momenta ``k_x``, in one stacked :mod:`eigen` call.
 
@@ -214,25 +236,32 @@ def _solve_strips(model: ModelConfig, w, k_x, periodic, tol=None) -> _Strips:
     Other bond-only strips pass their :func:`eigen.chiral_blocks` to
     :func:`eigen.eig_chiral` or :func:`eigen.eigh`, and strips with a field
     their dense matrices to :func:`eigen.eig` or :func:`eigen.eigh`.  Each
-    matrix of the stack gets the result it would get alone.
+    matrix of the stack gets the result it would get alone, except that
+    the partner of each pair of :func:`_mirror_pairs` (species blocks by
+    species) takes its eigenpairs from its representative's solve
+    (``pairs=``), save on the closed-form species route.
     """
     k_x = np.atleast_1d(np.asarray(k_x, dtype=float))
     k, hermitian = k_x.size, model.hermitian
     tol = eigen.default_tol(6 * w) if tol is None else tol
+    pairs = _mirror_pairs(k_x)
 
     def lone(a):  # a lone k_x is solved as a lone matrix
         return a[0] if k == 1 else a
 
     if not model.bond_only:
         h = lone(_strip_matrices(model, w, k_x, periodic))
-        return _Strips((eigen.eigh if hermitian else eigen.eig)(h, tol=tol), k, w, None, False)
+        return _Strips((eigen.eigh if hermitian else eigen.eig)(h, tol=tol, pairs=pairs), k, w, None, False)
 
     terms = _bond_terms(model, k_x)
     sets = species(model)
     if sets is None:
         b, c = (lone(x) for x in eigen.chiral_blocks(terms, w, periodic))
         # a Hermitian strip by dense zheevd at the full size, which beats the half-size product route
-        s = eigen.eigh(eigen.chiral_matrix(b, c), tol=tol) if hermitian else eigen.eig_chiral(b, c, tol=tol)
+        if hermitian:
+            s = eigen.eigh(eigen.chiral_matrix(b, c), tol=tol, pairs=pairs)
+        else:
+            s = eigen.eig_chiral(b, c, tol=tol, pairs=pairs)
         return _Strips(s, k, w, None, True)
     # (k, species, 4): a species' bd, bs, cd and cs are its flavour's diagonal entries of the terms
     bonds = np.diagonal(terms, axis1=-2, axis2=-1)[..., : len(sets)].swapaxes(-1, -2)
@@ -242,7 +271,8 @@ def _solve_strips(model: ModelConfig, w, k_x, periodic, tol=None) -> _Strips:
     bonds = bonds.reshape(-1, 4)
     if hermitian:
         blocks = eigen.chiral_blocks(bonds[..., None, None], w, periodic)
-        s = eigen.eigh(eigen.chiral_matrix(*blocks), tol=tol, norm=block_norm)
+        block_pairs = (pairs[:, None, :] * len(sets) + np.arange(len(sets))[:, None]).reshape(-1, 2)
+        s = eigen.eigh(eigen.chiral_matrix(*blocks), tol=tol, norm=block_norm, pairs=block_pairs)
     else:
         s = eigen.eig_species(bonds, w, periodic=periodic, tol=tol, norm=block_norm)
     return _Strips(s, k, w, sets, True, norm)
@@ -324,7 +354,7 @@ def site_weights(spectrum: eigen.Spectrum, w: int) -> np.ndarray:
     n = spectrum.n
     if n != 6 * w:
         raise ValueError(f"spectrum dimension {n} does not match 6*w = {6 * w}")
-    return _site_weights(spectrum.right_vectors, w)
+    return _site_weights(np.abs(spectrum.right_vectors) ** 2, w)
 
 
 def _classify(e, ws, dist, has_cloud, thresholds):
@@ -471,7 +501,8 @@ def pbc_cloud_intervals(model: ModelConfig, k_x: float, n_transverse: int = 512)
 class SolveLog:
     """Strip solves per solver path (:data:`eigen.SOLVER_PATHS`) and the worst residual, with its k_x.
 
-    ``max_residual_kx`` is the first k_x, in solve order, that reached
+    ``max_residual_kx`` is the first k_x, in the order the solves were
+    added (a sweep adds its grid in grid order), that reached
     ``max_residual``; None before any solve.
     """
 
@@ -501,7 +532,10 @@ class SweepResult:
 
 
 def _kx_per_chunk(model: ModelConfig, w: int) -> int:
-    """k_x per stacked solve: :data:`CHUNK_ENTRIES` over the eigenvector entries of one k_x."""
+    """Solved k_x per stacked solve: :data:`CHUNK_ENTRIES` over the eigenvector entries of one k_x.
+
+    A +-k_x pair counts once: its partner takes no solve of its own.
+    """
     sets = species(model) if model.bond_only else None
     entries = (6 * w) ** 2 if sets is None else len(sets) * (2 * w) ** 2
     return max(1, CHUNK_ENTRIES // entries)
@@ -518,19 +552,24 @@ def sweep(
 ) -> SweepResult:
     """Diagonalize and classify the strip over a k_x grid.
 
-    The grid is cut into contiguous chunks, each one array program: one
-    stacked strip solve (:func:`_solve_strips`, at most
-    :data:`CHUNK_ENTRIES` eigenvector entries), one periodic cloud over
-    (k_x, q) with ``n_transverse`` momenta q and one classifier call; every
-    k_x is classified against its cloud, kept in ``pbc_reference``.
-    ``threads > 1`` maps at least that many chunks (at most one per k_x) on
-    a thread pool; results are collected in grid order either way.  The
+    The grid is cut into solve units: each +-k_x pair of
+    :func:`_mirror_pairs`, solved once (except on the closed-form species
+    route, which pairs nothing), and each other k_x.  Runs of units, in
+    the order of their first k_x, form the chunks, each one array program:
+    one stacked strip solve (:func:`_solve_strips`, at most
+    :data:`CHUNK_ENTRIES` eigenvector entries per solved k_x), one periodic
+    cloud over (k_x, q) with ``n_transverse`` momenta q and one classifier
+    call; every k_x is classified against its cloud, kept in
+    ``pbc_reference``.  ``threads > 1`` maps at least that many chunks (at
+    most one per unit) on a thread pool; results are collected in grid
+    order either way, and a pair is never split.  The
     whole loop runs under :func:`eigen.one_blas_thread`, so each worker's
     LAPACK calls are single-threaded (workers do not oversubscribe the
     CPUs), and since each matrix of a stack gets the result it would get
-    alone, the data depend on neither ``threads``, the chunking nor the BLAS
-    thread setting.  An error raised at one k_x propagates as the exception
-    object that k_x's solve raises alone, its message prefixed with that k_x.
+    alone (a pair the result it gets alone), the data depend on neither
+    ``threads``, the chunking nor the BLAS thread setting.  An error raised
+    at one k_x propagates as the exception object that k_x's solve raises
+    alone, its message prefixed with that k_x.
     """
     _check_strip(w, boundary_y)
     kx_grid = np.asarray(kx_grid, dtype=float)
@@ -556,24 +595,35 @@ def sweep(
             exc.args = (f"k_x = {where}: {exc}",)
             raise
 
-    n_chunks = min(kx_grid.size, max(threads, -(-kx_grid.size // _kx_per_chunk(model, w))))
-    chunks = np.array_split(kx_grid, n_chunks)
+    # solve units, in the order of their first k_x: each pair, and each k_x in none
+    partner = np.arange(kx_grid.size)
+    if _mirrored(model):
+        pairs = _mirror_pairs(kx_grid)
+        partner[pairs[:, 0]], partner[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    units = [[i] if j == i else [i, j] for i, j in enumerate(partner.tolist()) if j >= i]
+    n_chunks = min(len(units), max(threads, -(-len(units) // _kx_per_chunk(model, w))))
+    runs = np.array_split(np.arange(len(units)), n_chunks)
+    chunks = [np.sort(np.concatenate([units[u] for u in run])) for run in runs]
     with eigen.one_blas_thread():
         if threads > 1:
             with ThreadPoolExecutor(max_workers=min(threads, n_chunks)) as pool:
-                results = list(pool.map(task, chunks))
+                results = list(pool.map(task, (kx_grid[i] for i in chunks)))
         else:
-            results = [task(kxs) for kxs in chunks]
+            results = [task(kx_grid[i]) for i in chunks]
 
+    # back to grid order
+    order = np.argsort(np.concatenate(chunks))
+    records, achieved, routes = (np.concatenate([r[j] for r in results])[order] for j in (0, 2, 3))
+    bounds = [b for r in results for b in r[1]]
     log = SolveLog()
-    log.add(kx_grid, np.concatenate([r[3] for r in results]), np.concatenate([r[2] for r in results]))
+    log.add(kx_grid, routes, achieved)
     return SweepResult(
         model=model,
         w=w,
         boundary_y=boundary_y,
         kx_grid=kx_grid,
-        records=np.concatenate([r[0] for r in results]).view(np.recarray),
-        pbc_reference=[CloudIntervals(b) for r in results for b in r[1]],
+        records=records.view(np.recarray),
+        pbc_reference=[CloudIntervals(bounds[i]) for i in order],
         thresholds=thresholds,
         solves=log,
     )

@@ -1,9 +1,13 @@
 """Eigensolver contract: residuals, ordering, defective flags, left vectors."""
 
 import cmath
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -30,6 +34,7 @@ from majorana_nh.presets import get_preset
 from conftest import TRACE_STRIPS, random_complex_coupling
 
 E3 = cmath.exp(1j * math.pi / 3)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def random_matrix(rng, n):
@@ -552,6 +557,76 @@ class TestHermitian:
             eigen.eigh(np.zeros((0, 3, 3)))
 
 
+class TestMirroredPairs:
+    """``pairs=``: a partner H(-k) = -H(k)^T takes its representative's solve and is certified on its own matrix."""
+
+    def test_dense_partner(self, rng):
+        a, other = random_matrix(rng, 12), random_matrix(rng, 12)
+        s = eig(np.stack([a, other, -a.T]), pairs=[[0, 2]])
+        assert s.routes.tolist() == ["dense", "dense", "mirrored"]
+        np.testing.assert_array_equal(s.eigenvalues[2], np.sort(-s.eigenvalues[0]))
+        for i, h in enumerate((a, other, -a.T)):
+            v = s.right_vectors[i]
+            res = np.linalg.norm(h @ v - v * s.eigenvalues[i], axis=0) / max(1.0, np.linalg.norm(h, "fro"))
+            assert res.max() <= eigen.default_tol(12)
+        # a matrix in no pair keeps the bytes of its own solve, and so does a
+        # representative where numpy's own LAPACKE gives it its left vectors
+        for i, h in [(1, other)] + [(0, a)] * (eigen._ZGEEV is not None):
+            alone = eig(h)
+            assert s.eigenvalues[i].tobytes() == alone.eigenvalues.tobytes()
+            assert s.right_vectors[i].tobytes() == alone.right_vectors.tobytes()
+
+    def test_scipy_route_where_numpy_bundles_no_lapacke(self, rng, monkeypatch):
+        a = random_matrix(rng, 12)
+        ref = eig(np.stack([a, -a.T]), pairs=[[0, 1]])
+        monkeypatch.setattr(eigen, "_ZGEEV", None)
+        s = eig(np.stack([a, -a.T]), pairs=[[0, 1]])
+        assert s.routes.tolist() == ["dense", "mirrored"]
+        assert match_eigenvalue_sets(s.eigenvalues[1], ref.eigenvalues[1]) <= 1e-12 * np.linalg.norm(a)
+        assert s.achieved_tol.max() <= eigen.default_tol(12)
+
+    @pytest.mark.parametrize("route", ["eig", "eigh", "eig_chiral"])
+    def test_a_wrong_declaration_is_solved_again(self, rng, route):
+        # a partner that is not -H^T of its representative misses its
+        # certificate and is solved alone by the dense route
+        if route == "eig_chiral":
+            b, c = random_hermitian(rng, 2, 5), random_hermitian(rng, 2, 5)
+            s, h = eigen.eig_chiral(b, c, pairs=[[0, 1]]), chiral(b[1], c[1])
+        else:
+            stack = random_hermitian(rng, 2, 10)
+            s, h = getattr(eigen, route)(stack, pairs=[[0, 1]]), stack[1]
+        assert s.routes[1] == "dense_fallback"
+        alone = eig(h)
+        assert s.eigenvalues[1].tobytes() == alone.eigenvalues.tobytes()
+        assert s.right_vectors[1].tobytes() == alone.right_vectors.tobytes()
+
+    def test_hermitian_partner(self, rng):
+        a = random_hermitian(rng, 10)
+        s = eigen.eigh(np.stack([a, -a.conj()]), pairs=[[0, 1]])
+        assert s.routes.tolist() == ["hermitian", "mirrored"]
+        np.testing.assert_array_equal(s.eigenvalues[1], -s.eigenvalues[0][::-1])
+        assert (s.eigenvalues[1].imag == 0.0).all() and not np.signbit(s.eigenvalues[1].imag).any()
+        assert s.achieved_tol.max() <= eigen.default_tol(10)
+
+    @pytest.mark.parametrize("zero_modes", [False, True])
+    def test_chiral_partner(self, rng, zero_modes):
+        b, c = random_matrix(rng, 8), random_matrix(rng, 8)
+        if zero_modes:  # a near-zero cluster, resolved through eig(C B) and the Ritz step
+            b[:, 0], c[:, 1] = 0.0, 0.0
+        s = eigen.eig_chiral(np.stack([b, -c.T]), np.stack([c, -b.T]), pairs=[[0, 1]])
+        assert s.routes.tolist() == ["chiral", "mirrored"]
+        h = chiral(-c.T, -b.T)
+        v = s.right_vectors[1]
+        res = np.linalg.norm(h @ v - v * s.eigenvalues[1], axis=0) / max(1.0, np.linalg.norm(h, "fro"))
+        assert res.max() <= eigen.default_tol(16)
+        assert match_eigenvalue_sets(s.eigenvalues[1], eig(h).eigenvalues) <= 1e-12 * np.linalg.norm(h)
+
+    @pytest.mark.parametrize("pairs", [[[0, 0]], [[0, 1], [1, 2]], [[0, 3]], [[-1, 0]]])
+    def test_pairs_must_be_distinct_indices(self, rng, pairs):
+        with pytest.raises(ValueError, match="^pairs must be distinct indices of the 3 matrices"):
+            eig(random_matrix(rng, 4)[None].repeat(3, axis=0), pairs=pairs)
+
+
 class TestOverflowedNorm:
     """A Frobenius norm that overflows certifies nothing: residuals over it read 0 or nan, and every route raises."""
 
@@ -703,6 +778,43 @@ class TestOneBlasThread:
         assert set(seen) == {(1, 1)} and len(seen) == 600
         assert (a.count, b.count) == (2, 3)
         assert calls == [(a, 1), (b, 1), (a, 2), (b, 3)] * (len(calls) // 4)
+
+
+class TestLazyScipy:
+    """scipy.optimize and scipy.linalg load on first use, and scipy's OpenBLAS then joins the pin."""
+
+    @staticmethod
+    def run(code):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return json.loads(out.stdout)
+
+    def test_cli_import_leaves_scipy_solvers_unloaded(self):
+        loaded = self.run(
+            "import json, sys\n"
+            "import majorana_nh.cli\n"
+            "print(json.dumps(sorted({'scipy.optimize', 'scipy.linalg'} & set(sys.modules))))\n"
+        )
+        assert loaded == []
+
+    def test_first_use_inside_a_pin_pins_the_new_copy(self):
+        before, inside, after, found = self.run(
+            "import json, scipy, scipy.linalg\n"
+            "from majorana_nh import eigen\n"
+            "found = eigen._blas_thread_controls(scipy)\n"
+            "for _, set_ in found + eigen._BLAS_THREADS:\n"
+            "    set_(2)\n"
+            "counts = lambda: [get() for get, _ in eigen._BLAS_THREADS]\n"
+            "before = counts()\n"
+            "with eigen.one_blas_thread():\n"
+            "    eigen._scipy_linalg()\n"
+            "    inside = counts()\n"
+            "print(json.dumps([before, inside, counts(), len(found)]))\n"
+        )
+        if not found:
+            pytest.skip("this scipy bundles no OpenBLAS thread setter")
+        assert inside == [1] * (len(before) + found)
+        assert after == [2] * (len(before) + found)
 
 
 class TestMinSingularValue:

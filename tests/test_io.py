@@ -380,6 +380,18 @@ output:
         assert blas == (1 if setters == "found" else None)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 8, 402])
+def test_sweep_grid_is_mirror_symmetric(n):
+    # within an ulp of linspace, and every k_x but -pi and 0 has its exact negation
+    from majorana_nh import pipelines, ribbon
+
+    kxs = pipelines._kx_grid(n)
+    assert np.abs(kxs - np.linspace(-np.pi, np.pi, n, endpoint=False)).max() <= 1e-12
+    j = np.arange(1, (n + 1) // 2)
+    assert (kxs[n - j] == -kxs[j]).all()
+    assert len(ribbon._mirror_pairs(kxs)) == (n - 1) // 2
+
+
 class TestStripSolvesMeta:
     # real couplings: Hermitian, with an onsite field
     FIELD_MODEL = """
@@ -425,7 +437,8 @@ model:
         grid = TestBlasThreadsMeta.GRID.format(out=tmp_path)
         run_command(parse_config(f"command: {command}\n{setting}" + grid))
         solves = json.loads((tmp_path / meta).read_text())["strip_solves"]
-        assert solves == {"hermitian": 0, "chiral": 0, "species": 0, "dense": 0, "dense_fallback": 0, path: count}
+        assert solves == {"hermitian": 0, "chiral": 0, "species": 0, "dense": 0, "mirrored": 0, "dense_fallback": 0,
+                          path: count}
 
 
     @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from majorana_nh import (
 from majorana_nh import eigen, ribbon
 from majorana_nh.eigen import Spectrum
 from majorana_nh.models import effective_couplings
+from majorana_nh.presets import get_preset
 from conftest import random_complex_coupling
 
 E3 = cmath.exp(1j * math.pi / 3)
@@ -592,6 +593,7 @@ class TestSweepAndSummary:
     @pytest.fixture
     def blas_at_two(self):
         """The bundled OpenBLAS copies at two threads, restored afterwards."""
+        eigen._scipy_linalg()  # scipy's copy too, which the first +-k_x pair loads
         saved = [(set_, get()) for get, set_ in eigen._BLAS_THREADS]
         for set_, _ in saved:
             set_(2)
@@ -636,15 +638,15 @@ class TestSweepAndSummary:
         model = ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5 * E3), gamma=0.4)
         real_eig, in_solve = eigen.eig_chiral, []
 
-        def counting_eig(b, c, tol=None):
+        def counting_eig(b, c, tol=None, pairs=None):
             in_solve.append(self.blas_counts())
-            return real_eig(b, c, tol=tol)
+            return real_eig(b, c, tol=tol, pairs=pairs)
 
         before = self.blas_counts()
         monkeypatch.setattr(eigen, "eig_chiral", counting_eig)
-        sweep(model, 4, [-0.5, 0.5], n_transverse=32, threads=2)
+        sweep(model, 4, [-0.5, 0.5], n_transverse=32, threads=2)  # one solve unit: a pair
         edge_mode_weights(model, 4, 0.5)
-        assert in_solve == [[1] * len(before)] * 3
+        assert in_solve == [[1] * len(before)] * 2
         assert self.blas_counts() == before
 
     def test_summary_of_hand_built_records(self):
@@ -752,7 +754,7 @@ CHUNK_MODELS = {
 
 
 class TestChunkedSweep:
-    """A sweep is one stacked program per k_x chunk, with the bytes of k_x-by-k_x solves."""
+    """A sweep is one stacked program per chunk of solve units, with the bytes of unit-by-unit solves."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -760,9 +762,11 @@ class TestChunkedSweep:
         boundary=st.sampled_from(ribbon.BOUNDARIES),
         w=st.integers(2, 5),
         kxs=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=5),
+        mirrored=st.integers(0, 3),
     )
-    def test_records_do_not_depend_on_chunks_or_threads(self, name, boundary, w, kxs):
+    def test_records_do_not_depend_on_chunks_or_threads(self, name, boundary, w, kxs, mirrored):
         model = CHUNK_MODELS[name]
+        kxs = kxs + [-k for k in kxs[:mirrored]]  # exact +-k_x pairs
 
         def run(threads=1):
             return sweep(model, w, kxs, boundary_y=boundary, n_transverse=32, threads=threads)
@@ -771,23 +775,67 @@ class TestChunkedSweep:
         for threads in (2, 3):
             assert run(threads).records.tobytes() == ref.records.tobytes()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ribbon, "CHUNK_ENTRIES", 1)  # one k_x per chunk
+            mp.setattr(ribbon, "CHUNK_ENTRIES", 1)  # one solve unit per chunk
             one = run()
         assert one.records.tobytes() == ref.records.tobytes()
 
-        # the per-k_x oracle: diagonalize_ribbon and localization_profile
+        # the per-k_x oracle: diagonalize_ribbon and localization_profile for
+        # a k_x in no pair, the two-k_x _solve_strips of its pair for the others
+        pairs = ribbon._mirror_pairs(kxs) if ribbon._mirrored(model) else np.zeros((0, 2), int)
+        partner = dict(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+        partner |= {p: r for r, p in partner.items()}
         solves = dict.fromkeys(eigen.SOLVER_PATHS, 0)
         residuals = []
-        for kx, row, cloud in zip(kxs, ref.records, ref.pbc_reference):
-            s = diagonalize_ribbon(RibbonSpec(w=w, boundary_y=boundary, k_x=kx, model=model))
-            solves[s.path] += 1
-            residuals.append(s.achieved_tol)
+        for i, (kx, row, cloud) in enumerate(zip(kxs, ref.records, ref.pbc_reference)):
             alone = pbc_cloud_intervals(model, kx, 32)
             assert cloud.bounds.tobytes() == alone.bounds.tobytes()
-            assert localization_profile(s, w, alone).tobytes() == row.tobytes()
+            if i in partner:
+                strips = ribbon._solve_strips(model, w, [kx, kxs[partner[i]]], boundary == "periodic")
+                e = strips.eigenvalues[:1]
+                records = ribbon._classify(e, strips.weights()[:1], alone.distance(np.abs(e)), True,
+                                           ribbon.ClassifierThresholds())
+                route, residual = str(strips.routes[0]), strips.achieved[0]
+            else:
+                s = diagonalize_ribbon(RibbonSpec(w=w, boundary_y=boundary, k_x=kx, model=model))
+                records, route, residual = localization_profile(s, w, alone), s.path, s.achieved_tol
+            solves[route] += 1
+            residuals.append(residual)
+            assert records.tobytes() == row.tobytes()
         assert ref.solves.strip_solves == one.solves.strip_solves == solves
         assert ref.solves.max_residual == max(residuals)
         assert ref.solves.max_residual_kx == one.solves.max_residual_kx == kxs[int(np.argmax(residuals))]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(CHUNK_MODELS)),
+        boundary=st.sampled_from(ribbon.BOUNDARIES),
+        w=st.integers(2, 5),
+        k=st.floats(0.0, np.pi, exclude_min=True),
+    )
+    def test_partner_matches_an_independent_solve(self, name, boundary, w, k):
+        # the partner -k of a pair, from its representative's solve, against
+        # H(-k) solved alone; labels are not compared, as on a degenerate
+        # cluster they depend on the basis the solver returns
+        model = CHUNK_MODELS[name]
+        spec = RibbonSpec(w=w, boundary_y=boundary, k_x=-k, model=model)
+        strips = ribbon._solve_strips(model, w, [k, -k], boundary == "periodic")
+        e, h = strips.eigenvalues[1], build_ribbon(spec)
+        assert strips.routes[1] == ("mirrored" if ribbon._mirrored(model) else "species")
+        norm = max(1.0, np.linalg.norm(h, "fro"))
+        assert match_eigenvalue_sets(e, diagonalize_ribbon(spec).eigenvalues) <= 1e-10 * norm
+        hp = np.eye(len(h))
+        for p in range(1, 5):  # the power sums sum E**p = tr H**p
+            hp = hp @ h
+            assert abs((e**p).sum() - np.trace(hp)) <= 1e-10 * norm**p
+
+    def test_fig6c_pair_is_mirror_consistent(self):
+        # solved separately, E(k_x) and -E(-k_x) differ by 4.2e-2 at +-3pi/4
+        # (condition numbers of 1.5e15); as a pair they agree exactly
+        res = sweep(get_preset("fig6c").model, 52, [-0.75 * np.pi, 0.75 * np.pi], n_transverse=64)
+        e = res.records.eigenvalue
+        np.testing.assert_array_equal(e[0], np.sort(-e[1]))
+        assert res.solves.strip_solves["mirrored"] == 1
+        assert res.solves.max_residual <= eigen.default_tol(6 * 52)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_strip_solves_count_a_fallback_inside_a_chunk(self, threads):
@@ -832,11 +880,11 @@ class TestChunkedSweep:
         target = eigen.chiral_blocks(ribbon._bond_terms(model, [0.5]), w)[0][0]
         real, sentinel, seen = eigen.eig_chiral, eig(np.eye(2)), []
 
-        def failing(b, c, tol=None):
+        def failing(b, c, tol=None, pairs=None):
             seen.append(np.shape(b))
             if any(np.array_equal(x, target) for x in np.reshape(b, (-1, 3 * w, 3 * w))):
                 raise ConvergenceError("residual target missed", result=sentinel)
-            return real(b, c, tol=tol)
+            return real(b, c, tol=tol, pairs=pairs)
 
         monkeypatch.setattr(eigen, "eig_chiral", failing)
         with pytest.raises(ConvergenceError, match=r"^k_x = 0\.5: residual target missed$") as info:
