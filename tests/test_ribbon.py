@@ -593,7 +593,6 @@ class TestSweepAndSummary:
     @pytest.fixture
     def blas_at_two(self):
         """The bundled OpenBLAS copies at two threads, restored afterwards."""
-        eigen._scipy_linalg()  # scipy's copy too, which the first +-k_x pair loads
         saved = [(set_, get()) for get, set_ in eigen._BLAS_THREADS]
         for set_, _ in saved:
             set_(2)
