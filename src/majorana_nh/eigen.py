@@ -17,9 +17,11 @@ residuals and falls back to :func:`eig` where they miss; a matrix whose
 norm overflows is certified by nothing and raises.  :func:`eig`,
 :func:`eigh` and :func:`eig_chiral` take ``pairs=`` of +-k matrices,
 H(-k) = -H(k)^T, and solve each pair once: the partner's eigenpairs come
-from its representative's left vectors and are certified on its own
-matrix.  :func:`one_blas_thread` holds the bundled OpenBLAS at one thread
-for callers that run solves side by side.
+from its representative's left vectors (the rows of V^-1 of one stacked
+solve up to 6x6, ``zgeev``'s own above) and are certified on its own
+matrix; :func:`eig_stack` gives the same solve uncertified.
+:func:`one_blas_thread` holds the bundled OpenBLAS at one thread for
+callers that run solves side by side.
 """
 
 from __future__ import annotations
@@ -342,19 +344,76 @@ def _eig_left_right(a):
     return w, vl, vr
 
 
-def _lapack_eig(a, pairs, sign):
-    """Unsorted eigenpairs ``(w, v)`` of a flat stack, one LAPACK ``zgeev`` per matrix or pair.
+#: largest n of the stacked pair route of :func:`_lapack_eig`: the 6x6 Bloch
+#: matrices and their 2x2 species blocks.  At that size a ctypes ``zgeev``
+#: call costs as much as its solve (a 48x48 Bloch grid: 0.052 s by
+#: ``np.linalg.eig``, 0.055 s pair by pair), and one stacked ``eig`` plus
+#: ``np.linalg.inv`` of the representatives' vectors takes 0.031 s.  Larger
+#: matrices keep ``zgeev``'s own left vectors: V^-1 loses the accuracy of
+#: ill-conditioned strips (fig6c's condition numbers reach 1e15).
+STACKED_PAIR_N = 6
 
-    A matrix in no pair takes ``np.linalg.eig``.  A pair (r, p) declares
-    ``a[p] = sign * a[r]^T``: ``a[r]`` takes :func:`_eig_left_right`, and
-    since its left vectors u satisfy u^H a[r] = w u^H, ``a[p]`` conj(u) =
-    sign w conj(u) gives ``a[p]`` its pairs with no solve of its own.
+#: a representative's V^-1 gives its partner's vectors only if V V^-1 is
+#: within this of I, entry by entry, and no entry of V^-1 exceeds its
+#: inverse.  V has unit columns, so the rows of V^-1 have the eigenvalues'
+#: condition numbers as norms: near a defective matrix they grow without
+#: bound (5e291 on a 2x2 Jordan block), and a partner's residuals would
+#: miss their target anyway.
+_INVERSE_TOL = 1e-8
+
+
+def _inverses(v):
+    """The rows of V^-1 of a ``(k, n, n)`` stack as columns, scaled to a largest entry of 1, and a mask of those to use.
+
+    The mask keeps the matrices whose V^-1 passes the test of
+    ``_INVERSE_TOL``; an exactly singular V, on which ``np.linalg.inv``
+    raises (a 3x3 Jordan block's), fails it, as does a non-finite V^-1.
     """
-    alone = np.setdiff1d(np.arange(len(a)), pairs)
     try:
-        if alone.size == len(a):
-            return np.linalg.eig(a)
+        inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        inv = np.full_like(v, np.nan)
+        for j, one in enumerate(v):
+            try:
+                inv[j] = np.linalg.inv(one)
+            except np.linalg.LinAlgError:
+                continue
+    with np.errstate(all="ignore"):
+        size = np.abs(inv).max(axis=-1, keepdims=True)
+        error = np.abs(v @ inv - np.eye(v.shape[-1])).max(axis=(-2, -1))
+        left = np.swapaxes(inv / size, -1, -2)
+    return left, (error <= _INVERSE_TOL) & (size.max(axis=(-2, -1)) <= 1.0 / _INVERSE_TOL)
+
+
+def _lapack_eig(a, pairs, sign):
+    """Unsorted eigenpairs ``(w, v)`` of a flat stack, each pair of ``pairs`` solved once.
+
+    A pair (r, p) declares ``a[p] = sign * a[r]^T``.  Since a left vector u
+    of ``a[r]`` satisfies u^H a[r] = w u^H, ``a[p]`` conj(u) = sign w conj(u)
+    gives ``a[p]`` its pairs with no solve of its own.  Matrices of at most
+    ``STACKED_PAIR_N`` rows take one ``np.linalg.eig`` for the
+    representatives and the matrices in no pair, and the left vectors are
+    the rows of each representative's V^-1; a partner whose representative's
+    V^-1 misses the identity test of :func:`_inverses` is solved alone.
+    Larger ones take :func:`_eig_left_right` per pair, ``np.linalg.eig``
+    for the rest.  Also returns the pairs whose partner took its
+    representative's solve.
+    """
+    try:
+        if not pairs.size:
+            return (*np.linalg.eig(a), pairs)
         w, v = np.empty(a.shape[:-1], dtype=complex), np.empty_like(a, dtype=complex)
+        if a.shape[-1] <= STACKED_PAIR_N:
+            solved = np.setdiff1d(np.arange(len(a)), pairs[:, 1])
+            w[solved], v[solved] = np.linalg.eig(a[solved])
+            r, p = pairs.T
+            left, ok = _inverses(v[r])
+            w[p[ok]] = sign * w[r[ok]]
+            v[p[ok]] = left[ok]
+            if not ok.all():
+                w[p[~ok]], v[p[~ok]] = np.linalg.eig(a[p[~ok]])
+            return w, v, pairs[ok]
+        alone = np.setdiff1d(np.arange(len(a)), pairs)
         if alone.size:
             w[alone], v[alone] = np.linalg.eig(a[alone])
         for r, p in pairs:
@@ -363,16 +422,31 @@ def _lapack_eig(a, pairs, sign):
             np.conjugate(left, out=v[p])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    return w, v
+    return w, v, pairs
+
+
+def eig_stack(a, pairs=None):
+    """Uncertified ``np.linalg.eig`` of a flat ``(k, n, n)`` stack, each +-k pair of ``pairs`` solved once.
+
+    For callers that certify what they use on their own, such as the zone
+    grid of the EP scan.  ``pairs`` as in :func:`eig`.  Returns the unsorted
+    ``(w, v)`` of :func:`_lapack_eig` and the pairs whose partner took its
+    representative's solve; a partner's right vectors are not unit.
+    """
+    a = np.asarray(a, dtype=complex)
+    return _lapack_eig(a, _pairs(pairs, len(a)), -1.0)
 
 
 def _solve(a, tol, norm, pairs=_NO_PAIRS):
-    """Sorted, unit, polished eigenpairs of a flat ``(k, n, n)`` stack and their residuals.
+    """Sorted, unit, polished eigenpairs of a flat ``(k, n, n)`` stack, their residuals and the pairs mirrored.
 
     ``pairs`` as in :func:`eig`: each partner's pairs come from its
-    representative's solve, then run the same tail on its own matrix.
+    representative's solve, then run the same tail on its own matrix.  The
+    pairs returned are those whose partner took its representative's solve
+    (:func:`_lapack_eig`).
     """
-    w, v = _sort_pairs(*_lapack_eig(a, pairs, -1.0))
+    w, v, pairs = _lapack_eig(a, pairs, -1.0)
+    w, v = _sort_pairs(w, v)
     v = _unit_columns(v)
     res = _residuals(a, w, v, norm)
     # a nan residual misses tol; a matrix whose norm overflowed cannot be polished
@@ -382,7 +456,7 @@ def _solve(a, tol, norm, pairs=_NO_PAIRS):
         wp, vp = _polish(a[hit], w[hit], v[hit], bad[hit], norm[hit])
         w[hit], v[hit] = _sort_pairs(wp, _unit_columns(vp))
         res[hit] = _residuals(a[hit], w[hit], v[hit], norm[hit])
-    return w, v, res
+    return w, v, res, pairs
 
 
 def _routes(k, path, pairs):
@@ -430,7 +504,7 @@ def _certified_or_redone(stack, tol, w, v, res, flags, norm, routes, failed, den
     uncertified = failed | ~(res <= tol[:, None]).all(axis=-1) | ~np.isfinite(norm)
     redo = np.flatnonzero(uncertified & (routes != "dense"))
     if redo.size:
-        w[redo], v[redo], res[redo] = _solve(dense(redo), tol[redo], norm[redo])
+        w[redo], v[redo], res[redo], _ = _solve(dense(redo), tol[redo], norm[redo])
         flags[redo] = _defective_flags(v[redo])
         routes[redo] = "dense_fallback"
     return _certified(stack, tol, w, v, res, flags, norm, routes)
@@ -445,13 +519,18 @@ def eig(matrix, tol: float | np.ndarray | None = None, *, pairs=None) -> Spectru
 
     ``pairs``, ``(p, 2)`` indices into the flattened stack, declares each
     (representative, partner) a +-k pair of a Majorana Hamiltonian,
-    H(-k) = -H(k)^T: one LAPACK call gives the representative its right and
-    left vectors, and the partner takes (-E, conj(left vector)).  The
-    partner then runs the tail of every matrix on its own H(-k) (sort, unit
-    columns, residuals, polish, defective flags), with route "mirrored",
-    and its set must keep the trace identity sum E**2 = tr H**2 of
-    :func:`eig_chiral`; a partner that misses either is solved again alone,
-    route "dense_fallback".
+    H(-k) = -H(k)^T: the representative's solve gives it its right and left
+    vectors, and the partner takes (-E, conj(left vector)).  Up to
+    ``STACKED_PAIR_N`` rows (Bloch matrices) one stacked solve serves every
+    representative and the left vectors are the rows of V^-1; a partner
+    whose representative's V^-1 is inaccurate or does not exist (V near or
+    at a defective matrix) is solved alone, route "dense".  Larger matrices
+    (strips) take one LAPACK ``zgeev`` per pair.  A mirrored partner then
+    runs the tail of every matrix on its own H(-k) (sort, unit columns,
+    residuals, polish, defective flags), with route "mirrored", and its set
+    must keep the trace identity sum E**2 = tr H**2 of :func:`eig_chiral`;
+    a partner that misses either is solved again alone, route
+    "dense_fallback".
 
     Raises ValueError on non-square, empty or non-finite input and
     :class:`ConvergenceError` (naming the first failing matrix, whole result
@@ -460,7 +539,7 @@ def eig(matrix, tol: float | np.ndarray | None = None, *, pairs=None) -> Spectru
     a, stack, tol, _ = _stack(matrix, tol)
     pairs = _pairs(pairs, len(a))
     norm = frobenius_norms(a)
-    w, v, res = _solve(a, tol, norm, pairs)
+    w, v, res, pairs = _solve(a, tol, norm, pairs)
     p = pairs[:, 1]
     failed = np.zeros(len(a), dtype=bool)
     trace_gap = np.abs((w[p] * w[p]).sum(axis=-1) - np.einsum("kij,kji->k", a[p], a[p]))
@@ -532,15 +611,16 @@ def _near_zero(mu):
 def _chiral_pairs(b, c, pairs):
     """Eigenpairs of H = [[0, B], [C, 0]] from eig(B C), the near-zero cluster by Rayleigh-Ritz.
 
-    Returns unsorted eigenvalues ``(k, 2m)``, vectors ``(k, 2m, 2m)`` and a
-    ``(k,)`` mask of the matrices whose cluster could be resolved.  The
-    Rayleigh-Ritz step runs stacked over the matrices of one cluster size.
-    A partner of ``pairs`` has B C and C B the transposes of its
+    Returns unsorted eigenvalues ``(k, 2m)``, vectors ``(k, 2m, 2m)``, a
+    ``(k,)`` mask of the matrices whose cluster could be resolved and the
+    pairs whose partner took its B C eigenpairs from its representative.
+    The Rayleigh-Ritz step runs stacked over the matrices of one cluster
+    size.  A partner of ``pairs`` has B C and C B the transposes of its
     representative's, so takes their eigenpairs from its representative's
     left vectors (:func:`_lapack_eig`); the rest runs on its own B and C.
     """
     k, m = b.shape[0], b.shape[-1]
-    mu, x = _lapack_eig(b @ c, pairs, 1.0)
+    mu, x, pairs = _lapack_eig(b @ c, pairs, 1.0)
     e = np.sqrt(mu)
     near = _near_zero(mu)
     # H [x; y] = E [x; y] with y = C x / E; B C x = E**2 x
@@ -551,11 +631,11 @@ def _chiral_pairs(b, c, pairs):
 
     has = np.flatnonzero(near.any(axis=-1))
     if not has.size:
-        return w, v, resolved
+        return w, v, resolved, pairs
     # the pairs of matrices with a cluster (a partner's mu is its representative's), by position in has
     where = np.full(k, -1)
     where[has] = np.arange(has.size)
-    mu_cb, x_cb = _lapack_eig(c[has] @ b[has], where[pairs[(where[pairs] >= 0).all(axis=-1)]], 1.0)
+    mu_cb, x_cb, _ = _lapack_eig(c[has] @ b[has], where[pairs[(where[pairs] >= 0).all(axis=-1)]], 1.0)
     near_cb = _near_zero(mu_cb)
     size, size_cb = near[has].sum(axis=-1), near_cb.sum(axis=-1)
     resolved[has[size != size_cb]] = False
@@ -584,7 +664,7 @@ def _chiral_pairs(b, c, pairs):
         v[i[:, None, None], np.arange(2 * m)[:, None], slots[:, None, :]] = np.concatenate(
             [qx @ zs[:, :s], qy @ zs[:, s:]], axis=-2
         )
-    return w, v, resolved
+    return w, v, resolved, pairs
 
 
 def _adjoint(a):
@@ -642,7 +722,7 @@ def eig_chiral(b, c, tol: float | np.ndarray | None = None, *, pairs=None) -> Sp
     pairs = _pairs(pairs, len(b))
     norm = np.hypot(frobenius_norms(b), frobenius_norms(c))
 
-    w, v, resolved = _chiral_pairs(b, c, pairs)
+    w, v, resolved, pairs = _chiral_pairs(b, c, pairs)
     w, v = _sort_pairs(w, v)
     v = _unit_columns(v)
     res = _chiral_residuals(b, c, w, v, norm)

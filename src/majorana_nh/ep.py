@@ -54,6 +54,43 @@ def phase_grid(n: int):
     return th, np.stack([t1g, t2g], axis=-1)
 
 
+def phase_grid_pairs(n: int) -> np.ndarray:
+    """The +-theta pairs of the flat :func:`phase_grid` points: ``(p, 2)`` (representative, partner) indices.
+
+    Point (i, j) has its negation mod 2 pi at ((n - i) % n, (n - j) % n),
+    up to the rounding of ``linspace`` (two ulps of pi at most, on the grids
+    tried); the representative is the lower flat index.
+    A point that is its own partner (the four time-reversal-invariant
+    momenta of an even grid, the one of an odd grid) is in no pair.
+    """
+    i = np.arange(n)
+    neg = (n - i) % n
+    flat, partner = (i[:, None] * n + i).ravel(), (neg[:, None] * n + neg).ravel()
+    rep = flat < partner
+    return np.stack([flat[rep], partner[rep]], axis=-1)
+
+
+@dataclass
+class GridSolves:
+    """Zone-grid eigensolves by route, summed over calls.
+
+    ``solved`` matrices took a solve of their own, ``mirrored`` ones the
+    solve of their -theta partner (:func:`phase_grid_pairs`), and
+    ``dense_fallback`` ones were solved again after a mirrored pair missed
+    its certificate (certified grids only: ``bloch-spectrum``).
+    """
+
+    solved: int = 0
+    mirrored: int = 0
+    dense_fallback: int = 0
+
+    def add(self, n: int, mirrored: int, dense_fallback: int = 0):
+        """Count a grid of ``n`` matrices, ``mirrored`` and ``dense_fallback`` of them by those routes."""
+        self.solved += int(n - mirrored - dense_fallback)
+        self.mirrored += int(mirrored)
+        self.dense_fallback += int(dense_fallback)
+
+
 def _wrap_phase(theta):
     """Phases wrapped into [-pi, pi)."""
     return theta - 2.0 * np.pi * np.floor((theta + np.pi) / (2.0 * np.pi))
@@ -221,18 +258,18 @@ def model_closed_form_eps(model: ModelConfig) -> list[EPRecord]:
 # scan-based search
 # --------------------------------------------------------------------------
 
-def _pair_tables(hs):
-    """Eigenvalues, pair distances and eigenvector overlaps of a matrix stack.
+def _pair_tables(w, v):
+    """Pair distances and eigenvector overlaps of the eigenpairs ``(w, v)`` of a matrix stack.
 
-    ``hs`` has shape (..., m, m).  Returns ``(w, d, gram)``: the eigenvalues,
-    ``d[..., i, j] = |w_i - w_j|`` and ``gram[..., i, j]`` the modulus of the
-    inner product of unit right eigenvectors i and j (diagonals as computed).
+    ``w`` (..., m) and ``v`` (..., m, m) as ``np.linalg.eig`` gives them.
+    Returns ``(d, gram)``: ``d[..., i, j] = |w_i - w_j|`` and
+    ``gram[..., i, j]`` the modulus of the inner product of unit right
+    eigenvectors i and j (diagonals as computed).
     """
-    w, v = np.linalg.eig(hs)
     v = v / np.linalg.norm(v, axis=-2, keepdims=True)
     d = np.abs(w[..., :, None] - w[..., None, :])
     gram = np.abs(np.swapaxes(v.conj(), -1, -2) @ v)
-    return w, d, gram
+    return d, gram
 
 
 def _defect_scores(d, gram, scale):
@@ -249,7 +286,7 @@ def _defect_scores(d, gram, scale):
 
 def _pair_metrics(h):
     """(gap, largest eigenvector overlap among the closest pairs) of one matrix."""
-    _, d, gram = _pair_tables(h)
+    d, gram = _pair_tables(*np.linalg.eig(h))
     idx = np.arange(d.shape[-1])
     d[idx, idx] = np.inf
     gram[idx, idx] = 0.0
@@ -302,62 +339,80 @@ _NEWTON_RCOND = 1e-6
 def _tracked_splitting(w, ref):
     """Squared splitting of the eigenvalue pair nearest ``ref`` at each point.
 
-    ``w`` has shape (p, m), ``ref`` is the pair ``(lambda_a, lambda_b)`` to
-    follow.  Returns ``D = (lambda_a - lambda_b)^2`` per point and the pair
-    found at point 0.
+    ``w`` has shape (c, p, m): the eigenvalues at p points of each of c
+    candidates; ``ref`` (c, 2) is each candidate's pair ``(lambda_a,
+    lambda_b)`` to follow.  Returns ``D = (lambda_a - lambda_b)^2`` per
+    point (c, p) and the pair found at each candidate's point 0 (c, 2).
     """
-    rows = np.arange(w.shape[0])
-    ia = np.abs(w - ref[0]).argmin(axis=1)
-    dist_b = np.abs(w - ref[1])
-    dist_b[rows, ia] = np.inf
-    ib = dist_b.argmin(axis=1)
-    wa, wb = w[rows, ia], w[rows, ib]
-    return (wa - wb) ** 2, (wa[0], wb[0])
+    ia = np.abs(w - ref[:, None, :1]).argmin(axis=-1)[..., None]
+    dist_b = np.abs(w - ref[:, None, 1:])
+    np.put_along_axis(dist_b, ia, np.inf, -1)
+    wa = np.take_along_axis(w, ia, -1)[..., 0]
+    wb = np.take_along_axis(w, dist_b.argmin(axis=-1)[..., None], -1)[..., 0]
+    return (wa - wb) ** 2, np.stack([wa[:, 0], wb[:, 0]], axis=-1)
 
 
 def _newton_refine(build_h, theta0, pair0, max_step, d_tol):
-    """Damped Gauss-Newton on ``D(theta) = (lambda_a - lambda_b)^2 = 0``.
+    """Damped Gauss-Newton on ``D(theta) = (lambda_a - lambda_b)^2 = 0``, for candidates in lockstep.
 
-    ``pair0`` are the two eigenvalues at ``theta0`` that should coalesce;
-    they are followed by continuity.  Re D and Im D are solved in the least-
-    squares sense (the Jacobian is rank 1 where D is real), each step is
-    capped at ``max_step`` and halved until |D| decreases enough.  The
-    Jacobian is a central difference, evaluated with D at the trial point in
-    one batched eigensolve.  Stops once |D| <= ``d_tol`` or the step falls
-    below rounding level.  Returns ``(theta, accepted steps)``.
+    ``theta0`` (c, 2) are the starting points and ``pair0`` (c, 2) the two
+    eigenvalues at each that should coalesce; they are followed by
+    continuity.  Re D and Im D are solved in the least-squares sense (the
+    Jacobian is rank 1 where D is real), each step is capped at
+    ``max_step`` and halved until |D| decreases enough.  The Jacobian is a
+    central difference, evaluated with D at the trial point.  A candidate
+    stops once |D| <= ``d_tol`` or its step falls below rounding level.
+    Every round evaluates the trial points of all candidates still stepping
+    in one build and one stacked eigensolve; the rest of the arithmetic is
+    each candidate's own, so each takes the steps it takes alone.  Returns
+    ``(theta (c, 2), accepted steps (c,))``.
     """
+    theta = np.array(theta0, dtype=float).reshape(-1, 2)
+    c = len(theta)
+    n_iter = np.zeros(c, dtype=int)
+    if not c:
+        return theta, n_iter
 
-    def evaluate(theta, ref):
-        pts = theta + _FD_STEP * _STENCIL
-        dd, pair = _tracked_splitting(np.linalg.eigvals(build_h(pts)), ref)
-        jac = np.array(
-            [(dd[1] - dd[2]) / (2.0 * _FD_STEP), (dd[3] - dd[4]) / (2.0 * _FD_STEP)]
-        )
-        return dd[0], np.stack([jac.real, jac.imag]), pair
+    def evaluate(points, refs):
+        pts = points[:, None, :] + _FD_STEP * _STENCIL
+        w = np.linalg.eigvals(build_h(pts.reshape(-1, 2)))
+        dd, pair = _tracked_splitting(w.reshape(*pts.shape[:-1], -1), refs)
+        jac = np.stack([(dd[:, 1] - dd[:, 2]) / (2.0 * _FD_STEP), (dd[:, 3] - dd[:, 4]) / (2.0 * _FD_STEP)], axis=-1)
+        return dd[:, 0], np.stack([jac.real, jac.imag], axis=1), pair
 
-    theta = np.asarray(theta0, dtype=float)
-    dd, jac, pair = evaluate(theta, pair0)
-    n_iter = 0
-    boost = 1.0
-    while n_iter < _NEWTON_MAX_ITER and abs(dd) > d_tol:
-        delta = np.linalg.lstsq(jac, -np.array([dd.real, dd.imag]), rcond=_NEWTON_RCOND)[0]
-        norm = float(np.hypot(*delta))
+    dd, jac, pair = evaluate(theta, np.asarray(pair0, dtype=complex).reshape(-1, 2))
+    delta = np.zeros_like(theta)
+    halvings = np.zeros(c, dtype=int)
+
+    def propose(i, boost):
+        """Set candidate i's next trial step, at most ``boost`` times the Newton step; False if it stops."""
+        if not (n_iter[i] < _NEWTON_MAX_ITER and abs(dd[i]) > d_tol):
+            return False
+        step = np.linalg.lstsq(jac[i], -np.array([dd[i].real, dd[i].imag]), rcond=_NEWTON_RCOND)[0]
+        norm = float(np.hypot(*step))
         if norm < _NEWTON_XTOL:
-            break
-        delta *= min(boost, max_step / norm)
-        for _ in range(_NEWTON_MAX_HALVINGS):
-            trial = theta + delta
-            dd_t, jac_t, pair_t = evaluate(trial, pair)
-            if abs(dd_t) <= _NEWTON_DECREASE * abs(dd):
-                break
-            delta *= 0.5
-        else:
-            break
-        # at a double zero, D = L(theta)^2 with L linear, a Newton step halves
-        # the distance and |D| falls by 4: the next step is doubled
-        boost = 2.0 if 1e-3 < abs(dd_t) / abs(dd) < 0.35 else 1.0
-        theta, dd, jac, pair = trial, dd_t, jac_t, pair_t
-        n_iter += 1
+            return False
+        step *= min(boost, max_step / norm)
+        delta[i], halvings[i] = step, 0
+        return True
+
+    trying = np.array([propose(i, 1.0) for i in range(c)])
+    while trying.any():
+        idx = np.flatnonzero(trying)
+        trial = theta[idx] + delta[idx]
+        dd_t, jac_t, pair_t = evaluate(trial, pair[idx])
+        for t, i in enumerate(idx):
+            if abs(dd_t[t]) <= _NEWTON_DECREASE * abs(dd[i]):
+                # at a double zero, D = L(theta)^2 with L linear, a Newton step
+                # halves the distance and |D| falls by 4: the next step is doubled
+                boost = 2.0 if 1e-3 < abs(dd_t[t]) / abs(dd[i]) < 0.35 else 1.0
+                theta[i], dd[i], jac[i], pair[i] = trial[t], dd_t[t], jac_t[t], pair_t[t]
+                n_iter[i] += 1
+                trying[i] = propose(i, boost)
+            else:
+                delta[i] *= 0.5
+                halvings[i] += 1
+                trying[i] = halvings[i] < _NEWTON_MAX_HALVINGS
     return theta, n_iter
 
 
@@ -376,7 +431,7 @@ def _nelder_mead_refine(build_h, theta0, kind, scale, step):
     """
     if kind == "sigma":
         def obj(t):
-            _, d, gram = _pair_tables(build_h(np.asarray(t)))
+            d, gram = _pair_tables(*np.linalg.eig(build_h(np.asarray(t))))
             return float(_defect_scores(d, gram, scale).min())
     else:
         def obj(t):
@@ -397,7 +452,7 @@ def _nelder_mead_refine(build_h, theta0, kind, scale, step):
     return res.x
 
 
-def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, counters):
+def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, counters, grid_solves):
     """Grid scan + refinement for one family of Bloch(-block) matrices.
 
     ``build_h`` maps bond-phase points of shape (..., 2) to matrices of shape
@@ -408,13 +463,19 @@ def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, counters):
     refined by Newton on the squared splitting of one eigenvalue pair: the
     best-scoring pair of a defect-score candidate, or the smallest |E| and
     the eigenvalue nearest its negative (its chiral partner) for a
-    smallest-|E| candidate.  A candidate Newton leaves with a gap of at
-    least ``gap_tol`` is refined again by Nelder-Mead from its grid point.
+    smallest-|E| candidate.  All candidates run Newton in lockstep
+    (:func:`_newton_refine`); one Newton leaves with a gap of at least
+    ``gap_tol`` is refined again by Nelder-Mead from its grid point.  The
+    grid solves each +-theta pair once (:func:`eigen.eig_stack`), counted in
+    ``grid_solves``; it is not certified, since every refined point is
+    certified on its own matrix.
     """
     thetas = phase_grid(grid_n)[1].reshape(-1, 2)
     hs = build_h(thetas)
 
-    w, d, gram = _pair_tables(hs)
+    w, v, mirrored = eigen.eig_stack(hs, phase_grid_pairs(grid_n))
+    grid_solves.add(len(hs), len(mirrored))
+    d, gram = _pair_tables(w, v)
     scale = max(float(np.median(np.abs(w).max(axis=1))), 1e-12)
     if gap_tol is None:
         gap_tol = 1e-6 * float(np.median(np.linalg.norm(hs, axis=(1, 2))))
@@ -432,6 +493,7 @@ def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, counters):
         kind = "sigma" if field is sigma else "tau"
         for f in flat[:MAX_SCAN_CANDIDATES]:
             cand.add((int(f), kind))
+    cand = sorted(cand)
 
     step = 2.0 * np.pi / grid_n
 
@@ -451,13 +513,14 @@ def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, counters):
         h = build_h(theta)
         return theta, h, *_pair_metrics(h)
 
+    starts = thetas[[flat for flat, _ in cand]]
+    refined, n_iter = _newton_refine(
+        build_h, starts, [start_pair(flat, kind) for flat, kind in cand], step, (1e-12 * scale) ** 2
+    )
+    counters.candidates += len(cand)
+    counters.newton_iterations += int(np.sum(n_iter))
     records = []
-    for flat, kind in sorted(cand):
-        counters.candidates += 1
-        theta, n_iter = _newton_refine(
-            build_h, thetas[flat], start_pair(flat, kind), step, (1e-12 * scale) ** 2
-        )
-        counters.newton_iterations += n_iter
+    for (flat, kind), theta in zip(cand, refined):
         theta, h, gap, overlap = certify(theta)
         if gap >= gap_tol:
             counters.fallbacks += 1
@@ -513,6 +576,7 @@ def ep_scan(
     overlap_tol: float = 1e-4,
     confirmed_only: bool = True,
     counters: RefineCounters | None = None,
+    grid_solves: GridSolves | None = None,
 ) -> list[EPRecord]:
     """Locate spectral degeneracies of the Bloch matrix by grid scan + refinement.
 
@@ -527,12 +591,25 @@ def ep_scan(
     ``confirmed_only`` (default) only certified exceptional points (gap and
     overlap within tolerance) are returned; otherwise every refined
     degeneracy is reported, e.g. Dirac points, whose overlap stays near 0.
-    ``counters``, if given, accumulates the refinement work.
+    A Hermitian model is diagonalizable everywhere, so has no exceptional
+    point: with ``confirmed_only`` it returns ``[]`` without a scan (at
+    ``grid_n`` 128 the scans of fig2a-like, fig3a and fig6a took 0.7-1.1 s
+    each and confirmed nothing).
+
+    The zone grid is solved by :func:`eigen.eig_stack`, one solve per
+    +-theta pair: 6x6 and 2x2 matrices are small enough for its stacked
+    route, where a ctypes ``zgeev`` per pair would cost as much as the
+    solve.  ``counters`` and ``grid_solves``, if given, accumulate the
+    refinement work and the grid solves by route.
     """
     if grid_n < MIN_SCAN_GRID_N:
         raise ValueError(f"grid_n must be >= {MIN_SCAN_GRID_N}")
+    if confirmed_only and model.hermitian:
+        return []
     if counters is None:
         counters = RefineCounters()
+    if grid_solves is None:
+        grid_solves = GridSolves()
 
     sets = species(model)
     if sets is not None:
@@ -545,7 +622,7 @@ def ep_scan(
     records = []
     for fl, build_h in families:
         records.extend(
-            _scan_family(build_h, grid_n, gap_tol, overlap_tol, fl, counters)
+            _scan_family(build_h, grid_n, gap_tol, overlap_tol, fl, counters, grid_solves)
         )
 
     if confirmed_only:
@@ -827,18 +904,26 @@ def _arc_trace_scalar(j_eff, flavour, grid_n, eps):
             for pts, ends, _ in _arc_pieces(prod.imag, eps, grid_n, keep)]
 
 
-def _arc_trace_coupled(model, grid_n, counters=None):
+def _arc_trace_coupled(model, grid_n, counters=None, grid_solves=None):
     """Arcs of a flavour-mixing model: zero-real-part eigenvalue locus.
 
     For bond-only models the six bands come in +-sqrt(z) pairs with z an
     eigenvalue of the 3x3 product of bond-sum matrices, so the locus is
     Im z = 0, Re z <= 0 per branch; with onsite terms the six-band product
-    of Re(E_i) is contoured instead.  Closed loops no EP cuts are kept;
-    other pieces only when both ends terminate at confirmed scan EPs.
+    of Re(E_i) is contoured instead.  Both fields are even in theta
+    (H(-k) = -H(k)^T), so each +-theta pair of the grid is solved once.
+    Closed loops no EP cuts are kept; other pieces only when both ends
+    terminate at confirmed scan EPs.
     """
-    eps = ep_scan(model, grid_n=max(64, grid_n // 2), confirmed_only=True, counters=counters)
+    if grid_solves is None:
+        grid_solves = GridSolves()
+    eps = ep_scan(model, grid_n=max(64, grid_n // 2), confirmed_only=True, counters=counters,
+                  grid_solves=grid_solves)
 
-    hs = bloch_matrix_grid(model, k_from_bond_phase(phase_grid(grid_n)[1]))
+    pairs = phase_grid_pairs(grid_n)
+    solved = np.setdiff1d(np.arange(grid_n * grid_n), pairs[:, 1])
+    hs = bloch_matrix_grid(model, k_from_bond_phase(phase_grid(grid_n)[1].reshape(-1, 2)[solved]))
+    grid_solves.add(grid_n * grid_n, len(pairs))
     if model.bond_only:
         z = np.linalg.eigvals(
             hs[..., A_IDX[:, None], B_IDX[None, :]] @ hs[..., B_IDX[:, None], A_IDX[None, :]]
@@ -846,9 +931,13 @@ def _arc_trace_coupled(model, grid_n, counters=None):
         points = _point_arcs(z, eps, None)
         if points is not None:
             return points
-        field = np.prod(z.imag, axis=-1)
+        values = np.prod(z.imag, axis=-1)
     else:
-        field = np.prod(np.linalg.eigvals(hs).real, axis=-1)
+        values = np.prod(np.linalg.eigvals(hs).real, axis=-1)
+    field = np.empty(grid_n * grid_n)
+    field[solved] = values
+    field[pairs[:, 1]] = field[pairs[:, 0]]
+    field = field.reshape(grid_n, grid_n)
 
     def keep(piece, ends, uncut_loop):
         return uncut_loop or (ends[0] is not None and ends[1] is not None)
@@ -861,6 +950,7 @@ def fermi_arc_trace(
     model: ModelConfig,
     grid_n: int = 256,
     counters: RefineCounters | None = None,
+    grid_solves: GridSolves | None = None,
 ) -> list[ArcPolyline]:
     """Open contours of purely imaginary eigenvalue pairs, ending at EPs.
 
@@ -868,11 +958,12 @@ def fermi_arc_trace(
     bond sum, and each arc's ``flavour`` names its species; Dirac points of a
     Hermitian model degenerate to single-point arcs.
     Flavour-mixing models are traced from the full matrix spectrum, between
-    the EPs of :func:`ep_scan`, whose refinement work goes to ``counters``.
+    the EPs of :func:`ep_scan`, whose refinement work goes to ``counters``;
+    the zone-grid solves of both, by route, go to ``grid_solves``.
     """
     sets = species(model)
     if sets is None:
-        return _arc_trace_coupled(model, grid_n, counters)
+        return _arc_trace_coupled(model, grid_n, counters, grid_solves)
     eps = model_closed_form_eps(model)
     arcs = []
     for fl, j_eff in sets:

@@ -56,16 +56,22 @@ def run_bloch_spectrum(cfg: RunConfig) -> list[Path]:
     """Eigenvalues over the ``ep-find`` zone grid: one batched build, one stacked solve.
 
     A Hermitian model is solved by :func:`eigen.eigh`, so its ``im_E`` is 0.
+    Each +-theta pair of the grid (:func:`ep.phase_grid_pairs`) is solved
+    once and certified on both matrices; the meta's ``grid_solves`` counts
+    the routes.
     """
     ks = ep.k_from_bond_phase(ep.phase_grid(cfg.grid.bz_n)[1]).reshape(-1, 2)
     solve = eigen.eigh if cfg.model.hermitian else eigen.eig
-    spectra = solve(bloch_matrix_grid(cfg.model, ks)).eigenvalues
+    spectrum = solve(bloch_matrix_grid(cfg.model, ks), pairs=ep.phase_grid_pairs(cfg.grid.bz_n))
+    grid_solves = ep.GridSolves()
+    grid_solves.add(len(ks), (spectrum.routes == "mirrored").sum(), (spectrum.routes == "dense_fallback").sum())
+    spectra = spectrum.eigenvalues
     closed_ok = closed_form_spectrum(cfg.model, (0.0, 0.0)) is not None
     n = spectra.shape[-1]
     table = {"k_x": np.repeat(ks[:, 0], n), "k_y": np.repeat(ks[:, 1], n),
              "state_index": np.tile(np.arange(n), len(ks)), **_energy(spectra.ravel())}
     return _export(cfg, cfg.output.prefix + "_bloch", SPECTRUM_COLUMNS[:6], table,
-                   {"closed_form_available": closed_ok})
+                   {"closed_form_available": closed_ok, "grid_solves": asdict(grid_solves)})
 
 
 def _ep_row(rec: ep.EPRecord) -> dict:
@@ -88,7 +94,7 @@ def run_ep_find(cfg: RunConfig) -> list[Path]:
     records = []
     if species(cfg.model) is not None:
         records.extend(ep.model_closed_form_eps(cfg.model))
-    counters = ep.RefineCounters()
+    counters, grid_solves = ep.RefineCounters(), ep.GridSolves()
     records.extend(
         ep.ep_scan(
             cfg.model,
@@ -97,17 +103,19 @@ def run_ep_find(cfg: RunConfig) -> list[Path]:
             overlap_tol=cfg.tolerance.overlap_tol,
             confirmed_only=True,
             counters=counters,
+            grid_solves=grid_solves,
         )
     )
     rows = [_ep_row(r) for r in records]
     rows.sort(key=lambda r: (r["method"], r["flavour"] is not None, r["flavour"] or 0, r["theta1"], r["theta2"]))
     return _export(cfg, cfg.output.prefix + "_eps", EP_COLUMNS, rows,
-                   {"n_confirmed": sum(r["confirmed"] for r in rows), "ep_refinement": asdict(counters)})
+                   {"n_confirmed": sum(r["confirmed"] for r in rows), "ep_refinement": asdict(counters),
+                    "grid_solves": asdict(grid_solves)})
 
 
 def run_arc_trace(cfg: RunConfig) -> list[Path]:
-    counters = ep.RefineCounters()
-    arcs = ep.fermi_arc_trace(cfg.model, grid_n=cfg.grid.arc_grid_n, counters=counters)
+    counters, grid_solves = ep.RefineCounters(), ep.GridSolves()
+    arcs = ep.fermi_arc_trace(cfg.model, grid_n=cfg.grid.arc_grid_n, counters=counters, grid_solves=grid_solves)
     rows = [
         {"arc_index": ai, "flavour": arc.flavour, "point_index": pi, "k_x": float(k[0]),
          "k_y": float(k[1]), "theta1": float(th[0]), "theta2": float(th[1])}
@@ -115,7 +123,7 @@ def run_arc_trace(cfg: RunConfig) -> list[Path]:
         for pi, (k, th) in enumerate(zip(arc.points, ep.bond_phase_from_k(arc.points)))
     ]
     files = _export(cfg, cfg.output.prefix + "_arcs", ARC_COLUMNS, rows,
-                    {"n_arcs": len(arcs), "ep_refinement": asdict(counters)})
+                    {"n_arcs": len(arcs), "ep_refinement": asdict(counters), "grid_solves": asdict(grid_solves)})
     if cfg.output.svg and rows:
         svg = Path(cfg.output.directory) / f"{cfg.output.prefix}_arcs.svg"
         groups = [(None, arc.points[:, 0], arc.points[:, 1]) for arc in arcs]

@@ -621,6 +621,46 @@ class TestMirroredPairs:
         assert res.max() <= eigen.default_tol(16)
         assert match_eigenvalue_sets(s.eigenvalues[1], eig(h).eigenvalues) <= 1e-12 * np.linalg.norm(h)
 
+    @pytest.mark.parametrize("n", [6, 2])
+    def test_stacked_partner(self, rng, n):
+        # Bloch-sized pairs: one stacked solve, the partner's vectors from V^-1
+        a, other = random_matrix(rng, n), random_matrix(rng, n)
+        stack = np.stack([a, other, -a.T, -other.T])
+        s = eig(stack, pairs=[[0, 2], [1, 3]])
+        assert s.routes.tolist() == ["dense", "dense", "mirrored", "mirrored"]
+        for r, p in ((0, 2), (1, 3)):
+            np.testing.assert_array_equal(s.eigenvalues[p], np.sort(-s.eigenvalues[r]))
+        for h, w, v in zip(stack, s.eigenvalues, s.right_vectors):
+            res = np.linalg.norm(h @ v - v * w, axis=0) / max(1.0, np.linalg.norm(h, "fro"))
+            assert res.max() <= eigen.default_tol(n)
+        for i, h in ((0, a), (1, other)):
+            alone = eig(h)
+            assert s.eigenvalues[i].tobytes() == alone.eigenvalues.tobytes()
+            assert s.right_vectors[i].tobytes() == alone.right_vectors.tobytes()
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_defective_representative_solves_its_partner_alone(self, rng, block):
+        # a Jordan block: V^-1 reaches 1e291 for a 2x2 one, V is exactly
+        # singular for a 3x3 one, so np.linalg.inv raises on the stack
+        a = np.diag(np.arange(1.0, 7.0)).astype(complex)
+        a[:block, :block] = np.diag(np.ones(block - 1), 1)
+        other = random_matrix(rng, 6)
+        s = eig(np.stack([a, other, -a.T, -other.T]), pairs=[[0, 2], [1, 3]])
+        assert s.routes.tolist() == ["dense", "dense", "dense", "mirrored"]
+        alone = eig(-a.T)
+        assert s.eigenvalues[2].tobytes() == alone.eigenvalues.tobytes()
+        assert s.right_vectors[2].tobytes() == alone.right_vectors.tobytes()
+
+    def test_eig_stack_is_the_uncertified_solve(self, rng):
+        a, other = random_matrix(rng, 6), random_matrix(rng, 6)
+        w, v, mirrored = eigen.eig_stack(np.stack([a, other, -a.T]), [[0, 2]])
+        assert mirrored.tolist() == [[0, 2]]
+        np.testing.assert_array_equal(w[2], -w[0])
+        ref_w, ref_v = np.linalg.eig(np.stack([a, other]))
+        assert w[:2].tobytes() == ref_w.tobytes() and v[:2].tobytes() == ref_v.tobytes()
+        x = v[2] / np.linalg.norm(v[2], axis=0)
+        assert np.abs(-a.T @ x - x * w[2]).max() <= 1e-12 * np.linalg.norm(a)
+
     @pytest.mark.parametrize("pairs", [[[0, 0]], [[0, 1], [1, 2]], [[0, 3]], [[-1, 0]]])
     def test_pairs_must_be_distinct_indices(self, rng, pairs):
         with pytest.raises(ValueError, match="^pairs must be distinct indices of the 3 matrices"):

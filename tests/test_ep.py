@@ -28,7 +28,8 @@ from majorana_nh import (
     triangle_test,
 )
 from majorana_nh import ep as ep_module
-from majorana_nh.ep import _join_segments_torus, _marching_squares_periodic, _torus_dist
+from majorana_nh.ep import GridSolves, _join_segments_torus, _marching_squares_periodic, _torus_dist
+from majorana_nh.presets import get_preset
 from conftest import random_complex_coupling
 
 E3 = cmath.exp(1j * math.pi / 3)
@@ -168,6 +169,16 @@ class TestEPScan:
             assert not r.confirmed
             assert min(abs(r.k[0] - 4 * np.pi / 3), abs(r.k[0] + 4 * np.pi / 3)) < 1e-6
 
+    @pytest.mark.parametrize("preset", ["fig2a-like", "fig3a", "fig6a"])
+    def test_hermitian_model_confirms_nothing_without_a_scan(self, monkeypatch, preset):
+        def no_scan(*args):
+            raise AssertionError("a Hermitian model was scanned")
+
+        monkeypatch.setattr(ep_module, "_scan_family", no_scan)
+        counters, grid = RefineCounters(), GridSolves()
+        assert ep_scan(get_preset(preset).model, grid_n=48, counters=counters, grid_solves=grid) == []
+        assert counters == RefineCounters() and grid == GridSolves()
+
     def test_grid_floor(self):
         model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
         with pytest.raises(ValueError):
@@ -292,6 +303,52 @@ class TestEPRefinement:
         assert counters.confirmed == len(found) == 10
         assert counters.candidates >= counters.fallbacks >= counters.rejected
         assert counters.newton_iterations > 0
+
+
+class TestZoneGridPairs:
+    @pytest.mark.parametrize("n", [32, 48, 33, 7])
+    def test_pairs_map_theta_to_minus_theta(self, n):
+        pairs = ep_module.phase_grid_pairs(n)
+        thetas = ep_module.phase_grid(n)[1].reshape(-1, 2)
+        assert np.unique(pairs).size == pairs.size and (pairs[:, 0] < pairs[:, 1]).all()
+        # theta + theta' is 0 mod 2 pi (a sum of -2 pi where theta = theta' = -pi), up to
+        # the rounding of linspace: two ulps of pi at 48
+        total = np.abs(thetas[pairs[:, 0]] + thetas[pairs[:, 1]])
+        assert (np.minimum(total, np.abs(total - 2 * np.pi)) <= 2 * np.spacing(np.pi)).all()
+        # the points left alone are their own partners, the TRIMs of the grid
+        alone = np.setdiff1d(np.arange(n * n), pairs)
+        assert alone.size == (4 if n % 2 == 0 else 1)
+        assert np.isin(thetas[alone], [-np.pi, 0.0]).all()
+
+    def test_scan_grid_solves_each_pair_once(self):
+        grid = GridSolves()
+        ep_scan(GAMMA_FIG3B, grid_n=48, grid_solves=grid)
+        assert grid == GridSolves(solved=1154, mirrored=1150)
+
+
+class TestLockstepNewton:
+    @pytest.mark.parametrize("preset", ["fig2a-like", "fig3b", "fig6b"])
+    def test_candidates_take_the_steps_they_take_alone(self, monkeypatch, preset):
+        # fig2a-like is Hermitian: its candidates include Dirac-point tau ones
+        newton, calls = ep_module._newton_refine, []
+
+        def recording(*args):
+            calls.append(args)
+            return newton(*args)
+
+        monkeypatch.setattr(ep_module, "_newton_refine", recording)
+        ep_scan(get_preset(preset).model, grid_n=32, confirmed_only=False)
+        assert calls
+        steps_taken = 0
+        for build_h, theta0, pair0, max_step, d_tol in calls:
+            theta, steps = newton(build_h, theta0, pair0, max_step, d_tol)
+            assert theta.shape == (len(pair0), 2) and steps.shape == (len(pair0),)
+            for c in range(len(pair0)):
+                one, one_steps = newton(build_h, theta0[c : c + 1], pair0[c : c + 1], max_step, d_tol)
+                assert one[0].tobytes() == theta[c].tobytes()
+                assert one_steps[0] == steps[c]
+            steps_taken += steps.sum()
+        assert steps_taken > 0
 
 
 class TestSkinCriterion:

@@ -536,6 +536,29 @@ output:
         assert (tmp_path / "a" / f"{table}.csv").read_bytes() == (tmp_path / "b" / f"{table}.csv").read_bytes()
 
 
+class TestGridSolvesMeta:
+    # each +-theta pair of a zone grid solved once: (48**2 - 4) / 2 pairs plus the
+    # 4 TRIMs; arc-trace scans at 64 and contours at 64, (64**2 - 4) / 2 pairs each
+    @pytest.mark.parametrize(
+        "command, table, solves",
+        [
+            ("bloch-spectrum", "g_bloch", {"solved": 1154, "mirrored": 1150, "dense_fallback": 0}),
+            ("ep-find", "g_eps", {"solved": 1154, "mirrored": 1150, "dense_fallback": 0}),
+            ("arc-trace", "g_arcs", {"solved": 4100, "mirrored": 4092, "dense_fallback": 0}),
+        ],
+    )
+    def test_meta_counts_grid_solves_by_route(self, tmp_path, command, table, solves):
+        run_command(parse_config(TestEPMetadata.CONFIG.format(command=command, out=tmp_path)))
+        assert json.loads((tmp_path / f"{table}_meta.json").read_text())["grid_solves"] == solves
+
+    def test_hermitian_ep_find_solves_no_grid(self, tmp_path):
+        config = TestEPMetadata.CONFIG.replace("{{mod: 2.5, phase_over_pi: 0.3333333333333333}}", "2.5")
+        run_command(parse_config(config.format(command="ep-find", out=tmp_path)))
+        meta = json.loads((tmp_path / "g_eps_meta.json").read_text())
+        assert meta["grid_solves"] == {"solved": 0, "mirrored": 0, "dense_fallback": 0}
+        assert set(meta["ep_refinement"].values()) == {0}
+
+
 class TestFormatAgreement:
     # the parent model's EP table: one species, so every flavour cell is None
     CONFIG = """

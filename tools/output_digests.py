@@ -9,7 +9,9 @@ the pure Yao-Lee model, the K model (Hermitian and not), the Gamma model,
 the field+DMI model, the field-only model (no DMI, whose bands have a
 closed form) and the DMI-only model (no field, whose strips are chiral and
 mix the species), plus ``ribbon-sweep`` of the non-Hermitian K and
-the Gamma model at ``threads: 2`` (chunked, threaded sweeps) and
+the Gamma model at ``threads: 2`` (chunked, threaded sweeps), ``ep-find``
+and ``arc-trace`` of the Gamma and field+DMI models on the benchmark's zone
+grids (``bz_n`` 48, ``arc_grid_n`` 64), and
 ``reproduce`` of fig2a-like, fig2b-like, fig2c-like (a species strip whose
 gauge ratio |r| is not 1), fig3a (a Hermitian Gamma strip), fig3b, fig6a
 and the profile preset fig8 at a few k_x; tables in csv, json and ndjson.
@@ -54,6 +56,9 @@ MODELS = {
 
 GRID = "grid:\n  w: 8\n  kx_n: 8\n  n_transverse: 64\n  bz_n: 32\n  arc_grid_n: 64\n  kx: 0.7\n  n_states: 6\n"
 
+#: the zone grids of the benchmark's Bloch commands
+BENCH_GRID = "grid:\n  bz_n: 48\n  arc_grid_n: 64\n"
+
 COMMANDS = ("bloch-spectrum", "ep-find", "arc-trace", "skin-check", "ribbon-sweep", "localization")
 
 PRESETS = ("fig2a-like", "fig2b-like", "fig2c-like", "fig3a", "fig3b", "fig6a", "fig8")
@@ -70,6 +75,9 @@ def corpus():
         yield f"ribbon-sweep_{model}_threads2", "ribbon-sweep", (
             f"command: ribbon-sweep\nthreads: 2\nmodel:\n  {MODELS[model]}\n{GRID}"
         ), ""
+    for model in ("gamma", "mag"):
+        for command in ("ep-find", "arc-trace"):
+            yield f"{command}_{model}_bz48", command, f"command: {command}\nmodel:\n  {MODELS[model]}\n{BENCH_GRID}", ""
     yield "localization_log01", "localization", (
         f"command: localization\nmodel:\n  {MODELS['k_nonherm']}\n{GRID}"
     ), "  weight_scale: log01\n"
