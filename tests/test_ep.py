@@ -320,11 +320,6 @@ class TestZoneGridPairs:
         assert alone.size == (4 if n % 2 == 0 else 1)
         assert np.isin(thetas[alone], [-np.pi, 0.0]).all()
 
-    def test_scan_grid_solves_each_pair_once(self):
-        grid = GridSolves()
-        ep_scan(GAMMA_FIG3B, grid_n=48, grid_solves=grid)
-        assert grid == GridSolves(solved=1154, mirrored=1150)
-
 
 class TestLockstepNewton:
     @pytest.mark.parametrize("preset", ["fig2a-like", "fig3b", "fig6b"])
