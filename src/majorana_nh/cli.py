@@ -27,7 +27,9 @@ def _build_parser():
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="YAML run configuration")
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, help="worker threads for sweeps")
+    parser.add_argument("--threads", type=int,
+                        help="worker threads for sweeps (default: one per CPU on the dense, chiral and "
+                        "Hermitian strip routes, else 1)")
     parser.add_argument(
         "--preset", help=f"figure preset for 'reproduce' ({', '.join(PRESET_IDS)})"
     )

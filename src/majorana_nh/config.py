@@ -229,7 +229,7 @@ class RunConfig:
     tolerance: ToleranceConfig
     output: OutputConfig
     preset: str | None = None
-    threads: int = 1
+    threads: int | None = None  # None: chosen per run by ribbon.sweep
 
     @property
     def resolved(self) -> dict:
@@ -371,7 +371,7 @@ def parse_config(text: str, preset: str | None = None) -> RunConfig:
     tol = _fill_dataclass(ToleranceConfig(), block.get("tolerance"), "tolerance")
     out = _fill_dataclass(OutputConfig(), block.get("output"), "output")
 
-    threads = _at_least(1)(block["threads"], "threads") if "threads" in block else 1
+    threads = _at_least(1)(block["threads"], "threads") if "threads" in block else None
 
     return RunConfig(
         command=command,

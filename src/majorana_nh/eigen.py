@@ -2,12 +2,12 @@
 
 Thin contract layer over LAPACK (via numpy): deterministic eigenvalue
 ordering, per-pair residuals normalized by ``max(1, ||H||_F)`` and
-near-defective flagging.  Takes one matrix or a ``(..., n, n)`` stack (a
-zone grid's ``(bz_n**2, 6, 6)`` Bloch matrices), certified matrix by
-matrix.  :func:`eigh` keeps the same contract for Hermitian matrices (real
-couplings), :func:`eig_chiral` for chiral matrices [[0, B], [C, 0]]
-(flavour-mixing bond-only strips), solved from ``eig(B C)`` at half the
-dimension, and :func:`eig_species` for the species strips of
+near-defective flags, formed when read.  Takes one matrix or a
+``(..., n, n)`` stack (a zone grid's ``(bz_n**2, 6, 6)`` Bloch matrices),
+certified matrix by matrix.  :func:`eigh` keeps the same contract for
+Hermitian matrices (real couplings), :func:`eig_chiral` for chiral
+matrices [[0, B], [C, 0]] (flavour-mixing bond-only strips), solved from
+``eig(B C)`` at half the dimension, and :func:`eig_species` for the species strips of
 flavour-conserving models, solved in closed form from four bond scalars:
 an open strip's B C is tridiagonal Toeplitz with one defect (its roots
 found by Newton's method), a periodic strip's blocks are circulant.
@@ -19,7 +19,10 @@ norm overflows is certified by nothing and raises.  :func:`eig`,
 H(-k) = -H(k)^T, and solve each pair once: the partner's eigenpairs come
 from its representative's left vectors (the rows of V^-1 of one stacked
 solve up to 6x6, ``zgeev``'s own above) and are certified on its own
-matrix; :func:`eig_stack` gives the same solve uncertified.
+matrix; :func:`eig_stack` gives the same solve uncertified.  The tails
+after a solve (sorting, unit columns, residuals) run slab by slab in the
+solve's own arrays, so a stack of large strips holds no (k, n, n)
+temporaries beside its matrices and vectors.
 :func:`one_blas_thread` holds the bundled OpenBLAS at one thread for
 callers that run solves side by side.
 """
@@ -31,6 +34,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,13 +63,13 @@ _CLUSTER_RANK = 1e-8
 _TRACE_GAP = 1e-12
 
 
-def _bundled_openblas(module):
-    """The OpenBLAS copies bundled with ``module`` (numpy or scipy) that are loaded, opened by ctypes.
+def _bundled_openblas():
+    """The OpenBLAS copies bundled with numpy that are loaded, opened by ctypes.
 
-    Only the copies already loaded are opened (``RTLD_NOLOAD``); a numpy or
-    scipy built on another BLAS (MKL, a system library) yields none.
+    Only the copies already loaded are opened (``RTLD_NOLOAD``); a numpy
+    built on another BLAS (MKL, a system library) yields none.
     """
-    root = os.path.dirname(module.__file__)
+    root = os.path.dirname(np.__file__)
     folders = [f for f in (root + ".libs", os.path.join(root, ".dylibs")) if os.path.isdir(f)]
     for path in sorted(
         os.path.join(f, name) for f in folders for name in os.listdir(f)
@@ -77,10 +81,10 @@ def _bundled_openblas(module):
             continue
 
 
-def _blas_thread_controls(module) -> list:
-    """(get, set) thread-count functions of the OpenBLAS copies bundled with ``module`` (numpy or scipy)."""
+def _blas_thread_controls() -> list:
+    """(get, set) thread-count functions of the OpenBLAS copies bundled with numpy."""
     controls = []
-    for lib in _bundled_openblas(module):
+    for lib in _bundled_openblas():
         for suffix in ("64_", ""):
             get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
             set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
@@ -99,7 +103,7 @@ def _lapacke_zgeev():
     same eigenvalues and right vectors from both, and a ctypes call
     releases the GIL, so workers solve side by side.
     """
-    for lib in _bundled_openblas(np):
+    for lib in _bundled_openblas():
         for suffix, integer in (("64_", ctypes.c_int64), ("", ctypes.c_int32)):
             zgeev = getattr(lib, f"scipy_LAPACKE_zgeev{suffix}", None)
             if zgeev is not None:
@@ -110,34 +114,11 @@ def _lapacke_zgeev():
     return None
 
 
-_BLAS_THREADS = _blas_thread_controls(np)
+_BLAS_THREADS = _blas_thread_controls()
 _ZGEEV = _lapacke_zgeev()
 _pin_lock = threading.Lock()
 _pin_depth = 0
 _pin_saved: list = []
-_linalg = None  # scipy.linalg, once _scipy_linalg has imported it
-
-
-def _scipy_linalg():
-    """``scipy.linalg``, imported on its first use (left vectors where numpy bundles no LAPACKE ``zgeev``).
-
-    That copy's thread controls then join :func:`one_blas_thread`, pinned at
-    once when a pin is held, so the block it loads in runs on one thread too.
-    """
-    global _linalg, _BLAS_THREADS
-    if _linalg is None:
-        import scipy
-        import scipy.linalg
-
-        with _pin_lock:
-            found = _blas_thread_controls(scipy)
-            if _pin_depth:
-                _pin_saved.extend((set_, get()) for get, set_ in found)
-                for _, set_ in found:
-                    set_(1)
-            _BLAS_THREADS = _BLAS_THREADS + found
-            _linalg = scipy.linalg
-    return _linalg
 
 
 @contextmanager
@@ -211,10 +192,20 @@ class Spectrum:
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     residuals: np.ndarray
-    defective_flags: np.ndarray
     achieved_tol: float | np.ndarray
     matrix_norm: float | np.ndarray
     routes: str | np.ndarray = "dense"
+
+    @cached_property
+    def defective_flags(self) -> np.ndarray:
+        """The pairs whose unit vector overlaps another's beyond :data:`DEFECTIVE_OVERLAP`, shaped as ``eigenvalues``.
+
+        Formed from ``right_vectors`` on first access (a Gram matrix per
+        matrix), since no sweep output reads them.
+        """
+        v = self.right_vectors
+        n = v.shape[-1]
+        return _defective_flags(v.reshape(-1, n, n)).reshape(v.shape[:-1])
 
     @property
     def path(self) -> str:
@@ -257,42 +248,99 @@ def frobenius_norms(a) -> np.ndarray:
     return np.sqrt(sq[..., 0, 0])
 
 
-def _sort_pairs(w, v):
-    """Order each matrix's pairs by (Re, Im).
+#: most entries one step of a slab-wise tail (and :func:`_defective_flags`)
+#: forms at once: about one w=52 strip's, however many strips (a +-k_x
+#: pair, say) a stack holds
+_SLAB_ENTRIES = 2**17
 
-    Vector matrices come out column-major, as ``v[:, order]`` leaves a 2-D
-    one, so column norms sum in the same order for a stack as for one matrix.
+#: most entries of the row or column blocks inside one slab
+_BLOCK_ENTRIES = 2**14
+
+
+def _slabs(k, n):
+    """Slices cutting a flat stack of ``k`` matrices ``(n, n)`` into slabs of about :data:`_SLAB_ENTRIES` entries."""
+    step = max(1, _SLAB_ENTRIES // (n * n))
+    return [slice(start, start + step) for start in range(0, k, step)]
+
+
+def _blocks(x):
+    """Index tuples cutting a ``(k, n, m)`` stack along the outer (larger-stride) axis of its matrices.
+
+    An elementwise ufunc runs the same inner loops on each block as on the
+    whole stack, so the blocks get bitwise its values: a SIMD loop and its
+    scalar tail may round a complex product differently, so cutting along
+    the inner axis could move an entry from one to the other.
     """
-    order = np.lexsort((w.imag, w.real), axis=-1)
-    stack = np.indices(order.shape, sparse=True)[:-1]
-    return np.take_along_axis(w, order, -1), np.swapaxes(v, -1, -2)[(*stack, order)].swapaxes(-1, -2)
+    rows = abs(x.strides[-1]) <= abs(x.strides[-2])
+    count = x.shape[-2 if rows else -1]
+    step = max(1, _BLOCK_ENTRIES * count // max(1, x.size))
+    cuts = [slice(start, start + step) for start in range(0, count, step)]
+    return [(..., cut, slice(None)) if rows else (..., cut) for cut in cuts]
+
+
+def _column_norms(x, own=False):
+    """``np.linalg.norm(x, axis=-2)`` of a ``(k, n, m)`` stack, bitwise, with block-sized temporaries.
+
+    The squares are formed block by block (:func:`_blocks`), in ``x`` itself
+    when ``own`` (its values are lost), and summed in one reduction, as the
+    norm sums them.
+    """
+    sq = x if own else np.empty_like(x, dtype=float)
+    for b in _blocks(x):
+        p = np.multiply(x[b].conj(), x[b], out=x[b] if own else None)
+        if not own:
+            sq[b] = p.real
+    return np.sqrt(np.add.reduce(sq.real, axis=-2))
+
+
+def _sort_pairs(w, v):
+    """Order each matrix's pairs of a flat stack by (Re, Im), slab by slab in the memory of ``w`` and ``v``.
+
+    The vectors come back as a transposed view of ``v``'s buffer (copied
+    first if ``v`` is not C-contiguous): column-major matrix by matrix, as
+    ``v[:, order]`` leaves a 2-D one, so column norms sum in the same order
+    for a stack as for one matrix.
+    """
+    v = np.ascontiguousarray(v)
+    for s in _slabs(*v.shape[:2]):
+        order = np.lexsort((w[s].imag, w[s].real), axis=-1)
+        w[s] = np.take_along_axis(w[s], order, -1)
+        v[s] = np.swapaxes(v[s], -1, -2)[np.arange(len(order))[:, None], order]
+    return w, np.swapaxes(v, -1, -2)
 
 
 def _unit_columns(v):
-    return v / np.linalg.norm(v, axis=-2, keepdims=True)
+    """Scale each vector of a flat stack to unit norm, in place, slab by slab."""
+    for s in _slabs(*v.shape[:2]):
+        v[s] /= _column_norms(v[s])[:, None, :]
+    return v
+
+
+def _misfit_norms(r, v, w):
+    """``np.linalg.norm(r - v * w[:, None, :], axis=-2)`` of a product ``r``, bitwise, computed in ``r``'s memory."""
+    ws = np.broadcast_to(w[:, None, :], v.shape)
+    for b in _blocks(v):
+        r[b] -= v[b] * ws[b]
+    return _column_norms(r, own=True)
 
 
 def _residuals(a, w, v, norm):
-    r = a @ v - v * w[..., None, :]
-    return np.linalg.norm(r, axis=-2) / np.maximum(1.0, norm)[..., None]
-
-
-#: most Gram-matrix entries :func:`_defective_flags` forms at once: about one
-#: w=52 strip's, however many strips (a +-k_x pair, say) a stack holds
-_GRAM_ENTRIES = 2**17
+    """``||a v_i - w_i v_i||_2 / max(1, norm)`` per pair of a flat stack, slab by slab: ``(k, n)``."""
+    res = np.empty(w.shape)
+    for s in _slabs(*v.shape[:2]):
+        res[s] = _misfit_norms(a[s] @ v[s], v[s], w[s]) / np.maximum(1.0, norm[s])[:, None]
+    return res
 
 
 def _defective_flags(v):
     """The pairs of a flat stack's unit vectors ``(k, n, n)`` that overlap another beyond :data:`DEFECTIVE_OVERLAP`."""
     k, n = v.shape[0], v.shape[-1]
-    step = max(1, _GRAM_ENTRIES // (n * n))
     flags = np.empty((k, n), dtype=bool)
     diag = np.arange(n)
-    for start in range(0, k, step):
-        part = v[start : start + step]
-        gram = np.abs(_adjoint(part) @ part)
+    for s in _slabs(k, n):
+        gram = np.abs(_adjoint(v[s]) @ v[s])
         gram[:, diag, diag] = 0.0
-        flags[start : start + step] = (gram > DEFECTIVE_OVERLAP).any(axis=-2)
+        flags[s] = (gram > DEFECTIVE_OVERLAP).any(axis=-2)
     return flags
 
 
@@ -326,22 +374,28 @@ def _pairs(pairs, k) -> np.ndarray:
     return p
 
 
-def _eig_left_right(a):
-    """Eigenvalues, left and right vectors of one matrix by LAPACK ``zgeev``.
+def _eig_left_right(a, left, right):
+    """Eigenvalues of one matrix by LAPACK ``zgeev``, its vectors written into ``left`` and ``right``.
 
-    Numpy's bundled LAPACKE, given the column-major copy ``np.linalg.eig``
-    gives LAPACK, so the eigenvalues and right vectors are that call's; else
-    ``scipy.linalg.eig``.  Left vectors u are unit, with u^H a = w u^H.
+    Numpy's bundled LAPACKE is given the column-major copy ``np.linalg.eig``
+    gives LAPACK, so the eigenvalues and right vectors are that call's.
+    ``left`` and ``right`` are C-contiguous ``(n, n)`` slots; ``right`` gets
+    the right vectors and ``left`` the conjugated unit left vectors,
+    conj(u) with u^H a = w u^H.
     """
-    if _ZGEEV is None:
-        return _scipy_linalg().eig(a, left=True, right=True, check_finite=False)
     n = a.shape[-1]
+    if not all(x.shape == (n, n) and x.dtype == complex and x.flags.c_contiguous for x in (left, right)):
+        raise ValueError("zgeev writes into C-contiguous complex (n, n) slots")
     f = np.array(a, dtype=complex, order="F")
-    w, vl, vr = np.empty(n, dtype=complex), np.empty_like(f), np.empty_like(f)
-    info = _ZGEEV(102, b"V", b"V", n, f.ctypes.data, n, w.ctypes.data, vl.ctypes.data, n, vr.ctypes.data, n)
+    w = np.empty(n, dtype=complex)
+    info = _ZGEEV(102, b"V", b"V", n, f.ctypes.data, n, w.ctypes.data, left.ctypes.data, n, right.ctypes.data, n)
+    del f
     if info:  # > 0: the QR algorithm failed; < 0: an argument or workspace error
         raise np.linalg.LinAlgError(f"LAPACKE zgeev returned info = {info}")
-    return w, vl, vr
+    # zgeev wrote column-major matrices into the row-major slots
+    right[...] = right.T
+    np.conjugate(left.T, out=left)
+    return w
 
 
 #: largest n of the stacked pair route of :func:`_lapack_eig`: the 6x6 Bloch
@@ -396,13 +450,16 @@ def _lapack_eig(a, pairs, sign):
     the rows of each representative's V^-1; a partner whose representative's
     V^-1 misses the identity test of :func:`_inverses` is solved alone.
     Larger ones take :func:`_eig_left_right` per pair, ``np.linalg.eig``
-    for the rest.  Also returns the pairs whose partner took its
+    for the rest, and with no LAPACKE ``zgeev`` in numpy every matrix is
+    solved alone.  Also returns the pairs whose partner took its
     representative's solve.
     """
+    if a.shape[-1] > STACKED_PAIR_N and _ZGEEV is None:
+        pairs = _NO_PAIRS
     try:
         if not pairs.size:
             return (*np.linalg.eig(a), pairs)
-        w, v = np.empty(a.shape[:-1], dtype=complex), np.empty_like(a, dtype=complex)
+        w, v = np.empty(a.shape[:-1], dtype=complex), np.empty(a.shape, dtype=complex)
         if a.shape[-1] <= STACKED_PAIR_N:
             solved = np.setdiff1d(np.arange(len(a)), pairs[:, 1])
             w[solved], v[solved] = np.linalg.eig(a[solved])
@@ -417,9 +474,8 @@ def _lapack_eig(a, pairs, sign):
         if alone.size:
             w[alone], v[alone] = np.linalg.eig(a[alone])
         for r, p in pairs:
-            w[r], left, v[r] = _eig_left_right(a[r])
+            w[r] = _eig_left_right(a[r], v[p], v[r])
             w[p] = sign * w[r]
-            np.conjugate(left, out=v[p])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
     return w, v, pairs
@@ -447,8 +503,7 @@ def _solve(a, tol, norm, pairs=_NO_PAIRS):
     """
     w, v, pairs = _lapack_eig(a, pairs, -1.0)
     w, v = _sort_pairs(w, v)
-    v = _unit_columns(v)
-    res = _residuals(a, w, v, norm)
+    res = _residuals(a, w, _unit_columns(v), norm)
     # a nan residual misses tol; a matrix whose norm overflowed cannot be polished
     bad = ~(res <= tol[:, None]) & np.isfinite(norm)[:, None]
     hit = np.flatnonzero(bad.any(axis=-1))
@@ -466,7 +521,7 @@ def _routes(k, path, pairs):
     return routes
 
 
-def _certified(stack, tol, w, v, res, flags, norm, routes) -> Spectrum:
+def _certified(stack, tol, w, v, res, norm, routes) -> Spectrum:
     """The :class:`Spectrum` of a flat stack, or ConvergenceError naming its first failing matrix.
 
     ``routes`` is the flat array of each matrix's route.
@@ -477,7 +532,6 @@ def _certified(stack, tol, w, v, res, flags, norm, routes) -> Spectrum:
         eigenvalues=w.reshape(*stack, n),
         right_vectors=v.reshape(*stack, n, n),
         residuals=res.reshape(*stack, n),
-        defective_flags=flags.reshape(*stack, n),
         achieved_tol=achieved.reshape(stack) if stack else float(achieved[0]),
         matrix_norm=norm.reshape(stack) if stack else float(norm[0]),
         routes=routes.reshape(stack) if stack else str(routes[0]),
@@ -493,7 +547,7 @@ def _certified(stack, tol, w, v, res, flags, norm, routes) -> Spectrum:
     return spectrum
 
 
-def _certified_or_redone(stack, tol, w, v, res, flags, norm, routes, failed, dense) -> Spectrum:
+def _certified_or_redone(stack, tol, w, v, res, norm, routes, failed, dense) -> Spectrum:
     """:func:`_certified`, after the dense :func:`eig` route redid what a faster route left uncertified.
 
     Redone, unless the dense route already solved them (route "dense"): the
@@ -505,9 +559,8 @@ def _certified_or_redone(stack, tol, w, v, res, flags, norm, routes, failed, den
     redo = np.flatnonzero(uncertified & (routes != "dense"))
     if redo.size:
         w[redo], v[redo], res[redo], _ = _solve(dense(redo), tol[redo], norm[redo])
-        flags[redo] = _defective_flags(v[redo])
         routes[redo] = "dense_fallback"
-    return _certified(stack, tol, w, v, res, flags, norm, routes)
+    return _certified(stack, tol, w, v, res, norm, routes)
 
 
 def eig(matrix, tol: float | np.ndarray | None = None, *, pairs=None) -> Spectrum:
@@ -525,9 +578,10 @@ def eig(matrix, tol: float | np.ndarray | None = None, *, pairs=None) -> Spectru
     representative and the left vectors are the rows of V^-1; a partner
     whose representative's V^-1 is inaccurate or does not exist (V near or
     at a defective matrix) is solved alone, route "dense".  Larger matrices
-    (strips) take one LAPACK ``zgeev`` per pair.  A mirrored partner then
+    (strips) take one LAPACK ``zgeev`` per pair; where numpy bundles no
+    LAPACKE ``zgeev``, each partner is solved alone.  A mirrored partner then
     runs the tail of every matrix on its own H(-k) (sort, unit columns,
-    residuals, polish, defective flags), with route "mirrored", and its set
+    residuals, polish), with route "mirrored", and its set
     must keep the trace identity sum E**2 = tr H**2 of :func:`eig_chiral`;
     a partner that misses either is solved again alone, route
     "dense_fallback".
@@ -542,9 +596,11 @@ def eig(matrix, tol: float | np.ndarray | None = None, *, pairs=None) -> Spectru
     w, v, res, pairs = _solve(a, tol, norm, pairs)
     p = pairs[:, 1]
     failed = np.zeros(len(a), dtype=bool)
-    trace_gap = np.abs((w[p] * w[p]).sum(axis=-1) - np.einsum("kij,kji->k", a[p], a[p]))
+    partners = a[p]
+    trace_gap = np.abs((w[p] * w[p]).sum(axis=-1) - np.einsum("kij,kji->k", partners, partners))
+    del partners
     failed[p] = ~(trace_gap <= _TRACE_GAP * np.maximum(1.0, norm[p]) ** 2)
-    return _certified_or_redone(stack, tol, w, v, res, _defective_flags(v), norm, _routes(len(w), "dense", pairs),
+    return _certified_or_redone(stack, tol, w, v, res, norm, _routes(len(w), "dense", pairs),
                                 failed, lambda redo: a[redo])
 
 
@@ -575,11 +631,16 @@ def eigh(matrix, tol: float | np.ndarray | None = None, *, norm: float | np.ndar
     norm = frobenius_norms(a) if norm is None else norm
     try:
         if pairs.size:
-            w, v = np.empty(a.shape[:-1]), np.empty_like(a)
             solved = np.setdiff1d(np.arange(len(a)), pairs[:, 1])
-            w[solved], v[solved] = np.linalg.eigh(a[solved])
-            r, p = pairs.T
-            w[p], v[p] = -w[r, ::-1], v[r, :, ::-1].conj()
+            # zheevd's workspace is two matrices each, so a run of matrices is passed as a view
+            run = solved.size and solved[-1] - solved[0] == solved.size - 1
+            ws, vs = np.linalg.eigh(a[solved[0] : solved[-1] + 1] if run else a[solved])
+            w, v = np.empty(a.shape[:-1]), np.empty(a.shape, dtype=complex)
+            w[solved], v[solved] = ws, vs
+            del vs
+            for s in _slabs(len(pairs), a.shape[-1]):
+                r, p = pairs[s].T
+                w[p], v[p] = -w[r, ::-1], v[r, :, ::-1].conj()
         else:
             w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -588,18 +649,20 @@ def eigh(matrix, tol: float | np.ndarray | None = None, *, norm: float | np.ndar
     # orthonormal vectors
     w = w.astype(complex)
     res = _residuals(a, w, v, norm)
-    flags = np.zeros(w.shape, dtype=bool)
-    return _certified_or_redone(stack, tol, w, v, res, flags, norm, _routes(len(w), "hermitian", pairs), False,
+    return _certified_or_redone(stack, tol, w, v, res, norm, _routes(len(w), "hermitian", pairs), False,
                                 lambda redo: a[redo])
 
 
 def _chiral_residuals(b, c, w, v, norm):
-    """``||H v - E v|| / max(1, norm)`` for H = [[0, B], [C, 0]], through the blocks."""
+    """``||H v - E v|| / max(1, norm)`` for H = [[0, B], [C, 0]], through the blocks, slab by slab."""
     m = b.shape[-1]
-    x, y = v[:, :m], v[:, m:]
-    top = np.linalg.norm(b @ y - x * w[:, None, :], axis=-2)
-    bottom = np.linalg.norm(c @ x - y * w[:, None, :], axis=-2)
-    return np.hypot(top, bottom) / np.maximum(1.0, norm)[:, None]
+    res = np.empty(w.shape)
+    for s in _slabs(*v.shape[:2]):
+        x, y = v[s, :m], v[s, m:]
+        top = _misfit_norms(b[s] @ y, x, w[s])
+        bottom = _misfit_norms(c[s] @ x, y, w[s])
+        res[s] = np.hypot(top, bottom) / np.maximum(1.0, norm[s])[:, None]
+    return res
 
 
 def _near_zero(mu):
@@ -624,9 +687,14 @@ def _chiral_pairs(b, c, pairs):
     e = np.sqrt(mu)
     near = _near_zero(mu)
     # H [x; y] = E [x; y] with y = C x / E; B C x = E**2 x
-    y = (c @ x) / np.where(near, 1.0, e)[:, None, :]
+    y = c @ x
+    y /= np.where(near, 1.0, e)[:, None, :]
     w = np.concatenate([e, -e], axis=-1)
-    v = np.concatenate([np.concatenate([x, x], axis=-1), np.concatenate([y, -y], axis=-1)], axis=-2)
+    v = np.empty((k, 2 * m, 2 * m), dtype=complex)  # [[x, x], [y, -y]]
+    v[:, :m, :m] = v[:, :m, m:] = x
+    v[:, m:, :m] = y
+    np.negative(y, out=v[:, m:, m:])
+    del y
     resolved = np.ones(k, dtype=bool)
 
     has = np.flatnonzero(near.any(axis=-1))
@@ -635,7 +703,9 @@ def _chiral_pairs(b, c, pairs):
     # the pairs of matrices with a cluster (a partner's mu is its representative's), by position in has
     where = np.full(k, -1)
     where[has] = np.arange(has.size)
-    mu_cb, x_cb, _ = _lapack_eig(c[has] @ b[has], where[pairs[(where[pairs] >= 0).all(axis=-1)]], 1.0)
+    cb = c @ b if has.size == k else c[has] @ b[has]
+    mu_cb, x_cb, _ = _lapack_eig(cb, where[pairs[(where[pairs] >= 0).all(axis=-1)]], 1.0)
+    del cb
     near_cb = _near_zero(mu_cb)
     size, size_cb = near[has].sum(axis=-1), near_cb.sum(axis=-1)
     resolved[has[size != size_cb]] = False
@@ -724,13 +794,12 @@ def eig_chiral(b, c, tol: float | np.ndarray | None = None, *, pairs=None) -> Sp
 
     w, v, resolved, pairs = _chiral_pairs(b, c, pairs)
     w, v = _sort_pairs(w, v)
-    v = _unit_columns(v)
-    res = _chiral_residuals(b, c, w, v, norm)
+    res = _chiral_residuals(b, c, w, _unit_columns(v), norm)
     # the pairs must also form one spectrum: sum E**2 = tr H**2 = 2 tr(B C),
     # which Ritz values of an ill-conditioned cluster can break
     trace_gap = np.abs((w * w).sum(axis=-1) - 2.0 * np.einsum("kij,kji->k", b, c))
     failed = ~resolved | ~(trace_gap <= _TRACE_GAP * np.maximum(1.0, norm) ** 2)
-    return _certified_or_redone(stack, tol, w, v, res, _defective_flags(v), norm, _routes(len(w), "chiral", pairs),
+    return _certified_or_redone(stack, tol, w, v, res, norm, _routes(len(w), "chiral", pairs),
                                 failed, lambda redo: chiral_matrix(b[redo], c[redo]))
 
 
@@ -960,7 +1029,7 @@ def eig_species(bonds, w: int, *, periodic: bool = False, tol: float | np.ndarra
     w_all, res = np.take_along_axis(w_all, order, -1), np.take_along_axis(res, order, -1)
     v = np.take_along_axis(v, order[:, None, :], -1)
     failed = ~finite | ~(trace_gap <= _TRACE_GAP * np.maximum(1.0, own) ** 2)
-    return _certified_or_redone(stack, tol, w_all, v, res, _defective_flags(v), norm,
+    return _certified_or_redone(stack, tol, w_all, v, res, norm,
                                 _routes(len(w_all), "species", _NO_PAIRS), failed,
                                 lambda redo: chiral_matrix(*chiral_blocks(flat[redo, :, None, None], w, periodic)))
 

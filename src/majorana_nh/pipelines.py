@@ -37,9 +37,16 @@ ARC_COLUMNS = ("arc_index", "flavour", "point_index", "k_x", "k_y", "theta1", "t
 WEIGHT_COLUMNS = ("state_index", "re_E", "im_E", "abs_E", "site", "weight")
 
 
-def _export(cfg: RunConfig, prefix: str, columns, table, extra: dict) -> list[Path]:
-    """Write ``table`` in the configured formats; its meta is the config echo plus ``extra``."""
-    meta = {"config": cfg.resolved, "package": "majorana-nh", "version": "0.1.0", **extra}
+def _export(cfg: RunConfig, prefix: str, columns, table, extra: dict, workers: int = 1) -> list[Path]:
+    """Write ``table`` in the configured formats; its meta is the config echo plus ``extra``.
+
+    The echo states the threads the run used: ``threads`` as given, else
+    ``workers``, the count a sweep chose (1 for commands with no sweep).
+    """
+    config = cfg.resolved
+    if config["threads"] is None:
+        config["threads"] = workers
+    meta = {"config": config, "package": "majorana-nh", "version": "0.1.0", **extra}
     return export_table(cfg.output.directory, prefix, columns, table, meta, cfg.output.formats)
 
 
@@ -212,17 +219,23 @@ def _strip_meta(log: ribbon.SolveLog) -> dict:
             "blas_threads": eigen.pinned_blas_threads(), "strip_solves": log.strip_solves}
 
 
+def _sweep_meta(result: ribbon.SweepResult) -> dict:
+    """:func:`_strip_meta` of a sweep, with the threads that solved its chunks and the chunks."""
+    return {**_strip_meta(result.solves), "workers": result.workers, "chunks": result.chunks}
+
+
 def _export_sweep(cfg: RunConfig, model: ModelConfig, result: ribbon.SweepResult, summary: dict,
                   prefix: str, extra: dict) -> list[Path]:
     """Sweep table and meta in the configured formats, plus the SVG if enabled."""
     meta = {
         "model": model_dict(model),
         "w": cfg.grid.w,
-        **_strip_meta(result.solves),
+        **_sweep_meta(result),
         "nhse_summary": summary,
         **extra,
     }
-    files = _export(cfg, prefix, SPECTRUM_COLUMNS[:1] + SPECTRUM_COLUMNS[2:], _sweep_rows(result), meta)
+    files = _export(cfg, prefix, SPECTRUM_COLUMNS[:1] + SPECTRUM_COLUMNS[2:], _sweep_rows(result), meta,
+                    result.workers)
     if cfg.output.svg:
         svg = Path(cfg.output.directory) / f"{prefix}.svg"
         _sweep_svg(svg, result)

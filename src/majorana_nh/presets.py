@@ -20,7 +20,7 @@ from .config import RunConfig, model_dict
 from .errors import ConfigurationError
 from .export import write_json
 from .models import Coupling3, ModelConfig, Variant
-from .pipelines import WEIGHT_COLUMNS, _export, _export_sweep, _profile_table, _run_sweep, _strip_meta
+from .pipelines import WEIGHT_COLUMNS, _export, _export_sweep, _profile_table, _run_sweep, _sweep_meta
 
 _E3 = cmath.exp(1j * math.pi / 3)
 _E6 = cmath.exp(1j * math.pi / 6)
@@ -125,8 +125,8 @@ def run_reproduce(cfg: RunConfig) -> list[Path]:
         files = _export_sweep(cfg, preset.model, result, summary, prefix, {"preset_report": report})
     else:
         table = _profile_table(cfg, preset.model, PROFILE_KX, None, "linear", result.solves)
-        meta = {"preset_report": report, **_strip_meta(result.solves), "nhse_summary": summary}
-        files = _export(cfg, prefix, ("k_x",) + WEIGHT_COLUMNS, table, meta)
+        meta = {"preset_report": report, **_sweep_meta(result), "nhse_summary": summary}
+        files = _export(cfg, prefix, ("k_x",) + WEIGHT_COLUMNS, table, meta, result.workers)
 
     report_path = Path(cfg.output.directory) / f"{prefix}_report.json"
     write_json(report_path, report)

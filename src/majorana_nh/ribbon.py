@@ -12,7 +12,8 @@ so the matrix dimension is ``6 w`` for ``w`` dimer rows (2w sites).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -198,7 +199,6 @@ class _Strips:
             eigenvalues=self.eigenvalues[0],
             right_vectors=v_all.reshape(3 * m, 3 * m)[:, order],
             residuals=s.residuals[self.picks].ravel()[order],
-            defective_flags=s.defective_flags[self.picks].ravel()[order],
             achieved_tol=float(self.achieved[0]),
             matrix_norm=float(self.norm[0]),
             routes=s.path,
@@ -529,6 +529,8 @@ class SweepResult:
     pbc_reference: list  # per k_x, the CloudIntervals of the periodic spectrum
     thresholds: ClassifierThresholds
     solves: SolveLog  # the strip solves of the grid
+    workers: int = 1  # threads that solved chunks, the calling thread included
+    chunks: int = 1  # stacked programs the grid was cut into
 
 
 def _kx_per_chunk(model: ModelConfig, w: int) -> int:
@@ -541,6 +543,52 @@ def _kx_per_chunk(model: ModelConfig, w: int) -> int:
     return max(1, CHUNK_ENTRIES // entries)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS reports one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_chunks(task, items, workers):
+    """``[task(x) for x in items]`` on ``workers`` threads, the calling thread one of them.
+
+    The threads take items from one shared queue, in order.  Once an item
+    has failed no other is started, and the failure of the earliest item
+    raises, as it would have in a loop; the items before it have all run.
+    A worker thread's temporaries stay in its own malloc arena, so the
+    caller working too keeps one arena fewer.
+    """
+    results = [None] * len(items)
+    failures = {}
+    lock = threading.Lock()
+    queue = iter(range(len(items)))
+
+    def work():
+        while True:
+            with lock:
+                i = None if failures else next(queue, None)
+            if i is None:
+                return
+            try:
+                results[i] = task(items[i])
+            except BaseException as exc:  # an interrupt of the caller stops the workers too
+                with lock:
+                    failures[i] = exc
+
+    pool = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in pool:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in pool:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def sweep(
     model: ModelConfig,
     w: int,
@@ -548,7 +596,7 @@ def sweep(
     boundary_y: str = "open",
     n_transverse: int = 512,
     thresholds: ClassifierThresholds = ClassifierThresholds(),
-    threads: int = 1,
+    threads: int | None = None,
 ) -> SweepResult:
     """Diagonalize and classify the strip over a k_x grid.
 
@@ -560,9 +608,15 @@ def sweep(
     :data:`CHUNK_ENTRIES` eigenvector entries per solved k_x), one periodic
     cloud over (k_x, q) with ``n_transverse`` momenta q and one classifier
     call; every k_x is classified against its cloud, kept in
-    ``pbc_reference``.  ``threads > 1`` maps at least that many chunks (at
-    most one per unit) on a thread pool; results are collected in grid
-    order either way, and a pair is never split.  The
+    ``pbc_reference``.  ``threads`` asks for at least that many chunks (at
+    most one per unit), solved by that many threads at most, the calling
+    thread one of them (:func:`_map_chunks`); results are collected in grid
+    order either way, and a pair is never split.  ``threads=None`` takes
+    one thread per unit up to :func:`_usable_cpus` where the strip solves
+    run in LAPACK, which releases the GIL (the dense, chiral and Hermitian
+    routes), and one on the closed-form species route, whose numpy glue
+    holds it.  The result's ``workers`` and ``chunks`` count the threads
+    that ran and the chunks.  The
     whole loop runs under :func:`eigen.one_blas_thread`, so each worker's
     LAPACK calls are single-threaded (workers do not oversubscribe the
     CPUs), and since each matrix of a stack gets the result it would get
@@ -601,15 +655,14 @@ def sweep(
         pairs = _mirror_pairs(kx_grid)
         partner[pairs[:, 0]], partner[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
     units = [[i] if j == i else [i, j] for i, j in enumerate(partner.tolist()) if j >= i]
+    if threads is None:
+        threads = min(_usable_cpus(), len(units)) if _mirrored(model) else 1
     n_chunks = min(len(units), max(threads, -(-len(units) // _kx_per_chunk(model, w))))
     runs = np.array_split(np.arange(len(units)), n_chunks)
     chunks = [np.sort(np.concatenate([units[u] for u in run])) for run in runs]
+    workers = max(1, min(threads, n_chunks))
     with eigen.one_blas_thread():
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=min(threads, n_chunks)) as pool:
-                results = list(pool.map(task, (kx_grid[i] for i in chunks)))
-        else:
-            results = [task(kx_grid[i]) for i in chunks]
+        results = _map_chunks(task, [kx_grid[i] for i in chunks], workers)
 
     # back to grid order
     order = np.argsort(np.concatenate(chunks))
@@ -626,6 +679,8 @@ def sweep(
         pbc_reference=[CloudIntervals(bounds[i]) for i in order],
         thresholds=thresholds,
         solves=log,
+        workers=workers,
+        chunks=n_chunks,
     )
 
 

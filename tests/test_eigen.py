@@ -576,14 +576,19 @@ class TestMirroredPairs:
             assert s.eigenvalues[i].tobytes() == alone.eigenvalues.tobytes()
             assert s.right_vectors[i].tobytes() == alone.right_vectors.tobytes()
 
-    def test_scipy_route_where_numpy_bundles_no_lapacke(self, rng, monkeypatch):
-        a = random_matrix(rng, 12)
-        ref = eig(np.stack([a, -a.T]), pairs=[[0, 1]])
+    def test_partners_solved_alone_where_numpy_bundles_no_lapacke(self, rng, monkeypatch):
+        # no left vectors without numpy's LAPACKE zgeev: a strip-sized pair
+        # is two lone solves, each with the bytes it gets alone
+        a, b, c = random_matrix(rng, 12), random_matrix(rng, 8), random_matrix(rng, 8)
         monkeypatch.setattr(eigen, "_ZGEEV", None)
         s = eig(np.stack([a, -a.T]), pairs=[[0, 1]])
-        assert s.routes.tolist() == ["dense", "mirrored"]
-        assert match_eigenvalue_sets(s.eigenvalues[1], ref.eigenvalues[1]) <= 1e-12 * np.linalg.norm(a)
-        assert s.achieved_tol.max() <= eigen.default_tol(12)
+        assert s.routes.tolist() == ["dense", "dense"]
+        sc = eigen.eig_chiral(np.stack([b, -c.T]), np.stack([c, -b.T]), pairs=[[0, 1]])
+        assert sc.routes.tolist() == ["chiral", "chiral"]
+        for i, (one, lone) in enumerate([(s, eig(a)), (s, eig(-a.T)), (sc, eigen.eig_chiral(b, c)),
+                                         (sc, eigen.eig_chiral(-c.T, -b.T))]):
+            assert one.eigenvalues[i % 2].tobytes() == lone.eigenvalues.tobytes()
+            assert one.right_vectors[i % 2].tobytes() == lone.right_vectors.tobytes()
 
     @pytest.mark.parametrize("route", ["eig", "eigh", "eig_chiral"])
     def test_a_wrong_declaration_is_solved_again(self, rng, route):
@@ -821,7 +826,7 @@ class TestOneBlasThread:
 
 
 class TestLazyScipy:
-    """scipy.optimize and scipy.linalg load on first use, and scipy's OpenBLAS then joins the pin."""
+    """scipy.optimize and scipy.linalg are not loaded by importing the CLI."""
 
     @staticmethod
     def run(code):
@@ -837,24 +842,45 @@ class TestLazyScipy:
         )
         assert loaded == []
 
-    def test_first_use_inside_a_pin_pins_the_new_copy(self):
-        before, inside, after, found = self.run(
-            "import json, scipy, scipy.linalg\n"
-            "from majorana_nh import eigen\n"
-            "found = eigen._blas_thread_controls(scipy)\n"
-            "for _, set_ in found + eigen._BLAS_THREADS:\n"
-            "    set_(2)\n"
-            "counts = lambda: [get() for get, _ in eigen._BLAS_THREADS]\n"
-            "before = counts()\n"
-            "with eigen.one_blas_thread():\n"
-            "    eigen._scipy_linalg()\n"
-            "    inside = counts()\n"
-            "print(json.dumps([before, inside, counts(), len(found)]))\n"
-        )
-        if not found:
-            pytest.skip("this scipy bundles no OpenBLAS thread setter")
-        assert inside == [1] * (len(before) + found)
-        assert after == [2] * (len(before) + found)
+
+class TestSlabTails:
+    """The slab-wise tails give the bytes and layout of the whole-stack formulas they replace."""
+
+    @staticmethod
+    def whole_stack(a, b, c, w, v, norm):
+        order = np.lexsort((w.imag, w.real), axis=-1)
+        stack = np.indices(order.shape, sparse=True)[:-1]
+        ws, vs = np.take_along_axis(w, order, -1), np.swapaxes(v, -1, -2)[(*stack, order)].swapaxes(-1, -2)
+        scale = np.maximum(1.0, norm)[:, None]
+        res = np.linalg.norm(a @ v - v * w[..., None, :], axis=-2) / scale
+        m = b.shape[-1]
+        top = np.linalg.norm(b @ v[:, m:] - v[:, :m] * w[:, None, :], axis=-2)
+        bottom = np.linalg.norm(c @ v[:, :m] - v[:, m:] * w[:, None, :], axis=-2)
+        units = v / np.linalg.norm(v, axis=-2, keepdims=True)
+        return ws, vs, res, np.hypot(top, bottom) / scale, units
+
+    @pytest.mark.parametrize("entries", [None, 2**6], ids=["default", "tiny"])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("k, n", [(1, 2), (3, 2), (5, 6), (2, 150), (1, 200)])
+    def test_bitwise_the_whole_stack_formulas(self, rng, monkeypatch, k, n, layout, entries):
+        if entries:  # many slabs, and blocks of uneven widths
+            monkeypatch.setattr(eigen, "_SLAB_ENTRIES", entries)
+            monkeypatch.setattr(eigen, "_BLOCK_ENTRIES", entries)
+        a = np.stack([random_matrix(rng, n) for _ in range(k)])
+        b, c = a[:, : n // 2, : n // 2].copy(), a[:, n // 2 :, n // 2 :].copy()
+        w = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+        v = np.stack([random_matrix(rng, n) for _ in range(k)])
+        if layout == "F":
+            v = np.swapaxes(np.ascontiguousarray(np.swapaxes(v, -1, -2)), -1, -2)
+        norm = rng.uniform(0.5, 3.0, k)
+        ws, vs, res, chiral_res, units = self.whole_stack(a, b, c, w, v, norm)
+        w2, v2 = eigen._sort_pairs(w.copy(), v.copy())
+        assert w2.tobytes() == ws.tobytes() and v2.tobytes() == vs.tobytes() and v2.strides == vs.strides
+        assert eigen._column_norms(v).tobytes() == np.linalg.norm(v, axis=-2).tobytes()
+        assert eigen._residuals(a, w, v, norm).tobytes() == res.tobytes()
+        assert eigen._chiral_residuals(b, c, w, v, norm).tobytes() == chiral_res.tobytes()
+        v2 = v.copy(order="K")
+        assert eigen._unit_columns(v2) is v2 and v2.tobytes() == units.tobytes()
 
 
 class TestMinSingularValue:

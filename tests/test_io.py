@@ -442,6 +442,38 @@ model:
 
 
     @pytest.mark.parametrize(
+        "command, meta, setting, threads, workers",
+        [
+            # kx_n = 4: -pi, 0 and the pair +-pi/2, three solve units on the paired routes
+            ("ribbon-sweep", "b_sweep_meta.json", TestBlasThreadsMeta.MODEL, None, 2),
+            ("ribbon-sweep", "b_sweep_meta.json", FIELD_MODEL, None, 2),
+            ("ribbon-sweep", "b_sweep_meta.json", SPECIES_MODEL, None, 1),
+            ("ribbon-sweep", "b_sweep_meta.json", TestBlasThreadsMeta.MODEL, 3, 3),
+            ("reproduce", "b_fig4_meta.json", "preset: fig4", None, 2),
+            ("reproduce", "b_fig2c-like_meta.json", "preset: fig2c-like", None, 1),
+            ("bloch-spectrum", "b_bloch_meta.json", TestBlasThreadsMeta.MODEL, None, None),
+            ("bloch-spectrum", "b_bloch_meta.json", TestBlasThreadsMeta.MODEL, 2, None),
+        ],
+        ids=["chiral", "hermitian", "species", "chiral-threads3", "fig4", "fig2c-like", "bloch", "bloch-threads2"],
+    )
+    def test_meta_reports_workers_and_chunks(self, tmp_path, monkeypatch, command, meta, setting, threads, workers):
+        # on two usable CPUs; the config echo states the threads the run used, and parses back
+        from majorana_nh import ribbon
+
+        monkeypatch.setattr(ribbon, "_usable_cpus", lambda: 2)
+        text = f"command: {command}\n{setting}" + TestBlasThreadsMeta.GRID.format(out=tmp_path).replace(
+            "kx_n: 2", "kx_n: 4") + ("" if threads is None else f"threads: {threads}\n")
+        run_command(parse_config(text))
+        doc = json.loads((tmp_path / meta).read_text())
+        if workers is None:  # no sweep: the threads as given, else 1
+            assert "workers" not in doc and "chunks" not in doc
+            assert doc["config"]["threads"] == (threads or 1)
+        else:
+            assert doc["workers"] == doc["config"]["threads"] == workers
+            assert doc["chunks"] == (1 if workers == 1 else max(2, workers))
+        assert json.loads(json.dumps(parse_config(yaml.safe_dump(doc["config"])).resolved)) == doc["config"]
+
+    @pytest.mark.parametrize(
         "command, table, setting",
         [
             ("ribbon-sweep", "b_sweep", SPECIES_MODEL),

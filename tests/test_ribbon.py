@@ -3,6 +3,9 @@
 import cmath
 import math
 import re
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,7 +371,6 @@ class TestLocalizationProfile:
             eigenvalues=np.zeros(n, dtype=complex),
             right_vectors=v,
             residuals=np.zeros(n),
-            defective_flags=np.zeros(n, dtype=bool),
             achieved_tol=0.0,
             matrix_norm=1.0,
         )
@@ -377,7 +379,7 @@ class TestLocalizationProfile:
         n = 6 * w
         v = np.full((n, n), 1 / math.sqrt(n), dtype=complex)
         return Spectrum(eigenvalues=np.zeros(n, complex), right_vectors=v, residuals=np.zeros(n),
-                        defective_flags=np.zeros(n, bool), achieved_tol=0.0, matrix_norm=1.0)
+                        achieved_tol=0.0, matrix_norm=1.0)
 
     def test_delta_state_bottom_edge(self):
         w = 8
@@ -428,7 +430,7 @@ class TestLocalizationProfile:
         v[0, :] = 1 / math.sqrt(2)        # bottom site, flavour x
         v[n - 3, :] = 1 / math.sqrt(2)    # top site, flavour x
         s = Spectrum(eigenvalues=np.zeros(n, complex), right_vectors=v, residuals=np.zeros(n),
-                     defective_flags=np.zeros(n, bool), achieved_tol=0.0, matrix_norm=1.0)
+                     achieved_tol=0.0, matrix_norm=1.0)
         recs = localization_profile(s, w)
         assert recs[0].mean_row == pytest.approx((2 * w + 1) / 2)
         assert recs[0].label != "extended"
@@ -459,7 +461,7 @@ class TestLocalizationProfile:
         e = np.array([0.5, 4.0, 1.0, -4.0, 2.5, 5.0, 4j, 2.995, 1j, 3.5, -0.5, 2.0])
         s = self._uniform_spectrum(w)
         s = Spectrum(eigenvalues=e, right_vectors=s.right_vectors, residuals=np.zeros(12),
-                     defective_flags=np.zeros(12, bool), achieved_tol=0.0, matrix_norm=1.0)
+                     achieved_tol=0.0, matrix_norm=1.0)
         recs = localization_profile(s, w, CloudIntervals(bounds=np.array([[2.0, 3.0]])))
         # distances: 5 -> 2; 0, 10 -> 1.5; 2, 8 (|E| 1) and 1, 3, 6 (|E| 4) -> 1; 9 -> 0.5
         edge = {int(r.state_index) for r in recs if r.label.startswith("edge")}
@@ -767,15 +769,15 @@ class TestChunkedSweep:
         model = CHUNK_MODELS[name]
         kxs = kxs + [-k for k in kxs[:mirrored]]  # exact +-k_x pairs
 
-        def run(threads=1):
+        def run(threads):
             return sweep(model, w, kxs, boundary_y=boundary, n_transverse=32, threads=threads)
 
-        ref = run()
-        for threads in (2, 3):
+        ref = run(1)
+        for threads in (None, 2, 3):  # None: the count the route resolves to
             assert run(threads).records.tobytes() == ref.records.tobytes()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ribbon, "CHUNK_ENTRIES", 1)  # one solve unit per chunk
-            one = run()
+            one = run(1)
         assert one.records.tobytes() == ref.records.tobytes()
 
         # the per-k_x oracle: diagonalize_ribbon and localization_profile for
@@ -871,7 +873,7 @@ class TestChunkedSweep:
         sweep(K_FIG2B, 4, [0.1, 0.2], n_transverse=16, threads=4)
         assert calls == [1, 1]
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_error_in_a_chunk_names_its_own_kx(self, monkeypatch, threads):
         # a solve that fails at k_x = 0.5 only: the chunk's error is traced to
         # that k_x, whose own solve raises the exception that propagates
@@ -891,3 +893,79 @@ class TestChunkedSweep:
         assert info.value.result is sentinel
         if threads == 1:  # the stacked solve, then the k_x alone up to the failing one
             assert seen == [(3, 3 * w, 3 * w), (3 * w, 3 * w), (3 * w, 3 * w)]
+
+    def test_the_caller_is_one_of_the_workers(self):
+        # three items that must run at once on three threads: the caller and two more
+        barrier, idents = threading.Barrier(3, timeout=30), []
+
+        def task(x):
+            idents.append(threading.get_ident())
+            barrier.wait()
+            return 2 * x
+
+        assert ribbon._map_chunks(task, [1, 2, 3], 3) == [2, 4, 6]
+        assert len(set(idents)) == 3 and threading.get_ident() in idents
+        assert ribbon._map_chunks(lambda x: threading.get_ident(), [1, 2], 1) == [threading.get_ident()] * 2
+
+    def test_many_workers_take_each_item_once(self):
+        # more threads than CPUs, switching as often as the interpreter allows:
+        # an item lost or taken twice shows in the results or the counts
+        counts, lock = [0] * 500, threading.Lock()
+
+        def task(x):
+            with lock:
+                counts[x] += 1
+            return 2 * x
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = ribbon._map_chunks(task, list(range(500)), 8)
+        finally:
+            sys.setswitchinterval(switch)
+        assert out == [2 * x for x in range(500)] and counts == [1] * 500
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_earliest_failure_raises_and_stops_the_queue(self, workers):
+        started = []
+
+        def task(x):
+            started.append(x)
+            if x in (1, 3):
+                raise ValueError(x)
+            return x
+
+        with pytest.raises(ValueError, match="^1$"):
+            ribbon._map_chunks(task, list(range(40)), workers)
+        # items start in order, none after a failure has been seen
+        assert sorted(started) == list(range(len(started))) and len(started) <= 1 + workers
+        if workers == 1:
+            assert started == [0, 1]
+
+    @pytest.mark.parametrize("cpus", [1, 3, 64])
+    def test_default_threads_follow_the_route(self, monkeypatch, cpus):
+        # 5 solve units on the paired routes: three +-k_x pairs, 0 and 0.5
+        monkeypatch.setattr(ribbon, "_usable_cpus", lambda: cpus)
+        kxs = [-3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0]
+        res = sweep(K_FIG2B, 4, kxs, n_transverse=16)  # the closed-form species route holds the GIL
+        assert (res.workers, res.chunks) == (1, 1)
+        for model in (GAMMA_FIG3B, MAG_FIELD, CHUNK_MODELS["k_herm"]):  # chiral, dense, Hermitian species
+            res = sweep(model, 4, kxs, n_transverse=16)
+            assert res.workers == res.chunks == min(cpus, 5)
+        res = sweep(MAG_FIELD, 4, kxs, n_transverse=16, threads=4)  # a count given is kept
+        assert res.workers == res.chunks == 4
+
+    @pytest.mark.parametrize("model", [MAG_FIELD, GAMMA_FIG3B], ids=["dense", "chiral"])
+    def test_pair_chunk_memory_stays_flat(self, model):
+        # one w=52 +-k_x pair: the strips, their vectors and the tails' blocks
+        # stay within six strip matrices, whatever the solver's tail forms
+        w, k = 52, 0.5 * np.pi
+        ribbon._solve_strips(model, w, [k, -k], False)  # first-call caches
+        tracemalloc.start()
+        try:
+            strips = ribbon._solve_strips(model, w, [k, -k], False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert strips.routes[1] == "mirrored"
+        assert peak <= 6 * (6 * w) ** 2 * 16
