@@ -556,8 +556,6 @@ def _map_chunks(task, items, workers):
     The threads take items from one shared queue, in order.  Once an item
     has failed no other is started, and the failure of the earliest item
     raises, as it would have in a loop; the items before it have all run.
-    A worker thread's temporaries stay in its own malloc arena, so the
-    caller working too keeps one arena fewer.
     """
     results = [None] * len(items)
     failures = {}
