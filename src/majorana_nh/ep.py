@@ -17,14 +17,13 @@ import numpy as np
 
 from . import eigen
 from .models import (
-    A_IDX,
-    B_IDX,
     Coupling3,
     M1,
     M2,
     ModelConfig,
     bloch_matrix_grid,
     branch_sqrt,
+    chiral_product,
     species,
     structure_factor_pair,
     triangle_test,
@@ -908,9 +907,9 @@ def _arc_trace_coupled(model, grid_n, counters=None, grid_solves=None):
     """Arcs of a flavour-mixing model: zero-real-part eigenvalue locus.
 
     For bond-only models the six bands come in +-sqrt(z) pairs with z an
-    eigenvalue of the 3x3 product of bond-sum matrices, so the locus is
-    Im z = 0, Re z <= 0 per branch; with onsite terms the six-band product
-    of Re(E_i) is contoured instead.  Both fields are even in theta
+    eigenvalue of the 3x3 :func:`~majorana_nh.models.chiral_product`, so
+    the locus is Im z = 0, Re z <= 0 per branch; with onsite terms the
+    six-band product of Re(E_i) is contoured instead.  Both fields are even in theta
     (H(-k) = -H(k)^T), so each +-theta pair of the grid is solved once.
     Closed loops no EP cuts are kept; other pieces only when both ends
     terminate at confirmed scan EPs.
@@ -925,9 +924,7 @@ def _arc_trace_coupled(model, grid_n, counters=None, grid_solves=None):
     hs = bloch_matrix_grid(model, k_from_bond_phase(phase_grid(grid_n)[1].reshape(-1, 2)[solved]))
     grid_solves.add(grid_n * grid_n, len(pairs))
     if model.bond_only:
-        z = np.linalg.eigvals(
-            hs[..., A_IDX[:, None], B_IDX[None, :]] @ hs[..., B_IDX[:, None], A_IDX[None, :]]
-        )
+        z = np.linalg.eigvals(chiral_product(hs))
         points = _point_arcs(z, eps, None)
         if points is not None:
             return points

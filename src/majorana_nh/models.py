@@ -370,6 +370,15 @@ def bloch_matrix_grid(model: ModelConfig, ks) -> np.ndarray:
     return h * model.scale_factor
 
 
+def chiral_product(h) -> np.ndarray:
+    """The 3x3 products ``F G`` ``(..., 3, 3)`` of chiral Bloch matrices ``h`` ``(..., 6, 6)``.
+
+    A bond-only Bloch matrix is [[0, F], [G, 0]] between the A and B
+    sublattices, so its six eigenvalues are +-sqrt of the three of F G.
+    """
+    return h[..., A_IDX[:, None], B_IDX[None, :]] @ h[..., B_IDX[:, None], A_IDX[None, :]]
+
+
 def bloch_hamiltonian(model: ModelConfig, k) -> BlochMatrix:
     """Bloch matrix of the configured model at a single k point."""
     k = np.asarray(k, dtype=float)

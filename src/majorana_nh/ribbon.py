@@ -22,6 +22,7 @@ from . import eigen
 from .models import (
     ModelConfig,
     bloch_matrix_grid,
+    chiral_product,
     closed_form_spectrum_grid,
     flavour_bond_table,
     species,
@@ -56,6 +57,11 @@ STATE_DTYPE = np.dtype(
 #: one stacked strip solve of :func:`sweep` takes, so memory per call stays
 #: flat: one k_x of a w=52 dense or Gamma strip, four of its species strips
 CHUNK_ENTRIES = 2**17
+
+#: widest gap between two |E| tracks, over the k_x's largest |E|, that the
+#: periodic cloud closes: tracks that touch at a band touching meet only to
+#: rounding, and a last-bit gap there must not split the interval
+CLOUD_MERGE_GAP = 16 * np.finfo(float).eps
 
 #: most states per k_x the classifier labels edge: a zigzag termination
 #: supports at most one boundary band per species per edge (3 species x 2 edges)
@@ -426,8 +432,10 @@ def _cloud_samples(model: ModelConfig, k_x, n_transverse: int):
 
     ``k_x`` is one momentum, samples ``(n_transverse, 6)``, or an array of
     them, samples ``(*k_x.shape, n_transverse, 6)``.  Closed-form bands where
-    the model has them, else a batched ``eigvalsh`` for a Hermitian model and
-    ``eigvals`` for any other.
+    the model has them, else a batched ``eigvalsh`` for a Hermitian model,
+    ``+-sqrt`` of the ``eigvals`` of the 3x3 :func:`chiral_product` for any
+    other bond-only model (Gamma, DMI without a field), and ``eigvals`` of
+    the 6x6 Bloch matrices for the rest.
     """
     q = np.linspace(0.0, 2.0 * np.pi, n_transverse, endpoint=False)
     half = 0.5 * np.asarray(k_x, dtype=float)[..., None]
@@ -438,7 +446,13 @@ def _cloud_samples(model: ModelConfig, k_x, n_transverse: int):
     vals = closed_form_spectrum_grid(model, ks)
     if vals is None:
         h = bloch_matrix_grid(model, ks)
-        vals = np.linalg.eigvalsh(h) if model.hermitian else np.linalg.eigvals(h)
+        if model.hermitian:
+            vals = np.linalg.eigvalsh(h)
+        elif model.bond_only:
+            roots = np.sqrt(np.linalg.eigvals(chiral_product(h)))
+            vals = np.concatenate([roots, -roots], axis=-1)
+        else:
+            vals = np.linalg.eigvals(h)
     return vals
 
 
@@ -470,7 +484,10 @@ class CloudIntervals:
 
 
 def _cloud_bounds(samples):
-    """Per-momentum sorted |E| tracks ``(k, q, t)`` merged into each k_x's ``(m, 2)`` |E| intervals."""
+    """Per-momentum sorted |E| tracks ``(k, q, t)`` merged into each k_x's read-only ``(m, 2)`` |E| intervals.
+
+    Gaps up to :data:`CLOUD_MERGE_GAP` times the k_x's largest |E| close.
+    """
     tracks = np.sort(np.abs(np.asarray(samples)), axis=-1)
     lo, hi = tracks.min(axis=-2), tracks.max(axis=-2)
     order = np.argsort(lo, axis=-1)
@@ -478,9 +495,12 @@ def _cloud_bounds(samples):
     reach = np.maximum.accumulate(hi, axis=-1)
     # a track opens an interval when it starts above every earlier track's end
     opens = np.ones(lo.shape, dtype=bool)
-    opens[:, 1:] = lo[:, 1:] > reach[:, :-1]
+    opens[:, 1:] = lo[:, 1:] > reach[:, :-1] + CLOUD_MERGE_GAP * reach[:, -1:]
     closes = np.roll(opens, -1, axis=-1)
-    return [np.stack([a[o], b[c]], axis=-1) for a, b, o, c in zip(lo, reach, opens, closes)]
+    bounds = [np.stack([a[o], b[c]], axis=-1) for a, b, o, c in zip(lo, reach, opens, closes)]
+    for b in bounds:
+        b.flags.writeable = False
+    return bounds
 
 
 def cloud_intervals_from_samples(samples: np.ndarray) -> CloudIntervals:
@@ -489,8 +509,13 @@ def cloud_intervals_from_samples(samples: np.ndarray) -> CloudIntervals:
 
 
 def pbc_cloud_intervals(model: ModelConfig, k_x: float, n_transverse: int = 512) -> CloudIntervals:
-    """|E| intervals of the fully periodic spectrum at fixed k_x."""
-    return cloud_intervals_from_samples(_cloud_samples(model, k_x, n_transverse))
+    """|E| intervals of the fully periodic spectrum at fixed k_x.
+
+    Solved at |k_x|: ``H(-k) = -H(k)^T`` and the transverse grid maps to
+    itself, so the cloud at -k_x is the cloud at k_x, and this is bitwise
+    the cloud :func:`sweep` gives both.
+    """
+    return cloud_intervals_from_samples(_cloud_samples(model, np.abs(k_x), n_transverse))
 
 
 # --------------------------------------------------------------------------
@@ -604,18 +629,20 @@ def sweep(
     the order of their first k_x, form the chunks, each one array program:
     one stacked strip solve (:func:`_solve_strips`, at most
     :data:`CHUNK_ENTRIES` eigenvector entries per solved k_x), one periodic
-    cloud over (k_x, q) with ``n_transverse`` momenta q and one classifier
+    cloud over (|k_x|, q) with ``n_transverse`` momenta q and one classifier
     call; every k_x is classified against its cloud, kept in
-    ``pbc_reference``.  ``threads`` asks for at least that many chunks (at
-    most one per unit), solved by that many threads at most, the calling
-    thread one of them (:func:`_map_chunks`); results are collected in grid
-    order either way, and a pair is never split.  ``threads=None`` takes
-    one thread per unit up to :func:`_usable_cpus` where the strip solves
-    run in LAPACK, which releases the GIL (the dense, chiral and Hermitian
-    routes), and one on the closed-form species route, whose numpy glue
-    holds it.  The result's ``workers`` and ``chunks`` count the threads
-    that ran and the chunks.  The
-    whole loop runs under :func:`eigen.one_blas_thread`, so each worker's
+    ``pbc_reference``.  The cloud at -k_x is the cloud at k_x, so a chunk
+    solves it once per |k_x| (:func:`pbc_cloud_intervals`), and the two
+    k_x of a pair share one read-only bounds array.  ``threads`` asks for
+    at least that many chunks (at most one per unit), solved by that many
+    threads at most, the calling thread one of them (:func:`_map_chunks`);
+    results are collected in grid order either way, and a pair is never
+    split.  ``threads=None`` takes one thread per unit up to
+    :func:`_usable_cpus` where the strip solves run in LAPACK, which
+    releases the GIL (the dense, chiral and Hermitian routes), and one on
+    the closed-form species route, whose numpy glue holds it.  The result's
+    ``workers`` and ``chunks`` count the threads that ran and the chunks.
+    The whole loop runs under :func:`eigen.one_blas_thread`, so each worker's
     LAPACK calls are single-threaded (workers do not oversubscribe the
     CPUs), and since each matrix of a stack gets the result it would get
     alone (a pair the result it gets alone), the data depend on neither
@@ -632,7 +659,10 @@ def sweep(
     def chunk(kxs):
         strips = _solve_strips(model, w, kxs, periodic)
         e = strips.eigenvalues
-        bounds = _cloud_bounds(_cloud_samples(model, kxs, n_transverse))
+        # one cloud per |k_x|, shared by a +-k_x pair
+        abs_kx, at = np.unique(np.abs(kxs), return_inverse=True)
+        solved = _cloud_bounds(_cloud_samples(model, abs_kx, n_transverse))
+        bounds = [solved[i] for i in at]
         records = _classify(e, strips.weights(), _cloud_distance(bounds, np.abs(e)), True, thresholds)
         return records, bounds, strips.achieved, strips.routes  # the vectors are not kept
 

@@ -36,6 +36,7 @@ from majorana_nh import (
 from majorana_nh import eigen, ribbon
 from majorana_nh.eigen import Spectrum
 from majorana_nh.models import effective_couplings
+from majorana_nh.pipelines import _kx_grid
 from majorana_nh.presets import get_preset
 from conftest import random_complex_coupling
 
@@ -969,3 +970,70 @@ class TestChunkedSweep:
             tracemalloc.stop()
         assert strips.routes[1] == "mirrored"
         assert peak <= 6 * (6 * w) ** 2 * 16
+
+
+#: the field-free DMI model: chiral Bloch matrices with no closed form, as Gamma's
+MAG_DMI = ModelConfig(Variant.MAG_MODEL, Coupling3(1, 1, E3), d=0.5, energy_scale="half")
+
+
+def _dense_cloud_samples(model, k_x, n_transverse):
+    """The periodic cloud's samples from dense ``eigvals`` of the 6x6 Bloch matrices at (k_x, q)."""
+    q = np.linspace(0.0, 2.0 * np.pi, n_transverse, endpoint=False)
+    half = 0.5 * np.asarray(k_x, dtype=float)[..., None]
+    ks = k_from_bond_phase(np.stack([half - q, -half - q], axis=-1))
+    return np.linalg.eigvals(bloch_matrix_grid(model, ks))
+
+
+class TestPeriodicCloud:
+    """One cloud per |k_x|, its chiral route and the merge of its |E| intervals."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(CHUNK_MODELS) + ["dmi"]), k=st.floats(-np.pi, np.pi))
+    def test_cloud_at_minus_kx_is_the_cloud_at_kx(self, name, k):
+        # every route, against the cloud of dense eigvals at (-k_x, q)
+        model = CHUNK_MODELS.get(name, MAG_DMI)
+        plus, minus = pbc_cloud_intervals(model, k), pbc_cloud_intervals(model, -k)
+        assert minus.bounds.tobytes() == plus.bounds.tobytes()
+        dense = ribbon.cloud_intervals_from_samples(_dense_cloud_samples(model, -k, 512)).bounds
+        assert plus.bounds.shape == dense.shape
+        assert np.abs(plus.bounds - dense).max() <= 1e-13 * dense.max()
+
+    @pytest.mark.parametrize("model", [GAMMA_FIG3B, MAG_DMI], ids=["gamma", "dmi"])
+    def test_chiral_samples_match_dense_eigvals(self, model, rng):
+        # +-sqrt(eig(F G)) against the eigenvalues of [[0, F], [G, 0]]
+        kx = rng.uniform(-np.pi, np.pi, 4)
+        samples, dense = ribbon._cloud_samples(model, kx, 64), _dense_cloud_samples(model, kx, 64)
+        assert samples.shape == dense.shape == (4, 64, 6)
+        for a, b in zip(samples.reshape(-1, 6), dense.reshape(-1, 6)):
+            assert match_eigenvalue_sets(a, b) <= 1e-12 * np.abs(b).max()
+
+    @pytest.mark.parametrize("name", sorted(CHUNK_MODELS))
+    def test_sweep_solves_one_cloud_per_abs_kx(self, monkeypatch, name):
+        model, momenta = CHUNK_MODELS[name], []
+        real = ribbon._cloud_samples
+
+        def counting(model, k_x, n_transverse):
+            momenta.extend(np.ravel(k_x).tolist())
+            return real(model, k_x, n_transverse)
+
+        monkeypatch.setattr(ribbon, "_cloud_samples", counting)
+        kxs = _kx_grid(8)  # -pi, 0 and three +-k_x pairs
+        res = sweep(model, 4, kxs, n_transverse=16)
+        assert sorted(momenta) == sorted(set(np.abs(kxs).tolist())) and len(momenta) == 5
+        for i in (1, 2, 3):  # a pair shares one read-only bounds array
+            assert res.pbc_reference[i].bounds is res.pbc_reference[8 - i].bounds
+            assert not res.pbc_reference[i].bounds.flags.writeable
+        momenta.clear()
+        kxs = [-2.0, -0.5, 0.0, 0.3, 1.0, 2.5]  # no +-k_x pair
+        sweep(model, 4, kxs, n_transverse=16)
+        assert sorted(momenta) == sorted(np.abs(kxs).tolist())
+
+    def test_tracks_one_ulp_apart_make_one_interval(self):
+        # two |E| tracks touching at 1.0, where the upper one starts an ulp above
+        up = np.nextafter(1.0, 2.0)
+        merged = ribbon.cloud_intervals_from_samples(np.array([[0.5, up], [1.0, 1.6]]))
+        assert merged.bounds.tolist() == [[0.5, 1.6]]
+        # a gap wider than the merge tolerance keeps its two intervals
+        lo = 1.0 + 2.0 * ribbon.CLOUD_MERGE_GAP * 1.6
+        split = ribbon.cloud_intervals_from_samples(np.array([[0.5, lo], [1.0, 1.6]]))
+        assert split.bounds.tolist() == [[0.5, 1.0], [lo, 1.6]]

@@ -14,9 +14,10 @@ and ``arc-trace`` of the Gamma and field+DMI models on the benchmark's zone
 grids (``bz_n`` 48, ``arc_grid_n`` 64), and
 ``reproduce`` of fig2a-like, fig2b-like, fig2c-like (a species strip whose
 gauge ratio |r| is not 1), fig3a (a Hermitian Gamma strip), fig3b, fig6a
-and the profile preset fig8 at a few k_x, and fig6c (w=52, a dense strip
-whose pair chunks run on the default worker count) at 4 k_x; tables in
-csv, json and ndjson.
+and the profile preset fig8 at a few k_x, fig4 (the Gamma profile preset
+at w=12, whose sweep is mostly periodic cloud) at 8 k_x, and fig6c (w=52,
+a dense strip whose pair chunks run on the default worker count) at 4 k_x;
+tables in csv, json and ndjson.
 ``--src`` (default: this checkout's ``src``) is the source tree whose
 package is run, so one copy of this script digests two checkouts and "bytes
 unchanged" is one ``diff``.
@@ -85,6 +86,7 @@ def corpus():
     ), "  weight_scale: log01\n"
     for preset in PRESETS:
         yield f"reproduce_{preset}", "reproduce", f"command: reproduce\npreset: {preset}\ngrid:\n  kx_n: 6\n", ""
+    yield "reproduce_fig4", "reproduce", "command: reproduce\npreset: fig4\ngrid:\n  kx_n: 8\n", ""
     yield "reproduce_fig6c", "reproduce", "command: reproduce\npreset: fig6c\ngrid:\n  kx_n: 4\n", ""
 
 
