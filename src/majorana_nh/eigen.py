@@ -9,8 +9,9 @@ Hermitian matrices (real couplings), :func:`eig_chiral` for chiral
 matrices [[0, B], [C, 0]] (flavour-mixing bond-only strips), solved from
 ``eig(B C)`` at half the dimension, and :func:`eig_species` for the species strips of
 flavour-conserving models, solved in closed form from four bond scalars:
-an open strip's B C is tridiagonal Toeplitz with one defect (its roots
-found by Newton's method), a periodic strip's blocks are circulant.
+an open strip's B C is tridiagonal Toeplitz with one defect, its roots
+found by Newton's method.  Strips are solved open only: a periodic strip's
+spectrum is the Bloch spectrum at its transverse momenta.
 :func:`chiral_blocks` lays out B and C of every strip from its bond terms,
 the species blocks included.  Every fast route certifies its pairs by their
 residuals and falls back to :func:`eig` where they miss; a matrix whose
@@ -19,7 +20,8 @@ norm overflows is certified by nothing and raises.  :func:`eig`,
 H(-k) = -H(k)^T, and solve each pair once: the partner's eigenpairs come
 from its representative's left vectors (the rows of V^-1 of one stacked
 solve up to 6x6, ``zgeev``'s own above) and are certified on its own
-matrix; :func:`eig_stack` gives the same solve uncertified.  The tails
+matrix.  :func:`eig_stack` is that one pair solve, uncertified, shared by
+the certified routes and the EP scan's zone grid.  The tails
 after a solve (sorting, unit columns, residuals) run slab by slab in the
 solve's own arrays, so a stack of large strips holds no (k, n, n)
 temporaries beside its matrices and vectors.
@@ -398,7 +400,7 @@ def _eig_left_right(a, left, right):
     return w
 
 
-#: largest n of the stacked pair route of :func:`_lapack_eig`: the 6x6 Bloch
+#: largest n of the stacked pair route of :func:`eig_stack`: the 6x6 Bloch
 #: matrices and their 2x2 species blocks.  At that size a ctypes ``zgeev``
 #: call costs as much as its solve (a 48x48 Bloch grid: 0.052 s by
 #: ``np.linalg.eig``, 0.055 s pair by pair), and one stacked ``eig`` plus
@@ -439,12 +441,17 @@ def _inverses(v):
     return left, (error <= _INVERSE_TOL) & (size.max(axis=(-2, -1)) <= 1.0 / _INVERSE_TOL)
 
 
-def _lapack_eig(a, pairs, sign):
-    """Unsorted eigenpairs ``(w, v)`` of a flat stack, each pair of ``pairs`` solved once.
+def eig_stack(a, pairs=None, sign=-1.0):
+    """Uncertified eigenpairs ``(w, v)`` of a flat ``(k, n, n)`` stack, each pair of ``pairs`` solved once.
 
-    A pair (r, p) declares ``a[p] = sign * a[r]^T``.  Since a left vector u
-    of ``a[r]`` satisfies u^H a[r] = w u^H, ``a[p]`` conj(u) = sign w conj(u)
-    gives ``a[p]`` its pairs with no solve of its own.  Matrices of at most
+    The one +-k pair solve: the certified routes run their tails on it, and
+    callers that certify what they use on their own (the zone grid of the
+    EP scan) take it as it is.  ``pairs``, ``(p, 2)`` distinct indices into
+    the stack or None, is validated here.  A pair (r, p) declares
+    ``a[p] = sign * a[r]^T``: a +-k pair of :func:`eig` at the default sign.
+    Since a left vector u of ``a[r]`` satisfies u^H a[r] = w u^H,
+    ``a[p]`` conj(u) = sign w conj(u) gives ``a[p]`` its pairs with no
+    solve of its own.  Matrices of at most
     ``STACKED_PAIR_N`` rows take one ``np.linalg.eig`` for the
     representatives and the matrices in no pair, and the left vectors are
     the rows of each representative's V^-1; a partner whose representative's
@@ -452,8 +459,11 @@ def _lapack_eig(a, pairs, sign):
     Larger ones take :func:`_eig_left_right` per pair, ``np.linalg.eig``
     for the rest, and with no LAPACKE ``zgeev`` in numpy every matrix is
     solved alone.  Also returns the pairs whose partner took its
-    representative's solve.
+    representative's solve.  The eigenvalues are unsorted and a partner's
+    right vectors are not unit.
     """
+    a = np.asarray(a, dtype=complex)
+    pairs = _pairs(pairs, len(a))
     if a.shape[-1] > STACKED_PAIR_N and _ZGEEV is None:
         pairs = _NO_PAIRS
     try:
@@ -481,27 +491,15 @@ def _lapack_eig(a, pairs, sign):
     return w, v, pairs
 
 
-def eig_stack(a, pairs=None):
-    """Uncertified ``np.linalg.eig`` of a flat ``(k, n, n)`` stack, each +-k pair of ``pairs`` solved once.
-
-    For callers that certify what they use on their own, such as the zone
-    grid of the EP scan.  ``pairs`` as in :func:`eig`.  Returns the unsorted
-    ``(w, v)`` of :func:`_lapack_eig` and the pairs whose partner took its
-    representative's solve; a partner's right vectors are not unit.
-    """
-    a = np.asarray(a, dtype=complex)
-    return _lapack_eig(a, _pairs(pairs, len(a)), -1.0)
-
-
-def _solve(a, tol, norm, pairs=_NO_PAIRS):
+def _solve(a, tol, norm, pairs=None):
     """Sorted, unit, polished eigenpairs of a flat ``(k, n, n)`` stack, their residuals and the pairs mirrored.
 
     ``pairs`` as in :func:`eig`: each partner's pairs come from its
     representative's solve, then run the same tail on its own matrix.  The
     pairs returned are those whose partner took its representative's solve
-    (:func:`_lapack_eig`).
+    (:func:`eig_stack`).
     """
-    w, v, pairs = _lapack_eig(a, pairs, -1.0)
+    w, v, pairs = eig_stack(a, pairs)
     w, v = _sort_pairs(w, v)
     res = _residuals(a, w, _unit_columns(v), norm)
     # a nan residual misses tol; a matrix whose norm overflowed cannot be polished
@@ -591,7 +589,6 @@ def eig(matrix, tol: float | np.ndarray | None = None, *, pairs=None) -> Spectru
     attached) if the residual target is missed or the norm overflows.
     """
     a, stack, tol, _ = _stack(matrix, tol)
-    pairs = _pairs(pairs, len(a))
     norm = frobenius_norms(a)
     w, v, res, pairs = _solve(a, tol, norm, pairs)
     p = pairs[:, 1]
@@ -680,10 +677,10 @@ def _chiral_pairs(b, c, pairs):
     The Rayleigh-Ritz step runs stacked over the matrices of one cluster
     size.  A partner of ``pairs`` has B C and C B the transposes of its
     representative's, so takes their eigenpairs from its representative's
-    left vectors (:func:`_lapack_eig`); the rest runs on its own B and C.
+    left vectors (:func:`eig_stack`); the rest runs on its own B and C.
     """
     k, m = b.shape[0], b.shape[-1]
-    mu, x, pairs = _lapack_eig(b @ c, pairs, 1.0)
+    mu, x, pairs = eig_stack(b @ c, pairs, 1.0)
     e = np.sqrt(mu)
     near = _near_zero(mu)
     # H [x; y] = E [x; y] with y = C x / E; B C x = E**2 x
@@ -704,7 +701,7 @@ def _chiral_pairs(b, c, pairs):
     where = np.full(k, -1)
     where[has] = np.arange(has.size)
     cb = c @ b if has.size == k else c[has] @ b[has]
-    mu_cb, x_cb, _ = _lapack_eig(cb, where[pairs[(where[pairs] >= 0).all(axis=-1)]], 1.0)
+    mu_cb, x_cb, _ = eig_stack(cb, where[pairs[(where[pairs] >= 0).all(axis=-1)]], 1.0)
     del cb
     near_cb = _near_zero(mu_cb)
     size, size_cb = near[has].sum(axis=-1), near_cb.sum(axis=-1)
@@ -789,7 +786,6 @@ def eig_chiral(b, c, tol: float | np.ndarray | None = None, *, pairs=None) -> Sp
         raise ValueError(f"B and C must have equal shapes, got {np.shape(b)} and {np.shape(c)}")
     b, stack, tol, _ = _stack(b, tol, size_factor=2)
     c = _stack(c, None)[0]
-    pairs = _pairs(pairs, len(b))
     norm = np.hypot(frobenius_norms(b), frobenius_norms(c))
 
     w, v, resolved, pairs = _chiral_pairs(b, c, pairs)
@@ -823,18 +819,16 @@ def chiral_blocks(terms, w: int, periodic: bool = False):
     return b.reshape(*stack, w * m, w * m), c.reshape(*stack, w * m, w * m)
 
 
-def species_norms(bonds, w: int, periodic: bool = False) -> np.ndarray:
-    """``||B||_F**2 + ||C||_F**2`` of the species blocks of bond scalars ``(..., 4)``, in closed form: ``(...)``."""
+def species_norms(bonds, w: int) -> np.ndarray:
+    """``||B||_F**2 + ||C||_F**2`` of the open species blocks of bond scalars ``(..., 4)``, in closed form: ``(...)``."""
     sq = np.abs(np.asarray(bonds, dtype=complex)) ** 2
-    links = w if periodic else w - 1
-    return w * (sq[..., 0] + sq[..., 2]) + links * (sq[..., 1] + sq[..., 3])
+    return w * (sq[..., 0] + sq[..., 2]) + (w - 1) * (sq[..., 1] + sq[..., 3])
 
 
-def _bidiagonal(d, s, x, shift, periodic):
-    """``(d I + s S) x`` for the row shift S that moves row n to row n + ``shift``, per matrix."""
+def _bidiagonal(d, s, x, shift):
+    """``(d I + s S) x`` for the open row shift S that moves row n to row n + ``shift``, per matrix."""
     moved = np.roll(x, shift, axis=-2)
-    if not periodic:
-        moved[:, 0 if shift > 0 else -1] = 0.0
+    moved[:, 0 if shift > 0 else -1] = 0.0
     return d[:, None, None] * x + s[:, None, None] * moved
 
 
@@ -936,7 +930,7 @@ def _species_open(bd, bs, cd, cs, w):
     x = _sine_columns(n, w + 1 - n, log_r, theta[:, None, :])
     e = np.sqrt(mu)
     near = _near_zero(mu)
-    cx = _bidiagonal(cd, cs, x, -1, False)
+    cx = _bidiagonal(cd, cs, x, -1)
     y = cx / np.where(near, 1.0, e)[:, None, :]
     i, col = np.nonzero(near)
     if i.size:
@@ -945,7 +939,7 @@ def _species_open(bd, bs, cd, cs, w):
         yc = _sine_columns(n, n, log_r[i], theta[i, col][:, None, None])[..., 0]
         xc = x[i, :, col]
         gamma = (yc.conj() * cx[i, :, col]).sum(axis=-1)
-        beta = (xc.conj() * _bidiagonal(bd[i], bs[i], yc[..., None], 1, False)[..., 0]).sum(axis=-1)
+        beta = (xc.conj() * _bidiagonal(bd[i], bs[i], yc[..., None], 1)[..., 0]).sum(axis=-1)
         # the smaller of beta and gamma has lost its relative accuracy; a lone near-zero root
         # takes its mu from det(B C) = (bd cd)^w over the other roots, which keeps it
         log_mu = w * np.log(bd * cd) - np.where(near, 0.0, np.log(mu)).sum(axis=-1)
@@ -960,42 +954,22 @@ def _species_open(bd, bs, cd, cs, w):
     return e, x, y
 
 
-def _species_periodic(bd, bs, cd, cs, w):
-    """Unsorted pairs of periodic species strips: B and C are circulant, with plane-wave vectors.
-
-    On e^{i q n}, q = 2 pi j / w, B acts as beta = bd + bs e^{-iq} and C as
-    gamma = cd + cs e^{iq}; [sqrt(beta) v; +-sqrt(gamma) v] solves H with
-    E = +-sqrt(beta) sqrt(gamma).
-    """
-    j = np.arange(w)
-    phase = np.exp(2j * np.pi * j / w)
-    sb = np.sqrt(bd[:, None] + bs[:, None] / phase)
-    sg = np.sqrt(cd[:, None] + cs[:, None] * phase)
-    plane = np.exp(2j * np.pi * (np.outer(j, j) % w) / w) / np.sqrt(w)  # (row, q)
-    x, y = sb[:, None, :] * plane, sg[:, None, :] * plane
-    # where H vanishes on a plane wave, [v; v] and [v; -v] are its pairs
-    both = ((sb == 0.0) & (sg == 0.0))[:, None, :]
-    return sb * sg, np.where(both, plane, x), np.where(both, plane, y)
-
-
-def eig_species(bonds, w: int, *, periodic: bool = False, tol: float | np.ndarray | None = None,
+def eig_species(bonds, w: int, *, tol: float | np.ndarray | None = None,
                 norm: float | np.ndarray | None = None) -> Spectrum:
-    """:func:`eig` of a species strip [[0, B], [C, 0]] from its four bond scalars, in closed form.
+    """:func:`eig` of an open species strip [[0, B], [C, 0]] from its four bond scalars, in closed form.
 
     ``bonds`` is ``(..., 4)``: bd and bs of B = bd I + bs L, cd and cs of
-    C = cd I + cs L^T, with L the lower shift (wrapped around when
-    ``periodic``): the m = 1 case of :func:`chiral_blocks`.  The result is
-    that of :func:`eig` on the 2w x 2w matrices H (basis: the w rows of B,
-    then the w rows of C), with ``tol`` defaulting to :func:`default_tol`
-    of 2w and ``norm`` as in :func:`eigh`.  No LAPACK call: an open strip's
-    B C is tridiagonal Toeplitz with one defect and is solved by its roots
-    (:func:`_species_open`), a periodic strip's blocks are circulant
-    (:func:`_species_periodic`).  The pairs are certified as by
-    :func:`eig_chiral`, by their residuals on H (B and C applied as
-    bidiagonal products) and by the trace identity on the block's own norm;
-    a block with a non-finite root, vector or norm, a pair that misses
-    ``tol`` or a set that misses the identity is solved again by the dense
-    :func:`eig` route of its H, laid out for it alone by
+    C = cd I + cs L^T, with L the lower shift: the m = 1 case of
+    :func:`chiral_blocks`.  The result is that of :func:`eig` on the
+    2w x 2w matrices H (basis: the w rows of B, then the w rows of C), with
+    ``tol`` defaulting to :func:`default_tol` of 2w and ``norm`` as in
+    :func:`eigh`.  No LAPACK call: B C is tridiagonal Toeplitz with one
+    defect and is solved by its roots (:func:`_species_open`).  The pairs
+    are certified as by :func:`eig_chiral`, by their residuals on H (B and
+    C applied as bidiagonal products) and by the trace identity on the
+    block's own norm; a block with a non-finite root, vector or norm, a
+    pair that misses ``tol`` or a set that misses the identity is solved
+    again by the dense :func:`eig` route of its H, laid out for it alone by
     :func:`chiral_blocks`.  ``path`` is "species", or "dense_fallback" when
     some block took that route.
     """
@@ -1007,19 +981,19 @@ def eig_species(bonds, w: int, *, periodic: bool = False, tol: float | np.ndarra
     stack = bonds.shape[:-1]
     flat = bonds.reshape(-1, 4)
     tol = np.broadcast_to(default_tol(2 * w) if tol is None else tol, stack).reshape(-1)
-    own = np.sqrt(species_norms(flat, w, periodic))
+    own = np.sqrt(species_norms(flat, w))
     norm = own if norm is None else np.broadcast_to(norm, stack).reshape(-1)
     bd, bs, cd, cs = flat.T
 
     with np.errstate(all="ignore"):  # a degenerate block (u = 0, say) fails below, as non-finite
-        e, x, y = (_species_periodic if periodic else _species_open)(bd, bs, cd, cs, w)
+        e, x, y = _species_open(bd, bs, cd, cs, w)
         # [x; y] of E = e and [x; -y] of E = -e: one unit norm, one residual
         scale = np.sqrt((np.abs(x) ** 2).sum(axis=-2) + (np.abs(y) ** 2).sum(axis=-2))[:, None, :]
         x, y = x / scale, y / scale
-        top = np.linalg.norm(_bidiagonal(bd, bs, y, 1, periodic) - x * e[:, None, :], axis=-2)
-        bottom = np.linalg.norm(_bidiagonal(cd, cs, x, -1, periodic) - y * e[:, None, :], axis=-2)
+        top = np.linalg.norm(_bidiagonal(bd, bs, y, 1) - x * e[:, None, :], axis=-2)
+        bottom = np.linalg.norm(_bidiagonal(cd, cs, x, -1) - y * e[:, None, :], axis=-2)
         res = np.tile(np.hypot(top, bottom) / np.maximum(1.0, norm)[:, None], 2)
-        trace = w * bd * cd + (w if periodic else w - 1) * bs * cs  # tr H**2 = 2 tr(B C)
+        trace = w * bd * cd + (w - 1) * bs * cs  # tr H**2 = 2 tr(B C)
         trace_gap = 2.0 * np.abs((e * e).sum(axis=-1) - trace)
         finite = np.isfinite(res).all(axis=-1) & np.isfinite(trace_gap)
         w_all = np.concatenate([e, -e], axis=-1)
@@ -1031,7 +1005,7 @@ def eig_species(bonds, w: int, *, periodic: bool = False, tol: float | np.ndarra
     failed = ~finite | ~(trace_gap <= _TRACE_GAP * np.maximum(1.0, own) ** 2)
     return _certified_or_redone(stack, tol, w_all, v, res, norm,
                                 _routes(len(w_all), "species", _NO_PAIRS), failed,
-                                lambda redo: chiral_matrix(*chiral_blocks(flat[redo, :, None, None], w, periodic)))
+                                lambda redo: chiral_matrix(*chiral_blocks(flat[redo, :, None, None], w)))
 
 
 def min_singular_value(matrix) -> float:

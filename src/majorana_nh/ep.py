@@ -24,6 +24,7 @@ from .models import (
     bloch_matrix_grid,
     branch_sqrt,
     chiral_product,
+    flavour_species,
     species,
     structure_factor_pair,
     triangle_test,
@@ -465,9 +466,9 @@ def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, counters, grid_
     smallest-|E| candidate.  All candidates run Newton in lockstep
     (:func:`_newton_refine`); one Newton leaves with a gap of at least
     ``gap_tol`` is refined again by Nelder-Mead from its grid point.  The
-    grid solves each +-theta pair once (:func:`eigen.eig_stack`), counted in
-    ``grid_solves``; it is not certified, since every refined point is
-    certified on its own matrix.
+    grid takes the pair solve of :func:`eigen.eig`, :func:`eigen.eig_stack`,
+    uncertified, since every refined point is certified on its own matrix;
+    its solves are counted in ``grid_solves``.
     """
     thetas = phase_grid(grid_n)[1].reshape(-1, 2)
     hs = build_h(thetas)
@@ -595,11 +596,11 @@ def ep_scan(
     ``grid_n`` 128 the scans of fig2a-like, fig3a and fig6a took 0.7-1.1 s
     each and confirmed nothing).
 
-    The zone grid is solved by :func:`eigen.eig_stack`, one solve per
-    +-theta pair: 6x6 and 2x2 matrices are small enough for its stacked
-    route, where a ctypes ``zgeev`` per pair would cost as much as the
-    solve.  ``counters`` and ``grid_solves``, if given, accumulate the
-    refinement work and the grid solves by route.
+    The zone grid takes :func:`eigen.eig_stack`, the pair solve of
+    :func:`eigen.eig` without its certificate: 6x6 and 2x2 matrices take
+    its stacked route, where a ctypes ``zgeev`` per pair would cost as much
+    as the solve.  ``counters`` and ``grid_solves``, if given, accumulate
+    the refinement work and the grid solves by route.
     """
     if grid_n < MIN_SCAN_GRID_N:
         raise ValueError(f"grid_n must be >= {MIN_SCAN_GRID_N}")
@@ -987,8 +988,7 @@ def classify_degeneracy(model: ModelConfig, k, tol: float = 1e-6) -> DegeneracyR
     if sets is None:
         raise ValueError("degeneracy classification needs a flavour-conserving model")
     k = np.asarray(k, dtype=float)
-    # the parent model's single species stands for all three flavours
-    j_sets = [j for _, j in sets] * (3 // len(sets))
+    j_sets = [sets[i][1] for i in flavour_species(sets)]
     s = model.scale_factor
 
     a_k, a_mk = zip(*(structure_factor_pair(j, k) for j in j_sets))

@@ -237,6 +237,15 @@ def species(model: ModelConfig):
     return None
 
 
+def flavour_species(sets) -> np.ndarray:
+    """The index into :func:`species` ``sets`` of each of the three flavours.
+
+    The parent model's one species stands for all three flavours (0, 0, 0);
+    the K model's three are its flavours' own (0, 1, 2).
+    """
+    return np.arange(3) % len(sets)
+
+
 def triangle_test(moduli) -> bool:
     """True iff each modulus is bounded by the sum of the other two."""
     m = [float(x) for x in moduli]
@@ -415,8 +424,7 @@ def closed_form_spectrum_grid(model: ModelConfig, ks) -> np.ndarray | None:
     if sets is not None:
         at_k, at_mk = _bond_phases(ks), _bond_phases(-ks)  # shared by the species
         roots = [2.0 * branch_sqrt(_phase_sum(j, at_k) * _phase_sum(j, at_mk)) for _, j in sets]
-        # the parent model's single species stands for all three flavours
-        r = np.stack(roots * (3 // len(roots)), axis=-1)
+        r = np.stack([roots[i] for i in flavour_species(sets)], axis=-1)
         return np.concatenate([r, -r], axis=-1) * s
 
     if model.variant is Variant.MAG_MODEL and model.d == 0.0:

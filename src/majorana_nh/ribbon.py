@@ -1,12 +1,15 @@
 """Zigzag-edged strips: mixed-space Hamiltonians, k_x sweeps, localization.
 
-Geometry: the strip is periodic along x and open (or periodic) along y.  One
+Geometry: the strip is periodic along x and open along y.  One
 "dimer row" is a zigzag chain holding one A and one B site per unit cell of
 circumference; x-links (phase ``e^{+i k_x/2}``) and y-links (``e^{-i k_x/2}``)
 run inside a row, z-links run along y with no phase and join row r's B site to
 row r+1's A site.  Cutting the z-links at both ends produces the two zigzag
 edges.  Basis ordering: (row 1 A, row 1 B, row 2 A, ...), flavours innermost,
 so the matrix dimension is ``6 w`` for ``w`` dimer rows (2w sites).
+Strips are solved open only.  :func:`build_ribbon` also builds a strip
+periodic along y, whose spectrum is the Bloch spectrum at the transverse
+momenta 2 pi n / w: the periodic reference cloud (:func:`_cloud_samples`).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .models import (
     chiral_product,
     closed_form_spectrum_grid,
     flavour_bond_table,
+    flavour_species,
     species,
 )
 
@@ -68,13 +72,11 @@ CLOUD_MERGE_GAP = 16 * np.finfo(float).eps
 EDGE_CAP = 6
 
 
-def _check_strip(w, boundary_y):
+def _check_strip(w):
     if not isinstance(w, (int, np.integer)):
         raise ValueError(f"w must be an integer number of dimer rows, got {w!r}")
     if w < 2:
         raise ValueError("ribbon needs at least 2 dimer rows")
-    if boundary_y not in BOUNDARIES:
-        raise ValueError(f"boundary_y must be one of {BOUNDARIES}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,9 @@ class RibbonSpec:
     model: ModelConfig
 
     def __post_init__(self):
-        _check_strip(self.w, self.boundary_y)
+        _check_strip(self.w)
+        if self.boundary_y not in BOUNDARIES:
+            raise ValueError(f"boundary_y must be one of {BOUNDARIES}")
 
 
 def _bond_terms(model: ModelConfig, k_x) -> np.ndarray:
@@ -161,7 +165,7 @@ class _Strips:
         self.achieved = np.reshape(spectrum.achieved_tol, (k, blocks)).max(axis=-1)
         e = spectrum.eigenvalues.reshape(k, -1)
         if sets is not None:
-            self.picks = np.arange(3) % blocks  # the block of each flavour
+            self.picks = flavour_species(sets)  # the block of each flavour
             e = e.reshape(k, blocks, -1)[:, self.picks].reshape(k, -1)
             self.order = np.lexsort((e.imag, e.real), axis=-1)
             e = np.take_along_axis(e, self.order, -1)
@@ -228,10 +232,10 @@ def _mirror_pairs(k_x) -> np.ndarray:
 
 def _mirrored(model: ModelConfig) -> bool:
     """Whether the strips' +-k_x pairs share one solve: every route but :func:`eigen.eig_species`."""
-    return model.hermitian or not model.bond_only or species(model) is None
+    return model.hermitian or species(model) is None
 
 
-def _solve_strips(model: ModelConfig, w, k_x, periodic, tol=None) -> _Strips:
+def _solve_strips(model: ModelConfig, w, k_x, tol=None) -> _Strips:
     """The solve of :func:`diagonalize_ribbon` at the momenta ``k_x``, in one stacked :mod:`eigen` call.
 
     Bond-only strips start from their :func:`_bond_terms`.  A
@@ -256,13 +260,13 @@ def _solve_strips(model: ModelConfig, w, k_x, periodic, tol=None) -> _Strips:
         return a[0] if k == 1 else a
 
     if not model.bond_only:
-        h = lone(_strip_matrices(model, w, k_x, periodic))
+        h = lone(_strip_matrices(model, w, k_x, False))
         return _Strips((eigen.eigh if hermitian else eigen.eig)(h, tol=tol, pairs=pairs), k, w, None, False)
 
     terms = _bond_terms(model, k_x)
     sets = species(model)
     if sets is None:
-        b, c = (lone(x) for x in eigen.chiral_blocks(terms, w, periodic))
+        b, c = (lone(x) for x in eigen.chiral_blocks(terms, w))
         # a Hermitian strip by dense zheevd at the full size, which beats the half-size product route
         if hermitian:
             s = eigen.eigh(eigen.chiral_matrix(b, c), tol=tol, pairs=pairs)
@@ -271,16 +275,16 @@ def _solve_strips(model: ModelConfig, w, k_x, periodic, tol=None) -> _Strips:
         return _Strips(s, k, w, None, True)
     # (k, species, 4): a species' bd, bs, cd and cs are its flavour's diagonal entries of the terms
     bonds = np.diagonal(terms, axis1=-2, axis2=-1)[..., : len(sets)].swapaxes(-1, -2)
-    # the strip's norm: each species block stands for 3 / len(sets) flavours
-    norm = np.sqrt(eigen.species_norms(bonds, w, periodic).sum(axis=-1) * (3 // len(sets)))
+    # the strip's norm: the species blocks of its three flavours
+    norm = np.sqrt(eigen.species_norms(bonds, w)[:, flavour_species(sets)].sum(axis=-1))
     block_norm = np.repeat(norm, len(sets))
     bonds = bonds.reshape(-1, 4)
     if hermitian:
-        blocks = eigen.chiral_blocks(bonds[..., None, None], w, periodic)
+        blocks = eigen.chiral_blocks(bonds[..., None, None], w)
         block_pairs = (pairs[:, None, :] * len(sets) + np.arange(len(sets))[:, None]).reshape(-1, 2)
         s = eigen.eigh(eigen.chiral_matrix(*blocks), tol=tol, norm=block_norm, pairs=block_pairs)
     else:
-        s = eigen.eig_species(bonds, w, periodic=periodic, tol=tol, norm=block_norm)
+        s = eigen.eig_species(bonds, w, tol=tol, norm=block_norm)
     return _Strips(s, k, w, sets, True, norm)
 
 
@@ -304,9 +308,15 @@ def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spec
     meets ``tol`` (default of size 6w) in the residual over the strip's
     Frobenius norm, after a dense re-solve and a polish where needed, or
     :class:`ConvergenceError` is raised, as when that norm overflows.  The
-    one-k_x view of the solve :func:`sweep` makes chunk by chunk.
+    one-k_x view of the solve :func:`sweep` makes chunk by chunk.  Strips
+    are solved open only: a periodic ``spec`` raises ValueError, since its
+    spectrum is the Bloch spectrum at (k_x, 2 pi n / w) and
+    :func:`build_ribbon` gives its matrix.
     """
-    return _solve_strips(spec.model, spec.w, spec.k_x, spec.boundary_y == "periodic", tol).dense()
+    if spec.boundary_y != "open":
+        raise ValueError("diagonalize_ribbon solves open strips only: a periodic strip's spectrum is the "
+                         "Bloch spectrum at (k_x, 2 pi n / w), and build_ribbon builds its matrix")
+    return _solve_strips(spec.model, spec.w, spec.k_x, tol).dense()
 
 
 # --------------------------------------------------------------------------
@@ -548,7 +558,6 @@ class SolveLog:
 class SweepResult:
     model: ModelConfig
     w: int
-    boundary_y: str
     kx_grid: np.ndarray
     records: np.recarray  # (n_kx, n) of STATE_DTYPE, one row per k_x of the grid
     pbc_reference: list  # per k_x, the CloudIntervals of the periodic spectrum
@@ -563,7 +572,7 @@ def _kx_per_chunk(model: ModelConfig, w: int) -> int:
 
     A +-k_x pair counts once: its partner takes no solve of its own.
     """
-    sets = species(model) if model.bond_only else None
+    sets = species(model)
     entries = (6 * w) ** 2 if sets is None else len(sets) * (2 * w) ** 2
     return max(1, CHUNK_ENTRIES // entries)
 
@@ -616,12 +625,11 @@ def sweep(
     model: ModelConfig,
     w: int,
     kx_grid,
-    boundary_y: str = "open",
     n_transverse: int = 512,
     thresholds: ClassifierThresholds = ClassifierThresholds(),
     threads: int | None = None,
 ) -> SweepResult:
-    """Diagonalize and classify the strip over a k_x grid.
+    """Diagonalize and classify the open strip over a k_x grid.
 
     The grid is cut into solve units: each +-k_x pair of
     :func:`_mirror_pairs`, solved once (except on the closed-form species
@@ -650,14 +658,13 @@ def sweep(
     at one k_x propagates as the exception object that k_x's solve raises
     alone, its message prefixed with that k_x.
     """
-    _check_strip(w, boundary_y)
+    _check_strip(w)
     kx_grid = np.asarray(kx_grid, dtype=float)
     if kx_grid.ndim != 1 or kx_grid.size == 0:
         raise ValueError(f"kx_grid must be a nonempty 1-D array, got shape {kx_grid.shape}")
-    periodic = boundary_y == "periodic"
 
     def chunk(kxs):
-        strips = _solve_strips(model, w, kxs, periodic)
+        strips = _solve_strips(model, w, kxs)
         e = strips.eigenvalues
         # one cloud per |k_x|, shared by a +-k_x pair
         abs_kx, at = np.unique(np.abs(kxs), return_inverse=True)
@@ -701,7 +708,6 @@ def sweep(
     return SweepResult(
         model=model,
         w=w,
-        boundary_y=boundary_y,
         kx_grid=kx_grid,
         records=records.view(np.recarray),
         pbc_reference=[CloudIntervals(bounds[i]) for i in order],
@@ -736,9 +742,9 @@ def edge_mode_weights(
         raise ValueError(f"states must be an integer number of states or None, got {states!r}")
     if states is not None and states < 1:
         raise ValueError("state selection is empty")
-    _check_strip(w, "open")
+    _check_strip(w)
     with eigen.one_blas_thread():
-        strips = _solve_strips(model, w, k_x, False)
+        strips = _solve_strips(model, w, k_x)
     if solves is not None:
         solves.add([k_x], strips.routes, strips.achieved)
     e, ws = strips.eigenvalues[0], strips.weights()[0]

@@ -220,9 +220,9 @@ def strip_bonds(model, k_x, flavour):
     return np.diagonal(ribbon._bond_terms(model, [k_x])[0], axis1=-2, axis2=-1)[:, flavour].copy()
 
 
-def scalar_blocks(bonds, w, periodic=False):
-    """The species blocks B and C of bond scalars ``(..., 4)``: the m = 1 case of ``chiral_blocks``."""
-    return eigen.chiral_blocks(np.asarray(bonds)[..., None, None], w, periodic)
+def scalar_blocks(bonds, w):
+    """The open species blocks B and C of bond scalars ``(..., 4)``: the m = 1 case of ``chiral_blocks``."""
+    return eigen.chiral_blocks(np.asarray(bonds)[..., None, None], w)
 
 
 class TestChiral:
@@ -408,21 +408,20 @@ class TestSpecies:
     @settings(max_examples=80)
     @given(
         w=st.integers(2, 12),
-        periodic=st.booleans(),
         bs=st.tuples(st.floats(0.3, 2.0), st.floats(-np.pi, np.pi)),
         cs=st.tuples(st.floats(0.3, 2.0), st.floats(-np.pi, np.pi)),
         rho=st.tuples(st.one_of(st.floats(0.05, 0.9), st.floats(0.9, 1.1), st.floats(1.1, 4.0)),
                       st.floats(-np.pi, np.pi)),
         log_r=st.tuples(st.floats(-1.0, 1.0), st.floats(-np.pi, np.pi)),
     )
-    def test_matches_dense(self, w, periodic, bs, cs, rho, log_r):
+    def test_matches_dense(self, w, bs, cs, rho, log_r):
         # |rho| below, near and above 1, and a gauge ratio with |r|^w within
         # 1e3 either way, so that dense eig stays accurate enough to compare
         r = polar(np.exp(log_r[0] * np.log(1e3) / w), log_r[1])
         bonds = bonds_from(polar(*bs), polar(*cs), polar(*rho), r)
-        b, c = scalar_blocks(bonds, w, periodic)
+        b, c = scalar_blocks(bonds, w)
         h = chiral(b, c)
-        s = eigen.eig_species(bonds, w, periodic=periodic)
+        s = eigen.eig_species(bonds, w)
         assert s.path in ("species", "dense_fallback")
         assert match_eigenvalue_sets(s.eigenvalues, eig(h).eigenvalues) <= 1e-12 * max(1.0, np.linalg.norm(h))
         assert_certified_on(h, s, eigen.default_tol(2 * w))
@@ -450,13 +449,12 @@ class TestSpecies:
         # each block of a stack gets the bytes it gets alone, the fallback included
         bonds = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         bonds[2, 0] = 0.0
-        for periodic in (False, True):
-            s = eigen.eig_species(bonds, 7, periodic=periodic)
-            for i in range(4):
-                one = eigen.eig_species(bonds[i], 7, periodic=periodic)
-                assert s.routes[i] == one.path
-                for name in SPECTRUM_ARRAYS:
-                    assert getattr(s, name)[i].tobytes() == getattr(one, name).tobytes(), name
+        s = eigen.eig_species(bonds, 7)
+        for i in range(4):
+            one = eigen.eig_species(bonds[i], 7)
+            assert s.routes[i] == one.path
+            for name in SPECTRUM_ARRAYS:
+                assert getattr(s, name)[i].tobytes() == getattr(one, name).tobytes(), name
         assert eigen.eig_species(bonds, 7).routes.tolist() == ["species", "species", "dense_fallback", "species"]
         with pytest.raises(ConvergenceError, match=r"in matrix \[3\]"):
             eigen.eig_species(bonds, 7, tol=[1e-8, 1e-8, 1e-8, 1e-30])
@@ -657,6 +655,7 @@ class TestMirroredPairs:
         assert s.right_vectors[2].tobytes() == alone.right_vectors.tobytes()
 
     def test_eig_stack_is_the_uncertified_solve(self, rng):
+        # the one pair solve under eig, eig_chiral and the EP scan's grid, validating its own pairs
         a, other = random_matrix(rng, 6), random_matrix(rng, 6)
         w, v, mirrored = eigen.eig_stack(np.stack([a, other, -a.T]), [[0, 2]])
         assert mirrored.tolist() == [[0, 2]]
@@ -665,6 +664,12 @@ class TestMirroredPairs:
         assert w[:2].tobytes() == ref_w.tobytes() and v[:2].tobytes() == ref_v.tobytes()
         x = v[2] / np.linalg.norm(v[2], axis=0)
         assert np.abs(-a.T @ x - x * w[2]).max() <= 1e-12 * np.linalg.norm(a)
+        # sign +1: a partner that is its representative's transpose, as eig_chiral's B C
+        w, v, mirrored = eigen.eig_stack(np.stack([a, a.T]), [[0, 1]], 1.0)
+        assert mirrored.tolist() == [[0, 1]]
+        np.testing.assert_array_equal(w[1], w[0])
+        with pytest.raises(ValueError, match="^pairs must be distinct indices of the 2 matrices"):
+            eigen.eig_stack(np.stack([a, other]), [[0, 0]])
 
     @pytest.mark.parametrize("pairs", [[[0, 0]], [[0, 1], [1, 2]], [[0, 3]], [[-1, 0]]])
     def test_pairs_must_be_distinct_indices(self, rng, pairs):

@@ -1,5 +1,6 @@
-"""Config parsing, export formats, determinism, presets, CLI."""
+"""Config parsing, export formats, determinism, presets, CLI, benchmark tracer names."""
 
+import importlib.util
 import json
 import math
 import os
@@ -1004,3 +1005,15 @@ output:
         assert res.returncode == 0, res.stderr
         lines = (tmp_path / "loc_profiles.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 4 * 16  # header + n_states * 2w sites
+
+
+def test_bench_tracer_wraps_functions_the_package_defines():
+    # perfbench/layertrace.py replaces each (module, name) of WRAPPED in the
+    # package when a benchmark run is traced; a renamed function fails that run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    assert layertrace.WRAPPED
+    for module, name in layertrace.WRAPPED:
+        assert callable(vars(importlib.import_module(f"majorana_nh.{module}")).get(name)), f"{module}.{name}"

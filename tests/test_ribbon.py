@@ -194,6 +194,14 @@ class TestStripSolverContract:
         with pytest.raises(ConvergenceError):
             diagonalize_ribbon(spec, tol=1e-30)
 
+    @pytest.mark.parametrize("model", [K_FIG2B, MAG_FIELD], ids=["species", "dense"])
+    def test_periodic_strips_are_built_not_solved(self, model):
+        # the periodic strip's spectrum is the Bloch spectrum at (k_x, 2 pi n / w)
+        spec = RibbonSpec(w=4, boundary_y="periodic", k_x=0.7, model=model)
+        assert build_ribbon(spec).shape == (24, 24)
+        with pytest.raises(ValueError, match="^diagonalize_ribbon solves open strips only: .*Bloch.*build_ribbon"):
+            diagonalize_ribbon(spec)
+
     def test_parent_model_solves_one_species(self, monkeypatch):
         # the three species of the parent model coincide: one 2w x 2w block
         # stands for all three, byte-identical to stacking all three
@@ -214,11 +222,10 @@ class TestStripSolverContract:
         real=st.booleans(),
         scale=st.sampled_from(["raw", "half"]),
         w=st.integers(2, 12),
-        boundary=st.sampled_from(ribbon.BOUNDARIES),
         kx=st.floats(-np.pi, np.pi),
     )
     def test_block_path_matches_dense(
-        self, variant, moduli, phases, k_coupling, real, scale, w, boundary, kx
+        self, variant, moduli, phases, k_coupling, real, scale, w, kx
     ):
         # the species blocks reproduce the dense strip matrix's eigenpairs
         if real:
@@ -227,7 +234,7 @@ class TestStripSolverContract:
             j, kc = Coupling3.from_polar(moduli, phases), complex(*k_coupling)
         extra = {"k_coupling": kc} if variant is Variant.K_MODEL else {}
         model = ModelConfig(variant, j, energy_scale=scale, **extra)
-        spec = RibbonSpec(w=w, boundary_y=boundary, k_x=kx, model=model)
+        spec = RibbonSpec(w=w, boundary_y="open", k_x=kx, model=model)
         h = build_ribbon(spec)
         s = diagonalize_ribbon(spec)
         norm = max(1.0, np.linalg.norm(h, "fro"))
@@ -248,11 +255,10 @@ class TestStripSolverContract:
         real=st.booleans(),
         scale=st.sampled_from(["raw", "half"]),
         w=st.integers(2, 12),
-        boundary=st.sampled_from(ribbon.BOUNDARIES),
         kx=st.floats(-np.pi, np.pi),
     )
     def test_chiral_path_matches_dense(
-        self, variant, moduli, phases, second, real, scale, w, boundary, kx
+        self, variant, moduli, phases, second, real, scale, w, kx
     ):
         # every bond-only strip (field+DMI without a field) is solved from its
         # B and C blocks, species by species where the flavours stay apart; it
@@ -268,7 +274,7 @@ class TestStripSolverContract:
             Variant.MAG_MODEL: {"d": second[0]},
         }[variant]
         model = ModelConfig(variant, j, energy_scale=scale, **extra)
-        spec = RibbonSpec(w=w, boundary_y=boundary, k_x=kx, model=model)
+        spec = RibbonSpec(w=w, boundary_y="open", k_x=kx, model=model)
         h = build_ribbon(spec)
         s = diagonalize_ribbon(spec)
         fast = "hermitian" if model.hermitian else "species" if ribbon.species(model) else "chiral"
@@ -292,11 +298,10 @@ class TestStripSolverContract:
         with_field=st.booleans(),
         scale=st.sampled_from(["raw", "half"]),
         w=st.integers(2, 12),
-        boundary=st.sampled_from(ribbon.BOUNDARIES),
         kx=st.floats(-np.pi, np.pi),
     )
     def test_hermitian_path_matches_dense(
-        self, variant, j, second, field, with_field, scale, w, boundary, kx
+        self, variant, j, second, field, with_field, scale, w, kx
     ):
         # real couplings declare a Hermitian strip, solved by eigh: real
         # eigenvalues, orthonormal vectors, the dense strip matrix's spectrum
@@ -308,7 +313,7 @@ class TestStripSolverContract:
         }[variant]
         model = ModelConfig(variant, Coupling3(*j), energy_scale=scale, **extra)
         assert model.hermitian
-        spec = RibbonSpec(w=w, boundary_y=boundary, k_x=kx, model=model)
+        spec = RibbonSpec(w=w, boundary_y="open", k_x=kx, model=model)
         h = build_ribbon(spec)
         s = diagonalize_ribbon(spec)
         assert s.path == "hermitian"
@@ -668,7 +673,6 @@ class TestSweepAndSummary:
         res = ribbon.SweepResult(
             model=ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1)),
             w=2,
-            boundary_y="open",
             kx_grid=kxs,
             records=rec,
             pbc_reference=[CloudIntervals(bounds=np.array([[0.0, 1.0]]))] * 4,
@@ -761,17 +765,16 @@ class TestChunkedSweep:
     @settings(max_examples=40, deadline=None)
     @given(
         name=st.sampled_from(sorted(CHUNK_MODELS)),
-        boundary=st.sampled_from(ribbon.BOUNDARIES),
         w=st.integers(2, 5),
         kxs=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=5),
         mirrored=st.integers(0, 3),
     )
-    def test_records_do_not_depend_on_chunks_or_threads(self, name, boundary, w, kxs, mirrored):
+    def test_records_do_not_depend_on_chunks_or_threads(self, name, w, kxs, mirrored):
         model = CHUNK_MODELS[name]
         kxs = kxs + [-k for k in kxs[:mirrored]]  # exact +-k_x pairs
 
         def run(threads):
-            return sweep(model, w, kxs, boundary_y=boundary, n_transverse=32, threads=threads)
+            return sweep(model, w, kxs, n_transverse=32, threads=threads)
 
         ref = run(1)
         for threads in (None, 2, 3):  # None: the count the route resolves to
@@ -792,13 +795,13 @@ class TestChunkedSweep:
             alone = pbc_cloud_intervals(model, kx, 32)
             assert cloud.bounds.tobytes() == alone.bounds.tobytes()
             if i in partner:
-                strips = ribbon._solve_strips(model, w, [kx, kxs[partner[i]]], boundary == "periodic")
+                strips = ribbon._solve_strips(model, w, [kx, kxs[partner[i]]])
                 e = strips.eigenvalues[:1]
                 records = ribbon._classify(e, strips.weights()[:1], alone.distance(np.abs(e)), True,
                                            ribbon.ClassifierThresholds())
                 route, residual = str(strips.routes[0]), strips.achieved[0]
             else:
-                s = diagonalize_ribbon(RibbonSpec(w=w, boundary_y=boundary, k_x=kx, model=model))
+                s = diagonalize_ribbon(RibbonSpec(w=w, boundary_y="open", k_x=kx, model=model))
                 records, route, residual = localization_profile(s, w, alone), s.path, s.achieved_tol
             solves[route] += 1
             residuals.append(residual)
@@ -810,17 +813,16 @@ class TestChunkedSweep:
     @settings(max_examples=30, deadline=None)
     @given(
         name=st.sampled_from(sorted(CHUNK_MODELS)),
-        boundary=st.sampled_from(ribbon.BOUNDARIES),
         w=st.integers(2, 5),
         k=st.floats(0.0, np.pi, exclude_min=True),
     )
-    def test_partner_matches_an_independent_solve(self, name, boundary, w, k):
+    def test_partner_matches_an_independent_solve(self, name, w, k):
         # the partner -k of a pair, from its representative's solve, against
         # H(-k) solved alone; labels are not compared, as on a degenerate
         # cluster they depend on the basis the solver returns
         model = CHUNK_MODELS[name]
-        spec = RibbonSpec(w=w, boundary_y=boundary, k_x=-k, model=model)
-        strips = ribbon._solve_strips(model, w, [k, -k], boundary == "periodic")
+        spec = RibbonSpec(w=w, boundary_y="open", k_x=-k, model=model)
+        strips = ribbon._solve_strips(model, w, [k, -k])
         e, h = strips.eigenvalues[1], build_ribbon(spec)
         assert strips.routes[1] == ("mirrored" if ribbon._mirrored(model) else "species")
         norm = max(1.0, np.linalg.norm(h, "fro"))
@@ -860,9 +862,9 @@ class TestChunkedSweep:
         calls = []
         real = ribbon._solve_strips
 
-        def recording(model, w, k_x, periodic, tol=None):
+        def recording(model, w, k_x, tol=None):
             calls.append(len(k_x))
-            return real(model, w, k_x, periodic, tol)
+            return real(model, w, k_x, tol)
 
         monkeypatch.setattr(ribbon, "_solve_strips", recording)
         sweep(K_FIG2B, 4, np.linspace(-np.pi, np.pi, 5, endpoint=False), n_transverse=16)
@@ -961,10 +963,10 @@ class TestChunkedSweep:
         # one w=52 +-k_x pair: the strips, their vectors and the tails' blocks
         # stay within six strip matrices, whatever the solver's tail forms
         w, k = 52, 0.5 * np.pi
-        ribbon._solve_strips(model, w, [k, -k], False)  # first-call caches
+        ribbon._solve_strips(model, w, [k, -k])  # first-call caches
         tracemalloc.start()
         try:
-            strips = ribbon._solve_strips(model, w, [k, -k], False)
+            strips = ribbon._solve_strips(model, w, [k, -k])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
