@@ -7,10 +7,10 @@ near-defective flags, formed when read.  Takes one matrix or a
 certified matrix by matrix.  :func:`eigh` keeps the same contract for
 Hermitian matrices (real couplings), :func:`eig_chiral` for chiral
 matrices [[0, B], [C, 0]] (flavour-mixing bond-only strips), solved from
-``eig(B C)`` at half the dimension, and :func:`eig_species` for the species strips of
-flavour-conserving models, solved in closed form from four bond scalars:
-an open strip's B C is tridiagonal Toeplitz with one defect, its roots
-found by Newton's method.  Strips are solved open only: a periodic strip's
+``eig(B C)`` and its left vectors at half the dimension, and
+:func:`eig_species` for the species strips of flavour-conserving models,
+solved in closed form from four bond scalars: an open strip's B C is
+tridiagonal Toeplitz with one defect, its roots found by Newton's method.  Strips are solved open only: a periodic strip's
 spectrum is the Bloch spectrum at its transverse momenta.
 :func:`chiral_blocks` lays out B and C of every strip from its bond terms,
 the species blocks included.  Every fast route certifies its pairs by their
@@ -56,8 +56,8 @@ DEFECTIVE_OVERLAP = 1.0 - 1e-6
 #: :func:`eig_species` (paired with the C B vectors)
 CHIRAL_CLUSTER = 1e-2
 
-#: least |R_ii| in the QR of a cluster's unit eigenvectors for them to count
-#: as independent (a Jordan block yields parallel ones)
+#: least |R_ii| in the QR of unit vectors for them to count as independent
+#: (a Jordan block's eigenvectors are parallel)
 _CLUSTER_RANK = 1e-8
 
 #: largest |sum E**2 - tr H**2| / max(1, ||H||_F)**2 of an :func:`eig_chiral`
@@ -441,7 +441,7 @@ def _inverses(v):
     return left, (error <= _INVERSE_TOL) & (size.max(axis=(-2, -1)) <= 1.0 / _INVERSE_TOL)
 
 
-def eig_stack(a, pairs=None, sign=-1.0):
+def eig_stack(a, pairs=None, sign=-1.0, left=None):
     """Uncertified eigenpairs ``(w, v)`` of a flat ``(k, n, n)`` stack, each pair of ``pairs`` solved once.
 
     The one +-k pair solve: the certified routes run their tails on it, and
@@ -451,41 +451,48 @@ def eig_stack(a, pairs=None, sign=-1.0):
     ``a[p] = sign * a[r]^T``: a +-k pair of :func:`eig` at the default sign.
     Since a left vector u of ``a[r]`` satisfies u^H a[r] = w u^H,
     ``a[p]`` conj(u) = sign w conj(u) gives ``a[p]`` its pairs with no
-    solve of its own.  Matrices of at most
-    ``STACKED_PAIR_N`` rows take one ``np.linalg.eig`` for the
-    representatives and the matrices in no pair, and the left vectors are
-    the rows of each representative's V^-1; a partner whose representative's
-    V^-1 misses the identity test of :func:`_inverses` is solved alone.
-    Larger ones take :func:`_eig_left_right` per pair, ``np.linalg.eig``
-    for the rest, and with no LAPACKE ``zgeev`` in numpy every matrix is
-    solved alone.  Also returns the pairs whose partner took its
-    representative's solve.  The eigenvalues are unsorted and a partner's
-    right vectors are not unit.
+    solve of its own.  Matrices of at most ``STACKED_PAIR_N`` rows take one
+    ``np.linalg.eig`` for the representatives and the matrices in no pair,
+    and the left vectors are the rows of each representative's V^-1; a
+    partner whose representative's V^-1 misses the identity test of
+    :func:`_inverses` is solved alone.  Larger ones take
+    :func:`_eig_left_right` per pair, ``np.linalg.eig`` for the rest, and
+    with no LAPACKE ``zgeev`` in numpy every matrix is solved alone and
+    ``left`` is not written.  Else ``left``, a dict, maps each matrix's
+    index to its left vectors u as conj(u), a pair's views of the other's
+    right vectors, and all sizes take :func:`_eig_left_right`.  Also returns
+    the pairs whose partner took its representative's solve.  The
+    eigenvalues are unsorted and a partner's right vectors are not unit.
     """
     a = np.asarray(a, dtype=complex)
     pairs = _pairs(pairs, len(a))
-    if a.shape[-1] > STACKED_PAIR_N and _ZGEEV is None:
-        pairs = _NO_PAIRS
+    if _ZGEEV is None:  # no left vectors, and strip-sized pairs solved alone
+        left, pairs = None, (pairs if a.shape[-1] <= STACKED_PAIR_N else _NO_PAIRS)
     try:
-        if not pairs.size:
+        if not pairs.size and left is None:
             return (*np.linalg.eig(a), pairs)
         w, v = np.empty(a.shape[:-1], dtype=complex), np.empty(a.shape, dtype=complex)
-        if a.shape[-1] <= STACKED_PAIR_N:
+        if a.shape[-1] <= STACKED_PAIR_N and left is None:
             solved = np.setdiff1d(np.arange(len(a)), pairs[:, 1])
             w[solved], v[solved] = np.linalg.eig(a[solved])
             r, p = pairs.T
-            left, ok = _inverses(v[r])
+            rows, ok = _inverses(v[r])
             w[p[ok]] = sign * w[r[ok]]
-            v[p[ok]] = left[ok]
+            v[p[ok]] = rows[ok]
             if not ok.all():
                 w[p[~ok]], v[p[~ok]] = np.linalg.eig(a[p[~ok]])
             return w, v, pairs[ok]
         alone = np.setdiff1d(np.arange(len(a)), pairs)
-        if alone.size:
+        if left is not None:
+            for i in alone:
+                w[i] = _eig_left_right(a[i], left.setdefault(i, np.empty_like(a[i])), v[i])
+        elif alone.size:
             w[alone], v[alone] = np.linalg.eig(a[alone])
         for r, p in pairs:
             w[r] = _eig_left_right(a[r], v[p], v[r])
             w[p] = sign * w[r]
+            if left is not None:
+                left[r], left[p] = v[p], v[r]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
     return w, v, pairs
@@ -669,18 +676,19 @@ def _near_zero(mu):
 
 
 def _chiral_pairs(b, c, pairs):
-    """Eigenpairs of H = [[0, B], [C, 0]] from eig(B C), the near-zero cluster by Rayleigh-Ritz.
+    """Eigenpairs of H = [[0, B], [C, 0]] from eig(B C) and its left vectors, the near-zero cluster by Rayleigh-Ritz.
 
     Returns unsorted eigenvalues ``(k, 2m)``, vectors ``(k, 2m, 2m)``, a
-    ``(k,)`` mask of the matrices whose cluster could be resolved and the
-    pairs whose partner took its B C eigenpairs from its representative.
-    The Rayleigh-Ritz step runs stacked over the matrices of one cluster
-    size.  A partner of ``pairs`` has B C and C B the transposes of its
-    representative's, so takes their eigenpairs from its representative's
-    left vectors (:func:`eig_stack`); the rest runs on its own B and C.
+    ``(k,)`` mask of the matrices whose cluster was resolved and the pairs
+    whose partner took its representative's solve (:func:`eig_stack`).  A
+    left vector u of B C makes B^H u one of C B, so the cluster's invariant
+    subspace of C B is the orthogonal complement of B^H U, U the left
+    vectors of the other eigenvalues.  The Rayleigh-Ritz step runs stacked
+    over the matrices of one cluster size.
     """
     k, m = b.shape[0], b.shape[-1]
-    mu, x, pairs = eig_stack(b @ c, pairs, 1.0)
+    left = {}
+    mu, x, pairs = eig_stack(b @ c, pairs, 1.0, left)
     e = np.sqrt(mu)
     near = _near_zero(mu)
     # H [x; y] = E [x; y] with y = C x / E; B C x = E**2 x
@@ -692,32 +700,24 @@ def _chiral_pairs(b, c, pairs):
     v[:, m:, :m] = y
     np.negative(y, out=v[:, m:, m:])
     del y
-    resolved = np.ones(k, dtype=bool)
 
     has = np.flatnonzero(near.any(axis=-1))
-    if not has.size:
-        return w, v, resolved, pairs
-    # the pairs of matrices with a cluster (a partner's mu is its representative's), by position in has
-    where = np.full(k, -1)
-    where[has] = np.arange(has.size)
-    cb = c @ b if has.size == k else c[has] @ b[has]
-    mu_cb, x_cb, _ = eig_stack(cb, where[pairs[(where[pairs] >= 0).all(axis=-1)]], 1.0)
-    del cb
-    near_cb = _near_zero(mu_cb)
-    size, size_cb = near[has].sum(axis=-1), near_cb.sum(axis=-1)
-    resolved[has[size != size_cb]] = False
-    for s in np.unique(size[size == size_cb]):
-        g = np.flatnonzero((size == s) & (size_cb == s))
-        i = has[g]
-        cols = np.nonzero(near[i])[1].reshape(-1, s)
-        # orthonormal bases of the cluster's invariant subspaces of B C and C B;
-        # without independent eigenvectors (a Jordan block) they are not spanned
+    if not has.size or _ZGEEV is None:  # no cluster, or no left vectors to resolve one
+        return w, v, ~near.any(axis=-1), pairs
+    resolved = np.ones(k, dtype=bool)
+    size = near[has].sum(axis=-1)
+    for s in np.unique(size):
+        i = has[size == s]
+        cols, rest = np.split(np.argsort(~near[i], axis=-1, kind="stable"), [s], axis=-1)  # cluster first
+        # orthonormal bases of the cluster's subspaces of B C and C B (a complete QR of the unit B^H U)
         qx, rx = np.linalg.qr(np.take_along_axis(x[i], cols[:, None, :], -1))
-        qy, ry = np.linalg.qr(np.take_along_axis(x_cb[g], np.nonzero(near_cb[g])[1].reshape(-1, 1, s), -1))
-        spanned = np.minimum(np.abs(np.diagonal(rx, axis1=-2, axis2=-1)).min(axis=-1),
-                             np.abs(np.diagonal(ry, axis1=-2, axis2=-1)).min(axis=-1)) >= _CLUSTER_RANK
+        bu = _adjoint(b[i]) @ np.stack([left[j][:, r] for j, r in zip(i, rest)]).conj()
+        bu /= np.linalg.norm(bu, axis=-2, keepdims=True)
+        qy, ry = np.linalg.qr(bu, mode="complete")
+        rank = [np.abs(np.diagonal(r, axis1=-2, axis2=-1)).min(axis=-1, initial=np.inf) for r in (rx, ry)]
+        spanned = np.minimum(*rank) >= _CLUSTER_RANK
         resolved[i[~spanned]] = False
-        i, cols, qx, qy = i[spanned], cols[spanned], qx[spanned], qy[spanned]
+        i, cols, qx, qy = i[spanned], cols[spanned], qx[spanned], qy[spanned, :, m - s :]
         if not i.size:
             continue
         # span{[Qx; 0], [0; Qy]} is H-invariant: solve H restricted to it
@@ -767,20 +767,20 @@ def eig_chiral(b, c, tol: float | np.ndarray | None = None, *, pairs=None) -> Sp
     |E| above ``CHIRAL_CLUSTER`` times the matrix's largest |E| are
     E = +-sqrt(eig(B C)) with vectors [x; C x / E].  The near-zero cluster,
     where C x / E is ill defined, comes from a Rayleigh-Ritz step on the
-    cluster eigenvectors of B C and C B (``eig(C B)`` runs only for matrices
-    with a cluster).  Every pair is certified by its residual on H, taken
-    through the blocks over ``max(1, ||H||_F)``, and the set by the trace
-    identity sum E**2 = tr H**2, to ``_TRACE_GAP * max(1, ||H||_F)**2``.
-    Species strips take :func:`eig_species` instead.  A matrix whose
-    cluster counts differ, whose cluster eigenvectors are dependent, whose
-    pairs miss ``tol`` or whose set misses the identity is solved again by
-    the dense :func:`eig` route of that H (polish included).  ``path`` is
-    "chiral", or "dense_fallback" when some matrix took that route.
-    ``pairs`` declares +-k pairs as in :func:`eig`, so B(-k) = -C(k)^T and
-    C(-k) = -B(k)^T: the partner's B C and C B are the transposes of its
-    representative's, whose solves return left vectors for it, and every
-    step after those solves, certificate included, runs on its own blocks
-    (route "mirrored").
+    cluster's invariant subspaces of B C and C B, the latter from the left
+    vectors of the one B C solve (:func:`_chiral_pairs`).  Every pair is
+    certified by its residual on H, taken through the blocks over
+    ``max(1, ||H||_F)``, and the set by the trace identity sum E**2 =
+    tr H**2, to ``_TRACE_GAP * max(1, ||H||_F)**2``.  Species strips take
+    :func:`eig_species` instead.  A matrix whose cluster bases are
+    dependent or lack left vectors (no LAPACKE ``zgeev``), whose pairs miss
+    ``tol`` or whose set misses the identity is solved again by the dense
+    :func:`eig` route of that H (polish included).  ``path`` is "chiral", or
+    "dense_fallback" when some matrix took that route.  ``pairs`` declares
+    +-k pairs as in :func:`eig`, so B(-k) = -C(k)^T and C(-k) = -B(k)^T:
+    the partner's B C is the transpose of its representative's, whose solve
+    returns left vectors for it, and every step after it, certificate
+    included, runs on its own blocks (route "mirrored").
     """
     if np.shape(b) != np.shape(c):
         raise ValueError(f"B and C must have equal shapes, got {np.shape(b)} and {np.shape(c)}")

@@ -225,6 +225,25 @@ def scalar_blocks(bonds, w):
     return eigen.chiral_blocks(np.asarray(bonds)[..., None, None], w)
 
 
+def cluster_strips(name):
+    """B, C and the +-k_x pairs of chiral strips with near-zero clusters.
+
+    fig3b's and the field-free DMI model's strips at w=12 over 16 k_x (-pi
+    and 0 lone, some exact +-k_x pairs), and pure YL's flavour-1 block at
+    w=40, k_x = 0.9 pi, a lone matrix whose edge bands lie far below rounding.
+    """
+    if name == "pure_yl":
+        model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
+        strip = build_ribbon(RibbonSpec(w=40, boundary_y="open", k_x=0.9 * np.pi, model=model))
+        a, b_sites = 6 * np.arange(40), 6 * np.arange(40) + 3
+        return strip[np.ix_(a, b_sites)], strip[np.ix_(b_sites, a)], None
+    model = (get_preset("fig3b").model if name == "fig3b"
+             else ModelConfig(Variant.MAG_MODEL, Coupling3(1, 1, E3), d=0.5))
+    k_x = np.linspace(-np.pi, np.pi, 16, endpoint=False)
+    b, c = eigen.chiral_blocks(ribbon._bond_terms(model, k_x), 12)
+    return b, c, ribbon._mirror_pairs(k_x)
+
+
 class TestChiral:
     """``eig_chiral`` keeps the contract of ``eig`` on [[0, B], [C, 0]]."""
 
@@ -267,6 +286,61 @@ class TestChiral:
         # the cluster was resolved by the Ritz step and certified: no dense re-solve
         assert s.path == "chiral"
         assert_certified_on(h, s, eigen.default_tol(2 * w))
+        assert match_eigenvalue_sets(s.eigenvalues, eig(h).eigenvalues) <= 1e-12 * np.linalg.norm(h)
+
+    @pytest.mark.parametrize("strip", ["fig3b", "mag_dmi", "pure_yl"])
+    def test_cluster_basis_spans_the_c_b_cluster(self, monkeypatch, strip):
+        # the C B half of each cluster, taken from the pair solve's left vectors, spans
+        # the cluster eigenvectors of eig(C B), with one eig_stack call for the whole stack
+        b, c, pairs = cluster_strips(strip)
+        real, calls = eigen.eig_stack, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, "eig_stack", counting)
+        s = eigen.eig_chiral(b, c, pairs=pairs)
+        monkeypatch.undo()
+        m = b.shape[-1]
+        assert calls == [(b.size // m**2, m, m)]
+        b, c = b.reshape(-1, m, m), c.reshape(-1, m, m)
+        w, v = s.eigenvalues.reshape(-1, 2 * m), s.right_vectors.reshape(-1, 2 * m, 2 * m)
+        routes = np.reshape(s.routes, -1)
+        clusters = 0
+        for i in range(len(b)):
+            mu, x_cb = np.linalg.eig(c[i] @ b[i])
+            near = eigen._near_zero(mu)
+            size = near.sum()
+            if not size:
+                continue
+            clusters += 1
+            assert routes[i] in ("chiral", "mirrored")
+            # the bottom halves of H's 2s cluster vectors span its C B subspace
+            got = np.linalg.svd(v[i][m:, np.argsort(np.abs(w[i]))[: 2 * size]])[0][:, :size]
+            ref = np.linalg.qr(x_cb[:, near])[0]
+            assert np.linalg.norm(got - ref @ (ref.conj().T @ got), 2) <= 1e-10
+        assert clusters == {"fig3b": 7, "mag_dmi": 7, "pure_yl": 1}[strip]
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 12), planted=st.integers(1, 3),
+           scale=st.sampled_from([0.0, 1e-12, 1e-8, 1e-5]))
+    def test_planted_zero_modes_match_dense(self, seed, m, planted, scale):
+        # B and C with r near-null right vectors each: H has 2r near-zero eigenvalues,
+        # resolved by the Ritz step and matching dense eig
+        rng = np.random.default_rng(seed)
+        r = min(planted, m - 1)
+        b, c = random_matrix(rng, m), random_matrix(rng, m)
+        for a in (b, c):
+            q = np.linalg.qr(random_matrix(rng, m)[:, :r])[0]
+            a -= (a @ q) @ q.conj().T
+            a += scale * random_matrix(rng, m)
+        h = chiral(b, c)
+        s = eigen.eig_chiral(b, c)
+        abs_e = np.abs(s.eigenvalues)
+        assert (abs_e <= eigen.CHIRAL_CLUSTER * abs_e.max()).sum() >= 2 * r
+        assert s.path == "chiral"
+        assert_certified_on(h, s, eigen.default_tol(2 * m))
         assert match_eigenvalue_sets(s.eigenvalues, eig(h).eigenvalues) <= 1e-12 * np.linalg.norm(h)
 
     def test_spectrum_keeps_the_trace_identity(self):
@@ -576,7 +650,8 @@ class TestMirroredPairs:
 
     def test_partners_solved_alone_where_numpy_bundles_no_lapacke(self, rng, monkeypatch):
         # no left vectors without numpy's LAPACKE zgeev: a strip-sized pair
-        # is two lone solves, each with the bytes it gets alone
+        # is two lone solves, each with the bytes it gets alone, and a strip
+        # with a near-zero cluster takes the dense route
         a, b, c = random_matrix(rng, 12), random_matrix(rng, 8), random_matrix(rng, 8)
         monkeypatch.setattr(eigen, "_ZGEEV", None)
         s = eig(np.stack([a, -a.T]), pairs=[[0, 1]])
@@ -587,6 +662,17 @@ class TestMirroredPairs:
                                          (sc, eigen.eig_chiral(-c.T, -b.T))]):
             assert one.eigenvalues[i % 2].tobytes() == lone.eigenvalues.tobytes()
             assert one.right_vectors[i % 2].tobytes() == lone.right_vectors.tobytes()
+        # a near-zero cluster has no left vectors for its Ritz step: the dense route solves it
+        k_x = np.array([3 * np.pi / 4, -3 * np.pi / 4])
+        bz, cz = eigen.chiral_blocks(ribbon._bond_terms(get_preset("fig3b").model, k_x), 12)
+        sz = eigen.eig_chiral(bz, cz, pairs=ribbon._mirror_pairs(k_x))
+        assert sz.routes.tolist() == ["dense_fallback"] * 2
+        for i in range(2):
+            lone = eigen.eig_chiral(bz[i], cz[i])
+            assert lone.path == "dense_fallback"
+            assert_certified_on(chiral(bz[i], cz[i]), lone, eigen.default_tol(72))
+            assert sz.eigenvalues[i].tobytes() == lone.eigenvalues.tobytes()
+            assert sz.right_vectors[i].tobytes() == lone.right_vectors.tobytes()
 
     @pytest.mark.parametrize("route", ["eig", "eigh", "eig_chiral"])
     def test_a_wrong_declaration_is_solved_again(self, rng, route):
@@ -614,7 +700,7 @@ class TestMirroredPairs:
     @pytest.mark.parametrize("zero_modes", [False, True])
     def test_chiral_partner(self, rng, zero_modes):
         b, c = random_matrix(rng, 8), random_matrix(rng, 8)
-        if zero_modes:  # a near-zero cluster, resolved through eig(C B) and the Ritz step
+        if zero_modes:  # a near-zero cluster, resolved through the left vectors and the Ritz step
             b[:, 0], c[:, 1] = 0.0, 0.0
         s = eigen.eig_chiral(np.stack([b, -c.T]), np.stack([c, -b.T]), pairs=[[0, 1]])
         assert s.routes.tolist() == ["chiral", "mirrored"]

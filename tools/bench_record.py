@@ -10,7 +10,10 @@ the ``run_seconds`` of its ``BENCHMARK.json``, and writes the median of each
 end-to-end metric, with the spread of the runs, the failed operation
 counts, and the run environment the benchmark reports: the git SHA of the
 checkout, ``nproc``, the BLAS library and the BLAS thread setting of each
-workload.  It also times the criterion-8 acceptance test of that checkout
+workload.  Since that SHA is HEAD's, an uncommitted change would be filed
+under its parent's: the record also holds ``src_sha256``, a hash of the
+files under ``src/``, and ``repo_dirty``, whether ``git status
+--porcelain`` lists any change (null where the checkout has no ``.git``).  It also times the criterion-8 acceptance test of that checkout
 (one ``pytest`` run, BLAS at one thread).  Run it on an otherwise idle
 machine: the numbers are wall times.
 """
@@ -18,6 +21,7 @@ machine: the numbers are wall times.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -54,9 +58,28 @@ def criterion8_seconds(repo: Path) -> dict:
     return {"wall_s": round(time.perf_counter() - t0, 2), "passed": proc.returncode == 0}
 
 
+def src_sha256(repo: Path) -> str:
+    """sha256 over the relative path, size and bytes of every file under ``src/``, caches skipped."""
+    digest = hashlib.sha256()
+    for path in sorted((repo / "src").rglob("*")):
+        if path.is_file() and not any(p == "__pycache__" or p.endswith(".egg-info") for p in path.parts):
+            data = path.read_bytes()
+            digest.update(f"{path.relative_to(repo).as_posix()}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
+def repo_dirty(repo: Path) -> bool | None:
+    """Whether ``git status --porcelain`` lists a change in ``repo``; None without ``.git`` or when git fails."""
+    if not (repo / ".git").exists():
+        return None
+    proc = subprocess.run(["git", "status", "--porcelain"], cwd=repo, capture_output=True, text=True)
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
 def record(repo: Path) -> dict:
     seconds = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
-    doc = {"repo_sha": None, "nproc": os.cpu_count(), "runs_per_workload": RUNS, "seed": SEED,
+    doc = {"repo_sha": None, "src_sha256": src_sha256(repo), "repo_dirty": repo_dirty(repo),
+           "nproc": os.cpu_count(), "runs_per_workload": RUNS, "seed": SEED,
            "seconds_per_run": seconds, "workloads": {}}
     for workload in WORKLOADS:
         results, env = [], None

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/output_digests.py [--src DIR] > digests.txt
+    python tools/output_digests.py [--src DIR] [--keep DIR] > digests.txt
 
 Runs every command on small grids in process, with BLAS at one thread, for
 the pure Yao-Lee model, the K model (Hermitian and not), the Gamma model,
@@ -20,7 +20,9 @@ a dense strip whose pair chunks run on the default worker count) at 4 k_x;
 tables in csv, json and ndjson.
 ``--src`` (default: this checkout's ``src``) is the source tree whose
 package is run, so one copy of this script digests two checkouts and "bytes
-unchanged" is one ``diff``.
+unchanged" is one ``diff``.  ``--keep`` writes the outputs into a new or
+empty directory and keeps them there (default: a temporary directory), so
+``tools/table_diff.py`` can show which rows of two checkouts' tables differ.
 
 Data files are listed first: the sha256 of each CSV, NDJSON, SVG and
 ``_report.json``, and of the ``data`` of each table JSON.  The metas follow
@@ -131,7 +133,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="source tree holding the majorana_nh package to run")
+    parser.add_argument("--keep", metavar="DIR", help="new or empty directory to write the outputs into and keep")
     args = parser.parse_args(argv)
+    keep = args.keep and Path(args.keep).resolve()
+    if keep and keep.exists() and any(keep.iterdir()):
+        parser.error(f"--keep directory {keep} is not empty")
     # BLAS at one thread, set before the package imports numpy
     os.environ.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
     sys.path.insert(0, str(Path(args.src).resolve()))
@@ -140,7 +146,9 @@ def main(argv=None) -> int:
     data, metas = [], []
     # relative output directories, so the config echo in each meta is the same in every checkout
     cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
+    if keep:
+        keep.mkdir(parents=True, exist_ok=True)
+    with contextlib.nullcontext(keep) if keep else tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             for name, command, text, output in corpus():
