@@ -683,8 +683,9 @@ def _chiral_pairs(b, c, pairs):
     whose partner took its representative's solve (:func:`eig_stack`).  A
     left vector u of B C makes B^H u one of C B, so the cluster's invariant
     subspace of C B is the orthogonal complement of B^H U, U the left
-    vectors of the other eigenvalues.  The Rayleigh-Ritz step runs stacked
-    over the matrices of one cluster size.
+    vectors of the other eigenvalues.  The Rayleigh-Ritz step runs on each
+    matrix with a cluster alone; one whose bases are dependent or whose
+    Ritz solve fails is left unresolved.
     """
     k, m = b.shape[0], b.shape[-1]
     left = {}
@@ -701,60 +702,36 @@ def _chiral_pairs(b, c, pairs):
     np.negative(y, out=v[:, m:, m:])
     del y
 
-    has = np.flatnonzero(near.any(axis=-1))
-    if not has.size or _ZGEEV is None:  # no cluster, or no left vectors to resolve one
-        return w, v, ~near.any(axis=-1), pairs
-    resolved = np.ones(k, dtype=bool)
-    size = near[has].sum(axis=-1)
-    for s in np.unique(size):
-        i = has[size == s]
-        cols, rest = np.split(np.argsort(~near[i], axis=-1, kind="stable"), [s], axis=-1)  # cluster first
-        # orthonormal bases of the cluster's subspaces of B C and C B (a complete QR of the unit B^H U)
-        qx, rx = np.linalg.qr(np.take_along_axis(x[i], cols[:, None, :], -1))
-        bu = _adjoint(b[i]) @ np.stack([left[j][:, r] for j, r in zip(i, rest)]).conj()
-        bu /= np.linalg.norm(bu, axis=-2, keepdims=True)
-        qy, ry = np.linalg.qr(bu, mode="complete")
-        rank = [np.abs(np.diagonal(r, axis1=-2, axis2=-1)).min(axis=-1, initial=np.inf) for r in (rx, ry)]
-        spanned = np.minimum(*rank) >= _CLUSTER_RANK
-        resolved[i[~spanned]] = False
-        i, cols, qx, qy = i[spanned], cols[spanned], qx[spanned], qy[spanned, :, m - s :]
-        if not i.size:
+    resolved = ~near.any(axis=-1)
+    if _ZGEEV is None:  # no left vectors to resolve a cluster
+        return w, v, resolved, pairs
+    for j in np.flatnonzero(~resolved):
+        cols, rest = np.flatnonzero(near[j]), np.flatnonzero(~near[j])
+        s = cols.size
+        try:
+            # orthonormal bases of the cluster's subspaces of B C and C B (a complete QR of the unit B^H U)
+            qx, rx = np.linalg.qr(x[j][:, cols])
+            bu = _adjoint(b[j]) @ left[j][:, rest].conj()
+            bu /= np.linalg.norm(bu, axis=0)
+            qy, ry = np.linalg.qr(bu, mode="complete")
+            qy = np.ascontiguousarray(qy[:, m - s :])  # a view takes another matmul kernel: other last bits
+            rank = np.minimum(*(np.abs(np.diagonal(r)).min(initial=np.inf) for r in (rx, ry)))
+            if not rank >= _CLUSTER_RANK:
+                continue
+            # span{[Qx; 0], [0; Qy]} is H-invariant: solve H restricted to it
+            zero = np.zeros((s, s), dtype=complex)
+            ws, zs = np.linalg.eig(np.block([[zero, _adjoint(qx) @ b[j] @ qy], [_adjoint(qy) @ c[j] @ qx, zero]]))
+        except np.linalg.LinAlgError:
             continue
-        # span{[Qx; 0], [0; Qy]} is H-invariant: solve H restricted to it
-        zero = np.zeros((len(i), s, s), dtype=complex)
-        ritz = np.block([[zero, _adjoint(qx) @ b[i] @ qy], [_adjoint(qy) @ c[i] @ qx, zero]])
-        ws, zs, ok = _eig_each(ritz)
-        resolved[i[~ok]] = False
-        i, cols, qx, qy, ws, zs = i[ok], cols[ok], qx[ok], qy[ok], ws[ok], zs[ok]
-        slots = np.concatenate([cols, m + cols], axis=-1)
-        w[i[:, None], slots] = ws
-        v[i[:, None, None], np.arange(2 * m)[:, None], slots[:, None, :]] = np.concatenate(
-            [qx @ zs[:, :s], qy @ zs[:, s:]], axis=-2
-        )
+        slots = np.concatenate([cols, m + cols])
+        w[j, slots] = ws
+        v[j][:, slots] = np.concatenate([qx @ zs[:s], qy @ zs[s:]])
+        resolved[j] = True
     return w, v, resolved, pairs
 
 
 def _adjoint(a):
     return np.swapaxes(a.conj(), -1, -2)
-
-
-def _eig_each(a):
-    """``np.linalg.eig`` of a stack, and a mask of the matrices it solved.
-
-    A stack LAPACK fails on is solved matrix by matrix, so one failure
-    leaves the others their own result.
-    """
-    try:
-        return (*np.linalg.eig(a), np.ones(len(a), dtype=bool))
-    except np.linalg.LinAlgError:
-        pass
-    w, v, ok = np.zeros(a.shape[:-1], dtype=complex), np.zeros_like(a), np.ones(len(a), dtype=bool)
-    for j, one in enumerate(a):
-        try:
-            w[j], v[j] = np.linalg.eig(one)
-        except np.linalg.LinAlgError:
-            ok[j] = False
-    return w, v, ok
 
 
 def eig_chiral(b, c, tol: float | np.ndarray | None = None, *, pairs=None) -> Spectrum:
@@ -766,21 +743,23 @@ def eig_chiral(b, c, tol: float | np.ndarray | None = None, *, pairs=None) -> Sp
     :func:`default_tol` of 2m.  Since H**2 = diag(B C, C B), pairs with
     |E| above ``CHIRAL_CLUSTER`` times the matrix's largest |E| are
     E = +-sqrt(eig(B C)) with vectors [x; C x / E].  The near-zero cluster,
-    where C x / E is ill defined, comes from a Rayleigh-Ritz step on the
-    cluster's invariant subspaces of B C and C B, the latter from the left
-    vectors of the one B C solve (:func:`_chiral_pairs`).  Every pair is
-    certified by its residual on H, taken through the blocks over
-    ``max(1, ||H||_F)``, and the set by the trace identity sum E**2 =
-    tr H**2, to ``_TRACE_GAP * max(1, ||H||_F)**2``.  Species strips take
+    where C x / E is ill defined, comes from a Rayleigh-Ritz step, matrix
+    by matrix, on the cluster's invariant subspaces of B C and C B, the
+    latter from the left vectors of the one B C solve
+    (:func:`_chiral_pairs`).  Every pair is certified by its residual on H,
+    taken through the blocks over ``max(1, ||H||_F)``, and the set by the
+    trace identity sum E**2 = tr H**2, to
+    ``_TRACE_GAP * max(1, ||H||_F)**2``.  Species strips take
     :func:`eig_species` instead.  A matrix whose cluster bases are
-    dependent or lack left vectors (no LAPACKE ``zgeev``), whose pairs miss
-    ``tol`` or whose set misses the identity is solved again by the dense
-    :func:`eig` route of that H (polish included).  ``path`` is "chiral", or
-    "dense_fallback" when some matrix took that route.  ``pairs`` declares
-    +-k pairs as in :func:`eig`, so B(-k) = -C(k)^T and C(-k) = -B(k)^T:
-    the partner's B C is the transpose of its representative's, whose solve
-    returns left vectors for it, and every step after it, certificate
-    included, runs on its own blocks (route "mirrored").
+    dependent or lack left vectors (no LAPACKE ``zgeev``), whose Ritz solve
+    fails, whose pairs miss ``tol`` or whose set misses the identity is
+    solved again by the dense :func:`eig` route of that H (polish
+    included).  ``path`` is "chiral", or "dense_fallback" when some matrix
+    took that route.  ``pairs`` declares +-k pairs as in :func:`eig`, so
+    B(-k) = -C(k)^T and C(-k) = -B(k)^T: the partner's B C is the
+    transpose of its representative's, whose solve returns left vectors for
+    it, and every step after it, certificate included, runs on its own
+    blocks (route "mirrored").
     """
     if np.shape(b) != np.shape(c):
         raise ValueError(f"B and C must have equal shapes, got {np.shape(b)} and {np.shape(c)}")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -370,39 +371,55 @@ class TestChiral:
         np.testing.assert_array_equal(s.eigenvalues, dense.eigenvalues)
         np.testing.assert_array_equal(s.defective_flags, dense.defective_flags)
 
-    @pytest.mark.parametrize("fail", [(), (1,)])
-    def test_ritz_stack_failure_solves_each_matrix(self, monkeypatch, fail):
-        # the stacked Rayleigh-Ritz eig fails: each matrix is solved alone and
-        # keeps its own result, and one whose own solve fails too is redone dense
+    @pytest.mark.parametrize("fail", [0, 1])
+    def test_ritz_failure_redoes_that_matrix_alone(self, monkeypatch, fail):
+        # one matrix's Rayleigh-Ritz eig fails: that matrix is redone dense and
+        # certified on its H, and the others keep the result they get alone
         model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
         blocks = [species_blocks(model, 40, k_x) for k_x in (0.9 * np.pi, 0.85 * np.pi, -0.9 * np.pi)]
         b, c = (np.stack([blk[i][0] for blk in blocks]) for i in (0, 1))
         alone = [eigen.eig_chiral(b[i], c[i]) for i in range(3)]
         assert [s.path for s in alone] == ["chiral"] * 3
-        real_eig, singles = np.linalg.eig, []
+        real_eig, ritz = np.linalg.eig, []
 
         def eig_failing(a):
-            if sys._getframe(1).f_code is eigen._eig_each.__code__:
-                if a.ndim == 3:
-                    raise np.linalg.LinAlgError("forced failure of the stack")
-                singles.append(a)
-                if len(singles) - 1 in fail:
+            if sys._getframe(1).f_code is eigen._chiral_pairs.__code__:
+                ritz.append(a)
+                if len(ritz) - 1 == fail:
                     raise np.linalg.LinAlgError("forced failure of one matrix")
             return real_eig(a)
 
         monkeypatch.setattr(np.linalg, "eig", eig_failing)
         s = eigen.eig_chiral(b, c)
         monkeypatch.undo()
-        assert len(singles) == 3
+        assert len(ritz) == 3
         for i in range(3):
-            if i in fail:
+            if i == fail:
                 assert s.routes[i] == "dense_fallback"
                 h = chiral(b[i], c[i])
+                slot = SimpleNamespace(n=s.n, **{name: getattr(s, name)[i]
+                                                 for name in ("eigenvalues", "right_vectors", "residuals")})
+                assert_certified_on(h, slot, eigen.default_tol(80))
                 assert match_eigenvalue_sets(s.eigenvalues[i], eig(h).eigenvalues) <= 1e-12 * np.linalg.norm(h)
             else:
                 assert s.routes[i] == "chiral"
                 for name in SPECTRUM_ARRAYS:
                     assert getattr(s, name)[i].tobytes() == getattr(alone[i], name).tobytes(), name
+
+    def test_stack_slices_of_clustered_strips(self):
+        # fig3b strips at w=52, unpaired, with near-zero clusters of 3, 1, 0, 3
+        # and 0 B C eigenvalues: each slice is that matrix's lone solve
+        k_x = np.array([-np.pi, 1.5, 0.3, 2.0, -0.3])
+        b, c = eigen.chiral_blocks(ribbon._bond_terms(get_preset("fig3b").model, k_x), 52)
+        s = eigen.eig_chiral(b, c)
+        abs_e = np.abs(s.eigenvalues)
+        sizes = (abs_e <= eigen.CHIRAL_CLUSTER * abs_e.max(axis=-1, keepdims=True)).sum(axis=-1) // 2
+        assert sizes.tolist() == [3, 1, 0, 3, 0]
+        for i in range(len(k_x)):
+            one = eigen.eig_chiral(b[i], c[i])
+            assert s.routes[i] == one.path
+            for name in ("eigenvalues", "right_vectors", "residuals"):
+                assert getattr(s, name)[i].tobytes() == getattr(one, name).tobytes(), name
 
     def test_stack_slices_and_unmet_tol(self, rng):
         b = np.stack([random_matrix(rng, 6) for _ in range(3)])

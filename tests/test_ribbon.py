@@ -758,6 +758,9 @@ CHUNK_MODELS = {
     "field_dmi": MAG_FIELD,
 }
 
+#: the momenta of a +-k_x pair chunk
+PAIR_CHUNK = [0.5 * np.pi, -0.5 * np.pi]
+
 
 class TestChunkedSweep:
     """A sweep is one stacked program per chunk of solve units, with the bytes of unit-by-unit solves."""
@@ -958,19 +961,23 @@ class TestChunkedSweep:
         res = sweep(MAG_FIELD, 4, kxs, n_transverse=16, threads=4)  # a count given is kept
         assert res.workers == res.chunks == 4
 
-    @pytest.mark.parametrize("model", [MAG_FIELD, GAMMA_FIG3B], ids=["dense", "chiral"])
-    def test_pair_chunk_memory_stays_flat(self, model):
-        # one w=52 +-k_x pair: the strips, their vectors and the tails' blocks
-        # stay within six strip matrices, whatever the solver's tail forms
-        w, k = 52, 0.5 * np.pi
-        ribbon._solve_strips(model, w, [k, -k])  # first-call caches
+    @pytest.mark.parametrize("model, k_x", [(MAG_FIELD, PAIR_CHUNK), (GAMMA_FIG3B, PAIR_CHUNK),
+                                            (GAMMA_FIG3B, [np.pi, -np.pi + 0.3])],
+                             ids=["dense", "chiral", "chiral_lone"])
+    def test_pair_chunk_memory_stays_flat(self, model, k_x):
+        # one w=52 chunk of two k_x (a +-k_x pair, or two lone k_x whose chiral
+        # strips both hold a near-zero cluster): the strips, their vectors and
+        # the tails' blocks stay within six strip matrices, whatever the
+        # solver's tail forms
+        w = 52
+        ribbon._solve_strips(model, w, k_x)  # first-call caches
         tracemalloc.start()
         try:
-            strips = ribbon._solve_strips(model, w, [k, -k])
+            strips = ribbon._solve_strips(model, w, k_x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert strips.routes[1] == "mirrored"
+        assert strips.routes[1] == ("mirrored" if k_x is PAIR_CHUNK else "chiral")
         assert peak <= 6 * (6 * w) ** 2 * 16
 
 
