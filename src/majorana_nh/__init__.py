@@ -22,12 +22,11 @@ from .models import (
     structure_factor,
     triangle_test,
 )
-from .eigen import Spectrum, eig, eig_chiral, eig_species, eigh, match_eigenvalue_sets, min_singular_value
+from .eigen import RunLog, Spectrum, eig, eig_chiral, eig_species, eigh, min_singular_value
 from .ep import (
     ArcPolyline,
     DegeneracyReport,
     EPRecord,
-    RefineCounters,
     bond_phase_from_k,
     classify_degeneracy,
     ep_closed_form,
@@ -45,7 +44,6 @@ from .ribbon import (
     NHSESummary,
     RibbonSpec,
     STATE_DTYPE,
-    SolveLog,
     SweepResult,
     build_ribbon,
     diagonalize_ribbon,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .config import COMMANDS, RunConfig, parse_config
 from .errors import ConfigurationError, ConvergenceError
@@ -39,8 +40,8 @@ def _build_parser():
 def _load_config(args) -> RunConfig:
     if args.config is not None:
         try:
-            text = open(args.config, encoding="utf-8").read()
-        except OSError as exc:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {args.config}: {exc}") from exc
     elif args.command == "reproduce" and args.preset:
         text = "command: reproduce"

@@ -27,6 +27,7 @@ solve's own arrays, so a stack of large strips holds no (k, n, n)
 temporaries beside its matrices and vectors.
 :func:`one_blas_thread` holds the bundled OpenBLAS at one thread for
 callers that run solves side by side.
+:class:`RunLog` records the solves of one run, and its EP refinement, for the run's meta.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import ctypes
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -47,6 +48,48 @@ from .errors import ConvergenceError
 #: its representative's solve, and :func:`eig` after a certificate of one of
 #: the others failed
 SOLVER_PATHS = ("hermitian", "chiral", "species", "dense", "mirrored", "dense_fallback")
+
+
+@dataclass
+class RunLog:
+    """The work behind one run's outputs, each field a section of its meta under the same name.
+
+    ``strip_solves`` counts strip solves per solver path (:data:`SOLVER_PATHS`);
+    ``max_residual`` is their worst residual and ``max_residual_kx`` the first
+    k_x, in the order the solves were added (a sweep adds its grid in grid
+    order), that reached it, None before any solve.  ``grid_solves`` counts
+    zone-grid matrices by route: ``solved`` took a solve of their own,
+    ``mirrored`` the solve of their -theta partner, ``dense_fallback`` a
+    solve again after a mirrored pair missed its certificate (certified
+    grids only: ``bloch-spectrum``).  ``ep_refinement`` is the work of the EP
+    candidate refinement: ``candidates`` refined, taking
+    ``newton_iterations`` accepted Gauss-Newton steps in all; ``fallbacks``
+    left uncertified by Newton and refined again by Nelder-Mead;
+    ``rejected`` still above the gap tolerance and dropped; ``confirmed``
+    certified EPs left after deduplication.
+    """
+
+    strip_solves: dict = field(default_factory=lambda: dict.fromkeys(SOLVER_PATHS, 0))
+    max_residual: float = 0.0
+    max_residual_kx: float | None = None
+    grid_solves: dict = field(default_factory=lambda: dict.fromkeys(("solved", "mirrored", "dense_fallback"), 0))
+    ep_refinement: dict = field(default_factory=lambda: dict.fromkeys(
+        ("candidates", "newton_iterations", "fallbacks", "rejected", "confirmed"), 0))
+
+    def add_strips(self, kxs, routes, achieved):
+        """Count the strip solves at the momenta ``kxs``, their routes and worst residuals."""
+        for route in routes:
+            self.strip_solves[route] += 1
+        i = int(np.argmax(achieved))
+        if self.max_residual_kx is None or achieved[i] > self.max_residual:
+            self.max_residual, self.max_residual_kx = float(achieved[i]), float(kxs[i])
+
+    def add_grid(self, n: int, mirrored: int, dense_fallback: int = 0):
+        """Count a grid of ``n`` matrices, ``mirrored`` and ``dense_fallback`` of them by those routes."""
+        self.grid_solves["solved"] += int(n - mirrored - dense_fallback)
+        self.grid_solves["mirrored"] += int(mirrored)
+        self.grid_solves["dense_fallback"] += int(dense_fallback)
+
 
 #: eigenvector overlap beyond which a pair is flagged as near-defective
 DEFECTIVE_OVERLAP = 1.0 - 1e-6
@@ -993,16 +1036,3 @@ def min_singular_value(matrix) -> float:
     if a.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return float(np.linalg.svd(a, compute_uv=False)[-1])
-
-
-def match_eigenvalue_sets(a, b) -> float:
-    """Max pairwise distance between two eigenvalue multisets under optimal pairing."""
-    from scipy.optimize import linear_sum_assignment
-
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    if a.shape != b.shape:
-        raise ValueError("eigenvalue sets must have equal size")
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max()) if len(rows) else 0.0

@@ -70,27 +70,6 @@ def phase_grid_pairs(n: int) -> np.ndarray:
     return np.stack([flat[rep], partner[rep]], axis=-1)
 
 
-@dataclass
-class GridSolves:
-    """Zone-grid eigensolves by route, summed over calls.
-
-    ``solved`` matrices took a solve of their own, ``mirrored`` ones the
-    solve of their -theta partner (:func:`phase_grid_pairs`), and
-    ``dense_fallback`` ones were solved again after a mirrored pair missed
-    its certificate (certified grids only: ``bloch-spectrum``).
-    """
-
-    solved: int = 0
-    mirrored: int = 0
-    dense_fallback: int = 0
-
-    def add(self, n: int, mirrored: int, dense_fallback: int = 0):
-        """Count a grid of ``n`` matrices, ``mirrored`` and ``dense_fallback`` of them by those routes."""
-        self.solved += int(n - mirrored - dense_fallback)
-        self.mirrored += int(mirrored)
-        self.dense_fallback += int(dense_fallback)
-
-
 def _wrap_phase(theta):
     """Phases wrapped into [-pi, pi)."""
     return theta - 2.0 * np.pi * np.floor((theta + np.pi) / (2.0 * np.pi))
@@ -306,24 +285,6 @@ def _local_minima_periodic(field2d):
     return m
 
 
-@dataclass
-class RefineCounters:
-    """Work of the EP candidate refinement, summed over :func:`ep_scan` calls.
-
-    ``candidates`` grid candidates were refined, taking ``newton_iterations``
-    accepted Gauss-Newton steps in all; ``fallbacks`` of them were left
-    uncertified by Newton and refined again by Nelder-Mead; ``rejected``
-    still had a pair gap above ``gap_tol`` and were dropped; ``confirmed``
-    certified exceptional points remained after deduplication.
-    """
-
-    candidates: int = 0
-    newton_iterations: int = 0
-    fallbacks: int = 0
-    rejected: int = 0
-    confirmed: int = 0
-
-
 # central-difference stencil of the Newton refinement, in units of _FD_STEP
 _STENCIL = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 _FD_STEP = 1e-6
@@ -452,7 +413,7 @@ def _nelder_mead_refine(build_h, theta0, kind, scale, step):
     return res.x
 
 
-def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, counters, grid_solves):
+def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, log):
     """Grid scan + refinement for one family of Bloch(-block) matrices.
 
     ``build_h`` maps bond-phase points of shape (..., 2) to matrices of shape
@@ -468,13 +429,13 @@ def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, counters, grid_
     ``gap_tol`` is refined again by Nelder-Mead from its grid point.  The
     grid takes the pair solve of :func:`eigen.eig`, :func:`eigen.eig_stack`,
     uncertified, since every refined point is certified on its own matrix;
-    its solves are counted in ``grid_solves``.
+    its solves and the refinement work go to ``log``, an :class:`eigen.RunLog`.
     """
     thetas = phase_grid(grid_n)[1].reshape(-1, 2)
     hs = build_h(thetas)
 
     w, v, mirrored = eigen.eig_stack(hs, phase_grid_pairs(grid_n))
-    grid_solves.add(len(hs), len(mirrored))
+    log.add_grid(len(hs), len(mirrored))
     d, gram = _pair_tables(w, v)
     scale = max(float(np.median(np.abs(w).max(axis=1))), 1e-12)
     if gap_tol is None:
@@ -517,18 +478,19 @@ def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, counters, grid_
     refined, n_iter = _newton_refine(
         build_h, starts, [start_pair(flat, kind) for flat, kind in cand], step, (1e-12 * scale) ** 2
     )
-    counters.candidates += len(cand)
-    counters.newton_iterations += int(np.sum(n_iter))
+    refinement = log.ep_refinement
+    refinement["candidates"] += len(cand)
+    refinement["newton_iterations"] += int(np.sum(n_iter))
     records = []
     for (flat, kind), theta in zip(cand, refined):
         theta, h, gap, overlap = certify(theta)
         if gap >= gap_tol:
-            counters.fallbacks += 1
+            refinement["fallbacks"] += 1
             theta, h, gap, overlap = certify(
                 _nelder_mead_refine(build_h, thetas[flat], kind, scale, step)
             )
         if gap >= gap_tol:
-            counters.rejected += 1
+            refinement["rejected"] += 1
             continue
         k = k_from_bond_phase(theta)
         records.append(
@@ -544,7 +506,7 @@ def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, counters, grid_
             )
         )
     kept = _dedupe_records(records, radius=step)
-    counters.confirmed += sum(r.confirmed for r in kept)
+    refinement["confirmed"] += sum(r.confirmed for r in kept)
     return kept
 
 
@@ -575,8 +537,7 @@ def ep_scan(
     gap_tol: float | None = None,
     overlap_tol: float = 1e-4,
     confirmed_only: bool = True,
-    counters: RefineCounters | None = None,
-    grid_solves: GridSolves | None = None,
+    log: eigen.RunLog | None = None,
 ) -> list[EPRecord]:
     """Locate spectral degeneracies of the Bloch matrix by grid scan + refinement.
 
@@ -599,17 +560,14 @@ def ep_scan(
     The zone grid takes :func:`eigen.eig_stack`, the pair solve of
     :func:`eigen.eig` without its certificate: 6x6 and 2x2 matrices take
     its stacked route, where a ctypes ``zgeev`` per pair would cost as much
-    as the solve.  ``counters`` and ``grid_solves``, if given, accumulate
-    the refinement work and the grid solves by route.
+    as the solve.  ``log``, an :class:`eigen.RunLog`, if given, accumulates
+    the grid solves by route and the refinement work.
     """
     if grid_n < MIN_SCAN_GRID_N:
         raise ValueError(f"grid_n must be >= {MIN_SCAN_GRID_N}")
     if confirmed_only and model.hermitian:
         return []
-    if counters is None:
-        counters = RefineCounters()
-    if grid_solves is None:
-        grid_solves = GridSolves()
+    log = eigen.RunLog() if log is None else log
 
     sets = species(model)
     if sets is not None:
@@ -621,9 +579,7 @@ def ep_scan(
         families = [(None, build)]
     records = []
     for fl, build_h in families:
-        records.extend(
-            _scan_family(build_h, grid_n, gap_tol, overlap_tol, fl, counters, grid_solves)
-        )
+        records.extend(_scan_family(build_h, grid_n, gap_tol, overlap_tol, fl, log))
 
     if confirmed_only:
         records = [r for r in records if r.confirmed]
@@ -904,7 +860,7 @@ def _arc_trace_scalar(j_eff, flavour, grid_n, eps):
             for pts, ends, _ in _arc_pieces(prod.imag, eps, grid_n, keep)]
 
 
-def _arc_trace_coupled(model, grid_n, counters=None, grid_solves=None):
+def _arc_trace_coupled(model, grid_n, log):
     """Arcs of a flavour-mixing model: zero-real-part eigenvalue locus.
 
     For bond-only models the six bands come in +-sqrt(z) pairs with z an
@@ -915,15 +871,12 @@ def _arc_trace_coupled(model, grid_n, counters=None, grid_solves=None):
     Closed loops no EP cuts are kept; other pieces only when both ends
     terminate at confirmed scan EPs.
     """
-    if grid_solves is None:
-        grid_solves = GridSolves()
-    eps = ep_scan(model, grid_n=max(64, grid_n // 2), confirmed_only=True, counters=counters,
-                  grid_solves=grid_solves)
+    eps = ep_scan(model, grid_n=max(64, grid_n // 2), confirmed_only=True, log=log)
 
     pairs = phase_grid_pairs(grid_n)
     solved = np.setdiff1d(np.arange(grid_n * grid_n), pairs[:, 1])
     hs = bloch_matrix_grid(model, k_from_bond_phase(phase_grid(grid_n)[1].reshape(-1, 2)[solved]))
-    grid_solves.add(grid_n * grid_n, len(pairs))
+    log.add_grid(grid_n * grid_n, len(pairs))
     if model.bond_only:
         z = np.linalg.eigvals(chiral_product(hs))
         points = _point_arcs(z, eps, None)
@@ -947,8 +900,7 @@ def _arc_trace_coupled(model, grid_n, counters=None, grid_solves=None):
 def fermi_arc_trace(
     model: ModelConfig,
     grid_n: int = 256,
-    counters: RefineCounters | None = None,
-    grid_solves: GridSolves | None = None,
+    log: eigen.RunLog | None = None,
 ) -> list[ArcPolyline]:
     """Open contours of purely imaginary eigenvalue pairs, ending at EPs.
 
@@ -956,12 +908,12 @@ def fermi_arc_trace(
     bond sum, and each arc's ``flavour`` names its species; Dirac points of a
     Hermitian model degenerate to single-point arcs.
     Flavour-mixing models are traced from the full matrix spectrum, between
-    the EPs of :func:`ep_scan`, whose refinement work goes to ``counters``;
-    the zone-grid solves of both, by route, go to ``grid_solves``.
+    the EPs of :func:`ep_scan`; the zone-grid solves of both, by route, and
+    the refinement work go to ``log``, an :class:`eigen.RunLog`.
     """
     sets = species(model)
     if sets is None:
-        return _arc_trace_coupled(model, grid_n, counters, grid_solves)
+        return _arc_trace_coupled(model, grid_n, eigen.RunLog() if log is None else log)
     eps = model_closed_form_eps(model)
     arcs = []
     for fl, j_eff in sets:

@@ -70,15 +70,15 @@ def run_bloch_spectrum(cfg: RunConfig) -> list[Path]:
     ks = ep.k_from_bond_phase(ep.phase_grid(cfg.grid.bz_n)[1]).reshape(-1, 2)
     solve = eigen.eigh if cfg.model.hermitian else eigen.eig
     spectrum = solve(bloch_matrix_grid(cfg.model, ks), pairs=ep.phase_grid_pairs(cfg.grid.bz_n))
-    grid_solves = ep.GridSolves()
-    grid_solves.add(len(ks), (spectrum.routes == "mirrored").sum(), (spectrum.routes == "dense_fallback").sum())
+    log = eigen.RunLog()
+    log.add_grid(len(ks), (spectrum.routes == "mirrored").sum(), (spectrum.routes == "dense_fallback").sum())
     spectra = spectrum.eigenvalues
     closed_ok = closed_form_spectrum(cfg.model, (0.0, 0.0)) is not None
     n = spectra.shape[-1]
     table = {"k_x": np.repeat(ks[:, 0], n), "k_y": np.repeat(ks[:, 1], n),
              "state_index": np.tile(np.arange(n), len(ks)), **_energy(spectra.ravel())}
     return _export(cfg, cfg.output.prefix + "_bloch", SPECTRUM_COLUMNS[:6], table,
-                   {"closed_form_available": closed_ok, "grid_solves": asdict(grid_solves)})
+                   {"closed_form_available": closed_ok, "grid_solves": log.grid_solves})
 
 
 def _ep_row(rec: ep.EPRecord) -> dict:
@@ -101,7 +101,7 @@ def run_ep_find(cfg: RunConfig) -> list[Path]:
     records = []
     if species(cfg.model) is not None:
         records.extend(ep.model_closed_form_eps(cfg.model))
-    counters, grid_solves = ep.RefineCounters(), ep.GridSolves()
+    log = eigen.RunLog()
     records.extend(
         ep.ep_scan(
             cfg.model,
@@ -109,20 +109,19 @@ def run_ep_find(cfg: RunConfig) -> list[Path]:
             gap_tol=cfg.tolerance.gap_tol,
             overlap_tol=cfg.tolerance.overlap_tol,
             confirmed_only=True,
-            counters=counters,
-            grid_solves=grid_solves,
+            log=log,
         )
     )
     rows = [_ep_row(r) for r in records]
     rows.sort(key=lambda r: (r["method"], r["flavour"] is not None, r["flavour"] or 0, r["theta1"], r["theta2"]))
     return _export(cfg, cfg.output.prefix + "_eps", EP_COLUMNS, rows,
-                   {"n_confirmed": sum(r["confirmed"] for r in rows), "ep_refinement": asdict(counters),
-                    "grid_solves": asdict(grid_solves)})
+                   {"n_confirmed": sum(r["confirmed"] for r in rows), "ep_refinement": log.ep_refinement,
+                    "grid_solves": log.grid_solves})
 
 
 def run_arc_trace(cfg: RunConfig) -> list[Path]:
-    counters, grid_solves = ep.RefineCounters(), ep.GridSolves()
-    arcs = ep.fermi_arc_trace(cfg.model, grid_n=cfg.grid.arc_grid_n, counters=counters, grid_solves=grid_solves)
+    log = eigen.RunLog()
+    arcs = ep.fermi_arc_trace(cfg.model, grid_n=cfg.grid.arc_grid_n, log=log)
     rows = [
         {"arc_index": ai, "flavour": arc.flavour, "point_index": pi, "k_x": float(k[0]),
          "k_y": float(k[1]), "theta1": float(th[0]), "theta2": float(th[1])}
@@ -130,7 +129,7 @@ def run_arc_trace(cfg: RunConfig) -> list[Path]:
         for pi, (k, th) in enumerate(zip(arc.points, ep.bond_phase_from_k(arc.points)))
     ]
     files = _export(cfg, cfg.output.prefix + "_arcs", ARC_COLUMNS, rows,
-                    {"n_arcs": len(arcs), "ep_refinement": asdict(counters), "grid_solves": asdict(grid_solves)})
+                    {"n_arcs": len(arcs), "ep_refinement": log.ep_refinement, "grid_solves": log.grid_solves})
     if cfg.output.svg and rows:
         svg = Path(cfg.output.directory) / f"{cfg.output.prefix}_arcs.svg"
         groups = [(None, arc.points[:, 0], arc.points[:, 1]) for arc in arcs]
@@ -210,8 +209,8 @@ def _run_sweep(cfg: RunConfig, model: ModelConfig):
     return result, _summary_dict(ribbon.nhse_summary(result, nhse_fraction=cfg.tolerance.nhse_fraction))
 
 
-def _strip_meta(log: ribbon.SolveLog) -> dict:
-    """The strip-solve provenance of a meta from a :class:`ribbon.SolveLog`.
+def _strip_meta(log: eigen.RunLog) -> dict:
+    """The strip-solve provenance of a meta from an :class:`eigen.RunLog`.
 
     The worst residual and its k_x, the pinned BLAS threads and the solves per solver path.
     """
@@ -221,7 +220,7 @@ def _strip_meta(log: ribbon.SolveLog) -> dict:
 
 def _sweep_meta(result: ribbon.SweepResult) -> dict:
     """:func:`_strip_meta` of a sweep, with the threads that solved its chunks and the chunks."""
-    return {**_strip_meta(result.solves), "workers": result.workers, "chunks": result.chunks}
+    return {**_strip_meta(result.log), "workers": result.workers, "chunks": result.chunks}
 
 
 def _export_sweep(cfg: RunConfig, model: ModelConfig, result: ribbon.SweepResult, summary: dict,
@@ -243,12 +242,12 @@ def _export_sweep(cfg: RunConfig, model: ModelConfig, result: ribbon.SweepResult
     return files
 
 
-def _profile_table(cfg: RunConfig, model: ModelConfig, kxs, states, normalization, solves) -> dict:
+def _profile_table(cfg: RunConfig, model: ModelConfig, kxs, states, normalization, log) -> dict:
     """Weight table columns, one entry per (k_x, state, site) of ``ribbon.edge_mode_weights``."""
     parts = []
     for kx in kxs:
         idx, vals, profiles = ribbon.edge_mode_weights(
-            model, cfg.grid.w, kx, states=states, normalization=normalization, solves=solves
+            model, cfg.grid.w, kx, states=states, normalization=normalization, log=log
         )
         n_states, n_sites = profiles.shape
         parts.append({"k_x": np.full(profiles.size, kx), "state_index": np.repeat(idx, n_sites),
@@ -264,14 +263,14 @@ def run_ribbon_sweep(cfg: RunConfig) -> list[Path]:
 
 def run_localization(cfg: RunConfig) -> list[Path]:
     """Per-site weight profiles of selected states at one k_x."""
-    solves = ribbon.SolveLog()
+    log = eigen.RunLog()
     n_states = cfg.grid.n_states if cfg.grid.n_states > 0 else None
-    table = _profile_table(cfg, cfg.model, [cfg.grid.kx], n_states, cfg.output.weight_scale, solves)
+    table = _profile_table(cfg, cfg.model, [cfg.grid.kx], n_states, cfg.output.weight_scale, log)
     meta = {
         "model": model_dict(cfg.model),
         "k_x": cfg.grid.kx,
         "normalization": cfg.output.weight_scale,
-        **_strip_meta(solves),
+        **_strip_meta(log),
     }
     return _export(cfg, cfg.output.prefix + "_profiles", WEIGHT_COLUMNS, table, meta)
 

@@ -124,7 +124,7 @@ def run_reproduce(cfg: RunConfig) -> list[Path]:
     if preset.kind == "sweep":
         files = _export_sweep(cfg, preset.model, result, summary, prefix, {"preset_report": report})
     else:
-        table = _profile_table(cfg, preset.model, PROFILE_KX, None, "linear", result.solves)
+        table = _profile_table(cfg, preset.model, PROFILE_KX, None, "linear", result.log)
         meta = {"preset_report": report, **_sweep_meta(result), "nhse_summary": summary}
         files = _export(cfg, prefix, ("k_x",) + WEIGHT_COLUMNS, table, meta, result.workers)
 

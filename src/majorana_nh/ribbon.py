@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -533,28 +533,6 @@ def pbc_cloud_intervals(model: ModelConfig, k_x: float, n_transverse: int = 512)
 # --------------------------------------------------------------------------
 
 @dataclass
-class SolveLog:
-    """Strip solves per solver path (:data:`eigen.SOLVER_PATHS`) and the worst residual, with its k_x.
-
-    ``max_residual_kx`` is the first k_x, in the order the solves were
-    added (a sweep adds its grid in grid order), that reached
-    ``max_residual``; None before any solve.
-    """
-
-    strip_solves: dict = field(default_factory=lambda: dict.fromkeys(eigen.SOLVER_PATHS, 0))
-    max_residual: float = 0.0
-    max_residual_kx: float | None = None
-
-    def add(self, kxs, routes, achieved):
-        """Count the solves at the momenta ``kxs``, their routes and worst residuals."""
-        for route in routes:
-            self.strip_solves[route] += 1
-        i = int(np.argmax(achieved))
-        if self.max_residual_kx is None or achieved[i] > self.max_residual:
-            self.max_residual, self.max_residual_kx = float(achieved[i]), float(kxs[i])
-
-
-@dataclass
 class SweepResult:
     model: ModelConfig
     w: int
@@ -562,7 +540,7 @@ class SweepResult:
     records: np.recarray  # (n_kx, n) of STATE_DTYPE, one row per k_x of the grid
     pbc_reference: list  # per k_x, the CloudIntervals of the periodic spectrum
     thresholds: ClassifierThresholds
-    solves: SolveLog  # the strip solves of the grid
+    log: eigen.RunLog  # the strip solves of the grid
     workers: int = 1  # threads that solved chunks, the calling thread included
     chunks: int = 1  # stacked programs the grid was cut into
 
@@ -703,8 +681,8 @@ def sweep(
     order = np.argsort(np.concatenate(chunks))
     records, achieved, routes = (np.concatenate([r[j] for r in results])[order] for j in (0, 2, 3))
     bounds = [b for r in results for b in r[1]]
-    log = SolveLog()
-    log.add(kx_grid, routes, achieved)
+    log = eigen.RunLog()
+    log.add_strips(kx_grid, routes, achieved)
     return SweepResult(
         model=model,
         w=w,
@@ -712,7 +690,7 @@ def sweep(
         records=records.view(np.recarray),
         pbc_reference=[CloudIntervals(bounds[i]) for i in order],
         thresholds=thresholds,
-        solves=log,
+        log=log,
         workers=workers,
         chunks=n_chunks,
     )
@@ -724,7 +702,7 @@ def edge_mode_weights(
     k_x: float,
     states=None,
     normalization: str = "linear",
-    solves: SolveLog | None = None,
+    log: eigen.RunLog | None = None,
 ):
     """Per-site weight profiles for selected open-strip eigenstates at one k_x.
 
@@ -733,7 +711,7 @@ def edge_mode_weights(
     ``normalization="log01"`` returns log weights affinely rescaled to [0, 1]
     per state, as used for edge-mode snapshots.  The strip is solved under
     :func:`eigen.one_blas_thread`, as in :func:`sweep`, so the weights do not
-    depend on the BLAS thread setting.  ``solves``, a :class:`SolveLog`,
+    depend on the BLAS thread setting.  ``log``, an :class:`eigen.RunLog`,
     gets this solve added.
     """
     if normalization not in ("linear", "log01"):
@@ -745,8 +723,8 @@ def edge_mode_weights(
     _check_strip(w)
     with eigen.one_blas_thread():
         strips = _solve_strips(model, w, k_x)
-    if solves is not None:
-        solves.add([k_x], strips.routes, strips.achieved)
+    if log is not None:
+        log.add_strips([k_x], strips.routes, strips.achieved)
     e, ws = strips.eigenvalues[0], strips.weights()[0]
     idx = np.arange(e.size) if states is None else np.sort(np.argsort(np.abs(e), kind="stable")[:states])
     profiles = ws[:, idx].T.copy()  # (n_selected, 2w), columns sum to 1

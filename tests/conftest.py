@@ -21,6 +21,19 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def match_eigenvalue_sets(a, b) -> float:
+    """Max pairwise distance between two eigenvalue multisets under optimal pairing."""
+    from scipy.optimize import linear_sum_assignment
+
+    a = np.asarray(a, dtype=complex).ravel()
+    b = np.asarray(b, dtype=complex).ravel()
+    if a.shape != b.shape:
+        raise ValueError("eigenvalue sets must have equal size")
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max()) if len(rows) else 0.0
+
+
 def random_complex_coupling(rng, lo=0.5, hi=2.2):
     mods = rng.uniform(lo, hi, 3)
     phases = rng.uniform(-np.pi, np.pi, 3)

@@ -24,7 +24,6 @@ from majorana_nh import (
     ep_closed_form,
     ep_scan,
     k_from_bond_phase,
-    match_eigenvalue_sets,
     nhse_summary,
     skin_criterion_any,
     structure_factor,
@@ -32,7 +31,7 @@ from majorana_nh import (
 )
 from majorana_nh.ep import _torus_dist
 from majorana_nh.models import effective_couplings
-from conftest import random_complex_coupling
+from conftest import match_eigenvalue_sets, random_complex_coupling
 
 E3 = cmath.exp(1j * math.pi / 3)
 E6 = cmath.exp(1j * math.pi / 6)

@@ -28,11 +28,10 @@ from majorana_nh import (
     closed_form_spectrum,
     diagonalize_ribbon,
     eig,
-    match_eigenvalue_sets,
     min_singular_value,
 )
 from majorana_nh.presets import get_preset
-from conftest import TRACE_STRIPS, random_complex_coupling
+from conftest import TRACE_STRIPS, match_eigenvalue_sets, random_complex_coupling
 
 E3 = cmath.exp(1j * math.pi / 3)
 SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -12,7 +12,7 @@ from scipy.optimize import minimize
 from majorana_nh import (
     Coupling3,
     ModelConfig,
-    RefineCounters,
+    RunLog,
     Variant,
     bond_phase_from_k,
     classify_degeneracy,
@@ -28,7 +28,7 @@ from majorana_nh import (
     triangle_test,
 )
 from majorana_nh import ep as ep_module
-from majorana_nh.ep import GridSolves, _join_segments_torus, _marching_squares_periodic, _torus_dist
+from majorana_nh.ep import _join_segments_torus, _marching_squares_periodic, _torus_dist
 from majorana_nh.presets import get_preset
 from conftest import random_complex_coupling
 
@@ -175,9 +175,9 @@ class TestEPScan:
             raise AssertionError("a Hermitian model was scanned")
 
         monkeypatch.setattr(ep_module, "_scan_family", no_scan)
-        counters, grid = RefineCounters(), GridSolves()
-        assert ep_scan(get_preset(preset).model, grid_n=48, counters=counters, grid_solves=grid) == []
-        assert counters == RefineCounters() and grid == GridSolves()
+        log = RunLog()
+        assert ep_scan(get_preset(preset).model, grid_n=48, log=log) == []
+        assert log == RunLog()
 
     def test_grid_floor(self):
         model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
@@ -282,10 +282,11 @@ class TestEPRefinement:
         monkeypatch.setattr(
             ep_module, "_newton_refine", lambda build_h, theta0, *args: (theta0, 0)
         )
-        counters = RefineCounters()
-        fallback = ep_scan(model, grid_n=64, confirmed_only=False, counters=counters)
-        assert counters.fallbacks == counters.candidates > 0
-        assert counters.newton_iterations == 0
+        log = RunLog()
+        fallback = ep_scan(model, grid_n=64, confirmed_only=False, log=log)
+        counters = log.ep_refinement
+        assert counters["fallbacks"] == counters["candidates"] > 0
+        assert counters["newton_iterations"] == 0
         assert_same_eps(fallback, newton)
 
     def test_refinement_work_bounded(self, monkeypatch):
@@ -297,12 +298,13 @@ class TestEPRefinement:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(ep_module, "bloch_matrix_grid", counting)
-        counters = RefineCounters()
-        found = ep_scan(GAMMA_FIG3B, grid_n=48, counters=counters)
+        log = RunLog()
+        found = ep_scan(GAMMA_FIG3B, grid_n=48, log=log)
+        counters = log.ep_refinement
         assert calls[0] <= 5000
-        assert counters.confirmed == len(found) == 10
-        assert counters.candidates >= counters.fallbacks >= counters.rejected
-        assert counters.newton_iterations > 0
+        assert counters["confirmed"] == len(found) == 10
+        assert counters["candidates"] >= counters["fallbacks"] >= counters["rejected"]
+        assert counters["newton_iterations"] > 0
 
 
 class TestZoneGridPairs:

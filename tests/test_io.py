@@ -591,6 +591,15 @@ class TestGridSolvesMeta:
         assert meta["grid_solves"] == {"solved": 0, "mirrored": 0, "dense_fallback": 0}
         assert set(meta["ep_refinement"].values()) == {0}
 
+    def test_flavour_conserving_arc_trace_solves_no_grid(self, tmp_path):
+        # a K model's arcs are traced species by species between closed-form EPs: no scan, no grid solve
+        config = TestEPMetadata.CONFIG.replace("gamma_model", "k_model").replace("gamma: 0.4", "k_coupling: 0.4")
+        run_command(parse_config(config.format(command="arc-trace", out=tmp_path)))
+        meta = json.loads((tmp_path / "g_arcs_meta.json").read_text())
+        assert meta["n_arcs"] > 0
+        assert meta["grid_solves"] == {"solved": 0, "mirrored": 0, "dense_fallback": 0}
+        assert set(meta["ep_refinement"].values()) == {0}
+
 
 class TestFormatAgreement:
     # the parent model's EP table: one species, so every flavour cell is None
@@ -936,6 +945,13 @@ output:
     def test_missing_config_exit_2(self):
         res = self._run("ribbon-sweep", "--config", "/nonexistent/x.yaml")
         assert res.returncode == 2
+
+    def test_config_not_utf8_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(b"\xff\xfe")
+        res = self._run("bloch-spectrum", "--config", str(bad))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith(f"configuration error: cannot read config {bad}: "), res.stderr
 
     def test_skin_check_roundtrip(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

@@ -22,13 +22,12 @@ from majorana_nh import (
     effective_couplings,
     eig,
     flavour_bond_table,
-    match_eigenvalue_sets,
     species,
     structure_factor,
     triangle_test,
 )
 from majorana_nh.models import VARIANT_FIELDS, closed_form_spectrum_grid
-from conftest import random_complex_coupling
+from conftest import match_eigenvalue_sets, random_complex_coupling
 
 E3 = cmath.exp(1j * math.pi / 3)
 

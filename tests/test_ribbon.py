@@ -27,7 +27,6 @@ from majorana_nh import (
     eig,
     k_from_bond_phase,
     localization_profile,
-    match_eigenvalue_sets,
     nhse_summary,
     pbc_cloud_intervals,
     skin_criterion_any,
@@ -38,7 +37,7 @@ from majorana_nh.eigen import Spectrum
 from majorana_nh.models import effective_couplings
 from majorana_nh.pipelines import _kx_grid
 from majorana_nh.presets import get_preset
-from conftest import random_complex_coupling
+from conftest import match_eigenvalue_sets, random_complex_coupling
 
 E3 = cmath.exp(1j * math.pi / 3)
 E6 = cmath.exp(1j * math.pi / 6)
@@ -677,7 +676,7 @@ class TestSweepAndSummary:
             records=rec,
             pbc_reference=[CloudIntervals(bounds=np.array([[0.0, 1.0]]))] * 4,
             thresholds=ribbon.ClassifierThresholds(),
-            solves=ribbon.SolveLog(),
+            log=eigen.RunLog(),
         )
         summ = nhse_summary(res)
         assert [(s.n_edge, s.n_bulk) for s in summ.per_kx] == [(1, 3), (0, 4), (1, 3), (2, 2)]
@@ -809,9 +808,9 @@ class TestChunkedSweep:
             solves[route] += 1
             residuals.append(residual)
             assert records.tobytes() == row.tobytes()
-        assert ref.solves.strip_solves == one.solves.strip_solves == solves
-        assert ref.solves.max_residual == max(residuals)
-        assert ref.solves.max_residual_kx == one.solves.max_residual_kx == kxs[int(np.argmax(residuals))]
+        assert ref.log.strip_solves == one.log.strip_solves == solves
+        assert ref.log.max_residual == max(residuals)
+        assert ref.log.max_residual_kx == one.log.max_residual_kx == kxs[int(np.argmax(residuals))]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -841,8 +840,8 @@ class TestChunkedSweep:
         res = sweep(get_preset("fig6c").model, 52, [-0.75 * np.pi, 0.75 * np.pi], n_transverse=64)
         e = res.records.eigenvalue
         np.testing.assert_array_equal(e[0], np.sort(-e[1]))
-        assert res.solves.strip_solves["mirrored"] == 1
-        assert res.solves.max_residual <= eigen.default_tol(6 * 52)
+        assert res.log.strip_solves["mirrored"] == 1
+        assert res.log.max_residual <= eigen.default_tol(6 * 52)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_strip_solves_count_a_fallback_inside_a_chunk(self, threads):
@@ -855,7 +854,7 @@ class TestChunkedSweep:
             solves[diagonalize_ribbon(RibbonSpec(w=w, boundary_y="open", k_x=kx, model=model)).path] += 1
         assert solves["dense_fallback"] > 0
         assert ribbon._kx_per_chunk(model, w) >= len(kxs)  # one chunk at threads=1
-        assert sweep(model, w, kxs, n_transverse=32, threads=threads).solves.strip_solves == solves
+        assert sweep(model, w, kxs, n_transverse=32, threads=threads).log.strip_solves == solves
 
     def test_kx_per_chunk_follows_the_entry_cap(self, monkeypatch):
         # w=52: one k_x of a dense strip per call, four of a species strip
