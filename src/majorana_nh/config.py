@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
-from .ep import MIN_SCAN_GRID_N
+from .ep import MIN_ARC_GRID_N, MIN_SCAN_GRID_N, OVERLAP_TOL
 from .errors import ConfigurationError
 from .models import VARIANT_FIELDS, Coupling3, ModelConfig, Variant, species
 from .ribbon import ClassifierThresholds
@@ -193,7 +193,7 @@ class GridConfig:
     w: int = _key(52, _at_least(2))
     kx_n: int = _key(402, _at_least(1))
     n_transverse: int = _key(512, _at_least(1))
-    arc_grid_n: int = _key(256, _at_least(2))
+    arc_grid_n: int = _key(256, _at_least(MIN_ARC_GRID_N))
     kx: float = _key(2.0 * math.pi / 3.0, _as_real)  # snapshot momentum for localization profiles
     n_states: int = _key(0, _at_least(0))  # 0 = all states
 
@@ -201,7 +201,7 @@ class GridConfig:
 @dataclass
 class ToleranceConfig:
     gap_tol: float | None = _key(None, _bounded(lambda v: v > 0.0, "> 0"))
-    overlap_tol: float = _key(1e-4, _bounded(lambda v: 0.0 < v < 1.0, "in (0, 1)"))
+    overlap_tol: float = _key(OVERLAP_TOL, _bounded(lambda v: 0.0 < v < 1.0, "in (0, 1)"))
     edge_mass: float = _key(ClassifierThresholds.edge_mass, _threshold)
     outer_frac: float = _key(ClassifierThresholds.outer_frac, _threshold)
     ipr_factor: float = _key(ClassifierThresholds.ipr_factor, _threshold)

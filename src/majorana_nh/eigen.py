@@ -1,11 +1,10 @@
 """Dense complex non-symmetric eigendecomposition with certified residuals.
 
 Thin contract layer over LAPACK (via numpy): deterministic eigenvalue
-ordering, per-pair residuals normalized by ``max(1, ||H||_F)`` and
-near-defective flags, formed when read.  Takes one matrix or a
-``(..., n, n)`` stack (a zone grid's ``(bz_n**2, 6, 6)`` Bloch matrices),
-certified matrix by matrix.  :func:`eigh` keeps the same contract for
-Hermitian matrices (real couplings), :func:`eig_chiral` for chiral
+ordering and per-pair residuals normalized by ``max(1, ||H||_F)``.  Takes
+one matrix or a ``(..., n, n)`` stack (a zone grid's ``(bz_n**2, 6, 6)``
+Bloch matrices), certified matrix by matrix.  :func:`eigh` keeps the same
+contract for Hermitian matrices (real couplings), :func:`eig_chiral` for chiral
 matrices [[0, B], [C, 0]] (flavour-mixing bond-only strips), solved from
 ``eig(B C)`` and its left vectors at half the dimension, and
 :func:`eig_species` for the species strips of flavour-conserving models,
@@ -37,7 +36,6 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -90,9 +88,6 @@ class RunLog:
         self.grid_solves["mirrored"] += int(mirrored)
         self.grid_solves["dense_fallback"] += int(dense_fallback)
 
-
-#: eigenvector overlap beyond which a pair is flagged as near-defective
-DEFECTIVE_OVERLAP = 1.0 - 1e-6
 
 #: |E| at most this fraction of a matrix's largest |E| is the near-zero
 #: cluster of :func:`eig_chiral` (solved by a Rayleigh-Ritz step) and of
@@ -241,17 +236,6 @@ class Spectrum:
     matrix_norm: float | np.ndarray
     routes: str | np.ndarray = "dense"
 
-    @cached_property
-    def defective_flags(self) -> np.ndarray:
-        """The pairs whose unit vector overlaps another's beyond :data:`DEFECTIVE_OVERLAP`, shaped as ``eigenvalues``.
-
-        Formed from ``right_vectors`` on first access (a Gram matrix per
-        matrix), since no sweep output reads them.
-        """
-        v = self.right_vectors
-        n = v.shape[-1]
-        return _defective_flags(v.reshape(-1, n, n)).reshape(v.shape[:-1])
-
     @property
     def path(self) -> str:
         routes = np.asarray(self.routes)
@@ -293,9 +277,8 @@ def frobenius_norms(a) -> np.ndarray:
     return np.sqrt(sq[..., 0, 0])
 
 
-#: most entries one step of a slab-wise tail (and :func:`_defective_flags`)
-#: forms at once: about one w=52 strip's, however many strips (a +-k_x
-#: pair, say) a stack holds
+#: most entries one step of a slab-wise tail forms at once: about one w=52
+#: strip's, however many strips (a +-k_x pair, say) a stack holds
 _SLAB_ENTRIES = 2**17
 
 #: most entries of the row or column blocks inside one slab
@@ -375,18 +358,6 @@ def _residuals(a, w, v, norm):
     for s in _slabs(*v.shape[:2]):
         res[s] = _misfit_norms(a[s] @ v[s], v[s], w[s]) / np.maximum(1.0, norm[s])[:, None]
     return res
-
-
-def _defective_flags(v):
-    """The pairs of a flat stack's unit vectors ``(k, n, n)`` that overlap another beyond :data:`DEFECTIVE_OVERLAP`."""
-    k, n = v.shape[0], v.shape[-1]
-    flags = np.empty((k, n), dtype=bool)
-    diag = np.arange(n)
-    for s in _slabs(k, n):
-        gram = np.abs(_adjoint(v[s]) @ v[s])
-        gram[:, diag, diag] = 0.0
-        flags[s] = (gram > DEFECTIVE_OVERLAP).any(axis=-2)
-    return flags
 
 
 def _polish(a, w, v, bad, norm):
@@ -662,8 +633,8 @@ def eigh(matrix, tol: float | np.ndarray | None = None, *, norm: float | np.ndar
     the stack shape) is what the residuals, the polish and the fallback are
     certified against, e.g. the norm of the strip a species block is cut
     from.  Eigenvalues come out real (stored as complex with imaginary part
-    0) in ascending order, vectors orthonormal, and no pair is flagged
-    defective.  A matrix whose pairs miss ``tol`` (default
+    0) in ascending order and vectors orthonormal.  A matrix whose pairs
+    miss ``tol`` (default
     :func:`default_tol` of n) is solved again by the dense :func:`eig` route
     (polish included), and ``path`` reads "dense_fallback" instead of
     "hermitian".  ``pairs`` declares +-k pairs as in :func:`eig`; a

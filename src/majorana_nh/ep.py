@@ -164,6 +164,8 @@ def _phase_split(j: Coupling3):
 
 #: largest |A| at a closed-form EP, and least |A| on its other side, for it to count as confirmed
 CLOSED_FORM_ATOL = 1e-10
+#: an EP's two eigenvectors coalesce where their overlap exceeds 1 - OVERLAP_TOL
+OVERLAP_TOL = 1e-4
 
 
 def ep_closed_form(j_eff: Coupling3, flavour: int | None = None) -> list[EPRecord]:
@@ -219,7 +221,7 @@ def ep_closed_form(j_eff: Coupling3, flavour: int | None = None) -> list[EPRecor
                 gap=float(gap),
                 overlap=float(overlap),
                 residual=float(residual),
-                confirmed=bool(residual < CLOSED_FORM_ATOL <= other and overlap > 1.0 - 1e-4),
+                confirmed=bool(residual < CLOSED_FORM_ATOL <= other and overlap > 1.0 - OVERLAP_TOL),
             )
         )
     return records
@@ -512,6 +514,8 @@ def _scan_family(build_h, grid_n, gap_tol, overlap_tol, flavour, log):
 
 #: the coarsest zone grid :func:`ep_scan` accepts
 MIN_SCAN_GRID_N = 32
+#: the coarsest zone grid :func:`fermi_arc_trace` accepts
+MIN_ARC_GRID_N = 2
 #: the most grid candidates :func:`ep_scan` refines per field and family
 MAX_SCAN_CANDIDATES = 64
 
@@ -535,7 +539,7 @@ def ep_scan(
     model: ModelConfig,
     grid_n: int = 128,
     gap_tol: float | None = None,
-    overlap_tol: float = 1e-4,
+    overlap_tol: float = OVERLAP_TOL,
     confirmed_only: bool = True,
     log: eigen.RunLog | None = None,
 ) -> list[EPRecord]:
@@ -911,6 +915,8 @@ def fermi_arc_trace(
     the EPs of :func:`ep_scan`; the zone-grid solves of both, by route, and
     the refinement work go to ``log``, an :class:`eigen.RunLog`.
     """
+    if grid_n < MIN_ARC_GRID_N:
+        raise ValueError(f"grid_n must be >= {MIN_ARC_GRID_N}")
     sets = species(model)
     if sets is None:
         return _arc_trace_coupled(model, grid_n, eigen.RunLog() if log is None else log)

@@ -79,6 +79,11 @@ def _check_strip(w):
         raise ValueError("ribbon needs at least 2 dimer rows")
 
 
+def _check_positive(name, value):
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RibbonSpec:
     """A strip geometry at one transverse momentum."""
@@ -525,6 +530,7 @@ def pbc_cloud_intervals(model: ModelConfig, k_x: float, n_transverse: int = 512)
     itself, so the cloud at -k_x is the cloud at k_x, and this is bitwise
     the cloud :func:`sweep` gives both.
     """
+    _check_positive("n_transverse", n_transverse)
     return cloud_intervals_from_samples(_cloud_samples(model, np.abs(k_x), n_transverse))
 
 
@@ -637,6 +643,9 @@ def sweep(
     alone, its message prefixed with that k_x.
     """
     _check_strip(w)
+    _check_positive("n_transverse", n_transverse)
+    if threads is not None:
+        _check_positive("threads", threads)
     kx_grid = np.asarray(kx_grid, dtype=float)
     if kx_grid.ndim != 1 or kx_grid.size == 0:
         raise ValueError(f"kx_grid must be a nonempty 1-D array, got shape {kx_grid.shape}")

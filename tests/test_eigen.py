@@ -1,4 +1,4 @@
-"""Eigensolver contract: residuals, ordering, defective flags, left vectors."""
+"""Eigensolver contract: residuals, ordering, left vectors."""
 
 import cmath
 import json
@@ -51,10 +51,10 @@ class TestBasics:
         s = eig(np.array([[0, 3j], [-3j, 0]]))
         np.testing.assert_allclose(s.eigenvalues, [-3, 3], atol=1e-14)
 
-    def test_jordan_block_flagged(self):
+    def test_jordan_block_certified(self):
         s = eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
         np.testing.assert_allclose(s.eigenvalues, 0, atol=1e-12)
-        assert s.defective_flags.all()
+        assert s.achieved_tol <= eigen.default_tol(2)
 
     def test_unit_norm_vectors(self, rng):
         s = eig(random_matrix(rng, 12))
@@ -82,7 +82,7 @@ class TestBasics:
             assert (s.residuals <= s.achieved_tol).all()
 
 
-SPECTRUM_ARRAYS = ("eigenvalues", "right_vectors", "residuals", "defective_flags")
+SPECTRUM_ARRAYS = ("eigenvalues", "right_vectors", "residuals")
 
 
 def assert_same_spectrum(s, t):
@@ -130,8 +130,6 @@ class TestStack:
                 assert getattr(s, name)[i].tobytes() == getattr(one, name).tobytes(), name
             assert s.achieved_tol[i] == one.achieved_tol and s.matrix_norm[i] == one.matrix_norm
             assert one.matrix_norm == np.linalg.norm(stack[i], "fro")
-        if n > 1:
-            assert s.defective_flags[jordan % m].all()
         # a scalar tol and arrays broadcasting to the stack shape agree
         for tol in (np.full(m, 1e-9), np.array([1e-9])):
             assert_same_spectrum(eig(stack, tol=tol), eig(stack, tol=1e-9))
@@ -267,7 +265,6 @@ class TestChiral:
             assert match_eigenvalue_sets(s.eigenvalues, eig(h).eigenvalues) <= 1e-12 * np.linalg.norm(h)
             assert_certified_on(h, s, eigen.default_tol(2 * m))
             assert s.matrix_norm == pytest.approx(np.linalg.norm(h, "fro"), rel=1e-14)
-            assert not s.defective_flags.any()
 
     def test_zero_mode_strip_takes_the_ritz_step(self):
         # pure YL, open, k_x = 0.9 pi: the intra-row bond sum 2 cos(0.45 pi) = 0.31
@@ -368,7 +365,7 @@ class TestChiral:
         assert_certified_on(h, s, eigen.default_tol(4))
         dense = eig(h)
         np.testing.assert_array_equal(s.eigenvalues, dense.eigenvalues)
-        np.testing.assert_array_equal(s.defective_flags, dense.defective_flags)
+        np.testing.assert_array_equal(s.right_vectors, dense.right_vectors)
 
     @pytest.mark.parametrize("fail", [0, 1])
     def test_ritz_failure_redoes_that_matrix_alone(self, monkeypatch, fail):
@@ -585,7 +582,6 @@ class TestHermitian:
             v = s.right_vectors
             np.testing.assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-13)
             assert s.matrix_norm == np.linalg.norm(h, "fro")
-            assert not s.defective_flags.any()
 
     def test_residual_is_taken_on_the_full_matrix(self, rng):
         # zheevd reads the lower triangle only; a stack slice that is not

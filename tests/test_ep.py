@@ -511,6 +511,20 @@ class TestCutAtEps:
 
 
 class TestFermiArcs:
+    @pytest.mark.parametrize("model", [
+        ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5 * E3), k_coupling=0.4),
+        ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5 * E3), gamma=0.4),
+    ], ids=["species", "coupled"])
+    def test_grid_below_two_rejected_before_any_scan(self, monkeypatch, model):
+        # grid_n=1 used to fail as an IndexError inside the marching squares
+        def scan(*args, **kwargs):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(ep_module, "ep_scan", scan)
+        monkeypatch.setattr(ep_module, "model_closed_form_eps", scan)
+        with pytest.raises(ValueError, match=r"^grid_n must be >= 2$"):
+            fermi_arc_trace(model, grid_n=1)
+
     def test_k_model_species3_endpoints(self):
         j = Coupling3(2, 1, 2.5 * E3)
         model = ModelConfig(Variant.K_MODEL, j, k_coupling=0.0)

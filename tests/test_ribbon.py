@@ -162,7 +162,6 @@ class TestStripSolverContract:
         np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-13)
         # summed in another order, the norm may differ in the last bit
         assert s.matrix_norm == pytest.approx(norm, rel=1e-14)
-        assert not s.defective_flags.any()
         order = np.lexsort((s.eigenvalues.imag, s.eigenvalues.real))
         np.testing.assert_array_equal(order, np.arange(s.n))
 
@@ -317,7 +316,6 @@ class TestStripSolverContract:
         s = diagonalize_ribbon(spec)
         assert s.path == "hermitian"
         assert (s.eigenvalues.imag == 0.0).all()
-        assert not s.defective_flags.any()
         norm = max(1.0, np.linalg.norm(h, "fro"))
         assert match_eigenvalue_sets(s.eigenvalues, eig(h).eigenvalues) <= 1e-9 * norm
         v = s.right_vectors
@@ -591,6 +589,27 @@ class TestSweepAndSummary:
                 call()
         assert sweep(model, np.int64(4), [0.1]).w == 4
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_transverse": 0}, "n_transverse must be an integer >= 1, got 0"),
+        ({"n_transverse": 8.5}, r"n_transverse must be an integer >= 1, got 8\.5"),
+        ({"threads": 0}, "threads must be an integer >= 1, got 0"),
+        ({"threads": -2}, "threads must be an integer >= 1, got -2"),
+        ({"threads": 1.5}, r"threads must be an integer >= 1, got 1\.5"),
+    ], ids=["n_transverse_0", "n_transverse_8.5", "threads_0", "threads_minus_2", "threads_1.5"])
+    def test_bad_count_rejected_before_any_solve(self, monkeypatch, kwargs, message):
+        # n_transverse=0 or 8.5 used to fail after the strip solve, blamed on
+        # its k_x, and threads < 1 or 1.5 ran one worker
+        def solve(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(ribbon, "_solve_strips", solve)
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            sweep(GAMMA_FIG3B, 4, [0.3], **kwargs)
+
+    def test_cloud_without_transverse_momenta_rejected(self):
+        with pytest.raises(ValueError, match=r"^n_transverse must be an integer >= 1, got 0$"):
+            pbc_cloud_intervals(GAMMA_FIG3B, 0.3, 0)
+
     def test_hermitian_no_skin(self):
         model = ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5), k_coupling=0.4)
         kxs = np.linspace(-np.pi, np.pi, 8, endpoint=False)
@@ -842,6 +861,22 @@ class TestChunkedSweep:
         np.testing.assert_array_equal(e[0], np.sort(-e[1]))
         assert res.log.strip_solves["mirrored"] == 1
         assert res.log.max_residual <= eigen.default_tol(6 * 52)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name, route", [
+        ("gamma", "chiral"), ("field_dmi", "dense"), ("fig6a", "hermitian"), ("k_nonherm", "species"),
+    ])
+    def test_repeated_kx_rows_are_identical(self, name, route, threads):
+        # the first 0.3 pairs with the -0.3 (but on the species route, which
+        # pairs nothing) and the other two are solved alone: all three rows
+        # are the same bytes
+        model = get_preset("fig6a").model if name == "fig6a" else CHUNK_MODELS[name]
+        res = sweep(model, 8, [0.3, -0.3, 0.3, 1.1, 0.3], n_transverse=32, threads=threads)
+        rows = [res.records[i].tobytes() for i in (0, 2, 4)]
+        assert rows[0] == rows[1] == rows[2]
+        mirrored = 0 if route == "species" else 1
+        solves = dict.fromkeys(eigen.SOLVER_PATHS, 0) | {route: 5 - mirrored, "mirrored": mirrored}
+        assert res.log.strip_solves == solves
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_strip_solves_count_a_fallback_inside_a_chunk(self, threads):

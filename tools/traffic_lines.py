@@ -9,8 +9,9 @@ discarded) under a line tracer, set with ``sys.settrace`` and
 ``threading.settrace`` since sweeps run their chunks on pool threads.  Then
 prints, per module of the ``majorana_nh`` package under ``--src`` (default:
 this checkout's ``src``), the executable lines (those of the compiled code
-objects' ``co_lines``) that no run reached, as line ranges.  A range spans
-the blank and comment lines between its unreached lines.
+objects' ``co_lines``) that no run reached, as line ranges, and last the
+package total.  A range spans the blank and comment lines between its
+unreached lines.
 """
 
 from __future__ import annotations
@@ -73,12 +74,15 @@ def main(argv=None) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
+    total = total_unreached = 0
     for path in modules:
         lines = executable_lines(path)
         unreached = [line for line in lines if line not in reached[str(path)]]
         print(f"{path.name}: {len(unreached)} of {len(lines)} executable lines unreached")
         if unreached:
             print("  " + ", ".join(ranges(lines, reached[str(path)])))
+        total, total_unreached = total + len(lines), total_unreached + len(unreached)
+    print(f"total: {total_unreached} of {total} executable lines unreached")
     return 0
 
 
