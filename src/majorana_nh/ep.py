@@ -520,6 +520,14 @@ MIN_ARC_GRID_N = 2
 MAX_SCAN_CANDIDATES = 64
 
 
+def _check_grid_n(grid_n, least: int):
+    """Refuse a zone grid ``grid_n`` that is not an integer or is below ``least``."""
+    if not isinstance(grid_n, (int, np.integer)):
+        raise ValueError(f"grid_n must be an integer, got {grid_n}")
+    if grid_n < least:
+        raise ValueError(f"grid_n must be >= {least}")
+
+
 def _block_builder(j_eff: Coupling3, scale_factor: float):
     """2x2 Bloch-block family of one Majorana species."""
 
@@ -567,8 +575,7 @@ def ep_scan(
     as the solve.  ``log``, an :class:`eigen.RunLog`, if given, accumulates
     the grid solves by route and the refinement work.
     """
-    if grid_n < MIN_SCAN_GRID_N:
-        raise ValueError(f"grid_n must be >= {MIN_SCAN_GRID_N}")
+    _check_grid_n(grid_n, MIN_SCAN_GRID_N)
     if confirmed_only and model.hermitian:
         return []
     log = eigen.RunLog() if log is None else log
@@ -915,8 +922,7 @@ def fermi_arc_trace(
     the EPs of :func:`ep_scan`; the zone-grid solves of both, by route, and
     the refinement work go to ``log``, an :class:`eigen.RunLog`.
     """
-    if grid_n < MIN_ARC_GRID_N:
-        raise ValueError(f"grid_n must be >= {MIN_ARC_GRID_N}")
+    _check_grid_n(grid_n, MIN_ARC_GRID_N)
     sets = species(model)
     if sets is None:
         return _arc_trace_coupled(model, grid_n, eigen.RunLog() if log is None else log)

@@ -21,20 +21,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-#: column order of the spectrum-style CSV tables
-SPECTRUM_COLUMNS = (
-    "k_x",
-    "k_y",
-    "state_index",
-    "re_E",
-    "im_E",
-    "abs_E",
-    "mean_row",
-    "ipr",
-    "class",
-)
-
-
 def fmt_float(x) -> str:
     return format(float(x), ".17g")
 

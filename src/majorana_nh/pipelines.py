@@ -11,7 +11,7 @@ import numpy as np
 from . import eigen, ep, ribbon
 from .config import RunConfig, model_dict
 from .errors import ConfigurationError
-from .export import SPECTRUM_COLUMNS, export_table, write_svg_scatter
+from .export import export_table, write_svg_scatter
 from .models import (
     ModelConfig,
     bloch_matrix_grid,
@@ -34,8 +34,6 @@ EP_COLUMNS = (
 
 ARC_COLUMNS = ("arc_index", "flavour", "point_index", "k_x", "k_y", "theta1", "theta2")
 
-WEIGHT_COLUMNS = ("state_index", "re_E", "im_E", "abs_E", "site", "weight")
-
 
 def _export(cfg: RunConfig, prefix: str, columns, table, extra: dict, workers: int = 1) -> list[Path]:
     """Write ``table`` in the configured formats; its meta is the config echo plus ``extra``.
@@ -51,12 +49,8 @@ def _export(cfg: RunConfig, prefix: str, columns, table, extra: dict, workers: i
 
 
 def _energy(e) -> dict:
-    """The ``re_E``, ``im_E`` and ``abs_E`` columns of an eigenvalue array.
-
-    |E| is ``hypot(Re E, Im E)``, which is Python's ``abs`` of a complex
-    number; ``np.abs`` of complex128 can differ from it in the last bit.
-    """
-    return {"re_E": e.real, "im_E": e.imag, "abs_E": np.hypot(e.real, e.imag)}
+    """The ``re_E`` and ``im_E`` columns of an eigenvalue array."""
+    return {"re_E": e.real, "im_E": e.imag}
 
 
 def run_bloch_spectrum(cfg: RunConfig) -> list[Path]:
@@ -77,7 +71,7 @@ def run_bloch_spectrum(cfg: RunConfig) -> list[Path]:
     n = spectra.shape[-1]
     table = {"k_x": np.repeat(ks[:, 0], n), "k_y": np.repeat(ks[:, 1], n),
              "state_index": np.tile(np.arange(n), len(ks)), **_energy(spectra.ravel())}
-    return _export(cfg, cfg.output.prefix + "_bloch", SPECTRUM_COLUMNS[:6], table,
+    return _export(cfg, cfg.output.prefix + "_bloch", tuple(table), table,
                    {"closed_form_available": closed_ok, "grid_solves": log.grid_solves})
 
 
@@ -233,8 +227,8 @@ def _export_sweep(cfg: RunConfig, model: ModelConfig, result: ribbon.SweepResult
         "nhse_summary": summary,
         **extra,
     }
-    files = _export(cfg, prefix, SPECTRUM_COLUMNS[:1] + SPECTRUM_COLUMNS[2:], _sweep_rows(result), meta,
-                    result.workers)
+    table = _sweep_rows(result)
+    files = _export(cfg, prefix, tuple(table), table, meta, result.workers)
     if cfg.output.svg:
         svg = Path(cfg.output.directory) / f"{prefix}.svg"
         _sweep_svg(svg, result)
@@ -272,7 +266,8 @@ def run_localization(cfg: RunConfig) -> list[Path]:
         "normalization": cfg.output.weight_scale,
         **_strip_meta(log),
     }
-    return _export(cfg, cfg.output.prefix + "_profiles", WEIGHT_COLUMNS, table, meta)
+    del table["k_x"]  # one k_x, stated in the meta
+    return _export(cfg, cfg.output.prefix + "_profiles", tuple(table), table, meta)
 
 
 def run_command(cfg: RunConfig) -> list[Path]:

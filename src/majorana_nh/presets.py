@@ -20,7 +20,7 @@ from .config import RunConfig, model_dict
 from .errors import ConfigurationError
 from .export import write_json
 from .models import Coupling3, ModelConfig, Variant
-from .pipelines import WEIGHT_COLUMNS, _export, _export_sweep, _profile_table, _run_sweep, _sweep_meta
+from .pipelines import _export, _export_sweep, _profile_table, _run_sweep, _sweep_meta
 
 _E3 = cmath.exp(1j * math.pi / 3)
 _E6 = cmath.exp(1j * math.pi / 6)
@@ -126,7 +126,7 @@ def run_reproduce(cfg: RunConfig) -> list[Path]:
     else:
         table = _profile_table(cfg, preset.model, PROFILE_KX, None, "linear", result.log)
         meta = {"preset_report": report, **_sweep_meta(result), "nhse_summary": summary}
-        files = _export(cfg, prefix, ("k_x",) + WEIGHT_COLUMNS, table, meta, result.workers)
+        files = _export(cfg, prefix, tuple(table), table, meta, result.workers)
 
     report_path = Path(cfg.output.directory) / f"{prefix}_report.json"
     write_json(report_path, report)

@@ -530,6 +530,8 @@ def pbc_cloud_intervals(model: ModelConfig, k_x: float, n_transverse: int = 512)
     itself, so the cloud at -k_x is the cloud at k_x, and this is bitwise
     the cloud :func:`sweep` gives both.
     """
+    if not np.isfinite(k_x):
+        raise ValueError(f"k_x must be finite, got {k_x}")
     _check_positive("n_transverse", n_transverse)
     return cloud_intervals_from_samples(_cloud_samples(model, np.abs(k_x), n_transverse))
 

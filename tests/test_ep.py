@@ -27,6 +27,7 @@ from majorana_nh import (
     structure_factor,
     triangle_test,
 )
+from majorana_nh import eigen
 from majorana_nh import ep as ep_module
 from majorana_nh.ep import _join_segments_torus, _marching_squares_periodic, _torus_dist
 from majorana_nh.presets import get_preset
@@ -183,6 +184,26 @@ class TestEPScan:
         model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
         with pytest.raises(ValueError):
             ep_scan(model, grid_n=16)
+
+    def test_non_integer_grid_rejected_before_any_scan(self, monkeypatch):
+        # grid_n=40.5 used to fail inside numpy as a TypeError
+        def scan(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(ep_module, "_scan_family", scan)
+        with pytest.raises(ValueError, match=r"^grid_n must be an integer, got 40\.5$"):
+            ep_scan(GAMMA_FIG3B, grid_n=40.5)
+        with pytest.raises(ValueError, match=r"^grid_n must be >= 32$"):
+            ep_scan(GAMMA_FIG3B, grid_n=np.int64(16))
+        assert ep_scan(get_preset("fig6a").model, grid_n=np.int64(48)) == []
+
+    def test_scan_without_lapacke_zgeev(self, monkeypatch):
+        # the zone grid's 6x6 pairs take the stacked route, which needs no
+        # LAPACKE zgeev: a numpy without it finds the same exceptional points
+        ref = ep_scan(GAMMA_FIG3B, grid_n=48)
+        monkeypatch.setattr(eigen, "_ZGEEV", None)
+        assert ep_scan(GAMMA_FIG3B, grid_n=48) == ref
+        assert len(ref) == 10
 
     def test_random_sets_match_closed_form(self, rng):
         # block-diagonal scan against the analytic locations, 20 coupling sets
@@ -524,6 +545,22 @@ class TestFermiArcs:
         monkeypatch.setattr(ep_module, "model_closed_form_eps", scan)
         with pytest.raises(ValueError, match=r"^grid_n must be >= 2$"):
             fermi_arc_trace(model, grid_n=1)
+
+    @pytest.mark.parametrize("model", [
+        ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5 * E3), k_coupling=0.4),
+        ModelConfig(Variant.GAMMA_MODEL, Coupling3(2, 1, 2.5 * E3), gamma=0.4),
+    ], ids=["species", "coupled"])
+    def test_non_integer_grid_rejected_before_any_scan(self, monkeypatch, model):
+        # grid_n=64.5 used to fail inside numpy as a TypeError
+        def scan(*args, **kwargs):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(ep_module, "ep_scan", scan)
+        monkeypatch.setattr(ep_module, "model_closed_form_eps", scan)
+        with pytest.raises(ValueError, match=r"^grid_n must be an integer, got 64\.5$"):
+            fermi_arc_trace(model, grid_n=64.5)
+        with pytest.raises(ValueError, match=r"^grid_n must be >= 2$"):
+            fermi_arc_trace(model, grid_n=np.int64(1))
 
     def test_k_model_species3_endpoints(self):
         j = Coupling3(2, 1, 2.5 * E3)

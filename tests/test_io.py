@@ -345,6 +345,25 @@ output:
         assert keys == sorted(keys)
 
 
+class TestTableLayouts:
+    """Each table built from columns writes its column dict in order, each eigenvalue as ``re_E`` and ``im_E``."""
+
+    @pytest.mark.parametrize("command, setting, table, header", [
+        ("bloch-spectrum", "grid:\n  bz_n: 4\n", "t_bloch", "k_x,k_y,state_index,re_E,im_E"),
+        ("ribbon-sweep", "grid:\n  w: 4\n  kx_n: 2\n  n_transverse: 32\n", "t_sweep",
+         "k_x,state_index,re_E,im_E,mean_row,ipr,class"),
+        ("localization", "grid:\n  w: 4\n  n_states: 2\n", "t_profiles", "state_index,re_E,im_E,site,weight"),
+        ("reproduce", "grid:\n  w: 4\n  kx_n: 2\n  n_transverse: 32\n", "t_fig8",
+         "k_x,state_index,re_E,im_E,site,weight"),
+    ], ids=["bloch", "sweep", "localization", "profile_preset"])
+    def test_csv_header_and_json_columns(self, tmp_path, command, setting, table, header):
+        model = "preset: fig8\n" if command == "reproduce" else TestBlasThreadsMeta.MODEL
+        out = f"output:\n  directory: {tmp_path}\n  prefix: t\n  svg: false\n"
+        run_command(parse_config(f"command: {command}\n{model}{setting}{out}"))
+        assert (tmp_path / f"{table}.csv").read_text().split("\n", 1)[0] == header
+        assert json.loads((tmp_path / f"{table}.json").read_text())["columns"] == header.split(",")
+
+
 class TestBlasThreadsMeta:
     MODEL = """
 model:

@@ -610,6 +610,18 @@ class TestSweepAndSummary:
         with pytest.raises(ValueError, match=r"^n_transverse must be an integer >= 1, got 0$"):
             pbc_cloud_intervals(GAMMA_FIG3B, 0.3, 0)
 
+    @pytest.mark.parametrize("k_x", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("model", [K_FIG2B, GAMMA_FIG3B], ids=["species", "mixing"])
+    def test_cloud_at_a_non_finite_kx_rejected_before_any_build(self, monkeypatch, model, k_x):
+        # nan or inf used to give CloudIntervals([[nan, nan]]) on a species
+        # model and numpy's LinAlgError on a flavour-mixing one
+        def build(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(ribbon, "_cloud_samples", build)
+        with pytest.raises(ValueError, match=rf"^k_x must be finite, got {k_x}$"):
+            pbc_cloud_intervals(model, k_x, 8)
+
     def test_hermitian_no_skin(self):
         model = ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5), k_coupling=0.4)
         kxs = np.linspace(-np.pi, np.pi, 8, endpoint=False)
@@ -877,6 +889,25 @@ class TestChunkedSweep:
         mirrored = 0 if route == "species" else 1
         solves = dict.fromkeys(eigen.SOLVER_PATHS, 0) | {route: 5 - mirrored, "mirrored": mirrored}
         assert res.log.strip_solves == solves
+
+    @pytest.mark.parametrize("preset, solves", [
+        ("fig3b", {"chiral": 5, "dense_fallback": 1}),
+        ("fig6c", {"dense": 6}),
+        ("fig6a", {"hermitian": 4, "mirrored": 2}),
+        ("fig2b-like", {"species": 6}),
+    ])
+    def test_sweep_without_lapacke_zgeev(self, monkeypatch, preset, solves):
+        # a numpy built on MKL or a system BLAS bundles no LAPACKE zgeev: a
+        # strip-sized +-k_x pair is two lone solves, fig3b's near-zero cluster
+        # takes the dense route, and a Hermitian pair still mirrors.  Labels
+        # are not compared: fig3b's move on its degenerate zero modes
+        model, kxs = get_preset(preset).model, [-np.pi, -1.1, -0.3, 0.0, 0.3, 1.1]
+        ref = sweep(model, 12, kxs, n_transverse=32, threads=1)
+        monkeypatch.setattr(eigen, "_ZGEEV", None)
+        res = sweep(model, 12, kxs, n_transverse=32, threads=1)
+        assert res.log.strip_solves == dict.fromkeys(eigen.SOLVER_PATHS, 0) | solves
+        assert res.log.max_residual <= 1.4e-15
+        assert np.abs(res.records.eigenvalue - ref.records.eigenvalue).max() <= 1e-12
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_strip_solves_count_a_fallback_inside_a_chunk(self, threads):

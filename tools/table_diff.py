@@ -10,9 +10,11 @@ For every CSV under ``A`` and ``B`` (matched by relative path) whose bytes
 differ, prints the number of rows that differ, the largest |dE| over them
 where the table has ``re_E`` and ``im_E`` columns, and, where it has a
 ``class`` column, one line per label that moved, with its ``k_x``, its
-``state_index`` and its |E| in ``A``.  A table found on one side only, or
-whose header or row count differs, is named as such.  Prints nothing else
-when every table is byte-identical.
+``state_index`` and its |E| in ``A``.  Where the headers differ, the
+columns found on one side only are named, and the rows are compared on the
+shared columns, in ``A``'s order.  A table found on one side only, or whose
+row count differs, is named as such.  Prints nothing else when every table
+is byte-identical.
 """
 
 from __future__ import annotations
@@ -44,13 +46,22 @@ def table_diff(a: Path, b: Path) -> list[str]:
         if pa.read_bytes() == pb.read_bytes():
             continue
         (head, *ra), (head_b, *rb) = _rows(pa), _rows(pb)
-        if head != head_b or len(ra) != len(rb):
-            lines.append(f"{name}: header or row count differs ({len(ra)} against {len(rb)} rows)")
+        if len(ra) != len(rb):
+            lines.append(f"{name}: row count differs ({len(ra)} against {len(rb)} rows)")
             continue
-        col = {c: i for i, c in enumerate(head)}
+        shared = [c for c in head if c in head_b]
+        if head != head_b:
+            for root, own, other in ((a, head, head_b), (b, head_b, head)):
+                if only := [c for c in own if c not in other]:
+                    lines.append(f"{name}: columns only in {root}: {', '.join(only)}")
+            ia, ib = [head.index(c) for c in shared], [head_b.index(c) for c in shared]
+            ra, rb = [[x[i] for i in ia] for x in ra], [[y[i] for i in ib] for y in rb]
+        col = {c: i for i, c in enumerate(shared)}
         changed = [(x, y) for x, y in zip(ra, rb) if x != y]
         line = f"{name}: {len(changed)} of {len(ra)} rows differ"
-        if "re_E" in col and "im_E" in col:
+        if head != head_b:
+            line += " in the shared columns"
+        if changed and "re_E" in col and "im_E" in col:
             line += f", max |dE| {max(abs(_energy(x, col) - _energy(y, col)) for x, y in changed):.3g}"
         lines.append(line)
         if "class" in col:
