@@ -22,7 +22,7 @@ from .models import (
     structure_factor,
     triangle_test,
 )
-from .eigen import RunLog, Spectrum, eig, eig_chiral, eig_species, eigh, min_singular_value
+from .eigen import RunLog, Spectrum, eig, eig_chiral, eig_species, eigh, eigh_chiral, min_singular_value
 from .ep import (
     ArcPolyline,
     DegeneracyReport,

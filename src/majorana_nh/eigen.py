@@ -4,7 +4,9 @@ Thin contract layer over LAPACK (via numpy): deterministic eigenvalue
 ordering and per-pair residuals normalized by ``max(1, ||H||_F)``.  Takes
 one matrix or a ``(..., n, n)`` stack (a zone grid's ``(bz_n**2, 6, 6)``
 Bloch matrices), certified matrix by matrix.  :func:`eigh` keeps the same
-contract for Hermitian matrices (real couplings), :func:`eig_chiral` for chiral
+contract for Hermitian matrices (real couplings), :func:`eigh_chiral` for
+Hermitian chiral matrices [[0, B], [B^H, 0]] (Hermitian bond-only strips),
+solved from the SVD of B, :func:`eig_chiral` for chiral
 matrices [[0, B], [C, 0]] (flavour-mixing bond-only strips), solved from
 ``eig(B C)`` and its left vectors at half the dimension, and
 :func:`eig_species` for the species strips of flavour-conserving models,
@@ -15,7 +17,7 @@ spectrum is the Bloch spectrum at its transverse momenta.
 the species blocks included.  Every fast route certifies its pairs by their
 residuals and falls back to :func:`eig` where they miss; a matrix whose
 norm overflows is certified by nothing and raises.  :func:`eig`,
-:func:`eigh` and :func:`eig_chiral` take ``pairs=`` of +-k matrices,
+:func:`eigh`, :func:`eigh_chiral` and :func:`eig_chiral` take ``pairs=`` of +-k matrices,
 H(-k) = -H(k)^T, and solve each pair once: the partner's eigenpairs come
 from its representative's left vectors (the rows of V^-1 of one stacked
 solve up to 6x6, ``zgeev``'s own above) and are certified on its own
@@ -39,9 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_integer
 
-#: the routes :attr:`Spectrum.routes` names: :func:`eigh`, :func:`eig_chiral`,
+#: the routes :attr:`Spectrum.routes` names: :func:`eigh` or :func:`eigh_chiral`, :func:`eig_chiral`,
 #: :func:`eig_species`, :func:`eig`, the partner of a +-k pair certified with
 #: its representative's solve, and :func:`eig` after a certificate of one of
 #: the others failed
@@ -212,7 +214,7 @@ class Spectrum:
     ``matrix_norm`` of shape ``(...)``, one entry per matrix.  ``routes``
     names each matrix's route (a string for a lone matrix, an array of the
     stack shape for a stack): "dense" (:func:`eig`), "hermitian"
-    (:func:`eigh`), "chiral" (:func:`eig_chiral`), "species"
+    (:func:`eigh` or :func:`eigh_chiral`), "chiral" (:func:`eig_chiral`), "species"
     (:func:`eig_species`), "mirrored" for the partner of a +-k pair
     (``pairs=``) certified with the eigenpairs of its representative's
     solve, or "dense_fallback" where a matrix of a fast route missed its
@@ -622,11 +624,24 @@ def eig(matrix, tol: float | np.ndarray | None = None, *, pairs=None) -> Spectru
                                 failed, lambda redo: a[redo])
 
 
+def _hermitian_partners(w, v, pairs):
+    """Each partner of ``pairs`` takes (-E, conj v) of its representative in reversed order, in place.
+
+    A Hermitian H(-k) = -H(k)^T is -conj H(k), so this is its solve; the
+    real ``w`` keeps the order ascending.
+    """
+    for s in _slabs(len(pairs), v.shape[-1]):
+        r, p = pairs[s].T
+        w[p], v[p] = -w[r, ::-1], v[r, :, ::-1].conj()
+
+
 def eigh(matrix, tol: float | np.ndarray | None = None, *, norm: float | np.ndarray | None = None,
          pairs=None) -> Spectrum:
     """:func:`eig` of a Hermitian matrix or ``(..., n, n)`` stack, solved by LAPACK's ``zheevd``.
 
-    The caller declares the matrices Hermitian; ``zheevd`` reads only their
+    The route of Hermitian strips with a field and of Hermitian Bloch
+    grids; a Hermitian chiral matrix takes :func:`eigh_chiral`, at half the
+    size.  The caller declares the matrices Hermitian; ``zheevd`` reads only their
     lower triangles, so the residual of every pair is taken on the full
     matrix as given, over ``max(1, norm)``, and certifies the declaration.
     ``norm`` (default: each matrix's ``||H||_F``; a scalar or broadcasting to
@@ -656,9 +671,7 @@ def eigh(matrix, tol: float | np.ndarray | None = None, *, norm: float | np.ndar
             w, v = np.empty(a.shape[:-1]), np.empty(a.shape, dtype=complex)
             w[solved], v[solved] = ws, vs
             del vs
-            for s in _slabs(len(pairs), a.shape[-1]):
-                r, p = pairs[s].T
-                w[p], v[p] = -w[r, ::-1], v[r, :, ::-1].conj()
+            _hermitian_partners(w, v, pairs)
         else:
             w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -792,6 +805,55 @@ def eig_chiral(b, c, tol: float | np.ndarray | None = None, *, pairs=None) -> Sp
                                 failed, lambda redo: chiral_matrix(b[redo], c[redo]))
 
 
+def eigh_chiral(b, c, tol: float | np.ndarray | None = None, *, norm: float | np.ndarray | None = None,
+                pairs=None) -> Spectrum:
+    """:func:`eigh` of the Hermitian chiral matrix H = [[0, B], [C, 0]], C = B^H, from the SVD of B.
+
+    ``b`` and ``c`` are ``(m, m)`` matrices or ``(..., m, m)`` stacks, in the
+    basis of :func:`eig_chiral`; ``tol`` defaults to :func:`default_tol` of
+    2m and ``norm`` (as in :func:`eigh`) to ``||H||_F``.  With B = U S V^H,
+    H [u; +-v] = +-s [u; +-v], so one ``np.linalg.svd`` of the stacked B
+    gives every pair: E = -s then +s, ascending, real and exactly
+    +-symmetric, with the orthonormal vectors [u; -v] / sqrt(2) and
+    [u; v] / sqrt(2).  A +E state and its -E twin have bitwise-equal
+    |entries|, so equal site weights.  The caller declares C = B^H; only B
+    is factorized, so the residual of every pair is taken on both blocks as
+    given (:func:`_chiral_residuals`) and certifies the declaration.  A
+    matrix whose pairs miss ``tol`` is solved again by the dense :func:`eig`
+    route of its H (polish included), route "dense_fallback"; the others
+    read "hermitian", the route of :func:`eigh`.  ``pairs`` declares +-k
+    pairs as in :func:`eigh`: B(-k) = -conj B(k), and the partner takes (-E,
+    conj v) of its representative in reversed order, with no SVD of its own
+    (route "mirrored"), certified on its own blocks.
+    """
+    if np.shape(b) != np.shape(c):
+        raise ValueError(f"B and C must have equal shapes, got {np.shape(b)} and {np.shape(c)}")
+    b, stack, tol, norm = _stack(b, tol, norm, size_factor=2)
+    c = _stack(c, None)[0]
+    pairs = _pairs(pairs, len(b))
+    norm = np.hypot(frobenius_norms(b), frobenius_norms(c)) if norm is None else norm
+    k, m = b.shape[0], b.shape[-1]
+    solved = np.setdiff1d(np.arange(k), pairs[:, 1]) if pairs.size else slice(None)
+    try:
+        u, s, vh = np.linalg.svd(b[solved])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular value decomposition did not converge: {exc}") from exc
+    # s descends, so -s then the reversed s ascend
+    w = np.empty((k, 2 * m))
+    w[solved, :m], w[solved, m:] = -s, s[:, ::-1]
+    x, y = u / np.sqrt(2.0), _adjoint(vh) / np.sqrt(2.0)
+    del u, vh
+    v = np.empty((k, 2 * m, 2 * m), dtype=complex)  # [[x, x reversed], [-y, y reversed]]
+    v[solved, :m, :m], v[solved, :m, m:] = x, x[..., ::-1]
+    v[solved, m:, :m], v[solved, m:, m:] = -y, y[..., ::-1]
+    del x, y
+    _hermitian_partners(w, v, pairs)
+    w = w.astype(complex)
+    res = _chiral_residuals(b, c, w, v, norm)
+    return _certified_or_redone(stack, tol, w, v, res, norm, _routes(k, "hermitian", pairs), False,
+                                lambda redo: chiral_matrix(b[redo], c[redo]))
+
+
 def chiral_blocks(terms, w: int, periodic: bool = False):
     """The blocks B = I (x) Bd + L (x) Bs and C = I (x) Cd + L^T (x) Cs ``(..., w m, w m)`` of chiral strips of ``w`` rows.
 
@@ -845,20 +907,24 @@ _ROOT_STEP = 4e-16
 
 
 def _newton(value, start, active):
-    """Newton's method in place from ``start`` on the entries ``active``: ``value(x) -> (f, f')``.
+    """Newton's method from ``start`` on the entries ``active``: ``value(x, at) -> (f, f')``.
 
-    A converged entry stops moving, so each one's iterates depend on it
-    alone, however many others share the array.
+    ``value`` gets the current values ``x`` of the flat entries ``at`` of
+    ``start``.  Each step evaluates only the entries still moving, and a
+    converged entry stops, so each one's iterates depend on it alone,
+    however many others share the array.
     """
-    x = start.copy()
-    active = active.copy()
+    x = start.astype(complex)
+    flat = x.reshape(-1)
+    at = np.flatnonzero(active)
     for _ in range(_ROOT_ITERATIONS):
-        if not active.any():
+        if not at.size:
             break
-        f, df = value(x)
-        step = np.where(active, f / df, 0.0)
-        x = x - step
-        active &= np.abs(step) > _ROOT_STEP * np.maximum(1.0, np.abs(x))
+        moving = flat[at]
+        f, df = value(moving, at)
+        step = f / df
+        flat[at] = moved = moving - step
+        at = at[np.abs(step) > _ROOT_STEP * np.maximum(1.0, np.abs(moved))]
     return x
 
 
@@ -876,19 +942,21 @@ def _toeplitz_roots(rho, w):
     are the z and 1 / z of the rest.
     """
     inner = np.abs(rho) < 1.0
-    sigma = np.where(inner, rho, 1.0 / rho)[:, None]
-    sign = np.where(inner, 1.0, -1.0)[:, None]
-    n = np.where(inner, 2 * w + 2, 2 * w)[:, None]
+    sigma = np.where(inner, rho, 1.0 / rho)
+    sign = np.where(inner, 1.0, -1.0)
+    n = np.where(inner, 2 * w + 2, 2 * w)
     j = np.arange(1, w + 1)
     active = inner[:, None] | (j < w)
 
-    def phase(theta):
+    def phase(theta, at):
+        row, col = np.divmod(at, w)
+        s, g, nr = sigma[row], sign[row], n[row]
         z = np.exp(1j * theta)
-        a, b = sigma * z, sigma / z
-        f = n * theta - 2.0 * np.pi * j + 1j * sign * (np.log(1.0 - a) - np.log(1.0 - b))
-        return f, n + sign * (a / (1.0 - a) + b / (1.0 - b))
+        a, b = s * z, s / z
+        f = nr * theta - 2.0 * np.pi * j[col] + 1j * g * (np.log(1.0 - a) - np.log(1.0 - b))
+        return f, nr + g * (a / (1.0 - a) + b / (1.0 - b))
 
-    theta = _newton(phase, np.pi * j / n, active)
+    theta = _newton(phase, np.pi * j / n[:, None], active)
     bound = np.flatnonzero(~inner)
     if bound.size:
         r = rho[bound]
@@ -896,10 +964,11 @@ def _toeplitz_roots(rho, w):
         root = np.sqrt(c * c - 1.0)
         start = np.where(np.abs(c - root) <= 1.0, c - root, c + root)
 
-        def deflated(z):
+        def deflated(z, at):
+            ra = r[at]
             zp = z ** (2 * w)
-            h = 1.0 - r * z - zp * z * (z - r)
-            return h, -r - (2 * w + 2) * zp * z + (2 * w + 1) * r * zp + 2.0 * z * h / (1.0 - z * z)
+            h = 1.0 - ra * z - zp * z * (z - ra)
+            return h, -ra - (2 * w + 2) * zp * z + (2 * w + 1) * ra * zp + 2.0 * z * h / (1.0 - z * z)
 
         theta[bound, -1] = -1j * np.log(_newton(deflated, start, np.ones(bound.size, dtype=bool)))
     return theta
@@ -971,6 +1040,7 @@ def eig_species(bonds, w: int, *, tol: float | np.ndarray | None = None,
         raise ValueError(f"expected a nonempty (..., 4) stack of bond scalars, got shape {bonds.shape}")
     if not np.isfinite(bonds).all():
         raise ValueError("bond scalars must be finite")
+    check_integer("w", w, 1)
     stack = bonds.shape[:-1]
     flat = bonds.reshape(-1, 4)
     tol = np.broadcast_to(default_tol(2 * w) if tol is None else tol, stack).reshape(-1)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
+from .errors import check_integer
 from .models import (
     Coupling3,
     M1,
@@ -522,10 +523,7 @@ MAX_SCAN_CANDIDATES = 64
 
 def _check_grid_n(grid_n, least: int):
     """Refuse a zone grid ``grid_n`` that is not an integer or is below ``least``."""
-    if not isinstance(grid_n, (int, np.integer)):
-        raise ValueError(f"grid_n must be an integer, got {grid_n}")
-    if grid_n < least:
-        raise ValueError(f"grid_n must be >= {least}")
+    check_integer("grid_n", grid_n, least, "an integer", f"grid_n must be >= {least}")
 
 
 def _block_builder(j_eff: Coupling3, scale_factor: float):

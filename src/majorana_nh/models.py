@@ -219,6 +219,7 @@ def effective_couplings(j: Coupling3, k_coupling: complex):
     return tuple(j.shifted(link, kc) for link in range(3))
 
 
+@functools.lru_cache(maxsize=256)
 def species(model: ModelConfig):
     """The Majorana species of a flavour-conserving model; None if they mix.
 
@@ -229,6 +230,7 @@ def species(model: ModelConfig):
     parent model, whose three species coincide, and flavours 1-3 with the
     link-shifted couplings of :func:`effective_couplings` for the K model.
     The flavour-off-diagonal and field+DMI terms mix the species: None.
+    Formed once per (hashable, frozen) model, as :func:`flavour_bond_table`.
     """
     if model.variant is Variant.PURE_YL:
         return ((None, model.j),)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import eigen
+from .errors import check_integer
 from .models import (
     ModelConfig,
     bloch_matrix_grid,
@@ -73,15 +74,7 @@ EDGE_CAP = 6
 
 
 def _check_strip(w):
-    if not isinstance(w, (int, np.integer)):
-        raise ValueError(f"w must be an integer number of dimer rows, got {w!r}")
-    if w < 2:
-        raise ValueError("ribbon needs at least 2 dimer rows")
-
-
-def _check_positive(name, value):
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    check_integer("w", w, 2, "an integer number of dimer rows", "ribbon needs at least 2 dimer rows")
 
 
 @dataclass(frozen=True)
@@ -247,37 +240,34 @@ def _solve_strips(model: ModelConfig, w, k_x, tol=None) -> _Strips:
     flavour-conserving strip passes the bond scalars of its (k_x, species)
     blocks (the terms' flavour diagonals) and the strip's Frobenius norm,
     taken in closed form from them, to :func:`eigen.eig_species`, or, when
-    Hermitian, their :func:`eigen.chiral_blocks` to :func:`eigen.eigh`.
+    Hermitian, their :func:`eigen.chiral_blocks` to :func:`eigen.eigh_chiral`.
     Other bond-only strips pass their :func:`eigen.chiral_blocks` to
-    :func:`eigen.eig_chiral` or :func:`eigen.eigh`, and strips with a field
-    their dense matrices to :func:`eigen.eig` or :func:`eigen.eigh`.  Each
-    matrix of the stack gets the result it would get alone, except that
-    the partner of each pair of :func:`_mirror_pairs` (species blocks by
-    species) takes its eigenpairs from its representative's solve
-    (``pairs=``), save on the closed-form species route.
+    :func:`eigen.eig_chiral`, or when Hermitian to :func:`eigen.eigh_chiral`,
+    and strips with a field their dense matrices to :func:`eigen.eig` or
+    :func:`eigen.eigh`.  Each matrix of the stack gets the result it would
+    get alone, except that the partner of each pair of :func:`_mirror_pairs`
+    (species blocks by species) takes its eigenpairs from its
+    representative's solve (``pairs=``), save on the closed-form species
+    route, which pairs nothing and looks for no pairs.
     """
     k_x = np.atleast_1d(np.asarray(k_x, dtype=float))
     k, hermitian = k_x.size, model.hermitian
     tol = eigen.default_tol(6 * w) if tol is None else tol
-    pairs = _mirror_pairs(k_x)
 
     def lone(a):  # a lone k_x is solved as a lone matrix
         return a[0] if k == 1 else a
 
     if not model.bond_only:
         h = lone(_strip_matrices(model, w, k_x, False))
-        return _Strips((eigen.eigh if hermitian else eigen.eig)(h, tol=tol, pairs=pairs), k, w, None, False)
+        solve = eigen.eigh if hermitian else eigen.eig
+        return _Strips(solve(h, tol=tol, pairs=_mirror_pairs(k_x)), k, w, None, False)
 
     terms = _bond_terms(model, k_x)
     sets = species(model)
     if sets is None:
         b, c = (lone(x) for x in eigen.chiral_blocks(terms, w))
-        # a Hermitian strip by dense zheevd at the full size, which beats the half-size product route
-        if hermitian:
-            s = eigen.eigh(eigen.chiral_matrix(b, c), tol=tol, pairs=pairs)
-        else:
-            s = eigen.eig_chiral(b, c, tol=tol, pairs=pairs)
-        return _Strips(s, k, w, None, True)
+        solve = eigen.eigh_chiral if hermitian else eigen.eig_chiral
+        return _Strips(solve(b, c, tol=tol, pairs=_mirror_pairs(k_x)), k, w, None, True)
     # (k, species, 4): a species' bd, bs, cd and cs are its flavour's diagonal entries of the terms
     bonds = np.diagonal(terms, axis1=-2, axis2=-1)[..., : len(sets)].swapaxes(-1, -2)
     # the strip's norm: the species blocks of its three flavours
@@ -285,9 +275,10 @@ def _solve_strips(model: ModelConfig, w, k_x, tol=None) -> _Strips:
     block_norm = np.repeat(norm, len(sets))
     bonds = bonds.reshape(-1, 4)
     if hermitian:
-        blocks = eigen.chiral_blocks(bonds[..., None, None], w)
+        pairs = _mirror_pairs(k_x)
         block_pairs = (pairs[:, None, :] * len(sets) + np.arange(len(sets))[:, None]).reshape(-1, 2)
-        s = eigen.eigh(eigen.chiral_matrix(*blocks), tol=tol, norm=block_norm, pairs=block_pairs)
+        blocks = eigen.chiral_blocks(bonds[..., None, None], w)
+        s = eigen.eigh_chiral(*blocks, tol=tol, norm=block_norm, pairs=block_pairs)
     else:
         s = eigen.eig_species(bonds, w, tol=tol, norm=block_norm)
     return _Strips(s, k, w, sets, True, norm)
@@ -298,7 +289,8 @@ def diagonalize_ribbon(spec: RibbonSpec, tol: float | None = None) -> eigen.Spec
 
     The model's declarations pick the solver, Hermiticity first: a Hermitian
     model (:attr:`ModelConfig.hermitian`, real couplings) is solved by
-    :func:`eigen.eigh`, any other flavour-conserving model by
+    :func:`eigen.eigh_chiral` from the SVD of its B block when bond-only,
+    else by :func:`eigen.eigh`; any other flavour-conserving model by
     :func:`eigen.eig_species`, any other bond-only model by
     :func:`eigen.eig_chiral`, and any other strip by :func:`eigen.eig`.  A
     strip with an onsite field is built whole.  A bond-only strip
@@ -532,7 +524,7 @@ def pbc_cloud_intervals(model: ModelConfig, k_x: float, n_transverse: int = 512)
     """
     if not np.isfinite(k_x):
         raise ValueError(f"k_x must be finite, got {k_x}")
-    _check_positive("n_transverse", n_transverse)
+    check_integer("n_transverse", n_transverse, 1)
     return cloud_intervals_from_samples(_cloud_samples(model, np.abs(k_x), n_transverse))
 
 
@@ -576,7 +568,10 @@ def _map_chunks(task, items, workers):
     The threads take items from one shared queue, in order.  Once an item
     has failed no other is started, and the failure of the earliest item
     raises, as it would have in a loop; the items before it have all run.
+    One worker runs that loop itself, with no queue.
     """
+    if workers == 1:
+        return [task(x) for x in items]
     results = [None] * len(items)
     failures = {}
     lock = threading.Lock()
@@ -645,9 +640,9 @@ def sweep(
     alone, its message prefixed with that k_x.
     """
     _check_strip(w)
-    _check_positive("n_transverse", n_transverse)
+    check_integer("n_transverse", n_transverse, 1)
     if threads is not None:
-        _check_positive("threads", threads)
+        check_integer("threads", threads, 1)
     kx_grid = np.asarray(kx_grid, dtype=float)
     if kx_grid.ndim != 1 or kx_grid.size == 0:
         raise ValueError(f"kx_grid must be a nonempty 1-D array, got shape {kx_grid.shape}")
@@ -675,12 +670,13 @@ def sweep(
 
     # solve units, in the order of their first k_x: each pair, and each k_x in none
     partner = np.arange(kx_grid.size)
-    if _mirrored(model):
+    mirrored = _mirrored(model)
+    if mirrored:
         pairs = _mirror_pairs(kx_grid)
         partner[pairs[:, 0]], partner[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
     units = [[i] if j == i else [i, j] for i, j in enumerate(partner.tolist()) if j >= i]
     if threads is None:
-        threads = min(_usable_cpus(), len(units)) if _mirrored(model) else 1
+        threads = min(_usable_cpus(), len(units)) if mirrored else 1
     n_chunks = min(len(units), max(threads, -(-len(units) // _kx_per_chunk(model, w))))
     runs = np.array_split(np.arange(len(units)), n_chunks)
     chunks = [np.sort(np.concatenate([units[u] for u in run])) for run in runs]
@@ -727,10 +723,8 @@ def edge_mode_weights(
     """
     if normalization not in ("linear", "log01"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    if states is not None and (isinstance(states, bool) or not isinstance(states, (int, np.integer))):
-        raise ValueError(f"states must be an integer number of states or None, got {states!r}")
-    if states is not None and states < 1:
-        raise ValueError("state selection is empty")
+    if states is not None:
+        check_integer("states", states, 1, "an integer number of states or None", "state selection is empty")
     _check_strip(w)
     with eigen.one_blas_thread():
         strips = _solve_strips(model, w, k_x)
@@ -776,6 +770,11 @@ class NHSESummary:
 #: least |bulk-averaged (bottom - top) outer mass| of a k_x that can take part in a boundary flip
 DELTA_FLOOR = 0.05
 
+#: :data:`LOCALIZATION_CLASSES` sorted, and each one's index into it: a label's
+#: class code, 0 and 1 the edge classes, is one binary search away
+_SORTED_CLASSES = np.sort(LOCALIZATION_CLASSES)
+_CLASS_CODES = np.argsort(LOCALIZATION_CLASSES)
+
 
 def nhse_summary(result: SweepResult, nhse_fraction: float = 0.05) -> NHSESummary:
     """Aggregate skin-effect diagnostics over a sweep.
@@ -786,13 +785,14 @@ def nhse_summary(result: SweepResult, nhse_fraction: float = 0.05) -> NHSESummar
     grid points where that signal is above :data:`DELTA_FLOOR`; the grid is
     treated as periodic over 2 pi.
     """
-    rec = result.records
-    bulk = ~np.char.startswith(rec.label, "edge")
+    rec = result.records.view(np.ndarray)  # fields by key: a recarray's attribute lookup costs more
+    code = _CLASS_CODES[np.searchsorted(_SORTED_CLASSES, rec["label"])]
+    bulk = code >= 2
     n_bulk = bulk.sum(axis=1)
-    counts = np.stack([(rec.label == c).sum(axis=1) for c in LOCALIZATION_CLASSES[2:]], axis=-1)
+    counts = np.stack([(code == c).sum(axis=1) for c in range(2, len(LOCALIZATION_CLASSES))], axis=-1)
     fracs = counts / np.maximum(n_bulk, 1)[:, None]  # all counts are 0 where n_bulk is
     # a 1-D mean per k_x: the bulk states' (bottom - top) mass summed in state order
-    mass_diff = rec.mass_bottom - rec.mass_top
+    mass_diff = rec["mass_bottom"] - rec["mass_top"]
     deltas = np.array([d[b].mean() if b.any() else 0.0 for d, b in zip(mass_diff, bulk)])
     columns = (result.kx_grid.tolist(), n_bulk.tolist(), fracs.tolist(), deltas.tolist())
     per_kx = [KxSummary(kx, rec.shape[1] - nb, nb, *fr, delta) for kx, nb, fr, delta in zip(*columns)]

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -546,6 +547,37 @@ class TestSpecies:
         with pytest.raises(ConvergenceError, match=r"in matrix \[3\]"):
             eigen.eig_species(bonds, 7, tol=[1e-8, 1e-8, 1e-8, 1e-30])
 
+    def test_toeplitz_roots_of_a_mixed_stack_are_its_rows(self):
+        # |rho| < 1, |rho| > 1 (bound root included) and rho = 0, which
+        # converges at the first step: Newton steps only the roots still
+        # moving, and each row gets the bytes it gets alone
+        rho = np.array([0.4 + 0.3j, 2.5 - 1.0j, 0.0, -0.9, 1.6j, 0.05, -3.0 + 0.1j])
+        with np.errstate(all="ignore"):
+            for w in (2, 7, 20):
+                stack = eigen._toeplitz_roots(rho, w)
+                for i in range(rho.size):
+                    assert stack[i].tobytes() == eigen._toeplitz_roots(rho[i : i + 1], w)[0].tobytes()
+                np.testing.assert_allclose(stack[2], np.pi * np.arange(1, w + 1) / (w + 1), rtol=1e-15)
+
+    def test_one_row_blocks_keep_their_bound_root(self, rng):
+        # at w = 1 the one root of a block with |rho| > 1 is the bound one,
+        # complex; where no root of the stack took a Newton step, the roots
+        # stayed a real array that dropped its imaginary part, and such a
+        # block alone (about 40% of random ones) fell back to the dense route
+        bonds = rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4))
+        for one in bonds:
+            s = eigen.eig_species(one, 1)
+            assert s.path == "species"
+            h = chiral(*scalar_blocks(one, 1))
+            assert match_eigenvalue_sets(s.eigenvalues, eig(h).eigenvalues) <= 1e-12 * max(1.0, np.linalg.norm(h))
+
+    @pytest.mark.parametrize("w", [0, -3, 2.5, 4.0, True, np.bool_(True)], ids=repr)
+    def test_w_must_be_a_positive_integer(self, w):
+        # w = 0 used to fail inside numpy ("zero-size array to reduction
+        # operation maximum"), 2.5 with numpy's TypeError, and True solved w = 1
+        with pytest.raises(ValueError, match=rf"^w must be an integer >= 1, got {re.escape(repr(w))}$"):
+            eigen.eig_species([1.0, 0.5, 1.0, 0.5], w)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             eigen.eig_species(np.ones(3), 4)
@@ -639,6 +671,90 @@ class TestHermitian:
             eigen.eigh(np.array([[np.nan, 0], [0, 1]]))
         with pytest.raises(ValueError):
             eigen.eigh(np.zeros((0, 3, 3)))
+
+
+def hermitian_chiral_blocks(rng, m, w, zero_bd):
+    """B and C = B^H of a random Hermitian chiral strip: Bd and Bs ``(m, m)`` laid out by ``chiral_blocks``.
+
+    m = 1 is a species block, m = 3 a flavour block; ``zero_bd`` sets Bd = 0,
+    which leaves B with exact zero singular values (B = L (x) Bs).
+    """
+    bd, bs = (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)) for _ in range(2))
+    if zero_bd:
+        bd[:] = 0.0
+    terms = np.stack([bd, bs, bd.conj().T, bs.conj().T])
+    return eigen.chiral_blocks(terms, w)
+
+
+class TestHermitianChiral:
+    """``eigh_chiral`` keeps the contract of ``eigh`` on Hermitian chiral matrices, from one SVD of B."""
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.sampled_from([1, 3]),
+        w=st.integers(1, 12),
+        zeros=st.sampled_from(["none", "zero_bd", "jx_eq_jy"]),
+    )
+    def test_matches_dense_with_exact_pairs(self, seed, m, w, zeros):
+        rng = np.random.default_rng(seed)
+        if zeros == "jx_eq_jy":
+            # pure YL with jx = jy at k_x = -pi: Bd vanishes up to rounding
+            model = ModelConfig(Variant.PURE_YL, Coupling3(*rng.uniform(0.5, 2.0, 2)[[0, 0, 1]]))
+            b, c = eigen.chiral_blocks(ribbon._bond_terms(model, [-np.pi])[0][:, :m, :m], w)
+        else:
+            b, c = hermitian_chiral_blocks(rng, m, w, zeros == "zero_bd")
+        n = 2 * b.shape[-1]
+        # a +-k pair: B(-k) = -conj B(k), so the partner is -conj H
+        s = eigen.eigh_chiral(np.stack([b, -b.conj()]), np.stack([c, -c.conj()]), pairs=[[0, 1]])
+        assert s.routes.tolist() == ["hermitian", "mirrored"]
+        assert (s.eigenvalues.imag == 0.0).all()
+        e, v = s.eigenvalues.real, s.right_vectors
+        for i, h in enumerate((chiral(b, c), -chiral(b, c).conj())):
+            # E(-) = -E(+) bitwise, and each -E state has its +E twin's |entries|
+            assert e[i, : n // 2].tobytes() == (-e[i, n // 2 :][::-1]).tobytes()
+            assert np.abs(v[i]).tobytes() == np.abs(v[i][:, ::-1]).tobytes()
+            np.testing.assert_allclose(v[i].conj().T @ v[i], np.eye(n), atol=1e-13)
+            one = eigen.Spectrum(eigenvalues=s.eigenvalues[i], right_vectors=v[i], residuals=s.residuals[i],
+                                 achieved_tol=s.achieved_tol[i], matrix_norm=s.matrix_norm[i])
+            assert_certified_on(h, one, eigen.default_tol(n))
+            assert match_eigenvalue_sets(s.eigenvalues[i], eig(h).eigenvalues) <= 1e-12 * max(1.0, np.linalg.norm(h))
+        # the partner is its representative's solve, conjugated and reversed
+        assert s.eigenvalues[1].tobytes() == (-s.eigenvalues[0].real[::-1]).astype(complex).tobytes()
+        assert v[1].tobytes() == v[0][:, ::-1].conj().tobytes()
+        # the representative gets the bytes of its lone solve
+        lone = eigen.eigh_chiral(b, c)
+        for name in SPECTRUM_ARRAYS:
+            assert getattr(s, name)[0].tobytes() == getattr(lone, name).tobytes(), name
+        if zeros == "zero_bd":  # B = L (x) Bs has m zero singular values: 2m zero modes, to rounding
+            assert np.sort(np.abs(e[0]))[2 * m - 1] <= 1e-14 * max(1.0, np.linalg.norm(b))
+
+    def test_strip_norm_certificate(self):
+        model = ModelConfig(Variant.K_MODEL, Coupling3(2, 1, 2.5), k_coupling=0.4)
+        b, c, norm = species_blocks(model, 20, 0.7)
+        s = assert_strip_norm_certificate(eigen.eigh_chiral, b, c, norm)
+        assert s.path == "hermitian"
+
+    def test_a_wrong_declaration_is_solved_again(self, rng):
+        # C is not B^H in the second matrix: its residuals miss, and it alone is solved by the dense route
+        b, c = hermitian_chiral_blocks(rng, 3, 4, False)
+        other = random_matrix(rng, 12)
+        s = eigen.eigh_chiral(np.stack([b, b]), np.stack([c, other]))
+        assert s.routes.tolist() == ["hermitian", "dense_fallback"]
+        alone = eig(chiral(b, other))
+        assert s.eigenvalues[1].tobytes() == alone.eigenvalues.tobytes()
+        assert s.right_vectors[1].tobytes() == alone.right_vectors.tobytes()
+
+    def test_overflowed_norm_raises(self, rng):
+        b, c = hermitian_chiral_blocks(rng, 3, 2, False)
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="^matrix norm overflowed: "):
+            eigen.eigh_chiral(1e200 * b, 1e200 * c)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="equal shapes"):
+            eigen.eigh_chiral(np.eye(3), np.eye(4))
+        with pytest.raises(ValueError):
+            eigen.eigh_chiral(np.array([[np.nan]]), np.array([[1.0]]))
 
 
 class TestMirroredPairs:

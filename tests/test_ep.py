@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,18 @@ class TestEPScan:
         with pytest.raises(ValueError, match=r"^grid_n must be >= 32$"):
             ep_scan(GAMMA_FIG3B, grid_n=np.int64(16))
         assert ep_scan(get_preset("fig6a").model, grid_n=np.int64(48)) == []
+
+    @pytest.mark.parametrize("grid_n", [True, np.True_], ids=repr)
+    def test_bool_grid_rejected_by_name(self, monkeypatch, grid_n):
+        # a bool is an int to Python: True used to be refused as a grid below the bound
+        def scan(*args, **kwargs):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(ep_module, "_scan_family", scan)
+        monkeypatch.setattr(ep_module, "ep_scan", scan)
+        for call in (ep_scan, fermi_arc_trace):
+            with pytest.raises(ValueError, match=rf"^grid_n must be an integer, got {re.escape(repr(grid_n))}$"):
+                call(GAMMA_FIG3B, grid_n=grid_n)
 
     def test_scan_without_lapacke_zgeev(self, monkeypatch):
         # the zone grid's 6x6 pairs take the stacked route, which needs no

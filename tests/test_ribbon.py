@@ -606,6 +606,40 @@ class TestSweepAndSummary:
         with pytest.raises(ValueError, match=rf"^{message}$"):
             sweep(GAMMA_FIG3B, 4, [0.3], **kwargs)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: sweep(GAMMA_FIG3B, 4, [0.3], threads=True), "threads must be an integer >= 1, got True"),
+        (lambda: sweep(GAMMA_FIG3B, 4, [0.3], n_transverse=np.True_),
+         "n_transverse must be an integer >= 1, got np.True_"),
+        (lambda: pbc_cloud_intervals(GAMMA_FIG3B, 0.3, True), "n_transverse must be an integer >= 1, got True"),
+        (lambda: sweep(GAMMA_FIG3B, True, [0.3]), "w must be an integer number of dimer rows, got True"),
+        (lambda: RibbonSpec(w=True, boundary_y="open", k_x=0.3, model=GAMMA_FIG3B),
+         "w must be an integer number of dimer rows, got True"),
+    ], ids=["sweep_threads", "sweep_n_transverse", "cloud_n_transverse", "sweep_w", "spec_w"])
+    def test_bool_counts_rejected_by_name(self, monkeypatch, call, message):
+        # a bool is an int to Python: threads=True used to run one worker and
+        # the cloud of n_transverse=True to return one sample
+        def solve(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(ribbon, "_solve_strips", solve)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            call()
+
+    def test_hermitian_species_twins_share_their_masses(self):
+        # a real-coupling strip's species blocks are solved from the SVD of B:
+        # the +-E states of one block have bitwise-equal |entries|, so equal
+        # outer masses and one label, even where the two edges tie
+        model = ModelConfig(Variant.K_MODEL, Coupling3(1.7, 0.8, 1.3), k_coupling=0.35)
+        kxs = np.linspace(-np.pi, np.pi, 8, endpoint=False)
+        rec = sweep(model, 16, kxs, n_transverse=64).records
+        e = rec.eigenvalue.real
+        n = e.shape[1]
+        assert e[:, : n // 2].tobytes() == (-e[:, n // 2 :][:, ::-1]).tobytes()
+        # +-E twins sit at mirrored places of the sorted spectrum (no |E| is shared by two species here)
+        for name in ("mass_bottom", "mass_top", "label"):
+            field = getattr(rec, name)
+            assert field.tobytes() == field[:, ::-1].tobytes(), name
+
     def test_cloud_without_transverse_momenta_rejected(self):
         with pytest.raises(ValueError, match=r"^n_transverse must be an integer >= 1, got 0$"):
             pbc_cloud_intervals(GAMMA_FIG3B, 0.3, 0)
@@ -650,7 +684,7 @@ class TestSweepAndSummary:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_hermitian_worker_error_keeps_its_object(self, monkeypatch, blas_at_two, threads):
         model = ModelConfig(Variant.PURE_YL, Coupling3(1, 1, 1))
-        self._check_worker_error(monkeypatch, threads, "eigh", model)
+        self._check_worker_error(monkeypatch, threads, "eigh_chiral", model)
 
     def _check_worker_error(self, monkeypatch, threads, solver, model):
         # a solver failure at one k_x surfaces as the same exception object,
