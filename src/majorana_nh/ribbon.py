@@ -266,6 +266,8 @@ def _solve_strips(model: ModelConfig, w, k_x, tol=None) -> _Strips:
     sets = species(model)
     if sets is None:
         b, c = (lone(x) for x in eigen.chiral_blocks(terms, w))
+        # a Hermitian strip by the SVD of B at half the size: three fig3a strips at w=52 take 17.7 ms
+        # in svd against 72.2 ms in zheevd of the doubled matrices (one BLAS thread)
         solve = eigen.eigh_chiral if hermitian else eigen.eig_chiral
         return _Strips(solve(b, c, tol=tol, pairs=_mirror_pairs(k_x)), k, w, None, True)
     # (k, species, 4): a species' bd, bs, cd and cs are its flavour's diagonal entries of the terms
